@@ -270,6 +270,7 @@ fn run() -> Result<(), String> {
                 "cluster {protocol}: n={n} attacked={attacked} x={x} round={round_ms}ms \
                  {messages} msgs at {rate}/s, {layout}"
             );
+            let sharded = cfg.resolved_shards() > 0;
             let report = throughput_experiment(cfg, messages, rate, 50, Duration::from_secs(3))
                 .map_err(|e| e.to_string())?;
             let mut t = Table::new(vec![
@@ -298,6 +299,14 @@ fn run() -> Result<(), String> {
                 report.mean_throughput(),
                 report.mean_latency_ms()
             );
+            if sharded {
+                println!(
+                    "net.shard_wakeups per engine-round {:.2} ({} wakeups, {} engine-rounds)",
+                    report.shard_wakeups as f64 / report.rounds.max(1) as f64,
+                    report.shard_wakeups,
+                    report.rounds
+                );
+            }
         }
         "figures" => {
             let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("results"));

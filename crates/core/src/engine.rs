@@ -563,6 +563,9 @@ impl Engine {
 
         let mut out = Vec::with_capacity(views.push.len() + views.pull.len());
 
+        // Nothing below touches the buffer, so every pull target is sent
+        // the same digest: built for the first, cloned for the rest.
+        let mut digest = None;
         for target in views.pull {
             let port = if self.config.random_ports {
                 oracle.allocate_port(PortPurpose::PullReply, self.round)
@@ -575,7 +578,7 @@ impl Engine {
                 port: SendPort::WellKnownPull,
                 msg: GossipMessage::PullRequest {
                     from: self.me(),
-                    digest: self.buffer.digest(),
+                    digest: digest.get_or_insert_with(|| self.buffer.digest()).clone(),
                     reply_port,
                     nonce,
                 },

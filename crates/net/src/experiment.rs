@@ -400,6 +400,12 @@ pub struct ThroughputReport {
     pub duration_secs: f64,
     /// Messages published.
     pub published: u64,
+    /// Local rounds executed, summed over the correct processes.
+    pub rounds: u64,
+    /// Epoll wakeups taken by the shard event loops (`net.shard_wakeups`;
+    /// zero on the thread-per-process layout). Per round it tracks the
+    /// datagrams a round brings, and explodes if a loop ever polls.
+    pub shard_wakeups: u64,
 }
 
 impl ThroughputReport {
@@ -500,11 +506,18 @@ pub fn throughput_experiment(
         })
         .collect();
 
-    cluster.shutdown();
+    let rounds = cluster.shutdown().iter().map(|s| s.rounds).sum();
     Ok(ThroughputReport {
         receivers,
         duration_secs,
         published: total_messages,
+        rounds,
+        shard_wakeups: config
+            .net
+            .tracer
+            .registry()
+            .counter(drum_trace::names::SHARD_WAKEUPS)
+            .get(),
     })
 }
 

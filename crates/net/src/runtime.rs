@@ -59,7 +59,8 @@ pub struct NetConfig {
     pub jitter: f64,
     /// Socket polling interval inside a round. Only the per-datagram
     /// fallback path sleep-polls at this interval; the batched path blocks
-    /// in `epoll_wait` until a socket is readable (see DESIGN.md §14).
+    /// in epoll until a socket is readable or the round deadline arrives
+    /// (see DESIGN.md §14).
     pub poll: Duration,
     /// Probability of dropping each outbound datagram (emulated link loss;
     /// 0.0 by default — loopback is lossless, the paper's LAN loses ~1%).
@@ -307,11 +308,11 @@ pub fn spawn_process(spec: ProcessSpec) -> io::Result<ProcessHandle> {
 /// Bound on each staged-arrival reservoir (per channel, per round).
 const STAGE_CAP: usize = 1024;
 
-/// Upper bound on a single `epoll_wait` inside the round loop. Bounds the
-/// latency of noticing a stop request (and of the round-boundary check)
-/// without reintroducing the 1 kHz sleep-poll spin: a quiet round makes at
-/// most ~40 wakeups per second.
-pub(crate) const EPOLL_WAIT_CAP_MS: u128 = 25;
+/// Upper bound on a single epoll wait inside the round loops. A wait is
+/// otherwise exactly as long as the time to the next round deadline; the
+/// cap only bounds how long a stop request can go unnoticed, at the price
+/// of at most 40 extra wakeups per second on an idle driver.
+pub(crate) const EPOLL_WAIT_CAP: Duration = Duration::from_millis(25);
 
 /// The receive channels a node owns. The discriminant is packed into the
 /// low bits of a shard's epoll registration token (see [`pack_token`]), so
@@ -323,8 +324,10 @@ pub enum ChannelClass {
     WkPull,
     /// Well-known push port (stages `PushOffer`s).
     WkPush,
-    /// The rotating random-port pool (processed immediately; one token
-    /// covers the whole pool, the drain visits every live pool socket).
+    /// The rotating random-port pool (processed immediately). One token
+    /// covers the whole pool: it is the registration of the pool's inner
+    /// readiness set, and the drain visits the sockets that set reports
+    /// (every live socket only when the pool fell back to scanning).
     Pool,
     /// Fixed pull-reply port (no-random-ports ablation only).
     AbPullReply,
@@ -684,15 +687,16 @@ impl NodeCore {
                 && ep.add(&ab.push_data).is_ok();
         }
         if ok {
-            self.pool.set_epoll(ep.clone());
+            self.pool
+                .set_epoll(ep.clone(), pack_token(0, ChannelClass::Pool));
         }
         ok
     }
 
     /// Registers every receive socket with a *shared* shard epoll, tagging
     /// each registration with `pack_token(engine, class)` so the shard's
-    /// event loop can dispatch readiness straight to this engine. Pool
-    /// sockets bound later in the node's lifetime inherit the pool token.
+    /// event loop can dispatch readiness straight to this engine. The pool
+    /// registers once, for every socket it will ever bind.
     /// All-or-nothing, like [`NodeCore::register_with`].
     pub fn register_tagged(&mut self, ep: &Arc<sys::Epoll>, engine: usize) -> bool {
         let mut ok = ep
@@ -720,7 +724,7 @@ impl NodeCore {
         }
         if ok {
             self.pool
-                .set_epoll_tagged(ep.clone(), pack_token(engine, ChannelClass::Pool));
+                .set_epoll(ep.clone(), pack_token(engine, ChannelClass::Pool));
         }
         ok
     }
@@ -1341,18 +1345,12 @@ fn run_process(
             }
             match &epoll {
                 // Batched path: block until any live socket is readable or
-                // the round deadline nears — quiet rounds make a handful
-                // of wakeups instead of a 1 kHz sleep-poll spin, flooded
-                // rounds wake once per kernel batch. The wait is capped so
-                // a stop request is still honored promptly, and the final
-                // sub-millisecond remainder busy-polls (epoll timeouts are
-                // whole milliseconds).
+                // the round deadline arrives — a quiet round is one wakeup,
+                // a flooded one wakes once per kernel batch. The wait is
+                // capped so a stop request is still honored promptly.
                 Some(ep) => {
                     let remaining = deadline.saturating_duration_since(now);
-                    let wait_ms = remaining.as_millis().min(EPOLL_WAIT_CAP_MS) as i32;
-                    if wait_ms >= 1 {
-                        let _ = ep.wait(wait_ms);
-                    }
+                    let _ = ep.wait_for(remaining.min(EPOLL_WAIT_CAP));
                 }
                 // Fallback: the seed's fixed-interval sleep-poll.
                 None => std::thread::sleep(config.poll),

@@ -4,21 +4,24 @@
 //! socket of every engine is registered in one shared epoll instance with
 //! a token of `pack_token(engine, class)`, so a readiness event routes
 //! straight to the owning engine's drain for exactly that channel — one
-//! `epoll_pwait` wakeup serves datagram work for many engines. Round
-//! starts fire from a per-shard [`TimerWheel`] (a binary heap of
-//! fixed-cadence deadlines), replacing N per-thread sleeps: the loop
-//! blocks until the earliest deadline across all engines or until any
-//! socket is readable, eliminating the per-node sub-millisecond busy-poll
-//! remainder.
+//! epoll wakeup serves datagram work for many engines. An engine's
+//! rotating random-port pool is one registration: the pool keeps its
+//! sockets in an inner epoll and receives only on the readable ones (see
+//! [`crate::transport::SocketPool`]). Round starts fire from a per-shard
+//! [`TimerWheel`] (a binary heap of fixed-cadence deadlines), replacing N
+//! per-thread sleeps: the loop blocks for exactly the time to the earliest
+//! deadline across all engines (`epoll_pwait2`, nanosecond timeout) or
+//! until any socket is readable. The thread therefore wakes once per round
+//! tick and once per burst of datagrams — its CPU follows the work it
+//! serves, not wall time × live sockets.
 //!
 //! Behavior is decision-equivalent to the per-thread runtime: both drive
 //! the same [`NodeCore`] methods in the same order, with the same
 //! per-engine RNG streams (`tests/shard_equivalence.rs` pins this, the
 //! same recipe as the batched-I/O equivalence suite). This lifts real-UDP
 //! single-process clusters from ~50 threads to 1,000+ engines (ROADMAP
-//! item 1): 1,000 engines need ~2,000 well-known sockets plus the rotating
-//! pools, comfortably inside a 20k fd limit, and a handful of shard
-//! threads instead of a thousand.
+//! item 1) on a handful of shard threads instead of a thousand; an engine
+//! holds ~25 descriptors (DESIGN.md §16 has the budget).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -36,7 +39,7 @@ use drum_trace::{names, Counter};
 
 use crate::codec;
 use crate::runtime::{
-    seed_of, unpack_token, Delivery, NetStats, NodeCore, ProcessSpec, EPOLL_WAIT_CAP_MS,
+    seed_of, unpack_token, Delivery, NetStats, NodeCore, ProcessSpec, EPOLL_WAIT_CAP,
 };
 use crate::sys;
 use crate::transport::{bind_ephemeral, BatchRx, BatchTx};
@@ -274,9 +277,11 @@ impl ShardCore {
     }
 
     /// One I/O pass: block until any socket is readable or the earliest
-    /// wheel deadline nears (capped like the per-thread loop), then
-    /// dispatch each ready token to the owning engine's channel drain. On
-    /// the fallback path, drain every engine and sleep one poll interval.
+    /// wheel deadline arrives (capped like the per-thread loop), then
+    /// dispatch each ready token to the owning engine's channel drain.
+    /// `now` must be a fresh reading taken after [`ShardCore::fire_due`]:
+    /// the wait is the whole time from `now` to that deadline. On the
+    /// fallback path, drain every engine and sleep one poll interval.
     pub fn poll_io(&mut self, now: Instant) {
         let until = self
             .wheel
@@ -285,18 +290,15 @@ impl ShardCore {
             .unwrap_or(self.poll);
         match self.epoll.clone() {
             Some(ep) => {
-                // A timeout of 0 keeps the sub-millisecond remainder a
-                // non-blocking drain instead of an overshooting sleep
-                // (epoll timeouts are whole milliseconds).
-                let wait_ms = until.as_millis().min(EPOLL_WAIT_CAP_MS) as i32;
                 self.tokens.clear();
-                let _ = ep.wait_tagged(wait_ms, &mut self.tokens);
+                let _ = ep.wait_tagged_for(until.min(EPOLL_WAIT_CAP), &mut self.tokens);
                 self.c_wakeups.inc();
                 if self.tokens.is_empty() {
                     return;
                 }
-                // Dedup: 64 ready events on one engine's pool collapse to
-                // one drain (the drain empties every live pool socket).
+                // Dedup: a pool that fell back to registering its sockets
+                // one by one reports its token once per readable socket,
+                // and one drain empties them all.
                 self.tokens.sort_unstable();
                 self.tokens.dedup();
                 let mut dispatched = 0u64;
@@ -514,6 +516,10 @@ mod tests {
     }
 
     fn shard_cluster(n: u64, round_ms: u64) -> (ShardHandle, Vec<EngineHandle>) {
+        spawn_shard(shard_specs(n, round_ms, drum_trace::Tracer::disabled())).unwrap()
+    }
+
+    fn shard_specs(n: u64, round_ms: u64, tracer: drum_trace::Tracer) -> Vec<ProcessSpec> {
         let key_store = KeyStore::new(41);
         let members: Vec<ProcessId> = (0..n).map(ProcessId).collect();
         let mut socks = Vec::new();
@@ -524,7 +530,7 @@ mod tests {
             entries.push((m, addrs));
         }
         let book = AddressBook::new(entries);
-        let specs: Vec<ProcessSpec> = socks
+        socks
             .into_iter()
             .map(|(m, sockets)| ProcessSpec {
                 me: m,
@@ -535,11 +541,33 @@ mod tests {
                 sockets,
                 ablation: None,
                 config: NetConfig::new(GossipConfig::drum())
-                    .with_round(Duration::from_millis(round_ms)),
+                    .with_round(Duration::from_millis(round_ms))
+                    .with_tracer(tracer.clone()),
                 seed: seed_of(m),
             })
-            .collect();
-        spawn_shard(specs).unwrap()
+            .collect()
+    }
+
+    /// The event loop wakes for round ticks and for datagrams, not for
+    /// the passage of time: a count, so it holds on any machine. (A loop
+    /// that polls through the sub-millisecond remainder before each
+    /// deadline makes ~10^5 wakeups in this second.)
+    #[test]
+    fn shard_wakeups_are_bounded_by_rounds_and_datagrams() {
+        let tracer = drum_trace::Tracer::disabled();
+        let wakeups = tracer.registry().counter(names::SHARD_WAKEUPS);
+        let (shard, engines) = spawn_shard(shard_specs(6, 40, tracer)).unwrap();
+        engines[0].publish(Bytes::from_static(b"count me"));
+        std::thread::sleep(Duration::from_secs(1));
+        let stats = shard.shutdown();
+        let rounds: u64 = stats.iter().map(|s| s.rounds).sum();
+        let datagrams: u64 = stats.iter().map(|s| s.received + s.decode_errors).sum();
+        assert!(rounds >= 6 * 10, "the shard must have run: {rounds} rounds");
+        assert!(
+            wakeups.get() <= 4 * (rounds + datagrams) + 64,
+            "{} wakeups for {rounds} rounds and {datagrams} datagrams",
+            wakeups.get()
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! under a Figure-5-style flood. `recvmmsg(2)` moves up to [`BATCH`]
 //! datagrams per kernel crossing and `sendmmsg(2)` does the same for the
 //! encode-once fan-out, amortizing the fixed cost by ~64×; `epoll(7)` lets
-//! quiet rounds block instead of spinning a 1 ms sleep-poll.
+//! quiet rounds block — to the nanosecond, through `epoll_pwait2(2)` —
+//! until a datagram or the next round deadline, instead of spinning.
 //!
 //! No libc is available in this hermetic workspace, so the syscalls are
 //! issued through `asm!` shims (x86-64 and aarch64 Linux). Following the
@@ -27,6 +28,11 @@
 
 /// Maximum datagrams moved per `recvmmsg`/`sendmmsg` call.
 pub const BATCH: usize = 64;
+
+/// Maximum readiness tokens one [`Epoll::wait_tagged_for`] call surfaces.
+/// A return of exactly this many means more descriptors may be ready;
+/// level-triggered registration re-reports them on the next call.
+pub const EVENT_BATCH: usize = 64;
 
 /// Whether this build target supports the batched syscall path at all
 /// (Linux on x86-64 or aarch64). A `false` here means every [`enabled`]
@@ -59,10 +65,12 @@ pub use imp::{fd_of, Epoll, RecvArena, SendArena, SockAddrV4Raw};
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod imp {
-    use super::BATCH;
+    use super::{BATCH, EVENT_BATCH};
     use std::io;
     use std::net::{SocketAddr, UdpSocket};
     use std::os::unix::io::AsRawFd;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     // ---------------------------------------------------------------
     // Syscall numbers and constants.
@@ -76,6 +84,7 @@ mod imp {
         pub const EPOLL_CREATE1: usize = 291;
         pub const RECVMMSG: usize = 299;
         pub const SENDMMSG: usize = 307;
+        pub const EPOLL_PWAIT2: usize = 441;
     }
 
     #[cfg(target_arch = "aarch64")]
@@ -86,12 +95,14 @@ mod imp {
         pub const CLOSE: usize = 57;
         pub const RECVMMSG: usize = 243;
         pub const SENDMMSG: usize = 269;
+        pub const EPOLL_PWAIT2: usize = 441;
     }
 
     const AF_INET: u16 = 2;
     const MSG_DONTWAIT: u32 = 0x40;
     const EAGAIN: i32 = 11;
     const EINTR: i32 = 4;
+    const ENOSYS: i32 = 38;
     const EPOLL_CTL_ADD: i32 = 1;
     const EPOLLIN: u32 = 0x1;
 
@@ -560,13 +571,38 @@ mod imp {
         data: u64,
     }
 
-    /// A level-triggered epoll instance used as a round-loop sleep that
-    /// wakes the moment any registered socket becomes readable.
+    /// `struct __kernel_timespec`: the 64-bit timeout `epoll_pwait2` takes
+    /// on every architecture.
+    #[repr(C)]
+    struct KernelTimespec {
+        sec: i64,
+        nsec: i64,
+    }
+
+    /// Set once `epoll_pwait2` has answered `ENOSYS` (kernel < 5.11), so
+    /// the process pays the failed probe once and every later wait goes
+    /// straight to `epoll_pwait`. A pure flag — it publishes no other data.
+    static PWAIT2_MISSING: AtomicBool = AtomicBool::new(false);
+
+    /// The whole-millisecond timeout the `epoll_pwait` fallback passes for
+    /// `timeout`: rounded **up**, so it is `0` only for a zero duration and
+    /// a sub-millisecond remainder blocks (at most 1 ms late) instead of
+    /// degenerating into a non-blocking spin.
+    pub(super) fn ceil_ms(timeout: Duration) -> i32 {
+        timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
+    }
+
+    /// A level-triggered epoll instance: the round loops' sleep, which
+    /// ends the moment a registered descriptor becomes readable or the
+    /// given timeout — the time to the next round deadline — elapses.
     ///
-    /// The runtime never asks *which* sockets woke it — after a wake it
-    /// re-drains every socket until `WouldBlock`, exactly as the sleep-poll
-    /// loop did — so readiness events are deliberately discarded and the
-    /// accept/drop behavior stays identical to the fallback.
+    /// Every registration carries a token. The sharded runtime packs an
+    /// engine index and a channel class into it and drains exactly the
+    /// channels [`Epoll::wait_tagged_for`] reports; a random-port pool
+    /// keeps its sockets in an epoll of its own, nested in the driver's
+    /// through [`Epoll::add_epoll_tagged`], and receives only on the
+    /// sockets that one reports. The per-thread runtime registers with
+    /// [`Epoll::add`] and uses the wakeup alone.
     #[derive(Debug)]
     pub struct Epoll {
         fd: i32,
@@ -584,6 +620,27 @@ mod imp {
             check(ret).map(|fd| Epoll { fd: fd as i32 })
         }
 
+        /// `epoll_ctl(EPOLL_CTL_ADD)` of `fd` for readability under `token`.
+        fn ctl_add(&self, fd: i32, token: u64) -> io::Result<()> {
+            let mut ev = EpollEvent {
+                events: EPOLLIN,
+                data: token,
+            };
+            // SAFETY: `ev` is a valid epoll_event alive across the call.
+            let ret = unsafe {
+                syscall6(
+                    nr::EPOLL_CTL,
+                    self.fd as usize,
+                    EPOLL_CTL_ADD as usize,
+                    fd as usize,
+                    core::ptr::addr_of_mut!(ev) as usize,
+                    0,
+                    0,
+                )
+            };
+            check(ret).map(|_| ())
+        }
+
         /// Registers `socket` for readability wakeups. Sockets deregister
         /// themselves when closed (the kernel removes a closed descriptor
         /// from every epoll set), so there is no `del`.
@@ -597,71 +654,107 @@ mod imp {
 
         /// Registers `socket` for readability wakeups with an explicit
         /// event token. The sharded runtime packs an engine index and a
-        /// channel class into the token so one `epoll_pwait` can route
-        /// each ready socket straight to the engine that owns it (see
-        /// [`Epoll::wait_tagged`]); [`Epoll::add`] is the untagged form
-        /// whose events are discarded.
+        /// channel class into the token so one wait can route each ready
+        /// socket straight to the engine that owns it (see
+        /// [`Epoll::wait_tagged_for`]); [`Epoll::add`] is the form for
+        /// callers that discard the events.
         ///
         /// # Errors
         ///
         /// Propagates the kernel error.
         pub fn add_tagged(&self, socket: &UdpSocket, token: u64) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: EPOLLIN,
-                data: token,
-            };
-            // SAFETY: `ev` is a valid epoll_event alive across the call.
-            let ret = unsafe {
-                syscall6(
-                    nr::EPOLL_CTL,
-                    self.fd as usize,
-                    EPOLL_CTL_ADD as usize,
-                    socket.as_raw_fd() as usize,
-                    core::ptr::addr_of_mut!(ev) as usize,
-                    0,
-                    0,
-                )
-            };
-            check(ret).map(|_| ())
+            self.ctl_add(socket.as_raw_fd(), token)
         }
 
-        /// Blocks until any registered socket is readable or `timeout_ms`
-        /// elapses. Returns the number of ready descriptors (possibly `0`
-        /// on timeout or interrupt); callers treat any return as "go drain
-        /// everything".
+        /// Nests `inner` in this instance under `token`: `inner` reads as
+        /// readable exactly while one of *its* descriptors is, so a single
+        /// registration here stands for a whole changing set there. Like a
+        /// socket, `inner` deregisters itself when dropped.
         ///
         /// # Errors
         ///
-        /// Propagates kernel errors other than `EINTR`.
-        pub fn wait(&self, timeout_ms: i32) -> io::Result<usize> {
-            let mut events = [EpollEvent { events: 0, data: 0 }; 16];
-            // SAFETY: `events` is writable for 16 epoll_event entries;
-            // the null sigmask (arg 5) makes epoll_pwait behave as
-            // epoll_wait, which aarch64 does not expose directly.
+        /// Propagates the kernel error.
+        pub fn add_epoll_tagged(&self, inner: &Epoll, token: u64) -> io::Result<()> {
+            self.ctl_add(inner.fd, token)
+        }
+
+        /// The one wait: fills `events` and returns how many are ready
+        /// (`0` on timeout or interrupt). `epoll_pwait2` takes the timeout
+        /// to the nanosecond; where the kernel lacks it (or a test sets
+        /// `force_legacy`) `epoll_pwait` gets it rounded up by [`ceil_ms`].
+        fn pwait(
+            &self,
+            events: &mut [EpollEvent],
+            timeout: Duration,
+            force_legacy: bool,
+        ) -> io::Result<usize> {
+            let soften = |ret: isize| match check(ret) {
+                Err(e) if is_soft(&e) => Ok(0),
+                other => other,
+            };
+            if !(force_legacy || PWAIT2_MISSING.load(Ordering::Relaxed)) {
+                let ts = KernelTimespec {
+                    sec: i64::try_from(timeout.as_secs()).unwrap_or(i64::MAX),
+                    nsec: i64::from(timeout.subsec_nanos()),
+                };
+                // SAFETY: `events` is writable for `events.len()` entries
+                // and `ts` is a valid __kernel_timespec, both alive across
+                // the call; the null sigmask (arg 5) leaves the signal
+                // mask alone.
+                let ret = unsafe {
+                    syscall6(
+                        nr::EPOLL_PWAIT2,
+                        self.fd as usize,
+                        events.as_mut_ptr() as usize,
+                        events.len(),
+                        core::ptr::addr_of!(ts) as usize,
+                        0,
+                        0,
+                    )
+                };
+                if ret != -(ENOSYS as isize) {
+                    return soften(ret);
+                }
+                PWAIT2_MISSING.store(true, Ordering::Relaxed);
+            }
+            // SAFETY: `events` as above; the null sigmask makes
+            // epoll_pwait behave as epoll_wait, which aarch64 does not
+            // expose directly.
             let ret = unsafe {
                 syscall6(
                     nr::EPOLL_PWAIT,
                     self.fd as usize,
                     events.as_mut_ptr() as usize,
                     events.len(),
-                    timeout_ms as usize,
+                    ceil_ms(timeout) as usize,
                     0,
                     0,
                 )
             };
-            match check(ret) {
-                Ok(n) => Ok(n),
-                Err(e) if is_soft(&e) => Ok(0),
-                Err(e) => Err(e),
-            }
+            soften(ret)
         }
 
-        /// Like [`Epoll::wait`], but appends the registration token of
+        /// Blocks until any registered descriptor is readable or `timeout`
+        /// elapses — exactly, not to the millisecond, so a caller can hand
+        /// it the time to its next deadline and never spin through a
+        /// sub-millisecond remainder. Returns the number of ready
+        /// descriptors (possibly `0` on timeout or interrupt).
+        ///
+        /// # Errors
+        ///
+        /// Propagates kernel errors other than `EINTR`.
+        pub fn wait_for(&self, timeout: Duration) -> io::Result<usize> {
+            let mut events = [EpollEvent { events: 0, data: 0 }; 16];
+            self.pwait(&mut events, timeout, false)
+        }
+
+        /// Like [`Epoll::wait_for`], but appends the registration token of
         /// every ready descriptor to `out` so the caller can drain only
-        /// the sockets the kernel reported. One call surfaces at most 64
-        /// tokens; level-triggered semantics re-report anything still
-        /// readable on the next call, so a shard serving thousands of
-        /// sockets never misses one — it just takes another wakeup.
+        /// what the kernel reported. One call surfaces at most
+        /// [`EVENT_BATCH`] tokens; level-triggered semantics re-report
+        /// anything still readable on the next call, so a shard serving
+        /// thousands of sockets never misses one — it just takes another
+        /// wakeup.
         ///
         /// Returns the number of tokens appended (`0` on timeout or
         /// interrupt).
@@ -669,34 +762,53 @@ mod imp {
         /// # Errors
         ///
         /// Propagates kernel errors other than `EINTR`.
+        pub fn wait_tagged_for(&self, timeout: Duration, out: &mut Vec<u64>) -> io::Result<usize> {
+            self.collect(timeout, out, false)
+        }
+
+        /// [`Epoll::wait_tagged_for`] pinned to the `epoll_pwait` fallback,
+        /// so the old-kernel path is tested on kernels that never take it.
+        #[cfg(test)]
+        pub(super) fn wait_tagged_for_legacy(
+            &self,
+            timeout: Duration,
+            out: &mut Vec<u64>,
+        ) -> io::Result<usize> {
+            self.collect(timeout, out, true)
+        }
+
+        fn collect(
+            &self,
+            timeout: Duration,
+            out: &mut Vec<u64>,
+            force_legacy: bool,
+        ) -> io::Result<usize> {
+            let mut events = [EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
+            let n = self.pwait(&mut events, timeout, force_legacy)?;
+            // By-value field copy: `data` may be unaligned in the packed
+            // x86-64 layout, so never take a ref.
+            out.extend(events.iter().take(n).map(|ev| { *ev }.data));
+            Ok(n)
+        }
+
+        /// [`Epoll::wait_for`] with a whole-millisecond timeout (negative
+        /// counts as zero).
+        ///
+        /// # Errors
+        ///
+        /// Propagates kernel errors other than `EINTR`.
+        pub fn wait(&self, timeout_ms: i32) -> io::Result<usize> {
+            self.wait_for(Duration::from_millis(timeout_ms.max(0) as u64))
+        }
+
+        /// [`Epoll::wait_tagged_for`] with a whole-millisecond timeout
+        /// (negative counts as zero).
+        ///
+        /// # Errors
+        ///
+        /// Propagates kernel errors other than `EINTR`.
         pub fn wait_tagged(&self, timeout_ms: i32, out: &mut Vec<u64>) -> io::Result<usize> {
-            let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-            // SAFETY: `events` is writable for 64 epoll_event entries;
-            // null sigmask as in `wait`.
-            let ret = unsafe {
-                syscall6(
-                    nr::EPOLL_PWAIT,
-                    self.fd as usize,
-                    events.as_mut_ptr() as usize,
-                    events.len(),
-                    timeout_ms as usize,
-                    0,
-                    0,
-                )
-            };
-            match check(ret) {
-                Ok(n) => {
-                    for ev in events.iter().take(n) {
-                        // By-value field copy: `data` may be unaligned in
-                        // the packed x86-64 layout, so never take a ref.
-                        let token = { *ev }.data;
-                        out.push(token);
-                    }
-                    Ok(n)
-                }
-                Err(e) if is_soft(&e) => Ok(0),
-                Err(e) => Err(e),
-            }
+            self.wait_tagged_for(Duration::from_millis(timeout_ms.max(0) as u64), out)
         }
     }
 
@@ -719,6 +831,7 @@ mod imp {
 mod imp {
     use std::io;
     use std::net::{SocketAddr, UdpSocket};
+    use std::time::Duration;
 
     fn unsupported() -> io::Error {
         io::Error::new(
@@ -818,6 +931,25 @@ mod imp {
 
         /// Unreachable on this target.
         pub fn add_tagged(&self, _socket: &UdpSocket, _token: u64) -> io::Result<()> {
+            Err(unsupported())
+        }
+
+        /// Unreachable on this target.
+        pub fn add_epoll_tagged(&self, _inner: &Epoll, _token: u64) -> io::Result<()> {
+            Err(unsupported())
+        }
+
+        /// Unreachable on this target.
+        pub fn wait_for(&self, _timeout: Duration) -> io::Result<usize> {
+            Err(unsupported())
+        }
+
+        /// Unreachable on this target.
+        pub fn wait_tagged_for(
+            &self,
+            _timeout: Duration,
+            _out: &mut Vec<u64>,
+        ) -> io::Result<usize> {
             Err(unsupported())
         }
 
@@ -934,6 +1066,92 @@ mod tests {
         let t0 = Instant::now();
         assert!(ep.wait(5_000).unwrap() >= 1);
         assert!(t0.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn wait_tagged_for_blocks_a_sub_millisecond_timeout_exactly() {
+        let (rx, _tx) = pair();
+        let ep = Epoll::new().unwrap();
+        ep.add_tagged(&rx, 7).unwrap();
+        let want = Duration::from_micros(300);
+        let mut tokens = Vec::new();
+        let t0 = Instant::now();
+        assert_eq!(ep.wait_tagged_for(want, &mut tokens).unwrap(), 0);
+        let took = t0.elapsed();
+        assert!(tokens.is_empty());
+        assert!(took >= want, "returned early: {took:?}");
+        assert!(took < Duration::from_millis(5), "overslept: {took:?}");
+    }
+
+    #[test]
+    fn legacy_wait_rounds_the_timeout_up_never_to_zero() {
+        for (nanos, ms) in [
+            (0u64, 0),
+            (1, 1),
+            (300_000, 1),
+            (1_000_000, 1),
+            (1_000_001, 2),
+            (24_999_999, 25),
+        ] {
+            assert_eq!(imp::ceil_ms(Duration::from_nanos(nanos)), ms, "{nanos} ns");
+        }
+        assert_eq!(imp::ceil_ms(Duration::MAX), i32::MAX);
+
+        let (rx, tx) = pair();
+        let ep = Epoll::new().unwrap();
+        ep.add_tagged(&rx, 7).unwrap();
+        let want = Duration::from_micros(300);
+        let mut tokens = Vec::new();
+        let t0 = Instant::now();
+        assert_eq!(ep.wait_tagged_for_legacy(want, &mut tokens).unwrap(), 0);
+        assert!(t0.elapsed() >= want, "the fallback must block, not spin");
+
+        // Same readiness reporting as the precise path.
+        tx.send_to(b"wake", rx.local_addr().unwrap()).unwrap();
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(
+            ep.wait_tagged_for_legacy(Duration::from_secs(5), &mut tokens)
+                .unwrap(),
+            1
+        );
+        assert_eq!(tokens, [7]);
+    }
+
+    #[test]
+    fn nested_epoll_reports_the_outer_token_until_drained() {
+        let (rx, tx) = pair();
+        let (idle, _idle_tx) = pair();
+        let inner = Epoll::new().unwrap();
+        inner.add_tagged(&rx, 1).unwrap();
+        inner.add_tagged(&idle, 2).unwrap();
+        let outer = Epoll::new().unwrap();
+        outer.add_epoll_tagged(&inner, 99).unwrap();
+
+        let mut tokens = Vec::new();
+        assert_eq!(outer.wait_tagged(0, &mut tokens).unwrap(), 0);
+
+        tx.send_to(b"x", rx.local_addr().unwrap()).unwrap();
+        assert_eq!(outer.wait_tagged(5_000, &mut tokens).unwrap(), 1);
+        assert_eq!(tokens, [99], "the outer set names the nested instance");
+        tokens.clear();
+        assert_eq!(inner.wait_tagged(0, &mut tokens).unwrap(), 1);
+        assert_eq!(tokens, [1], "the inner set names the readable socket");
+
+        // Level-triggered: still reported while the datagram is queued,
+        // silent once it has been received.
+        tokens.clear();
+        assert_eq!(outer.wait_tagged(0, &mut tokens).unwrap(), 1);
+        let mut arena = RecvArena::new(64);
+        assert_eq!(arena.recv(fd_of(&rx)).unwrap(), 1);
+        tokens.clear();
+        assert_eq!(outer.wait_tagged(0, &mut tokens).unwrap(), 0);
+        assert_eq!(inner.wait_tagged(0, &mut tokens).unwrap(), 0);
+
+        // Dropping the nested instance removes it from the outer set.
+        tx.send_to(b"y", rx.local_addr().unwrap()).unwrap();
+        std::thread::sleep(Duration::from_millis(10));
+        drop(inner);
+        assert_eq!(outer.wait_tagged(0, &mut tokens).unwrap(), 0);
     }
 
     #[test]

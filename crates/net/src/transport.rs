@@ -361,24 +361,47 @@ impl WellKnownSockets {
     }
 }
 
+/// One live random-port socket of a [`SocketPool`].
+#[derive(Debug)]
+struct PoolSocket {
+    /// Allocation number: strictly increasing, so `sockets` stays sorted
+    /// by it and ascending id order *is* allocation order.
+    id: u64,
+    socket: UdpSocket,
+    purpose: PortPurpose,
+    born: Round,
+}
+
 /// A pool of random-port sockets implementing [`PortOracle`].
 ///
 /// Sockets expire after `lifetime` rounds ("this thread is terminated
 /// after a few rounds", §4), bounding both file descriptors and the window
 /// an attacker would have even if a port leaked.
+///
+/// A pool attached to a driver's epoll ([`SocketPool::set_epoll`]) keeps
+/// its sockets in a readiness set of its own — an inner epoll, the one
+/// descriptor the driver's epoll watches — and [`SocketPool::drain`]
+/// receives only on the sockets that set reports, so a drain costs one
+/// `epoll_pwait` plus one `recvmmsg` per *readable* socket instead of one
+/// per *live* socket. Unattached (the per-datagram fallback), or if the
+/// readiness set cannot be built, every drain scans every live socket.
 #[derive(Debug)]
 pub struct SocketPool {
     lifetime: u64,
-    sockets: Vec<(UdpSocket, PortPurpose, Round)>,
+    sockets: Vec<PoolSocket>,
+    next_id: u64,
     /// Sockets that failed to bind (diagnostics).
     bind_failures: u64,
     /// Optional observability counter bumped per fresh port allocation.
     rotations: Option<drum_trace::Counter>,
-    /// When set, fresh sockets register for readability wakeups here,
-    /// tagged with the token (if any) so a shard event loop can route the
-    /// wakeup back to the owning engine. Expired sockets deregister
-    /// themselves on close.
-    epoll: Option<(Arc<sys::Epoll>, Option<u64>)>,
+    /// The driver's epoll and the token its pool wakeups carry.
+    wake: Option<(Arc<sys::Epoll>, u64)>,
+    /// The inner readiness set, registered in `wake` under its token;
+    /// socket tokens are allocation ids. `None` means full-scan drains,
+    /// with every socket registered in `wake` directly.
+    ready_set: Option<sys::Epoll>,
+    /// Scratch for one readiness query.
+    ready: Vec<u64>,
 }
 
 impl SocketPool {
@@ -387,9 +410,12 @@ impl SocketPool {
         SocketPool {
             lifetime,
             sockets: Vec::new(),
+            next_id: 0,
             bind_failures: 0,
             rotations: None,
-            epoll: None,
+            wake: None,
+            ready_set: None,
+            ready: Vec::new(),
         }
     }
 
@@ -399,26 +425,40 @@ impl SocketPool {
         self.rotations = Some(counter);
     }
 
-    /// Registers every current and future pool socket with `epoll`, so the
-    /// runtime's round loop wakes when a concealed reply port becomes
-    /// readable. Closed (expired) sockets deregister themselves.
-    pub fn set_epoll(&mut self, epoll: Arc<sys::Epoll>) {
-        for (socket, _, _) in &self.sockets {
-            let _ = epoll.add(socket);
+    /// Makes `epoll` — the driver's — wake under `token` whenever a
+    /// current or future pool socket is readable. The sharded runtime
+    /// passes `pack_token(engine, ChannelClass::Pool)` so the wakeup routes
+    /// to the owning engine; the per-thread runtime never reads it.
+    ///
+    /// The pool registers one descriptor there, its inner readiness set.
+    /// If that set cannot be created or filled, each socket registers in
+    /// `epoll` directly instead and drains scan the whole pool. Either
+    /// way, expired sockets deregister themselves on close.
+    pub fn set_epoll(&mut self, epoll: Arc<sys::Epoll>, token: u64) {
+        let nested = sys::Epoll::new().and_then(|inner| {
+            for s in &self.sockets {
+                inner.add_tagged(&s.socket, s.id)?;
+            }
+            epoll.add_epoll_tagged(&inner, token)?;
+            Ok(inner)
+        });
+        self.wake = Some((epoll, token));
+        match nested {
+            Ok(inner) => self.ready_set = Some(inner),
+            Err(_) => self.scan_from_now_on(),
         }
-        self.epoll = Some((epoll, None));
     }
 
-    /// Like [`SocketPool::set_epoll`], but registers every current and
-    /// future pool socket under an explicit event token — the sharded
-    /// runtime's engine-index registration, so one shared `epoll_pwait`
-    /// can route a readable concealed port straight to the engine whose
-    /// pool owns it.
-    pub fn set_epoll_tagged(&mut self, epoll: Arc<sys::Epoll>, token: u64) {
-        for (socket, _, _) in &self.sockets {
-            let _ = epoll.add_tagged(socket, token);
+    /// Gives up the inner readiness set (dropping it removes it from the
+    /// driver's epoll) and registers every live socket with the driver
+    /// directly: wakeups keep arriving, drains go back to the full scan.
+    fn scan_from_now_on(&mut self) {
+        self.ready_set = None;
+        if let Some((epoll, token)) = &self.wake {
+            for s in &self.sockets {
+                let _ = epoll.add_tagged(&s.socket, *token);
+            }
         }
-        self.epoll = Some((epoll, Some(token)));
     }
 
     /// Number of currently open random-port sockets.
@@ -434,26 +474,50 @@ impl SocketPool {
     /// Closes sockets allocated more than `lifetime` rounds ago.
     pub fn expire(&mut self, now: Round) {
         let lifetime = self.lifetime;
-        self.sockets
-            .retain(|(_, _, born)| now.since(*born) < lifetime);
+        self.sockets.retain(|s| now.since(s.born) < lifetime);
     }
 
     /// Receives all pending datagrams from the pool, invoking
-    /// `f(purpose, payload)` for each. Datagrams move through `rx` —
-    /// batched `recvmmsg` or the per-datagram fallback, same arrival
-    /// order either way; `scratch` backs the fallback path. Returns the
-    /// number received.
+    /// `f(purpose, payload)` for each: sockets in allocation order,
+    /// datagrams of one socket in arrival order. Datagrams move through
+    /// `rx` — batched `recvmmsg` or the per-datagram fallback; `scratch`
+    /// backs the fallback path. Returns the number received.
+    ///
+    /// With a readiness set only the readable sockets are visited, still
+    /// in allocation order — an idle socket yields nothing on a full scan
+    /// either, so the datagram sequence `f` sees is the same.
     pub fn drain(
         &mut self,
         rx: &mut BatchRx,
         scratch: &mut [u8],
         mut f: impl FnMut(PortPurpose, &[u8]),
     ) -> usize {
+        let Self {
+            sockets,
+            ready_set,
+            ready,
+            ..
+        } = self;
+        let mut recv = |s: &PoolSocket| rx.drain_socket(&s.socket, scratch, |b| f(s.purpose, b));
+        let Some(set) = ready_set else {
+            return sockets.iter().map(recv).sum();
+        };
         let mut count = 0;
-        for (socket, purpose, _) in &self.sockets {
-            count += rx.drain_socket(socket, scratch, |bytes| f(*purpose, bytes));
+        loop {
+            ready.clear();
+            let reported = set.wait_tagged(0, ready).unwrap_or(0);
+            ready.sort_unstable();
+            for id in ready.iter() {
+                // A miss is a socket that expired since it was reported.
+                if let Ok(i) = sockets.binary_search_by_key(id, |s| s.id) {
+                    count += recv(&sockets[i]);
+                }
+            }
+            // A full report may have left readable sockets unreported.
+            if reported < sys::EVENT_BATCH {
+                return count;
+            }
         }
-        count
     }
 }
 
@@ -462,13 +526,27 @@ impl PortOracle for SocketPool {
         match bind_ephemeral() {
             Ok(socket) => {
                 let port = socket.local_addr().map(|a| a.port()).unwrap_or(0);
-                if let Some((epoll, token)) = &self.epoll {
-                    let _ = match token {
-                        Some(t) => epoll.add_tagged(&socket, *t),
-                        None => epoll.add(&socket),
-                    };
+                let id = self.next_id;
+                self.next_id += 1;
+                let in_ready_set = match (&self.ready_set, &self.wake) {
+                    (Some(set), _) => set.add_tagged(&socket, id).is_ok(),
+                    (None, Some((epoll, token))) => {
+                        let _ = epoll.add_tagged(&socket, *token);
+                        true
+                    }
+                    (None, None) => true,
+                };
+                self.sockets.push(PoolSocket {
+                    id,
+                    socket,
+                    purpose,
+                    born: round,
+                });
+                if !in_ready_set {
+                    // A socket the readiness set cannot see would never be
+                    // drained; the port it advertises stays valid.
+                    self.scan_from_now_on();
                 }
-                self.sockets.push((socket, purpose, round));
                 if let Some(c) = &self.rotations {
                     c.inc();
                 }
@@ -483,8 +561,8 @@ impl PortOracle for SocketPool {
                 self.sockets
                     .iter()
                     .rev()
-                    .find(|(_, p, _)| *p == purpose)
-                    .and_then(|(s, _, _)| s.local_addr().ok())
+                    .find(|s| s.purpose == purpose)
+                    .and_then(|s| s.socket.local_addr().ok())
                     .map(|a| a.port())
                     .unwrap_or(0)
             }
@@ -576,6 +654,130 @@ mod tests {
             pool.drain(&mut rx, &mut scratch, |_, _| panic!("no data expected")),
             0
         );
+    }
+
+    /// A pool attached to a fresh driver epoll under token 5; `None` where
+    /// the target has no epoll (those pools always scan).
+    fn attached_pool(lifetime: u64) -> Option<(SocketPool, Arc<sys::Epoll>)> {
+        let outer = Arc::new(sys::Epoll::new().ok()?);
+        let mut pool = SocketPool::new(lifetime);
+        pool.set_epoll(outer.clone(), 5);
+        assert!(pool.ready_set.is_some());
+        Some((pool, outer))
+    }
+
+    fn send(port: u16, bytes: &[u8]) {
+        let sender = bind_ephemeral().unwrap();
+        sender.send_to(bytes, AddressBook::loopback(port)).unwrap();
+    }
+
+    #[test]
+    fn drain_receives_only_on_the_readable_socket() {
+        let Some((mut pool, outer)) = attached_pool(3) else {
+            return;
+        };
+        let ports: Vec<u16> = (0..16)
+            .map(|i| {
+                let purpose = if i == 9 {
+                    PortPurpose::PushData
+                } else {
+                    PortPurpose::PullReply
+                };
+                pool.allocate_port(purpose, Round(1))
+            })
+            .collect();
+        send(ports[9], b"only one");
+        let mut tokens = Vec::new();
+        assert_eq!(outer.wait_tagged(5_000, &mut tokens).unwrap(), 1);
+        assert_eq!(tokens, [5], "sixteen sockets, one registration");
+
+        let mut rx = BatchRx::forced(2048, true);
+        let mut scratch = [0u8; 2048];
+        let mut got = Vec::new();
+        let n = pool.drain(&mut rx, &mut scratch, |purpose, bytes| {
+            got.push((purpose, bytes.to_vec()));
+        });
+        assert_eq!(n, 1);
+        assert_eq!(got, [(PortPurpose::PushData, b"only one".to_vec())]);
+        assert!(
+            rx.syscalls() <= 2,
+            "a drain must not scan the 15 idle sockets: {} receive syscalls",
+            rx.syscalls()
+        );
+        tokens.clear();
+        assert_eq!(outer.wait_tagged(0, &mut tokens).unwrap(), 0);
+    }
+
+    #[test]
+    fn ready_sockets_drain_in_allocation_order() {
+        let Some((mut pool, _outer)) = attached_pool(3) else {
+            return;
+        };
+        let ports: Vec<u16> = (0..5)
+            .map(|_| pool.allocate_port(PortPurpose::PullReply, Round(1)))
+            .collect();
+        // Arrival order is the reverse of allocation order.
+        send(ports[3], b"later socket");
+        send(ports[1], b"earlier socket");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let mut rx = BatchRx::new(2048);
+        let mut scratch = [0u8; 2048];
+        let mut got = Vec::new();
+        pool.drain(&mut rx, &mut scratch, |_, bytes| got.push(bytes.to_vec()));
+        assert_eq!(
+            got,
+            [b"earlier socket".to_vec(), b"later socket".to_vec()],
+            "the order a full scan would have produced"
+        );
+    }
+
+    #[test]
+    fn expired_sockets_stop_reporting_and_an_idle_drain_receives_nothing() {
+        let Some((mut pool, outer)) = attached_pool(2) else {
+            return;
+        };
+        let old = pool.allocate_port(PortPurpose::PullReply, Round(1));
+        pool.allocate_port(PortPurpose::PushReply, Round(2));
+        send(old, b"too late");
+        let mut tokens = Vec::new();
+        assert_eq!(outer.wait_tagged(5_000, &mut tokens).unwrap(), 1);
+
+        pool.expire(Round(3));
+        assert_eq!(pool.open_sockets(), 1);
+        tokens.clear();
+        assert_eq!(
+            outer.wait_tagged(0, &mut tokens).unwrap(),
+            0,
+            "a closed socket leaves the readiness set with its datagram"
+        );
+        let mut rx = BatchRx::new(64);
+        let mut scratch = [0u8; 64];
+        let n = pool.drain(&mut rx, &mut scratch, |_, _| panic!("no data expected"));
+        assert_eq!((n, rx.syscalls()), (0, 0), "an idle pool costs no receive");
+    }
+
+    #[test]
+    fn a_pool_that_loses_its_readiness_set_scans_and_still_wakes_the_driver() {
+        let Some((mut pool, outer)) = attached_pool(3) else {
+            return;
+        };
+        let before = pool.allocate_port(PortPurpose::PullReply, Round(1));
+        pool.scan_from_now_on();
+        let after = pool.allocate_port(PortPurpose::PushData, Round(1));
+        assert!(
+            before != 0 && after != 0,
+            "allocation itself never degrades"
+        );
+        for port in [before, after] {
+            send(port, b"scanned");
+            let mut tokens = Vec::new();
+            assert!(outer.wait_tagged(5_000, &mut tokens).unwrap() >= 1);
+            assert_eq!(tokens[0], 5);
+            let mut rx = BatchRx::forced(64, true);
+            let mut scratch = [0u8; 64];
+            assert_eq!(pool.drain(&mut rx, &mut scratch, |_, _| ()), 1);
+            assert_eq!(rx.syscalls(), 2, "one receive per live socket");
+        }
     }
 
     /// Both receive modes must observe the identical datagram sequence for
