@@ -36,8 +36,6 @@ const EXACT_UNITS: &[&str] = &[
     "idle/job",
     "split",
     "merge-ops",
-    "dgrams/msg",
-    "hmacs/msg",
     "compress-calls/block",
 ];
 

@@ -74,13 +74,8 @@
 //! wall-clock cannot resolve a scheduling win that the modeled metrics
 //! measure exactly.
 //!
-//! The sustained-throughput work (DESIGN.md §19) adds three gates in the
-//! same exact-count style: `frame_pack_fanout` (datagrams per data
-//! message, seed = one datagram each vs MTU-packed frames) and
-//! `mac_per_msg_stream` (HMACs per data message on receive, seed = one
-//! verify each vs one frame tag per frame) are pure functions of the
-//! message sizes and `FRAME_BUDGET`, gated at ≥8× for a 64-message
-//! burst; `buffer_purge_steady` reports the flat-map vs age-bucketed
+//! The sustained-throughput work (DESIGN.md §19) adds
+//! `buffer_purge_steady`, which reports the flat-map vs age-bucketed
 //! ring wall clock ungated while hard-asserting that a warmed-up
 //! steady-state buffer round performs zero heap allocations and that
 //! the `max_age = 0` purge does no iteration work.
@@ -930,125 +925,6 @@ fn bench_mac_multiway_flood(samples: usize) -> Option<Comparison> {
     })
 }
 
-/// Data-plane messages in flight to one partner in the frame benches —
-/// the ISSUE's sustained-stream regime. Fixed so the modeled pack and
-/// HMAC ratios are exact constants on every machine.
-const STREAM_MSGS: usize = 64;
-
-/// Builds the 64-messages-in-flight stream: one `PushData` per data
-/// message (the unpacked path's wire shape), 32-byte payloads, all bound
-/// for the same partner.
-fn stream_outs(key: &drum_crypto::keys::SecretKey) -> Vec<GossipMessage> {
-    (0..STREAM_MSGS as u64)
-        .map(|seq| GossipMessage::PushData {
-            from: ProcessId(1),
-            messages: vec![DataMessage::sign_new(
-                key,
-                MessageId::new(ProcessId(1), seq),
-                Bytes::from(vec![0x5Au8; 32]),
-            )],
-        })
-        .collect()
-}
-
-/// MTU packing and per-message authentication under a 64-message burst to
-/// one partner — the sustained multi-message hot path (DESIGN.md §19).
-///
-/// * `frame_pack_fanout` — datagrams per data-plane message: seed = one
-///   datagram per message (the unpacked wire path, preserved in-tree
-///   behind `DRUM_NET_NO_PACK=1`); current = greedy MTU fill through the
-///   real [`drum_net::FrameBuilder`]. Exact: the frame count is a pure
-///   function of the message sizes and `FRAME_BUDGET`.
-/// * `mac_per_msg_stream` — HMAC computations per data message on the
-///   receive path: seed = one verify per message; current = one frame-tag
-///   verify per frame (the inner messages ride pre-verified behind it),
-///   counted by the `BatchVerifier`'s own `full_verifies`, like
-///   `mac_verify_flood_512`. Both arms accept every message — the
-///   pack-equivalence test pins that — so the comparison is purely
-///   HMACs/message: exact, machine-independent, and gated.
-fn bench_frame_stream(_samples: usize) -> Vec<Comparison> {
-    use drum_crypto::batch::BatchVerifier;
-    use drum_net::codec::{decode_frame, frame_signed_body, FrameBuilder, MAX_WIRE_LEN};
-
-    let store = KeyStore::new(7);
-    let key = store.register(1);
-    let auth_key = key.hmac_key();
-    let outs = stream_outs(&key);
-
-    // Current wire: greedy MTU fill, one signed frame per flush.
-    let mut builder = FrameBuilder::new();
-    let mut frames: Vec<Vec<u8>> = Vec::new();
-    let mut wire = BytesMut::with_capacity(MAX_WIRE_LEN);
-    let mut packed = 0usize;
-    let flush =
-        |builder: &mut FrameBuilder, wire: &mut BytesMut, frames: &mut Vec<Vec<u8>>| -> usize {
-            let nonce = frames.len() as u64;
-            let n = builder.finish_into(
-                ProcessId(1),
-                nonce,
-                |body| auth::sign_frame_with(&auth_key, 1, nonce, body),
-                wire,
-            );
-            frames.push(wire[..].to_vec());
-            n
-        };
-    for msg in &outs {
-        if !builder.push(msg) {
-            packed += flush(&mut builder, &mut wire, &mut frames);
-            assert!(
-                builder.push(msg),
-                "an empty builder must accept any data message"
-            );
-        }
-    }
-    packed += flush(&mut builder, &mut wire, &mut frames);
-    assert_eq!(packed, STREAM_MSGS, "every message must be framed");
-
-    // Receive path: one frame-tag verify per frame via the round-scoped
-    // BatchVerifier; the inner data messages skip per-message MACs.
-    let mut bv = BatchVerifier::new();
-    bv.begin_round();
-    let mut inner = 0usize;
-    for f in &frames {
-        let frame = decode_frame(f).expect("self-built frame");
-        let body = frame_signed_body(f).expect("framed datagram");
-        bv.verify_frame(&store, 1, frame.nonce, body, &frame.auth)
-            .expect("authentic frame");
-        inner += frame.messages.len();
-    }
-    assert_eq!(inner, STREAM_MSGS, "frames must carry every message");
-    let frame_hmacs = bv.full_verifies();
-
-    // Seed arm: one datagram and one per-message HMAC per data message.
-    let mut seed_hmacs = 0u64;
-    for (seq, msg) in outs.iter().enumerate() {
-        let GossipMessage::PushData { messages, .. } = msg else {
-            unreachable!("stream_outs builds PushData only")
-        };
-        for m in messages {
-            auth::verify(&store, 1, seq as u64, &m.payload, &m.auth).expect("authentic message");
-            seed_hmacs += 1;
-        }
-    }
-
-    vec![
-        Comparison {
-            name: "frame_pack_fanout",
-            seed_per_op: outs.len() as f64 / STREAM_MSGS as f64,
-            current_per_op: frames.len() as f64 / STREAM_MSGS as f64,
-            floor: 8.0,
-            unit: "dgrams/msg",
-        },
-        Comparison {
-            name: "mac_per_msg_stream",
-            seed_per_op: seed_hmacs as f64 / STREAM_MSGS as f64,
-            current_per_op: frame_hmacs as f64 / STREAM_MSGS as f64,
-            floor: 8.0,
-            unit: "hmacs/msg",
-        },
-    ]
-}
-
 /// Steady-state buffer-round parameters: arrivals per round, retention
 /// age (§8.2's 10 rounds), seen window, and per-partner selection cap
 /// (§8.2's 80). Fixed so both arms do identical protocol work.
@@ -1517,16 +1393,6 @@ fn main() {
     }
     if want("mac_multiway_flood_512") {
         results.extend(bench_mac_multiway_flood(samples));
-    }
-    if ["frame_pack_fanout", "mac_per_msg_stream"]
-        .iter()
-        .any(|n| want(n))
-    {
-        results.extend(
-            bench_frame_stream(samples)
-                .into_iter()
-                .filter(|c| want(c.name)),
-        );
     }
     if want("buffer_purge_steady") {
         results.push(bench_buffer_purge(samples));

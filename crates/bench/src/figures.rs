@@ -1019,8 +1019,7 @@ pub fn ext_cluster(w: &mut dyn Write) -> io::Result<()> {
 
 /// Extension experiment: the sustained multi-message soak — a paced
 /// stream from the source for a minute-plus, the Figure 7 flood toggled
-/// on for the middle third of the run, MTU-packed frames carrying the
-/// data plane.
+/// on for the middle third of the run.
 pub fn ext_soak(w: &mut dyn Write) -> io::Result<()> {
     use drum_core::stream::StreamConfig;
     use drum_net::experiment::soak_experiment;
@@ -1028,7 +1027,7 @@ pub fn ext_soak(w: &mut dyn Write) -> io::Result<()> {
     banner_to(
         w,
         "Extension: sustained-throughput soak",
-        "paced multi-message stream, flood toggled mid-run, MTU-packed frames",
+        "paced multi-message stream, flood toggled mid-run",
     )?;
     let n = scaled3(10usize, 18, 33);
     let attacked = scaled3(1usize, 2, 3);
@@ -1084,16 +1083,12 @@ pub fn ext_soak(w: &mut dyn Write) -> io::Result<()> {
         w,
         "published {} total; delivered fraction {:.3} of the full published x {}\n\
          receiver coverage; peak message-buffer footprint {} KiB on the busiest\n\
-         process; stream backpressure events {} (queued, never dropped); frames\n\
-         sent {} ({:.1} msgs/frame mean), {} rejected.\n",
+         process; stream backpressure events {} (queued, never dropped).\n",
         report.published,
         report.delivery_fraction(receivers),
         receivers,
         report.buffer_bytes_peak / 1024,
         report.backpressure,
-        report.frames_sent,
-        report.mean_msgs_per_frame(),
-        report.frames_rejected,
     )?;
     writeln!(
         w,
@@ -1101,8 +1096,7 @@ pub fn ext_soak(w: &mut dyn Write) -> io::Result<()> {
          Drum's per-channel bounds confine the damage — without unbounded buffer\n\
          growth: the age-bucketed buffer's high-water mark stays bounded over the\n\
          sustained run, and the paced stream queues (with backpressure accounting)\n\
-         instead of silently dropping. MTU-packed frames carry the multi-message\n\
-         load in a fraction of the per-message datagram and HMAC budget."
+         instead of silently dropping."
     )
 }
 

@@ -299,6 +299,12 @@ fn run() -> Result<(), String> {
                 report.mean_throughput(),
                 report.mean_latency_ms()
             );
+            println!(
+                "crypto.compress_calls per delivered message {:.2} ({} calls, {} deliveries)",
+                report.compress_calls as f64 / report.delivered.max(1) as f64,
+                report.compress_calls,
+                report.delivered
+            );
             if sharded {
                 println!(
                     "net.shard_wakeups per engine-round {:.2} ({} wakeups, {} engine-rounds)",

@@ -15,6 +15,12 @@
 //! amortized per stored message, never a full scan — and a `HashMap` index
 //! from [`MessageId`] to `(round, slot)` keeps `contains`/`get` O(1).
 //!
+//! The digest a pull-request or push-reply advertises is kept *live*: a
+//! [`Digest`] of the buffered ids updated at every insert and purge, so
+//! [`MessageBuffer::digest`] clones it instead of re-sorting every buffered
+//! id two or three times a round. Purging removes oldest-first, so a
+//! source's interval shrinks from its low end in place.
+//!
 //! The "seen" digest (which prevents re-delivery of purged messages that
 //! gossip back in) is unbounded by default, matching the paper's model where
 //! a process remembers everything it ever delivered. For long soaks,
@@ -77,6 +83,9 @@ pub struct MessageBuffer {
     /// *ever* inserted when the window is 0 = unbounded), used to avoid
     /// re-delivering a purged message that gossips back in.
     seen: Digest,
+    /// Digest of the currently *buffered* ids, maintained wherever `index`
+    /// changes so [`Self::digest`] is a clone instead of a rebuild.
+    live: Digest,
     /// Messages are purged once `now - inserted >= max_age` rounds.
     max_age: u64,
     /// Seen ids are evicted once `now - inserted >= seen_window` rounds;
@@ -161,6 +170,7 @@ impl MessageBuffer {
         self.bytes += msg.payload.len() + MESSAGE_OVERHEAD_BYTES;
         self.bytes_peak = self.bytes_peak.max(self.bytes);
         self.index.insert(id, (now, bucket.slots.len() as u32));
+        self.live.insert(id);
         bucket.slots.push(msg);
         if self.seen_window > 0 {
             bucket.seen_ids.push(id);
@@ -216,8 +226,17 @@ impl MessageBuffer {
 
     /// Digest of the currently buffered messages (what a pull-request or
     /// push-reply advertises).
+    ///
+    /// A clone of the digest kept live by `insert` and `purge`: its cost
+    /// follows the number of sources and intervals (one of each for a
+    /// contiguous stream), not the number of buffered ids.
     pub fn digest(&self) -> Digest {
-        self.index.keys().copied().collect()
+        debug_assert_eq!(
+            self.live,
+            self.index.keys().copied().collect::<Digest>(),
+            "live digest diverged from the buffered ids"
+        );
+        self.live.clone()
     }
 
     /// Digest of everything seen (within the seen window, if configured).
@@ -248,6 +267,7 @@ impl MessageBuffer {
             let mut bucket = self.buckets.pop_front().expect("front checked above");
             for msg in &bucket.slots {
                 self.index.remove(&msg.id);
+                self.live.remove(msg.id);
                 self.bytes -= msg.payload.len() + MESSAGE_OVERHEAD_BYTES;
                 self.purge_visits += 1;
                 purged += 1;
@@ -270,6 +290,7 @@ impl MessageBuffer {
                 }
                 for msg in bucket.slots.drain(..) {
                     self.index.remove(&msg.id);
+                    self.live.remove(msg.id);
                     self.bytes -= msg.payload.len() + MESSAGE_OVERHEAD_BYTES;
                     self.purge_visits += 1;
                     purged += 1;

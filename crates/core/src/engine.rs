@@ -22,11 +22,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 
-use drum_crypto::auth::{AuthError, AuthTag};
-use drum_crypto::batch::{BatchVerifier, MacCounters, VerifyRequest};
+use drum_crypto::auth::{self, AuthError};
+use drum_crypto::batch::{BatchVerifier, VerifyRequest};
 use drum_crypto::hmac::HmacKey;
 use drum_crypto::keys::{KeyStore, SecretKey};
-use drum_crypto::multiway::{LaneStats, MacJob, MultiMac};
+use drum_crypto::multiway::{self, LaneStats};
 use drum_crypto::seal;
 use drum_trace::{names, trace_event, Counter, Timestamp, Tracer};
 
@@ -176,24 +176,23 @@ pub struct Engine {
     fixed_push_data_port: u16,
     /// Structured-event emitter (disabled by default: one branch per site).
     tracer: Tracer,
-    /// Round-scoped batched MAC verification (`drum_crypto::batch`):
-    /// identical `(source, seq, tag)` fan-in within a round pays one HMAC.
-    /// `None` runs the behaviorally identical per-datagram fallback
-    /// (`DRUM_NET_NO_BATCH=1`).
+    /// Multiway MAC verification (`drum_crypto::batch`) of the messages of
+    /// one delivery that are new to this node. `Some` only where the 8-lane
+    /// kernel is the host's fastest SHA-256 (`multiway::simd_preferred`)
+    /// and `DRUM_NET_NO_BATCH` is unset; everywhere else — SHA-NI and
+    /// scalar hosts — `None`, and each new message pays one direct
+    /// [`DataMessage::verify`], which is cheaper there. Decisions are
+    /// identical either way.
     verify_cache: Option<BatchVerifier>,
     /// Cached registry handles for the batch-verification counters,
     /// refreshed by [`Engine::set_tracer`] so the hot receive path never
     /// takes the registry lock.
     c_mac_full: Counter,
     c_mac_hits: Counter,
-    /// Multiway engine for outbound frame signing
-    /// ([`Engine::sign_frames_many`]): all of a round's frame tags run
-    /// through the 8-lane kernel in one batch.
-    signer: MultiMac,
-    /// Cumulative multiway-kernel utilization — verification (harvested
-    /// from the batch verifier) plus frame signing — exposed through
-    /// [`Engine::lane_stats`] so the transport emits per-round deltas
-    /// without re-reading any source twice.
+    /// Cumulative SHA-256 kernel work behind source verification —
+    /// harvested from the batch verifier, or counted per compression on the
+    /// direct path — exposed through [`Engine::lane_stats`] so the
+    /// transport emits per-round deltas.
     mac_lane: LaneStats,
 }
 
@@ -245,14 +244,11 @@ impl Engine {
             fixed_push_reply_port: crate::WELL_KNOWN_PUSH_REPLY_PORT,
             fixed_push_data_port: crate::WELL_KNOWN_PUSH_DATA_PORT,
             tracer,
-            verify_cache: if std::env::var_os("DRUM_NET_NO_BATCH").is_some() {
-                None
-            } else {
-                Some(BatchVerifier::new())
-            },
+            verify_cache: (multiway::simd_preferred()
+                && std::env::var_os("DRUM_NET_NO_BATCH").is_none())
+            .then(BatchVerifier::new),
             c_mac_full,
             c_mac_hits,
-            signer: MultiMac::new(),
             mac_lane: LaneStats::default(),
         }
     }
@@ -266,8 +262,9 @@ impl Engine {
     }
 
     /// Forces the batched verification path on or off, overriding the
-    /// `DRUM_NET_NO_BATCH` environment default picked up by [`Engine::new`].
-    /// Tests use this to compare the two paths side by side.
+    /// host dispatch and `DRUM_NET_NO_BATCH` default picked by
+    /// [`Engine::new`]. Tests use this to compare the two paths side by
+    /// side on any host.
     pub fn set_batch_verify(&mut self, enabled: bool) {
         if enabled == self.verify_cache.is_some() {
             return;
@@ -376,127 +373,11 @@ impl Engine {
         (self.round.as_u64() << 20) | (self.nonce & 0xFFFFF)
     }
 
-    /// Allocates a nonce for an outbound gossip frame. Frames share the
-    /// sealed-port nonce counter, so every authenticated artifact this
-    /// process emits in a round carries a distinct nonce.
-    pub fn frame_nonce(&mut self) -> u64 {
-        self.next_nonce()
-    }
-
-    /// Signs a frame body with this process's own key in the frame HMAC
-    /// domain (see `drum_crypto::auth::sign_frame_with`). The transport
-    /// calls this once per packed datagram, amortizing authentication
-    /// across every data message inside.
-    pub fn sign_frame(&self, nonce: u64, body: &[u8]) -> AuthTag {
-        drum_crypto::auth::sign_frame_with(&self.my_auth_key, self.me().as_u64(), nonce, body)
-    }
-
-    /// Verifies a received frame's tag against `from`'s registered key.
-    ///
-    /// On the batched path the verdict is cached per round and per
-    /// `(sender, nonce, tag)` in the frame domain, so identical flood
-    /// fan-in of a captured frame pays one HMAC.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AuthError`] for unknown senders and forged tags;
-    /// callers must drop the whole frame on any error.
-    pub fn verify_frame(
-        &mut self,
-        from: ProcessId,
-        nonce: u64,
-        body: &[u8],
-        tag: &AuthTag,
-    ) -> Result<(), AuthError> {
-        let (verdict, counters) = match self.verify_cache.as_mut() {
-            Some(cache) => {
-                let verdict = cache.verify_frame(&self.key_store, from.as_u64(), nonce, body, tag);
-                (verdict, Some(cache.take_counters()))
-            }
-            None => (
-                drum_crypto::auth::verify_frame(&self.key_store, from.as_u64(), nonce, body, tag),
-                None,
-            ),
-        };
-        if let Some(counters) = counters {
-            self.harvest_mac_counters(counters);
-        }
-        verdict
-    }
-
-    /// Verifies a whole drain's worth of frame tags in one multiway pass,
-    /// appending per-frame verdicts to `verdicts` in order. Each element of
-    /// `frames` is `(sender, nonce, signed body, tag)`. Decision- and
-    /// counter-identical to calling [`Engine::verify_frame`] per frame in
-    /// order; on the batched path the unique frames accumulate into 8-wide
-    /// kernel lanes instead of paying one HMAC at a time.
-    pub fn verify_frames_many(
-        &mut self,
-        frames: &[(ProcessId, u64, &[u8], AuthTag)],
-        verdicts: &mut Vec<Result<(), AuthError>>,
-    ) {
-        let counters = match self.verify_cache.as_mut() {
-            Some(cache) => {
-                let reqs: Vec<VerifyRequest<'_>> = frames
-                    .iter()
-                    .map(|(from, nonce, body, tag)| VerifyRequest {
-                        frame: true,
-                        source: from.as_u64(),
-                        seq: *nonce,
-                        payload: body,
-                        tag: *tag,
-                    })
-                    .collect();
-                cache.verify_many(&self.key_store, &reqs, verdicts);
-                Some(cache.take_counters())
-            }
-            None => {
-                verdicts.clear();
-                verdicts.extend(frames.iter().map(|(from, nonce, body, tag)| {
-                    drum_crypto::auth::verify_frame(
-                        &self.key_store,
-                        from.as_u64(),
-                        *nonce,
-                        body,
-                        tag,
-                    )
-                }));
-                None
-            }
-        };
-        if let Some(counters) = counters {
-            self.harvest_mac_counters(counters);
-        }
-    }
-
-    /// Signs many frame bodies with this process's key in one multiway
-    /// pass, appending the tags to `out` in job order. Each element of
-    /// `jobs` is `(nonce, body)`. Tags are bit-identical to calling
-    /// [`Engine::sign_frame`] per body.
-    pub fn sign_frames_many(&mut self, jobs: &[(u64, &[u8])], out: &mut Vec<AuthTag>) {
-        let me = self.membership.me().as_u64();
-        let mac_jobs: Vec<MacJob<'_>> = jobs
-            .iter()
-            .map(|(nonce, body)| drum_crypto::auth::frame_job(&self.my_auth_key, me, *nonce, body))
-            .collect();
-        drum_crypto::auth::sign_many(&mut self.signer, &mac_jobs, out);
-        self.mac_lane.merge(self.signer.take_stats());
-    }
-
-    /// Folds one counter harvest into the registry handles and the
-    /// cumulative lane totals.
-    fn harvest_mac_counters(&mut self, counters: MacCounters) {
-        self.c_mac_full.add(counters.full_verifies);
-        self.c_mac_hits.add(counters.batch_hits);
-        self.mac_lane.merge(LaneStats {
-            compress_calls: counters.compress_calls,
-            lanes_filled: counters.lanes_filled,
-        });
-    }
-
-    /// Cumulative multiway-kernel counters — batched verification plus
-    /// frame signing — since engine creation. Monotone, so per-round deltas
-    /// are well defined for registry emission.
+    /// Cumulative SHA-256 kernel counters behind source verification since
+    /// engine creation: an 8-wide call is +1 call / +8 lanes, a single-block
+    /// compression +1 / +1 (so `lanes_filled` is blocks hashed on every
+    /// path). Monotone, so per-round deltas are well defined for registry
+    /// emission.
     pub fn lane_stats(&self) -> LaneStats {
         self.mac_lane
     }
@@ -628,22 +509,22 @@ impl Engine {
         oracle: &mut O,
         out: &mut Vec<Outbound>,
     ) {
-        self.dispatch(incoming, oracle, out, false);
+        self.dispatch(incoming, oracle, out);
     }
 
-    /// Like [`Engine::handle_into`], but for messages unpacked from an
-    /// already-authenticated gossip frame: per-message source MACs are
-    /// skipped because a valid frame tag proves an honest member built the
-    /// frame, and honest members only pack messages they already verified
-    /// on receipt (or signed themselves). Budgets, de-duplication,
-    /// statistics and delivery are identical to the normal path.
+    /// [`Engine::handle_into`] under its retired name. There is no
+    /// pre-verified path any more — a frame tag only proved that *a member*
+    /// built the frame, and a malicious member could wrap forged sources in
+    /// one — so this verifies every new message's source like any other
+    /// entry point. Nothing in the workspace calls it; it stays only
+    /// because `benchmark/`'s engine probes compile against the name.
     pub fn handle_into_preverified<O: PortOracle>(
         &mut self,
         incoming: GossipMessage,
         oracle: &mut O,
         out: &mut Vec<Outbound>,
     ) {
-        self.dispatch(incoming, oracle, out, true);
+        self.dispatch(incoming, oracle, out);
     }
 
     fn dispatch<O: PortOracle>(
@@ -651,7 +532,6 @@ impl Engine {
         incoming: GossipMessage,
         oracle: &mut O,
         out: &mut Vec<Outbound>,
-        pre_verified: bool,
     ) {
         let kind = incoming.kind();
         let channel = Channel::for_kind(kind);
@@ -774,54 +654,58 @@ impl Engine {
             }
             GossipMessage::PullReply { messages, .. }
             | GossipMessage::PushData { messages, .. } => {
-                self.receive_data(messages, pre_verified);
+                self.receive_data(messages);
             }
         }
     }
 
-    /// Verifies, de-duplicates and delivers incoming data messages.
+    /// De-duplicates, verifies and delivers incoming data messages.
     ///
-    /// On the batched path, this round's verdicts are cached per
-    /// `(source, seq, tag)` so identical flood fan-in — which `recvmmsg`
-    /// delivers many datagrams at a time — pays one HMAC per unique triple.
-    /// Verdicts are applied in arrival order, so `RoundStats`, delivery
-    /// order and trace events are byte-identical to the per-datagram
-    /// fallback; only the HMAC count differs.
-    fn receive_data(&mut self, messages: Vec<DataMessage>, pre_verified: bool) {
-        // Batched path: resolve every verdict for this delivery in one
-        // multiway pass up front, so unique claims share 8-wide kernel
-        // lanes. Stats, trace events and delivery then apply in arrival
-        // order below, exactly as the sequential path would.
-        let verdicts: Option<Vec<Result<(), AuthError>>> =
-            match (self.verify_cache.as_mut(), pre_verified) {
-                (Some(cache), false) => {
-                    let reqs: Vec<VerifyRequest<'_>> = messages
-                        .iter()
-                        .map(|msg| VerifyRequest {
-                            frame: false,
-                            source: msg.id.source.as_u64(),
-                            seq: msg.id.seq,
-                            payload: &msg.payload,
-                            tag: msg.auth,
-                        })
-                        .collect();
-                    let mut out = Vec::with_capacity(reqs.len());
-                    cache.verify_many(&self.key_store, &reqs, &mut out);
-                    Some(out)
-                }
-                _ => None,
-            };
+    /// Seen before MAC: a message whose id the buffer has already seen is
+    /// skipped before any MAC, clone or bookkeeping. It could never be
+    /// admitted anyway (`buffer.insert` refuses seen ids — a valid copy as
+    /// a duplicate, a forged copy as a forgery), so the work per delivery
+    /// follows the messages that are *new* to this node, and nothing is
+    /// ever admitted unverified (§4: the source must authenticate).
+    ///
+    /// The remainder is verified by the host's faster path: one
+    /// [`DataMessage::verify`] per message, or one multiway pass over all
+    /// of them where the 8-lane kernel runs. Verdicts apply in arrival
+    /// order either way, so `RoundStats`, delivery order and trace events
+    /// are identical; only the kernel-call count differs.
+    fn receive_data(&mut self, mut messages: Vec<DataMessage>) {
+        let verdicts = self.verify_cache.as_mut().map(|cache| {
+            let buffer = &self.buffer;
+            messages.retain(|msg| !buffer.seen(msg.id));
+            let reqs: Vec<VerifyRequest<'_>> = messages
+                .iter()
+                .map(|msg| VerifyRequest {
+                    frame: false,
+                    source: msg.id.source.as_u64(),
+                    seq: msg.id.seq,
+                    payload: &msg.payload,
+                    tag: msg.auth,
+                })
+                .collect();
+            let mut out = Vec::with_capacity(reqs.len());
+            cache.verify_many(&self.key_store, &reqs, &mut out);
+            let counters = cache.take_counters();
+            self.c_mac_full.add(counters.full_verifies);
+            self.c_mac_hits.add(counters.batch_hits);
+            self.mac_lane.merge(LaneStats {
+                compress_calls: counters.compress_calls,
+                lanes_filled: counters.lanes_filled,
+            });
+            out
+        });
         for (i, msg) in messages.into_iter().enumerate() {
-            // Sanity checks (§4): source must authenticate. Messages
-            // unpacked from an authenticated frame arrive pre-verified —
-            // the frame tag already vouches for them (MABS-style
-            // amortization), so no per-message HMAC runs.
-            let verdict = if pre_verified {
-                Ok(())
-            } else if let Some(verdicts) = &verdicts {
-                verdicts[i]
-            } else {
-                msg.verify(&self.key_store)
+            // Also catches a second copy within this same delivery.
+            if self.buffer.seen(msg.id) {
+                continue;
+            }
+            let verdict = match &verdicts {
+                Some(verdicts) => verdicts[i],
+                None => self.verify_direct(&msg),
             };
             if verdict.is_err() {
                 self.stats.dropped_auth += 1;
@@ -836,27 +720,36 @@ impl Engine {
                 );
                 continue;
             }
-            if self.buffer.insert(msg.clone(), self.round) {
-                self.stats.delivered += 1;
-                trace_event!(
-                    self.tracer,
-                    "engine",
-                    "buffer.admit",
-                    self.now(),
-                    me = self.me().as_u64(),
-                    source = msg.id.source.as_u64(),
-                    seq = msg.id.seq,
-                    hops = u64::from(msg.hops)
-                );
-                self.delivered.push(msg);
-            }
+            let admitted = self.buffer.insert(msg.clone(), self.round);
+            debug_assert!(admitted, "unseen a moment ago");
+            self.stats.delivered += 1;
+            trace_event!(
+                self.tracer,
+                "engine",
+                "buffer.admit",
+                self.now(),
+                me = self.me().as_u64(),
+                source = msg.id.source.as_u64(),
+                seq = msg.id.seq,
+                hops = u64::from(msg.hops)
+            );
+            self.delivered.push(msg);
         }
-        // Export the verifier's counters into the registry. Zero on the
-        // fallback path, mirroring `net.batch_fill`'s mode signal.
-        let counters = self.verify_cache.as_mut().map(BatchVerifier::take_counters);
-        if let Some(counters) = counters {
-            self.harvest_mac_counters(counters);
+    }
+
+    /// One direct source verification, with its compressions counted the
+    /// way the multiway kernel counts its own single-block calls (+1 call,
+    /// +1 lane each). An unknown source is rejected before any hashing.
+    fn verify_direct(&mut self, msg: &DataMessage) -> Result<(), AuthError> {
+        let verdict = msg.verify(&self.key_store);
+        if !matches!(verdict, Err(AuthError::UnknownSource(_))) {
+            let blocks = auth::msg_tag_compressions(msg.payload.len());
+            self.mac_lane.merge(LaneStats {
+                compress_calls: blocks,
+                lanes_filled: blocks,
+            });
         }
+        verdict
     }
 
     /// Ends the round and returns its statistics. (The budget is reset at
@@ -1312,125 +1205,183 @@ mod tests {
             results.push((stats, engines[1].take_delivered()));
         }
         assert_eq!(results[0], results[1]);
-        // The mix carries 4 bad datagrams (2 tampered + 2 forged) and one
-        // unique valid message delivered once.
-        assert_eq!(results[0].0.dropped_auth, 4);
+        // One unique valid message, delivered once. Its duplicates and its
+        // tampered copies arrive after it was admitted and are skipped as
+        // seen; only the forgery of an *unseen* id is examined, twice.
+        assert_eq!(results[0].0.dropped_auth, 2);
         assert_eq!(results[0].0.delivered, 1);
+        // The direct path hashed the first `real` (2 blocks) and each
+        // `forged` (2 + 2), nothing else.
+        assert_eq!(fallback[1].lane_stats().compress_calls, 6);
     }
 
     #[test]
     fn identical_fan_in_pays_one_hmac() {
-        let (mut engines, _) = setup(2, ProtocolVariant::Drum);
-        engines[1].set_batch_verify(true);
-        let id = engines[0].publish(Bytes::from_static(b"m"));
-        let real = engines[0].buffer().get(id).unwrap().clone();
-        let mut oracle = CountingPortOracle::default();
-        engines[1].begin_round(&mut oracle);
-        engines[1].handle(
-            GossipMessage::PushData {
-                from: ProcessId(0),
-                messages: vec![real.clone(); 32],
-            },
-            &mut oracle,
-        );
-        let (c_full, c_hits) = {
-            let reg = engines[1].tracer().registry();
-            (
-                reg.counter(names::MAC_FULL_VERIFIES),
-                reg.counter(names::MAC_BATCH_HITS),
-            )
-        };
-        assert_eq!(c_full.get(), 1);
-        assert_eq!(c_hits.get(), 31);
+        // Both paths: the first copy is verified and admitted, the other 31
+        // are skipped as seen before any MAC.
+        for batch in [true, false] {
+            let (mut engines, _) = setup(2, ProtocolVariant::Drum);
+            engines[1].set_batch_verify(batch);
+            let id = engines[0].publish(Bytes::from_static(b"m"));
+            let real = engines[0].buffer().get(id).unwrap().clone();
+            let mut oracle = CountingPortOracle::default();
+            engines[1].begin_round(&mut oracle);
+            engines[1].handle(
+                GossipMessage::PushData {
+                    from: ProcessId(0),
+                    messages: vec![real.clone(); 32],
+                },
+                &mut oracle,
+            );
+            assert_eq!(engines[1].stats().delivered, 1);
+            // One short HMAC: inner tail block + outer block.
+            assert_eq!(engines[1].lane_stats().lanes_filled, 2, "batch={batch}");
 
-        // The cache is round-scoped: the same fan-in next round pays one
-        // fresh HMAC rather than trusting a stale verdict.
-        engines[1].begin_round(&mut oracle);
-        engines[1].handle(
-            GossipMessage::PushData {
-                from: ProcessId(0),
-                messages: vec![real; 8],
-            },
-            &mut oracle,
-        );
-        assert_eq!(c_full.get(), 2);
-        assert_eq!(c_hits.get(), 38);
-    }
-
-    #[test]
-    fn frame_sign_verify_round_trip_between_engines() {
-        let (mut engines, _) = setup(2, ProtocolVariant::Drum);
-        let mut oracle = CountingPortOracle::default();
-        engines[0].begin_round(&mut oracle);
-        engines[1].begin_round(&mut oracle);
-        let nonce = engines[0].frame_nonce();
-        let body = b"packed frame body";
-        let tag = engines[0].sign_frame(nonce, body);
-        assert!(engines[1]
-            .verify_frame(ProcessId(0), nonce, body, &tag)
-            .is_ok());
-        // Tampered body, wrong nonce and wrong sender all fail.
-        assert!(engines[1]
-            .verify_frame(ProcessId(0), nonce, b"tampered", &tag)
-            .is_err());
-        assert!(engines[1]
-            .verify_frame(ProcessId(0), nonce + 1, body, &tag)
-            .is_err());
-        assert!(engines[1]
-            .verify_frame(ProcessId(1), nonce, body, &tag)
-            .is_err());
-        // Both verification modes agree.
-        engines[1].set_batch_verify(false);
-        assert!(engines[1]
-            .verify_frame(ProcessId(0), nonce, body, &tag)
-            .is_ok());
-        assert!(engines[1]
-            .verify_frame(ProcessId(0), nonce, b"tampered", &tag)
-            .is_err());
-    }
-
-    #[test]
-    fn repeated_frame_fan_in_pays_one_hmac() {
-        let (mut engines, _) = setup(2, ProtocolVariant::Drum);
-        engines[1].set_batch_verify(true);
-        let mut oracle = CountingPortOracle::default();
-        engines[0].begin_round(&mut oracle);
-        engines[1].begin_round(&mut oracle);
-        let nonce = engines[0].frame_nonce();
-        let tag = engines[0].sign_frame(nonce, b"body");
-        for _ in 0..16 {
-            assert!(engines[1]
-                .verify_frame(ProcessId(0), nonce, b"body", &tag)
-                .is_ok());
+            // Seen is not round-scoped: the same fan-in next round (and
+            // through the other push-data slot of this one) costs nothing.
+            engines[1].begin_round(&mut oracle);
+            for _ in 0..2 {
+                engines[1].handle(
+                    GossipMessage::PushData {
+                        from: ProcessId(0),
+                        messages: vec![real.clone(); 8],
+                    },
+                    &mut oracle,
+                );
+            }
+            assert_eq!(engines[1].stats().delivered, 0);
+            assert_eq!(engines[1].lane_stats().lanes_filled, 2, "batch={batch}");
+            if batch {
+                let reg = engines[1].tracer().registry();
+                assert_eq!(reg.counter(names::MAC_FULL_VERIFIES).get(), 1);
+                assert_eq!(reg.counter(names::MAC_BATCH_HITS).get(), 31);
+            }
         }
-        let reg = engines[1].tracer().registry();
-        assert_eq!(reg.counter(names::MAC_FULL_VERIFIES).get(), 1);
-        assert_eq!(reg.counter(names::MAC_BATCH_HITS).get(), 15);
     }
 
     #[test]
-    fn preverified_data_skips_per_message_macs() {
-        let (mut engines, _) = setup(2, ProtocolVariant::Drum);
-        engines[1].set_batch_verify(true);
-        let id = engines[0].publish(Bytes::from_static(b"m"));
+    fn forged_copy_of_an_admitted_id_costs_nothing() {
+        let (mut engines, store) = setup(2, ProtocolVariant::Drum);
+        let id = engines[0].publish(Bytes::from_static(b"the real one"));
         let real = engines[0].buffer().get(id).unwrap().clone();
+        let mut oracle = CountingPortOracle::default();
+        engines[1].begin_round(&mut oracle);
+        engines[1].handle(
+            GossipMessage::PushData {
+                from: ProcessId(0),
+                messages: vec![real],
+            },
+            &mut oracle,
+        );
+        assert_eq!(engines[1].take_delivered().len(), 1);
+        let before = engines[1].lane_stats();
+
+        let forged = DataMessage {
+            id,
+            hops: 0,
+            payload: Bytes::from_static(b"something else"),
+            auth: drum_crypto::auth::AuthTag::zero(),
+        };
+        engines[1].handle(
+            GossipMessage::PushData {
+                from: ProcessId(0),
+                messages: vec![forged],
+            },
+            &mut oracle,
+        );
+        assert!(engines[1].take_delivered().is_empty());
+        assert_eq!(engines[1].stats().dropped_auth, 0);
+        assert_eq!(engines[1].lane_stats(), before, "no compression ran");
+        // The stored message is still the authentic one.
+        let stored = engines[1].buffer().get(id).unwrap();
+        assert_eq!(stored.payload, Bytes::from_static(b"the real one"));
+        assert!(stored.verify(&store).is_ok());
+    }
+
+    #[test]
+    fn forgery_before_the_real_message_does_not_block_it() {
+        // Seen-first must never let a forgery claim an id: a rejected
+        // message is not remembered, so the authentic copy still lands.
+        let (mut engines, _) = setup(2, ProtocolVariant::Drum);
+        let id = engines[0].publish(Bytes::from_static(b"real"));
+        let real = engines[0].buffer().get(id).unwrap().clone();
+        let mut tampered = real.clone();
+        tampered.payload = Bytes::from_static(b"fake");
+        for batch in [true, false] {
+            let (mut receivers, _) = setup(2, ProtocolVariant::Drum);
+            receivers[1].set_batch_verify(batch);
+            let mut oracle = CountingPortOracle::default();
+            receivers[1].begin_round(&mut oracle);
+            receivers[1].handle(
+                GossipMessage::PushData {
+                    from: ProcessId(0),
+                    messages: vec![tampered.clone(), real.clone(), tampered.clone()],
+                },
+                &mut oracle,
+            );
+            assert_eq!(receivers[1].stats().dropped_auth, 1, "batch={batch}");
+            let delivered = receivers[1].take_delivered();
+            assert_eq!(delivered.len(), 1);
+            assert_eq!(delivered[0].payload, Bytes::from_static(b"real"));
+        }
+    }
+
+    #[test]
+    fn verification_cost_follows_new_messages() {
+        // k new 50-byte messages cost exactly 3 compressions each on the
+        // direct path (two inner tail blocks + the outer block); the same
+        // exchange replayed costs none.
+        const K: u64 = 12;
+        let exchange = |publisher: &mut Engine| GossipMessage::PushData {
+            from: ProcessId(0),
+            messages: (0..K)
+                .map(|_| {
+                    let id = publisher.publish(Bytes::from(vec![7u8; 50]));
+                    publisher.buffer().get(id).unwrap().clone()
+                })
+                .collect(),
+        };
+        let mut oracle = CountingPortOracle::default();
+
+        let (mut engines, _) = setup(2, ProtocolVariant::Drum);
+        engines[1].set_batch_verify(false);
+        let push = exchange(&mut engines[0]);
+        engines[1].begin_round(&mut oracle);
+        engines[1].handle(push.clone(), &mut oracle);
+        assert_eq!(engines[1].stats().delivered, K);
+        assert_eq!(engines[1].lane_stats().compress_calls, 3 * K);
+        assert_eq!(engines[1].lane_stats().lanes_filled, 3 * K);
+        engines[1].handle(push, &mut oracle);
+        assert_eq!(engines[1].stats().delivered, K);
+        assert_eq!(engines[1].lane_stats().compress_calls, 3 * K);
+
+        // The multiway path hashes the same blocks.
+        let (mut multi, _) = setup(2, ProtocolVariant::Drum);
+        multi[1].set_batch_verify(true);
+        let push = exchange(&mut multi[0]);
+        multi[1].begin_round(&mut oracle);
+        multi[1].handle(push, &mut oracle);
+        assert_eq!(multi[1].lane_stats().lanes_filled, 3 * K);
+    }
+
+    #[test]
+    fn retired_preverified_entry_point_verifies_sources() {
+        let (mut engines, _) = setup(2, ProtocolVariant::Drum);
         let mut oracle = CountingPortOracle::default();
         engines[1].begin_round(&mut oracle);
         let mut out = Vec::new();
+        let messages = hostile_mix(&mut engines[0]);
         engines[1].handle_into_preverified(
             GossipMessage::PushData {
                 from: ProcessId(0),
-                messages: vec![real; 8],
+                messages,
             },
             &mut oracle,
             &mut out,
         );
-        // Delivered once, zero per-message HMAC work.
+        // Exactly what `handle_into` does with the same mix.
         assert_eq!(engines[1].stats().delivered, 1);
-        assert!(engines[1].buffer().seen(id));
-        let reg = engines[1].tracer().registry();
-        assert_eq!(reg.counter(names::MAC_FULL_VERIFIES).get(), 0);
-        assert_eq!(reg.counter(names::MAC_BATCH_HITS).get(), 0);
+        assert_eq!(engines[1].stats().dropped_auth, 2);
     }
 
     #[test]

@@ -96,6 +96,17 @@ fn frame_tag_of(key: &HmacKey, sender: u64, nonce: u64, body: &[u8]) -> [u8; AUT
     ])
 }
 
+/// SHA-256 compressions one data-message tag costs under a cached key
+/// schedule: the inner tail (domain ‖ source ‖ seq ‖ payload ‖ padding)
+/// resumed from the ipad midstate, plus the one outer block. Callers of the
+/// scalar [`verify_with`] path use it to keep the `crypto.compress_calls`
+/// counters in the units the multiway kernel reports.
+pub fn msg_tag_compressions(payload_len: usize) -> u64 {
+    // 0x80 marker + 8-byte length field close the inner stream.
+    let inner = MSG_DOMAIN.len() + 16 + payload_len + 9;
+    inner.div_ceil(crate::sha256::BLOCK_LEN) as u64 + 1
+}
+
 /// Builds the multiway job computing the same tag as [`sign_with`] /
 /// [`verify_with`] for a `(source, seq, payload)` triple.
 pub fn msg_job<'a>(key: &'a HmacKey, source: u64, seq: u64, payload: &'a [u8]) -> MacJob<'a> {
@@ -215,9 +226,13 @@ pub fn verify(
 }
 
 /// Computes the tag a gossip *frame* carries: one HMAC by the frame's
-/// sender over the whole frame body, amortizing authentication across every
-/// data message packed inside. Domain-separated from [`sign_with`], so the
-/// two tag families cannot be replayed into each other's verifiers.
+/// sender over the whole frame body. Domain-separated from [`sign_with`],
+/// so the two tag families cannot be replayed into each other's verifiers.
+///
+/// The runtime retired frames (DESIGN.md §19: a frame tag proves only that
+/// *a member* built the frame, not that the sources inside are genuine).
+/// The frame-domain functions stay because `benchmark/`'s probes and the
+/// hostile-frame tests call them.
 pub fn sign_frame_with(auth_key: &HmacKey, sender: u64, nonce: u64, body: &[u8]) -> AuthTag {
     AuthTag(frame_tag_of(auth_key, sender, nonce, body))
 }
@@ -381,6 +396,22 @@ mod tests {
             verify(&store, 1, 0, b"m", &AuthTag::zero()),
             Err(AuthError::Forged)
         );
+    }
+
+    #[test]
+    fn msg_tag_compressions_matches_the_kernel_count() {
+        let (_, key) = store_with(1);
+        let schedule = key.hmac_key();
+        let mut mm = MultiMac::scalar();
+        // Every padding boundary of the first three inner blocks.
+        for len in 0..=160usize {
+            let payload = vec![0x5a; len];
+            mm.mac_many(&[msg_job(&schedule, 1, 2, &payload)]);
+            let counted = mm.take_stats();
+            assert_eq!(msg_tag_compressions(len), counted.lanes_filled, "len {len}");
+        }
+        // The benchmark's 50-byte payload: two inner blocks and the outer.
+        assert_eq!(msg_tag_compressions(50), 3);
     }
 
     #[test]

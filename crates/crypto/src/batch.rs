@@ -83,7 +83,9 @@ pub struct MacCounters {
 #[derive(Debug, Clone, Copy)]
 pub struct VerifyRequest<'a> {
     /// Frame-domain claim (`sender`/`nonce`/`body`) rather than a
-    /// message-domain one (`source`/`seq`/`payload`).
+    /// message-domain one (`source`/`seq`/`payload`). The engine only ever
+    /// passes `false` now that the runtime has no frames (DESIGN.md §19);
+    /// the field stays for `benchmark/`, which constructs this struct.
     pub frame: bool,
     /// Claimed source (or frame sender).
     pub source: u64,

@@ -2,9 +2,9 @@
 //! multi-buffer kernel.
 //!
 //! Under a Figure 7 flood the MAC kernel is the receiver's hot path: every
-//! datagram that survives port filtering costs one HMAC. The batch verdict
-//! cache and frame packing cut how *many* HMACs run; this module cuts what
-//! each remaining HMAC *costs* by computing up to [`LANES`] of them in
+//! datagram that survives port filtering costs one HMAC. The seen-first
+//! rule and the batch verdict cache cut how *many* HMACs run; this module
+//! cuts what each remaining HMAC *costs* by computing up to [`LANES`] of them in
 //! lockstep over the transposed AVX2 compression kernel in
 //! [`crate::sha256`].
 //!

@@ -192,10 +192,10 @@ pub fn fabricated_pull_reply(seq: u64) -> GossipMessage {
     }
 }
 
-/// A fabricated MTU-packed gossip frame wrapping one bogus pull-reply. It
-/// parses as a frame, but its tag can never verify — the adversary holds
-/// no group key — so receivers drop it whole (one HMAC of wasted work for
-/// arbitrarily many packed messages) and count it in `frames_rejected`.
+/// A fabricated gossip frame (the retired TAG 6 wire shape) wrapping one
+/// bogus pull-reply. The frame codec still parses it and its tag can never
+/// verify, but the runtime no longer looks: on any port it is a decode
+/// error — no HMAC runs, nothing inside reaches the engine.
 pub fn fabricated_frame(seq: u64) -> Vec<u8> {
     let mut builder = codec::FrameBuilder::new();
     builder.push(&fabricated_pull_reply(seq));

@@ -383,6 +383,14 @@ pub fn decode(bytes: &[u8]) -> Result<GossipMessage, DecodeError> {
 /// the same partner coalesced into one datagram, authenticated by a single
 /// HMAC from the frame's *sender* (the relaying member) over the whole body.
 ///
+/// **Retired from the runtime** (DESIGN.md §19): `NodeCore` neither builds
+/// nor accepts frames — a TAG 6 datagram is a decode error on every port.
+/// The frame items of this module ([`Frame`], [`FrameBuilder`],
+/// [`decode_frame`], [`frame_signed_body`], [`is_frame`], the `FRAME_*`
+/// constants) stay only because `benchmark/`'s codec and crypto probes
+/// compile against them and [`crate::attack::fabricated_frame`] builds its
+/// hostile bytes with them; a later `benchmark` change can drop both.
+///
 /// ```text
 /// [tag=6 u8][sender u64][nonce u64][count u32]
 ///   count × ([len u32][encoded GossipMessage])
@@ -542,9 +550,9 @@ impl FrameBuilder {
 
     /// Seals the open frame into `out` (cleared first) and resets the
     /// builder for the next frame. `sign` receives the signed body (all
-    /// frame bytes before the trailing tag) and must return the frame tag —
-    /// typically `|body| engine.sign_frame(nonce, body)`. Returns how many
-    /// messages the frame carries.
+    /// frame bytes before the trailing tag) and must return the frame tag
+    /// (`drum_crypto::auth::sign_frame_with`). Returns how many messages
+    /// the frame carries.
     pub fn finish_into<F>(
         &mut self,
         sender: ProcessId,
@@ -569,12 +577,11 @@ impl FrameBuilder {
         packed
     }
 
-    /// Seals the open frame into `out` with an all-zero tag, for callers
-    /// that stage several frames and sign them in one multiway pass
-    /// afterwards: the signed body is everything before the trailing
-    /// [`FRAME_TAG_LEN`] bytes, which the caller overwrites with the real
-    /// tag before transmission. Resets the builder exactly like
-    /// [`finish_into`](Self::finish_into) and returns the message count.
+    /// Seals the open frame into `out` with an all-zero tag: the signed
+    /// body is everything before the trailing [`FRAME_TAG_LEN`] bytes,
+    /// which a caller would overwrite with the real tag. Resets the builder
+    /// exactly like [`finish_into`](Self::finish_into) and returns the
+    /// message count. Unused by the runtime; `benchmark/` times it.
     pub fn finish_unsigned_into(
         &mut self,
         sender: ProcessId,

@@ -406,6 +406,13 @@ pub struct ThroughputReport {
     /// zero on the thread-per-process layout). Per round it tracks the
     /// datagrams a round brings, and explodes if a loop ever polls.
     pub shard_wakeups: u64,
+    /// New data messages the correct processes' engines delivered.
+    pub delivered: u64,
+    /// SHA-256 kernel calls behind their source verification
+    /// (`crypto.compress_calls`). Per delivery it reads ≈ 3 for 50-byte
+    /// payloads on the direct path, less through the 8-lane kernel — and
+    /// several times that if duplicates are ever verified again.
+    pub compress_calls: u64,
 }
 
 impl ThroughputReport {
@@ -506,12 +513,14 @@ pub fn throughput_experiment(
         })
         .collect();
 
-    let rounds = cluster.shutdown().iter().map(|s| s.rounds).sum();
+    let stats = cluster.shutdown();
     Ok(ThroughputReport {
         receivers,
         duration_secs,
         published: total_messages,
-        rounds,
+        rounds: stats.iter().map(|s| s.rounds).sum(),
+        delivered: stats.iter().map(|s| s.delivered).sum(),
+        compress_calls: stats.iter().map(|s| s.compress_calls).sum(),
         shard_wakeups: config
             .net
             .tracer
@@ -558,27 +567,14 @@ pub struct SoakReport {
     /// backpressure accounting, never silent drops — summed over
     /// processes.
     pub backpressure: u64,
-    /// MTU-packed frames sent, summed over processes.
+    /// [`NetStats::frames_sent`] summed over processes: 0, now that every
+    /// gossip message leaves as a bare datagram (the soak test pins it).
     pub frames_sent: u64,
-    /// Data messages carried inside those frames.
-    pub framed_msgs: u64,
-    /// Received frames rejected for bad authentication.
-    pub frames_rejected: u64,
     /// Wall-clock duration of the publish window in seconds.
     pub duration_secs: f64,
 }
 
 impl SoakReport {
-    /// Mean messages per sent frame (0 when no frames were sent, e.g.
-    /// under `DRUM_NET_NO_PACK=1`).
-    pub fn mean_msgs_per_frame(&self) -> f64 {
-        if self.frames_sent == 0 {
-            0.0
-        } else {
-            self.framed_msgs as f64 / self.frames_sent as f64
-        }
-    }
-
     /// Fraction of the full `published × receivers` coverage delivered.
     pub fn delivery_fraction(&self, receivers: u64) -> f64 {
         let expected = self.published * receivers;
@@ -715,8 +711,6 @@ pub fn soak_experiment(
         buffer_bytes_peak: stats.iter().map(|s| s.buffer_bytes_peak).max().unwrap_or(0),
         backpressure: stats.iter().map(|s| s.stream_backpressure).sum(),
         frames_sent: stats.iter().map(|s| s.frames_sent).sum(),
-        framed_msgs: stats.iter().map(|s| s.framed_msgs).sum(),
-        frames_rejected: stats.iter().map(|s| s.frames_rejected).sum(),
         duration_secs,
     })
 }
@@ -969,14 +963,8 @@ mod tests {
         assert!(report.delivered > 0, "soak delivered nothing");
         assert!(!report.latency_cdf_ms.is_empty());
         assert!(report.buffer_bytes_peak > 0, "buffer peak never observed");
-        // Frames only flow when packing is on (random ports, no opt-out).
-        if std::env::var_os("DRUM_NET_NO_PACK").is_none() {
-            assert!(report.frames_sent > 0, "packing sent no frames");
-            assert!(report.framed_msgs >= report.frames_sent);
-            assert!(report.mean_msgs_per_frame() >= 1.0);
-        } else {
-            assert_eq!(report.frames_sent, 0);
-        }
+        // One wire shape: the runtime sends bare datagrams only.
+        assert_eq!(report.frames_sent, 0);
     }
 
     #[test]

@@ -36,7 +36,6 @@ use drum_core::ids::ProcessId;
 use drum_core::message::{DataMessage, GossipMessage, MessageKind};
 use drum_core::stream::{StreamConfig, StreamScheduler};
 use drum_core::view::Membership;
-use drum_crypto::auth::{AuthError, AuthTag};
 use drum_crypto::keys::{KeyStore, SecretKey};
 use drum_trace::{names, trace_event, Counter, Tracer};
 
@@ -171,15 +170,13 @@ pub struct NetStats {
     /// Datagrams moved by batched (`recvmmsg`) receive calls; zero on the
     /// fallback path.
     pub batch_recv_datagrams: u64,
-    /// MTU-packed gossip frames sent; zero with `DRUM_NET_NO_PACK=1` or
-    /// when random ports are disabled. Each frame is one datagram (so it
-    /// is also counted in `sent`).
+    /// Always 0: the runtime no longer builds gossip frames (DESIGN.md
+    /// §19). The field stays because `benchmark/` reads it.
     pub frames_sent: u64,
-    /// Data-plane messages carried inside sent frames. Divide by
-    /// `frames_sent` for the mean pack ratio.
+    /// Always 0, like [`NetStats::frames_sent`] (kept for `benchmark/`).
     pub framed_msgs: u64,
-    /// Received frames dropped because their frame tag failed
-    /// authentication (unknown sender or forged tag).
+    /// Always 0, like [`NetStats::frames_sent`] (kept for `benchmark/`): a
+    /// frame datagram is now a decode error like any other unknown tag.
     pub frames_rejected: u64,
     /// High-water mark of message-buffer memory (payload bytes plus
     /// per-entry bookkeeping), sampled at each round end.
@@ -187,10 +184,10 @@ pub struct NetStats {
     /// Stream-scheduler submissions that found the pending window full
     /// and were queued with backpressure (never silently dropped).
     pub stream_backpressure: u64,
-    /// SHA-256 kernel invocations behind this node's MAC work (multiway
-    /// verification plus frame signing): an 8-wide call counts once, as
-    /// does a single-block call. With the 8-lane kernel active this runs
-    /// near `lanes_filled / 8`; forced scalar it equals `lanes_filled`.
+    /// SHA-256 kernel invocations behind this node's source verification:
+    /// an 8-wide call counts once, as does a single-block call. With the
+    /// 8-lane kernel active this runs near `lanes_filled / 8`; on the
+    /// direct (SHA-NI / scalar) path it equals `lanes_filled`.
     pub compress_calls: u64,
     /// Total kernel lanes those invocations advanced — i.e. blocks hashed.
     /// Identical across `DRUM_CRYPTO_NO_SIMD` modes on a fixed seed.
@@ -492,34 +489,9 @@ pub struct NodeCore {
     // once and amortized over the node lifetime.
     wire: BytesMut,
     outs: Vec<Outbound>,
-    /// One drain's decoded messages awaiting dispatch. The third element
-    /// ties a message to the received frame it was unpacked from (an index
-    /// into the drain's staged frames) — `None` for bare datagrams, which
-    /// pay their own per-message verification.
-    drained: Vec<(PortPurpose, GossipMessage, Option<u32>)>,
-    /// Received frames staged for the one batched tag verification per
-    /// drain; signed bodies live in `rx_frame_arena`.
-    rx_frames: Vec<RxFrame>,
-    rx_frame_arena: Vec<u8>,
-    /// Per-frame verdicts of the staged verification, index-aligned with
-    /// `rx_frames`.
-    frame_verdicts: Vec<Result<(), AuthError>>,
+    /// One drain's decoded messages awaiting dispatch.
+    drained: Vec<(PortPurpose, GossipMessage)>,
     started: bool,
-    /// Whether data-plane replies are coalesced into MTU-packed frames.
-    /// True when random ports are on and `DRUM_NET_NO_PACK` is unset; the
-    /// receive path accepts both framed and bare datagrams regardless.
-    pack: bool,
-    /// Reusable frame packer and its wire buffer (packed path only).
-    framer: codec::FrameBuilder,
-    frame_wire: BytesMut,
-    /// Scratch list of distinct frame destinations seen in one flush.
-    frame_addrs: Vec<std::net::SocketAddr>,
-    /// Outbound frames of one flush staged for the single multiway signing
-    /// pass: full wire images (trailing tag zeroed) in `frame_arena`.
-    out_frames: Vec<OutFrame>,
-    frame_arena: Vec<u8>,
-    /// Reusable tag buffer for the signing pass.
-    frame_tags: Vec<AuthTag>,
     /// Application stream pacing between `publish()` and the engine.
     stream: StreamScheduler,
     c_sent: Counter,
@@ -532,35 +504,10 @@ pub struct NodeCore {
     c_batch_fill: Counter,
     c_rounds_late: Counter,
     c_alloc_failed: Counter,
-    c_frames_sent: Counter,
-    c_msgs_per_frame: Counter,
-    c_frames_rejected: Counter,
     c_buf_peak: Counter,
     c_backpressure: Counter,
     c_compress_calls: Counter,
     c_lanes_filled: Counter,
-}
-
-/// A received frame staged for the per-drain batched tag verification.
-#[derive(Debug)]
-struct RxFrame {
-    sender: ProcessId,
-    nonce: u64,
-    tag: AuthTag,
-    /// Span of the signed body within `NodeCore::rx_frame_arena`.
-    start: usize,
-    len: usize,
-}
-
-/// An outbound frame staged for the per-flush batched signing pass.
-#[derive(Debug)]
-struct OutFrame {
-    addr: std::net::SocketAddr,
-    nonce: u64,
-    /// Span of the full wire image (tag bytes zeroed) within
-    /// `NodeCore::frame_arena`.
-    start: usize,
-    len: usize,
 }
 
 impl NodeCore {
@@ -612,7 +559,6 @@ impl NodeCore {
             variant = config.gossip.variant.to_string(),
             random_ports = config.gossip.random_ports
         );
-        let pack = config.gossip.random_ports && std::env::var_os("DRUM_NET_NO_PACK").is_none();
         let stream = StreamScheduler::new(config.stream);
         NodeCore {
             me,
@@ -633,17 +579,7 @@ impl NodeCore {
             wire: BytesMut::with_capacity(codec::MAX_WIRE_LEN),
             outs: Vec::new(),
             drained: Vec::new(),
-            rx_frames: Vec::new(),
-            rx_frame_arena: Vec::new(),
-            frame_verdicts: Vec::new(),
             started: false,
-            pack,
-            framer: codec::FrameBuilder::new(),
-            frame_wire: BytesMut::with_capacity(codec::MAX_WIRE_LEN),
-            frame_addrs: Vec::new(),
-            out_frames: Vec::new(),
-            frame_arena: Vec::new(),
-            frame_tags: Vec::new(),
             stream,
             c_sent: reg.counter(names::MESSAGES_SENT),
             c_received: reg.counter(names::MESSAGES_RECEIVED),
@@ -655,9 +591,6 @@ impl NodeCore {
             c_batch_fill: reg.counter(names::BATCH_FILL),
             c_rounds_late: reg.counter(names::NET_ROUNDS_LATE),
             c_alloc_failed: reg.counter(names::NET_ALLOC_FAILED),
-            c_frames_sent: reg.counter(names::FRAMES_SENT),
-            c_msgs_per_frame: reg.counter(names::MSGS_PER_FRAME),
-            c_frames_rejected: reg.counter(names::FRAMES_REJECTED),
             c_buf_peak: reg.counter(names::BUFFER_BYTES_PEAK),
             c_backpressure: reg.counter(names::STREAM_BACKPRESSURE),
             c_compress_calls: reg.counter(names::CRYPTO_COMPRESS_CALLS),
@@ -870,118 +803,41 @@ impl NodeCore {
     /// contend on concealed ports, and immediate processing gives the
     /// model's same-round pull-replies).
     ///
-    /// Pool sockets accept both bare gossip datagrams and MTU-packed
-    /// frames regardless of this node's own packing mode, so mixed
-    /// clusters (and the `DRUM_NET_NO_PACK=1` ablation) interoperate. A
-    /// frame is one datagram for `received`; its tag is verified against
-    /// the claimed sender's key and the inner messages then skip
-    /// per-message source MACs (the frame sender is proven honest, and
-    /// honest members only pack messages they already verified).
+    /// Every datagram is one bare gossip message. Anything else — a
+    /// retired TAG 6 frame included — is a decode error, and every data
+    /// message that reaches the engine pays its own source verification
+    /// unless the node has already seen its id.
     fn drain_pool(&mut self, rx: &mut BatchRx, scratch: &mut [u8]) {
         let Self {
             pool,
             stats,
             drained,
-            rx_frames,
-            rx_frame_arena,
             ..
         } = self;
-        pool.drain(rx, scratch, |purpose, bytes| {
-            if codec::is_frame(bytes) {
-                let frame = match codec::decode_frame(bytes) {
-                    Ok(frame) => frame,
-                    Err(_) => {
-                        stats.decode_errors += 1;
-                        return;
-                    }
-                };
-                // Stage the frame: all of a drain's frame tags are checked
-                // in one multiway HMAC pass below instead of one full
-                // SHA-256 round-trip per frame.
-                let body = codec::frame_signed_body(bytes).unwrap_or(&[]);
-                let fidx = rx_frames.len() as u32;
-                let start = rx_frame_arena.len();
-                rx_frame_arena.extend_from_slice(body);
-                rx_frames.push(RxFrame {
-                    sender: frame.sender,
-                    nonce: frame.nonce,
-                    tag: frame.auth,
-                    start,
-                    len: body.len(),
-                });
-                for msg in frame.messages {
-                    drained.push((purpose, msg, Some(fidx)));
-                }
-            } else {
-                match codec::decode(bytes) {
-                    Ok(msg) => {
-                        stats.received += 1;
-                        drained.push((purpose, msg, None));
-                    }
-                    Err(_) => stats.decode_errors += 1,
-                }
+        pool.drain(rx, scratch, |purpose, bytes| match codec::decode(bytes) {
+            Ok(msg) => {
+                stats.received += 1;
+                drained.push((purpose, msg));
             }
+            Err(_) => stats.decode_errors += 1,
         });
-        if !self.rx_frames.is_empty() {
-            let jobs: Vec<(ProcessId, u64, &[u8], AuthTag)> = self
-                .rx_frames
-                .iter()
-                .map(|f| {
-                    (
-                        f.sender,
-                        f.nonce,
-                        &self.rx_frame_arena[f.start..f.start + f.len],
-                        f.tag,
-                    )
-                })
-                .collect();
-            self.engine
-                .verify_frames_many(&jobs, &mut self.frame_verdicts);
-            for verdict in &self.frame_verdicts {
-                if verdict.is_ok() {
-                    self.stats.received += 1;
-                } else {
-                    self.stats.frames_rejected += 1;
-                }
-            }
-        }
-        for (purpose, msg, src) in self.drained.drain(..) {
-            if let Some(fidx) = src {
-                if self.frame_verdicts[fidx as usize].is_err() {
-                    continue; // whole frame rejected above
-                }
-            }
+        for (purpose, msg) in self.drained.drain(..) {
             let matches = matches!(
                 (purpose, msg.kind()),
                 (PortPurpose::PullReply, MessageKind::PullReply)
                     | (PortPurpose::PushReply, MessageKind::PushReply)
                     | (PortPurpose::PushData, MessageKind::PushData)
             );
-            if !matches {
-                self.stats.port_mismatches += 1;
-            } else if src.is_some() {
-                self.engine
-                    .handle_into_preverified(msg, &mut self.pool, &mut self.outs);
-            } else {
+            if matches {
                 self.engine.handle_into(msg, &mut self.pool, &mut self.outs);
+            } else {
+                self.stats.port_mismatches += 1;
             }
         }
-        self.rx_frames.clear();
-        self.rx_frame_arena.clear();
     }
 
-    /// Whether an outbound message rides inside an MTU-packed frame on the
-    /// packed path: data-plane replies (pull-replies and push-data) headed
-    /// for a resolved random port. Control messages and anything aimed at
-    /// a well-known port stay bare.
-    fn packable(out: &Outbound) -> bool {
-        matches!(
-            out.msg,
-            GossipMessage::PullReply { .. } | GossipMessage::PushData { .. }
-        ) && matches!(out.port, SendPort::Port(p) if p != 0)
-    }
-
-    /// Drains `self.outs`, encoding into the reusable wire scratch. The
+    /// Drains `self.outs`, encoding into the reusable wire scratch: one
+    /// bare datagram per outbound message, control and data alike. The
     /// engine fans the same `PushData`/`PushOffer`/`PullRequest` to
     /// several recipients back-to-back, so the encoder runs only when the
     /// message actually changes from the previously encoded one
@@ -989,18 +845,10 @@ impl NodeCore {
     /// Datagrams leave through `tx`: one sendmmsg per batch on the batched
     /// path (repeats share the arena bytes), one send_to each on the
     /// fallback.
-    ///
-    /// On the packed path, data-plane replies to the same destination are
-    /// coalesced into MTU-budgeted frames afterwards (see
-    /// [`NodeCore::send_frames`]); each frame costs one datagram and one
-    /// HMAC no matter how many messages it carries.
     fn send_out(&mut self, send_socket: &UdpSocket, tx: &mut BatchTx) {
         let loss = self.config.loss;
         let mut encoded: Option<usize> = None;
         for i in 0..self.outs.len() {
-            if self.pack && Self::packable(&self.outs[i]) {
-                continue; // coalesced into frames below
-            }
             if loss > 0.0 && self.rng.random_bool(loss) {
                 continue; // emulated link loss
             }
@@ -1028,140 +876,8 @@ impl NodeCore {
             }
             tx.push(send_socket, addr, &self.wire[..], repeat);
         }
-        if self.pack {
-            self.send_frames(send_socket, tx);
-            self.ship_frames(send_socket, tx);
-        }
         self.stats.sent += tx.finish(send_socket);
         self.outs.clear();
-    }
-
-    /// Greedily fills MTU-budgeted frames with this flush's packable
-    /// messages, grouped by destination in first-seen order, and sends
-    /// each frame as one signed datagram. A message too large for the
-    /// budget rides alone in an oversized solo frame; one that exceeds
-    /// even the wire cap falls back to a bare datagram (receivers accept
-    /// both forms on pool ports).
-    fn send_frames(&mut self, send_socket: &UdpSocket, tx: &mut BatchTx) {
-        self.frame_addrs.clear();
-        for i in 0..self.outs.len() {
-            if !Self::packable(&self.outs[i]) {
-                continue;
-            }
-            let SendPort::Port(p) = self.outs[i].port else {
-                continue;
-            };
-            let addr = AddressBook::loopback(p);
-            if !self.frame_addrs.contains(&addr) {
-                self.frame_addrs.push(addr);
-            }
-        }
-        let addrs = core::mem::take(&mut self.frame_addrs);
-        for &addr in &addrs {
-            for i in 0..self.outs.len() {
-                if !Self::packable(&self.outs[i]) {
-                    continue;
-                }
-                let SendPort::Port(p) = self.outs[i].port else {
-                    continue;
-                };
-                if AddressBook::loopback(p) != addr {
-                    continue;
-                }
-                if !self.framer.push(&self.outs[i].msg) {
-                    if !self.framer.is_empty() {
-                        self.flush_frame(addr);
-                    }
-                    if !self.framer.push(&self.outs[i].msg) {
-                        // Exceeds even an oversized solo frame: send bare.
-                        self.send_bare(i, addr, send_socket, tx);
-                    }
-                }
-            }
-            if !self.framer.is_empty() {
-                self.flush_frame(addr);
-            }
-        }
-        self.frame_addrs = addrs;
-    }
-
-    /// Seals the frame under construction with a zeroed tag and stages it
-    /// for the one multiway signing pass per flush (see
-    /// [`NodeCore::ship_frames`]). The nonce allocation and the emulated
-    /// loss draw both stay here, per frame in flush order, so the nonce
-    /// and RNG sequences match the unbatched path exactly; a lost frame
-    /// simply never reaches the signer.
-    fn flush_frame(&mut self, addr: std::net::SocketAddr) {
-        let nonce = self.engine.frame_nonce();
-        let packed = self
-            .framer
-            .finish_unsigned_into(self.me, nonce, &mut self.frame_wire);
-        if self.config.loss > 0.0 && self.rng.random_bool(self.config.loss) {
-            return; // emulated link loss, drawn per frame datagram
-        }
-        let start = self.frame_arena.len();
-        self.frame_arena.extend_from_slice(&self.frame_wire[..]);
-        self.out_frames.push(OutFrame {
-            addr,
-            nonce,
-            start,
-            len: self.frame_wire.len(),
-        });
-        self.stats.frames_sent += 1;
-        self.stats.framed_msgs += packed as u64;
-    }
-
-    /// Signs every frame staged by [`NodeCore::flush_frame`] in one
-    /// multiway HMAC pass — all partners' frames of a flush fill SIMD
-    /// lanes together — patches the tags over the zeroed trailing bytes,
-    /// and transmits the finished datagrams in flush order.
-    fn ship_frames(&mut self, send_socket: &UdpSocket, tx: &mut BatchTx) {
-        if self.out_frames.is_empty() {
-            return;
-        }
-        let jobs: Vec<(u64, &[u8])> = self
-            .out_frames
-            .iter()
-            .map(|f| {
-                (
-                    f.nonce,
-                    &self.frame_arena[f.start..f.start + f.len - codec::FRAME_TAG_LEN],
-                )
-            })
-            .collect();
-        let mut tags = core::mem::take(&mut self.frame_tags);
-        self.engine.sign_frames_many(&jobs, &mut tags);
-        for (f, tag) in self.out_frames.iter().zip(&tags) {
-            let at = f.start + f.len - codec::FRAME_TAG_LEN;
-            self.frame_arena[at..f.start + f.len].copy_from_slice(&tag.0);
-        }
-        for f in &self.out_frames {
-            tx.push(
-                send_socket,
-                f.addr,
-                &self.frame_arena[f.start..f.start + f.len],
-                false,
-            );
-        }
-        self.frame_tags = tags;
-        self.out_frames.clear();
-        self.frame_arena.clear();
-    }
-
-    /// Unframed fallback for a single packable message (frame overhead
-    /// would push it past the wire cap).
-    fn send_bare(
-        &mut self,
-        i: usize,
-        addr: std::net::SocketAddr,
-        send_socket: &UdpSocket,
-        tx: &mut BatchTx,
-    ) {
-        if self.config.loss > 0.0 && self.rng.random_bool(self.config.loss) {
-            return;
-        }
-        codec::encode_into(&self.outs[i].msg, &mut self.wire);
-        tx.push(send_socket, addr, &self.wire[..], false);
     }
 
     fn deliver(&mut self) {
@@ -1222,12 +938,6 @@ impl NodeCore {
             .add(self.stats.alloc_failed - self.prev.alloc_failed);
         self.stats.buffer_bytes_peak = self.engine.buffer().bytes_peak() as u64;
         self.stats.stream_backpressure = self.stream.stats().backpressure;
-        self.c_frames_sent
-            .add(self.stats.frames_sent - self.prev.frames_sent);
-        self.c_msgs_per_frame
-            .add(self.stats.framed_msgs - self.prev.framed_msgs);
-        self.c_frames_rejected
-            .add(self.stats.frames_rejected - self.prev.frames_rejected);
         // Peaks are monotone per node, so per-round deltas sum to the peak
         // and cluster-wide aggregation stays meaningful.
         self.c_buf_peak
@@ -1250,7 +960,6 @@ impl NodeCore {
             round = self.engine.round().as_u64(),
             sent = self.stats.sent - self.prev.sent,
             received = self.stats.received - self.prev.received,
-            frames = self.stats.frames_sent - self.prev.frames_sent,
             budget_drops = round_drops,
             decode_errors = self.stats.decode_errors - self.prev.decode_errors,
             port_mismatches = self.stats.port_mismatches - self.prev.port_mismatches,
@@ -1656,6 +1365,78 @@ mod tests {
         assert!(
             s0.decode_errors > 0,
             "p0 must have counted the malformed datagrams: {s0:?}"
+        );
+    }
+
+    #[test]
+    fn fabricated_frame_on_a_pool_port_is_a_decode_error() {
+        use drum_core::engine::PortOracle;
+        use drum_crypto::multiway::LaneStats;
+
+        // One hand-driven node, so the test can open a pool port itself.
+        let key_store = KeyStore::new(3);
+        let (sockets, addrs) = WellKnownSockets::bind().unwrap();
+        let (_publish_tx, publish_rx) = channel();
+        let (delivered_tx, delivered_rx) = channel();
+        let mut core = NodeCore::new(
+            ProcessSpec {
+                me: ProcessId(0),
+                members: (0..2).map(ProcessId).collect(),
+                book: AddressBook::new([(ProcessId(0), addrs)]),
+                my_key: key_store.register(0),
+                key_store,
+                sockets,
+                ablation: None,
+                config: NetConfig::new(GossipConfig::drum()),
+                seed: 11,
+            },
+            publish_rx,
+            delivered_tx,
+        );
+        let send_socket = bind_ephemeral().unwrap();
+        let mut tx = BatchTx::new();
+        let mut rx = BatchRx::new(codec::MAX_WIRE_LEN + 1);
+        let mut scratch = vec![0u8; codec::MAX_WIRE_LEN + 1];
+        core.start_round(&send_socket, &mut tx);
+        let port = core
+            .pool
+            .allocate_port(PortPurpose::PullReply, core.engine.round());
+        let dest = AddressBook::loopback(port);
+
+        // The retired frame shape first, then — to show the port is live —
+        // the same bogus pull-reply as a bare datagram.
+        let attacker = bind_ephemeral().unwrap();
+        let mut drain_until = |core: &mut NodeCore, done: &dyn Fn(&NetStats) -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !done(core.stats()) && Instant::now() < deadline {
+                core.drain_all(&mut rx, &mut scratch, &send_socket, &mut tx);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        attacker
+            .send_to(&crate::attack::fabricated_frame(7), dest)
+            .unwrap();
+        drain_until(&mut core, &|s| s.decode_errors > 0);
+        assert_eq!(core.stats().decode_errors, 1);
+        assert_eq!(core.stats().received, 0);
+        assert_eq!(core.engine.lane_stats(), LaneStats::default());
+
+        let bare = codec::encode(&crate::attack::fabricated_pull_reply(7));
+        attacker.send_to(&bare, dest).unwrap();
+        drain_until(&mut core, &|s| s.received > 0);
+        assert_eq!(core.stats().received, 1);
+
+        assert!(delivered_rx.try_recv().is_err(), "nothing may deliver");
+        let stats = core.finalize(None);
+        assert_eq!(stats.decode_errors, 1);
+        assert_eq!(stats.delivered, 0);
+        // The bare forgery reached the engine and failed authentication
+        // (unknown source: rejected before any hashing).
+        assert_eq!(stats.auth_drops, 1);
+        assert_eq!(stats.compress_calls, 0);
+        assert_eq!(
+            (stats.frames_sent, stats.framed_msgs, stats.frames_rejected),
+            (0, 0, 0)
         );
     }
 

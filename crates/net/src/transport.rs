@@ -30,12 +30,11 @@ use crate::sys;
 /// decision is identical — only the syscall count differs, which is
 /// exactly what the running totals expose.
 ///
-/// The same `DRUM_NET_NO_BATCH` knob also selects the engine's MAC
-/// verification path (`drum_crypto::batch`): in batched mode, the
-/// identical-fan-in datagrams that one `recvmmsg` call drains are verified
-/// once per unique `(source, seq, tag)` triple per round instead of once
-/// per copy — syscall amortization and HMAC amortization degrade together
-/// back to the per-datagram baseline.
+/// The same `DRUM_NET_NO_BATCH` knob also pins the engine's source
+/// verification to the direct per-message path on hosts where it would
+/// otherwise batch new messages through the 8-lane kernel
+/// (`drum_crypto::batch`) — syscall amortization and HMAC amortization
+/// degrade together back to the per-datagram baseline.
 #[derive(Debug)]
 pub struct BatchRx {
     arena: Option<sys::RecvArena>,

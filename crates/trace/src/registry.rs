@@ -63,25 +63,15 @@ pub mod names {
     /// Verdicts served from the round-scoped batch-verification cache
     /// instead of recomputing the HMAC (see `drum_crypto::batch`).
     pub const MAC_BATCH_HITS: &str = "crypto.mac_batch_hits";
-    /// SHA-256 kernel invocations behind the MAC work that actually ran
-    /// (multiway verification plus frame signing): an 8-wide multi-buffer
-    /// call counts once, as does a single-block call. The ratio to
-    /// `crypto.lanes_filled` is the multiway batching win.
+    /// SHA-256 kernel invocations behind the source verifications that
+    /// actually ran: an 8-wide multi-buffer call counts once, as does a
+    /// single-block call. The ratio to `crypto.lanes_filled` is the
+    /// multiway batching win (1.0 on the direct SHA-NI / scalar path).
     pub const CRYPTO_COMPRESS_CALLS: &str = "crypto.compress_calls";
     /// Total kernel lanes those invocations advanced — i.e. 64-byte blocks
     /// hashed. Fixed-seed runs report identical values with and without
     /// `DRUM_CRYPTO_NO_SIMD=1`; only `crypto.compress_calls` moves.
     pub const CRYPTO_LANES_FILLED: &str = "crypto.lanes_filled";
-    /// MTU-packed gossip frames sent (each is one datagram carrying one
-    /// or more data-plane messages to the same destination).
-    pub const FRAMES_SENT: &str = "net.frames_sent";
-    /// Data-plane messages carried inside sent frames. Divide by
-    /// `net.frames_sent` for the mean pack ratio; it approaches 1 when
-    /// traffic is sparse and climbs under sustained multi-message load.
-    pub const MSGS_PER_FRAME: &str = "net.msgs_per_frame";
-    /// Received frames rejected because their frame tag failed
-    /// authentication (fabricated or tampered frames).
-    pub const FRAMES_REJECTED: &str = "net.frames_rejected";
     /// High-water mark of message-buffer memory (payload bytes plus
     /// per-entry overhead), summed over processes. Bounded buffers keep
     /// this flat under sustained load; see `ext_soak`.

@@ -112,6 +112,47 @@ fn replayed_data_messages_deliver_once() {
 }
 
 #[test]
+fn forged_copy_of_a_delivered_message_buys_no_work() {
+    // Seen before MAC: once a message is admitted, neither a replay nor a
+    // forgery under its id costs the receiver a single compression, and
+    // the forgery cannot displace the authentic copy.
+    let (mut a, mut b, store) = engine_pair();
+    let mut oracle = CountingPortOracle::default();
+    let id = b.publish(Bytes::from_static(b"legit"));
+    let replica = b.buffer().get(id).unwrap().clone();
+    a.begin_round(&mut oracle);
+    a.handle(
+        GossipMessage::PushData {
+            from: ProcessId(1),
+            messages: vec![replica.clone()],
+        },
+        &mut oracle,
+    );
+    assert_eq!(a.take_delivered().len(), 1);
+    let paid = a.lane_stats();
+    assert!(paid.compress_calls > 0, "the first copy pays its MAC");
+
+    let forged = DataMessage {
+        payload: Bytes::from_static(b"evil"),
+        auth: AuthTag::zero(),
+        ..replica.clone()
+    };
+    a.handle(
+        GossipMessage::PullReply {
+            from: ProcessId(1),
+            messages: vec![forged, replica],
+        },
+        &mut oracle,
+    );
+    assert!(a.take_delivered().is_empty());
+    assert_eq!(a.stats().dropped_auth, 0);
+    assert_eq!(a.lane_stats(), paid);
+    let stored = a.buffer().get(id).unwrap();
+    assert_eq!(stored.payload, Bytes::from_static(b"legit"));
+    assert!(stored.verify(&store).is_ok());
+}
+
+#[test]
 fn sealed_ports_are_opaque_and_tamper_evident() {
     let (mut a, _, store) = engine_pair();
     let mut oracle = CountingPortOracle::default();

@@ -58,22 +58,37 @@ fn drum_disseminates_despite_attack_on_source() {
 #[test]
 fn pull_attack_on_source_delays_exit() {
     // Under a pull-channel flood of the source, Pull struggles to get the
-    // message out at all within a few rounds — the p̃ effect.
-    let config = paper_cluster_config(ProtocolVariant::Pull, 8, 1, 1024.0, ROUND, 3);
-    let cluster = Cluster::start(config).unwrap();
-    cluster.publish_from_source(0, 50);
-    // Give it 5 rounds only. With x=1024 vs F=4 the per-round escape
-    // probability is below 1%, so in almost every run the message is still
-    // stuck at (or barely out of) the source.
-    std::thread::sleep(ROUND * 5);
-    let receivers: usize = cluster.handles()[1..]
-        .iter()
-        .map(|h| usize::from(!h.take_delivered().is_empty()))
-        .sum();
-    cluster.shutdown();
+    // message out at all within a few rounds — the p̃ effect. One cluster
+    // is a single Bernoulli trial: over 5 rounds the message escapes the
+    // source (and then spreads unhindered) about once in 20 runs. So run up
+    // to three independently seeded clusters and require the bound in two
+    // of them — below 1% failure, same window, same bound.
+    let stuck_after_five_rounds = |seed: u64| {
+        let config = paper_cluster_config(ProtocolVariant::Pull, 8, 1, 1024.0, ROUND, seed);
+        let cluster = Cluster::start(config).unwrap();
+        cluster.publish_from_source(0, 50);
+        std::thread::sleep(ROUND * 5);
+        let receivers: usize = cluster.handles()[1..]
+            .iter()
+            .map(|h| usize::from(!h.take_delivered().is_empty()))
+            .sum();
+        cluster.shutdown();
+        (receivers <= 4, receivers)
+    };
+    let mut held = 0;
+    let mut seen = Vec::new();
+    for seed in [3, 103, 203] {
+        let (ok, receivers) = stuck_after_five_rounds(seed);
+        held += usize::from(ok);
+        seen.push(receivers);
+        // Decided either way once two trials agree.
+        if held == 2 || seen.len() - held == 2 {
+            break;
+        }
+    }
     assert!(
-        receivers <= 4,
-        "pull escaped too easily: {receivers} receivers"
+        held >= 2,
+        "pull escaped too easily: receivers per trial {seen:?}"
     );
 }
 
