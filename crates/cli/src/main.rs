@@ -305,6 +305,16 @@ fn run() -> Result<(), String> {
                 report.compress_calls,
                 report.delivered
             );
+            println!(
+                "net.sockets_opened per engine-round {:.2} ({} sockets, {} engine-rounds)",
+                report.sockets_opened as f64 / report.rounds.max(1) as f64,
+                report.sockets_opened,
+                report.rounds
+            );
+            println!(
+                "net.bind_failed {} (random-port allocations that could bind nothing)",
+                report.bind_failed
+            );
             if sharded {
                 println!(
                     "net.shard_wakeups per engine-round {:.2} ({} wakeups, {} engine-rounds)",

@@ -413,6 +413,15 @@ pub struct ThroughputReport {
     /// payloads on the direct path, less through the 8-lane kernel — and
     /// several times that if duplicates are ever verified again.
     pub compress_calls: u64,
+    /// Descriptors their random-port pools opened (`net.sockets_opened`).
+    /// Per engine-round it reads well under 1 — pools open descriptors
+    /// while they grow, then only rotate ports — and ~6 if every port
+    /// costs a fresh socket again.
+    pub sockets_opened: u64,
+    /// Random-port allocations that could bind nothing
+    /// (`net.bind_failed`): non-zero means descriptor or port exhaustion
+    /// is being absorbed by re-advertising older ports.
+    pub bind_failed: u64,
 }
 
 impl ThroughputReport {
@@ -521,6 +530,8 @@ pub fn throughput_experiment(
         rounds: stats.iter().map(|s| s.rounds).sum(),
         delivered: stats.iter().map(|s| s.delivered).sum(),
         compress_calls: stats.iter().map(|s| s.compress_calls).sum(),
+        sockets_opened: stats.iter().map(|s| s.sockets_opened).sum(),
+        bind_failed: stats.iter().map(|s| s.bind_failed).sum(),
         shard_wakeups: config
             .net
             .tracer

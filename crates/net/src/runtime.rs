@@ -154,6 +154,13 @@ pub struct NetStats {
     /// failed random-port allocation upstream (a local bind failure, or a
     /// peer that advertised port 0 after its own allocation failed).
     pub alloc_failed: u64,
+    /// Random-port allocations that could bind nothing and re-advertised
+    /// an older port of the same purpose (or 0, which `alloc_failed` then
+    /// counts per lost message): descriptor or port exhaustion.
+    pub bind_failed: u64,
+    /// Descriptors the random-port pool opened. Stops growing once the
+    /// pool has its high-water of live sockets; ports rotate on those.
+    pub sockets_opened: u64,
     /// New data messages delivered to the application.
     pub delivered: u64,
     /// Datagrams successfully sent.
@@ -504,6 +511,8 @@ pub struct NodeCore {
     c_batch_fill: Counter,
     c_rounds_late: Counter,
     c_alloc_failed: Counter,
+    c_bind_failed: Counter,
+    c_sockets_opened: Counter,
     c_buf_peak: Counter,
     c_backpressure: Counter,
     c_compress_calls: Counter,
@@ -591,6 +600,8 @@ impl NodeCore {
             c_batch_fill: reg.counter(names::BATCH_FILL),
             c_rounds_late: reg.counter(names::NET_ROUNDS_LATE),
             c_alloc_failed: reg.counter(names::NET_ALLOC_FAILED),
+            c_bind_failed: reg.counter(names::NET_BIND_FAILED),
+            c_sockets_opened: reg.counter(names::NET_SOCKETS_OPENED),
             c_buf_peak: reg.counter(names::BUFFER_BYTES_PEAK),
             c_backpressure: reg.counter(names::STREAM_BACKPRESSURE),
             c_compress_calls: reg.counter(names::CRYPTO_COMPRESS_CALLS),
@@ -936,6 +947,12 @@ impl NodeCore {
             .add(self.stats.batch_recv_datagrams - self.prev.batch_recv_datagrams);
         self.c_alloc_failed
             .add(self.stats.alloc_failed - self.prev.alloc_failed);
+        self.stats.bind_failed = self.pool.bind_failures();
+        self.stats.sockets_opened = self.pool.sockets_opened();
+        self.c_bind_failed
+            .add(self.stats.bind_failed - self.prev.bind_failed);
+        self.c_sockets_opened
+            .add(self.stats.sockets_opened - self.prev.sockets_opened);
         self.stats.buffer_bytes_peak = self.engine.buffer().bytes_peak() as u64;
         self.stats.stream_backpressure = self.stream.stats().backpressure;
         // Peaks are monotone per node, so per-round deltas sum to the peak
@@ -1286,6 +1303,14 @@ mod tests {
         assert!(reg.counter(names::MESSAGES_SENT).get() > 0);
         assert!(reg.counter(names::MESSAGES_RECEIVED).get() > 0);
         assert!(reg.counter(names::PORT_ROTATIONS).get() > 0);
+        // The pools' own counters surface the same way: every descriptor
+        // opened is counted (≥ 4 rounds' worth of ports per node before
+        // the first one comes back), and exhaustion would be.
+        let opened: u64 = stats.iter().map(|s| s.sockets_opened).sum();
+        assert_eq!(reg.counter(names::NET_SOCKETS_OPENED).get(), opened);
+        assert!(opened >= 4 * 4 * 4, "{opened} descriptors opened");
+        assert_eq!(reg.counter(names::NET_BIND_FAILED).get(), 0);
+        assert!(stats.iter().all(|s| s.bind_failed == 0));
 
         let events = sink.take();
         assert_eq!(

@@ -11,6 +11,18 @@
 //! quiet rounds block — to the nanosecond, through `epoll_pwait2(2)` —
 //! until a datagram or the next round deadline, instead of spinning.
 //!
+//! Two smaller shims ride along. [`release_port`] / [`bind_loopback_port`]
+//! (`connect(2)` to `AF_UNSPEC`, then `bind(2)` + `getsockname(2)`) move a
+//! socket from one kernel-chosen port to the next without closing it —
+//! this relies on Linux unhashing a UDP socket on disconnect unless its
+//! port was requested explicitly (`SOCK_BINDPORT_LOCK`), which a bind to
+//! port 0 never sets. And the receive arena's buffers are an anonymous
+//! `mmap(2)`, so their pages commit only as datagrams are written into
+//! them. On other targets the stubs report `Unsupported` and the socket
+//! pool closes and re-opens its sockets, as it always did there; the stub
+//! arena holds no buffer at all (its callers `recv_from` into their own
+//! heap scratch).
+//!
 //! No libc is available in this hermetic workspace, so the syscalls are
 //! issued through `asm!` shims (x86-64 and aarch64 Linux). Following the
 //! pattern of `drum_crypto::sha256::shani`, this module is the **single
@@ -23,7 +35,7 @@
 //! Layout notes (see DESIGN.md §14): `mmsghdr`/`iovec`/`sockaddr_in` are
 //! declared here with `#[repr(C)]` matching the Linux UAPI; the arenas own
 //! fixed vectors of them plus the datagram buffers, and header pointers are
-//! re-derived from those vectors immediately before every syscall, so the
+//! re-derived from those immediately before every syscall, so the
 //! structures never hold dangling self-references across moves.
 
 /// Maximum datagrams moved per `recvmmsg`/`sendmmsg` call.
@@ -58,7 +70,9 @@ pub fn enabled() -> bool {
     })
 }
 
-pub use imp::{fd_of, Epoll, RecvArena, SendArena, SockAddrV4Raw};
+pub use imp::{
+    bind_loopback_port, fd_of, release_port, Epoll, RecvArena, SendArena, SockAddrV4Raw,
+};
 
 #[cfg(all(
     target_os = "linux",
@@ -79,6 +93,11 @@ mod imp {
     #[cfg(target_arch = "x86_64")]
     mod nr {
         pub const CLOSE: usize = 3;
+        pub const MMAP: usize = 9;
+        pub const MUNMAP: usize = 11;
+        pub const CONNECT: usize = 42;
+        pub const BIND: usize = 49;
+        pub const GETSOCKNAME: usize = 51;
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_PWAIT: usize = 281;
         pub const EPOLL_CREATE1: usize = 291;
@@ -93,6 +112,11 @@ mod imp {
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
         pub const CLOSE: usize = 57;
+        pub const BIND: usize = 200;
+        pub const CONNECT: usize = 203;
+        pub const GETSOCKNAME: usize = 204;
+        pub const MUNMAP: usize = 215;
+        pub const MMAP: usize = 222;
         pub const RECVMMSG: usize = 243;
         pub const SENDMMSG: usize = 269;
         pub const EPOLL_PWAIT2: usize = 441;
@@ -105,6 +129,8 @@ mod imp {
     const ENOSYS: i32 = 38;
     const EPOLL_CTL_ADD: i32 = 1;
     const EPOLLIN: u32 = 0x1;
+    const PROT_READ_WRITE: usize = 0x1 | 0x2;
+    const MAP_PRIVATE_ANONYMOUS: usize = 0x02 | 0x20;
 
     // ---------------------------------------------------------------
     // The asm shims. Raw syscalls return `-errno` in `[-4095, -1]`.
@@ -273,23 +299,175 @@ mod imp {
         }
     }
 
+    const SOCKADDR_LEN: usize = core::mem::size_of::<SockAddrV4Raw>();
+
     /// The raw file descriptor of a UDP socket, for the arena calls.
     pub fn fd_of(socket: &UdpSocket) -> i32 {
         socket.as_raw_fd()
     }
 
     // ---------------------------------------------------------------
+    // Port rotation on a kept descriptor.
+    // ---------------------------------------------------------------
+
+    /// Gives up the port of a socket that was bound with port 0, keeping
+    /// the descriptor: `connect(2)` to an `AF_UNSPEC` address. Linux marks
+    /// only an *explicitly* requested port as locked to the socket
+    /// (`SOCK_BINDPORT_LOCK`); a kernel-chosen one is unhashed by the
+    /// disconnect, so from this call on a datagram to the old port finds
+    /// no socket — refused by the kernel, exactly as after `close` — and
+    /// the descriptor can be bound again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the kernel error; the port is then still held.
+    pub fn release_port(socket: &UdpSocket) -> io::Result<()> {
+        let unspec = SockAddrV4Raw::unspecified();
+        // SAFETY: `unspec` is a valid sockaddr of SOCKADDR_LEN bytes alive
+        // across the call; the kernel only reads it.
+        let ret = unsafe {
+            syscall6(
+                nr::CONNECT,
+                socket.as_raw_fd() as usize,
+                core::ptr::addr_of!(unspec) as usize,
+                SOCKADDR_LEN,
+                0,
+                0,
+                0,
+            )
+        };
+        check(ret).map(|_| ())
+    }
+
+    /// Binds a port-less socket (fresh, or after [`release_port`]) to
+    /// `127.0.0.1:0` and returns the port the kernel chose for it, as
+    /// `getsockname(2)` reports it — never a port the kernel did not
+    /// confirm, never 0.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the kernel error of either call (`EINVAL` if the socket
+    /// still holds a port); a nonsensical `getsockname` answer is
+    /// `InvalidData`.
+    pub fn bind_loopback_port(socket: &UdpSocket) -> io::Result<u16> {
+        let fd = socket.as_raw_fd() as usize;
+        let loopback = SockAddrV4Raw {
+            family: AF_INET,
+            port_be: [0; 2],
+            addr_be: [127, 0, 0, 1],
+            zero: [0u8; 8],
+        };
+        // SAFETY: `loopback` is a valid sockaddr_in of SOCKADDR_LEN bytes
+        // alive across the call; the kernel only reads it.
+        let ret = unsafe {
+            syscall6(
+                nr::BIND,
+                fd,
+                core::ptr::addr_of!(loopback) as usize,
+                SOCKADDR_LEN,
+                0,
+                0,
+                0,
+            )
+        };
+        check(ret)?;
+        let mut bound = SockAddrV4Raw::unspecified();
+        let mut len = SOCKADDR_LEN as u32;
+        // SAFETY: `bound` is writable for the SOCKADDR_LEN bytes `len`
+        // announces and both are alive across the call; the kernel writes
+        // at most `len` bytes and the length it used.
+        let ret = unsafe {
+            syscall6(
+                nr::GETSOCKNAME,
+                fd,
+                core::ptr::addr_of_mut!(bound) as usize,
+                core::ptr::addr_of_mut!(len) as usize,
+                0,
+                0,
+                0,
+            )
+        };
+        check(ret)?;
+        match u16::from_be_bytes(bound.port_be) {
+            port if bound.family == AF_INET && port != 0 => Ok(port),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "getsockname reported no IPv4 port",
+            )),
+        }
+    }
+
+    // ---------------------------------------------------------------
     // Receive arena.
     // ---------------------------------------------------------------
+
+    /// An anonymous private mapping: zero-filled memory whose pages commit
+    /// only when first written, whatever the allocator's free lists hold.
+    struct Pages {
+        ptr: core::ptr::NonNull<u8>,
+        len: usize,
+    }
+
+    impl Pages {
+        /// Maps at least `len` bytes (`mmap` rejects an empty mapping).
+        ///
+        /// # Panics
+        ///
+        /// Panics if the kernel refuses the mapping — out of address
+        /// space, as a failed heap allocation would abort.
+        fn new(len: usize) -> Pages {
+            let len = len.max(1);
+            // SAFETY: an anonymous mapping at a kernel-chosen address
+            // (addr 0, fd -1, offset 0) aliases no existing memory.
+            let ret = unsafe {
+                syscall6(
+                    nr::MMAP,
+                    0,
+                    len,
+                    PROT_READ_WRITE,
+                    MAP_PRIVATE_ANONYMOUS,
+                    usize::MAX, // fd: -1
+                    0,
+                )
+            };
+            let addr = check(ret).unwrap_or_else(|e| panic!("mmap of {len} arena bytes: {e}"));
+            let ptr = core::ptr::NonNull::new(addr as *mut u8).expect("mmap returned null");
+            Pages { ptr, len }
+        }
+
+        fn as_slice(&self) -> &[u8] {
+            // SAFETY: `ptr` addresses `len` readable bytes (zero-filled by
+            // the kernel, so initialized) owned by `self` until drop.
+            unsafe { core::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        }
+
+        fn as_mut_slice(&mut self) -> &mut [u8] {
+            // SAFETY: as `as_slice`, writable, and `&mut self` makes this
+            // the only live reference into the mapping.
+            unsafe { core::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+        }
+    }
+
+    impl Drop for Pages {
+        fn drop(&mut self) {
+            // SAFETY: unmapping exactly the region `new` mapped, which
+            // nothing else references once `self` is being dropped.
+            let _ =
+                unsafe { syscall6(nr::MUNMAP, self.ptr.as_ptr() as usize, self.len, 0, 0, 0, 0) };
+        }
+    }
 
     /// Fixed scratch for `recvmmsg`: [`BATCH`] datagram buffers of
     /// `slot_len` bytes each, plus the `mmsghdr`/`iovec` vectors one call
     /// fills. Allocated once per runtime thread and reused for every
-    /// batched receive; the buffer pages commit lazily, so idle slots cost
-    /// address space only.
+    /// batched receive. The buffers are an anonymous mapping, not heap: a
+    /// page commits when the kernel first writes a datagram into it, so
+    /// resident memory follows the bytes actually received (a 60 KiB slot
+    /// that only ever sees 100-byte datagrams costs one page) instead of
+    /// depending on whether the allocator zero-fills a recycled chunk.
     pub struct RecvArena {
         slot_len: usize,
-        bufs: Vec<u8>,
+        bufs: Pages,
         lens: [usize; BATCH],
         hdrs: Vec<MMsgHdr>,
         iovs: Vec<IoVec>,
@@ -305,12 +483,14 @@ mod imp {
         }
     }
 
-    // SAFETY: the only raw pointers the arena stores are the iovec/msghdr
-    // scratch, and those are re-derived from the owned, heap-stable
-    // vectors immediately before every syscall (see `recv`) — a value left
-    // over from before a move is never read. Everything the pointers
-    // target is owned by the arena, so it can move between threads (a
-    // shard is built on the spawning thread and runs on its own).
+    // SAFETY: the raw pointers the arena stores are the iovec/msghdr
+    // scratch and the buffer mapping. The scratch is re-derived from the
+    // owned, address-stable vectors and mapping immediately before every
+    // syscall (see `recv`) — a value left over from before a move is never
+    // read. The mapping is process-wide memory the arena alone owns and
+    // unmaps on drop. Everything the pointers target is owned by the
+    // arena, so it can move between threads (a shard is built on the
+    // spawning thread and runs on its own).
     unsafe impl Send for RecvArena {}
 
     impl RecvArena {
@@ -321,7 +501,7 @@ mod imp {
         pub fn new(slot_len: usize) -> Self {
             RecvArena {
                 slot_len,
-                bufs: vec![0u8; slot_len * BATCH],
+                bufs: Pages::new(slot_len * BATCH),
                 lens: [0; BATCH],
                 hdrs: vec![
                     MMsgHdr {
@@ -348,12 +528,13 @@ mod imp {
         /// `recv_from` loop would have seen them.
         pub fn recv(&mut self, fd: i32) -> io::Result<usize> {
             self.count = 0;
-            // Re-derive every pointer from the (heap-stable) vectors right
-            // before the call: the arena stays movable and the kernel only
-            // ever sees addresses valid for this call.
+            // Re-derive every pointer from the (address-stable) buffers
+            // right before the call: the arena stays movable and the kernel
+            // only ever sees addresses valid for this call.
+            let bufs = self.bufs.as_mut_slice();
             for i in 0..BATCH {
                 self.iovs[i] = IoVec {
-                    base: self.bufs[i * self.slot_len..].as_mut_ptr(),
+                    base: bufs[i * self.slot_len..].as_mut_ptr(),
                     len: self.slot_len,
                 };
                 self.hdrs[i].hdr = MsgHdr::zeroed();
@@ -397,7 +578,7 @@ mod imp {
         /// Panics if `i` is not below the last call's return value.
         pub fn datagram(&self, i: usize) -> &[u8] {
             assert!(i < self.count, "datagram index out of batch");
-            &self.bufs[i * self.slot_len..i * self.slot_len + self.lens[i]]
+            &self.bufs.as_slice()[i * self.slot_len..i * self.slot_len + self.lens[i]]
         }
     }
 
@@ -520,7 +701,7 @@ mod imp {
                 };
                 self.hdrs[i].hdr = MsgHdr::zeroed();
                 self.hdrs[i].hdr.name = &mut self.addrs[i];
-                self.hdrs[i].hdr.namelen = core::mem::size_of::<SockAddrV4Raw>() as i32;
+                self.hdrs[i].hdr.namelen = SOCKADDR_LEN as i32;
                 self.hdrs[i].hdr.iov = &mut self.iovs[i];
                 self.hdrs[i].hdr.iovlen = 1;
                 self.hdrs[i].len = 0;
@@ -856,6 +1037,16 @@ mod imp {
         -1
     }
 
+    /// Always fails: this target gives a port up by closing its socket.
+    pub fn release_port(_socket: &UdpSocket) -> io::Result<()> {
+        Err(unsupported())
+    }
+
+    /// Always fails: unreachable while [`release_port`] does.
+    pub fn bind_loopback_port(_socket: &UdpSocket) -> io::Result<u16> {
+        Err(unsupported())
+    }
+
     /// Receive arena (stub).
     #[derive(Debug)]
     pub struct RecvArena;
@@ -1009,6 +1200,27 @@ mod tests {
         let mut arena = RecvArena::new(16);
         assert_eq!(arena.recv(fd_of(&rx)).unwrap(), 1);
         assert_eq!(arena.datagram(0), &[0xAB; 16]);
+    }
+
+    #[test]
+    fn a_released_port_is_gone_and_the_descriptor_binds_the_next_one() {
+        let (rx, tx) = pair();
+        let old = rx.local_addr().unwrap();
+        assert!(
+            bind_loopback_port(&rx).is_err(),
+            "a socket holding a port cannot take another"
+        );
+        release_port(&rx).unwrap();
+        assert_eq!(rx.local_addr().unwrap().port(), 0);
+        tx.send_to(b"nobody home", old).unwrap();
+
+        let port = bind_loopback_port(&rx).unwrap();
+        assert_eq!(rx.local_addr().unwrap(), (Ipv4Addr::LOCALHOST, port).into());
+        tx.send_to(b"moved in", rx.local_addr().unwrap()).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let mut arena = RecvArena::new(64);
+        assert_eq!(arena.recv(fd_of(&rx)).unwrap(), 1);
+        assert_eq!(arena.datagram(0), b"moved in");
     }
 
     #[test]

@@ -2,13 +2,22 @@
 //! process address book.
 //!
 //! Every logical process owns two *well-known* sockets (pull-requests and
-//! push-offers, §4) plus a pool of short-lived *random* sockets allocated
+//! push-offers, §4) plus a pool of short-lived *random* ports allocated
 //! round by round for pull-replies, push-replies and push data. The random
-//! sockets are the OS-assigned ephemeral ports that give Drum its
+//! ports are the OS-assigned ephemeral ports that give Drum its
 //! unpredictability; each one is tagged with the purpose it was allocated
 //! for, and the runtime drops datagrams whose kind does not match the
 //! port's purpose — an attacker cannot spend a data-channel budget through
 //! a well-known port.
+//!
+//! A random port is short-lived; the descriptor under it is not. Per port
+//! the pool makes `connect(AF_UNSPEC)` + a discarding `recv` when it
+//! expires and a discarding `recv` + `bind` + `getsockname` when the
+//! descriptor takes its next port ([`SocketPool`] has the details and the
+//! one race this leaves). `socket`, `ioctl(FIONBIO)`, `epoll_ctl(ADD)` and
+//! `close` are paid per *descriptor*: while the pool grows to its
+//! high-water of live sockets, and on the fallback when a port cannot be
+//! released or re-bound (always, on targets without the raw shims).
 
 use std::collections::HashMap;
 use std::io;
@@ -363,22 +372,59 @@ impl WellKnownSockets {
 /// One live random-port socket of a [`SocketPool`].
 #[derive(Debug)]
 struct PoolSocket {
-    /// Allocation number: strictly increasing, so `sockets` stays sorted
-    /// by it and ascending id order *is* allocation order.
-    id: u64,
     socket: UdpSocket,
+    /// The kernel-chosen port `socket` is bound to.
+    port: u16,
     purpose: PortPurpose,
     born: Round,
 }
 
+/// The readiness token of a pool descriptor: the descriptor itself, which
+/// stays the same while the ports bound to it come and go.
+fn key(socket: &UdpSocket) -> u64 {
+    sys::fd_of(socket) as u64
+}
+
+/// Discards every datagram queued on `socket` (zero-length receives: UDP
+/// drops the rest of a datagram that does not fit the buffer).
+fn discard_queued(socket: &UdpSocket) {
+    while socket.recv(&mut []).is_ok() {}
+}
+
+/// A fresh descriptor on a kernel-chosen loopback port, with that port.
+fn open_ephemeral() -> io::Result<(UdpSocket, u16)> {
+    let socket = bind_ephemeral()?;
+    let port = socket.local_addr()?.port();
+    Ok((socket, port))
+}
+
 /// A pool of random-port sockets implementing [`PortOracle`].
 ///
-/// Sockets expire after `lifetime` rounds ("this thread is terminated
-/// after a few rounds", §4), bounding both file descriptors and the window
-/// an attacker would have even if a port leaked.
+/// A port lives for `lifetime` rounds ("this thread is terminated after a
+/// few rounds", §4), bounding the window an attacker would have even if a
+/// port leaked. The *descriptor* under it lives on: [`SocketPool::expire`]
+/// releases the port ([`sys::release_port`] — from that instant the kernel
+/// refuses datagrams to it, exactly as after `close`), discards what was
+/// still queued and parks the descriptor; the next allocation binds a
+/// parked descriptor to a fresh kernel-chosen port
+/// ([`sys::bind_loopback_port`]). A descriptor is opened only while the
+/// pool grows — the free list is empty — or when re-porting fails (other
+/// targets, where `release_port` is unsupported and expiry closes; an
+/// unexpected errno, where the descriptor is dropped), so a steady pool
+/// performs no `socket`/`close`/`epoll_ctl` and holds exactly its
+/// high-water of live sockets in descriptors. A parked descriptor owns no
+/// port.
+///
+/// One cross-thread race is left open, and nothing rests on it: a sender on
+/// another CPU that looked the socket up just before the release can queue
+/// a datagram just after the discard. It is discarded when the descriptor
+/// is re-ported or reported readable, whichever comes first; one that lands
+/// in the sub-microsecond window between that second discard and the bind
+/// is handled like any datagram on the new port — decode, purpose check,
+/// per-channel budget, source MAC.
 ///
 /// A pool attached to a driver's epoll ([`SocketPool::set_epoll`]) keeps
-/// its sockets in a readiness set of its own — an inner epoll, the one
+/// its descriptors in a readiness set of its own — an inner epoll, the one
 /// descriptor the driver's epoll watches — and [`SocketPool::drain`]
 /// receives only on the sockets that set reports, so a drain costs one
 /// `epoll_pwait` plus one `recvmmsg` per *readable* socket instead of one
@@ -387,30 +433,36 @@ struct PoolSocket {
 #[derive(Debug)]
 pub struct SocketPool {
     lifetime: u64,
+    /// Live sockets in allocation order — the order drains visit them.
     sockets: Vec<PoolSocket>,
-    next_id: u64,
-    /// Sockets that failed to bind (diagnostics).
+    /// Port-less descriptors awaiting their next port. Each was registered
+    /// for readiness when it was opened and stays registered.
+    parked: Vec<UdpSocket>,
+    /// Allocations that found neither a descriptor nor a port.
     bind_failures: u64,
+    /// Descriptors opened (fresh `socket()` calls) so far.
+    sockets_opened: u64,
     /// Optional observability counter bumped per fresh port allocation.
     rotations: Option<drum_trace::Counter>,
     /// The driver's epoll and the token its pool wakeups carry.
     wake: Option<(Arc<sys::Epoll>, u64)>,
     /// The inner readiness set, registered in `wake` under its token;
-    /// socket tokens are allocation ids. `None` means full-scan drains,
-    /// with every socket registered in `wake` directly.
+    /// descriptor tokens are [`key`]s. `None` means full-scan drains, with
+    /// every descriptor registered in `wake` directly.
     ready_set: Option<sys::Epoll>,
     /// Scratch for one readiness query.
     ready: Vec<u64>,
 }
 
 impl SocketPool {
-    /// Creates a pool whose sockets live for `lifetime` rounds.
+    /// Creates a pool whose ports live for `lifetime` rounds.
     pub fn new(lifetime: u64) -> Self {
         SocketPool {
             lifetime,
             sockets: Vec::new(),
-            next_id: 0,
+            parked: Vec::new(),
             bind_failures: 0,
+            sockets_opened: 0,
             rotations: None,
             wake: None,
             ready_set: None,
@@ -430,13 +482,12 @@ impl SocketPool {
     /// to the owning engine; the per-thread runtime never reads it.
     ///
     /// The pool registers one descriptor there, its inner readiness set.
-    /// If that set cannot be created or filled, each socket registers in
-    /// `epoll` directly instead and drains scan the whole pool. Either
-    /// way, expired sockets deregister themselves on close.
+    /// If that set cannot be created or filled, each descriptor registers
+    /// in `epoll` directly instead and drains scan the whole pool.
     pub fn set_epoll(&mut self, epoll: Arc<sys::Epoll>, token: u64) {
         let nested = sys::Epoll::new().and_then(|inner| {
-            for s in &self.sockets {
-                inner.add_tagged(&s.socket, s.id)?;
+            for socket in self.descriptors() {
+                inner.add_tagged(socket, key(socket))?;
             }
             epoll.add_epoll_tagged(&inner, token)?;
             Ok(inner)
@@ -448,32 +499,92 @@ impl SocketPool {
         }
     }
 
+    /// Every descriptor the pool owns, bound or parked.
+    fn descriptors(&self) -> impl Iterator<Item = &UdpSocket> {
+        self.sockets.iter().map(|s| &s.socket).chain(&self.parked)
+    }
+
     /// Gives up the inner readiness set (dropping it removes it from the
-    /// driver's epoll) and registers every live socket with the driver
-    /// directly: wakeups keep arriving, drains go back to the full scan.
+    /// driver's epoll) and registers every descriptor — parked ones too,
+    /// since re-porting never registers — with the driver directly:
+    /// wakeups keep arriving, drains go back to the full scan.
     fn scan_from_now_on(&mut self) {
         self.ready_set = None;
         if let Some((epoll, token)) = &self.wake {
-            for s in &self.sockets {
-                let _ = epoll.add_tagged(&s.socket, *token);
+            for socket in self.descriptors() {
+                let _ = epoll.add_tagged(socket, *token);
             }
         }
     }
 
-    /// Number of currently open random-port sockets.
+    /// Registers the newest socket, a descriptor just opened, wherever
+    /// readiness is being watched. This is the one registration of the
+    /// descriptor's life: it stays in place across every port it carries.
+    fn watch_newest(&mut self) {
+        let Some(newest) = self.sockets.last() else {
+            return;
+        };
+        match (&self.ready_set, &self.wake) {
+            (Some(set), _) => {
+                if set.add_tagged(&newest.socket, key(&newest.socket)).is_err() {
+                    // A socket the readiness set cannot see would never be
+                    // drained; the port it advertises stays valid.
+                    self.scan_from_now_on();
+                }
+            }
+            (None, Some((epoll, token))) => {
+                let _ = epoll.add_tagged(&newest.socket, *token);
+            }
+            (None, None) => {}
+        }
+    }
+
+    /// Number of live (port-holding) random-port sockets.
     pub fn open_sockets(&self) -> usize {
         self.sockets.len()
     }
 
-    /// Count of failed ephemeral binds.
+    /// Allocations that could neither re-port a parked descriptor nor open
+    /// a fresh one, and fell back to an already advertised port (or 0).
     pub fn bind_failures(&self) -> u64 {
         self.bind_failures
     }
 
-    /// Closes sockets allocated more than `lifetime` rounds ago.
+    /// Descriptors opened so far. Grows while the pool does, then stops:
+    /// ports keep rotating ([`SocketPool::set_rotation_counter`]) on the
+    /// descriptors already open.
+    pub fn sockets_opened(&self) -> u64 {
+        self.sockets_opened
+    }
+
+    /// Retires ports allocated more than `lifetime` rounds ago. Each
+    /// descriptor releases its port, drops what was queued for it — left
+    /// there, one stale datagram would keep a parked descriptor readable
+    /// and the driver awake — and parks; where the port cannot be released
+    /// the descriptor closes, which releases it the old way.
     pub fn expire(&mut self, now: Round) {
-        let lifetime = self.lifetime;
-        self.sockets.retain(|s| now.since(s.born) < lifetime);
+        let Self {
+            lifetime,
+            sockets,
+            parked,
+            ..
+        } = self;
+        for expired in sockets.extract_if(.., |s| now.since(s.born) >= *lifetime) {
+            if sys::release_port(&expired.socket).is_ok() {
+                discard_queued(&expired.socket);
+                parked.push(expired.socket);
+            }
+        }
+    }
+
+    /// A parked descriptor under a fresh kernel-chosen port. The second
+    /// discard covers a datagram that was in flight to the old port when
+    /// it was released. Any error drops — closes — the descriptor.
+    fn rebind_parked(&mut self) -> Option<(UdpSocket, u16)> {
+        let socket = self.parked.pop()?;
+        discard_queued(&socket);
+        let port = sys::bind_loopback_port(&socket).ok()?;
+        Some((socket, port))
     }
 
     /// Receives all pending datagrams from the pool, invoking
@@ -484,7 +595,9 @@ impl SocketPool {
     ///
     /// With a readiness set only the readable sockets are visited, still
     /// in allocation order — an idle socket yields nothing on a full scan
-    /// either, so the datagram sequence `f` sees is the same.
+    /// either, so the datagram sequence `f` sees is the same. A parked
+    /// descriptor that turns up readable caught a datagram in flight as
+    /// its port was released; it is emptied, never delivered.
     pub fn drain(
         &mut self,
         rx: &mut BatchRx,
@@ -493,24 +606,40 @@ impl SocketPool {
     ) -> usize {
         let Self {
             sockets,
+            parked,
             ready_set,
             ready,
             ..
         } = self;
         let mut recv = |s: &PoolSocket| rx.drain_socket(&s.socket, scratch, |b| f(s.purpose, b));
         let Some(set) = ready_set else {
+            // Nothing says which descriptor woke the driver.
+            parked.iter().for_each(discard_queued);
             return sockets.iter().map(recv).sum();
         };
         let mut count = 0;
         loop {
             ready.clear();
             let reported = set.wait_tagged(0, ready).unwrap_or(0);
+            // Descriptor keys → positions in `sockets`, whose order is
+            // allocation order whatever descriptor a socket sits on.
+            ready.retain_mut(
+                |token| match sockets.iter().position(|s| key(&s.socket) == *token) {
+                    Some(i) => {
+                        *token = i as u64;
+                        true
+                    }
+                    None => {
+                        if let Some(socket) = parked.iter().find(|p| key(p) == *token) {
+                            discard_queued(socket);
+                        }
+                        false
+                    }
+                },
+            );
             ready.sort_unstable();
-            for id in ready.iter() {
-                // A miss is a socket that expired since it was reported.
-                if let Ok(i) = sockets.binary_search_by_key(id, |s| s.id) {
-                    count += recv(&sockets[i]);
-                }
+            for &i in ready.iter() {
+                count += recv(&sockets[i as usize]);
             }
             // A full report may have left readable sockets unreported.
             if reported < sys::EVENT_BATCH {
@@ -522,50 +651,35 @@ impl SocketPool {
 
 impl PortOracle for SocketPool {
     fn allocate_port(&mut self, purpose: PortPurpose, round: Round) -> u16 {
-        match bind_ephemeral() {
-            Ok(socket) => {
-                let port = socket.local_addr().map(|a| a.port()).unwrap_or(0);
-                let id = self.next_id;
-                self.next_id += 1;
-                let in_ready_set = match (&self.ready_set, &self.wake) {
-                    (Some(set), _) => set.add_tagged(&socket, id).is_ok(),
-                    (None, Some((epoll, token))) => {
-                        let _ = epoll.add_tagged(&socket, *token);
-                        true
-                    }
-                    (None, None) => true,
-                };
-                self.sockets.push(PoolSocket {
-                    id,
-                    socket,
-                    purpose,
-                    born: round,
-                });
-                if !in_ready_set {
-                    // A socket the readiness set cannot see would never be
-                    // drained; the port it advertises stays valid.
-                    self.scan_from_now_on();
-                }
-                if let Some(c) = &self.rotations {
-                    c.inc();
-                }
-                port
-            }
-            Err(_) => {
-                // Out of descriptors or ports: degrade by reusing the most
-                // recent socket of the same purpose, or report port 0 (the
-                // message will simply go unanswered — the gossip redundancy
-                // absorbs it).
-                self.bind_failures += 1;
-                self.sockets
-                    .iter()
-                    .rev()
-                    .find(|s| s.purpose == purpose)
-                    .and_then(|s| s.socket.local_addr().ok())
-                    .map(|a| a.port())
-                    .unwrap_or(0)
-            }
+        let recycled = self.rebind_parked();
+        let fresh = recycled.is_none();
+        let Some((socket, port)) = recycled.or_else(|| open_ephemeral().ok()) else {
+            // Out of descriptors or ports: degrade by reusing the most
+            // recent port of the same purpose, or report port 0 (the
+            // message will simply go unanswered — the gossip redundancy
+            // absorbs it).
+            self.bind_failures += 1;
+            return self
+                .sockets
+                .iter()
+                .rev()
+                .find(|s| s.purpose == purpose)
+                .map_or(0, |s| s.port);
+        };
+        self.sockets.push(PoolSocket {
+            socket,
+            port,
+            purpose,
+            born: round,
+        });
+        if fresh {
+            self.sockets_opened += 1;
+            self.watch_newest();
         }
+        if let Some(c) = &self.rotations {
+            c.inc();
+        }
+        port
     }
 }
 
@@ -747,12 +861,182 @@ mod tests {
         assert_eq!(
             outer.wait_tagged(0, &mut tokens).unwrap(),
             0,
-            "a closed socket leaves the readiness set with its datagram"
+            "a released port takes its queued datagram with it"
+        );
+        if sys::available() {
+            assert_eq!(pool.parked.len(), 1, "the descriptor is kept");
+        }
+        // The port is gone from that instant: a datagram to it costs the
+        // kernel a refusal and the pool nothing, parked descriptor or not.
+        send(old, b"later still");
+        assert_eq!(
+            outer.wait_tagged(50, &mut tokens).unwrap(),
+            0,
+            "a datagram to a released port must not wake the driver"
         );
         let mut rx = BatchRx::new(64);
         let mut scratch = [0u8; 64];
         let n = pool.drain(&mut rx, &mut scratch, |_, _| panic!("no data expected"));
         assert_eq!((n, rx.syscalls()), (0, 0), "an idle pool costs no receive");
+    }
+
+    /// An unattached pool (full-scan drains) and, where epoll exists, an
+    /// attached one: re-porting must behave the same under both.
+    fn both_pools(lifetime: u64) -> Vec<SocketPool> {
+        let mut pools = vec![SocketPool::new(lifetime)];
+        pools.extend(attached_pool(lifetime).map(|(pool, _outer)| pool));
+        pools
+    }
+
+    fn drain_all(pool: &mut SocketPool) -> Vec<(PortPurpose, Vec<u8>)> {
+        let mut rx = BatchRx::new(2048);
+        let mut scratch = [0u8; 2048];
+        let mut got = Vec::new();
+        pool.drain(&mut rx, &mut scratch, |purpose, bytes| {
+            got.push((purpose, bytes.to_vec()));
+        });
+        got
+    }
+
+    #[test]
+    fn a_datagram_queued_before_release_is_never_delivered_under_the_next_purpose() {
+        for mut pool in both_pools(1) {
+            let old = pool.allocate_port(PortPurpose::PullReply, Round(1));
+            send(old, b"for the old purpose");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            pool.expire(Round(2));
+            assert_eq!(pool.open_sockets(), 0);
+            let new = pool.allocate_port(PortPurpose::PushData, Round(2));
+            assert_ne!(new, 0);
+            if sys::available() {
+                assert_eq!(pool.sockets_opened(), 1, "same descriptor, next port");
+            }
+            assert_eq!(drain_all(&mut pool), []);
+            // The next port is live.
+            send(new, b"for the new purpose");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert_eq!(
+                drain_all(&mut pool),
+                [(PortPurpose::PushData, b"for the new purpose".to_vec())]
+            );
+        }
+    }
+
+    /// The cross-thread race, staged: a datagram lands on the descriptor
+    /// *after* the discard that follows the release.
+    #[test]
+    fn a_datagram_that_raced_the_release_is_discarded_by_rebind_and_by_drain() {
+        if !sys::available() {
+            return;
+        }
+        let raced = || {
+            let (socket, port) = open_ephemeral().unwrap();
+            send(port, b"in flight");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            sys::release_port(&socket).unwrap();
+            socket
+        };
+        // Re-ported before any drain: the rebind discards it.
+        for mut pool in both_pools(3) {
+            pool.parked.push(raced());
+            assert_ne!(pool.allocate_port(PortPurpose::PushData, Round(1)), 0);
+            assert_eq!(pool.sockets_opened(), 0);
+            assert_eq!(drain_all(&mut pool), []);
+        }
+        // Drained while parked: the drain discards it, and the driver,
+        // which the stale datagram had woken, goes back to sleep.
+        let (mut pool, outer) = attached_pool(3).unwrap();
+        let socket = raced();
+        pool.ready_set
+            .as_ref()
+            .unwrap()
+            .add_tagged(&socket, key(&socket))
+            .unwrap();
+        pool.parked.push(socket);
+        let mut tokens = Vec::new();
+        assert_eq!(outer.wait_tagged(5_000, &mut tokens).unwrap(), 1);
+        assert_eq!(drain_all(&mut pool), []);
+        tokens.clear();
+        assert_eq!(outer.wait_tagged(0, &mut tokens).unwrap(), 0);
+        assert_eq!(pool.parked.len(), 1);
+    }
+
+    #[test]
+    fn a_re_ported_descriptor_gets_a_fresh_kernel_chosen_port_every_time() {
+        if !sys::available() {
+            return;
+        }
+        let mut pool = SocketPool::new(1);
+        let mut prev = pool.allocate_port(PortPurpose::PullReply, Round(1));
+        let mut distinct = std::collections::HashSet::from([prev]);
+        let mut stayed = 0;
+        for round in 2..=1_001 {
+            pool.expire(Round(round));
+            assert_eq!((pool.open_sockets(), pool.parked.len()), (0, 1));
+            let port = pool.allocate_port(PortPurpose::PullReply, Round(round));
+            assert_ne!(port, 0);
+            stayed += u32::from(port == prev);
+            distinct.insert(port);
+            prev = port;
+        }
+        assert_eq!(pool.sockets_opened(), 1, "1 000 ports on one descriptor");
+        assert_eq!(pool.bind_failures(), 0);
+        // Uniform draws from the ~28 000-port ephemeral range: ~18
+        // collisions expected among 1 000, a repeat of the previous port
+        // once in 28 runs.
+        assert!(distinct.len() >= 900, "{} distinct ports", distinct.len());
+        assert!(stayed <= 3, "the port stayed put {stayed} times");
+        send(prev, b"still a socket");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(drain_all(&mut pool).len(), 1);
+    }
+
+    #[test]
+    fn recycled_descriptors_drain_in_allocation_order() {
+        for mut pool in both_pools(2) {
+            let first: Vec<u16> = (0..4)
+                .map(|_| pool.allocate_port(PortPurpose::PullReply, Round(1)))
+                .collect();
+            let mut ports: Vec<u16> = (0..4)
+                .map(|_| pool.allocate_port(PortPurpose::PushReply, Round(2)))
+                .collect();
+            pool.expire(Round(3));
+            // These four sit on the round-1 descriptors — the lowest
+            // descriptor numbers in the pool — but were allocated last.
+            ports.extend((0..4).map(|_| pool.allocate_port(PortPurpose::PushData, Round(3))));
+            assert!(first.iter().all(|&p| p != 0));
+            if sys::available() {
+                assert_eq!(pool.sockets_opened(), 8);
+            }
+            for (i, &port) in ports.iter().enumerate().rev() {
+                send(port, &[i as u8]);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let order: Vec<u8> = drain_all(&mut pool).iter().map(|(_, b)| b[0]).collect();
+            assert_eq!(order, [0, 1, 2, 3, 4, 5, 6, 7]);
+        }
+    }
+
+    #[test]
+    fn a_failed_rebind_closes_the_descriptor_and_falls_back_to_a_fresh_bind() {
+        for mut pool in both_pools(3) {
+            // A parked descriptor that still holds a port cannot be bound.
+            let (stuck, stuck_port) = open_ephemeral().unwrap();
+            pool.parked.push(stuck);
+            let port = pool.allocate_port(PortPurpose::PushData, Round(1));
+            // A confirmed port, so nothing is dropped as `net.alloc_failed`.
+            assert_ne!(port, 0);
+            assert_eq!(pool.bind_failures(), 0);
+            assert_eq!(pool.sockets_opened(), 1);
+            assert!(pool.parked.is_empty(), "the stuck descriptor is closed");
+            send(stuck_port, b"to the closed descriptor");
+            send(port, b"to the fresh one");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert_eq!(
+                drain_all(&mut pool),
+                [(PortPurpose::PushData, b"to the fresh one".to_vec())]
+            );
+        }
     }
 
     #[test]
@@ -777,6 +1061,24 @@ mod tests {
             assert_eq!(pool.drain(&mut rx, &mut scratch, |_, _| ()), 1);
             assert_eq!(rx.syscalls(), 2, "one receive per live socket");
         }
+    }
+
+    #[test]
+    fn a_descriptor_parked_when_the_readiness_set_is_lost_wakes_the_driver_under_its_next_port() {
+        let Some((mut pool, outer)) = attached_pool(1) else {
+            return;
+        };
+        pool.allocate_port(PortPurpose::PullReply, Round(1));
+        pool.expire(Round(2));
+        assert_eq!(pool.parked.len(), 1);
+        pool.scan_from_now_on();
+        let port = pool.allocate_port(PortPurpose::PushData, Round(2));
+        assert_eq!(pool.sockets_opened(), 1, "re-ported, not re-opened");
+        send(port, b"scanned");
+        let mut tokens = Vec::new();
+        assert_eq!(outer.wait_tagged(5_000, &mut tokens).unwrap(), 1);
+        assert_eq!(tokens, [5], "registered with the driver once");
+        assert_eq!(drain_all(&mut pool).len(), 1);
     }
 
     /// Both receive modes must observe the identical datagram sequence for

@@ -48,6 +48,17 @@ pub mod names {
     /// a failed random-port allocation upstream (local bind failure, or a
     /// peer advertising port 0 after exhausting its own oracle).
     pub const NET_ALLOC_FAILED: &str = "net.alloc_failed";
+    /// Random-port allocations that found neither a descriptor nor a port
+    /// (`EMFILE`, ephemeral range exhausted) and re-advertised an older
+    /// port of the same purpose instead. Distinct from `net.alloc_failed`,
+    /// which counts only the messages lost to an advertised port 0.
+    pub const NET_BIND_FAILED: &str = "net.bind_failed";
+    /// Descriptors the random-port pools opened (fresh `socket()` calls).
+    /// A pool opens descriptors only while it grows and rotates *ports* on
+    /// them afterwards, so per engine-round this falls towards 0 while
+    /// `port_rotations` keeps counting; a value near `port_rotations`
+    /// means the pools are churning descriptors.
+    pub const NET_SOCKETS_OPENED: &str = "net.sockets_opened";
     /// Sharded runtime: `epoll_pwait` wakeups taken by shard event loops.
     /// Divide `net.shard_dispatch` by this for engines-worth of datagram
     /// work served per kernel wakeup.

@@ -89,7 +89,10 @@ phase_end "ext_soak"
 # is printed per engine-round (~2 when healthy) and gated at 8. The same
 # run prints SHA-256 kernel calls per delivered message: ~3 when only new
 # messages are verified (50-byte payloads), gated at 6 — re-verifying
-# duplicates reads 10+.
+# duplicates reads 10+. And descriptors opened by the random-port pools per
+# engine-round: well under 1 when pools open sockets only while they grow
+# and rotate ports on them afterwards, gated at 1 — a socket per port
+# reads ~6.
 phase_begin "drum-lab cluster --shards 1 (64 engines, one event loop)"
 CLUSTER_OUT="$(mktemp)"
 cargo run --release --offline -q -p drum-lab -- cluster \
@@ -103,6 +106,11 @@ awk '/^net.shard_wakeups per engine-round/ { seen = 1; if ($4 > 8) bad = 1 }
 awk '/^crypto.compress_calls per delivered message/ { seen = 1; if ($6 > 6) bad = 1 }
      END { exit !(seen && !bad) }' "$CLUSTER_OUT" || {
     echo "more than 6 SHA-256 kernel calls per delivered message (or printed no count)" >&2
+    exit 1
+}
+awk '/^net.sockets_opened per engine-round/ { seen = 1; if ($4 > 1) bad = 1 }
+     END { exit !(seen && !bad) }' "$CLUSTER_OUT" || {
+    echo "random-port pools opened more than 1 socket per engine-round (or printed no count)" >&2
     exit 1
 }
 rm -f "$CLUSTER_OUT"
