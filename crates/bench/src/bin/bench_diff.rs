@@ -30,7 +30,6 @@ use drum_metrics::json::Json;
 /// else in the suite is wall-clock and excluded by design).
 const EXACT_UNITS: &[&str] = &[
     "sys/dgram",
-    "wakeups/engine",
     "verifies/dgram",
     "rounds",
     "idle/job",

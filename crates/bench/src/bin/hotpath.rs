@@ -47,13 +47,6 @@
 //!   behind [`drum_crypto::multiway`] (DESIGN.md §20). Exact and
 //!   machine-independent where the 8-lane path exists; skipped elsewhere
 //!   and under `DRUM_CRYPTO_NO_SIMD=1`, like the syscall gates.
-//! * `shard_dispatch_256e` — the multiplexed runtime's wakeup economics
-//!   (DESIGN.md §16), gated on **epoll wakeups per engine**: 256 engine
-//!   sockets all readable at once. Seed = one epoll instance per engine
-//!   (the thread-per-process shape: every engine's readiness costs its
-//!   own `epoll_wait` return); current = one shared tagged epoll drained
-//!   through the shard's 64-event buffer. Exact and machine-independent,
-//!   like the other syscall gates, and skipped without the fast path.
 //!
 //! The sweep-scheduling benches follow the same philosophy for the
 //! `drum-pool` rewrite of `run_experiment` (DESIGN.md §15). The seed
@@ -684,81 +677,6 @@ fn bench_send_fanout(_samples: usize) -> Comparison {
         current_per_op,
         floor: 2.0,
         unit: "sys/dgram",
-    }
-}
-
-/// Engines in the shard-dispatch comparison. Fixed so the modeled wakeup
-/// counts are identical on every machine.
-const SHARD_ENGINES: usize = 256;
-
-/// Wakeups-per-engine cost of observing 256 simultaneously readable
-/// engine sockets: per-engine epoll instances (the thread-per-process
-/// shape) vs one shared tagged epoll (the shard event loop).
-fn bench_shard_dispatch(_samples: usize) -> Comparison {
-    use drum_net::runtime::{pack_token, unpack_token};
-    use drum_net::sys::Epoll;
-    use drum_net::transport::bind_ephemeral;
-    use drum_net::ChannelClass;
-
-    let sockets: Vec<_> = (0..SHARD_ENGINES)
-        .map(|_| bind_ephemeral().expect("bind engine socket"))
-        .collect();
-    let sender = bind_ephemeral().expect("bind sender");
-    for s in &sockets {
-        let dest = s.local_addr().expect("engine addr");
-        while sender.send_to(b"wake", dest).is_err() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    // Seed arm: one epoll per engine. Level-triggered readiness is
-    // observed without consuming the datagrams, so the current arm sees
-    // the identical kernel state. E ready engines cost E wakeups — the
-    // structural constant this bench pins down.
-    let mut seed_wakeups = 0u64;
-    let mut tokens: Vec<u64> = Vec::new();
-    for s in &sockets {
-        let ep = Epoll::new().expect("per-engine epoll");
-        ep.add(s).expect("register engine socket");
-        while ep.wait_tagged(1000, &mut tokens).expect("epoll wait") == 0 {}
-        seed_wakeups += 1;
-    }
-
-    // Current arm: every socket registered with one shard epoll under an
-    // engine-index token; drain each reported engine before the next
-    // wait so level-triggered readiness retires.
-    let shared = Epoll::new().expect("shard epoll");
-    for (i, s) in sockets.iter().enumerate() {
-        shared
-            .add_tagged(s, pack_token(i, ChannelClass::WkPull))
-            .expect("register tagged");
-    }
-    let mut served = vec![false; SHARD_ENGINES];
-    let mut remaining = SHARD_ENGINES;
-    let mut shard_wakeups = 0u64;
-    let mut buf = [0u8; 64];
-    while remaining > 0 {
-        while shared.wait_tagged(1000, &mut tokens).expect("epoll wait") == 0 {}
-        shard_wakeups += 1;
-        for &t in &tokens {
-            let (engine, _) = unpack_token(t);
-            while sockets[engine].recv_from(&mut buf).is_ok() {}
-            if !served[engine] {
-                served[engine] = true;
-                remaining -= 1;
-            }
-        }
-    }
-
-    Comparison {
-        name: "shard_dispatch_256e",
-        seed_per_op: seed_wakeups as f64 / SHARD_ENGINES as f64,
-        current_per_op: shard_wakeups as f64 / SHARD_ENGINES as f64,
-        // The shard's 64-event buffer makes the expected ratio 64x; the
-        // floor only guards the mechanism (shared epoll actually
-        // aggregates), not the exact buffer size.
-        floor: 2.0,
-        unit: "wakeups/engine",
     }
 }
 
@@ -1413,9 +1331,6 @@ fn main() {
         }
         if want("send_fanout_mmsg") {
             results.push(bench_send_fanout(samples));
-        }
-        if want("shard_dispatch_256e") {
-            results.push(bench_shard_dispatch(samples));
         }
     } else {
         println!(

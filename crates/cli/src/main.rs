@@ -64,9 +64,9 @@ cluster:
     --round-ms <u64>            round duration in ms (default 100)
     --messages <u64>            messages to send (default 200)
     --rate <f64>                send rate msg/s (default 40)
-    --shards <usize>            multiplex engines onto this many shard
-                                threads (default 0 = thread per process;
-                                DRUM_NET_MULTIPLEX=1 picks one per core)
+    --shards <usize>            run the engines on this many shard threads
+                                (default 0 = one per core, at most one per
+                                correct process)
     --adversary <name>          wire-level attack strategy (same names as
                                 simulate; default: DRUM_ADVERSARY env)
     --shared-bounds             Figure 12(b) ablation
@@ -262,15 +262,11 @@ fn run() -> Result<(), String> {
             if args.flag("no-random-ports") {
                 cfg.net.gossip = GossipConfig::drum().with_random_ports(false);
             }
-            let layout = match cfg.resolved_shards() {
-                0 => "thread-per-process".to_string(),
-                s => format!("{s} shard(s)"),
-            };
             println!(
                 "cluster {protocol}: n={n} attacked={attacked} x={x} round={round_ms}ms \
-                 {messages} msgs at {rate}/s, {layout}"
+                 {messages} msgs at {rate}/s, {} shard(s)",
+                cfg.resolved_shards()
             );
-            let sharded = cfg.resolved_shards() > 0;
             let report = throughput_experiment(cfg, messages, rate, 50, Duration::from_secs(3))
                 .map_err(|e| e.to_string())?;
             let mut t = Table::new(vec![
@@ -315,14 +311,12 @@ fn run() -> Result<(), String> {
                 "net.bind_failed {} (random-port allocations that could bind nothing)",
                 report.bind_failed
             );
-            if sharded {
-                println!(
-                    "net.shard_wakeups per engine-round {:.2} ({} wakeups, {} engine-rounds)",
-                    report.shard_wakeups as f64 / report.rounds.max(1) as f64,
-                    report.shard_wakeups,
-                    report.rounds
-                );
-            }
+            println!(
+                "net.shard_wakeups per engine-round {:.2} ({} wakeups, {} engine-rounds)",
+                report.shard_wakeups as f64 / report.rounds.max(1) as f64,
+                report.shard_wakeups,
+                report.rounds
+            );
         }
         "figures" => {
             let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("results"));

@@ -178,9 +178,8 @@ pub struct Engine {
     tracer: Tracer,
     /// Multiway MAC verification (`drum_crypto::batch`) of the messages of
     /// one delivery that are new to this node. `Some` only where the 8-lane
-    /// kernel is the host's fastest SHA-256 (`multiway::simd_preferred`)
-    /// and `DRUM_NET_NO_BATCH` is unset; everywhere else — SHA-NI and
-    /// scalar hosts — `None`, and each new message pays one direct
+    /// kernel is the host's fastest SHA-256 (`multiway::simd_preferred`);
+    /// everywhere else — SHA-NI and scalar hosts — `None`, and each new message pays one direct
     /// [`DataMessage::verify`], which is cheaper there. Decisions are
     /// identical either way.
     verify_cache: Option<BatchVerifier>,
@@ -244,9 +243,7 @@ impl Engine {
             fixed_push_reply_port: crate::WELL_KNOWN_PUSH_REPLY_PORT,
             fixed_push_data_port: crate::WELL_KNOWN_PUSH_DATA_PORT,
             tracer,
-            verify_cache: (multiway::simd_preferred()
-                && std::env::var_os("DRUM_NET_NO_BATCH").is_none())
-            .then(BatchVerifier::new),
+            verify_cache: multiway::simd_preferred().then(BatchVerifier::new),
             c_mac_full,
             c_mac_hits,
             mac_lane: LaneStats::default(),
@@ -262,8 +259,7 @@ impl Engine {
     }
 
     /// Forces the batched verification path on or off, overriding the
-    /// host dispatch and `DRUM_NET_NO_BATCH` default picked by
-    /// [`Engine::new`]. Tests use this to compare the two paths side by
+    /// host dispatch picked by [`Engine::new`]. Tests use this to compare the two paths side by
     /// side on any host.
     pub fn set_batch_verify(&mut self, enabled: bool) {
         if enabled == self.verify_cache.is_some() {

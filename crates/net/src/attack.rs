@@ -259,9 +259,9 @@ pub fn spawn_attacker(
             let mut seq = 0u64;
             // Flooding is the attacker's hot path: reuse one wire buffer
             // for every fabricated datagram instead of allocating per send,
-            // and hand bursts to the kernel through `sendmmsg` so the
-            // attacker can sustain paper-scale rates from one thread
-            // (per-datagram `send_to` under `DRUM_NET_NO_BATCH=1`).
+            // and hand bursts to the kernel through `sendmmsg` (where the
+            // target has it) so the attacker can sustain paper-scale rates
+            // from one thread.
             let mut wire = drum_core::bytes::BytesMut::with_capacity(codec::MAX_WIRE_LEN);
             let mut tx = BatchTx::new();
             // Per-round per-target counts on each channel.

@@ -1,6 +1,6 @@
-//! The measurement harness of §8: real clusters of threaded UDP processes,
-//! optional malicious members and attackers, and the paper's latency /
-//! throughput / propagation-round metrics.
+//! The measurement harness of §8: real clusters of UDP engines on shard
+//! threads, optional malicious members and attackers, and the paper's
+//! latency / throughput / propagation-round metrics.
 
 use std::time::{Duration, Instant};
 
@@ -13,9 +13,7 @@ use drum_metrics::recorder::{LatencyRecorder, ThroughputRecorder};
 use drum_metrics::stats::{quantile_in_place, RunningStats};
 
 use crate::attack::{spawn_attacker, AttackerConfig, AttackerHandle, FloodStrategy};
-use crate::runtime::{
-    seed_of, spawn_process, Delivery, NetConfig, NetStats, ProcessHandle, ProcessSpec,
-};
+use crate::runtime::{seed_of, Delivery, NetConfig, NetStats, ProcessSpec};
 use crate::shard::{spawn_shard, EngineHandle, ShardHandle};
 use crate::transport::{AblationSockets, AddressBook, WellKnownAddrs, WellKnownSockets};
 
@@ -33,12 +31,10 @@ pub struct ClusterConfig {
     pub attacked: usize,
     /// Fabricated messages per attacked process per round.
     pub x_per_round: f64,
-    /// Multiplexed mode: number of shard event loops to spread the correct
-    /// processes over (each shard drives its engines from one thread; see
-    /// [`crate::shard`]). `0` (with `engines_per_shard` also 0) selects the
-    /// classic thread-per-process runtime — unless `DRUM_NET_MULTIPLEX=1`
-    /// is set, which defaults to one shard per available core. This is
-    /// what lifts cluster experiments to n = 1,000 in one OS process.
+    /// Number of shard event loops to spread the correct processes over
+    /// (each shard drives its engines from one thread; see
+    /// [`crate::shard`]). `0` (with `engines_per_shard` also 0) means one
+    /// shard per available core, at most one per correct process.
     pub shards: usize,
     /// Alternative shard sizing: cap on engines per shard (the shard count
     /// is derived). Takes precedence over `shards` when nonzero.
@@ -59,79 +55,60 @@ impl ClusterConfig {
         self.n - self.malicious
     }
 
-    /// Resolves the shard layout: `0` means thread-per-process, otherwise
-    /// the number of shard event loops to start. Explicit fields win over
-    /// the `DRUM_NET_MULTIPLEX=1` environment default.
+    /// The number of shard event loops [`Cluster::start`] spawns, always
+    /// in `1..=correct`.
     pub fn resolved_shards(&self) -> usize {
-        resolve_shards(
-            self.correct(),
-            self.shards,
-            self.engines_per_shard,
-            std::env::var("DRUM_NET_MULTIPLEX").ok().as_deref(),
-        )
+        resolve_shards(self.correct(), self.shards, self.engines_per_shard)
     }
 }
 
-/// Shard-layout policy (see [`ClusterConfig::resolved_shards`]); a free
-/// function so the environment-variable arm is testable without mutating
-/// process-global state. `engines_per_shard` beats `shards` beats the
-/// `DRUM_NET_MULTIPLEX=1` default of one shard per available core.
-pub fn resolve_shards(
-    correct: usize,
-    shards: usize,
-    engines_per_shard: usize,
-    multiplex_env: Option<&str>,
-) -> usize {
+/// Shard-layout policy (see [`ClusterConfig::resolved_shards`]):
+/// `engines_per_shard` beats `shards` beats one shard per available core.
+pub fn resolve_shards(correct: usize, shards: usize, engines_per_shard: usize) -> usize {
     if engines_per_shard > 0 {
         correct.div_ceil(engines_per_shard)
     } else if shards > 0 {
         shards.min(correct)
-    } else if multiplex_env == Some("1") {
+    } else {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
             .min(correct)
-    } else {
-        0
     }
 }
 
-/// A handle to one correct cluster node, in either runtime mode: a
-/// dedicated-thread process or an engine multiplexed into a shard. The
-/// application-facing surface (publish / delivered) is identical.
+/// A handle to one correct cluster node. A one-variant enum because
+/// `benchmark/` destructures it with `let … else` (which `non_exhaustive`
+/// keeps refutable there); it becomes an alias of [`EngineHandle`] at
+/// benchmark v2.
 #[derive(Debug)]
+#[non_exhaustive]
 pub enum NodeHandle {
-    /// Thread-per-process mode ([`spawn_process`]).
-    Thread(ProcessHandle),
-    /// Multiplexed mode ([`spawn_shard`]); the owning [`ShardHandle`]
+    /// An engine on a shard ([`spawn_shard`]); the owning [`ShardHandle`]
     /// carries shutdown.
     Sharded(EngineHandle),
 }
 
 impl NodeHandle {
+    fn engine(&self) -> &EngineHandle {
+        let NodeHandle::Sharded(engine) = self;
+        engine
+    }
+
     /// The node's process id.
     pub fn id(&self) -> ProcessId {
-        match self {
-            NodeHandle::Thread(h) => h.id(),
-            NodeHandle::Sharded(e) => e.id(),
-        }
+        self.engine().id()
     }
 
     /// Queues a payload for multicast origination at this node's next
     /// round start.
     pub fn publish(&self, payload: Bytes) {
-        match self {
-            NodeHandle::Thread(h) => h.publish(payload),
-            NodeHandle::Sharded(e) => e.publish(payload),
-        }
+        self.engine().publish(payload)
     }
 
     /// Drains everything currently delivered.
     pub fn take_delivered(&self) -> Vec<Delivery> {
-        match self {
-            NodeHandle::Thread(h) => h.take_delivered(),
-            NodeHandle::Sharded(e) => e.take_delivered(),
-        }
+        self.engine().take_delivered()
     }
 }
 
@@ -216,31 +193,19 @@ impl Cluster {
             })
             .collect();
 
+        // Contiguous, balanced chunks in id order: the first
+        // `correct % shard_count` shards take one extra engine, so handle
+        // index keeps equalling process id.
         let shard_count = config.resolved_shards();
         let mut handles = Vec::with_capacity(correct);
-        let mut shards = Vec::new();
-        // `checked_div` doubles as the mode switch: zero shards means the
-        // thread-per-process driver.
-        if let Some(base) = correct.checked_div(shard_count) {
-            // Contiguous, balanced chunks in id order: the first
-            // `correct % shard_count` shards take one extra engine, so
-            // handle index keeps equalling process id.
-            let mut specs = specs.into_iter();
-            let extra = correct % shard_count;
-            for s in 0..shard_count {
-                let take = base + usize::from(s < extra);
-                if take == 0 {
-                    continue;
-                }
-                let chunk: Vec<ProcessSpec> = specs.by_ref().take(take).collect();
-                let (shard, engines) = spawn_shard(chunk)?;
-                shards.push(shard);
-                handles.extend(engines.into_iter().map(NodeHandle::Sharded));
-            }
-        } else {
-            for spec in specs {
-                handles.push(NodeHandle::Thread(spawn_process(spec)?));
-            }
+        let mut shards = Vec::with_capacity(shard_count);
+        let mut specs = specs.into_iter();
+        let (base, extra) = (correct / shard_count, correct % shard_count);
+        for s in 0..shard_count {
+            let chunk = specs.by_ref().take(base + usize::from(s < extra)).collect();
+            let (shard, engines) = spawn_shard(chunk)?;
+            shards.push(shard);
+            handles.extend(engines.into_iter().map(NodeHandle::Sharded));
         }
 
         let attack_targets: Vec<WellKnownAddrs> = (0..config.attacked as u64)
@@ -333,19 +298,23 @@ impl Cluster {
     /// Stops everything; returns per-process stats (index = process id —
     /// shards return their engines' stats in spawn order, which start
     /// chose to match id order).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of a shard thread.
     pub fn shutdown(mut self) -> Vec<NetStats> {
         if let Some(a) = self.attacker.take() {
             a.shutdown();
         }
-        let mut out = Vec::with_capacity(self.handles.len());
-        for handle in self.handles.drain(..) {
-            if let NodeHandle::Thread(h) = handle {
-                out.push(h.shutdown());
-            }
-        }
-        for shard in self.shards.drain(..) {
-            out.extend(shard.shutdown());
-        }
+        // Every shard winds down at once; joining one at a time would
+        // serialize their epoll wait caps.
+        self.shards.iter().for_each(ShardHandle::request_stop);
+        let out: Vec<NetStats> = self
+            .shards
+            .drain(..)
+            .flat_map(ShardHandle::shutdown)
+            .collect();
+        assert_eq!(out.len(), self.handles.len(), "one stats entry per node");
         out
     }
 }
@@ -402,9 +371,9 @@ pub struct ThroughputReport {
     pub published: u64,
     /// Local rounds executed, summed over the correct processes.
     pub rounds: u64,
-    /// Epoll wakeups taken by the shard event loops (`net.shard_wakeups`;
-    /// zero on the thread-per-process layout). Per round it tracks the
-    /// datagrams a round brings, and explodes if a loop ever polls.
+    /// Epoll wakeups taken by the shard event loops (`net.shard_wakeups`).
+    /// Per round it tracks the datagrams a round brings, and explodes if a
+    /// loop ever polls.
     pub shard_wakeups: u64,
     /// New data messages the correct processes' engines delivered.
     pub delivered: u64,
@@ -880,12 +849,12 @@ mod tests {
         let stats = cluster.shutdown();
         for s in &stats {
             // Every round probes the well-known sockets and gossips, so
-            // both syscall totals must be live regardless of I/O mode.
+            // both syscall totals must be live on either I/O path.
             assert!(s.rounds > 0);
             assert!(s.syscalls_recv > 0, "no recv syscalls recorded: {s:?}");
             assert!(s.syscalls_send > 0, "no send syscalls recorded: {s:?}");
             // Batched datagram accounting only moves on the recvmmsg path.
-            if !crate::sys::enabled() {
+            if !crate::sys::available() {
                 assert_eq!(s.batch_recv_datagrams, 0);
             }
         }
@@ -893,51 +862,66 @@ mod tests {
 
     #[test]
     fn shard_layout_resolution() {
-        // engines_per_shard beats shards beats the env default.
-        assert_eq!(resolve_shards(10, 0, 0, None), 0);
-        assert_eq!(resolve_shards(10, 3, 0, None), 3);
-        assert_eq!(resolve_shards(2, 8, 0, None), 2);
-        assert_eq!(resolve_shards(10, 3, 4, None), 3); // ceil(10/4)
-        assert_eq!(resolve_shards(1000, 0, 64, None), 16);
-        assert_eq!(resolve_shards(10, 0, 0, Some("0")), 0);
-        let env = resolve_shards(10, 0, 0, Some("1"));
-        assert!((1..=10).contains(&env), "env default out of range: {env}");
-        assert_eq!(resolve_shards(10, 2, 0, Some("1")), 2);
+        // engines_per_shard beats shards beats one shard per core.
+        assert_eq!(resolve_shards(10, 3, 0), 3);
+        assert_eq!(resolve_shards(2, 8, 0), 2);
+        assert_eq!(resolve_shards(10, 3, 4), 3); // ceil(10/4)
+        assert_eq!(resolve_shards(1000, 0, 64), 16);
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(resolve_shards(10, 0, 0), cores.min(10));
+        assert_eq!(resolve_shards(1, 0, 0), 1);
     }
 
     #[test]
     fn sharded_cluster_delivers_and_reports_stats_in_id_order() {
-        let mut config = small_config(ProtocolVariant::Drum, 0, 0.0);
-        // 8 correct engines over 2 shards: chunks of 4 + 4.
-        config.shards = 2;
-        let cluster = Cluster::start(config).unwrap();
-        assert_eq!(cluster.handles().len(), 8);
-        for (i, h) in cluster.handles().iter().enumerate() {
-            assert_eq!(h.id(), ProcessId(i as u64));
-        }
+        use drum_trace::{MemorySink, Tracer, Value};
 
-        cluster.publish_from_source(0, 50);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut got = vec![false; cluster.handles().len()];
-        got[0] = true;
-        while Instant::now() < deadline && got.iter().any(|g| !g) {
+        // 8 correct engines as chunks of 4 + 4, then one per shard (the
+        // layout that stands for a process per thread).
+        for shards in [2, 8] {
+            let mut config = small_config(ProtocolVariant::Drum, 0, 0.0);
+            config.shards = shards;
+            let sink = std::sync::Arc::new(MemorySink::new());
+            config.net.tracer = Tracer::new(sink.clone());
+            let cluster = Cluster::start(config).unwrap();
+            assert_eq!(cluster.shards.len(), shards);
+            assert_eq!(cluster.handles().len(), 8);
             for (i, h) in cluster.handles().iter().enumerate() {
-                if !h.take_delivered().is_empty() {
-                    got[i] = true;
-                }
+                assert_eq!(h.id(), ProcessId(i as u64));
             }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(got.iter().all(|g| *g), "undelivered receivers: {got:?}");
 
-        let stats = cluster.shutdown();
-        assert_eq!(stats.len(), 8);
-        for s in &stats {
-            assert!(s.rounds > 0, "engine ran no rounds: {s:?}");
-            // Shard mode accounts syscalls once per shard and mirrors the
-            // totals into every engine's stats at shutdown.
-            assert!(s.syscalls_recv > 0, "no recv syscalls recorded: {s:?}");
-            assert!(s.syscalls_send > 0, "no send syscalls recorded: {s:?}");
+            cluster.publish_from_source(0, 50);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut got = [false; 8];
+            got[0] = true;
+            while Instant::now() < deadline && got.iter().any(|g| !g) {
+                for (i, h) in cluster.handles().iter().enumerate() {
+                    got[i] |= !h.take_delivered().is_empty();
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert!(got.iter().all(|g| *g), "undelivered receivers: {got:?}");
+
+            // Entry i must be node i's: each node's `proc.stop` event
+            // names the node and repeats its final counters.
+            let stats = cluster.shutdown();
+            assert_eq!(stats.len(), 8);
+            let events = sink.take();
+            for (i, s) in stats.iter().enumerate() {
+                let me = Some(&Value::U64(i as u64));
+                let stop = events
+                    .iter()
+                    .find(|e| e.name == "proc.stop" && e.field("me") == me)
+                    .expect("one proc.stop per node");
+                assert!(s.rounds > 0, "engine ran no rounds: {s:?}");
+                assert_eq!(stop.field("rounds"), Some(&Value::U64(s.rounds)));
+                assert_eq!(stop.field("sent"), Some(&Value::U64(s.sent)));
+                assert_eq!(stop.field("received"), Some(&Value::U64(s.received)));
+                // A shard accounts syscalls once and mirrors the totals
+                // into every engine's stats at shutdown.
+                assert!(s.syscalls_recv > 0, "no recv syscalls recorded: {s:?}");
+                assert!(s.syscalls_send > 0, "no send syscalls recorded: {s:?}");
+            }
         }
     }
 

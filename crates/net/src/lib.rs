@@ -1,17 +1,17 @@
-//! Threaded UDP runtime for the Drum gossip protocol — the §8 measurement
+//! Real-UDP runtime for the Drum gossip protocol — the §8 measurement
 //! substrate of the paper (Badishi, Keidar, Sasson, DSN 2004).
 //!
 //! Where the paper ran a Java implementation on 50 Emulab machines, this
-//! crate runs one logical process per thread over real UDP sockets on the
-//! loopback interface (see `DESIGN.md` for the substitution argument):
+//! crate runs every logical process over real UDP sockets on the loopback
+//! interface (see `DESIGN.md` for the substitution argument):
 //!
 //! * [`codec`] — hardened binary wire format;
 //! * [`transport`] — well-known + random ephemeral sockets, address book;
-//! * [`runtime`] — the unsynchronized per-process round loop driving a
-//!   [`drum_core::engine::Engine`];
-//! * [`shard`] — the multiplexed runtime: one event loop (shared epoll +
-//!   timer wheel) drives many engines per OS thread, lifting single-process
-//!   clusters to 1,000+ real-UDP nodes;
+//! * [`runtime`] — [`NodeCore`], one process's unsynchronized rounds around
+//!   a [`drum_core::engine::Engine`], as steps a driver calls;
+//! * [`shard`] — the driver: one event loop (shared epoll + timer wheel)
+//!   steps the engines of a shard on one OS thread, from a single process
+//!   to 1,000+ real-UDP nodes;
 //! * [`attack`] — fabricated-traffic generators (the adversary);
 //! * [`experiment`] — clusters, throughput/latency reports (Figures 10–11)
 //!   and propagation-round measurements (Figure 9).
@@ -49,8 +49,8 @@
 // Unsafe code is denied crate-wide and allowed in exactly one place: the
 // `sys` module, whose raw Linux syscall shims (recvmmsg/sendmmsg/epoll)
 // back the batched I/O fast path. Everything else in this crate is safe
-// Rust, and every batched path has a safe per-datagram fallback
-// (`DRUM_NET_NO_BATCH=1`, or any non-Linux target).
+// Rust, and every batched path has a safe per-datagram fallback, the one
+// path of every other target.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -75,8 +75,7 @@ pub use experiment::{
     SoakPhase, SoakReport, ThroughputReport,
 };
 pub use runtime::{
-    os_random_seed, spawn_process, ChannelClass, Delivery, NetConfig, NetStats, NodeCore,
-    ProcessHandle, ProcessSpec,
+    os_random_seed, ChannelClass, Delivery, NetConfig, NetStats, NodeCore, ProcessSpec,
 };
 pub use shard::{spawn_shard, EngineHandle, ShardCore, ShardHandle, TimerWheel};
 pub use transport::{AddressBook, BatchRx, BatchTx, SocketPool, WellKnownAddrs, WellKnownSockets};

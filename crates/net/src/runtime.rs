@@ -1,8 +1,7 @@
-//! The per-process threaded runtime: unsynchronized local rounds over real
-//! UDP sockets.
+//! One gossip node's rounds over real UDP sockets: [`NodeCore`].
 //!
-//! Mirrors the paper's Java implementation (§8): each process runs its own
-//! round loop whose duration is randomly jittered, performs the full
+//! Mirrors the paper's Java implementation (§8): each node runs its own
+//! rounds whose duration is randomly jittered, performs the full
 //! push-offer/push-reply/push-data handshake plus pull exchanges through
 //! the [`drum_core::engine::Engine`], drains its sockets continuously, and
 //! discards whatever the per-round budgets reject. "The operations that
@@ -10,21 +9,14 @@
 //! receiving, B the other way around; only the local round boundaries
 //! matter.
 //!
-//! The round logic itself lives in [`NodeCore`], a single-threaded state
-//! machine with no loop of its own: the per-thread [`spawn_process`]
-//! runtime drives one core per OS thread, and the sharded runtime
-//! ([`crate::shard`]) drives many cores from one event loop. Both callers
-//! feed the same methods in the same order, which is what makes the two
-//! modes decision-equivalent.
+//! [`NodeCore`] is a single-threaded state machine with no loop or thread
+//! of its own. The shard driver ([`crate::shard`]) steps any number of
+//! cores — one included — from a timer wheel and a shared epoll.
 
-use std::io;
 use std::net::UdpSocket;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use std::sync::mpsc::{channel, Receiver, Sender};
 
 use drum_core::bytes::{Bytes, BytesMut};
 use rand::rngs::SmallRng;
@@ -42,7 +34,7 @@ use drum_trace::{names, trace_event, Counter, Tracer};
 use crate::codec;
 use crate::sys;
 use crate::transport::{
-    bind_ephemeral, AblationSockets, AddressBook, BatchRx, BatchTx, SocketPool, WellKnownSockets,
+    AblationSockets, AddressBook, BatchRx, BatchTx, SocketPool, WellKnownSockets,
 };
 
 /// Configuration of the networked runtime.
@@ -56,10 +48,9 @@ pub struct NetConfig {
     /// Round-length randomness is itself a defense: "the attacker cannot
     /// aim its messages for the beginning of a round" (§4).
     pub jitter: f64,
-    /// Socket polling interval inside a round. Only the per-datagram
-    /// fallback path sleep-polls at this interval; the batched path blocks
-    /// in epoll until a socket is readable or the round deadline arrives
-    /// (see DESIGN.md §14).
+    /// Sleep between drain passes of a shard that has no epoll (targets
+    /// without one, or a failed setup). With epoll the shard blocks until
+    /// a socket is readable or a round deadline arrives (DESIGN.md §14).
     pub poll: Duration,
     /// Probability of dropping each outbound datagram (emulated link loss;
     /// 0.0 by default — loopback is lossless, the paper's LAN loses ~1%).
@@ -169,8 +160,9 @@ pub struct NetStats {
     pub received: u64,
     /// Receive syscalls made (`recvmmsg` on the batched path, `recv_from`
     /// on the fallback — the amortization the batching buys is visible as
-    /// this staying far below the datagram count under flood). In shard
-    /// mode the syscall totals are shared by every engine of the shard.
+    /// this staying far below the datagram count under flood). The three
+    /// syscall totals are the shard's: every engine of a shard reports the
+    /// same shared figures.
     pub syscalls_recv: u64,
     /// Send syscalls made (`sendmmsg` or `send_to`).
     pub syscalls_send: u64,
@@ -201,64 +193,6 @@ pub struct NetStats {
     pub lanes_filled: u64,
 }
 
-/// Handle to a running process.
-#[derive(Debug)]
-pub struct ProcessHandle {
-    id: ProcessId,
-    publish_tx: Sender<Bytes>,
-    delivered_rx: Receiver<Delivery>,
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<NetStats>>,
-}
-
-impl ProcessHandle {
-    /// The process id.
-    pub fn id(&self) -> ProcessId {
-        self.id
-    }
-
-    /// Queues a payload for multicast origination at this process's next
-    /// round loop iteration.
-    pub fn publish(&self, payload: Bytes) {
-        // The runtime thread only exits after `stop`, so a send failure
-        // just means the process is already shutting down.
-        let _ = self.publish_tx.send(payload);
-    }
-
-    /// Receiver of delivered messages.
-    pub fn delivered(&self) -> &Receiver<Delivery> {
-        &self.delivered_rx
-    }
-
-    /// Drains everything currently delivered.
-    pub fn take_delivered(&self) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        while let Ok(d) = self.delivered_rx.try_recv() {
-            out.push(d);
-        }
-        out
-    }
-
-    /// Signals the process to stop and waits for it; returns final stats.
-    pub fn shutdown(mut self) -> NetStats {
-        self.stop.store(true, Ordering::Relaxed);
-        self.join
-            .take()
-            .expect("shutdown called once")
-            .join()
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for ProcessHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
 /// Everything needed to launch one process.
 pub struct ProcessSpec {
     /// This process's id.
@@ -282,41 +216,8 @@ pub struct ProcessSpec {
     pub seed: u64,
 }
 
-/// Spawns a process thread running the gossip round loop.
-///
-/// # Errors
-///
-/// Returns an [`io::Error`] if the outbound send socket cannot be bound.
-pub fn spawn_process(spec: ProcessSpec) -> io::Result<ProcessHandle> {
-    let send_socket = bind_ephemeral()?;
-    let (publish_tx, publish_rx) = channel::<Bytes>();
-    let (delivered_tx, delivered_rx) = channel::<Delivery>();
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = stop.clone();
-    let id = spec.me;
-
-    let join = std::thread::Builder::new()
-        .name(format!("drum-{}", spec.me))
-        .spawn(move || run_process(spec, send_socket, publish_rx, delivered_tx, stop_flag))
-        .expect("failed to spawn process thread");
-
-    Ok(ProcessHandle {
-        id,
-        publish_tx,
-        delivered_rx,
-        stop,
-        join: Some(join),
-    })
-}
-
 /// Bound on each staged-arrival reservoir (per channel, per round).
 const STAGE_CAP: usize = 1024;
-
-/// Upper bound on a single epoll wait inside the round loops. A wait is
-/// otherwise exactly as long as the time to the next round deadline; the
-/// cap only bounds how long a stop request can go unnoticed, at the price
-/// of at most 40 extra wakeups per second on an idle driver.
-pub(crate) const EPOLL_WAIT_CAP: Duration = Duration::from_millis(25);
 
 /// The receive channels a node owns. The discriminant is packed into the
 /// low bits of a shard's epoll registration token (see [`pack_token`]), so
@@ -470,9 +371,8 @@ fn advance_deadline(
 /// and exposes the round loop as discrete steps — [`NodeCore::next_deadline`],
 /// [`NodeCore::start_round`], [`NodeCore::drain_all`] /
 /// [`NodeCore::drain_class`], [`NodeCore::finish_round`] — so that a
-/// driver can interleave many nodes on one thread. [`spawn_process`]
-/// drives one core per thread; [`crate::shard`] drives N cores from a
-/// timer wheel and a shared epoll instance.
+/// driver can interleave many nodes on one thread: [`crate::shard`] steps
+/// its cores from a timer wheel and a shared epoll instance.
 pub struct NodeCore {
     me: ProcessId,
     engine: Engine,
@@ -506,9 +406,6 @@ pub struct NodeCore {
     c_bound: Counter,
     c_pull_refused: Counter,
     c_decode: Counter,
-    c_sys_recv: Counter,
-    c_sys_send: Counter,
-    c_batch_fill: Counter,
     c_rounds_late: Counter,
     c_alloc_failed: Counter,
     c_bind_failed: Counter,
@@ -595,9 +492,6 @@ impl NodeCore {
             c_bound: reg.counter(names::DROPPED_BY_BOUND),
             c_pull_refused: reg.counter(names::PULL_REQUESTS_REFUSED),
             c_decode: reg.counter(names::DECODE_ERRORS),
-            c_sys_recv: reg.counter(names::SYSCALLS_RECV),
-            c_sys_send: reg.counter(names::SYSCALLS_SEND),
-            c_batch_fill: reg.counter(names::BATCH_FILL),
             c_rounds_late: reg.counter(names::NET_ROUNDS_LATE),
             c_alloc_failed: reg.counter(names::NET_ALLOC_FAILED),
             c_bind_failed: reg.counter(names::NET_BIND_FAILED),
@@ -619,29 +513,12 @@ impl NodeCore {
         &self.stats
     }
 
-    /// Registers every receive socket with `ep` using fd-valued tokens
-    /// (the per-thread runtime never inspects them). All-or-nothing: a
-    /// partially registered set would sleep through live sockets, so any
-    /// failure reverts the caller to the sleep-poll fallback.
-    pub fn register_with(&mut self, ep: &Arc<sys::Epoll>) -> bool {
-        let mut ok = ep.add(&self.sockets.pull).is_ok() && ep.add(&self.sockets.push).is_ok();
-        if let Some(ab) = &self.ablation {
-            ok &= ep.add(&ab.pull_reply).is_ok()
-                && ep.add(&ab.push_reply).is_ok()
-                && ep.add(&ab.push_data).is_ok();
-        }
-        if ok {
-            self.pool
-                .set_epoll(ep.clone(), pack_token(0, ChannelClass::Pool));
-        }
-        ok
-    }
-
     /// Registers every receive socket with a *shared* shard epoll, tagging
     /// each registration with `pack_token(engine, class)` so the shard's
     /// event loop can dispatch readiness straight to this engine. The pool
-    /// registers once, for every socket it will ever bind.
-    /// All-or-nothing, like [`NodeCore::register_with`].
+    /// registers once, for every socket it will ever bind. All-or-nothing:
+    /// a partially registered set would sleep through live sockets, so any
+    /// failure reverts the shard to its sleep-poll fallback.
     pub fn register_tagged(&mut self, ep: &Arc<sys::Epoll>, engine: usize) -> bool {
         let mut ok = ep
             .add_tagged(&self.sockets.pull, pack_token(engine, ChannelClass::WkPull))
@@ -733,7 +610,8 @@ impl NodeCore {
     }
 
     /// Drains every receive channel once, sends the responses, and flushes
-    /// deliveries — one poll iteration of the round loop.
+    /// deliveries — one pass of a driver that has no epoll to tell it which
+    /// channel is readable.
     pub fn drain_all(
         &mut self,
         rx: &mut BatchRx,
@@ -905,16 +783,6 @@ impl NodeCore {
         }
     }
 
-    /// Mirrors the driver's syscall totals into the stats this node
-    /// reports. The per-thread runtime calls this every round (its I/O
-    /// batchers serve exactly one node); a shard calls it only through
-    /// [`NodeCore::finalize`], because its batchers are shared.
-    pub fn set_sys_totals(&mut self, recv: u64, send: u64, batched_datagrams: u64) {
-        self.stats.syscalls_recv = recv;
-        self.stats.syscalls_send = send;
-        self.stats.batch_recv_datagrams = batched_datagrams;
-    }
-
     /// Ends the current round: engine round end, stats accumulation, pool
     /// expiry, per-round registry counter deltas and the `round` trace
     /// event.
@@ -939,12 +807,6 @@ impl NodeCore {
             .add(round_stats.dropped_of(MessageKind::PullRequest));
         self.c_decode
             .add(self.stats.decode_errors - self.prev.decode_errors);
-        self.c_sys_recv
-            .add(self.stats.syscalls_recv - self.prev.syscalls_recv);
-        self.c_sys_send
-            .add(self.stats.syscalls_send - self.prev.syscalls_send);
-        self.c_batch_fill
-            .add(self.stats.batch_recv_datagrams - self.prev.batch_recv_datagrams);
         self.c_alloc_failed
             .add(self.stats.alloc_failed - self.prev.alloc_failed);
         self.stats.bind_failed = self.pool.bind_failures();
@@ -998,16 +860,15 @@ impl NodeCore {
     }
 
     /// Tears the node down: finishes a round still in flight, mirrors the
-    /// driver's final shared syscall totals (shard mode), emits the
-    /// `proc.stop` event and returns the final stats.
+    /// driver's final shared syscall totals `(recv, send, batched
+    /// datagrams)`, emits the `proc.stop` event and returns the final stats.
     pub fn finalize(mut self, sys_totals: Option<(u64, u64, u64)>) -> NetStats {
         if self.started {
             self.finish_round();
         }
         if let Some((recv, send, batched)) = sys_totals {
-            // After the last finish_round, so the totals are not run
-            // through the per-round registry deltas a second time — the
-            // shard accounts for its shared batchers itself.
+            // The shard mirrors its shared batchers into the registry
+            // itself; a node only reports them.
             self.stats.syscalls_recv = recv;
             self.stats.syscalls_send = send;
             self.stats.batch_recv_datagrams = batched;
@@ -1029,71 +890,6 @@ impl NodeCore {
     }
 }
 
-fn run_process(
-    spec: ProcessSpec,
-    send_socket: UdpSocket,
-    publish_rx: Receiver<Bytes>,
-    delivered_tx: Sender<Delivery>,
-    stop: Arc<AtomicBool>,
-) -> NetStats {
-    let config = spec.config.clone();
-    let mut core = NodeCore::new(spec, publish_rx, delivered_tx);
-
-    // Batched syscall I/O (DESIGN.md §14): one recvmmsg drains up to 64
-    // datagrams, the encode-once fan-out flushes through one sendmmsg per
-    // flush, and the round loop blocks in epoll instead of spinning a
-    // sleep-poll. Every piece degrades independently to the per-datagram
-    // fallback (non-Linux, `DRUM_NET_NO_BATCH=1`, or an epoll setup error)
-    // with identical accept/drop behavior.
-    let mut batch_rx = BatchRx::new(codec::MAX_WIRE_LEN + 1);
-    let mut batch_tx = BatchTx::new();
-    let mut scratch = vec![0u8; codec::MAX_WIRE_LEN + 1];
-    let epoll = if sys::enabled() {
-        sys::Epoll::new()
-            .ok()
-            .map(Arc::new)
-            .filter(|ep| core.register_with(ep))
-    } else {
-        None
-    };
-
-    let mut deadline = Instant::now();
-    while !stop.load(Ordering::Relaxed) {
-        deadline = core.next_deadline(deadline, Instant::now());
-        core.start_round(&send_socket, &mut batch_tx);
-
-        loop {
-            core.drain_all(&mut batch_rx, &mut scratch, &send_socket, &mut batch_tx);
-
-            let now = Instant::now();
-            if now >= deadline || stop.load(Ordering::Relaxed) {
-                break;
-            }
-            match &epoll {
-                // Batched path: block until any live socket is readable or
-                // the round deadline arrives — a quiet round is one wakeup,
-                // a flooded one wakes once per kernel batch. The wait is
-                // capped so a stop request is still honored promptly.
-                Some(ep) => {
-                    let remaining = deadline.saturating_duration_since(now);
-                    let _ = ep.wait_for(remaining.min(EPOLL_WAIT_CAP));
-                }
-                // Fallback: the seed's fixed-interval sleep-poll.
-                None => std::thread::sleep(config.poll),
-            }
-        }
-
-        core.set_sys_totals(
-            batch_rx.syscalls(),
-            batch_tx.syscalls(),
-            batch_rx.batched_datagrams(),
-        );
-        core.finish_round();
-    }
-
-    core.finalize(None)
-}
-
 /// Mixes a process id into a seed so that a shared base seed still gives
 /// every process its own RNG stream.
 pub fn seed_of(me: ProcessId) -> u64 {
@@ -1109,52 +905,88 @@ pub fn os_random_seed() -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::transport::WellKnownSockets;
+    use crate::shard::{spawn_shard, EngineHandle, ShardHandle};
+    use crate::transport::bind_ephemeral;
+    use std::sync::mpsc::channel;
 
-    fn cluster(n: u64, gossip: GossipConfig, round_ms: u64) -> Vec<ProcessHandle> {
-        let key_store = KeyStore::new(99);
+    /// Specs for an `n`-member group on freshly bound well-known sockets,
+    /// plus the book, so a test can aim traffic at a member's real ports.
+    pub(crate) fn specs(
+        n: u64,
+        key_seed: u64,
+        config: NetConfig,
+    ) -> (Vec<ProcessSpec>, AddressBook) {
+        let key_store = KeyStore::new(key_seed);
         let members: Vec<ProcessId> = (0..n).map(ProcessId).collect();
-        let mut socks = Vec::new();
-        let mut entries = Vec::new();
-        for &m in &members {
-            let (s, addrs) = WellKnownSockets::bind().unwrap();
-            socks.push((m, s));
-            entries.push((m, addrs));
-        }
-        let book = AddressBook::new(entries);
-        socks
-            .into_iter()
-            .map(|(m, sockets)| {
-                let my_key = key_store.register(m.as_u64());
-                spawn_process(ProcessSpec {
-                    me: m,
-                    members: members.clone(),
-                    book: book.clone(),
-                    key_store: key_store.clone(),
-                    my_key,
-                    sockets,
-                    ablation: None,
-                    config: NetConfig::new(gossip.clone())
-                        .with_round(Duration::from_millis(round_ms)),
-                    seed: seed_of(m),
-                })
-                .unwrap()
+        let (socks, entries): (Vec<_>, Vec<_>) = members
+            .iter()
+            .map(|&m| {
+                let (sockets, addrs) = WellKnownSockets::bind().unwrap();
+                ((m, sockets), (m, addrs))
             })
-            .collect()
+            .unzip();
+        let book = AddressBook::new(entries);
+        let specs = socks
+            .into_iter()
+            .map(|(m, sockets)| ProcessSpec {
+                me: m,
+                members: members.clone(),
+                book: book.clone(),
+                key_store: key_store.clone(),
+                my_key: key_store.register(m.as_u64()),
+                sockets,
+                ablation: None,
+                config: config.clone(),
+                seed: seed_of(m),
+            })
+            .collect();
+        (specs, book)
+    }
+
+    fn drum(round_ms: u64) -> NetConfig {
+        NetConfig::new(GossipConfig::drum()).with_round(Duration::from_millis(round_ms))
+    }
+
+    fn cluster(n: u64, key_seed: u64, config: NetConfig) -> (ShardHandle, Vec<EngineHandle>) {
+        spawn_shard(specs(n, key_seed, config).0).unwrap()
+    }
+
+    /// Node 0 of a two-member group, to drive by hand, with its delivery
+    /// channel and the peer — whose sockets stay bound but are never read.
+    fn lone_core(seed: u64) -> (NodeCore, Receiver<Delivery>, ProcessSpec) {
+        let (mut specs, _) = specs(2, 3, NetConfig::new(GossipConfig::drum()));
+        let peer = specs.pop().unwrap();
+        let mut spec = specs.pop().unwrap();
+        spec.seed = seed;
+        let (_publish_tx, publish_rx) = channel();
+        let (delivered_tx, delivered_rx) = channel();
+        (
+            NodeCore::new(spec, publish_rx, delivered_tx),
+            delivered_rx,
+            peer,
+        )
     }
 
     #[test]
     fn drum_disseminates_over_udp() {
-        let handles = cluster(6, GossipConfig::drum(), 40);
-        handles[0].publish(Bytes::from_static(b"hello udp"));
+        // One engine per shard: each node on a thread of its own.
+        let (shards, engines): (Vec<ShardHandle>, Vec<EngineHandle>) = specs(6, 99, drum(40))
+            .0
+            .into_iter()
+            .map(|spec| {
+                let (shard, mut engine) = spawn_shard(vec![spec]).unwrap();
+                (shard, engine.remove(0))
+            })
+            .unzip();
+        engines[0].publish(Bytes::from_static(b"hello udp"));
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut received = [false; 6];
         received[0] = true;
         while Instant::now() < deadline && received.iter().any(|r| !r) {
-            for (i, h) in handles.iter().enumerate() {
-                for d in h.take_delivered() {
+            for (i, e) in engines.iter().enumerate() {
+                for d in e.take_delivered() {
                     assert_eq!(d.message.payload, Bytes::from_static(b"hello udp"));
                     received[i] = true;
                 }
@@ -1164,31 +996,30 @@ mod tests {
         for (i, r) in received.iter().enumerate() {
             assert!(*r, "process {i} never received the message");
         }
-        for h in handles {
-            let stats = h.shutdown();
-            assert!(stats.rounds > 0);
+        for shard in shards {
+            let stats = shard.shutdown();
+            assert!(stats.len() == 1 && stats[0].rounds > 0);
         }
     }
 
     #[test]
     fn push_only_disseminates_over_udp() {
-        let handles = cluster(5, GossipConfig::push(), 40);
-        handles[0].publish(Bytes::from_static(b"push"));
+        let config = NetConfig::new(GossipConfig::push()).with_round(Duration::from_millis(40));
+        let (shard, engines) = cluster(5, 99, config);
+        engines[0].publish(Bytes::from_static(b"push"));
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut got = 0;
         while Instant::now() < deadline && got < 4 {
-            got += handles[1..]
+            got += engines[1..]
                 .iter()
-                .map(|h| h.take_delivered().len())
+                .map(|e| e.take_delivered().len())
                 .sum::<usize>();
             std::thread::sleep(Duration::from_millis(25));
         }
         // At least some processes must have it quickly; exact counts are
         // timing dependent.
         assert!(got > 0, "nobody received the pushed message");
-        for h in handles {
-            h.shutdown();
-        }
+        shard.shutdown();
     }
 
     #[test]
@@ -1202,45 +1033,15 @@ mod tests {
 
     #[test]
     fn lossy_links_slow_but_do_not_stop_dissemination() {
-        let key_store = KeyStore::new(5);
-        let members: Vec<ProcessId> = (0..5).map(ProcessId).collect();
-        let mut socks = Vec::new();
-        let mut entries = Vec::new();
-        for &m in &members {
-            let (s, addrs) = WellKnownSockets::bind().unwrap();
-            socks.push((m, s));
-            entries.push((m, addrs));
-        }
-        let book = AddressBook::new(entries);
-        let handles: Vec<ProcessHandle> = socks
-            .into_iter()
-            .map(|(m, sockets)| {
-                let my_key = key_store.register(m.as_u64());
-                spawn_process(ProcessSpec {
-                    me: m,
-                    members: members.clone(),
-                    book: book.clone(),
-                    key_store: key_store.clone(),
-                    my_key,
-                    sockets,
-                    ablation: None,
-                    config: NetConfig::new(GossipConfig::drum())
-                        .with_round(Duration::from_millis(40))
-                        .with_loss(0.2),
-                    seed: seed_of(m),
-                })
-                .unwrap()
-            })
-            .collect();
-
-        handles[0].publish(Bytes::from_static(b"lossy"));
+        let (shard, engines) = cluster(5, 5, drum(40).with_loss(0.2));
+        engines[0].publish(Bytes::from_static(b"lossy"));
         let deadline = Instant::now() + Duration::from_secs(20);
         let mut reached = 0;
         let mut seen = [false; 5];
         seen[0] = true;
         while Instant::now() < deadline && reached < 5 {
-            for (i, h) in handles.iter().enumerate() {
-                if !h.take_delivered().is_empty() {
+            for (i, e) in engines.iter().enumerate() {
+                if !e.take_delivered().is_empty() {
                     seen[i] = true;
                 }
             }
@@ -1248,9 +1049,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(reached, 5, "20% loss must not stop dissemination");
-        for h in handles {
-            h.shutdown();
-        }
+        shard.shutdown();
     }
 
     #[test]
@@ -1259,41 +1058,11 @@ mod tests {
 
         let sink = Arc::new(MemorySink::new());
         let tracer = Tracer::new(sink.clone());
+        let (shard, engines) = cluster(4, 7, drum(30).with_tracer(tracer.clone()));
 
-        let key_store = KeyStore::new(7);
-        let members: Vec<ProcessId> = (0..4).map(ProcessId).collect();
-        let mut socks = Vec::new();
-        let mut entries = Vec::new();
-        for &m in &members {
-            let (s, addrs) = WellKnownSockets::bind().unwrap();
-            socks.push((m, s));
-            entries.push((m, addrs));
-        }
-        let book = AddressBook::new(entries);
-        let handles: Vec<ProcessHandle> = socks
-            .into_iter()
-            .map(|(m, sockets)| {
-                let my_key = key_store.register(m.as_u64());
-                spawn_process(ProcessSpec {
-                    me: m,
-                    members: members.clone(),
-                    book: book.clone(),
-                    key_store: key_store.clone(),
-                    my_key,
-                    sockets,
-                    ablation: None,
-                    config: NetConfig::new(GossipConfig::drum())
-                        .with_round(Duration::from_millis(30))
-                        .with_tracer(tracer.clone()),
-                    seed: seed_of(m),
-                })
-                .unwrap()
-            })
-            .collect();
-
-        handles[0].publish(Bytes::from_static(b"traced"));
+        engines[0].publish(Bytes::from_static(b"traced"));
         std::thread::sleep(Duration::from_millis(400));
-        let stats: Vec<NetStats> = handles.into_iter().map(|h| h.shutdown()).collect();
+        let stats = shard.shutdown();
 
         // Registry counters aggregate across all four processes and must
         // agree with the per-process stats the runtime reports.
@@ -1330,66 +1099,35 @@ mod tests {
 
     #[test]
     fn garbage_datagrams_counted_not_fatal() {
-        // Built by hand (not via `cluster`) so the address book is in scope
-        // and garbage can be aimed at real well-known ports.
-        let key_store = KeyStore::new(99);
-        let members: Vec<ProcessId> = (0..2).map(ProcessId).collect();
-        let mut socks = Vec::new();
-        let mut entries = Vec::new();
-        for &m in &members {
-            let (s, addrs) = WellKnownSockets::bind().unwrap();
-            socks.push((m, s));
-            entries.push((m, addrs));
-        }
-        let book = AddressBook::new(entries);
+        let (specs, book) = specs(2, 99, drum(30));
         let p0 = book.addrs_of(ProcessId(0)).unwrap();
-        let (p0_pull, p0_push) = (p0.pull, p0.push);
-        let handles: Vec<ProcessHandle> = socks
-            .into_iter()
-            .map(|(m, sockets)| {
-                let my_key = key_store.register(m.as_u64());
-                spawn_process(ProcessSpec {
-                    me: m,
-                    members: members.clone(),
-                    book: book.clone(),
-                    key_store: key_store.clone(),
-                    my_key,
-                    sockets,
-                    ablation: None,
-                    config: NetConfig::new(GossipConfig::drum())
-                        .with_round(Duration::from_millis(30)),
-                    seed: seed_of(m),
-                })
-                .unwrap()
-            })
-            .collect();
+        let (shard, engines) = spawn_shard(specs).unwrap();
 
         // Blast malformed datagrams at p0's well-known ports while a real
         // multicast is in flight: empty, truncated, bad-tag, and oversized
         // junk must all be counted as decode errors, never crash the
         // process or stop dissemination.
         let sender = bind_ephemeral().unwrap();
-        handles[0].publish(Bytes::from_static(b"still works"));
+        engines[0].publish(Bytes::from_static(b"still works"));
         let garbage: [&[u8]; 4] = [b"", b"\xFF", b"\x01\x02\x03", &[0xAAu8; 512]];
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut p1_got = false;
         while Instant::now() < deadline && !p1_got {
             for junk in garbage {
-                let _ = sender.send_to(junk, p0_pull);
-                let _ = sender.send_to(junk, p0_push);
+                let _ = sender.send_to(junk, p0.pull);
+                let _ = sender.send_to(junk, p0.push);
             }
-            p1_got = !handles[1].take_delivered().is_empty();
+            p1_got = !engines[1].take_delivered().is_empty();
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(p1_got, "dissemination must survive the garbage flood");
 
-        let mut handles = handles.into_iter();
-        let s0 = handles.next().unwrap().shutdown();
-        let s1 = handles.next().unwrap().shutdown();
-        assert!(s0.rounds > 0 && s1.rounds > 0);
+        let stats = shard.shutdown();
+        assert!(stats[0].rounds > 0 && stats[1].rounds > 0);
         assert!(
-            s0.decode_errors > 0,
-            "p0 must have counted the malformed datagrams: {s0:?}"
+            stats[0].decode_errors > 0,
+            "p0 must have counted the malformed datagrams: {:?}",
+            stats[0]
         );
     }
 
@@ -1398,26 +1136,8 @@ mod tests {
         use drum_core::engine::PortOracle;
         use drum_crypto::multiway::LaneStats;
 
-        // One hand-driven node, so the test can open a pool port itself.
-        let key_store = KeyStore::new(3);
-        let (sockets, addrs) = WellKnownSockets::bind().unwrap();
-        let (_publish_tx, publish_rx) = channel();
-        let (delivered_tx, delivered_rx) = channel();
-        let mut core = NodeCore::new(
-            ProcessSpec {
-                me: ProcessId(0),
-                members: (0..2).map(ProcessId).collect(),
-                book: AddressBook::new([(ProcessId(0), addrs)]),
-                my_key: key_store.register(0),
-                key_store,
-                sockets,
-                ablation: None,
-                config: NetConfig::new(GossipConfig::drum()),
-                seed: 11,
-            },
-            publish_rx,
-            delivered_tx,
-        );
+        // Hand-driven, so the test can open a pool port itself.
+        let (mut core, delivered_rx, _peer) = lone_core(11);
         let send_socket = bind_ephemeral().unwrap();
         let mut tx = BatchTx::new();
         let mut rx = BatchRx::new(codec::MAX_WIRE_LEN + 1);
@@ -1463,6 +1183,38 @@ mod tests {
             (stats.frames_sent, stats.framed_msgs, stats.frames_rejected),
             (0, 0, 0)
         );
+    }
+
+    #[test]
+    fn same_seed_cores_draw_identical_jitter_streams() {
+        // A node's RNG stream is a function of its seed alone: what fixed-
+        // seed runs of any driver rest on.
+        let gaps = |seed: u64| -> Vec<Duration> {
+            let (mut core, _delivered_rx, _peer) = lone_core(seed);
+            let t0 = Instant::now();
+            let mut prev = t0;
+            (0..32)
+                .map(|_| {
+                    let next = core.next_deadline(prev, t0);
+                    let gap = next - prev;
+                    prev = next;
+                    gap
+                })
+                .collect()
+        };
+        let x = gaps(42);
+        let y = gaps(42);
+        let z = gaps(43);
+        assert_eq!(x, y, "same seed must reproduce the jitter stream");
+        assert_ne!(x, z, "different seeds must not share a jitter stream");
+        // Jitter bounds: every gap within round × [1 − j, 1 + j].
+        let round = Duration::from_millis(100);
+        for gap in &x {
+            assert!(
+                *gap >= round.mul_f64(0.8) && *gap <= round.mul_f64(1.2),
+                "gap {gap:?} outside jitter bounds"
+            );
+        }
     }
 
     #[test]
@@ -1552,38 +1304,11 @@ mod tests {
         use drum_core::digest::Digest;
         use drum_core::message::PortRef;
 
-        let key_store = KeyStore::new(13);
-        let members: Vec<ProcessId> = (0..2).map(ProcessId).collect();
-        let mut socks = Vec::new();
-        let mut entries = Vec::new();
-        for &m in &members {
-            let (s, addrs) = WellKnownSockets::bind().unwrap();
-            socks.push((m, s));
-            entries.push((m, addrs));
-        }
-        let book = AddressBook::new(entries);
+        let (specs, book) = specs(2, 13, drum(40));
         let p0_pull = book.addrs_of(ProcessId(0)).unwrap().pull;
-        let handles: Vec<ProcessHandle> = socks
-            .into_iter()
-            .map(|(m, sockets)| {
-                let my_key = key_store.register(m.as_u64());
-                spawn_process(ProcessSpec {
-                    me: m,
-                    members: members.clone(),
-                    book: book.clone(),
-                    key_store: key_store.clone(),
-                    my_key,
-                    sockets,
-                    ablation: None,
-                    config: NetConfig::new(GossipConfig::drum())
-                        .with_round(Duration::from_millis(40)),
-                    seed: seed_of(m),
-                })
-                .unwrap()
-            })
-            .collect();
+        let (shard, engines) = spawn_shard(specs).unwrap();
 
-        handles[0].publish(Bytes::from_static(b"cadence"));
+        engines[0].publish(Bytes::from_static(b"cadence"));
         // A dead socket keeps fabricated replies addressable without ICMP
         // noise; the flood itself is valid-looking pull-requests.
         let dead = bind_ephemeral().unwrap();
@@ -1604,10 +1329,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         let elapsed = started.elapsed();
-        let stats = handles
-            .into_iter()
-            .map(|h| h.shutdown())
-            .collect::<Vec<_>>();
+        let stats = shard.shutdown();
         let nominal = elapsed.as_millis() as u64 / 40;
         assert!(
             stats[0].received > 0,
@@ -1634,31 +1356,14 @@ mod tests {
         // allocation failed would send). The engine answers the pull
         // request, the runtime cannot address the reply — the drop must be
         // counted, in the per-node stats and the registry.
-        let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer::new(sink);
-        let key_store = KeyStore::new(3);
-        let members: Vec<ProcessId> = (0..2).map(ProcessId).collect();
-        let (sockets, addrs) = WellKnownSockets::bind().unwrap();
-        let pull_addr = addrs.pull;
-        let book = AddressBook::new([(ProcessId(0), addrs)]);
-        let my_key = key_store.register(0);
-        let handle = spawn_process(ProcessSpec {
-            me: ProcessId(0),
-            members,
-            book,
-            key_store: key_store.clone(),
-            my_key,
-            sockets,
-            ablation: None,
-            config: NetConfig::new(GossipConfig::drum())
-                .with_round(Duration::from_millis(20))
-                .with_tracer(tracer.clone()),
-            seed: 11,
-        })
-        .unwrap();
+        let tracer = Tracer::new(Arc::new(MemorySink::new()));
+        let (mut specs, book) = specs(2, 3, drum(20).with_tracer(tracer.clone()));
+        let pull_addr = book.addrs_of(ProcessId(0)).unwrap().pull;
+        let _silent_peer = specs.pop();
+        let (shard, engines) = spawn_shard(specs).unwrap();
 
         // Give the node something to serve, then pull with reply port 0.
-        handle.publish(Bytes::from_static(b"served"));
+        engines[0].publish(Bytes::from_static(b"served"));
         let sender = bind_ephemeral().unwrap();
         let req = codec::encode(&GossipMessage::PullRequest {
             from: ProcessId(1),
@@ -1673,10 +1378,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             counted = tracer.registry().counter(names::NET_ALLOC_FAILED).get() > 0;
         }
-        let stats = handle.shutdown();
+        let stats = shard.shutdown();
         assert!(
-            counted && stats.alloc_failed > 0,
-            "the dropped reply must be counted: {stats:?}"
+            counted && stats[0].alloc_failed > 0,
+            "the dropped reply must be counted: {:?}",
+            stats[0]
         );
     }
 }

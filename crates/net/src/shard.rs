@@ -1,27 +1,25 @@
-//! The sharded (multiplexed) runtime: one event loop drives many engines.
+//! The driver: one event loop steps a shard of [`NodeCore`]s.
 //!
-//! A *shard* owns N [`NodeCore`]s on a single OS thread. Every receive
-//! socket of every engine is registered in one shared epoll instance with
-//! a token of `pack_token(engine, class)`, so a readiness event routes
-//! straight to the owning engine's drain for exactly that channel — one
-//! epoll wakeup serves datagram work for many engines. An engine's
-//! rotating random-port pool is one registration: the pool keeps its
-//! sockets in an inner epoll and receives only on the readable ones (see
-//! [`crate::transport::SocketPool`]). Round starts fire from a per-shard
-//! [`TimerWheel`] (a binary heap of fixed-cadence deadlines), replacing N
-//! per-thread sleeps: the loop blocks for exactly the time to the earliest
-//! deadline across all engines (`epoll_pwait2`, nanosecond timeout) or
-//! until any socket is readable. The thread therefore wakes once per round
-//! tick and once per burst of datagrams — its CPU follows the work it
-//! serves, not wall time × live sockets.
+//! A *shard* owns N nodes — one is a process on a thread of its own, a
+//! thousand is a cluster on a handful of threads — on a single OS thread.
+//! Every receive socket of every engine is registered in one shared epoll
+//! instance with a token of `pack_token(engine, class)`, so a readiness
+//! event routes straight to the owning engine's drain for exactly that
+//! channel — one epoll wakeup serves datagram work for many engines. An
+//! engine's rotating random-port pool is one registration: the pool keeps
+//! its sockets in an inner epoll and receives only on the readable ones
+//! (see [`crate::transport::SocketPool`]). Round starts fire from a
+//! per-shard [`TimerWheel`] (a binary heap of fixed-cadence deadlines): the
+//! loop blocks for exactly the time to the earliest deadline across all
+//! engines (`epoll_pwait2`, nanosecond timeout) or until any socket is
+//! readable. The thread therefore wakes once per round tick and once per
+//! burst of datagrams — its CPU follows the work it serves, not wall time
+//! × live sockets. An engine holds ~25 descriptors (DESIGN.md §16 has the
+//! budget).
 //!
-//! Behavior is decision-equivalent to the per-thread runtime: both drive
-//! the same [`NodeCore`] methods in the same order, with the same
-//! per-engine RNG streams (`tests/shard_equivalence.rs` pins this, the
-//! same recipe as the batched-I/O equivalence suite). This lifts real-UDP
-//! single-process clusters from ~50 threads to 1,000+ engines (ROADMAP
-//! item 1) on a handful of shard threads instead of a thousand; an engine
-//! holds ~25 descriptors (DESIGN.md §16 has the budget).
+//! Without an epoll (targets that have none, or a failed setup) the same
+//! loop drains every channel of every engine and sleeps
+//! [`crate::runtime::NetConfig::poll`] between passes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,15 +36,15 @@ use drum_core::ids::ProcessId;
 use drum_trace::{names, Counter};
 
 use crate::codec;
-use crate::runtime::{
-    seed_of, unpack_token, Delivery, NetStats, NodeCore, ProcessSpec, EPOLL_WAIT_CAP,
-};
+use crate::runtime::{unpack_token, Delivery, NetStats, NodeCore, ProcessSpec};
 use crate::sys;
 use crate::transport::{bind_ephemeral, BatchRx, BatchTx};
 
-// `seed_of` is pulled in so rustdoc links resolve; it is also the seed
-// convention shard clusters share with the per-thread mode.
-const _: fn(ProcessId) -> u64 = seed_of;
+/// Upper bound on a single epoll wait of the event loop. A wait is
+/// otherwise exactly as long as the time to the next round deadline; the
+/// cap only bounds how long a stop request can go unnoticed, at the price
+/// of at most 40 extra wakeups per second on an idle shard.
+const EPOLL_WAIT_CAP: Duration = Duration::from_millis(25);
 
 /// A binary heap of fixed-cadence round deadlines, one live entry per
 /// engine. Deadlines pop in nondecreasing order; ties break on the lower
@@ -91,9 +89,8 @@ impl TimerWheel {
     }
 }
 
-/// One engine's application-facing channels within a shard — the sharded
-/// counterpart of [`crate::runtime::ProcessHandle`] (minus the join: the
-/// shard thread owns shutdown for all of its engines).
+/// One engine's application-facing channels. The [`ShardHandle`] owns
+/// shutdown for all engines of its shard.
 #[derive(Debug)]
 pub struct EngineHandle {
     id: ProcessId,
@@ -136,15 +133,25 @@ pub struct ShardHandle {
 }
 
 impl ShardHandle {
+    /// Asks the shard to stop without waiting for it, so several shards
+    /// can wind down at once before [`ShardHandle::shutdown`] joins them.
+    pub(crate) fn request_stop(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+    }
+
     /// Signals the shard to stop and waits for it; returns each engine's
     /// final stats, in the order the specs were passed to [`spawn_shard`].
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the shard thread.
     pub fn shutdown(mut self) -> Vec<NetStats> {
-        self.stop.store(true, Ordering::Relaxed);
+        self.request_stop();
         self.join
             .take()
             .expect("shutdown called once")
             .join()
-            .unwrap_or_default()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
@@ -156,6 +163,9 @@ impl Drop for ShardHandle {
         }
     }
 }
+
+/// One engine's spec and the shard-side ends of its application channels.
+type Lane = (ProcessSpec, Receiver<Bytes>, Sender<Delivery>);
 
 /// The single-threaded state of one shard: N nodes, their shared send
 /// socket and I/O batchers, the shared epoll instance, and the timer
@@ -191,7 +201,18 @@ impl ShardCore {
     ///
     /// Returns an [`io::Error`] if `lanes` is empty or the send socket
     /// cannot be bound.
-    pub fn new(lanes: Vec<(ProcessSpec, Receiver<Bytes>, Sender<Delivery>)>) -> io::Result<Self> {
+    pub fn new(lanes: Vec<Lane>) -> io::Result<Self> {
+        Self::build(lanes, true)
+    }
+
+    /// A shard that never sets up an epoll, pools included: what
+    /// [`ShardCore::new`] yields on targets without one.
+    #[cfg(test)]
+    fn without_epoll(lanes: Vec<Lane>) -> io::Result<Self> {
+        Self::build(lanes, false)
+    }
+
+    fn build(lanes: Vec<Lane>, epoll: bool) -> io::Result<Self> {
         let first = lanes
             .first()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty shard"))?;
@@ -202,16 +223,16 @@ impl ShardCore {
             .into_iter()
             .map(|(spec, publish_rx, delivered_tx)| NodeCore::new(spec, publish_rx, delivered_tx))
             .collect();
-        let epoll = if sys::enabled() {
-            sys::Epoll::new().ok().map(Arc::new).filter(|ep| {
+        let epoll = epoll
+            .then(sys::Epoll::new)
+            .and_then(Result::ok)
+            .map(Arc::new)
+            .filter(|ep| {
                 nodes
                     .iter_mut()
                     .enumerate()
                     .all(|(i, n)| n.register_tagged(ep, i))
-            })
-        } else {
-            None
-        };
+            });
         Ok(ShardCore {
             nodes,
             send_socket,
@@ -277,7 +298,7 @@ impl ShardCore {
     }
 
     /// One I/O pass: block until any socket is readable or the earliest
-    /// wheel deadline arrives (capped like the per-thread loop), then
+    /// wheel deadline arrives (capped at `EPOLL_WAIT_CAP`), then
     /// dispatch each ready token to the owning engine's channel drain.
     /// `now` must be a fresh reading taken after [`ShardCore::fire_due`]:
     /// the wait is the whole time from `now` to that deadline. On the
@@ -380,6 +401,24 @@ impl ShardCore {
     }
 }
 
+/// Opens each spec's application channels: the shard keeps the lane, the
+/// caller the handle.
+fn lanes(specs: Vec<ProcessSpec>) -> (Vec<Lane>, Vec<EngineHandle>) {
+    specs
+        .into_iter()
+        .map(|spec| {
+            let (publish_tx, publish_rx) = channel::<Bytes>();
+            let (delivered_tx, delivered_rx) = channel::<Delivery>();
+            let engine = EngineHandle {
+                id: spec.me,
+                publish_tx,
+                delivered_rx,
+            };
+            ((spec, publish_rx, delivered_tx), engine)
+        })
+        .unzip()
+}
+
 /// Spawns one shard thread multiplexing every engine in `specs`; returns
 /// the shard handle plus one [`EngineHandle`] per spec, in order.
 ///
@@ -388,18 +427,7 @@ impl ShardCore {
 /// Returns an [`io::Error`] if `specs` is empty or the shard's shared
 /// send socket cannot be bound.
 pub fn spawn_shard(specs: Vec<ProcessSpec>) -> io::Result<(ShardHandle, Vec<EngineHandle>)> {
-    let mut lanes = Vec::with_capacity(specs.len());
-    let mut engines = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let (publish_tx, publish_rx) = channel::<Bytes>();
-        let (delivered_tx, delivered_rx) = channel::<Delivery>();
-        engines.push(EngineHandle {
-            id: spec.me,
-            publish_tx,
-            delivered_rx,
-        });
-        lanes.push((spec, publish_rx, delivered_tx));
-    }
+    let (lanes, engines) = lanes(specs);
     let name = format!(
         "drum-shard-{}x{}",
         engines.first().map(|e| e.id.as_u64()).unwrap_or(0),
@@ -429,10 +457,9 @@ pub fn spawn_shard(specs: Vec<ProcessSpec>) -> io::Result<(ShardHandle, Vec<Engi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::tests::specs;
     use crate::runtime::{pack_token, ChannelClass, NetConfig};
-    use crate::transport::{AddressBook, WellKnownSockets};
     use drum_core::config::GossipConfig;
-    use drum_crypto::keys::KeyStore;
     use drum_testkit::prop::{check, Config, Gen};
     use drum_testkit::prop_assert;
 
@@ -515,37 +542,11 @@ mod tests {
         assert_eq!(unpack_token((5 << 3) | 6), (5, None));
     }
 
-    fn shard_cluster(n: u64, round_ms: u64) -> (ShardHandle, Vec<EngineHandle>) {
-        spawn_shard(shard_specs(n, round_ms, drum_trace::Tracer::disabled())).unwrap()
-    }
-
     fn shard_specs(n: u64, round_ms: u64, tracer: drum_trace::Tracer) -> Vec<ProcessSpec> {
-        let key_store = KeyStore::new(41);
-        let members: Vec<ProcessId> = (0..n).map(ProcessId).collect();
-        let mut socks = Vec::new();
-        let mut entries = Vec::new();
-        for &m in &members {
-            let (s, addrs) = WellKnownSockets::bind().unwrap();
-            socks.push((m, s));
-            entries.push((m, addrs));
-        }
-        let book = AddressBook::new(entries);
-        socks
-            .into_iter()
-            .map(|(m, sockets)| ProcessSpec {
-                me: m,
-                members: members.clone(),
-                book: book.clone(),
-                key_store: key_store.clone(),
-                my_key: key_store.register(m.as_u64()),
-                sockets,
-                ablation: None,
-                config: NetConfig::new(GossipConfig::drum())
-                    .with_round(Duration::from_millis(round_ms))
-                    .with_tracer(tracer.clone()),
-                seed: seed_of(m),
-            })
-            .collect()
+        let config = NetConfig::new(GossipConfig::drum())
+            .with_round(Duration::from_millis(round_ms))
+            .with_tracer(tracer);
+        specs(n, 41, config).0
     }
 
     /// The event loop wakes for round ticks and for datagrams, not for
@@ -572,7 +573,8 @@ mod tests {
 
     #[test]
     fn sharded_drum_disseminates_over_udp() {
-        let (shard, engines) = shard_cluster(6, 40);
+        let (shard, engines) =
+            spawn_shard(shard_specs(6, 40, drum_trace::Tracer::disabled())).unwrap();
         engines[0].publish(Bytes::from_static(b"hello shard"));
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut received = [false; 6];
@@ -594,6 +596,32 @@ mod tests {
         for s in &stats {
             assert!(s.rounds > 0, "every engine must have run rounds: {s:?}");
         }
+    }
+
+    /// The loop of a target without epoll — no shard epoll, pools that
+    /// scan — which no Linux cluster reaches by itself: every pass drains
+    /// every channel of every engine, then sleeps one poll interval.
+    #[test]
+    fn shard_without_epoll_disseminates_by_sleep_polling() {
+        let (lanes, engines) = lanes(shard_specs(5, 20, drum_trace::Tracer::disabled()));
+        let mut core = ShardCore::without_epoll(lanes).unwrap();
+        assert!(!core.dispatching());
+        engines[0].publish(Bytes::from_static(b"polled"));
+        core.start_all(Instant::now());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut received = [false; 5];
+        received[0] = true;
+        while Instant::now() < deadline && received.iter().any(|r| !r) {
+            core.fire_due(Instant::now());
+            core.poll_io(Instant::now());
+            for (i, e) in engines.iter().enumerate() {
+                received[i] |= !e.take_delivered().is_empty();
+            }
+        }
+        assert!(received.iter().all(|r| *r), "unreached: {received:?}");
+        let stats = core.into_stats();
+        assert_eq!(stats.len(), 5);
+        assert!(stats.iter().all(|s| s.rounds > 0 && s.syscalls_recv > 0));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! unsafe island of drum-net**: everything it exports is a safe API over
 //! caller-owned arenas, `lib.rs` denies `unsafe_code` crate-wide and allows
 //! it for this module alone, and every caller keeps a portable per-datagram
-//! fallback (used on non-Linux targets and under `DRUM_NET_NO_BATCH=1`)
-//! that makes the exact same accept/drop decisions.
+//! fallback (the one path of non-Linux targets) that makes the exact same
+//! accept/drop decisions.
 //!
 //! Layout notes (see DESIGN.md §14): `mmsghdr`/`iovec`/`sockaddr_in` are
 //! declared here with `#[repr(C)]` matching the Linux UAPI; the arenas own
@@ -46,9 +46,9 @@ pub const BATCH: usize = 64;
 /// level-triggered registration re-reports them on the next call.
 pub const EVENT_BATCH: usize = 64;
 
-/// Whether this build target supports the batched syscall path at all
-/// (Linux on x86-64 or aarch64). A `false` here means every [`enabled`]
-/// check is `false` and the arenas are inert stubs.
+/// Whether this build target has the batched syscall path (Linux on
+/// x86-64 or aarch64) — a property of the platform, not a setting. Where
+/// it is `false` the arenas and [`Epoll`] are inert stubs.
 pub const fn available() -> bool {
     cfg!(all(
         target_os = "linux",
@@ -56,18 +56,9 @@ pub const fn available() -> bool {
     ))
 }
 
-/// Whether batched I/O is in effect: the target supports it *and* the
-/// `DRUM_NET_NO_BATCH` environment variable is unset/empty/`0`. Cached on
-/// first call, so the whole process commits to one mode.
-pub fn enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        available()
-            && !matches!(
-                std::env::var("DRUM_NET_NO_BATCH").as_deref(),
-                Ok("1") | Ok("true")
-            )
-    })
+/// [`available`], under the name `benchmark/` compiles against.
+pub const fn enabled() -> bool {
+    available()
 }
 
 pub use imp::{
@@ -782,8 +773,7 @@ mod imp {
     /// channels [`Epoll::wait_tagged_for`] reports; a random-port pool
     /// keeps its sockets in an epoll of its own, nested in the driver's
     /// through [`Epoll::add_epoll_tagged`], and receives only on the
-    /// sockets that one reports. The per-thread runtime registers with
-    /// [`Epoll::add`] and uses the wakeup alone.
+    /// sockets that one reports.
     #[derive(Debug)]
     pub struct Epoll {
         fd: i32,
@@ -822,23 +812,13 @@ mod imp {
             check(ret).map(|_| ())
         }
 
-        /// Registers `socket` for readability wakeups. Sockets deregister
-        /// themselves when closed (the kernel removes a closed descriptor
-        /// from every epoll set), so there is no `del`.
-        ///
-        /// # Errors
-        ///
-        /// Propagates the kernel error.
-        pub fn add(&self, socket: &UdpSocket) -> io::Result<()> {
-            self.add_tagged(socket, socket.as_raw_fd() as u64)
-        }
-
-        /// Registers `socket` for readability wakeups with an explicit
-        /// event token. The sharded runtime packs an engine index and a
-        /// channel class into the token so one wait can route each ready
-        /// socket straight to the engine that owns it (see
-        /// [`Epoll::wait_tagged_for`]); [`Epoll::add`] is the form for
-        /// callers that discard the events.
+        /// Registers `socket` for readability wakeups under an event
+        /// token. The sharded runtime packs an engine index and a channel
+        /// class into the token so one wait can route each ready socket
+        /// straight to the engine that owns it (see
+        /// [`Epoll::wait_tagged_for`]). Sockets deregister themselves when
+        /// closed (the kernel removes a closed descriptor from every epoll
+        /// set), so there is no `del`.
         ///
         /// # Errors
         ///
@@ -918,19 +898,8 @@ mod imp {
         /// Blocks until any registered descriptor is readable or `timeout`
         /// elapses — exactly, not to the millisecond, so a caller can hand
         /// it the time to its next deadline and never spin through a
-        /// sub-millisecond remainder. Returns the number of ready
-        /// descriptors (possibly `0` on timeout or interrupt).
-        ///
-        /// # Errors
-        ///
-        /// Propagates kernel errors other than `EINTR`.
-        pub fn wait_for(&self, timeout: Duration) -> io::Result<usize> {
-            let mut events = [EpollEvent { events: 0, data: 0 }; 16];
-            self.pwait(&mut events, timeout, false)
-        }
-
-        /// Like [`Epoll::wait_for`], but appends the registration token of
-        /// every ready descriptor to `out` so the caller can drain only
+        /// sub-millisecond remainder — and appends the registration token
+        /// of every ready descriptor to `out`, so the caller can drain only
         /// what the kernel reported. One call surfaces at most
         /// [`EVENT_BATCH`] tokens; level-triggered semantics re-report
         /// anything still readable on the next call, so a shard serving
@@ -970,16 +939,6 @@ mod imp {
             // x86-64 layout, so never take a ref.
             out.extend(events.iter().take(n).map(|ev| { *ev }.data));
             Ok(n)
-        }
-
-        /// [`Epoll::wait_for`] with a whole-millisecond timeout (negative
-        /// counts as zero).
-        ///
-        /// # Errors
-        ///
-        /// Propagates kernel errors other than `EINTR`.
-        pub fn wait(&self, timeout_ms: i32) -> io::Result<usize> {
-            self.wait_for(Duration::from_millis(timeout_ms.max(0) as u64))
         }
 
         /// [`Epoll::wait_tagged_for`] with a whole-millisecond timeout
@@ -1057,7 +1016,7 @@ mod imp {
             RecvArena
         }
 
-        /// Always fails: the caller should have checked [`super::enabled`].
+        /// Always fails: the caller should have checked [`super::available`].
         pub fn recv(&mut self, _fd: i32) -> io::Result<usize> {
             Err(unsupported())
         }
@@ -1093,7 +1052,7 @@ mod imp {
             false
         }
 
-        /// Unreachable on this target (callers gate on [`super::enabled`]).
+        /// Unreachable on this target (callers gate on [`super::available`]).
         pub fn push(&mut self, _dest: SockAddrV4Raw, _payload: &[u8]) {}
 
         /// Unreachable on this target.
@@ -1116,11 +1075,6 @@ mod imp {
         }
 
         /// Unreachable on this target.
-        pub fn add(&self, _socket: &UdpSocket) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        /// Unreachable on this target.
         pub fn add_tagged(&self, _socket: &UdpSocket, _token: u64) -> io::Result<()> {
             Err(unsupported())
         }
@@ -1131,21 +1085,11 @@ mod imp {
         }
 
         /// Unreachable on this target.
-        pub fn wait_for(&self, _timeout: Duration) -> io::Result<usize> {
-            Err(unsupported())
-        }
-
-        /// Unreachable on this target.
         pub fn wait_tagged_for(
             &self,
             _timeout: Duration,
             _out: &mut Vec<u64>,
         ) -> io::Result<usize> {
-            Err(unsupported())
-        }
-
-        /// Unreachable on this target.
-        pub fn wait(&self, _timeout_ms: i32) -> io::Result<usize> {
             Err(unsupported())
         }
 
@@ -1265,18 +1209,20 @@ mod tests {
     fn epoll_wakes_on_datagram_and_times_out_when_quiet() {
         let (rx, tx) = pair();
         let ep = Epoll::new().unwrap();
-        ep.add(&rx).unwrap();
+        ep.add_tagged(&rx, 7).unwrap();
+        let mut tokens = Vec::new();
 
         // Quiet socket: wait should time out (allow generous slack).
         let t0 = Instant::now();
-        assert_eq!(ep.wait(30).unwrap(), 0);
+        assert_eq!(ep.wait_tagged(30, &mut tokens).unwrap(), 0);
         assert!(t0.elapsed() >= Duration::from_millis(20));
 
-        // Data pending: wait returns promptly with a ready fd.
+        // Data pending: wait returns promptly with the ready token.
         tx.send_to(b"wake", rx.local_addr().unwrap()).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         let t0 = Instant::now();
-        assert!(ep.wait(5_000).unwrap() >= 1);
+        assert_eq!(ep.wait_tagged(5_000, &mut tokens).unwrap(), 1);
+        assert_eq!(tokens, [7]);
         assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
@@ -1364,15 +1310,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         drop(inner);
         assert_eq!(outer.wait_tagged(0, &mut tokens).unwrap(), 0);
-    }
-
-    #[test]
-    fn enabled_respects_target_support() {
-        assert!(available());
-        // `enabled()` may be false if the test runner exported
-        // DRUM_NET_NO_BATCH; it must never be true without support.
-        if enabled() {
-            assert!(available());
-        }
     }
 }

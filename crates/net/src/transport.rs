@@ -32,18 +32,12 @@ use crate::sys;
 /// Batched datagram receiver with a per-datagram fallback.
 ///
 /// In batched mode one `recvmmsg(2)` call drains up to [`sys::BATCH`]
-/// datagrams into a fixed arena; in fallback mode (non-Linux targets, or
-/// `DRUM_NET_NO_BATCH=1`) the same API loops `recv_from` one datagram per
-/// syscall. Both modes hand datagrams to the caller in kernel queue order
-/// and stop at the first `WouldBlock`, so every downstream accept/drop
-/// decision is identical — only the syscall count differs, which is
-/// exactly what the running totals expose.
-///
-/// The same `DRUM_NET_NO_BATCH` knob also pins the engine's source
-/// verification to the direct per-message path on hosts where it would
-/// otherwise batch new messages through the 8-lane kernel
-/// (`drum_crypto::batch`) — syscall amortization and HMAC amortization
-/// degrade together back to the per-datagram baseline.
+/// datagrams into a fixed arena; in fallback mode (targets where
+/// [`sys::available`] is false) the same API loops `recv_from` one datagram
+/// per syscall. Both modes hand datagrams to the caller in kernel queue
+/// order and stop at the first `WouldBlock`, so every downstream
+/// accept/drop decision is identical — only the syscall count differs,
+/// which is exactly what the running totals expose.
 #[derive(Debug)]
 pub struct BatchRx {
     arena: Option<sys::RecvArena>,
@@ -53,11 +47,11 @@ pub struct BatchRx {
 }
 
 impl BatchRx {
-    /// Creates a receiver in the process-wide mode ([`sys::enabled`]).
-    /// `slot_len` bounds each received datagram, like the scratch buffer
-    /// handed to `recv_from` on the fallback path.
+    /// Creates a receiver in the target's mode: batched where
+    /// [`sys::available`]. `slot_len` bounds each received datagram, like
+    /// the scratch buffer handed to `recv_from` on the fallback path.
     pub fn new(slot_len: usize) -> Self {
-        Self::forced(slot_len, sys::enabled())
+        Self::forced(slot_len, true)
     }
 
     /// Creates a receiver with an explicit mode — the hook the
@@ -161,9 +155,10 @@ pub struct BatchTx {
 }
 
 impl BatchTx {
-    /// Creates a sender in the process-wide mode ([`sys::enabled`]).
+    /// Creates a sender in the target's mode: batched where
+    /// [`sys::available`].
     pub fn new() -> Self {
-        Self::forced(sys::enabled())
+        Self::forced(true)
     }
 
     /// Creates a sender with an explicit mode (tests/benches); batched
@@ -428,7 +423,7 @@ fn open_ephemeral() -> io::Result<(UdpSocket, u16)> {
 /// descriptor the driver's epoll watches — and [`SocketPool::drain`]
 /// receives only on the sockets that set reports, so a drain costs one
 /// `epoll_pwait` plus one `recvmmsg` per *readable* socket instead of one
-/// per *live* socket. Unattached (the per-datagram fallback), or if the
+/// per *live* socket. Unattached (a shard without epoll), or if the
 /// readiness set cannot be built, every drain scans every live socket.
 #[derive(Debug)]
 pub struct SocketPool {
@@ -477,9 +472,9 @@ impl SocketPool {
     }
 
     /// Makes `epoll` — the driver's — wake under `token` whenever a
-    /// current or future pool socket is readable. The sharded runtime
-    /// passes `pack_token(engine, ChannelClass::Pool)` so the wakeup routes
-    /// to the owning engine; the per-thread runtime never reads it.
+    /// current or future pool socket is readable. A shard passes
+    /// `pack_token(engine, ChannelClass::Pool)` so the wakeup routes to
+    /// the owning engine.
     ///
     /// The pool registers one descriptor there, its inner readiness set.
     /// If that set cannot be created or filled, each descriptor registers
@@ -1124,7 +1119,7 @@ mod tests {
         }
         let sent = tx.finish(&sender);
         assert_eq!(sent, 10);
-        if crate::sys::enabled() {
+        if crate::sys::available() {
             assert_eq!(tx.syscalls(), 1, "fan-out must be one sendmmsg");
         }
         std::thread::sleep(std::time::Duration::from_millis(30));

@@ -376,7 +376,13 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        // Under the queue lock: a worker holds it from its `shutdown` check
+        // to its `wait`, so the store cannot land in between and leave the
+        // worker asleep through the notify — and this join waiting forever.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.available.notify_all();
         for handle in lock(&self.handles).drain(..) {
             let _ = handle.join();

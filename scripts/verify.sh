@@ -116,12 +116,14 @@ awk '/^net.sockets_opened per engine-round/ { seen = 1; if ($4 > 1) bad = 1 }
 rm -f "$CLUSTER_OUT"
 phase_end "cluster"
 
-# The packing knob went with the frame layer; nothing may still read or
-# document it. (The name is spliced so this script does not match itself.)
-RETIRED_KNOB="DRUM_NET_NO""_PACK"
-phase_begin "no $RETIRED_KNOB left"
-if grep -rn "$RETIRED_KNOB" crates scripts .github README.md; then
-    echo "$RETIRED_KNOB is retired; remove the reference(s) above" >&2
+# Knobs that went with the path they selected (frame packing, the
+# per-thread runtime, the forced per-datagram mode); nothing may still read
+# or document them. (Names are spliced so this script does not match itself.)
+RETIRED_KNOBS="DRUM_NET_NO""_PACK|DRUM_NET_MULTI""PLEX|DRUM_NET_NO""_BATCH"
+phase_begin "no retired knob left"
+if grep -rnE "$RETIRED_KNOBS" crates scripts .github tests examples \
+    README.md DESIGN.md EXPERIMENTS.md; then
+    echo "retired knob(s) referenced above; remove them" >&2
     exit 1
 fi
 phase_end "retired-knob grep"
