@@ -1,21 +1,18 @@
 //! Compares a fresh `hotpath` run against the checked-in baseline and
-//! fails on regressions in the *machine-independent exact* metrics.
+//! fails on regressions.
 //!
 //! ```text
 //! bench_diff BENCH_hotpath.json /tmp/bench_current.json
 //! ```
 //!
-//! The hotpath suite mixes two kinds of comparison (see its module docs):
-//! timed paths, whose ns/op numbers track the host machine, and modeled
-//! counts — syscalls per datagram, epoll wakeups per engine, MAC verifies
-//! per datagram, scheduling spans — that are exact constants of the code
-//! for a fixed scenario. Only the second kind is diffable across machines,
-//! so this tool compares exactly those units and ignores the timed ones.
-//! CI runs it against the committed `BENCH_hotpath.json`: any exact metric
-//! getting *worse* than the baseline (beyond a float-formatting epsilon)
-//! is a regression in the mechanism the number pins down — batching
-//! silently disabled, a scheduler chunking change, a verifier cache miss —
-//! and fails the job, while wall-clock noise on shared runners cannot.
+//! Every hotpath row is an exact count — syscalls per datagram, MAC
+//! verifies per datagram, compressions per block, scheduling spans — that
+//! is a constant of the code for a fixed scenario (see its module docs),
+//! so rows diff across machines. CI runs this against the committed
+//! `BENCH_hotpath.json`: any metric getting *worse* than the baseline
+//! (beyond a float-formatting epsilon) is a regression in the mechanism
+//! the number pins down — batching silently disabled, a scheduler
+//! chunking change, a verifier cache miss — and fails the job.
 //!
 //! Exit status: 0 clean, 1 regression(s), 2 usage/parse errors. Baseline
 //! benches missing from the current run (e.g. syscall benches skipped off
@@ -25,18 +22,6 @@
 use std::process::ExitCode;
 
 use drum_metrics::json::Json;
-
-/// Units whose numbers are exact machine-independent counts (everything
-/// else in the suite is wall-clock and excluded by design).
-const EXACT_UNITS: &[&str] = &[
-    "sys/dgram",
-    "verifies/dgram",
-    "rounds",
-    "idle/job",
-    "split",
-    "merge-ops",
-    "compress-calls/block",
-];
 
 /// Slack for decimal round-tripping of the stored f64s; exact metrics
 /// differ structurally (2x, 64x), never by 0.1%.
@@ -105,13 +90,6 @@ fn main() -> ExitCode {
     let mut regressions = 0u32;
     let mut compared = 0u32;
     for base in &baseline {
-        if !EXACT_UNITS.contains(&base.unit.as_str()) {
-            println!(
-                "  {:<24} {:>14} {:>14} {:>14}  skipped (wall-clock)",
-                base.name, base.unit, "-", "-"
-            );
-            continue;
-        }
         let Some(cur) = current.iter().find(|c| c.name == base.name) else {
             println!(
                 "  {:<24} {:>14} {:>14.4} {:>14}  missing in current run",
@@ -120,7 +98,7 @@ fn main() -> ExitCode {
             continue;
         };
         compared += 1;
-        // "Worse" for every exact unit means: more of the cost per unit of
+        // "Worse" for every unit means: more of the cost per unit of
         // work (per_op up), or the seed/current ratio shrinking.
         let worse = cur.current_per_op > base.current_per_op + EPSILON
             || cur.speedup < base.speedup - EPSILON;
@@ -138,13 +116,13 @@ fn main() -> ExitCode {
     }
 
     if compared == 0 {
-        eprintln!("bench_diff: no exact metrics compared — is the current run complete?");
+        eprintln!("bench_diff: no metrics compared — is the current run complete?");
         return ExitCode::from(2);
     }
     if regressions > 0 {
-        eprintln!("bench_diff: {regressions} exact-metric regression(s)");
+        eprintln!("bench_diff: {regressions} regression(s)");
         return ExitCode::from(1);
     }
-    println!("bench_diff: {compared} exact metric(s) clean");
+    println!("bench_diff: {compared} metric(s) clean");
     ExitCode::SUCCESS
 }

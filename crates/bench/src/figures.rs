@@ -1,11 +1,10 @@
 //! Every figure of the paper as a writer-based generator.
 //!
-//! The `fig01`–`fig14` (and extension) binaries are thin wrappers around
-//! these functions, printing to stdout; `drum-lab figures` calls them
-//! with file writers to regenerate the whole `results/` directory in one
-//! process — which is what lets the simulation sweeps share the global
-//! `drum-pool` across figures instead of paying per-binary start-up and
-//! per-point join barriers.
+//! `drum-lab figures` calls these functions with file writers to
+//! regenerate the whole `results/` directory (or an `--only` subset) in
+//! one process — which is what lets the simulation sweeps share the
+//! global `drum-pool` across figures instead of paying per-point join
+//! barriers.
 //!
 //! Figures run **sequentially**; each one's sweeps saturate the pool
 //! internally, and the cluster figures (09–12) bind real UDP sockets
@@ -845,7 +844,7 @@ pub fn ext_fanout(w: &mut dyn Write) -> io::Result<()> {
 /// so the O(log n) propagation claim — and its robustness to the
 /// Figure 7 flood — can be checked two orders of magnitude further out.
 /// Trial counts shrink with n; every point is byte-identical for any
-/// `DRUM_POOL_THREADS` / `DRUM_SIM_SHARDS` setting.
+/// `DRUM_POOL_THREADS` setting and shard count.
 pub fn ext_scale(w: &mut dyn Write) -> io::Result<()> {
     banner_to(
         w,

@@ -1,13 +1,15 @@
-//! Shared harness for the figure-regeneration binaries (`fig01`–`fig14`)
-//! and the criterion benches.
+//! Figure regeneration for the Drum paper evaluation.
 //!
-//! Every binary regenerates one figure of the paper and prints the same
-//! series the paper plots. Two scales are supported:
+//! [`figures::FIGURES`] regenerates every figure of the paper, each
+//! printing the same series the paper plots; `drum-lab figures --only
+//! figNN` runs one. Three scales are supported:
 //!
+//! * **smoke** (`--quick`): the smallest runs that still exercise every
+//!   figure end to end (CI);
 //! * **quick** (default): reduced group sizes / trial counts so a full
-//!   `for f in fig*; cargo run --bin $f` pass completes in minutes;
-//! * **full** (`--full` or `DRUM_BENCH_FULL=1`): the paper's parameters
-//!   (n = 1000 simulations, 1000 trials per point, 50-process clusters).
+//!   `drum-lab figures` pass completes in minutes;
+//! * **full** (`--full`): the paper's parameters (n = 1000 simulations,
+//!   1000 trials per point, 50-process clusters).
 //!
 //! The *shape* of every result (who wins, linear vs. flat degradation,
 //! crossovers) is already visible at the quick scale; `EXPERIMENTS.md`
@@ -17,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod harness;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -34,14 +35,12 @@ pub enum Scale {
     /// Default: reduced group sizes / trial counts; every qualitative
     /// shape of the paper is already visible.
     Quick,
-    /// The paper's parameters (`--full` / `DRUM_BENCH_FULL=1`).
+    /// The paper's parameters (`--full`).
     Full,
 }
 
-/// Process-wide scale. 255 = unset: fall back to the legacy `--full`
-/// argv/env probe on first read, so the standalone fig binaries keep
-/// their historical behaviour without calling [`set_scale`].
-static SCALE: AtomicU8 = AtomicU8::new(255);
+/// Process-wide scale; [`Scale::Quick`] until [`set_scale`] says otherwise.
+static SCALE: AtomicU8 = AtomicU8::new(1);
 
 /// Overrides the scale for this process (used by `drum-lab figures`).
 pub fn set_scale(scale: Scale) {
@@ -57,24 +56,9 @@ pub fn set_scale(scale: Scale) {
 pub fn scale() -> Scale {
     match SCALE.load(Ordering::Relaxed) {
         0 => Scale::Smoke,
-        1 => Scale::Quick,
         2 => Scale::Full,
-        _ => {
-            if full_scale() {
-                Scale::Full
-            } else {
-                Scale::Quick
-            }
-        }
+        _ => Scale::Quick,
     }
-}
-
-/// Whether the binary was invoked at full (paper) scale.
-pub fn full_scale() -> bool {
-    std::env::args().any(|a| a == "--full")
-        || std::env::var("DRUM_BENCH_FULL")
-            .map(|v| v == "1")
-            .unwrap_or(false)
 }
 
 /// Picks between the quick and full value of a parameter. Smoke runs use
@@ -205,7 +189,6 @@ mod tests {
 
     #[test]
     fn scaled_picks_quick_by_default() {
-        // Test binaries are not invoked with --full.
         assert_eq!(scaled(1, 2), 1);
         assert_eq!(trials(), 150);
     }

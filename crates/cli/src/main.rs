@@ -48,9 +48,6 @@ simulate:
     --adversary <name>          attack strategy: static|chase[:k]|eclipse|
                                 pull-abuse|replay (default: DRUM_ADVERSARY
                                 env, else static)
-    --sim-shards <usize>        intra-trial delivery shards (default:
-                                DRUM_SIM_SHARDS env, else auto-sized from n;
-                                1 = serial oracle stepper)
     --no-random-ports           Figure 12(a) ablation
 
 analyze:
@@ -112,12 +109,6 @@ fn run() -> Result<(), String> {
             let x = args.get_or("x", 128.0f64).map_err(err)?;
             let trials = args.get_or("trials", 200usize).map_err(err)?;
             let seed = args.get_or("seed", 20040628u64).map_err(err)?;
-            // Route the knob through the same env var the runner reads so
-            // every downstream trial (and worker-pool job) sees it.
-            let sim_shards = args.get_or("sim-shards", 0usize).map_err(err)?;
-            if sim_shards > 0 {
-                std::env::set_var("DRUM_SIM_SHARDS", sim_shards.to_string());
-            }
 
             let mut cfg = if x > 0.0 && alpha > 0.0 {
                 SimConfig::attack_alpha(protocol, n, alpha, x)
@@ -142,17 +133,14 @@ fn run() -> Result<(), String> {
             cfg = cfg.with_adversary(adversary);
             cfg.validate().map_err(|e| e.to_string())?;
 
-            let stepper = match drum_sim::runner::StepMode::for_n(n) {
-                drum_sim::runner::StepMode::Serial => "serial".to_string(),
-                drum_sim::runner::StepMode::Sharded { shards } => format!("sharded({shards})"),
-            };
             println!(
                 "simulating {protocol}: n={n} alpha={alpha} x={x} crashed={} loss={} \
-                 random_ports={} adversary={} stepper={stepper} ({trials} trials, seed {seed})",
+                 random_ports={} adversary={} stepper=sharded({}) ({trials} trials, seed {seed})",
                 cfg.crashed,
                 cfg.loss,
                 cfg.random_ports,
-                cfg.adversary().name()
+                cfg.adversary().name(),
+                drum_sim::auto_shards(n)
             );
             let res = run_experiment(&cfg, trials, seed, 0);
             let mut t = Table::new(vec!["metric".into(), "value".into()]);

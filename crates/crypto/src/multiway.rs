@@ -26,7 +26,6 @@
 
 use crate::hmac::HmacKey;
 use crate::sha256::{self, BLOCK_LEN, DIGEST_LEN};
-use std::sync::OnceLock;
 
 /// Lanes per kernel call: how many MACs advance per 8-wide compression.
 pub const LANES: usize = sha256::LANES;
@@ -36,28 +35,16 @@ pub fn simd_available() -> bool {
     sha256::lanes_available()
 }
 
-/// Whether [`MultiMac::new`] uses the 8-lane kernel: the CPU supports it
-/// and the `DRUM_CRYPTO_NO_SIMD` ablation switch is unset. The environment
-/// is read once and cached for the life of the process, mirroring the other
-/// `DRUM_*` ablation gates.
-pub fn simd_enabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    let disabled = *DISABLED.get_or_init(|| {
-        std::env::var("DRUM_CRYPTO_NO_SIMD").is_ok_and(|v| !v.is_empty() && v != "0")
-    });
-    simd_available() && !disabled
-}
-
 /// Whether [`MultiMac::new`] actually routes work through the 8-lane
-/// kernel: [`simd_enabled`], and the kernel is the fastest bulk-hash path
-/// on this CPU. On SHA-NI hardware the single-block unit retires a block
-/// in fewer cycles than the 8-lane AVX2 kernel's per-lane share, so the
-/// dispatcher keeps such hosts on the single-block path — the same policy
-/// multi-buffer libraries like ISA-L apply. [`MultiMac::lanes`] bypasses
-/// the preference (not the ablation switch) for benches and tests that
-/// pin the lane kernel itself.
+/// kernel: it is present ([`simd_available`]) and the fastest bulk-hash
+/// path on this CPU. On SHA-NI hardware the single-block unit retires a
+/// block in fewer cycles than the 8-lane AVX2 kernel's per-lane share, so
+/// the dispatcher keeps such hosts on the single-block path — the same
+/// policy multi-buffer libraries like ISA-L apply. [`MultiMac::lanes`]
+/// bypasses the preference for benches and tests that pin the lane kernel
+/// itself.
 pub fn simd_preferred() -> bool {
-    simd_enabled() && sha256::lanes_preferred()
+    sha256::lanes_preferred()
 }
 
 /// Exact kernel-utilization counters, in machine-independent units.
@@ -160,13 +147,13 @@ impl MultiMac {
         Self::with_simd(false)
     }
 
-    /// Forced 8-lane engine wherever the kernel exists and the
-    /// `DRUM_CRYPTO_NO_SIMD` ablation is unset — ignoring the [`simd_preferred`]
-    /// speed policy. This is the kernel arm of the hotpath bench and of the
-    /// counter-exactness tests, which must exercise the lane path even on
-    /// SHA-NI hosts where `new()` dispatches single-block.
+    /// Forced 8-lane engine wherever the kernel exists — ignoring the
+    /// [`simd_preferred`] speed policy. This is the kernel arm of the
+    /// hotpath bench and of the counter-exactness tests, which must
+    /// exercise the lane path even on SHA-NI hosts where `new()`
+    /// dispatches single-block.
     pub fn lanes() -> Self {
-        Self::with_simd(simd_enabled())
+        Self::with_simd(simd_available())
     }
 
     fn with_simd(use_simd: bool) -> Self {
@@ -422,7 +409,7 @@ mod tests {
         let mut lanes = MultiMac::lanes();
         lanes.mac_many(&jobs);
         let s = lanes.take_stats();
-        if simd_enabled() {
+        if simd_available() {
             assert_eq!(s.compress_calls, 128);
             assert_eq!(s.lanes_filled, 1024);
             assert!((s.fill_ratio() - 1.0).abs() < 1e-9);
@@ -441,7 +428,7 @@ mod tests {
         let mut mm = MultiMac::lanes();
         mm.mac_many(&jobs);
         let s = mm.take_stats();
-        if simd_enabled() {
+        if simd_available() {
             // Inner: lengths vary but all pad to one block — 1 chunk call +
             // 3 tail calls. Outer: 1 chunk call + 3 tail calls.
             assert_eq!(s.compress_calls, 8);

@@ -189,7 +189,7 @@ pub struct NetStats {
     /// direct (SHA-NI / scalar) path it equals `lanes_filled`.
     pub compress_calls: u64,
     /// Total kernel lanes those invocations advanced — i.e. blocks hashed.
-    /// Identical across `DRUM_CRYPTO_NO_SIMD` modes on a fixed seed.
+    /// Identical on lane and scalar hosts on a fixed seed.
     pub lanes_filled: u64,
 }
 

@@ -49,7 +49,7 @@ pub use config::{AttackConfig, Role, SimConfig, SimConfigError};
 pub use model::SimState;
 pub use runner::{
     auto_shards, run_experiment, run_trial, run_trial_traced, run_trial_traced_mode,
-    ExperimentResult, StepMode, TrialOutcome,
+    ExperimentResult, TrialOutcome,
 };
 
 #[cfg(test)]
@@ -57,10 +57,9 @@ mod proptests {
     use crate::config::SimConfig;
     use crate::model::SimState;
     use drum_core::ProtocolVariant;
+    use drum_pool::Pool;
     use drum_testkit::prop::{check, Config, Gen};
     use drum_testkit::{prop_assert, prop_assert_eq};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn arb_protocol(g: &mut Gen) -> ProtocolVariant {
         match g.u64_in(0..3) {
@@ -68,6 +67,14 @@ mod proptests {
             1 => ProtocolVariant::Push,
             _ => ProtocolVariant::Pull,
         }
+    }
+
+    /// A shard count in 1..=4 on a 1- or 3-thread pool: the invariants
+    /// must hold at every split, not just the one-shard layout.
+    fn arb_split(g: &mut Gen) -> (usize, Pool) {
+        let shards = g.usize_in(1..5);
+        let threads = if g.bool(0.5) { 1 } else { 3 };
+        (shards, Pool::new(threads))
     }
 
     #[test]
@@ -90,12 +97,12 @@ mod proptests {
                 return Ok(());
             }
 
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let (shards, pool) = arb_split(g);
             let mut state = SimState::new(cfg.clone());
             let mut prev = state.correct_with_m();
             prop_assert_eq!(prev, 1);
             for _ in 0..12 {
-                state.step(&mut rng);
+                state.step_sharded(seed, shards, &pool);
                 let now = state.correct_with_m();
                 // M never disappears and the count never exceeds the group.
                 prop_assert!(now >= prev);
@@ -113,10 +120,10 @@ mod proptests {
             let proto = arb_protocol(g);
             let seed = g.u64_in(0..100);
             let cfg = SimConfig::paper_attack(proto, 40, 64.0);
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let (shards, pool) = arb_split(g);
             let mut state = SimState::new(cfg);
             for _ in 0..8 {
-                state.step(&mut rng);
+                state.step_sharded(seed, shards, &pool);
                 prop_assert!(state.has_m(0));
             }
             Ok(())

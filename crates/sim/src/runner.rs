@@ -27,58 +27,18 @@
 //! `DRUM_POOL_THREADS` settings — pinned by the worker-count-independence
 //! property test in `tests/pool_determinism.rs`.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 use drum_metrics::stats::RunningStats;
 use drum_pool::Pool;
 
 use crate::config::SimConfig;
 use crate::model::SimState;
 
-/// Which stepper a trial runs on.
-///
-/// The two steppers draw from different (both deterministic) random
-/// streams, so they produce statistically equivalent but not bitwise-equal
-/// trials. Within `Sharded`, results are byte-identical for **any** shard
-/// count and any `DRUM_POOL_THREADS` — the stream is keyed per process,
-/// never per shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepMode {
-    /// The seed serial stepper: one RNG stream, one thread. The oracle
-    /// implementation, selected by `DRUM_SIM_SHARDS=1`.
-    Serial,
-    /// The intra-trial parallel stepper ([`SimState::step_sharded`]).
-    Sharded {
-        /// Number of contiguous process-range shards per round.
-        shards: usize,
-    },
-}
-
-/// Default shard count for an `n`-member trial: one shard per 64 Ki
-/// members, capped at 16. A pure function of `n` (never of the machine),
-/// so default-mode results are reproducible everywhere; small trials get
-/// one shard and skip the merge machinery entirely.
+/// Shard count for an `n`-member trial: one shard per 64 Ki members,
+/// capped at 16. A pure function of `n` (never of the machine), so results
+/// are reproducible everywhere; small trials get one shard and skip the
+/// merge machinery entirely.
 pub fn auto_shards(n: usize) -> usize {
     n.div_ceil(65_536).clamp(1, 16)
-}
-
-impl StepMode {
-    /// Resolves the stepper for an `n`-member trial from `DRUM_SIM_SHARDS`:
-    /// `1` selects the serial oracle, an explicit `k >= 2` forces `k`
-    /// shards, and unset/`0`/garbage selects [`auto_shards`].
-    pub fn for_n(n: usize) -> StepMode {
-        match std::env::var("DRUM_SIM_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            Some(1) => StepMode::Serial,
-            Some(k) if k >= 2 => StepMode::Sharded { shards: k },
-            _ => StepMode::Sharded {
-                shards: auto_shards(n),
-            },
-        }
-    }
 }
 
 /// Outcome of a single simulated trial.
@@ -102,9 +62,8 @@ pub struct TrialOutcome {
 }
 
 /// Runs one trial of `cfg` with the given `seed`, recording per-round
-/// fractions for the first `cdf_rounds` rounds, on the stepper selected
-/// by [`StepMode::for_n`] (sharded by default, serial under
-/// `DRUM_SIM_SHARDS=1`).
+/// fractions for the first `cdf_rounds` rounds, on [`auto_shards`]
+/// shards.
 pub fn run_trial(cfg: &SimConfig, seed: u64, cdf_rounds: usize) -> TrialOutcome {
     run_trial_traced(cfg, seed, cdf_rounds, drum_trace::Tracer::disabled())
 }
@@ -120,40 +79,35 @@ pub fn run_trial_traced(
     cdf_rounds: usize,
     tracer: drum_trace::Tracer,
 ) -> TrialOutcome {
-    run_trial_traced_mode(cfg, seed, cdf_rounds, tracer, StepMode::for_n(cfg.n))
+    run_trial_traced_mode(cfg, seed, cdf_rounds, tracer, auto_shards(cfg.n))
 }
 
-/// Like [`run_trial_traced`], with an explicit stepper choice — the hook
-/// the golden-trace fixtures use to pin the serial oracle and the sharded
-/// stepper independently of the `DRUM_SIM_SHARDS` environment.
+/// Like [`run_trial_traced`], on an explicit shard count — the hook the
+/// shard-count-independence tests use (the outcome never depends on it).
 pub fn run_trial_traced_mode(
     cfg: &SimConfig,
     seed: u64,
     cdf_rounds: usize,
     tracer: drum_trace::Tracer,
-    mode: StepMode,
+    shards: usize,
 ) -> TrialOutcome {
     let mut state = SimState::new(cfg.clone());
     state.set_tracer(tracer);
-    run_trial_in(&mut state, seed, cdf_rounds, mode, Pool::global())
+    run_trial_in(&mut state, seed, cdf_rounds, shards, Pool::global())
 }
 
 /// Trial driver over a caller-owned [`SimState`] — the state's scratch
-/// (and, for [`StepMode::Sharded`], its per-shard partials) is reused
-/// across calls via [`SimState::reset`], so a sweep's worth of trials
-/// allocates its working set once.
+/// (tallies, bitsets, per-shard partials) is reused across calls via
+/// [`SimState::reset`], so a sweep's worth of trials allocates its
+/// working set once.
 fn run_trial_in(
     state: &mut SimState,
     seed: u64,
     cdf_rounds: usize,
-    mode: StepMode,
+    shards: usize,
     pool: &Pool,
 ) -> TrialOutcome {
     let cfg = state.config().clone();
-    // Only the serial stepper draws from the trial-wide stream; the
-    // sharded stepper derives per-(round, phase, process) streams from the
-    // seed itself.
-    let mut rng = SmallRng::seed_from_u64(seed);
     let threshold = cfg.threshold;
 
     let n_attacked = cfg.attacked();
@@ -180,10 +134,7 @@ fn run_trial_in(
     };
 
     for round in 1..=cfg.max_rounds {
-        match mode {
-            StepMode::Serial => state.step(&mut rng),
-            StepMode::Sharded { shards } => state.step_sharded(seed, shards, pool),
-        }
+        state.step_sharded(seed, shards, pool);
         outcome.rounds_executed = round;
         let with_m = state.correct_with_m();
         if (round as usize) <= cdf_rounds {
@@ -298,7 +249,7 @@ pub fn run_many_on(
     let chunks_per_cfg = trials.div_ceil(chunk);
     let partials: Vec<Partial> = pool.map(cfgs.len() * chunks_per_cfg, |job| {
         let cfg = &cfgs[job / chunks_per_cfg];
-        let mode = StepMode::for_n(cfg.n);
+        let shards = auto_shards(cfg.n);
         let lo = (job % chunks_per_cfg) * chunk;
         let hi = (lo + chunk).min(trials);
         let mut part = Partial::new(cdf_rounds);
@@ -318,7 +269,7 @@ pub fn run_many_on(
                 state,
                 base_seed + i as u64,
                 cdf_rounds,
-                mode,
+                shards,
                 pool,
             ));
         }
@@ -575,17 +526,15 @@ mod tests {
     #[test]
     fn explicit_modes_are_deterministic_and_shard_count_independent() {
         let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 130, 64.0);
-        let t = |mode| run_trial_traced_mode(&cfg, 17, 12, drum_trace::Tracer::disabled(), mode);
-        assert_eq!(t(StepMode::Serial), t(StepMode::Serial));
-        let sharded = t(StepMode::Sharded { shards: 1 });
-        assert_eq!(sharded, t(StepMode::Sharded { shards: 1 }));
+        let t =
+            |shards| run_trial_traced_mode(&cfg, 17, 12, drum_trace::Tracer::disabled(), shards);
+        let sharded = t(1);
+        assert_eq!(sharded, t(1));
         // The shard count never shows through the outcome.
         for shards in [2, 5, 16] {
-            assert_eq!(sharded, t(StepMode::Sharded { shards }));
+            assert_eq!(sharded, t(shards));
         }
-        // Both steppers converge on this easy scenario (different streams,
-        // same distribution).
-        assert!(t(StepMode::Serial).rounds_to_threshold.is_some());
+        // The trial converges on this easy scenario.
         assert!(sharded.rounds_to_threshold.is_some());
     }
 

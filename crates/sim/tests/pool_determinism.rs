@@ -235,7 +235,7 @@ fn sharded_stepper_identical_across_threads_and_shards() {
 /// with random shard counts on differently sized pools.
 #[test]
 fn prop_sharded_shard_and_thread_count_never_change_results() {
-    use drum_sim::{run_trial_traced_mode, StepMode};
+    use drum_sim::run_trial_traced_mode;
 
     let pool3 = Pool::new(3);
     let pool7 = Pool::new(7);
@@ -265,13 +265,7 @@ fn prop_sharded_shard_and_thread_count_never_change_results() {
 
             // Via the public runner (global pool)...
             let t = |shards| {
-                run_trial_traced_mode(
-                    &cfg,
-                    seed,
-                    6,
-                    drum_trace::Tracer::disabled(),
-                    StepMode::Sharded { shards },
-                )
+                run_trial_traced_mode(&cfg, seed, 6, drum_trace::Tracer::disabled(), shards)
             };
             prop_assert!(
                 t(shards_a) == t(shards_b),

@@ -80,8 +80,8 @@ pub mod names {
     /// multiway batching win (1.0 on the direct SHA-NI / scalar path).
     pub const CRYPTO_COMPRESS_CALLS: &str = "crypto.compress_calls";
     /// Total kernel lanes those invocations advanced — i.e. 64-byte blocks
-    /// hashed. Fixed-seed runs report identical values with and without
-    /// `DRUM_CRYPTO_NO_SIMD=1`; only `crypto.compress_calls` moves.
+    /// hashed. Fixed-seed runs report identical values on lane and scalar
+    /// hosts; only `crypto.compress_calls` moves.
     pub const CRYPTO_LANES_FILLED: &str = "crypto.lanes_filled";
     /// High-water mark of message-buffer memory (payload bytes plus
     /// per-entry overhead), summed over processes. Bounded buffers keep

@@ -37,14 +37,6 @@ phase_begin "cargo test -q --offline"
 cargo test -q --offline
 phase_end "test"
 
-# The crypto suite again with the 8-lane SHA-256 kernel ablated away:
-# every multiway MAC must stay bit- and counter-identical on the forced
-# single-block path (§20). Cheap (sub-second) and on the quick path so a
-# lane-kernel divergence can't hide behind a SIMD-only dev machine.
-phase_begin "cargo test -p drum-crypto (DRUM_CRYPTO_NO_SIMD=1)"
-DRUM_CRYPTO_NO_SIMD=1 cargo test -q --offline -p drum-crypto
-phase_end "no-simd"
-
 # One adaptive-adversary scenario end to end (the eclipse strategy against
 # Drum, §17) and the exact machine-independent crypto gates: batched
 # verification (HMACs/datagram) and the multiway kernel
@@ -117,11 +109,14 @@ rm -f "$CLUSTER_OUT"
 phase_end "cluster"
 
 # Knobs that went with the path they selected (frame packing, the
-# per-thread runtime, the forced per-datagram mode); nothing may still read
-# or document them. (Names are spliced so this script does not match itself.)
+# per-thread runtime, the forced per-datagram mode, the serial sim stepper,
+# the single-block SHA-256 ablation, the fig binaries' full-scale switch);
+# nothing may still read or document them. (Names are spliced so this
+# script does not match itself.)
 RETIRED_KNOBS="DRUM_NET_NO""_PACK|DRUM_NET_MULTI""PLEX|DRUM_NET_NO""_BATCH"
+RETIRED_KNOBS="$RETIRED_KNOBS|DRUM_SIM""_SHARDS|DRUM_CRYPTO""_NO_SIMD|DRUM_BENCH""_FULL"
 phase_begin "no retired knob left"
-if grep -rnE "$RETIRED_KNOBS" crates scripts .github tests examples \
+if grep -rnE "$RETIRED_KNOBS" crates scripts .github .claude tests examples \
     README.md DESIGN.md EXPERIMENTS.md; then
     echo "retired knob(s) referenced above; remove them" >&2
     exit 1
@@ -132,10 +127,6 @@ if [ "$QUICK" -eq 1 ]; then
     echo "==> verify --quick: all green (total $((SECONDS))s)"
     exit 0
 fi
-
-phase_begin "cargo build --offline --benches --features criterion"
-cargo build --offline --benches --features criterion
-phase_end "benches"
 
 # Smoke-regenerate every figure through the shared worker pool; writes to
 # a throwaway directory, so checked-in results/ stay untouched.

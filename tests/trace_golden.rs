@@ -4,18 +4,12 @@
 //! A fixed-seed Drum-under-attack simulation is run with a JSON-lines
 //! trace sink. Because sim events are round-stamped (no wall clock) and
 //! tracing never draws from the simulation RNG, the emitted trace is a
-//! pure function of `(config, seed, stepper)` — byte for byte. Two
-//! fixtures pin the two steppers independently:
-//!
-//! * `tests/fixtures/trace_golden.jsonl` — the **serial oracle**
-//!   ([`StepMode::Serial`], `DRUM_SIM_SHARDS=1`). Unchanged since the
-//!   seed implementation; any diff here means the legacy stream was
-//!   perturbed.
-//! * `tests/fixtures/trace_golden_sharded.jsonl` — the **sharded
-//!   stepper** with a multi-shard split. Its per-process counter-derived
-//!   streams make the trace independent of shard count and
-//!   `DRUM_POOL_THREADS`, which the cross-shard test below re-checks
-//!   against the fixture directly.
+//! pure function of `(config, seed)` — byte for byte.
+//! `tests/fixtures/trace_golden_sharded.jsonl` pins it, recorded on a
+//! multi-shard split. The stepper's per-process counter-derived streams
+//! make the trace independent of shard count and `DRUM_POOL_THREADS`,
+//! which the cross-shard test below re-checks against the fixture
+//! directly.
 //!
 //! Regenerating after an *intentional* change:
 //!
@@ -28,26 +22,23 @@
 use std::sync::Arc;
 
 use drum::core::config::ProtocolVariant;
-use drum::sim::{run_trial_traced_mode, SimConfig, StepMode};
+use drum::sim::{run_trial_traced_mode, SimConfig};
 use drum::trace::{JsonLinesSink, SharedBuf, Tracer};
 
-const FIXTURE_SERIAL: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/fixtures/trace_golden.jsonl"
-);
 const FIXTURE_SHARDED: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/fixtures/trace_golden_sharded.jsonl"
 );
 
 /// The canonical scenario: 40 processes, 10% malicious, Drum under a
-/// 64-messages-per-round attack, 8 rounds, seed 2004 (the paper's year).
-fn canonical_trace(mode: StepMode) -> String {
+/// 64-messages-per-round attack, 8 rounds, seed 2004 (the paper's year),
+/// stepped on `shards` shards.
+fn canonical_trace(shards: usize) -> String {
     let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 40, 64.0);
     cfg.max_rounds = 8;
     let buf = SharedBuf::new();
     let sink = Arc::new(JsonLinesSink::new(buf.clone()));
-    run_trial_traced_mode(&cfg, 2004, 8, Tracer::new(sink), mode);
+    run_trial_traced_mode(&cfg, 2004, 8, Tracer::new(sink), shards);
     buf.contents_string()
 }
 
@@ -72,28 +63,15 @@ fn check_fixture(got: &str, fixture: &str) {
 
 #[test]
 fn fixed_seed_trace_is_byte_identical_across_runs() {
-    for mode in [StepMode::Serial, StepMode::Sharded { shards: 3 }] {
-        let first = canonical_trace(mode);
-        let second = canonical_trace(mode);
-        assert!(!first.is_empty(), "canonical scenario emitted no events");
-        assert_eq!(
-            first, second,
-            "fixed-seed trace must be deterministic ({mode:?})"
-        );
-    }
-}
-
-#[test]
-fn serial_trace_matches_golden_fixture() {
-    check_fixture(&canonical_trace(StepMode::Serial), FIXTURE_SERIAL);
+    let first = canonical_trace(3);
+    let second = canonical_trace(3);
+    assert!(!first.is_empty(), "canonical scenario emitted no events");
+    assert_eq!(first, second, "fixed-seed trace must be deterministic");
 }
 
 #[test]
 fn sharded_trace_matches_golden_fixture() {
-    check_fixture(
-        &canonical_trace(StepMode::Sharded { shards: 3 }),
-        FIXTURE_SHARDED,
-    );
+    check_fixture(&canonical_trace(3), FIXTURE_SHARDED);
 }
 
 #[test]
@@ -101,10 +79,10 @@ fn sharded_trace_is_shard_count_independent() {
     // The sharded fixture was recorded at 3 shards; every other shard
     // count must reproduce it byte for byte (streams are keyed per
     // process, merges run in fixed index order).
-    let reference = canonical_trace(StepMode::Sharded { shards: 3 });
+    let reference = canonical_trace(3);
     for shards in [1, 2, 7, 40] {
         assert_eq!(
-            canonical_trace(StepMode::Sharded { shards }),
+            canonical_trace(shards),
             reference,
             "sharded trace changed at {shards} shards"
         );
@@ -113,21 +91,19 @@ fn sharded_trace_is_shard_count_independent() {
 
 #[test]
 fn golden_trace_has_expected_shape() {
-    for mode in [StepMode::Serial, StepMode::Sharded { shards: 3 }] {
-        let trace = canonical_trace(mode);
-        let lines: Vec<&str> = trace.lines().collect();
-        // One sim.start header, then per-round events.
-        assert!(lines[0].contains("\"event\":\"sim.start\""));
-        assert!(lines[0].contains("\"target\":\"sim\""));
-        // Every line is a single JSON object with the fixed key order.
-        for line in &lines {
-            assert!(line.starts_with("{\"target\":"), "bad line: {line}");
-            assert!(line.ends_with('}'), "bad line: {line}");
-        }
-        // The attacked scenario must actually show attack pressure and
-        // deliveries.
-        assert!(lines.iter().any(|l| l.contains("\"event\":\"round\"")));
-        assert!(lines.iter().any(|l| l.contains("\"event\":\"deliver\"")));
-        assert!(lines.iter().any(|l| l.contains("\"fakes_push\"")));
+    let trace = canonical_trace(3);
+    let lines: Vec<&str> = trace.lines().collect();
+    // One sim.start header, then per-round events.
+    assert!(lines[0].contains("\"event\":\"sim.start\""));
+    assert!(lines[0].contains("\"target\":\"sim\""));
+    // Every line is a single JSON object with the fixed key order.
+    for line in &lines {
+        assert!(line.starts_with("{\"target\":"), "bad line: {line}");
+        assert!(line.ends_with('}'), "bad line: {line}");
     }
+    // The attacked scenario must actually show attack pressure and
+    // deliveries.
+    assert!(lines.iter().any(|l| l.contains("\"event\":\"round\"")));
+    assert!(lines.iter().any(|l| l.contains("\"event\":\"deliver\"")));
+    assert!(lines.iter().any(|l| l.contains("\"fakes_push\"")));
 }
