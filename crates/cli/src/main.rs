@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use args::{ArgError, Args};
 use drum_analysis::appendix_c::{analysis_cdf, Protocol};
-use drum_core::config::{BoundMode, GossipConfig, ProtocolVariant};
+use drum_core::config::{AdversaryKind, BoundMode, GossipConfig, ProtocolVariant};
 use drum_metrics::table::Table;
 use drum_net::experiment::{paper_cluster_config, throughput_experiment};
 use drum_sim::config::SimConfig;
@@ -46,8 +46,7 @@ simulate:
     --loss <f64>                link loss (default 0.01)
     --rotate <u32>              rotate attack targets every k rounds
     --adversary <name>          attack strategy: static|chase[:k]|eclipse|
-                                pull-abuse|replay (default: DRUM_ADVERSARY
-                                env, else static)
+                                pull-abuse|replay (default: static)
     --no-random-ports           Figure 12(a) ablation
 
 analyze:
@@ -65,7 +64,7 @@ cluster:
                                 (default 0 = one per core, at most one per
                                 correct process)
     --adversary <name>          wire-level attack strategy (same names as
-                                simulate; default: DRUM_ADVERSARY env)
+                                simulate; default: static)
     --shared-bounds             Figure 12(b) ablation
 
 figures:
@@ -82,6 +81,13 @@ fn protocol_of(args: &Args) -> Result<ProtocolVariant, String> {
         "pull" => Ok(ProtocolVariant::Pull),
         other => Err(format!("unknown protocol '{other}' (drum|push|pull)")),
     }
+}
+
+fn adversary_of(args: &Args) -> Result<AdversaryKind, String> {
+    let name = args.get("adversary").unwrap_or("static");
+    AdversaryKind::parse(name).ok_or_else(|| {
+        format!("unknown adversary '{name}' (static|chase[:k]|eclipse|pull-abuse|replay)")
+    })
 }
 
 fn analysis_protocol(p: ProtocolVariant) -> Protocol {
@@ -124,13 +130,7 @@ fn run() -> Result<(), String> {
                     a.rotate_every = Some(rotate);
                 }
             }
-            let adversary = match args.get("adversary") {
-                Some(s) => drum_sim::AdversaryKind::parse(s).ok_or_else(|| {
-                    format!("unknown adversary '{s}' (static|chase[:k]|eclipse|pull-abuse|replay)")
-                })?,
-                None => drum_sim::AdversaryKind::from_env().unwrap_or_default(),
-            };
-            cfg = cfg.with_adversary(adversary);
+            cfg = cfg.with_adversary(adversary_of(&args)?);
             cfg.validate().map_err(|e| e.to_string())?;
 
             println!(
@@ -239,11 +239,7 @@ fn run() -> Result<(), String> {
                 seed,
             );
             cfg.shards = shards;
-            if let Some(s) = args.get("adversary") {
-                cfg.adversary = drum_net::FloodStrategy::parse(s).ok_or_else(|| {
-                    format!("unknown adversary '{s}' (static|chase[:k]|eclipse|pull-abuse|replay)")
-                })?;
-            }
+            cfg.adversary = adversary_of(&args)?;
             if args.flag("shared-bounds") {
                 cfg.net.gossip = cfg.net.gossip.with_bound_mode(BoundMode::SharedControl);
             }

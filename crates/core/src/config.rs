@@ -3,7 +3,8 @@
 //! One configuration type drives all three evaluated protocols (§5): **Drum**
 //! (push + pull with split fan-out), **Push** (push only) and **Pull** (pull
 //! only), plus the two ablation variants of §9 (no random ports; shared
-//! control-message bounds).
+//! control-message bounds). [`AdversaryKind`] names the attacker a DoS
+//! scenario runs against them.
 
 /// Which gossip protocol to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,6 +24,82 @@ impl core::fmt::Display for ProtocolVariant {
             ProtocolVariant::Push => f.write_str("Push"),
             ProtocolVariant::Pull => f.write_str("Pull"),
         }
+    }
+}
+
+/// The adversary a DoS scenario states (an extension beyond the paper,
+/// whose adversary is [`AdversaryKind::Static`]). One vocabulary for the
+/// whole workspace: `drum-sim` and `drum-net` each interpret it, and every
+/// kind redistributes the configured budget (`x` per attacked process per
+/// round), never enlarges it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum AdversaryKind {
+    /// The paper's fixed flood: the attacked set never moves and each
+    /// victim's `x` is split across its protocol's channels (§5).
+    #[default]
+    Static,
+    /// Moves the attack every `every` rounds (≥ 1), chasing the victims
+    /// the way an adaptive attacker chases port rotation.
+    TargetChasing {
+        /// Rounds between re-aims.
+        every: u32,
+    },
+    /// Concentrates the whole group budget `x·attacked` on the source,
+    /// trying to eclipse it from the group.
+    Eclipse,
+    /// Spends each victim's whole budget on pull-requests, which cost the
+    /// victim a reply-budget slot rather than a reception slot only.
+    PullAbuse,
+    /// Resends one previously-seen datagram per channel instead of
+    /// fabricating fresh ones: budget-identical to `Static`, but maximal
+    /// identical fan-in for the victim's verifier.
+    Replay,
+}
+
+impl AdversaryKind {
+    /// Every kind, for CLI listings and test/figure sweeps.
+    /// `TargetChasing` appears with its default cadence of 1.
+    pub const ALL: [AdversaryKind; 5] = [
+        AdversaryKind::Static,
+        AdversaryKind::TargetChasing { every: 1 },
+        AdversaryKind::Eclipse,
+        AdversaryKind::PullAbuse,
+        AdversaryKind::Replay,
+    ];
+
+    /// Stable name (used by `--adversary`, traces and figures).
+    pub fn name(self) -> &'static str {
+        match self {
+            AdversaryKind::Static => "static",
+            AdversaryKind::TargetChasing { .. } => "chase",
+            AdversaryKind::Eclipse => "eclipse",
+            AdversaryKind::PullAbuse => "pull-abuse",
+            AdversaryKind::Replay => "replay",
+        }
+    }
+
+    /// Parses a name as printed by [`AdversaryKind::name`]; `chase` also
+    /// takes a cadence suffix (`chase:4` = re-aim every 4 rounds). Only
+    /// valid kinds come back (`chase:0` is `None`).
+    pub fn parse(s: &str) -> Option<AdversaryKind> {
+        let kind = match s {
+            "static" => AdversaryKind::Static,
+            "chase" => AdversaryKind::TargetChasing { every: 1 },
+            "eclipse" => AdversaryKind::Eclipse,
+            "pull-abuse" => AdversaryKind::PullAbuse,
+            "replay" => AdversaryKind::Replay,
+            other => AdversaryKind::TargetChasing {
+                every: other.strip_prefix("chase:")?.parse().ok()?,
+            },
+        };
+        kind.is_valid().then_some(kind)
+    }
+
+    /// Whether the kind can run: a chase re-aims every `every ≥ 1` rounds,
+    /// so `TargetChasing { every: 0 }` is invalid. The simulator's and the
+    /// cluster harness's scenario checks refuse it.
+    pub fn is_valid(self) -> bool {
+        !matches!(self, AdversaryKind::TargetChasing { every: 0 })
     }
 }
 
@@ -289,6 +366,21 @@ mod tests {
         assert_eq!(ProtocolVariant::Drum.to_string(), "Drum");
         assert_eq!(ProtocolVariant::Push.to_string(), "Push");
         assert_eq!(ProtocolVariant::Pull.to_string(), "Pull");
+    }
+
+    #[test]
+    fn parse_round_trips_every_kind() {
+        for kind in AdversaryKind::ALL {
+            assert_eq!(AdversaryKind::parse(kind.name()), Some(kind));
+        }
+        assert_eq!(
+            AdversaryKind::parse("chase:4"),
+            Some(AdversaryKind::TargetChasing { every: 4 })
+        );
+        assert_eq!(AdversaryKind::parse("chase:0"), None);
+        assert!(!AdversaryKind::TargetChasing { every: 0 }.is_valid());
+        assert_eq!(AdversaryKind::parse("nonsense"), None);
+        assert_eq!(AdversaryKind::default(), AdversaryKind::Static);
     }
 
     #[test]

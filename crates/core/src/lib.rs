@@ -74,7 +74,7 @@ pub use bitset::BitSet;
 pub use bounds::{Channel, RoundBudget};
 pub use buffer::MessageBuffer;
 pub use bytes::{Bytes, BytesMut};
-pub use config::{BoundMode, ConfigError, GossipConfig, ProtocolVariant};
+pub use config::{AdversaryKind, BoundMode, ConfigError, GossipConfig, ProtocolVariant};
 pub use digest::{Digest, DigestError};
 pub use engine::{Engine, Outbound, PortOracle, PortPurpose, RoundStats, SendPort};
 pub use ids::{MessageId, ProcessId, Round};

@@ -8,13 +8,29 @@
 //! the application-level attack the paper studies) but carry bogus reply
 //! ports and no authenticable data, so everything downstream of the budget
 //! is wasted work for the victim.
+//!
+//! [`AttackerConfig::strategy`] states which [`AdversaryKind`] aims the
+//! flood. Every kind conserves the adversary's total send budget
+//! (`x_per_round × targets`): adaptive kinds redistribute it, they do not
+//! get more of it. On the wire:
+//!
+//! * `Static` — a fixed per-target flood, split across the victim
+//!   protocol's well-known channels (`x/2 + x/2` for Drum);
+//! * `TargetChasing { every }` — the whole group budget on one victim at a
+//!   time, moving to the next target every `every` rounds;
+//! * `Eclipse` — the whole group budget on the first target, forever;
+//! * `PullAbuse` — each target's whole budget as pull-requests;
+//! * `Replay` — the static budget, but every datagram to a port is the
+//!   same bytes (one pull-request on the pull port, one push-offer on the
+//!   push port): maximal identical fan-in for the victim's verifier.
 
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use drum_core::config::ProtocolVariant;
+use drum_core::config::{AdversaryKind, ProtocolVariant};
 use drum_core::digest::Digest;
 use drum_core::ids::ProcessId;
 use drum_core::message::{GossipMessage, PortRef};
@@ -22,81 +38,6 @@ use drum_trace::{names, trace_event, Tracer};
 
 use crate::codec;
 use crate::transport::{bind_ephemeral, BatchTx, WellKnownAddrs};
-
-/// How the flood is aimed and shaped — the wire-level mirror of
-/// `drum_sim::AdversaryKind` (the net crate deliberately does not depend
-/// on the simulator; the two enums are kept in sync by the shared
-/// `DRUM_ADVERSARY` spellings).
-///
-/// Every strategy conserves the adversary's total send budget
-/// (`x_per_round × targets`): adaptive strategies redistribute it, they do
-/// not get more of it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FloodStrategy {
-    /// The paper's adversary: a fixed per-target flood, split across the
-    /// victim protocol's well-known channels (`x/2 + x/2` for Drum).
-    Static,
-    /// Rotates the whole group budget onto one victim at a time, moving to
-    /// the next target every `every` rounds — chasing the victims the way
-    /// an adaptive attacker chases port rotation.
-    TargetChasing {
-        /// Rounds between focus shifts (≥ 1).
-        every: u32,
-    },
-    /// Concentrates the whole group budget on the first target forever,
-    /// trying to eclipse that one process from the group.
-    Eclipse,
-    /// Spends the entire budget on pull-requests: each one costs the
-    /// victim a reply-budget slot, not just a reception slot.
-    PullAbuse,
-    /// Resends previously captured wire datagrams verbatim instead of
-    /// fabricating fresh ones. With an empty corpus the attacker replays
-    /// its own first fabrication — either way the victim sees identical
-    /// fan-in, the case batched MAC verification collapses.
-    Replay {
-        /// Captured datagrams to cycle through (may be empty).
-        corpus: Vec<Vec<u8>>,
-    },
-}
-
-impl FloodStrategy {
-    /// Stable name, matching the `DRUM_ADVERSARY` spellings.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FloodStrategy::Static => "static",
-            FloodStrategy::TargetChasing { .. } => "chase",
-            FloodStrategy::Eclipse => "eclipse",
-            FloodStrategy::PullAbuse => "pull-abuse",
-            FloodStrategy::Replay { .. } => "replay",
-        }
-    }
-
-    /// Parses a `DRUM_ADVERSARY` value (`static`, `chase`, `chase:N`,
-    /// `eclipse`, `pull-abuse`, `replay`). Returns `None` for unknown
-    /// names and `chase:0`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "static" => Some(FloodStrategy::Static),
-            "chase" => Some(FloodStrategy::TargetChasing { every: 1 }),
-            "eclipse" => Some(FloodStrategy::Eclipse),
-            "pull-abuse" => Some(FloodStrategy::PullAbuse),
-            "replay" => Some(FloodStrategy::Replay { corpus: Vec::new() }),
-            _ => {
-                let every: u32 = s.strip_prefix("chase:")?.parse().ok()?;
-                (every > 0).then_some(FloodStrategy::TargetChasing { every })
-            }
-        }
-    }
-
-    /// Reads `DRUM_ADVERSARY`, defaulting to [`FloodStrategy::Static`]
-    /// when unset or unparseable.
-    pub fn from_env() -> Self {
-        std::env::var("DRUM_ADVERSARY")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or(FloodStrategy::Static)
-    }
-}
 
 /// Configuration of one attacker.
 #[derive(Debug, Clone)]
@@ -122,11 +63,9 @@ pub struct AttackerConfig {
     /// classification) plus the `attack_sent` registry counter. Disabled
     /// by default.
     pub tracer: Tracer,
-    /// How the flood is aimed ([`FloodStrategy::Static`] is the paper's
-    /// adversary; [`AttackerConfig::new`] pins it explicitly so the
-    /// `DRUM_ADVERSARY` environment never silently reshapes a
-    /// statically-configured experiment).
-    pub strategy: FloodStrategy,
+    /// How the flood is aimed ([`AdversaryKind::Static`], the paper's
+    /// adversary, unless set).
+    pub strategy: AdversaryKind,
 }
 
 impl AttackerConfig {
@@ -139,20 +78,21 @@ impl AttackerConfig {
             reply_port_targets: Vec::new(),
             batches_per_round: 10,
             tracer: Tracer::disabled(),
-            strategy: FloodStrategy::Static,
+            strategy: AdversaryKind::Static,
         }
     }
+}
 
-    /// Like [`AttackerConfig::new`], but honoring the `DRUM_ADVERSARY`
-    /// environment knob — the entry point the CLI and CI matrix use.
-    pub fn new_from_env(
-        x_per_round: f64,
-        round: Duration,
-        victim_protocol: ProtocolVariant,
-    ) -> Self {
-        let mut config = Self::new(x_per_round, round, victim_protocol);
-        config.strategy = FloodStrategy::from_env();
-        config
+/// Refuses an adversary kind the attacker thread cannot run
+/// (`TargetChasing { every: 0 }` would divide by zero there).
+pub(crate) fn check_adversary(kind: AdversaryKind) -> io::Result<()> {
+    if kind.is_valid() {
+        Ok(())
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("adversary {kind:?} cannot run: chase cadence must be at least 1 round"),
+        ))
     }
 }
 
@@ -218,13 +158,18 @@ pub struct AttackerHandle {
 
 impl AttackerHandle {
     /// Stops the attacker; returns the number of datagrams it sent.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the attacker thread: a flood that died must
+    /// not pass for one that ran.
     pub fn shutdown(mut self) -> u64 {
         self.stop.store(true, Ordering::Relaxed);
         self.join
             .take()
             .expect("shutdown called once")
             .join()
-            .unwrap_or(0)
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
@@ -242,12 +187,14 @@ impl Drop for AttackerHandle {
 ///
 /// # Errors
 ///
-/// Returns an [`std::io::Error`] if the attacker's send socket cannot be
-/// bound.
+/// Returns [`io::ErrorKind::InvalidInput`] for a strategy that cannot run
+/// ([`AdversaryKind::is_valid`]), or the error binding the attacker's send
+/// socket.
 pub fn spawn_attacker(
     targets: Vec<WellKnownAddrs>,
     config: AttackerConfig,
-) -> std::io::Result<AttackerHandle> {
+) -> io::Result<AttackerHandle> {
+    check_adversary(config.strategy)?;
     let socket = bind_ephemeral()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = stop.clone();
@@ -274,29 +221,28 @@ pub fn spawn_attacker(
             // send budget: focused floods multiply the per-target rate by
             // the number of targets they stop flooding; pull-abuse shifts
             // the push half onto the pull channel.
-            match &config.strategy {
-                FloodStrategy::PullAbuse => {
+            match config.strategy {
+                AdversaryKind::PullAbuse => {
                     x_pull += x_push;
                     x_push = 0.0;
                 }
-                FloodStrategy::Eclipse | FloodStrategy::TargetChasing { .. } => {
+                AdversaryKind::Eclipse | AdversaryKind::TargetChasing { .. } => {
                     let scale = targets.len() as f64;
                     x_push *= scale;
                     x_pull *= scale;
                 }
-                FloodStrategy::Static | FloodStrategy::Replay { .. } => {}
+                AdversaryKind::Static | AdversaryKind::Replay => {}
             }
-            // Replay ammunition: captured datagrams, or — with an empty
-            // corpus — the attacker's own first fabrications, resent
-            // verbatim (identical fan-in either way).
-            let replay_corpus: Option<Vec<Vec<u8>>> = match &config.strategy {
-                FloodStrategy::Replay { corpus } if !corpus.is_empty() => Some(corpus.clone()),
-                FloodStrategy::Replay { .. } => Some(vec![
-                    codec::encode(&fabricated_pull_request(1)).to_vec(),
-                    codec::encode(&fabricated_push_offer(2)).to_vec(),
-                ]),
-                _ => None,
-            };
+            // Replay ammunition: one datagram per well-known port, of the
+            // kind that port accepts (a wrong-kind datagram is dropped as
+            // a port mismatch before it can compete for a budget slot),
+            // resent verbatim.
+            let replay = (config.strategy == AdversaryKind::Replay).then(|| {
+                (
+                    codec::encode(&fabricated_pull_request(1)),
+                    codec::encode(&fabricated_push_offer(1)),
+                )
+            });
             // Against the no-random-ports ablation the pull budget is split
             // between the request port and the (knowable) reply port (§9).
             let attack_replies = !config.reply_port_targets.is_empty();
@@ -345,11 +291,11 @@ pub fn spawn_attacker(
                 // rounds (batches_per_round batches ≈ one victim round).
                 let round_no = batch_no / u64::from(batches);
                 batch_no += 1;
-                let focus = match &config.strategy {
-                    FloodStrategy::Eclipse => Some(0),
-                    FloodStrategy::TargetChasing { every } => Some(
-                        ((round_no / u64::from(*every)) % targets.len().max(1) as u64) as usize,
-                    ),
+                let focus = match config.strategy {
+                    AdversaryKind::Eclipse => Some(0),
+                    AdversaryKind::TargetChasing { every } => {
+                        Some(((round_no / u64::from(every)) % targets.len().max(1) as u64) as usize)
+                    }
                     _ => None,
                 };
 
@@ -360,30 +306,26 @@ pub fn spawn_attacker(
                     }
                     for _ in 0..n_pull {
                         seq += 1;
-                        match &replay_corpus {
-                            Some(corpus) => {
-                                let dg = &corpus[seq as usize % corpus.len()];
-                                tx.push(&socket, target.pull, dg, false);
-                            }
+                        let dg = match &replay {
+                            Some((pull, _)) => &pull[..],
                             None => {
                                 codec::encode_into(&fabricated_pull_request(seq), &mut wire);
-                                tx.push(&socket, target.pull, &wire[..], false);
+                                &wire[..]
                             }
-                        }
+                        };
+                        tx.push(&socket, target.pull, dg, false);
                         batch_total += 1;
                     }
                     for _ in 0..n_push {
                         seq += 1;
-                        match &replay_corpus {
-                            Some(corpus) => {
-                                let dg = &corpus[seq as usize % corpus.len()];
-                                tx.push(&socket, target.push, dg, false);
-                            }
+                        let dg = match &replay {
+                            Some((_, push)) => &push[..],
                             None => {
                                 codec::encode_into(&fabricated_push_offer(seq), &mut wire);
-                                tx.push(&socket, target.push, &wire[..], false);
+                                &wire[..]
                             }
-                        }
+                        };
+                        tx.push(&socket, target.push, dg, false);
                         batch_total += 1;
                     }
                     if let Some(reply_addr) = config.reply_port_targets.get(i) {
@@ -519,17 +461,25 @@ mod tests {
     }
 
     #[test]
-    fn strategy_names_parse_round_trip() {
-        for name in ["static", "chase", "eclipse", "pull-abuse", "replay"] {
-            let s = FloodStrategy::parse(name).unwrap();
-            assert_eq!(s.name(), name);
-        }
-        assert_eq!(
-            FloodStrategy::parse("chase:4"),
-            Some(FloodStrategy::TargetChasing { every: 4 })
-        );
-        assert_eq!(FloodStrategy::parse("chase:0"), None);
-        assert_eq!(FloodStrategy::parse("nonsense"), None);
+    fn attacker_refuses_a_chase_without_cadence() {
+        let (_sockets, addrs) = WellKnownSockets::bind().unwrap();
+        let mut config =
+            AttackerConfig::new(40.0, Duration::from_millis(50), ProtocolVariant::Drum);
+        config.strategy = AdversaryKind::TargetChasing { every: 0 };
+        let err = spawn_attacker(vec![addrs], config).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn shutdown_reraises_an_attacker_thread_panic() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let join = std::thread::spawn(|| -> u64 { panic!("attacker thread died") });
+        let attacker = AttackerHandle {
+            stop,
+            join: Some(join),
+        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attacker.shutdown()));
+        assert!(caught.is_err(), "a dead flood was reported as a quiet one");
     }
 
     #[test]
@@ -538,7 +488,7 @@ mod tests {
         let (sockets_b, addrs_b) = WellKnownSockets::bind().unwrap();
         let mut config =
             AttackerConfig::new(60.0, Duration::from_millis(50), ProtocolVariant::Drum);
-        config.strategy = FloodStrategy::Eclipse;
+        config.strategy = AdversaryKind::Eclipse;
         let attacker = spawn_attacker(vec![addrs_a, addrs_b], config).unwrap();
         std::thread::sleep(Duration::from_millis(200));
         attacker.shutdown();
@@ -563,7 +513,7 @@ mod tests {
         let (sockets, addrs) = WellKnownSockets::bind().unwrap();
         let mut config =
             AttackerConfig::new(50.0, Duration::from_millis(50), ProtocolVariant::Drum);
-        config.strategy = FloodStrategy::PullAbuse;
+        config.strategy = AdversaryKind::PullAbuse;
         let attacker = spawn_attacker(vec![addrs], config).unwrap();
         std::thread::sleep(Duration::from_millis(200));
         attacker.shutdown();
@@ -585,31 +535,38 @@ mod tests {
     }
 
     #[test]
-    fn replay_attack_resends_captured_bytes_verbatim() {
+    fn replay_attack_sends_each_port_its_own_datagram() {
         let (sockets, addrs) = WellKnownSockets::bind().unwrap();
-        // "Capture" one authentic-looking wire datagram and hand it to the
-        // replay strategy as its corpus.
-        let captured = codec::encode(&fabricated_pull_request(42)).to_vec();
         let mut config =
             AttackerConfig::new(40.0, Duration::from_millis(50), ProtocolVariant::Drum);
-        config.strategy = FloodStrategy::Replay {
-            corpus: vec![captured.clone()],
-        };
+        config.strategy = AdversaryKind::Replay;
         let attacker = spawn_attacker(vec![addrs], config).unwrap();
         std::thread::sleep(Duration::from_millis(200));
         attacker.shutdown();
 
+        // Every datagram on a port is the one kind that port accepts (a
+        // wrong-kind datagram never reaches the budget), and each port sees
+        // a single byte string, repeated.
+        use drum_core::message::MessageKind;
         let mut buf = [0u8; 2048];
-        let mut replayed = 0;
-        while let Ok((len, _)) = sockets.pull.recv_from(&mut buf) {
-            assert_eq!(
-                &buf[..len],
-                &captured[..],
-                "replayed datagram must be byte-identical to the capture"
+        for (port, kind) in [
+            (&sockets.pull, MessageKind::PullRequest),
+            (&sockets.push, MessageKind::PushOffer),
+        ] {
+            let mut got = Vec::new();
+            while let Ok((len, _)) = port.recv_from(&mut buf) {
+                got.push(buf[..len].to_vec());
+            }
+            assert!(
+                got.len() > 1,
+                "expected identical fan-in, got {}",
+                got.len()
             );
-            replayed += 1;
+            for dg in &got {
+                assert_eq!(codec::decode(dg).unwrap().kind(), kind);
+                assert_eq!(dg, &got[0], "{kind:?} port saw more than one byte string");
+            }
         }
-        assert!(replayed > 1, "expected identical fan-in, got {replayed}");
     }
 
     #[test]

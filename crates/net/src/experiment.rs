@@ -6,13 +6,13 @@ use std::time::{Duration, Instant};
 
 use drum_core::bytes::{Bytes, BytesMut};
 
-use drum_core::config::ProtocolVariant;
+use drum_core::config::{AdversaryKind, ProtocolVariant};
 use drum_core::ids::ProcessId;
 use drum_crypto::keys::KeyStore;
 use drum_metrics::recorder::{LatencyRecorder, ThroughputRecorder};
 use drum_metrics::stats::{quantile_in_place, RunningStats};
 
-use crate::attack::{spawn_attacker, AttackerConfig, AttackerHandle, FloodStrategy};
+use crate::attack::{check_adversary, spawn_attacker, AttackerConfig, AttackerHandle};
 use crate::runtime::{seed_of, Delivery, NetConfig, NetStats, ProcessSpec};
 use crate::shard::{spawn_shard, EngineHandle, ShardHandle};
 use crate::transport::{AblationSockets, AddressBook, WellKnownAddrs, WellKnownSockets};
@@ -43,10 +43,9 @@ pub struct ClusterConfig {
     pub net: NetConfig,
     /// Base RNG seed.
     pub seed: u64,
-    /// How the attacker aims its flood. [`paper_cluster_config`] seeds this
-    /// from the `DRUM_ADVERSARY` environment knob; callers with an explicit
-    /// scenario (tests, `--adversary`) overwrite it.
-    pub adversary: FloodStrategy,
+    /// How the attacker aims its flood ([`paper_cluster_config`] states the
+    /// paper's [`AdversaryKind::Static`]).
+    pub adversary: AdversaryKind,
 }
 
 impl ClusterConfig {
@@ -134,7 +133,9 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors.
+    /// Returns [`std::io::ErrorKind::InvalidInput`] for an adversary that
+    /// cannot run ([`AdversaryKind::is_valid`]) before binding anything;
+    /// propagates socket errors.
     ///
     /// # Panics
     ///
@@ -145,6 +146,7 @@ impl Cluster {
             config.attacked <= config.correct(),
             "attacked exceeds correct processes"
         );
+        check_adversary(config.adversary)?;
 
         let key_store = KeyStore::new(config.seed);
         let members: Vec<ProcessId> = (0..config.n as u64).map(ProcessId).collect();
@@ -246,7 +248,8 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from spawning the attacker.
+    /// Propagates [`spawn_attacker`]'s errors (`InvalidInput` for an
+    /// adversary that cannot run, socket errors).
     pub fn set_attack(&mut self, x_per_round: f64) -> std::io::Result<()> {
         if let Some(a) = self.attacker.take() {
             a.shutdown();
@@ -260,7 +263,7 @@ impl Cluster {
             self.config.net.gossip.variant,
         );
         attacker_config.tracer = self.config.net.tracer.clone();
-        attacker_config.strategy = self.config.adversary.clone();
+        attacker_config.strategy = self.config.adversary;
         attacker_config.reply_port_targets = self.attack_reply_ports.clone();
         self.attacker = Some(spawn_attacker(
             self.attack_targets.clone(),
@@ -762,7 +765,7 @@ pub fn propagation_experiment(
 
 /// Convenience constructor matching the paper's §8 scenario shape:
 /// `n` processes, 10% malicious, `attacked` correct processes flooded with
-/// `x` messages per round.
+/// `x` messages per round by the static adversary.
 pub fn paper_cluster_config(
     variant: ProtocolVariant,
     n: usize,
@@ -785,7 +788,7 @@ pub fn paper_cluster_config(
         engines_per_shard: 0,
         net: NetConfig::new(gossip).with_round(round),
         seed,
-        adversary: FloodStrategy::from_env(),
+        adversary: AdversaryKind::Static,
     }
 }
 
@@ -829,16 +832,27 @@ mod tests {
 
     #[test]
     fn cluster_survives_attack() {
-        let report = throughput_experiment(
-            small_config(ProtocolVariant::Drum, 2, 64.0),
-            15,
-            50.0,
-            50,
-            Duration::from_millis(1500),
-        )
-        .unwrap();
-        let total: u64 = report.receivers.iter().map(|r| r.received).sum();
-        assert!(total > 0, "attack silenced the whole cluster");
+        // Every adversary kind floods a real-UDP cluster.
+        for kind in AdversaryKind::ALL {
+            let mut config = small_config(ProtocolVariant::Drum, 2, 64.0);
+            config.adversary = kind;
+            let report =
+                throughput_experiment(config, 15, 50.0, 50, Duration::from_millis(1500)).unwrap();
+            let total: u64 = report.receivers.iter().map(|r| r.received).sum();
+            assert!(
+                total > 0,
+                "{} attack silenced the whole cluster",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
+    fn cluster_refuses_a_chase_without_cadence() {
+        let mut config = small_config(ProtocolVariant::Drum, 2, 64.0);
+        config.adversary = AdversaryKind::TargetChasing { every: 0 };
+        let err = Cluster::start(config).err().expect("cluster started");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]

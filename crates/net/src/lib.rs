@@ -63,12 +63,16 @@ pub mod shard;
 pub mod sys;
 pub mod transport;
 
-pub use attack::{spawn_attacker, AttackerConfig, AttackerHandle, FloodStrategy};
+pub use attack::{spawn_attacker, AttackerConfig, AttackerHandle};
 pub use codec::{
     decode, decode_frame, encode, frame_signed_body, is_frame, peek_kind, DecodeError, Frame,
     FrameBuilder, FRAME_BUDGET, FRAME_HEADER_LEN, FRAME_ITEM_OVERHEAD, FRAME_TAG_LEN,
     MAX_FRAME_MESSAGES,
 };
+/// The former name of [`drum_core::AdversaryKind`] in this crate, kept
+/// because `benchmark/` names `FloodStrategy::Static`; it is removed at
+/// benchmark v2.
+pub use drum_core::AdversaryKind as FloodStrategy;
 pub use experiment::{
     paper_cluster_config, propagation_experiment, resolve_shards, soak_experiment,
     throughput_experiment, Cluster, ClusterConfig, NodeHandle, PropagationReport, ReceiverReport,

@@ -1,125 +1,35 @@
-//! Pluggable adversary strategies (extension beyond the paper).
+//! How the simulator interprets an [`AdversaryKind`] (extension beyond the
+//! paper).
 //!
 //! The paper's adversary is a *static* flood: a fixed set of attacked
 //! processes each receives `x` fabricated messages per round, split across
 //! the protocol's channels (§5). Drum's resource-bound argument is only
 //! convincing if it also survives adversaries that *adapt* — that chase
 //! targets, concentrate their budget, or game a specific channel instead
-//! of flooding blindly. This module makes the adversary a pluggable
-//! strategy behind the [`AdversaryStrategy`] trait; the simulation model
-//! consults it once per round for (a) the attacked set and (b) the
-//! per-target per-channel fabrication rates.
+//! of flooding blindly. The model asks the configured kind two things:
+//! `retarget` once per round for the attacked set, and `rates` once
+//! per trial for the per-target per-channel fabrication rates.
 //!
-//! Determinism contract: a strategy's only entropy source is the `SmallRng`
-//! handed to [`AdversaryStrategy::retarget`], and it must draw from it in a
-//! fixed order — that keeps fixed-seed trials byte-identical across
-//! `DRUM_POOL_THREADS` worker counts (the same recipe as the runner, see
-//! `runner.rs`). [`AdversaryKind::Static`] draws nothing and reproduces the
-//! pre-strategy RNG stream exactly, so all paper figures are unchanged.
+//! Determinism contract: retargeting's only entropy source is the round's
+//! control `SmallRng`, drawn in a fixed order — that keeps fixed-seed
+//! trials byte-identical across `DRUM_POOL_THREADS` worker counts (the
+//! same recipe as the runner, see `runner.rs`). [`AdversaryKind::Static`]
+//! draws nothing, so all paper figures keep their random stream.
 
 use rand::rngs::SmallRng;
 
 use drum_core::BitSet;
 
+pub use drum_core::AdversaryKind;
+
 use crate::config::SimConfig;
 use crate::sampling::sample_targets_any;
 
-/// Which adversary strategy a scenario runs. `Copy` so [`crate::config::AttackConfig`]
-/// stays `Copy` (accessors pattern-match it by value all over the model).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum AdversaryKind {
-    /// The paper's fixed (α, x) flood. The default; byte-identical to the
-    /// pre-strategy model.
-    #[default]
-    Static,
-    /// Re-acquires targets every `every` rounds, preferring correct
-    /// processes that do *not* yet hold `M` — the frontier chase. `every`
-    /// models how fast the adversary can track the victims' port rotation:
-    /// `1` is instant re-acquisition (rotation buys the victims nothing),
-    /// large values approach the static adversary.
-    TargetChasing {
-        /// Rounds between target re-acquisitions.
-        every: u32,
-    },
-    /// Concentrates the entire group budget `B = x·attacked` on one victim
-    /// (the source), trying to eclipse it from the group entirely.
-    Eclipse,
-    /// Routes the entire per-target budget to the pull channel as
-    /// valid-looking pull-requests, exhausting the victim's reply budget
-    /// (`F_in-pull` served requests per round) instead of splitting across
-    /// channels.
-    PullAbuse,
-    /// Resends previously-authentic datagrams. At the acceptance-budget
-    /// layer replays are indistinguishable from fabrications (they contend
-    /// for the same slots before authentication runs), so the delivery
-    /// dynamics match [`AdversaryKind::Static`]; the strategy exists here
-    /// so the *crypto* cost of replay floods is measurable end-to-end —
-    /// the batched verifier collapses identical replays to one MAC check
-    /// (see `drum_crypto::batch`).
-    Replay,
-}
-
-impl AdversaryKind {
-    /// Every strategy, for CLI listings and test/figure sweeps.
-    /// `TargetChasing` appears with its default cadence of 1.
-    pub const ALL: [AdversaryKind; 5] = [
-        AdversaryKind::Static,
-        AdversaryKind::TargetChasing { every: 1 },
-        AdversaryKind::Eclipse,
-        AdversaryKind::PullAbuse,
-        AdversaryKind::Replay,
-    ];
-
-    /// Stable name (used by traces, figures and the `DRUM_ADVERSARY` knob).
-    pub fn name(self) -> &'static str {
-        match self {
-            AdversaryKind::Static => "static",
-            AdversaryKind::TargetChasing { .. } => "chase",
-            AdversaryKind::Eclipse => "eclipse",
-            AdversaryKind::PullAbuse => "pull-abuse",
-            AdversaryKind::Replay => "replay",
-        }
-    }
-
-    /// Parses a strategy name as used by `--adversary` and the
-    /// `DRUM_ADVERSARY` environment knob. `chase` accepts an optional
-    /// cadence suffix (`chase:4` = re-acquire every 4 rounds).
-    pub fn parse(s: &str) -> Option<AdversaryKind> {
-        match s {
-            "static" => Some(AdversaryKind::Static),
-            "chase" => Some(AdversaryKind::TargetChasing { every: 1 }),
-            "eclipse" => Some(AdversaryKind::Eclipse),
-            "pull-abuse" => Some(AdversaryKind::PullAbuse),
-            "replay" => Some(AdversaryKind::Replay),
-            other => {
-                let every = other.strip_prefix("chase:")?.parse().ok()?;
-                (every > 0).then_some(AdversaryKind::TargetChasing { every })
-            }
-        }
-    }
-
-    /// Reads the `DRUM_ADVERSARY` environment knob, if set and valid.
-    pub fn from_env() -> Option<AdversaryKind> {
-        Self::parse(&std::env::var("DRUM_ADVERSARY").ok()?)
-    }
-
-    /// Instantiates the strategy object the model consults each round.
-    pub fn strategy(self) -> Box<dyn AdversaryStrategy> {
-        match self {
-            AdversaryKind::Static => Box::new(StaticFlood),
-            AdversaryKind::TargetChasing { every } => Box::new(TargetChasing { every }),
-            AdversaryKind::Eclipse => Box::new(Eclipse { placed: false }),
-            AdversaryKind::PullAbuse => Box::new(PullAbuse),
-            AdversaryKind::Replay => Box::new(ReplayFlood),
-        }
-    }
-}
-
-/// What a strategy may observe when (re)choosing targets. Everything here
-/// is honest observable state: which processes exist and which already
-/// hold `M` (an adversary watching traffic can infer the frontier).
+/// What retargeting may observe. Everything here is honest observable
+/// state: which processes exist and which already hold `M` (an adversary
+/// watching traffic can infer the frontier).
 #[derive(Debug)]
-pub struct TargetView<'a> {
+pub(crate) struct TargetView<'a> {
     /// Current round (1-based; `retarget` runs at the top of the round).
     pub round: u32,
     /// Configured attacked-set size `attacked` (the budget in targets).
@@ -134,163 +44,85 @@ pub struct TargetView<'a> {
     pub has_m: &'a BitSet,
 }
 
-/// A pluggable adversary. One instance lives per trial inside `SimState`.
-pub trait AdversaryStrategy: core::fmt::Debug + Send + Sync {
-    /// Stable strategy name (mirrors [`AdversaryKind::name`]).
-    fn name(&self) -> &'static str;
-
-    /// Called at the top of every round. Returning `true` replaces the
-    /// attacked set with the *correct process ids* (in `0..view.n_correct`)
-    /// written to `out`; returning `false` leaves targets unchanged (and
-    /// must leave `out` untouched semantics-wise — the model ignores it).
-    /// All randomness must come from `rng`, drawn in a fixed order.
-    fn retarget(&mut self, view: &TargetView<'_>, rng: &mut SmallRng, out: &mut Vec<usize>)
-        -> bool;
-
-    /// Per-target per-round fabrication rates `(x_push, x_pull)` for this
-    /// scenario. The static split is [`SimConfig::x_push`]/[`SimConfig::x_pull`].
-    fn rates(&self, cfg: &SimConfig) -> (f64, f64);
-}
-
-/// The paper's adversary: fixed targets, protocol-split rates.
-#[derive(Debug)]
-pub struct StaticFlood;
-
-impl AdversaryStrategy for StaticFlood {
-    fn name(&self) -> &'static str {
-        "static"
-    }
-
-    fn retarget(&mut self, _: &TargetView<'_>, _: &mut SmallRng, _: &mut Vec<usize>) -> bool {
-        false
-    }
-
-    fn rates(&self, cfg: &SimConfig) -> (f64, f64) {
-        (cfg.x_push(), cfg.x_pull())
-    }
-}
-
-/// Frontier chase: every `every` rounds, retarget onto correct processes
-/// that do not yet hold `M` (topping up with random holders when fewer
-/// than `k` remain uninfected).
-#[derive(Debug)]
-pub struct TargetChasing {
-    every: u32,
-}
-
-impl AdversaryStrategy for TargetChasing {
-    fn name(&self) -> &'static str {
-        "chase"
-    }
-
-    fn retarget(
-        &mut self,
-        view: &TargetView<'_>,
-        rng: &mut SmallRng,
-        out: &mut Vec<usize>,
-    ) -> bool {
-        if self.every == 0 || !view.round.is_multiple_of(self.every) {
-            return false;
+/// Top-of-round targeting for `kind`. Returning `true` replaces the
+/// attacked set with the *correct process ids* (in `0..view.n_correct`)
+/// written to `out`; `false` leaves the targets unchanged (the model then
+/// ignores `out`). All randomness comes from `rng`, drawn in a fixed order.
+///
+/// * `Static`, `PullAbuse`, `Replay` — never retarget.
+/// * `TargetChasing { every }` — every `every` rounds, a `k`-subset of the
+///   correct processes that do not yet hold `M` (topped up with random
+///   holders when fewer than `k` remain uninfected).
+/// * `Eclipse` — one-shot placement on the source (correct index 0) in the
+///   trial's first round.
+pub(crate) fn retarget(
+    kind: AdversaryKind,
+    view: &TargetView<'_>,
+    rng: &mut SmallRng,
+    out: &mut Vec<usize>,
+) -> bool {
+    match kind {
+        AdversaryKind::Static | AdversaryKind::PullAbuse | AdversaryKind::Replay => false,
+        AdversaryKind::TargetChasing { every } => {
+            if !view.round.is_multiple_of(every) {
+                return false;
+            }
+            chase_frontier(view, rng, out);
+            true
         }
-        // Partition the correct ids: without-M first. Both sides keep
-        // their ascending order so the RNG-consuming sample below is the
-        // only nondeterminism.
-        out.clear();
-        let without: Vec<usize> = (0..view.n_correct)
-            .filter(|&ci| !view.has_m.get(ci))
+        AdversaryKind::Eclipse => {
+            if view.round != 1 {
+                return false;
+            }
+            out.clear();
+            out.push(0); // the source is always correct index 0
+            true
+        }
+    }
+}
+
+/// Frontier chase: partition the correct ids, without-`M` first. Both
+/// sides keep their ascending order so the RNG-consuming samples are the
+/// only nondeterminism.
+fn chase_frontier(view: &TargetView<'_>, rng: &mut SmallRng, out: &mut Vec<usize>) {
+    out.clear();
+    let without: Vec<usize> = (0..view.n_correct)
+        .filter(|&ci| !view.has_m.get(ci))
+        .collect();
+    if without.len() >= view.k {
+        // Uniform k-subset of the frontier.
+        let mut picks = Vec::new();
+        sample_targets_any(without.len(), view.k, rng, &mut picks);
+        out.extend(picks.into_iter().map(|p| without[p]));
+    } else {
+        // Chase everything uninfected, fill the rest from the holders.
+        out.extend(without.iter().copied());
+        let holders: Vec<usize> = (0..view.n_correct)
+            .filter(|&ci| view.has_m.get(ci))
             .collect();
-        if without.len() >= view.k {
-            // Uniform k-subset of the frontier.
-            let mut picks = Vec::new();
-            sample_targets_any(without.len(), view.k, rng, &mut picks);
-            out.extend(picks.into_iter().map(|p| without[p]));
-        } else {
-            // Chase everything uninfected, fill the rest from the holders.
-            out.extend(without.iter().copied());
-            let holders: Vec<usize> = (0..view.n_correct)
-                .filter(|&ci| view.has_m.get(ci))
-                .collect();
-            let need = view.k.min(view.n_correct) - out.len();
-            let mut picks = Vec::new();
-            sample_targets_any(holders.len(), need, rng, &mut picks);
-            out.extend(picks.into_iter().map(|p| holders[p]));
+        let need = view.k.min(view.n_correct) - out.len();
+        let mut picks = Vec::new();
+        sample_targets_any(holders.len(), need, rng, &mut picks);
+        out.extend(picks.into_iter().map(|p| holders[p]));
+    }
+}
+
+/// Per-target per-round fabrication rates `(x_push, x_pull)` of `cfg`'s
+/// adversary. The static split is [`SimConfig::x_push`]/[`SimConfig::x_pull`];
+/// eclipse lands the whole group budget `B = x·attacked` on its one victim;
+/// pull-abuse moves the push half onto the pull channel. Replay keeps the
+/// static rates: at the acceptance-budget layer replays contend for the
+/// same slots as fabrications before authentication runs.
+pub(crate) fn rates(cfg: &SimConfig) -> (f64, f64) {
+    match cfg.adversary() {
+        AdversaryKind::Static | AdversaryKind::TargetChasing { .. } | AdversaryKind::Replay => {
+            (cfg.x_push(), cfg.x_pull())
         }
-        true
-    }
-
-    fn rates(&self, cfg: &SimConfig) -> (f64, f64) {
-        (cfg.x_push(), cfg.x_pull())
-    }
-}
-
-/// Whole-budget concentration on the source (correct index 0).
-#[derive(Debug)]
-pub struct Eclipse {
-    placed: bool,
-}
-
-impl AdversaryStrategy for Eclipse {
-    fn name(&self) -> &'static str {
-        "eclipse"
-    }
-
-    fn retarget(
-        &mut self,
-        _view: &TargetView<'_>,
-        _rng: &mut SmallRng,
-        out: &mut Vec<usize>,
-    ) -> bool {
-        if self.placed {
-            return false;
+        AdversaryKind::Eclipse => {
+            let k = cfg.attacked().max(1) as f64;
+            (cfg.x_push() * k, cfg.x_pull() * k)
         }
-        self.placed = true;
-        out.clear();
-        out.push(0); // the source is always correct index 0
-        true
-    }
-
-    fn rates(&self, cfg: &SimConfig) -> (f64, f64) {
-        // The whole group budget B = x·attacked lands on the one victim.
-        let k = cfg.attacked().max(1) as f64;
-        (cfg.x_push() * k, cfg.x_pull() * k)
-    }
-}
-
-/// All-pull flood: the per-target budget ignores the protocol split and
-/// lands entirely on the pull-request channel.
-#[derive(Debug)]
-pub struct PullAbuse;
-
-impl AdversaryStrategy for PullAbuse {
-    fn name(&self) -> &'static str {
-        "pull-abuse"
-    }
-
-    fn retarget(&mut self, _: &TargetView<'_>, _: &mut SmallRng, _: &mut Vec<usize>) -> bool {
-        false
-    }
-
-    fn rates(&self, cfg: &SimConfig) -> (f64, f64) {
-        (0.0, cfg.x_rate())
-    }
-}
-
-/// Replay flood: static targeting and rates; see [`AdversaryKind::Replay`]
-/// for why the abstract model treats replays like fabrications.
-#[derive(Debug)]
-pub struct ReplayFlood;
-
-impl AdversaryStrategy for ReplayFlood {
-    fn name(&self) -> &'static str {
-        "replay"
-    }
-
-    fn retarget(&mut self, _: &TargetView<'_>, _: &mut SmallRng, _: &mut Vec<usize>) -> bool {
-        false
-    }
-
-    fn rates(&self, cfg: &SimConfig) -> (f64, f64) {
-        (cfg.x_push(), cfg.x_pull())
+        AdversaryKind::PullAbuse => (0.0, cfg.x_rate()),
     }
 }
 
@@ -300,57 +132,43 @@ mod tests {
     use drum_core::ProtocolVariant;
     use rand::SeedableRng;
 
-    #[test]
-    fn parse_round_trips_every_kind() {
-        for kind in AdversaryKind::ALL {
-            assert_eq!(AdversaryKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(
-            AdversaryKind::parse("chase:4"),
-            Some(AdversaryKind::TargetChasing { every: 4 })
-        );
-        assert_eq!(AdversaryKind::parse("chase:0"), None);
-        assert_eq!(AdversaryKind::parse("nonsense"), None);
+    fn paper(kind: AdversaryKind) -> SimConfig {
+        SimConfig::paper_attack(ProtocolVariant::Drum, 120, 128.0).with_adversary(kind)
     }
 
     #[test]
     fn static_strategy_preserves_paper_rates() {
-        let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 128.0);
-        let s = AdversaryKind::Static.strategy();
-        assert_eq!(s.rates(&cfg), (64.0, 64.0));
+        assert_eq!(rates(&paper(AdversaryKind::Static)), (64.0, 64.0));
     }
 
     #[test]
     fn eclipse_concentrates_the_group_budget() {
-        let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 128.0);
-        let mut s = AdversaryKind::Eclipse.strategy();
         // 12 attacked × x/2 per channel → 768 per channel on the one victim.
-        assert_eq!(s.rates(&cfg), (768.0, 768.0));
+        assert_eq!(rates(&paper(AdversaryKind::Eclipse)), (768.0, 768.0));
         let mut rng = SmallRng::seed_from_u64(1);
         let has_m = BitSet::new(120);
-        let view = TargetView {
-            round: 1,
+        let view = |round| TargetView {
+            round,
             k: 12,
             n_correct: 108,
             has_m: &has_m,
         };
+        let kind = AdversaryKind::Eclipse;
         let mut out = Vec::new();
-        assert!(s.retarget(&view, &mut rng, &mut out));
+        assert!(retarget(kind, &view(1), &mut rng, &mut out));
         assert_eq!(out, vec![0]);
         // Placement is one-shot.
-        assert!(!s.retarget(&view, &mut rng, &mut out));
+        assert!(!retarget(kind, &view(2), &mut rng, &mut out));
     }
 
     #[test]
     fn pull_abuse_reroutes_the_whole_budget() {
-        let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 128.0);
-        let s = AdversaryKind::PullAbuse.strategy();
-        assert_eq!(s.rates(&cfg), (0.0, 128.0));
+        assert_eq!(rates(&paper(AdversaryKind::PullAbuse)), (0.0, 128.0));
     }
 
     #[test]
     fn chase_prefers_uninfected_targets() {
-        let mut s = AdversaryKind::TargetChasing { every: 1 }.strategy();
+        let kind = AdversaryKind::TargetChasing { every: 1 };
         let mut rng = SmallRng::seed_from_u64(7);
         let mut has_m = BitSet::new(20);
         // 17 of 20 already hold M; only 3 are frontier.
@@ -364,7 +182,7 @@ mod tests {
             has_m: &has_m,
         };
         let mut out = Vec::new();
-        assert!(s.retarget(&view, &mut rng, &mut out));
+        assert!(retarget(kind, &view, &mut rng, &mut out));
         assert_eq!(out.len(), 5);
         // All 3 frontier processes must be chased.
         for frontier in [17usize, 18, 19] {
@@ -374,7 +192,7 @@ mod tests {
 
     #[test]
     fn chase_cadence_is_respected() {
-        let mut s = AdversaryKind::TargetChasing { every: 3 }.strategy();
+        let kind = AdversaryKind::TargetChasing { every: 3 };
         let mut rng = SmallRng::seed_from_u64(7);
         let has_m = BitSet::new(10);
         let mut out = Vec::new();
@@ -385,7 +203,7 @@ mod tests {
                 n_correct: 10,
                 has_m: &has_m,
             };
-            let fired = s.retarget(&view, &mut rng, &mut out);
+            let fired = retarget(kind, &view, &mut rng, &mut out);
             assert_eq!(fired, round % 3 == 0, "round {round}");
         }
     }

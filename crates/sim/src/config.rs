@@ -38,9 +38,9 @@ pub struct AttackConfig {
     /// does better — it does not, against any of the protocols, because no
     /// per-target state survives the move.
     pub rotate_every: Option<u32>,
-    /// Which adversary strategy drives targeting and channel rates.
-    /// [`AdversaryKind::Static`] is the paper's fixed flood and leaves the
-    /// model byte-identical to the pre-strategy implementation.
+    /// Which adversary drives targeting and channel rates
+    /// ([`crate::adversary`]). [`AdversaryKind::Static`] is the paper's
+    /// fixed flood.
     pub strategy: AdversaryKind,
 }
 
@@ -102,6 +102,8 @@ pub enum SimConfigError {
     BadFanOut,
     /// Attack configured with zero targets.
     EmptyAttack,
+    /// Adversary kind that cannot run (`TargetChasing { every: 0 }`).
+    BadAdversary,
 }
 
 impl core::fmt::Display for SimConfigError {
@@ -111,6 +113,7 @@ impl core::fmt::Display for SimConfigError {
             SimConfigError::BadProbability => write!(f, "probability parameter out of range"),
             SimConfigError::BadFanOut => write!(f, "fan-out invalid for protocol"),
             SimConfigError::EmptyAttack => write!(f, "attack must target at least one process"),
+            SimConfigError::BadAdversary => write!(f, "chase cadence must be at least 1 round"),
         }
     }
 }
@@ -287,6 +290,9 @@ impl SimConfig {
             if a.attacked > self.correct() || a.x_per_round < 0.0 {
                 return Err(SimConfigError::BadPopulation);
             }
+            if !a.strategy.is_valid() {
+                return Err(SimConfigError::BadAdversary);
+            }
         }
         Ok(())
     }
@@ -388,6 +394,17 @@ mod tests {
             strategy: AdversaryKind::Static,
         });
         assert_eq!(cfg.validate(), Err(SimConfigError::BadPopulation));
+    }
+
+    #[test]
+    fn chase_without_cadence_is_rejected() {
+        // Built directly, not parsed: the model would otherwise never
+        // retarget and silently run the static flood.
+        let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 128.0)
+            .with_adversary(AdversaryKind::TargetChasing { every: 0 });
+        assert_eq!(cfg.validate(), Err(SimConfigError::BadAdversary));
+        let cfg = cfg.with_adversary(AdversaryKind::TargetChasing { every: 1 });
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

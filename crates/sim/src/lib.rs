@@ -10,8 +10,8 @@
 //!
 //! * [`model`] — the per-round protocol dynamics (push, pull, bounds,
 //!   random-port ablation);
-//! * [`adversary`] — pluggable attack strategies (static flood,
-//!   target-chasing, eclipse, pull-abuse, replay);
+//! * [`adversary`] — the model's reading of each [`AdversaryKind`]
+//!   (static flood, target-chasing, eclipse, pull-abuse, replay);
 //! * [`sampling`] — hypergeometric acceptance and view sampling;
 //! * [`runner`] — parallel, deterministic multi-trial execution;
 //! * [`experiments`] — canned sweeps matching Figures 2–8 and 12–14.
@@ -44,7 +44,7 @@ pub mod model;
 pub mod runner;
 pub mod sampling;
 
-pub use adversary::{AdversaryKind, AdversaryStrategy};
+pub use adversary::AdversaryKind;
 pub use config::{AttackConfig, Role, SimConfig, SimConfigError};
 pub use model::SimState;
 pub use runner::{

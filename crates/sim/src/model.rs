@@ -41,7 +41,7 @@ use drum_core::BitSet;
 use drum_pool::Pool;
 use drum_trace::{trace_event, Timestamp, Tracer};
 
-use crate::adversary::{AdversaryStrategy, TargetView};
+use crate::adversary::{self, TargetView};
 use crate::config::SimConfig;
 use crate::sampling::{
     accepted_valid, any_interesting, binomial, randomized_round, sample_targets, sample_targets_any,
@@ -177,11 +177,9 @@ pub struct SimState {
     /// Incrementally maintained `attacked_with_m`; rebuilt on target
     /// rotation, bumped at delivery time otherwise.
     n_attacked_with_m: usize,
-    /// The adversary strategy driving targeting; consulted at the top of
-    /// every round. [`crate::adversary::StaticFlood`] for unattacked runs.
-    strategy: Box<dyn AdversaryStrategy>,
-    /// Per-target per-round channel rates `(push, pull)` chosen by the
-    /// strategy. Constant for a trial's lifetime, so computed once.
+    /// Per-target per-round channel rates `(push, pull)` of the configured
+    /// adversary ([`adversary::rates`]). Constant for a trial's lifetime,
+    /// so computed once.
     adv_x_push: f64,
     adv_x_pull: f64,
 
@@ -224,8 +222,7 @@ impl SimState {
         // exactly when an attack is configured.
         let n_correct_with_m = usize::from(cfg.correct() > 0);
         let n_attacked_with_m = usize::from(cfg.attacked() > 0);
-        let strategy = cfg.adversary().strategy();
-        let (adv_x_push, adv_x_pull) = strategy.rates(&cfg);
+        let (adv_x_push, adv_x_pull) = adversary::rates(&cfg);
         SimState {
             cfg,
             has_m,
@@ -234,7 +231,6 @@ impl SimState {
             tracer: Tracer::disabled(),
             n_correct_with_m,
             n_attacked_with_m,
-            strategy,
             adv_x_push,
             adv_x_pull,
             new_m: BitSet::new(n),
@@ -249,8 +245,8 @@ impl SimState {
         }
     }
 
-    /// Rewinds to the round-0 state (source holds `M`, static targets,
-    /// fresh strategy) while keeping every scratch buffer's capacity —
+    /// Rewinds to the round-0 state (source holds `M`, static targets)
+    /// while keeping every scratch buffer's capacity —
     /// the cross-trial reuse hook that makes a 10^6-member sweep allocate
     /// its working set once instead of once per trial.
     pub fn reset(&mut self) {
@@ -264,10 +260,6 @@ impl SimState {
         self.tracer = Tracer::disabled();
         self.n_correct_with_m = usize::from(self.cfg.correct() > 0);
         self.n_attacked_with_m = usize::from(self.cfg.attacked() > 0);
-        self.strategy = self.cfg.adversary().strategy();
-        let (adv_x_push, adv_x_pull) = self.strategy.rates(&self.cfg);
-        self.adv_x_push = adv_x_push;
-        self.adv_x_pull = adv_x_pull;
     }
 
     /// The scenario being simulated.
@@ -292,7 +284,7 @@ impl SimState {
             attacked = self.cfg.attacked(),
             x_per_round = self.cfg.attack.map_or(0.0, |a| a.x_per_round),
             random_ports = self.cfg.random_ports,
-            adversary = self.strategy.name()
+            adversary = self.cfg.adversary().name()
         );
     }
 
@@ -389,13 +381,14 @@ impl SimState {
             }
         }
 
-        // Adaptive-strategy targeting. `StaticFlood` (the paper's model and
-        // the default) always declines, drawing nothing from the RNG, so
-        // static scenarios keep their pre-strategy random stream.
-        if self.cfg.attack.is_some() {
+        // Adaptive-strategy targeting. `Static` (the paper's model and the
+        // default) always declines, drawing nothing from the RNG, so static
+        // scenarios keep their pre-strategy random stream.
+        if let Some(attack) = self.cfg.attack {
             let k = self.cfg.attacked();
             let mut picked = core::mem::take(&mut self.rotation_picks);
-            let changed = self.strategy.retarget(
+            let changed = adversary::retarget(
+                attack.strategy,
                 &TargetView {
                     round: self.round,
                     k,
@@ -412,7 +405,7 @@ impl SimState {
                     "sim",
                     "attack.retarget",
                     Timestamp::Round(u64::from(self.round)),
-                    strategy = self.strategy.name(),
+                    strategy = attack.strategy.name(),
                     targets = picked.len()
                 );
             }

@@ -149,16 +149,13 @@ fn prop_worker_count_never_changes_results() {
 /// Every adversary strategy is as deterministic as the static flood:
 /// retargeting decisions are pure functions of the trial RNG and round
 /// state, so a fixed seed must give byte-identical results no matter how
-/// many pool workers interleave the trials. This is what makes the
-/// `DRUM_ADVERSARY` CI matrix rows meaningful — a strategy whose results
-/// depended on scheduling would turn those jobs into noise.
+/// many pool workers interleave the trials. The `ext_adversary` and
+/// `ext_pull_abuse` figures depend on it: a strategy whose results
+/// depended on scheduling would make them unreproducible.
 #[test]
 fn adversary_strategies_deterministic_across_worker_counts() {
     use drum_sim::AdversaryKind;
 
-    // Honor the CI matrix knob: under DRUM_ADVERSARY=<kind> pin that
-    // strategy on every scenario too, so the env rows exercise it here.
-    let env_kind = AdversaryKind::from_env();
     for kind in AdversaryKind::ALL {
         let cfgs: Vec<SimConfig> = [
             SimConfig::paper_attack(ProtocolVariant::Drum, 80, 128.0),
@@ -167,7 +164,7 @@ fn adversary_strategies_deterministic_across_worker_counts() {
         ]
         .into_iter()
         .map(|cfg| {
-            let mut cfg = cfg.with_adversary(env_kind.unwrap_or(kind));
+            let mut cfg = cfg.with_adversary(kind);
             // Adaptive floods against Pull can be slow to converge; the
             // determinism contract does not need full propagation.
             cfg.max_rounds = 150;

@@ -110,11 +110,13 @@ phase_end "cluster"
 
 # Knobs that went with the path they selected (frame packing, the
 # per-thread runtime, the forced per-datagram mode, the serial sim stepper,
-# the single-block SHA-256 ablation, the fig binaries' full-scale switch);
-# nothing may still read or document them. (Names are spliced so this
-# script does not match itself.)
+# the single-block SHA-256 ablation, the fig binaries' full-scale switch)
+# or became an argument (the adversary strategy); nothing may still read
+# or document them. (Names are spliced so this script does not match
+# itself.)
 RETIRED_KNOBS="DRUM_NET_NO""_PACK|DRUM_NET_MULTI""PLEX|DRUM_NET_NO""_BATCH"
 RETIRED_KNOBS="$RETIRED_KNOBS|DRUM_SIM""_SHARDS|DRUM_CRYPTO""_NO_SIMD|DRUM_BENCH""_FULL"
+RETIRED_KNOBS="$RETIRED_KNOBS|DRUM_ADV""ERSARY"
 phase_begin "no retired knob left"
 if grep -rnE "$RETIRED_KNOBS" crates scripts .github .claude tests examples \
     README.md DESIGN.md EXPERIMENTS.md; then
