@@ -625,6 +625,13 @@ pub fn fig11(w: &mut dyn Write) -> io::Result<()> {
 
 /// Figure 12: the other two DoS-mitigation measures, ablated.
 pub fn fig12(w: &mut dyn Write) -> io::Result<()> {
+    fig12a(w)?;
+    fig12b(w)
+}
+
+/// Figure 12's banner and part (a), the random-ports ablation: the
+/// simulated, deterministic half of the figure.
+pub fn fig12a(w: &mut dyn Write) -> io::Result<()> {
     banner_to(w, "Figure 12", "random ports and separate bounds ablations")?;
     let trials = trials();
     let n = scaled(120, 1000);
@@ -646,9 +653,12 @@ pub fn fig12(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "paper: random ports flat; well-known ports linear in x\n"
-    )?;
+    )
+}
 
-    // (b) — real measurements with the engine's bound modes.
+/// Figure 12(b), the separate-bounds ablation: real UDP clusters run with
+/// the engine's bound modes.
+pub fn fig12b(w: &mut dyn Write) -> io::Result<()> {
     let net_n = scaled3(10, 16, 50);
     let round = Duration::from_millis(scaled3(50, 80, 1000));
     let messages = scaled3(3, 6, 30);

@@ -5,7 +5,8 @@
 //! figNN` runs one. Three scales are supported:
 //!
 //! * **smoke** (`--quick`): the smallest runs that still exercise every
-//!   figure end to end (CI);
+//!   figure end to end; `tests/figure_goldens.rs` holds each deterministic
+//!   figure at this scale to a checked-in golden;
 //! * **quick** (default): reduced group sizes / trial counts so a full
 //!   `drum-lab figures` pass completes in minutes;
 //! * **full** (`--full`): the paper's parameters (n = 1000 simulations,
@@ -100,11 +101,6 @@ pub fn banner_to(w: &mut dyn std::io::Write, fig: &str, what: &str) -> std::io::
             Scale::Full => "FULL (paper)",
         }
     )
-}
-
-/// Prints the standard figure banner to stdout.
-pub fn banner(fig: &str, what: &str) {
-    banner_to(&mut std::io::stdout(), fig, what).expect("write to stdout");
 }
 
 /// Formats a sweep (x column + mean rounds per protocol) as a table.

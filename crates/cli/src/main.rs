@@ -306,21 +306,21 @@ fn run() -> Result<(), String> {
             let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("results"));
             let only: Option<Vec<&str>> = args.get("only").map(|s| s.split(',').collect());
             if args.flag("full") {
-                drum_bench::set_scale(drum_bench::Scale::Full);
+                drum_lab::set_scale(drum_lab::Scale::Full);
             } else if args.flag("quick") {
-                drum_bench::set_scale(drum_bench::Scale::Smoke);
+                drum_lab::set_scale(drum_lab::Scale::Smoke);
             } else {
-                drum_bench::set_scale(drum_bench::Scale::Quick);
+                drum_lab::set_scale(drum_lab::Scale::Quick);
             }
 
-            let selected: Vec<_> = drum_bench::figures::FIGURES
+            let selected: Vec<_> = drum_lab::figures::FIGURES
                 .iter()
                 .filter(|(name, _)| only.as_ref().is_none_or(|o| o.contains(name)))
                 .collect();
             if selected.is_empty() {
                 return Err(format!(
                     "--only matched no figures; known: {}",
-                    drum_bench::figures::FIGURES
+                    drum_lab::figures::FIGURES
                         .iter()
                         .map(|(n, _)| *n)
                         .collect::<Vec<_>>()

@@ -141,17 +141,16 @@ impl MultiMac {
         Self::with_simd(simd_preferred())
     }
 
-    /// Forced single-lane engine, for the ablation arm of benches and for
-    /// tests that pin the 8-lane path against the scalar one.
+    /// Forced single-lane engine, for tests that pin the 8-lane path
+    /// against the scalar one.
     pub fn scalar() -> Self {
         Self::with_simd(false)
     }
 
     /// Forced 8-lane engine wherever the kernel exists — ignoring the
     /// [`simd_preferred`] speed policy. This is the kernel arm of the
-    /// hotpath bench and of the counter-exactness tests, which must
-    /// exercise the lane path even on SHA-NI hosts where `new()`
-    /// dispatches single-block.
+    /// counter-exactness tests, which must exercise the lane path even on
+    /// SHA-NI hosts where `new()` dispatches single-block.
     pub fn lanes() -> Self {
         Self::with_simd(simd_available())
     }

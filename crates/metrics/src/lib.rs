@@ -1,15 +1,15 @@
 //! Statistics, distributions and recorders for the Drum evaluation harness.
 //!
 //! This crate is the measurement substrate shared by the simulator
-//! (`drum-sim`), the UDP runtime (`drum-net`) and the figure-regeneration
-//! binaries (`drum-bench`):
+//! (`drum-sim`), the UDP runtime (`drum-net`) and the figure generators
+//! (`drum-lab`):
 //!
 //! * [`stats`] — streaming mean/variance (propagation-time averages and
 //!   standard deviations, Figures 3–4 and 7–9),
 //! * [`cdf`] — empirical CDFs (Figures 5, 11, 13, 14),
 //! * [`histogram`] — bucketed latency distributions,
 //! * [`recorder`] — the paper's §8 throughput/latency accounting,
-//! * [`table`] — aligned text output for the `figN` binaries.
+//! * [`table`] — aligned text output for the figures.
 //!
 //! # Examples
 //!

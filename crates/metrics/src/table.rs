@@ -1,7 +1,7 @@
-//! Plain-text table rendering for the figure-regeneration binaries.
+//! Plain-text table rendering for the figure generators.
 //!
-//! Each `figN` binary in `drum-bench` prints the series a paper figure
-//! plots; [`Table`] keeps that output aligned and machine-greppable.
+//! Each figure in `drum-lab` prints the series a paper figure plots;
+//! [`Table`] keeps that output aligned and machine-greppable.
 
 /// A simple column-aligned text table.
 ///

@@ -174,6 +174,10 @@ fn batched_and_fallback_send_identical_fanout() {
         }
         let sent = tx.finish(&sender);
         assert_eq!(sent, receivers.len() as u64, "batched={batched}");
+        // One `sendmmsg` for the whole fan-out, against one `send_to` per
+        // recipient.
+        let syscalls = if tx.batched() { 1 } else { sent };
+        assert_eq!(tx.syscalls(), syscalls, "batched={batched}");
 
         let mut buf = [0u8; 2048];
         for r in &receivers {

@@ -2,10 +2,10 @@
 //!
 //! The repo's dev hosts differ wildly in core count (CI runners are often
 //! 1–2 cores), so wall-clock parallel speedups are not a stable gate.
-//! Instead, benches and regression tests model both schedulers over the
-//! *measured deterministic per-job costs* (a trial's executed round count)
-//! and gate on the modeled spans — exact arithmetic, identical on every
-//! machine. Same precedent as PR 4's syscalls-per-datagram gates.
+//! Instead, regression tests model both schedulers over the *measured
+//! deterministic per-job costs* (a trial's executed round count) and
+//! assert the modeled spans — exact arithmetic, identical on every
+//! machine, like the syscalls-per-datagram counts of the net tests.
 //!
 //! Two schedulers are modeled:
 //!
@@ -57,8 +57,8 @@ pub fn greedy_makespan(jobs: &[u64], workers: usize) -> u64 {
 }
 
 /// Total worker-idle units for a schedule: `workers * makespan` slots
-/// minus the work actually done. Divide by job count for the
-/// idle-per-job metric gated in the hotpath suite.
+/// minus the work actually done. Divide by job count for idle time per
+/// job.
 pub fn idle_time(makespan: u64, workers: usize, jobs: &[u64]) -> u64 {
     (makespan * workers as u64).saturating_sub(jobs.iter().sum())
 }

@@ -1,8 +1,7 @@
 //! Canned experiment sweeps matching the paper's simulation figures.
 //!
 //! Each function returns plain data (parameter, per-protocol results) that
-//! the `drum-bench` figure binaries format into the same series the paper
-//! plots. `trials` is a parameter everywhere: the paper uses 1000 runs per
+//! `drum-lab figures` formats into the same series the paper plots. `trials` is a parameter everywhere: the paper uses 1000 runs per
 //! point; tests and quick modes use fewer.
 //!
 //! Every sweep builds its grid of [`SweepPoint`]s up front and submits the
@@ -10,8 +9,8 @@
 //! pool. That keeps the pool saturated across point boundaries: a worker
 //! that finishes a cheap baseline point immediately picks up trials from
 //! the expensive attacked points instead of idling at a per-point join
-//! barrier (the seed harness's behaviour, gated against in the `hotpath`
-//! bench).
+//! barrier (the seed harness's behaviour, which `pool_determinism`'s
+//! straggler-mix test measures against).
 
 use drum_core::ProtocolVariant;
 

@@ -1323,13 +1323,16 @@ mod tests {
 
     #[test]
     fn shard_range_partitions_exactly() {
-        for n in [1usize, 7, 64, 65, 1000] {
+        for n in [1usize, 7, 64, 65, 1000, 1_000_000] {
             for shards in [1usize, 2, 3, 7, 16] {
                 let mut covered = 0;
                 for s in 0..shards {
                     let (lo, hi) = shard_range(n, shards, s);
                     assert!(lo <= hi && hi <= n);
                     assert_eq!(lo, covered, "gap at shard {s} of {shards} over {n}");
+                    // Balanced: no shard waits on a neighbour more than one
+                    // member longer.
+                    assert!(hi - lo == n / shards || hi - lo == n.div_ceil(shards));
                     covered = hi;
                 }
                 assert_eq!(covered, n);
