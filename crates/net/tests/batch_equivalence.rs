@@ -161,12 +161,15 @@ fn batched_and_fallback_make_identical_decisions() {
 
 #[test]
 fn batched_and_fallback_send_identical_fanout() {
-    let receivers: Vec<UdpSocket> = (0..6).map(|_| bind_ephemeral().unwrap()).collect();
+    // A full 64-slot send batch.
+    let receivers: Vec<UdpSocket> = (0..64).map(|_| bind_ephemeral().unwrap()).collect();
     let wire = pull_request(42);
 
     for batched in [true, false] {
         let sender = bind_ephemeral().unwrap();
         let mut tx = BatchTx::forced(batched);
+        // Batching is never silently off where the target supports it.
+        assert_eq!(tx.batched(), batched && drum_net::sys::available());
         for (i, r) in receivers.iter().enumerate() {
             // The encode-once fan-out hint: every push after the first
             // repeats the same bytes.

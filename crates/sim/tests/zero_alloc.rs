@@ -119,7 +119,10 @@ fn a_warmed_million_member_round_allocates_nothing() {
     let pool = Pool::new(1);
     let mut state = SimState::new(SimConfig::attack_alpha(ProtocolVariant::Drum, n, 0.1, 72.0));
     // The first round sizes the grow-once scratch.
-    state.step_sharded(11, shards, &pool);
+    assert!(
+        allocations_in(|| state.step_sharded(11, shards, &pool)) > 0,
+        "the counter must see the first round size the scratch"
+    );
     let allocations = allocations_in(|| {
         state.step_sharded(11, shards, &pool);
         state.step_sharded(11, shards, &pool);
