@@ -590,12 +590,7 @@ pub fn fig11(w: &mut dyn Write) -> io::Result<()> {
             let cfg = paper_cluster_config(p, n, attacked, 128.0, round, SEED);
             let report =
                 throughput_experiment(cfg, messages, rate, 50, drain).expect("cluster failed");
-            let mut lats: Vec<f64> = report
-                .receivers
-                .iter()
-                .filter(|r| r.received > 0)
-                .map(|r| r.mean_latency_ms)
-                .collect();
+            let mut lats = report.latencies_ms();
             lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
             per_protocol.push(lats);
         }

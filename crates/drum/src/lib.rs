@@ -26,7 +26,7 @@
 //! | [`sim`] | `drum-sim` | round-synchronized Monte-Carlo simulator |
 //! | [`analysis`] | `drum-analysis` | closed-form math of appendices A–C and §6 |
 //! | [`membership`] | `drum-membership` | CA, certificates, dynamic views |
-//! | [`metrics`] | `drum-metrics` | statistics, CDFs, recorders |
+//! | [`metrics`] | `drum-metrics` | statistics, quantiles, §8 recorders, tables, JSON |
 //! | [`testkit`] | `drum-testkit` | deterministic virtual network for real engines |
 //! | [`trace`] | `drum-trace` | structured events, pluggable sinks, counter registry |
 //!

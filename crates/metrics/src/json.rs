@@ -1,13 +1,12 @@
-//! Minimal JSON emit/parse for metrics snapshots.
+//! Minimal JSON emit/parse for trace events and benchmark reports.
 //!
-//! The workspace builds hermetically with no crates.io dependencies, so the
-//! serde derives the recorders used to carry are replaced by this small
-//! hand-rolled JSON layer. It covers exactly what the metrics types need:
-//! objects with a *fixed key order* (so identical runs emit byte-identical
-//! snapshots), arrays, finite and non-finite numbers, strings and booleans.
+//! The workspace builds hermetically with no crates.io dependencies, so
+//! serde is replaced by this small hand-rolled JSON layer: objects with a
+//! *fixed key order* (so identical runs emit byte-identical output),
+//! arrays, finite and non-finite numbers, strings and booleans.
 //!
-//! Non-finite numbers (`RunningStats` of an empty sample has `min = +inf`)
-//! are not representable in JSON; they are emitted as the strings `"inf"`,
+//! Non-finite numbers (the minimum of an empty sample is `+inf`) are not
+//! representable in JSON; they are emitted as the strings `"inf"`,
 //! `"-inf"` and `"nan"`, and [`Json::as_f64`] converts them back.
 //!
 //! # Examples

@@ -7,7 +7,6 @@
 //! **average latency** of successfully received messages. These recorders
 //! reproduce that accounting.
 
-use crate::json::{Json, JsonError};
 use crate::stats::RunningStats;
 
 /// Records per-message receive latencies for one process.
@@ -28,7 +27,6 @@ pub struct LatencyRecorder {
     stats: RunningStats,
     /// Timestamped samples `(t_secs, latency_ms)` kept for duration-window
     /// trimming; only populated through [`LatencyRecorder::record_at`].
-    /// Not serialized by [`LatencyRecorder::to_json`].
     samples: Vec<(f64, f64)>,
 }
 
@@ -97,33 +95,6 @@ impl LatencyRecorder {
     pub fn mean_ms(&self) -> f64 {
         self.stats.mean()
     }
-
-    /// Population standard deviation of latency.
-    pub fn std_ms(&self) -> f64 {
-        self.stats.population_std()
-    }
-
-    /// Maximum observed latency; NaN when empty.
-    pub fn max_ms(&self) -> f64 {
-        self.stats.max()
-    }
-
-    /// Serializes the recorder as JSON (its underlying streaming stats).
-    pub fn to_json(&self) -> String {
-        self.stats.to_json()
-    }
-
-    /// Restores a recorder from [`LatencyRecorder::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on malformed input.
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        Ok(LatencyRecorder {
-            stats: RunningStats::from_json(text)?,
-            samples: Vec::new(),
-        })
-    }
 }
 
 /// Records message arrival times and computes steady-state throughput,
@@ -182,33 +153,6 @@ impl ThroughputRecorder {
     pub fn paper_throughput(&self, duration_secs: f64) -> f64 {
         self.steady_state_throughput(duration_secs, 0.05)
     }
-
-    /// Serializes the arrival times as a JSON object.
-    pub fn to_json(&self) -> String {
-        Json::Obj(vec![(
-            "arrivals".into(),
-            Json::Arr(self.arrivals.iter().map(|t| Json::num(*t)).collect()),
-        )])
-        .to_string()
-    }
-
-    /// Restores a recorder from [`ThroughputRecorder::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on malformed input.
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        let v = Json::parse(text)?;
-        let arrivals = v
-            .field_array("arrivals")?
-            .iter()
-            .map(|t| {
-                t.as_f64()
-                    .ok_or(JsonError::MissingField { name: "arrival" })
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(ThroughputRecorder { arrivals })
-    }
 }
 
 #[cfg(test)]
@@ -224,8 +168,6 @@ mod tests {
         r.record_ms(30.0);
         assert_eq!(r.received(), 2);
         assert_eq!(r.mean_ms(), 20.0);
-        assert_eq!(r.max_ms(), 30.0);
-        assert!((r.std_ms() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! times (Figures 2–9) and per-process latencies (Figures 10–11) without
 //! retaining every sample.
 
-use crate::json::{Json, JsonError};
-
 /// Numerically stable streaming mean/variance (Welford's algorithm).
 ///
 /// # Examples
@@ -74,23 +72,9 @@ impl RunningStats {
         }
     }
 
-    /// Sample variance (divides by `n - 1`); `0.0` for fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Smallest observation; `NaN` when empty.
@@ -109,34 +93,6 @@ impl RunningStats {
         } else {
             self.max
         }
-    }
-
-    /// Serializes the accumulator state as a JSON object.
-    pub fn to_json(&self) -> String {
-        Json::Obj(vec![
-            ("count".into(), Json::num(self.count as f64)),
-            ("mean".into(), Json::num(self.mean)),
-            ("m2".into(), Json::num(self.m2)),
-            ("min".into(), Json::num(self.min)),
-            ("max".into(), Json::num(self.max)),
-        ])
-        .to_string()
-    }
-
-    /// Restores an accumulator from [`RunningStats::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on malformed input or missing fields.
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        let v = Json::parse(text)?;
-        Ok(RunningStats {
-            count: v.field_u64("count")?,
-            mean: v.field_f64("mean")?,
-            m2: v.field_f64("m2")?,
-            min: v.field_f64("min")?,
-            max: v.field_f64("max")?,
-        })
     }
 
     /// Merges another accumulator into this one (parallel aggregation).
@@ -218,7 +174,7 @@ mod tests {
     fn single_sample() {
         let s: RunningStats = [3.5].into_iter().collect();
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.sample_std(), 0.0);
+        assert_eq!(s.population_std(), 0.0);
         assert_eq!(s.min(), 3.5);
         assert_eq!(s.max(), 3.5);
     }
@@ -228,7 +184,6 @@ mod tests {
         let s: RunningStats = [1.0, 2.0, 3.0, 4.0, 5.0].into_iter().collect();
         assert_eq!(s.mean(), 3.0);
         assert!((s.population_variance() - 2.0).abs() < 1e-12);
-        assert!((s.sample_variance() - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -38,14 +38,6 @@ impl Table {
         self
     }
 
-    /// Convenience for a row of `f64` values, formatted to 3 decimals,
-    /// prefixed by a label cell.
-    pub fn row_f64(&mut self, label: impl Into<String>, values: &[f64]) -> &mut Self {
-        let mut cells = vec![label.into()];
-        cells.extend(values.iter().map(|v| format!("{v:.3}")));
-        self.row(cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -110,21 +102,15 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = Table::new(vec!["a".into(), "bb".into()]);
+        assert!(t.is_empty());
         t.row(vec!["100".into(), "2".into()]);
+        assert_eq!(t.len(), 1);
+        assert!(!t.is_empty());
         let out = t.render();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains('a'));
         assert!(lines[2].contains("100"));
-    }
-
-    #[test]
-    fn row_f64_formats() {
-        let mut t = Table::new(vec!["x".into(), "y".into()]);
-        t.row_f64("1", &[0.123456]);
-        assert!(t.render().contains("0.123"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

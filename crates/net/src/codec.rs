@@ -489,10 +489,10 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, DecodeError> {
 /// Greedy MTU-budgeted packing of gossip messages into [`Frame`] datagrams.
 ///
 /// A sender keeps one builder alive across rounds: [`push`](Self::push)
-/// appends messages while they fit the byte budget, [`finish_into`]
-/// (Self::finish_into) seals the accumulated messages into one signed frame
-/// and resets the builder. All internal buffers grow once and are reused,
-/// so steady-state packing allocates nothing.
+/// appends messages while they fit the byte budget,
+/// [`finish_into`](Self::finish_into) seals the accumulated messages into
+/// one signed frame and resets the builder. All internal buffers grow once
+/// and are reused, so steady-state packing allocates nothing.
 #[derive(Debug, Default)]
 pub struct FrameBuilder {
     /// Length-prefixed encoded messages accumulated for the open frame.

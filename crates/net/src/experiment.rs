@@ -403,26 +403,33 @@ impl ThroughputReport {
         s.mean()
     }
 
-    /// Mean latency over all receivers' means.
+    /// Mean latency over the means of the receivers that got at least one
+    /// message; 0 when none did. A starved receiver has no latency, not a
+    /// 0 ms one.
     pub fn mean_latency_ms(&self) -> f64 {
-        let s: RunningStats = self.receivers.iter().map(|r| r.mean_latency_ms).collect();
+        let s: RunningStats = self.reached().map(|r| r.mean_latency_ms).collect();
         s.mean()
     }
 
-    /// Mean latency among attacked receivers only.
+    /// [`mean_latency_ms`](Self::mean_latency_ms) among attacked receivers
+    /// only.
     pub fn mean_latency_attacked_ms(&self) -> f64 {
         let s: RunningStats = self
-            .receivers
-            .iter()
+            .reached()
             .filter(|r| r.attacked)
             .map(|r| r.mean_latency_ms)
             .collect();
         s.mean()
     }
 
-    /// Per-receiver average latencies, for CDF plots (Figure 11).
+    /// Per-receiver average latencies of the receivers that got at least
+    /// one message, in receiver order, for CDF plots (Figure 11).
     pub fn latencies_ms(&self) -> Vec<f64> {
-        self.receivers.iter().map(|r| r.mean_latency_ms).collect()
+        self.reached().map(|r| r.mean_latency_ms).collect()
+    }
+
+    fn reached(&self) -> impl Iterator<Item = &ReceiverReport> {
+        self.receivers.iter().filter(|r| r.received > 0)
     }
 }
 
@@ -550,9 +557,6 @@ pub struct SoakReport {
     /// backpressure accounting, never silent drops — summed over
     /// processes.
     pub backpressure: u64,
-    /// [`NetStats::frames_sent`] summed over processes: 0, now that every
-    /// gossip message leaves as a bare datagram (the soak test pins it).
-    pub frames_sent: u64,
     /// Wall-clock duration of the publish window in seconds.
     pub duration_secs: f64,
 }
@@ -693,7 +697,6 @@ pub fn soak_experiment(
         delivered: delivered.iter().sum(),
         buffer_bytes_peak: stats.iter().map(|s| s.buffer_bytes_peak).max().unwrap_or(0),
         backpressure: stats.iter().map(|s| s.stream_backpressure).sum(),
-        frames_sent: stats.iter().map(|s| s.frames_sent).sum(),
         duration_secs,
     })
 }
@@ -809,6 +812,36 @@ mod tests {
         assert_eq!(seq, 42);
         assert!(micros < 1_000_000);
         assert_eq!(decode_payload(&[0u8; 3]), None);
+    }
+
+    #[test]
+    fn starved_receiver_has_no_latency() {
+        let receiver = |id, attacked, received, mean_latency_ms| ReceiverReport {
+            id: ProcessId(id),
+            attacked,
+            throughput: 0.0,
+            mean_latency_ms,
+            received,
+        };
+        let report = ThroughputReport {
+            receivers: vec![
+                receiver(1, false, 10, 20.0),
+                receiver(2, true, 5, 40.0),
+                // Got nothing, so its recorder's mean reads 0 ms.
+                receiver(3, true, 0, 0.0),
+            ],
+            duration_secs: 1.0,
+            published: 10,
+            rounds: 0,
+            shard_wakeups: 0,
+            delivered: 15,
+            compress_calls: 0,
+            sockets_opened: 0,
+            bind_failed: 0,
+        };
+        assert_eq!(report.mean_latency_ms(), 30.0);
+        assert_eq!(report.mean_latency_attacked_ms(), 40.0);
+        assert_eq!(report.latencies_ms(), vec![20.0, 40.0]);
     }
 
     #[test]
@@ -972,8 +1005,6 @@ mod tests {
         assert!(report.delivered > 0, "soak delivered nothing");
         assert!(!report.latency_cdf_ms.is_empty());
         assert!(report.buffer_bytes_peak > 0, "buffer peak never observed");
-        // One wire shape: the runtime sends bare datagrams only.
-        assert_eq!(report.frames_sent, 0);
     }
 
     #[test]

@@ -551,7 +551,7 @@ impl NodeCore {
     }
 
     /// Advances this node's round deadline on the fixed cadence (see
-    /// [`advance_deadline`]), counting late rounds.
+    /// `advance_deadline`), counting late rounds.
     pub fn next_deadline(&mut self, prev: Instant, now: Instant) -> Instant {
         let (next, late) = advance_deadline(
             prev,

@@ -33,8 +33,8 @@
 //! order — see `drum_sim::runner` and DESIGN.md §15.
 //!
 //! The lifetime erasure that lets persistent workers run borrowed closures
-//! is this crate's single unsafe island ([`raw`]), mirroring
-//! `drum_crypto`'s `shani` and `drum_net`'s `sys`.
+//! is this crate's single unsafe island (the private `raw` module),
+//! mirroring `drum_crypto`'s `shani` and `drum_net`'s `sys`.
 //!
 //! # Examples
 //!

@@ -18,7 +18,7 @@
 //!    `trials` alone ([`chunk_size`] — never of the worker count, unlike
 //!    the old static `trials / workers` split);
 //! 3. each chunk absorbs its trials in ascending trial order into its own
-//!    fixed-index [`Partial`] (Welford pushes are order-sensitive);
+//!    fixed-index `Partial` (Welford pushes are order-sensitive);
 //! 4. chunk partials are merged in ascending chunk order on the
 //!    submitting thread.
 //!

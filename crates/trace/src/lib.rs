@@ -13,12 +13,12 @@
 //! * **Events** — [`Event`] with typed [`Field`]s and a [`Timestamp`] in
 //!   sim-rounds (deterministic) or wall-clock microseconds;
 //! * **Sinks** — [`NoopSink`] (near-zero overhead), [`MemorySink`]
-//!   (tests), [`JsonLinesSink`] (byte-stable JSON lines via
-//!   `drum_metrics::json`), and the mpsc-backed [`ChannelSink`] +
-//!   [`Collector`] pair for multi-threaded runtimes;
-//! * **Registry** — [`Registry`] of lock-free [`Counter`]s/[`Gauge`]s
-//!   (messages sent/received, bound drops, port rotations, ...) that
-//!   snapshots into `drum_metrics` tables and JSON.
+//!   (tests) and [`JsonLinesSink`] (byte-stable JSON lines via
+//!   `drum_metrics::json`); every sink is `Send + Sync`, so threads emit
+//!   into one sink directly;
+//! * **Registry** — [`Registry`] of lock-free [`Counter`]s (messages
+//!   sent/received, bound drops, port rotations, ...) that snapshots into
+//!   a `drum_metrics` table.
 //!
 //! The [`Tracer`] handle bundles a sink and a registry; the disabled
 //! default costs one branch per emission site (measured ≤ a few percent on
@@ -43,31 +43,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod collector;
 pub mod event;
 pub mod registry;
 pub mod sink;
 pub mod tracer;
 
-pub use collector::{ChannelSink, Collector};
 pub use event::{Event, Field, Timestamp, Value};
-pub use registry::{names, Counter, Gauge, Registry};
+pub use registry::{names, Counter, Registry};
 pub use sink::{JsonLinesSink, MemorySink, NoopSink, SharedBuf, Sink};
-pub use tracer::{Span, Tracer};
+pub use tracer::Tracer;
 
 #[cfg(test)]
 mod integration {
     use super::*;
     use std::sync::Arc;
 
-    /// End-to-end: multi-threaded emission through the collector into a
-    /// JSON-lines sink, counters snapshotting alongside.
+    /// End-to-end: multi-threaded emission into one JSON-lines sink,
+    /// counters snapshotting alongside.
     #[test]
-    fn threads_to_jsonl_through_collector() {
+    fn threads_to_jsonl() {
         let buf = SharedBuf::new();
-        let jsonl: Arc<dyn Sink> = Arc::new(JsonLinesSink::new(buf.clone()));
-        let (collector, channel) = Collector::spawn(jsonl);
-        let tracer = Tracer::new(Arc::new(channel));
+        let tracer = Tracer::new(Arc::new(JsonLinesSink::new(buf.clone())));
         let sent = tracer.registry().counter(names::MESSAGES_SENT);
 
         std::thread::scope(|scope| {
@@ -83,8 +79,7 @@ mod integration {
             }
         });
 
-        drop(tracer);
-        assert_eq!(collector.finish(), 30);
+        tracer.flush();
         assert_eq!(buf.contents_string().lines().count(), 30);
         assert_eq!(sent.get(), 30);
     }

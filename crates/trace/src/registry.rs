@@ -1,14 +1,13 @@
-//! A process-wide counter/gauge registry.
+//! A process-wide counter registry.
 //!
-//! Emission sites hold a [`Counter`] or [`Gauge`] handle (an `Arc`'d
-//! atomic — incrementing is lock-free); snapshots are sorted by name so
-//! repeated snapshots of identical states render identically, and they
-//! export to `drum_metrics` tables and JSON.
+//! Emission sites hold a [`Counter`] handle (an `Arc`'d atomic —
+//! incrementing is lock-free); snapshots are sorted by name so repeated
+//! snapshots of identical states render identically, and they export to a
+//! `drum_metrics` table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use drum_metrics::json::Json;
 use drum_metrics::table::Table;
 
 /// Well-known counter names used by the wired layers, so dashboards and
@@ -124,32 +123,10 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that can move both ways (open sockets, buffer size).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: Mutex<Vec<(String, Counter)>>,
-    gauges: Mutex<Vec<(String, Gauge)>>,
-}
-
-/// A shared, cheaply clonable registry of named counters and gauges.
+/// A shared, cheaply clonable registry of named counters.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    inner: Arc<RegistryInner>,
+    counters: Arc<Mutex<Vec<(String, Counter)>>>,
 }
 
 impl Registry {
@@ -161,11 +138,7 @@ impl Registry {
     /// Returns the counter named `name`, creating it at zero on first use.
     /// The same name always yields handles to the same underlying value.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut counters = self
-            .inner
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut counters = self.lock();
         if let Some((_, c)) = counters.iter().find(|(n, _)| n == name) {
             return c.clone();
         }
@@ -174,39 +147,13 @@ impl Registry {
         c
     }
 
-    /// Returns the gauge named `name`, creating it at zero on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut gauges = self
-            .inner
-            .gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, g)) = gauges.iter().find(|(n, _)| n == name) {
-            return g.clone();
-        }
-        let g = Gauge::default();
-        gauges.push((name.to_string(), g.clone()));
-        g
-    }
-
-    /// Snapshots every counter and gauge as `(name, value)`, sorted by
-    /// name, so identical states snapshot identically.
+    /// Snapshots every counter as `(name, value)`, sorted by name, so
+    /// identical states snapshot identically.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
         let mut out: Vec<(String, u64)> = self
-            .inner
-            .counters
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(n, c)| (n.clone(), c.get()))
-            .chain(
-                self.inner
-                    .gauges
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .iter()
-                    .map(|(n, g)| (n.clone(), g.get())),
-            )
             .collect();
         out.sort();
         out
@@ -221,15 +168,8 @@ impl Registry {
         t
     }
 
-    /// Serializes the snapshot as a JSON object (sorted keys).
-    pub fn to_json(&self) -> String {
-        Json::Obj(
-            self.snapshot()
-                .into_iter()
-                .map(|(n, v)| (n, Json::num(v as f64)))
-                .collect(),
-        )
-        .to_string()
+    fn lock(&self) -> MutexGuard<'_, Vec<(String, Counter)>> {
+        self.counters.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -248,44 +188,30 @@ mod tests {
     }
 
     #[test]
-    fn gauge_sets_and_reads() {
-        let reg = Registry::new();
-        let g = reg.gauge("open_sockets");
-        g.set(12);
-        assert_eq!(reg.gauge("open_sockets").get(), 12);
-        g.set(3);
-        assert_eq!(g.get(), 3);
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_complete() {
         let reg = Registry::new();
         reg.counter("z_last").add(1);
         reg.counter("a_first").add(2);
-        reg.gauge("m_gauge").set(7);
+        reg.counter("m_middle").add(7);
         let snap = reg.snapshot();
         assert_eq!(
             snap,
             vec![
                 ("a_first".to_string(), 2),
-                ("m_gauge".to_string(), 7),
+                ("m_middle".to_string(), 7),
                 ("z_last".to_string(), 1),
             ]
         );
     }
 
     #[test]
-    fn table_and_json_render() {
+    fn table_renders() {
         let reg = Registry::new();
         reg.counter(names::MESSAGES_SENT).add(10);
         reg.counter(names::DROPPED_BY_BOUND).add(3);
         let table = reg.to_table().render();
         assert!(table.contains("messages_sent"));
         assert!(table.contains("10"));
-        assert_eq!(
-            reg.to_json(),
-            r#"{"dropped_by_bound":3,"messages_sent":10}"#
-        );
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The [`Tracer`] handle threaded through the sim, engine and net layers,
-//! plus RAII [`Span`]s.
+//! The [`Tracer`] handle threaded through the sim, engine and net layers.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,13 +55,6 @@ impl Tracer {
         }
     }
 
-    /// Replaces the registry (to share counters between tracers).
-    #[must_use]
-    pub fn with_registry(mut self, registry: Registry) -> Self {
-        self.registry = registry;
-        self
-    }
-
     /// Whether a sink is attached. Check this before building fields for
     /// [`Tracer::emit`] on hot paths.
     #[inline]
@@ -70,7 +62,7 @@ impl Tracer {
         self.sink.is_some()
     }
 
-    /// The counter/gauge registry.
+    /// The counter registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -93,55 +85,6 @@ impl Tracer {
     /// Wall-clock timestamp: microseconds since this tracer was created.
     pub fn wall_now(&self) -> Timestamp {
         Timestamp::WallMicros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    /// Opens a span: emits `name` with `span="enter"` now and `span="exit"`
-    /// (plus `elapsed_us` for wall-clock spans) when the guard drops.
-    /// Disabled tracers return an inert guard.
-    pub fn span(&self, target: &'static str, name: &'static str, time: Timestamp) -> Span<'_> {
-        if self.enabled() {
-            self.emit(Event::new(target, name, time).with("span", "enter"));
-        }
-        Span {
-            tracer: self,
-            target,
-            name,
-            time,
-            started: Instant::now(),
-        }
-    }
-}
-
-/// RAII guard emitting the closing half of a [`Tracer::span`].
-#[derive(Debug)]
-pub struct Span<'a> {
-    tracer: &'a Tracer,
-    target: &'static str,
-    name: &'static str,
-    time: Timestamp,
-    started: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        let mut event = Event::new(
-            self.target,
-            self.name,
-            match self.time {
-                // Round-stamped spans close in the same round (deterministic);
-                // wall-stamped spans close at the current wall time.
-                Timestamp::WallMicros(_) => self.tracer.wall_now(),
-                t => t,
-            },
-        )
-        .with("span", "exit");
-        if matches!(self.time, Timestamp::WallMicros(_)) {
-            event = event.with("elapsed_us", self.started.elapsed().as_micros() as u64);
-        }
-        self.tracer.emit(event);
     }
 }
 
@@ -208,48 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn span_emits_enter_and_exit() {
-        let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer::new(sink.clone());
-        {
-            let _span = tracer.span("net", "round", Timestamp::Round(2));
-            trace_event!(tracer, "net", "inner", Timestamp::Round(2));
-        }
-        let events = sink.take();
-        assert_eq!(events.len(), 3);
-        assert_eq!(
-            events[0].field("span"),
-            Some(&crate::Value::Static("enter"))
-        );
-        assert_eq!(events[1].name, "inner");
-        assert_eq!(events[2].field("span"), Some(&crate::Value::Static("exit")));
-        assert_eq!(events[2].time, Timestamp::Round(2));
-    }
-
-    #[test]
-    fn wall_span_reports_elapsed() {
-        let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer::new(sink.clone());
-        drop(tracer.span("net", "work", tracer.wall_now()));
-        let events = sink.take();
-        assert!(events[1].field("elapsed_us").is_some());
-    }
-
-    #[test]
     fn registry_shared_across_clones() {
         let tracer = Tracer::disabled();
         let clone = tracer.clone();
         tracer.registry().counter("c").inc();
         assert_eq!(clone.registry().counter("c").get(), 1);
-    }
-
-    #[test]
-    fn with_registry_shares_counters_between_tracers() {
-        let shared = Registry::new();
-        let a = Tracer::disabled().with_registry(shared.clone());
-        let b = Tracer::disabled().with_registry(shared.clone());
-        a.registry().counter("x").inc();
-        b.registry().counter("x").add(2);
-        assert_eq!(shared.counter("x").get(), 3);
     }
 }

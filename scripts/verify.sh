@@ -127,4 +127,10 @@ phase_begin "cargo fmt --check"
 cargo fmt --check
 phase_end "fmt"
 
+# Rustdoc must be warning-free, so an intra-doc link to a deleted or
+# private item fails here instead of rendering as dead text.
+phase_begin "cargo doc (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+phase_end "doc"
+
 echo "==> verify: all green (total $((SECONDS))s)"
