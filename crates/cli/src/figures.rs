@@ -962,6 +962,7 @@ pub fn ext_cluster(w: &mut dyn Write) -> io::Result<()> {
             let mut total = 0u64;
             let mut lat_sum_ms = 0.0f64;
             let mut lat_count = 0u64;
+            // Drains every receiver and returns the running delivery count.
             let mut drain = |reached: &mut Vec<bool>| {
                 for (i, h) in cluster.handles().iter().enumerate().skip(1) {
                     for d in h.take_delivered() {
@@ -976,6 +977,7 @@ pub fn ext_cluster(w: &mut dyn Write) -> io::Result<()> {
                         }
                     }
                 }
+                total
             };
 
             for m in 0..messages {
@@ -983,18 +985,19 @@ pub fn ext_cluster(w: &mut dyn Write) -> io::Result<()> {
                 std::thread::sleep(round * 2);
                 drain(&mut reached);
             }
+            // Wait for every message at every receiver: the last publish
+            // has had only two rounds to spread when the loop above ends.
+            let expected = messages * (correct as u64 - 1);
             let deadline = Instant::now() + wait;
-            while Instant::now() < deadline && reached.iter().any(|r| !r) {
-                drain(&mut reached);
+            while drain(&mut reached) < expected && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(20));
             }
-            drain(&mut reached);
             let stats = cluster.shutdown();
 
             let late: u64 = stats.iter().map(|s| s.rounds_late).sum();
             let reached_frac =
                 reached.iter().filter(|r| **r).count() as f64 / correct.max(1) as f64;
-            let delivered_frac = total as f64 / (messages * (correct as u64 - 1)) as f64;
+            let delivered_frac = total as f64 / expected as f64;
             let mean_latency = if lat_count > 0 {
                 lat_sum_ms / lat_count as f64
             } else {

@@ -303,16 +303,6 @@ impl Engine {
         &self.buffer
     }
 
-    /// Mutable access to the membership list (join/leave events).
-    pub fn membership_mut(&mut self) -> &mut Membership {
-        &mut self.membership
-    }
-
-    /// Read access to the membership list.
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
     /// Statistics of the round in progress.
     pub fn stats(&self) -> &RoundStats {
         &self.stats

@@ -2,8 +2,8 @@
 
 /// A group member's identity.
 ///
-/// The membership service guarantees uniqueness; the crypto layer binds a
-/// key to each id. Internally a `u64` so it doubles as the peer id used by
+/// Ids are unique within a group; the crypto layer binds a key to each
+/// id. Internally a `u64` so it doubles as the peer id used by
 /// [`drum_crypto::keys::KeyStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(pub u64);

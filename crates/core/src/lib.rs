@@ -13,9 +13,8 @@
 //!    so the attacker does not know where to aim.
 //!
 //! This crate contains the protocol logic only; pair it with:
-//! `drum-net` (real UDP transport), `drum-sim` (Monte-Carlo simulator),
-//! `drum-analysis` (closed-form numerics) and `drum-membership` (dynamic
-//! groups).
+//! `drum-net` (real UDP transport), `drum-sim` (Monte-Carlo simulator)
+//! and `drum-analysis` (closed-form numerics).
 //!
 //! # Examples
 //!

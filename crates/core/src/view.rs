@@ -73,31 +73,6 @@ impl Membership {
         self.others.binary_search(&p).is_ok()
     }
 
-    /// Adds a member (e.g. on a join event). Returns `true` if new.
-    pub fn add(&mut self, p: ProcessId) -> bool {
-        if p == self.me {
-            return false;
-        }
-        match self.others.binary_search(&p) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.others.insert(pos, p);
-                true
-            }
-        }
-    }
-
-    /// Removes a member (leave/expel/failure). Returns `true` if present.
-    pub fn remove(&mut self, p: ProcessId) -> bool {
-        match self.others.binary_search(&p) {
-            Ok(pos) => {
-                self.others.remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Samples `k` distinct random members (fewer if the group is smaller).
     pub fn sample_view<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<ProcessId> {
         let k = k.min(self.others.len());
@@ -182,17 +157,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         assert!(m.sample_view(4, &mut rng).is_empty());
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn add_remove() {
-        let mut m = Membership::new(ProcessId(0), members(3));
-        assert!(m.add(ProcessId(10)));
-        assert!(!m.add(ProcessId(10)));
-        assert!(!m.add(ProcessId(0))); // self
-        assert!(m.remove(ProcessId(10)));
-        assert!(!m.remove(ProcessId(10)));
-        assert_eq!(m.len(), 2);
     }
 
     #[test]

@@ -154,13 +154,6 @@ impl KeyStore {
         self.write_auth_keys().remove(&peer);
     }
 
-    /// Removes `peer`'s key (e.g. after certificate revocation).
-    /// Returns `true` if a key was present.
-    pub fn revoke(&self, peer: u64) -> bool {
-        self.write_auth_keys().remove(&peer);
-        self.write_keys().remove(&peer).is_some()
-    }
-
     /// Whether a key is registered for `peer`.
     pub fn contains(&self, peer: u64) -> bool {
         self.read_keys().contains_key(&peer)
@@ -180,8 +173,7 @@ impl KeyStore {
     ///
     /// # Errors
     ///
-    /// Returns [`UnknownPeerError`] if `peer` was never registered (or was
-    /// revoked).
+    /// Returns [`UnknownPeerError`] if `peer` was never registered.
     pub fn key_of(&self, peer: u64) -> Result<SecretKey, UnknownPeerError> {
         self.read_keys()
             .get(&peer)
@@ -195,12 +187,11 @@ impl KeyStore {
     /// This is the receive-path fast lane: after the first message from a
     /// peer, verification costs an `Arc` clone instead of a fresh key
     /// schedule (two SHA-256 compressions). The cache entry is dropped when
-    /// the peer's key is re-registered or revoked.
+    /// the peer's key is re-registered.
     ///
     /// # Errors
     ///
-    /// Returns [`UnknownPeerError`] if `peer` was never registered (or was
-    /// revoked).
+    /// Returns [`UnknownPeerError`] if `peer` was never registered.
     pub fn auth_key_of(&self, peer: u64) -> Result<Arc<HmacKey>, UnknownPeerError> {
         if let Some(cached) = self
             .auth_keys
@@ -210,7 +201,7 @@ impl KeyStore {
         {
             return Ok(Arc::clone(cached));
         }
-        // Miss: derive under the cache write lock so a concurrent revoke or
+        // Miss: derive under the cache write lock so a concurrent
         // re-register (which clears the entry under the same lock) cannot
         // leave a stale schedule behind.
         let mut cache = self.write_auth_keys();
@@ -246,15 +237,6 @@ mod tests {
         let err = store.key_of(9).unwrap_err();
         assert_eq!(err.peer, 9);
         assert!(err.to_string().contains('9'));
-    }
-
-    #[test]
-    fn revoke_removes_key() {
-        let store = KeyStore::new(1);
-        store.register(5);
-        assert!(store.revoke(5));
-        assert!(!store.revoke(5));
-        assert!(store.key_of(5).is_err());
     }
 
     #[test]
@@ -312,15 +294,6 @@ mod tests {
             replaced.mac(b"m"),
             SecretKey::from_bytes([9u8; 32]).hmac_key().mac(b"m")
         );
-    }
-
-    #[test]
-    fn auth_key_cache_invalidated_on_revoke() {
-        let store = KeyStore::new(11);
-        store.register(4);
-        store.auth_key_of(4).unwrap();
-        store.revoke(4);
-        assert_eq!(store.auth_key_of(4).unwrap_err().peer, 4);
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! | [`net`] | `drum-net` | threaded UDP runtime, attack emulation, measurements |
 //! | [`sim`] | `drum-sim` | round-synchronized Monte-Carlo simulator |
 //! | [`analysis`] | `drum-analysis` | closed-form math of appendices A–C and §6 |
-//! | [`membership`] | `drum-membership` | CA, certificates, dynamic views |
 //! | [`metrics`] | `drum-metrics` | statistics, quantiles, §8 recorders, tables, JSON |
 //! | [`testkit`] | `drum-testkit` | deterministic virtual network for real engines |
 //! | [`trace`] | `drum-trace` | structured events, pluggable sinks, counter registry |
@@ -65,7 +64,6 @@
 pub use drum_analysis as analysis;
 pub use drum_core as core;
 pub use drum_crypto as crypto;
-pub use drum_membership as membership;
 pub use drum_metrics as metrics;
 pub use drum_net as net;
 pub use drum_sim as sim;

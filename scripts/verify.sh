@@ -115,6 +115,13 @@ if [ "$QUICK" -eq 1 ]; then
     exit 0
 fi
 
+# benchmark/ is its own workspace that links the library crates by path;
+# the suite above does not build it. A library change that breaks the
+# end-to-end benchmark fails here instead of in the benchmark run.
+phase_begin "cargo test benchmark/ (its own workspace)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
+phase_end "benchmark"
+
 # Smoke-regenerate every figure through the shared worker pool; writes to
 # a throwaway directory, so checked-in results/ stay untouched.
 phase_begin "drum-lab figures --quick"
