@@ -2,13 +2,12 @@
 //!
 //! `drum-lab figures` calls these functions with file writers to
 //! regenerate the whole `results/` directory (or an `--only` subset) in
-//! one process — which is what lets the simulation sweeps share the
-//! global `drum-pool` across figures instead of paying per-point join
-//! barriers.
+//! one process.
 //!
-//! Figures run **sequentially**; each one's sweeps saturate the pool
-//! internally, and the cluster figures (09–12) bind real UDP sockets
-//! that should not compete with a concurrent cluster for ports.
+//! Figures run **sequentially**; each one's sweeps keep every thread busy
+//! internally ([`drum_sim::par`]), and the cluster figures (09–12) bind
+//! real UDP sockets that should not compete with a concurrent cluster for
+//! ports.
 
 use std::io::{self, Write};
 use std::time::Duration;

@@ -14,6 +14,7 @@ use std::time::Duration;
 use args::{ArgError, Args};
 use drum_analysis::appendix_c::{analysis_cdf, Protocol};
 use drum_core::config::{AdversaryKind, BoundMode, GossipConfig, ProtocolVariant};
+use drum_lab::figures::{FigureFn, FIGURES};
 use drum_metrics::table::Table;
 use drum_net::experiment::{paper_cluster_config, throughput_experiment};
 use drum_sim::config::SimConfig;
@@ -88,6 +89,37 @@ fn adversary_of(args: &Args) -> Result<AdversaryKind, String> {
     AdversaryKind::parse(name).ok_or_else(|| {
         format!("unknown adversary '{name}' (static|chase[:k]|eclipse|pull-abuse|replay)")
     })
+}
+
+/// `cluster`'s ablation flags applied to the protocol's gossip settings:
+/// `--shared-bounds` (Figure 12(b)) and `--no-random-ports` (Figure 12(a))
+/// each change one field and keep the rest.
+fn cluster_gossip(args: &Args, mut gossip: GossipConfig) -> GossipConfig {
+    if args.flag("shared-bounds") {
+        gossip = gossip.with_bound_mode(BoundMode::SharedControl);
+    }
+    if args.flag("no-random-ports") {
+        gossip = gossip.with_random_ports(false);
+    }
+    gossip
+}
+
+/// The figures `--only` names, in registry order (all when `None`); an
+/// unknown name is an error that lists the known ones.
+fn select_figures(only: Option<&str>) -> Result<Vec<(&'static str, FigureFn)>, String> {
+    let known: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+    let names: Vec<&str> = only.map_or(known.clone(), |only| only.split(',').collect());
+    match names.iter().find(|name| !known.contains(name)) {
+        Some(unknown) => Err(format!(
+            "--only: unknown figure '{unknown}'; known: {}",
+            known.join(", ")
+        )),
+        None => Ok(FIGURES
+            .iter()
+            .filter(|(name, _)| names.contains(name))
+            .copied()
+            .collect()),
+    }
 }
 
 fn analysis_protocol(p: ProtocolVariant) -> Protocol {
@@ -240,12 +272,7 @@ fn run() -> Result<(), String> {
             );
             cfg.shards = shards;
             cfg.adversary = adversary_of(&args)?;
-            if args.flag("shared-bounds") {
-                cfg.net.gossip = cfg.net.gossip.with_bound_mode(BoundMode::SharedControl);
-            }
-            if args.flag("no-random-ports") {
-                cfg.net.gossip = GossipConfig::drum().with_random_ports(false);
-            }
+            cfg.net.gossip = cluster_gossip(&args, cfg.net.gossip);
             println!(
                 "cluster {protocol}: n={n} attacked={attacked} x={x} round={round_ms}ms \
                  {messages} msgs at {rate}/s, {} shard(s)",
@@ -304,7 +331,7 @@ fn run() -> Result<(), String> {
         }
         "figures" => {
             let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("results"));
-            let only: Option<Vec<&str>> = args.get("only").map(|s| s.split(',').collect());
+            let selected = select_figures(args.get("only"))?;
             if args.flag("full") {
                 drum_lab::set_scale(drum_lab::Scale::Full);
             } else if args.flag("quick") {
@@ -313,33 +340,18 @@ fn run() -> Result<(), String> {
                 drum_lab::set_scale(drum_lab::Scale::Quick);
             }
 
-            let selected: Vec<_> = drum_lab::figures::FIGURES
-                .iter()
-                .filter(|(name, _)| only.as_ref().is_none_or(|o| o.contains(name)))
-                .collect();
-            if selected.is_empty() {
-                return Err(format!(
-                    "--only matched no figures; known: {}",
-                    drum_lab::figures::FIGURES
-                        .iter()
-                        .map(|(n, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
             std::fs::create_dir_all(&out_dir)
                 .map_err(|e| format!("create {}: {e}", out_dir.display()))?;
 
             // Figures run sequentially: each one's simulation sweeps
-            // already saturate the worker pool internally, and the
-            // cluster figures bind real UDP sockets that should not
-            // fight a concurrent cluster for ports.
-            let pool = drum_pool::Pool::global();
+            // already keep every thread busy, and the cluster figures
+            // bind real UDP sockets that should not fight a concurrent
+            // cluster for ports.
             println!(
-                "regenerating {} figure(s) into {} ({} pool thread(s))",
+                "regenerating {} figure(s) into {} ({} thread(s))",
                 selected.len(),
                 out_dir.display(),
-                pool.threads()
+                drum_sim::par::threads()
             );
             let started = std::time::Instant::now();
             for (name, figure) in selected {
@@ -355,11 +367,7 @@ fn run() -> Result<(), String> {
                     .map_err(|e| format!("flush {}: {e}", path.display()))?;
                 println!("  {name}  {:>6.1}s", fig_started.elapsed().as_secs_f64());
             }
-            println!(
-                "done in {:.1}s; pool counters:",
-                started.elapsed().as_secs_f64()
-            );
-            println!("{}", pool.registry().to_table());
+            println!("done in {:.1}s", started.elapsed().as_secs_f64());
         }
         other => {
             return Err(format!("unknown command '{other}'; try 'drum-lab help'"));
@@ -372,5 +380,45 @@ fn main() {
     if let Err(e) = run() {
         eprintln!("error: {e}");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args::parse(line.split_whitespace()).expect("valid command line")
+    }
+
+    #[test]
+    fn cluster_ablation_flags_keep_the_configured_protocol() {
+        let gossip = cluster_gossip(
+            &args("cluster --protocol push --shared-bounds --no-random-ports"),
+            GossipConfig::push(),
+        );
+        assert_eq!(gossip.variant, ProtocolVariant::Push);
+        assert_eq!(gossip.bound_mode, BoundMode::SharedControl);
+        assert!(!gossip.random_ports);
+        assert_eq!(
+            cluster_gossip(&args("cluster"), GossipConfig::pull()),
+            GossipConfig::pull()
+        );
+    }
+
+    #[test]
+    fn figures_only_rejects_any_unknown_name() {
+        let err = select_figures(Some("fig01,fig99")).expect_err("fig99 is no figure");
+        assert!(err.contains("'fig99'"), "{err}");
+        assert!(
+            err.contains("fig01, fig02"),
+            "must list the known figures: {err}"
+        );
+        let picked = select_figures(Some("fig03,fig01")).expect("known figures");
+        assert_eq!(
+            picked.iter().map(|f| f.0).collect::<Vec<_>>(),
+            ["fig01", "fig03"]
+        );
+        assert_eq!(select_figures(None).expect("all").len(), FIGURES.len());
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! Determinism contract: retargeting's only entropy source is the round's
 //! control `SmallRng`, drawn in a fixed order — that keeps fixed-seed
-//! trials byte-identical across `DRUM_POOL_THREADS` worker counts (the
+//! trials byte-identical across `DRUM_POOL_THREADS` thread counts (the
 //! same recipe as the runner, see `runner.rs`). [`AdversaryKind::Static`]
 //! draws nothing, so all paper figures keep their random stream.
 

@@ -4,13 +4,13 @@
 //! `drum-lab figures` formats into the same series the paper plots. `trials` is a parameter everywhere: the paper uses 1000 runs per
 //! point; tests and quick modes use fewer.
 //!
-//! Every sweep builds its grid of [`SweepPoint`]s up front and submits the
-//! whole thing through [`run_sweep`] as **one flat job set** on the global
-//! pool. That keeps the pool saturated across point boundaries: a worker
-//! that finishes a cheap baseline point immediately picks up trials from
-//! the expensive attacked points instead of idling at a per-point join
-//! barrier (the seed harness's behaviour, which `pool_determinism`'s
-//! straggler-mix test measures against).
+//! Every sweep builds its grid of [`SweepPoint`]s up front and runs the
+//! whole thing through [`run_sweep`] as **one flat set of trial chunks**
+//! ([`crate::par`]). That keeps every thread busy across point
+//! boundaries: a thread that finishes a cheap baseline point immediately
+//! picks up trials from the expensive attacked points instead of idling
+//! at a per-point join barrier (the seed harness's behaviour, which
+//! `pool_determinism`'s straggler-mix test measures against).
 
 use drum_core::ProtocolVariant;
 
@@ -45,7 +45,7 @@ pub struct SweepRow {
 }
 
 /// Evaluates every config of every point — `trials` trials each — as one
-/// flat job set on the global pool, and reshapes the results back into
+/// flat set of trial chunks, and reshapes the results back into
 /// per-point rows. All figure sweeps route through here.
 pub fn run_sweep(
     points: &[SweepPoint],

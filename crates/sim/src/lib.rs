@@ -14,6 +14,7 @@
 //!   (static flood, target-chasing, eclipse, pull-abuse, replay);
 //! * [`sampling`] — hypergeometric acceptance and view sampling;
 //! * [`runner`] — parallel, deterministic multi-trial execution;
+//! * [`par`] — the scoped threads both the runner and the stepper use;
 //! * [`experiments`] — canned sweeps matching Figures 2–8 and 12–14.
 //!
 //! # Examples
@@ -41,6 +42,7 @@ pub mod adversary;
 pub mod config;
 pub mod experiments;
 pub mod model;
+pub mod par;
 pub mod runner;
 pub mod sampling;
 
@@ -57,7 +59,6 @@ mod proptests {
     use crate::config::SimConfig;
     use crate::model::SimState;
     use drum_core::ProtocolVariant;
-    use drum_pool::Pool;
     use drum_testkit::prop::{check, Config, Gen};
     use drum_testkit::{prop_assert, prop_assert_eq};
 
@@ -69,12 +70,12 @@ mod proptests {
         }
     }
 
-    /// A shard count in 1..=4 on a 1- or 3-thread pool: the invariants
-    /// must hold at every split, not just the one-shard layout.
-    fn arb_split(g: &mut Gen) -> (usize, Pool) {
+    /// A shard count in 1..=4 on 1 or 3 threads: the invariants must hold
+    /// at every split, not just the one-shard layout.
+    fn arb_split(g: &mut Gen) -> (usize, usize) {
         let shards = g.usize_in(1..5);
         let threads = if g.bool(0.5) { 1 } else { 3 };
-        (shards, Pool::new(threads))
+        (shards, threads)
     }
 
     #[test]
@@ -97,12 +98,12 @@ mod proptests {
                 return Ok(());
             }
 
-            let (shards, pool) = arb_split(g);
+            let (shards, threads) = arb_split(g);
             let mut state = SimState::new(cfg.clone());
             let mut prev = state.correct_with_m();
             prop_assert_eq!(prev, 1);
             for _ in 0..12 {
-                state.step_sharded(seed, shards, &pool);
+                state.step_sharded(seed, shards, threads);
                 let now = state.correct_with_m();
                 // M never disappears and the count never exceeds the group.
                 prop_assert!(now >= prev);
@@ -120,10 +121,10 @@ mod proptests {
             let proto = arb_protocol(g);
             let seed = g.u64_in(0..100);
             let cfg = SimConfig::paper_attack(proto, 40, 64.0);
-            let (shards, pool) = arb_split(g);
+            let (shards, threads) = arb_split(g);
             let mut state = SimState::new(cfg);
             for _ in 0..8 {
-                state.step_sharded(seed, shards, &pool);
+                state.step_sharded(seed, shards, threads);
                 prop_assert!(state.has_m(0));
             }
             Ok(())

@@ -25,24 +25,22 @@
 //! process)` tuple owns a counter-derived [`SmallRng`] stream
 //! ([`SmallRng::from_key`]), so a shard of the process range draws
 //! independently of its neighbours and the result is a pure
-//! function of the key material — byte-identical across worker counts
+//! function of the key material — byte-identical across thread counts
 //! *and* shard counts. Per-shard partials (`u16` tallies, a `new_m`
 //! bitset fragment, a pull-request list) are merged in ascending shard
 //! order: tallies by saturating sums, requests by a CSR count/prefix/fill
 //! pass that preserves ascending requester order per target, fragments by
 //! word-level OR ([`BitSet::or_with`]).
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
 use rand::rngs::{key_fold, SmallRng};
 use rand::SeedableRng;
 
 use drum_core::BitSet;
-use drum_pool::Pool;
 use drum_trace::{trace_event, Timestamp, Tracer};
 
 use crate::adversary::{self, TargetView};
 use crate::config::SimConfig;
+use crate::par;
 use crate::sampling::{
     accepted_valid, any_interesting, binomial, randomized_round, sample_targets, sample_targets_any,
 };
@@ -69,31 +67,6 @@ fn stream(round_key: u64, tag: u64, process: usize) -> SmallRng {
 #[inline]
 pub fn shard_range(n: usize, shards: usize, s: usize) -> (usize, usize) {
     (s * n / shards, (s + 1) * n / shards)
-}
-
-#[inline]
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-#[inline]
-fn lock_mut<T>(m: &mut Mutex<T>) -> &mut T {
-    m.get_mut().unwrap_or_else(PoisonError::into_inner)
-}
-
-#[inline]
-fn read<T>(m: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    m.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-#[inline]
-fn write<T>(m: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    m.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-#[inline]
-fn rw_mut<T>(m: &mut RwLock<T>) -> &mut T {
-    m.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Read-only per-round parameters shared by every shard.
@@ -189,12 +162,10 @@ pub struct SimState {
     rotation_picks: Vec<usize>,
 
     // Per-shard scratch, sized lazily on the first `step_sharded()`.
-    // Sender partials live behind `RwLock`: phase A writes each shard's
-    // part exclusively; phase B workers then read *all* parts
-    // concurrently (shared read locks) without collecting a per-round
-    // reference vector — the stepper stays allocation-free per round.
-    a_parts: Vec<RwLock<APart>>,
-    b_parts: Vec<Mutex<BPart>>,
+    // Phase A writes each shard's sender part; phase B then reads all of
+    // them while writing its own receiver part.
+    a_parts: Vec<APart>,
+    b_parts: Vec<BPart>,
     csr_offsets: Vec<u32>,
     csr_cursor: Vec<u32>,
     csr_data: Vec<u32>,
@@ -469,29 +440,27 @@ impl SimState {
                     // Exact per-round upper bound (loss only removes
                     // requests), so the list never regrows mid-trial.
                     let req_cap = (hi.min(n_correct).saturating_sub(lo)) * view_pull;
-                    RwLock::new(APart {
+                    APart {
                         push_valid: vec![0; tally_len],
                         push_with_m: vec![0; tally_len],
                         requests: Vec::with_capacity(req_cap),
                         targets: Vec::new(),
-                    })
+                    }
                 })
                 .collect();
             self.b_parts = (0..shards)
-                .map(|_| {
-                    Mutex::new(BPart {
-                        new_m: BitSet::new(n),
-                        reply_valid: vec![0; reply_len],
-                        reply_with_m: vec![0; reply_len],
-                        // One target's requesters: mean `view_pull`, so 64
-                        // covers the per-round max at any n without ever
-                        // regrowing mid-trial (the zero-alloc gate).
-                        serve_buf: Vec::with_capacity(64),
-                        sum_valid: Vec::new(),
-                        sum_with_m: Vec::new(),
-                        fakes_push: 0,
-                        fakes_pull: 0,
-                    })
+                .map(|_| BPart {
+                    new_m: BitSet::new(n),
+                    reply_valid: vec![0; reply_len],
+                    reply_with_m: vec![0; reply_len],
+                    // One target's requesters: mean `view_pull`, so 64
+                    // covers the per-round max at any n without ever
+                    // regrowing mid-trial (the zero-alloc gate).
+                    serve_buf: Vec::with_capacity(64),
+                    sum_valid: Vec::new(),
+                    sum_with_m: Vec::new(),
+                    fakes_push: 0,
+                    fakes_pull: 0,
                 })
                 .collect();
         }
@@ -550,20 +519,9 @@ impl SimState {
 
     /// Receiver-side phase for one shard: push acceptance and pull serving
     /// for the owned target range `lo..hi`. `a_parts` are all shards'
-    /// sender partials (read-locked per sweep, never collected into a
-    /// per-round vector); `csr_offsets`/`csr_data` index the merged pull
+    /// sender partials; `csr_offsets`/`csr_data` index the merged pull
     /// requests by target.
-    #[allow(clippy::too_many_arguments)]
-    fn phase_b(
-        &self,
-        ctx: RoundCtx,
-        lo: usize,
-        hi: usize,
-        a_parts: &[RwLock<APart>],
-        csr_offsets: &[u32],
-        csr_data: &[u32],
-        part: &mut BPart,
-    ) {
+    fn phase_b(&self, ctx: RoundCtx, lo: usize, hi: usize, a_parts: &[APart], part: &mut BPart) {
         let n_correct = self.cfg.correct();
         let view_push = self.cfg.view_push();
         let view_pull = self.cfg.view_pull();
@@ -577,9 +535,9 @@ impl SimState {
         }
         if view_push > 0 {
             // Pre-merge the per-sender-shard push tallies for the owned
-            // range: one sequential sweep per sender shard (read locks are
-            // shared, so every receiver shard sweeps concurrently) instead
-            // of a strided gather per target. Saturating adds commute, so
+            // range: one sequential sweep per sender shard (every receiver
+            // shard sweeps concurrently) instead of a strided gather per
+            // target. Saturating adds commute, so
             // the sums are independent of both sweep and shard order.
             let lo_c = lo.min(hi_c);
             part.sum_valid.clear();
@@ -587,7 +545,6 @@ impl SimState {
             part.sum_with_m.clear();
             part.sum_with_m.resize(hi_c - lo_c, 0);
             for a in a_parts {
-                let a = read(a);
                 for (dst, &src) in part.sum_valid.iter_mut().zip(&a.push_valid[lo_c..hi_c]) {
                     *dst = dst.saturating_add(src);
                 }
@@ -614,9 +571,10 @@ impl SimState {
             }
             if view_pull > 0 {
                 let mut rng = stream(ctx.round_key, STREAM_PULL_SERVE, t);
-                let (start, end) = (csr_offsets[t] as usize, csr_offsets[t + 1] as usize);
+                let (start, end) = (self.csr_offsets[t], self.csr_offsets[t + 1]);
                 part.serve_buf.clear();
-                part.serve_buf.extend_from_slice(&csr_data[start..end]);
+                part.serve_buf
+                    .extend_from_slice(&self.csr_data[start as usize..end as usize]);
                 let fakes = if self.attacked.get(t) && ctx.x_req > 0.0 {
                     binomial(randomized_round(ctx.x_req, &mut rng), ctx.ok, &mut rng)
                 } else {
@@ -655,15 +613,7 @@ impl SimState {
     /// Reply-acceptance phase for one shard (no-random-ports ablation
     /// only): the owned requesters contend fabricated reply-port traffic
     /// against the merged valid-reply tallies.
-    fn phase_c(
-        &self,
-        ctx: RoundCtx,
-        lo: usize,
-        hi: usize,
-        reply_valid: &[u16],
-        reply_with_m: &[u16],
-        part: &mut BPart,
-    ) {
+    fn phase_c(&self, ctx: RoundCtx, lo: usize, hi: usize, part: &mut BPart) {
         let n_correct = self.cfg.correct();
         let view_pull = self.cfg.view_pull();
         for p in lo..hi.min(n_correct) {
@@ -677,8 +627,8 @@ impl SimState {
                 0
             };
             part.fakes_pull += fakes as u64;
-            let valid = reply_valid[p] as usize;
-            let with_m = reply_with_m[p] as usize;
+            let valid = self.reply_merge_valid[p] as usize;
+            let with_m = self.reply_merge_with_m[p] as usize;
             let acc = accepted_valid(valid, fakes, view_pull, &mut rng);
             if with_m > 0 && any_interesting(with_m, valid - with_m, acc, &mut rng) {
                 part.new_m.set(p);
@@ -687,14 +637,15 @@ impl SimState {
     }
 
     /// Executes one synchronized gossip round with the process range
-    /// sharded across `pool` workers.
+    /// split into `shards` shards, run on up to `threads` threads
+    /// ([`par::for_each_mut`]).
     ///
     /// Every `(phase, process)` pair draws from its own counter-derived
     /// stream keyed on `(trial_seed, round)`, and partials merge in fixed
     /// ascending shard order, so the outcome is byte-identical for any
-    /// worker count *and* any shard count — `DRUM_POOL_THREADS=1` with
-    /// `shards=1` is a valid oracle for a 16-way parallel run.
-    pub fn step_sharded(&mut self, trial_seed: u64, shards: usize, pool: &Pool) {
+    /// thread count *and* any shard count — one thread with `shards=1` is
+    /// a valid oracle for a 16-way parallel run.
+    pub fn step_sharded(&mut self, trial_seed: u64, shards: usize, threads: usize) {
         let n = self.cfg.n;
         let shards = shards.clamp(1, n);
         let ok = 1.0 - self.cfg.loss;
@@ -722,34 +673,32 @@ impl SimState {
         let n_correct = self.cfg.correct();
         let view_pull = self.cfg.view_pull();
 
-        // Detach the scratch from `self` so the pool jobs can borrow the
-        // rest of the state immutably while each writes its own partial.
+        // Detach the scratch from `self` so the shards can borrow the rest
+        // of the state immutably while each writes its own partial.
         let mut a_parts = core::mem::take(&mut self.a_parts);
         let mut b_parts = core::mem::take(&mut self.b_parts);
-        let mut csr_offsets = core::mem::take(&mut self.csr_offsets);
-        let mut csr_cursor = core::mem::take(&mut self.csr_cursor);
-        let mut csr_data = core::mem::take(&mut self.csr_data);
 
         // --- Phase A: sender-side draws, sharded over the sender range.
-        {
-            let state = &*self;
-            let a_parts = &a_parts;
-            pool.run(shards, &|s| {
-                let (lo, hi) = shard_range(n, shards, s);
-                state.phase_a(ctx, lo, hi, &mut write(&a_parts[s]));
-            });
-        }
+        par::for_each_mut(threads, &mut a_parts, |s, part| {
+            let (lo, hi) = shard_range(n, shards, s);
+            self.phase_a(ctx, lo, hi, part);
+        });
 
         // --- Deterministic CSR merge of pull requests: count, prefix-sum,
         // fill, walking shards in ascending order. Contiguous ascending
         // shard ranges + ascending senders within a shard give a globally
         // ascending requester order per target, independent of the shard
-        // count — the same request list the serial stepper would build.
+        // count.
         if view_pull > 0 {
+            let (csr_offsets, csr_cursor, csr_data) = (
+                &mut self.csr_offsets,
+                &mut self.csr_cursor,
+                &mut self.csr_data,
+            );
             csr_offsets.clear();
             csr_offsets.resize(n_correct + 1, 0);
-            for m in &mut a_parts {
-                for &(t, _) in &rw_mut(m).requests {
+            for part in &a_parts {
+                for &(t, _) in &part.requests {
                     csr_offsets[t as usize + 1] += 1;
                 }
             }
@@ -760,8 +709,8 @@ impl SimState {
             csr_cursor.extend_from_slice(&csr_offsets[..n_correct]);
             csr_data.clear();
             csr_data.resize(csr_offsets[n_correct] as usize, 0);
-            for m in &mut a_parts {
-                for &(t, p) in &rw_mut(m).requests {
+            for part in &a_parts {
+                for &(t, p) in &part.requests {
                     let slot = &mut csr_cursor[t as usize];
                     csr_data[*slot as usize] = p;
                     *slot += 1;
@@ -770,37 +719,20 @@ impl SimState {
         }
 
         // --- Phase B: receiver-side acceptance, sharded over targets.
-        {
-            let state = &*self;
-            let a_parts = a_parts.as_slice();
-            let b_parts = &b_parts;
-            let csr_offsets = csr_offsets.as_slice();
-            let csr_data = csr_data.as_slice();
-            pool.run(shards, &|s| {
-                let (lo, hi) = shard_range(n, shards, s);
-                state.phase_b(
-                    ctx,
-                    lo,
-                    hi,
-                    a_parts,
-                    csr_offsets,
-                    csr_data,
-                    &mut lock(&b_parts[s]),
-                );
-            });
-        }
+        par::for_each_mut(threads, &mut b_parts, |s, part| {
+            let (lo, hi) = shard_range(n, shards, s);
+            self.phase_b(ctx, lo, hi, &a_parts, part);
+        });
 
         // --- Phase C (no-random-ports only): merge reply tallies across
         // shards in ascending order, then contend reply-port fakes.
         if !self.cfg.random_ports && view_pull > 0 {
-            let mut rv = core::mem::take(&mut self.reply_merge_valid);
-            let mut rw = core::mem::take(&mut self.reply_merge_with_m);
+            let (rv, rw) = (&mut self.reply_merge_valid, &mut self.reply_merge_with_m);
             rv.clear();
             rv.resize(n_correct, 0);
             rw.clear();
             rw.resize(n_correct, 0);
-            for m in &mut b_parts {
-                let part = lock_mut(m);
+            for part in &b_parts {
                 for (dst, &src) in rv.iter_mut().zip(&part.reply_valid) {
                     *dst = dst.saturating_add(src);
                 }
@@ -808,26 +740,17 @@ impl SimState {
                     *dst = dst.saturating_add(src);
                 }
             }
-            {
-                let state = &*self;
-                let b_parts = &b_parts;
-                let rv = rv.as_slice();
-                let rw = rw.as_slice();
-                pool.run(shards, &|s| {
-                    let (lo, hi) = shard_range(n, shards, s);
-                    state.phase_c(ctx, lo, hi, rv, rw, &mut lock(&b_parts[s]));
-                });
-            }
-            self.reply_merge_valid = rv;
-            self.reply_merge_with_m = rw;
+            par::for_each_mut(threads, &mut b_parts, |s, part| {
+                let (lo, hi) = shard_range(n, shards, s);
+                self.phase_c(ctx, lo, hi, part);
+            });
         }
 
         // --- Final merge: OR the delivery fragments and sum the fake
         // totals in ascending shard order.
         let mut fakes_push_total = 0u64;
         let mut fakes_pull_total = 0u64;
-        for m in &mut b_parts {
-            let part = lock_mut(m);
+        for part in &b_parts {
             self.new_m.or_with(&part.new_m);
             fakes_push_total += part.fakes_push;
             fakes_pull_total += part.fakes_pull;
@@ -835,9 +758,6 @@ impl SimState {
 
         self.a_parts = a_parts;
         self.b_parts = b_parts;
-        self.csr_offsets = csr_offsets;
-        self.csr_cursor = csr_cursor;
-        self.csr_data = csr_data;
 
         self.deliver_and_trace(fakes_push_total, fakes_pull_total);
     }
@@ -871,12 +791,12 @@ mod tests {
         seed: u64,
         max_rounds: u32,
         shards: usize,
-        pool: &Pool,
+        threads: usize,
     ) -> (SimState, u32) {
         let mut state = SimState::new(cfg);
         let mut rounds = 0;
         while state.fraction_with_m() < state.config().threshold && rounds < max_rounds {
-            state.step_sharded(seed, shards, pool);
+            state.step_sharded(seed, shards, threads);
             rounds += 1;
         }
         (state, rounds)
@@ -909,7 +829,7 @@ mod tests {
             ProtocolVariant::Pull,
         ] {
             let (state, rounds) =
-                run_sharded(SimConfig::baseline(p, 120), 7, 100, 1, Pool::global());
+                run_sharded(SimConfig::baseline(p, 120), 7, 100, 1, par::threads());
             assert!(
                 state.fraction_with_m() >= 0.99,
                 "{p} stuck at {}",
@@ -930,7 +850,7 @@ mod tests {
                     seed,
                     200,
                     1,
-                    Pool::global(),
+                    par::threads(),
                 )
                 .1;
             }
@@ -946,7 +866,7 @@ mod tests {
         // Figure 2(b): even 40% crashed processes only slow things down.
         let mut cfg = SimConfig::baseline(ProtocolVariant::Drum, 200);
         cfg.crashed = 80;
-        let (state, rounds) = run_sharded(cfg, 3, 200, 1, Pool::global());
+        let (state, rounds) = run_sharded(cfg, 3, 200, 1, par::threads());
         assert!(
             state.fraction_with_m() >= 0.99,
             "stuck at {}",
@@ -959,7 +879,7 @@ mod tests {
     fn malicious_members_do_not_block_dissemination() {
         let mut cfg = SimConfig::baseline(ProtocolVariant::Drum, 200);
         cfg.malicious = 20;
-        let (state, _) = run_sharded(cfg, 3, 200, 1, Pool::global());
+        let (state, _) = run_sharded(cfg, 3, 200, 1, par::threads());
         assert!(state.fraction_with_m() >= 0.99);
     }
 
@@ -969,7 +889,7 @@ mod tests {
         let avg = |proto| {
             drum_testkit::mean_over_seeds(0..8, |seed| {
                 let cfg = SimConfig::paper_attack(proto, 120, 256.0);
-                run_sharded(cfg, seed, 400, 1, Pool::global()).1 as f64
+                run_sharded(cfg, seed, 400, 1, par::threads()).1 as f64
             })
         };
         let drum = avg(ProtocolVariant::Drum);
@@ -990,7 +910,7 @@ mod tests {
             let mut state = SimState::new(cfg.clone());
             let mut exit_round = None;
             for r in 1..=100 {
-                state.step_sharded(seed, 1, Pool::global());
+                state.step_sharded(seed, 1, par::threads());
                 if state.correct_with_m() > 1 {
                     exit_round = Some(r);
                     break;
@@ -1012,7 +932,7 @@ mod tests {
             drum_testkit::mean_over_seeds(0..8, |seed| {
                 let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 256.0);
                 cfg.random_ports = random_ports;
-                run_sharded(cfg, seed, 400, 1, Pool::global()).1 as f64
+                run_sharded(cfg, seed, 400, 1, par::threads()).1 as f64
             })
         };
         let with_ports = avg(true);
@@ -1028,7 +948,7 @@ mod tests {
         let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 64.0);
         let mut state = SimState::new(cfg);
         for _ in 0..10 {
-            state.step_sharded(5, 1, Pool::global());
+            state.step_sharded(5, 1, par::threads());
             assert_eq!(
                 state.correct_with_m(),
                 state.attacked_with_m() + state.unattacked_with_m()
@@ -1063,7 +983,7 @@ mod tests {
         // some point (probability of re-drawing the same 6-subset is ~0).
         let mut changed = false;
         for _ in 0..10 {
-            state.step_sharded(13, 1, Pool::global());
+            state.step_sharded(13, 1, par::threads());
             let now: Vec<usize> = (0..60).filter(|&i| state.is_attacked(i)).collect();
             assert_eq!(now.len(), 6, "target count must be preserved");
             // Targets are always correct processes.
@@ -1087,7 +1007,7 @@ mod tests {
             drum_testkit::mean_over_seeds(0..10, |seed| {
                 let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 128.0);
                 cfg.attack.as_mut().unwrap().rotate_every = rotate;
-                run_sharded(cfg, seed, 400, 1, Pool::global()).1 as f64
+                run_sharded(cfg, seed, 400, 1, par::threads()).1 as f64
             })
         };
         let static_attack = mean(None);
@@ -1105,7 +1025,7 @@ mod tests {
             .with_adversary(AdversaryKind::Eclipse);
         let mut state = SimState::new(cfg);
         for _ in 0..5 {
-            state.step_sharded(3, 1, Pool::global());
+            state.step_sharded(3, 1, par::threads());
             let attacked: Vec<usize> = (0..60).filter(|&i| state.is_attacked(i)).collect();
             assert_eq!(attacked, vec![0], "eclipse must pin the source alone");
         }
@@ -1125,7 +1045,7 @@ mod tests {
                 .filter(|&i| i < cfg.correct() && !state.has_m(i))
                 .collect();
             assert!(frontier.len() > 6);
-            state.step_sharded(11, 1, Pool::global());
+            state.step_sharded(11, 1, par::threads());
             let targets: Vec<usize> = (0..60).filter(|&i| state.is_attacked(i)).collect();
             assert_eq!(targets.len(), 6, "target count must be preserved");
             for &t in &targets {
@@ -1147,7 +1067,7 @@ mod tests {
             drum_testkit::mean_over_seeds(0..8, |seed| {
                 let cfg =
                     SimConfig::paper_attack(ProtocolVariant::Drum, 120, 128.0).with_adversary(kind);
-                run_sharded(cfg, seed, 400, 1, Pool::global()).1 as f64
+                run_sharded(cfg, seed, 400, 1, par::threads()).1 as f64
             })
         };
         let static_rounds = mean(AdversaryKind::Static);
@@ -1175,7 +1095,7 @@ mod tests {
             drum_testkit::mean_over_seeds(0..8, |seed| {
                 let cfg = SimConfig::paper_attack(proto, 120, 128.0)
                     .with_adversary(AdversaryKind::PullAbuse);
-                run_sharded(cfg, seed, 400, 1, Pool::global()).1 as f64
+                run_sharded(cfg, seed, 400, 1, par::threads()).1 as f64
             })
         };
         let drum = mean(ProtocolVariant::Drum);
@@ -1192,7 +1112,7 @@ mod tests {
         let mut state = SimState::new(cfg);
         let mut prev = state.fraction_with_m();
         for _ in 0..30 {
-            state.step_sharded(9, 1, Pool::global());
+            state.step_sharded(9, 1, par::threads());
             let now = state.fraction_with_m();
             assert!(now >= prev);
             prev = now;
@@ -1219,7 +1139,7 @@ mod tests {
         cfg.attack.as_mut().unwrap().rotate_every = Some(2);
         let mut state = SimState::new(cfg);
         for _ in 0..8 {
-            state.step_sharded(4, 1, Pool::global());
+            state.step_sharded(4, 1, par::threads());
         }
         state.reset();
         assert_eq!(state.round(), 0);
@@ -1231,17 +1151,17 @@ mod tests {
 
     #[test]
     fn sharded_reset_reuse_matches_fresh_state() {
-        let pool = Pool::new(3);
+        let threads = 3;
         let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 90, 64.0);
         let mut reused = SimState::new(cfg.clone());
         for _ in 0..6 {
-            reused.step_sharded(111, 4, &pool);
+            reused.step_sharded(111, 4, threads);
         }
         reused.reset();
         let mut fresh = SimState::new(cfg);
         for _ in 0..10 {
-            reused.step_sharded(222, 4, &pool);
-            fresh.step_sharded(222, 4, &pool);
+            reused.step_sharded(222, 4, threads);
+            fresh.step_sharded(222, 4, threads);
         }
         assert_eq!(fingerprint(&reused), fingerprint(&fresh));
     }
@@ -1250,16 +1170,16 @@ mod tests {
     fn sharded_matches_across_shard_counts() {
         // The tentpole invariant: the sharded stepper is a pure function of
         // (config, trial_seed) — the shard count never shows through.
-        let pool = Pool::new(2);
+        let threads = 2;
         for cfg in [
             SimConfig::baseline(ProtocolVariant::Drum, 150),
             SimConfig::paper_attack(ProtocolVariant::Drum, 150, 64.0),
             SimConfig::paper_attack(ProtocolVariant::Push, 150, 64.0),
             SimConfig::paper_attack(ProtocolVariant::Pull, 150, 64.0),
         ] {
-            let reference = run_sharded(cfg.clone(), 42, 60, 1, &pool);
+            let reference = run_sharded(cfg.clone(), 42, 60, 1, threads);
             for shards in [2, 3, 7, 16, 150] {
-                let other = run_sharded(cfg.clone(), 42, 60, shards, &pool);
+                let other = run_sharded(cfg.clone(), 42, 60, shards, threads);
                 assert_eq!(
                     fingerprint(&reference.0),
                     fingerprint(&other.0),
@@ -1275,12 +1195,12 @@ mod tests {
     fn sharded_matches_across_shard_counts_no_random_ports() {
         // The reply-accept phase (phase C) only runs in the
         // no-random-ports ablation; cover its merge path too.
-        let pool = Pool::new(3);
+        let threads = 3;
         let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 64.0);
         cfg.random_ports = false;
-        let reference = run_sharded(cfg.clone(), 7, 80, 1, &pool);
+        let reference = run_sharded(cfg.clone(), 7, 80, 1, threads);
         for shards in [3, 5, 16] {
-            let other = run_sharded(cfg.clone(), 7, 80, shards, &pool);
+            let other = run_sharded(cfg.clone(), 7, 80, shards, threads);
             assert_eq!(fingerprint(&reference.0), fingerprint(&other.0));
         }
     }
@@ -1290,15 +1210,15 @@ mod tests {
         use crate::adversary::AdversaryKind;
         // Mid-trial rotate_targets and adaptive retargeting draw from the
         // control stream only; the partition must still never show.
-        let pool = Pool::new(3);
+        let threads = 3;
         let mut rotating = SimConfig::paper_attack(ProtocolVariant::Drum, 100, 64.0);
         rotating.attack.as_mut().unwrap().rotate_every = Some(3);
         let chasing = SimConfig::paper_attack(ProtocolVariant::Drum, 100, 64.0)
             .with_adversary(AdversaryKind::TargetChasing { every: 2 });
         for cfg in [rotating, chasing] {
-            let reference = run_sharded(cfg.clone(), 13, 60, 1, &pool);
+            let reference = run_sharded(cfg.clone(), 13, 60, 1, threads);
             for shards in [4, 9] {
-                let other = run_sharded(cfg.clone(), 13, 60, shards, &pool);
+                let other = run_sharded(cfg.clone(), 13, 60, shards, threads);
                 assert_eq!(fingerprint(&reference.0), fingerprint(&other.0));
             }
         }
@@ -1306,12 +1226,12 @@ mod tests {
 
     #[test]
     fn sharded_counters_match_full_recount() {
-        let pool = Pool::new(3);
+        let threads = 3;
         let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 110, 64.0);
         cfg.attack.as_mut().unwrap().rotate_every = Some(2);
         let mut state = SimState::new(cfg);
         for _ in 0..15 {
-            state.step_sharded(5, 6, &pool);
+            state.step_sharded(5, 6, threads);
             let correct = state.has_m.count_range(0, state.config().correct());
             let attacked: usize = (0..state.config().n)
                 .filter(|&i| state.is_attacked(i) && state.has_m(i))

@@ -1,37 +1,37 @@
 //! Trial execution and aggregation.
 //!
 //! Each data point in the paper's simulation figures averages 1000
-//! independent runs. [`run_experiment`] executes trials on the shared
-//! [`drum_pool::Pool`] with per-trial deterministic seeds, so every
-//! figure is exactly reproducible from `(config, base_seed, trials)`.
+//! independent runs. [`run_experiment`] executes trials in parallel
+//! ([`crate::par`]) with per-trial deterministic seeds, so every figure is
+//! exactly reproducible from `(config, base_seed, trials)`.
 //!
 //! # Deterministic reduction under dynamic scheduling
 //!
-//! The pool claims jobs dynamically (whichever thread frees next takes
-//! the next index), so nothing about *which* thread ran a trial or *when*
-//! may leak into the result. The reduction is therefore arranged so the
-//! float operations happen in one fixed order regardless of worker count:
+//! Threads claim chunks of trials dynamically (whichever thread frees
+//! next takes the next chunk), so nothing about *which* thread ran a
+//! trial or *when* may leak into the result. The reduction is therefore
+//! arranged so the float operations happen in one fixed order regardless
+//! of thread count:
 //!
 //! 1. trial `i` always uses seed `base_seed + i` — the trial itself is a
 //!    pure function of `(cfg, seed)`;
 //! 2. trials are grouped into chunks whose size is a pure function of
-//!    `trials` alone ([`chunk_size`] — never of the worker count, unlike
-//!    the old static `trials / workers` split);
+//!    `trials` alone ([`chunk_size`]), never of the thread count;
 //! 3. each chunk absorbs its trials in ascending trial order into its own
 //!    fixed-index `Partial` (Welford pushes are order-sensitive);
-//! 4. chunk partials are merged in ascending chunk order on the
-//!    submitting thread.
+//! 4. chunk partials are merged in ascending chunk order on the calling
+//!    thread.
 //!
-//! Every float sees the same operands in the same order whether the pool
-//! has 1 worker or 64, so `ExperimentResult` is *byte-identical* across
-//! `DRUM_POOL_THREADS` settings — pinned by the worker-count-independence
+//! Every float sees the same operands in the same order whether trials
+//! run on 1 thread or 64, so `ExperimentResult` is *byte-identical* across
+//! `DRUM_POOL_THREADS` settings — pinned by the thread-count-independence
 //! property test in `tests/pool_determinism.rs`.
 
 use drum_metrics::stats::RunningStats;
-use drum_pool::Pool;
 
 use crate::config::SimConfig;
 use crate::model::SimState;
+use crate::par;
 
 /// Shard count for an `n`-member trial: one shard per 64 Ki members,
 /// capped at 16. A pure function of `n` (never of the machine), so results
@@ -53,8 +53,8 @@ pub struct TrialOutcome {
     pub rounds_unattacked: Option<u32>,
     /// Rounds the trial actually simulated before stopping (threshold
     /// reached and CDF recorded, or `max_rounds`). This is the trial's
-    /// deterministic cost in scheduler units — the straggler spread the
-    /// dynamic pool exists to absorb.
+    /// deterministic cost in scheduler units — the straggler spread
+    /// dynamic claiming exists to absorb.
     pub rounds_executed: u32,
     /// Fraction of correct processes holding `M` after each round
     /// (index 0 = after round 1), recorded up to `cdf_rounds`.
@@ -93,7 +93,7 @@ pub fn run_trial_traced_mode(
 ) -> TrialOutcome {
     let mut state = SimState::new(cfg.clone());
     state.set_tracer(tracer);
-    run_trial_in(&mut state, seed, cdf_rounds, shards, Pool::global())
+    run_trial_in(&mut state, seed, cdf_rounds, shards, par::threads())
 }
 
 /// Trial driver over a caller-owned [`SimState`] — the state's scratch
@@ -105,7 +105,7 @@ fn run_trial_in(
     seed: u64,
     cdf_rounds: usize,
     shards: usize,
-    pool: &Pool,
+    threads: usize,
 ) -> TrialOutcome {
     let cfg = state.config().clone();
     let threshold = cfg.threshold;
@@ -134,7 +134,7 @@ fn run_trial_in(
     };
 
     for round in 1..=cfg.max_rounds {
-        state.step_sharded(seed, shards, pool);
+        state.step_sharded(seed, shards, threads);
         outcome.rounds_executed = round;
         let with_m = state.correct_with_m();
         if (round as usize) <= cdf_rounds {
@@ -206,7 +206,7 @@ impl ExperimentResult {
     }
 }
 
-/// The scheduling unit: trials per pool job, a **pure function of
+/// The scheduling unit: trials per claimed chunk, a **pure function of
 /// `trials`** so the reduction order never depends on the machine.
 /// Small experiments get chunk 1 (maximum redistribution); large ones
 /// cap at 16 trials per job, which at the paper's 1000-trial points
@@ -216,22 +216,21 @@ pub fn chunk_size(trials: usize) -> usize {
     trials.div_ceil(64).clamp(1, 16)
 }
 
-/// Runs `trials` trials of **every** config in `cfgs` as one flat job set
-/// on `pool`, and aggregates per config. This is the primitive sweeps
-/// build on: submitting (config × chunk) jobs together means the pool
-/// never drains at a sweep-point boundary — fast points' workers move
-/// straight onto the next point's trials instead of idling at a join
-/// barrier.
+/// Runs `trials` trials of **every** config in `cfgs` as one flat set of
+/// chunks on up to `threads` threads, and aggregates per config. This is
+/// the primitive sweeps build on: claiming (config × chunk) items from one
+/// set means no thread idles at a sweep-point boundary — fast points'
+/// threads move straight onto the next point's trials.
 ///
 /// Trial `i` of every config uses seed `base_seed + i`; results are
-/// byte-identical for any pool size (see the module docs).
+/// byte-identical for any thread count (see the module docs).
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0`, any configuration is invalid, or a trial
-/// panics (the pool re-raises the first job panic here).
+/// panics (the first trial panic is re-raised here).
 pub fn run_many_on(
-    pool: &Pool,
+    threads: usize,
     cfgs: &[SimConfig],
     trials: usize,
     base_seed: u64,
@@ -247,7 +246,7 @@ pub fn run_many_on(
 
     let chunk = chunk_size(trials);
     let chunks_per_cfg = trials.div_ceil(chunk);
-    let partials: Vec<Partial> = pool.map(cfgs.len() * chunks_per_cfg, |job| {
+    let partials: Vec<Partial> = par::map(threads, cfgs.len() * chunks_per_cfg, |job| {
         let cfg = &cfgs[job / chunks_per_cfg];
         let shards = auto_shards(cfg.n);
         let lo = (job % chunks_per_cfg) * chunk;
@@ -256,22 +255,13 @@ pub fn run_many_on(
         // One SimState per chunk, rewound between trials so scratch
         // capacity (tallies, bitsets, per-shard partials) is reused —
         // [`SimState::reset`] pins this to fresh-state equivalence.
-        let mut state: Option<SimState> = None;
+        let mut state = SimState::new(cfg.clone());
         for i in lo..hi {
-            let state = match &mut state {
-                Some(s) => {
-                    s.reset();
-                    s
-                }
-                None => state.insert(SimState::new(cfg.clone())),
-            };
-            part.absorb(&run_trial_in(
-                state,
-                base_seed + i as u64,
-                cdf_rounds,
-                shards,
-                pool,
-            ));
+            if i > lo {
+                state.reset();
+            }
+            let seed = base_seed + i as u64;
+            part.absorb(&run_trial_in(&mut state, seed, cdf_rounds, shards, threads));
         }
         part
     });
@@ -288,18 +278,18 @@ pub fn run_many_on(
         .collect()
 }
 
-/// [`run_many_on`] on the process-wide [`Pool::global`].
+/// [`run_many_on`] on [`par::threads`] threads.
 pub fn run_many(
     cfgs: &[SimConfig],
     trials: usize,
     base_seed: u64,
     cdf_rounds: usize,
 ) -> Vec<ExperimentResult> {
-    run_many_on(Pool::global(), cfgs, trials, base_seed, cdf_rounds)
+    run_many_on(par::threads(), cfgs, trials, base_seed, cdf_rounds)
 }
 
-/// Runs `trials` independent trials of `cfg` on the global pool and
-/// aggregates.
+/// Runs `trials` independent trials of `cfg` on [`par::threads`] threads
+/// and aggregates.
 ///
 /// Trial `i` uses seed `base_seed + i`, so results are reproducible and
 /// independent of thread scheduling and worker count.

@@ -5,12 +5,12 @@
 //! is a pure function of the trial count and chunk partials merge in
 //! chunk order, `ExperimentResult` must be **byte-identical** — every
 //! float compared via `to_bits` — whether trials run inline on one
-//! thread, on a 3-thread pool, or on the default global pool. This is
-//! what lets `DRUM_POOL_THREADS=1` CI runs validate the parallel runs.
+//! thread, on 3 threads, or on the default thread count. This is what
+//! lets `DRUM_POOL_THREADS=1` CI runs validate the parallel runs.
 
 use drum_core::ProtocolVariant;
-use drum_pool::{schedule, Pool};
 use drum_sim::config::SimConfig;
+use drum_sim::par;
 use drum_sim::runner::{chunk_size, run_experiment, run_many_on, run_trial, ExperimentResult};
 use drum_testkit::prop::{self, Config};
 use drum_testkit::prop_assert;
@@ -70,40 +70,37 @@ fn results_identical_across_worker_counts() {
     let cfgs = scenario_mix();
     let trials = 20;
     // 1 thread = the inline in-order oracle; 3 and 7 exercise dynamic
-    // claiming with different interleavings; the global pool is whatever
-    // this machine (or DRUM_POOL_THREADS) says.
-    let oracle = run_many_on(&Pool::new(1), &cfgs, trials, 31, 12);
+    // claiming with different interleavings; the default is whatever this
+    // machine (or DRUM_POOL_THREADS) says.
+    let oracle = run_many_on(1, &cfgs, trials, 31, 12);
     for threads in [3, 7] {
-        let pool = Pool::new(threads);
-        // Repeat per pool so claim interleavings actually vary.
+        // Repeat per thread count so claim interleavings actually vary.
         for rep in 0..3 {
-            let got = run_many_on(&pool, &cfgs, trials, 31, 12);
+            let got = run_many_on(threads, &cfgs, trials, 31, 12);
             assert_eq!(got.len(), oracle.len());
             for (cfg_i, (a, b)) in oracle.iter().zip(&got).enumerate() {
                 assert_bitwise_eq(a, b, &format!("threads={threads} rep={rep} cfg={cfg_i}"));
             }
         }
     }
-    let global = run_many_on(Pool::global(), &cfgs, trials, 31, 12);
-    for (cfg_i, (a, b)) in oracle.iter().zip(&global).enumerate() {
-        assert_bitwise_eq(a, b, &format!("global pool cfg={cfg_i}"));
+    let default = run_many_on(par::threads(), &cfgs, trials, 31, 12);
+    for (cfg_i, (a, b)) in oracle.iter().zip(&default).enumerate() {
+        assert_bitwise_eq(a, b, &format!("default threads cfg={cfg_i}"));
     }
 }
 
 #[test]
 fn run_experiment_uses_the_same_reduction_as_the_inline_pool() {
     let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 60, 64.0);
-    let via_global = run_experiment(&cfg, 17, 5, 8);
-    let via_inline = run_many_on(&Pool::new(1), std::slice::from_ref(&cfg), 17, 5, 8)
+    let via_default = run_experiment(&cfg, 17, 5, 8);
+    let via_inline = run_many_on(1, std::slice::from_ref(&cfg), 17, 5, 8)
         .pop()
         .unwrap();
-    assert_bitwise_eq(&via_inline, &via_global, "run_experiment vs inline");
+    assert_bitwise_eq(&via_inline, &via_default, "run_experiment vs inline");
 }
 
 #[test]
 fn prop_worker_count_never_changes_results() {
-    let pool3 = Pool::new(3);
-    let pool5 = Pool::new(5);
     prop::check(
         "worker_count_never_changes_results",
         Config::with_cases(12),
@@ -126,9 +123,9 @@ fn prop_worker_count_never_changes_results() {
             // Keep hopeless Pull floods short so cases stay fast.
             cfg.max_rounds = 120;
             let cfgs = std::slice::from_ref(&cfg);
-            let a = run_many_on(&Pool::new(1), cfgs, trials, seed, cdf_rounds);
-            let b = run_many_on(&pool3, cfgs, trials, seed, cdf_rounds);
-            let c = run_many_on(&pool5, cfgs, trials, seed, cdf_rounds);
+            let a = run_many_on(1, cfgs, trials, seed, cdf_rounds);
+            let b = run_many_on(3, cfgs, trials, seed, cdf_rounds);
+            let c = run_many_on(5, cfgs, trials, seed, cdf_rounds);
             prop_assert!(a == b, "1 thread vs 3 threads diverged: {a:?} vs {b:?}");
             prop_assert!(a == c, "1 thread vs 5 threads diverged: {a:?} vs {c:?}");
             // PartialEq passed; also pin bit-level identity.
@@ -149,7 +146,7 @@ fn prop_worker_count_never_changes_results() {
 /// Every adversary strategy is as deterministic as the static flood:
 /// retargeting decisions are pure functions of the trial RNG and round
 /// state, so a fixed seed must give byte-identical results no matter how
-/// many pool workers interleave the trials. The `ext_adversary` and
+/// many threads interleave the trials. The `ext_adversary` and
 /// `ext_pull_abuse` figures depend on it: a strategy whose results
 /// depended on scheduling would make them unreproducible.
 #[test]
@@ -172,9 +169,9 @@ fn adversary_strategies_deterministic_across_worker_counts() {
         })
         .collect();
         let trials = 12;
-        let oracle = run_many_on(&Pool::new(1), &cfgs, trials, 20040628, 8);
+        let oracle = run_many_on(1, &cfgs, trials, 20040628, 8);
         for threads in [3, 7] {
-            let got = run_many_on(&Pool::new(threads), &cfgs, trials, 20040628, 8);
+            let got = run_many_on(threads, &cfgs, trials, 20040628, 8);
             for (cfg_i, (a, b)) in oracle.iter().zip(&got).enumerate() {
                 assert_bitwise_eq(
                     a,
@@ -190,7 +187,7 @@ fn adversary_strategies_deterministic_across_worker_counts() {
 /// trial is byte-identical across `DRUM_POOL_THREADS ∈ {1, 3, 7}` *and*
 /// across shard counts, including shard counts that don't divide `n`
 /// (straggler-mix ranges: the last shard is smaller and finishes first,
-/// so workers claim uneven batches) and a mid-trial `rotate_targets`
+/// so threads claim uneven batches) and a mid-trial `rotate_targets`
 /// round. Streams are keyed per `(trial_seed, round, phase, process)` —
 /// never per shard or worker — and partials merge in ascending shard
 /// order, so neither the partition nor the schedule can show through.
@@ -198,10 +195,15 @@ fn adversary_strategies_deterministic_across_worker_counts() {
 fn sharded_stepper_identical_across_threads_and_shards() {
     use drum_sim::SimState;
 
-    fn fingerprint(cfg: &SimConfig, seed: u64, shards: usize, pool: &Pool) -> (usize, Vec<bool>) {
+    fn fingerprint(
+        cfg: &SimConfig,
+        seed: u64,
+        shards: usize,
+        threads: usize,
+    ) -> (usize, Vec<bool>) {
         let mut state = SimState::new(cfg.clone());
         for _ in 0..30 {
-            state.step_sharded(seed, shards, pool);
+            state.step_sharded(seed, shards, threads);
         }
         (
             state.correct_with_m(),
@@ -212,14 +214,13 @@ fn sharded_stepper_identical_across_threads_and_shards() {
     // n = 173 (prime): every multi-shard split has unequal ranges.
     let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 173, 96.0);
     cfg.attack.as_mut().unwrap().rotate_every = Some(3);
-    let reference = fingerprint(&cfg, 20040628, 1, &Pool::new(1));
+    let reference = fingerprint(&cfg, 20040628, 1, 1);
     for threads in [1usize, 3, 7] {
-        let pool = Pool::new(threads);
         for shards in [1usize, 2, 3, 5, 8, 16, 173] {
             // Repeat so claim interleavings actually vary.
             for rep in 0..2 {
                 assert_eq!(
-                    fingerprint(&cfg, 20040628, shards, &pool),
+                    fingerprint(&cfg, 20040628, shards, threads),
                     reference,
                     "diverged at threads={threads} shards={shards} rep={rep}"
                 );
@@ -229,13 +230,11 @@ fn sharded_stepper_identical_across_threads_and_shards() {
 }
 
 /// Randomized version of the invariant above, crossing random scenarios
-/// with random shard counts on differently sized pools.
+/// with random shard counts on different thread counts.
 #[test]
 fn prop_sharded_shard_and_thread_count_never_change_results() {
     use drum_sim::run_trial_traced_mode;
 
-    let pool3 = Pool::new(3);
-    let pool7 = Pool::new(7);
     prop::check(
         "sharded_shard_and_thread_count_never_change_results",
         Config::with_cases(10),
@@ -260,7 +259,7 @@ fn prop_sharded_shard_and_thread_count_never_change_results() {
             let shards_a = g.usize_in(1..20);
             let shards_b = g.usize_in(1..20);
 
-            // Via the public runner (global pool)...
+            // Via the public runner (default threads)...
             let t = |shards| {
                 run_trial_traced_mode(&cfg, seed, 6, drum_trace::Tracer::disabled(), shards)
             };
@@ -269,16 +268,16 @@ fn prop_sharded_shard_and_thread_count_never_change_results() {
                 "runner outcome diverged between {shards_a} and {shards_b} shards"
             );
 
-            // ...and stepping directly on explicit pools.
-            let direct = |shards, pool: &Pool| {
+            // ...and stepping directly on explicit thread counts.
+            let direct = |shards, threads| {
                 let mut state = drum_sim::SimState::new(cfg.clone());
                 for _ in 0..12 {
-                    state.step_sharded(seed, shards, pool);
+                    state.step_sharded(seed, shards, threads);
                 }
                 (0..cfg.n).map(|i| state.has_m(i)).collect::<Vec<bool>>()
             };
-            let a = direct(shards_a, &pool3);
-            let b = direct(shards_b, &pool7);
+            let a = direct(shards_a, 3);
+            let b = direct(shards_b, 7);
             prop_assert!(
                 a == b,
                 "state diverged: shards {shards_a} on 3 threads vs {shards_b} on 7"
@@ -366,4 +365,104 @@ fn dynamic_scheduling_beats_static_chunks_on_straggler_mixes() {
         (1875, 187),
         "idle worker-rounds, static vs dynamic"
     );
+}
+
+/// Machine-independent scheduling models over per-job costs in abstract
+/// units (simulated rounds): wall-clock speedups are no stable gate on 1–2
+/// core CI hosts, modeled spans are exact on every machine.
+mod schedule {
+    /// Sums `costs` over contiguous chunks of `chunk` jobs (last chunk may
+    /// be short). This is the per-chunk work profile of a static split.
+    pub fn chunk_sums(costs: &[u64], chunk: usize) -> Vec<u64> {
+        assert!(chunk > 0, "chunk size must be positive");
+        costs.chunks(chunk).map(|c| c.iter().sum()).collect()
+    }
+
+    /// Modeled makespan of the seed scheduler for **one sweep point**:
+    /// split `costs` into `workers` contiguous chunks (sizes `div_ceil`),
+    /// run each chunk on its own worker, join. A whole sweep under this
+    /// scheduler is the *sum* of its points' makespans.
+    pub fn static_point_makespan(costs: &[u64], workers: usize) -> u64 {
+        assert!(workers > 0, "worker count must be positive");
+        if costs.is_empty() {
+            return 0;
+        }
+        let chunk = costs.len().div_ceil(workers);
+        chunk_sums(costs, chunk).into_iter().max().unwrap_or(0)
+    }
+
+    /// Modeled makespan of dynamic claiming over one flat job set: greedy
+    /// list scheduling, each job in order to the least-loaded worker.
+    pub fn greedy_makespan(jobs: &[u64], workers: usize) -> u64 {
+        assert!(workers > 0, "worker count must be positive");
+        let mut load = vec![0u64; workers];
+        for &job in jobs {
+            let min = load
+                .iter_mut()
+                .min()
+                .expect("worker count checked positive");
+            *min += job;
+        }
+        load.into_iter().max().unwrap_or(0)
+    }
+
+    /// Total worker-idle units for a schedule: `workers * makespan` slots
+    /// minus the work actually done.
+    pub fn idle_time(makespan: u64, workers: usize, jobs: &[u64]) -> u64 {
+        (makespan * workers as u64).saturating_sub(jobs.iter().sum())
+    }
+
+    #[test]
+    fn chunk_sums_cover_all_jobs() {
+        assert_eq!(chunk_sums(&[1, 2, 3, 4, 5], 2), vec![3, 7, 5]);
+        assert_eq!(chunk_sums(&[], 3), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn static_makespan_is_heaviest_chunk() {
+        // 6 jobs, 3 workers -> chunks of 2: [3, 7, 11].
+        assert_eq!(static_point_makespan(&[1, 2, 3, 4, 5, 6], 3), 11);
+        // More workers than jobs: every job is its own chunk.
+        assert_eq!(static_point_makespan(&[9, 1], 8), 9);
+        assert_eq!(static_point_makespan(&[], 4), 0);
+    }
+
+    #[test]
+    fn greedy_packs_around_stragglers() {
+        // One straggler + filler: greedy keeps other workers busy, so the
+        // makespan is the straggler alone while the static split strands
+        // it with half the filler.
+        let jobs = [100, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10];
+        assert_eq!(greedy_makespan(&jobs, 2), 100);
+        assert_eq!(static_point_makespan(&jobs, 2), 150);
+    }
+
+    #[test]
+    fn greedy_never_beats_the_work_lower_bound() {
+        let jobs = [7u64, 3, 9, 4, 4, 6, 2, 8];
+        let total: u64 = jobs.iter().sum();
+        for workers in 1..6 {
+            let span = greedy_makespan(&jobs, workers);
+            assert!(span >= total.div_ceil(workers as u64));
+            assert!(span >= *jobs.iter().max().unwrap());
+            assert!(span <= static_point_makespan(&jobs, workers).max(span));
+        }
+    }
+
+    #[test]
+    fn one_worker_spans_equal_total_work() {
+        let jobs = [5u64, 1, 12, 2];
+        assert_eq!(greedy_makespan(&jobs, 1), 20);
+        assert_eq!(static_point_makespan(&jobs, 1), 20);
+        assert_eq!(idle_time(20, 1, &jobs), 0);
+    }
+
+    #[test]
+    fn idle_time_counts_stranded_slots() {
+        let jobs = [100u64, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10];
+        let static_span = static_point_makespan(&jobs, 2);
+        let dynamic_span = greedy_makespan(&jobs, 2);
+        assert_eq!(idle_time(static_span, 2, &jobs), 100);
+        assert_eq!(idle_time(dynamic_span, 2, &jobs), 0);
+    }
 }

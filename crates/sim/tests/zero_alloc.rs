@@ -5,7 +5,7 @@
 //! Both live in this binary because it installs a counting global
 //! allocator. The count is kept per thread, since the test harness and
 //! the neighbouring test allocate on threads of their own; the simulator
-//! steps on a one-thread pool, which runs its jobs inline on the calling
+//! steps on one thread, which runs every shard inline on the calling
 //! thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -18,7 +18,6 @@ use drum_core::ids::{MessageId, ProcessId, Round};
 use drum_core::message::DataMessage;
 use drum_core::ProtocolVariant;
 use drum_crypto::auth::AuthTag;
-use drum_pool::Pool;
 use drum_sim::config::SimConfig;
 use drum_sim::{auto_shards, SimState};
 use rand::rngs::SmallRng;
@@ -116,16 +115,15 @@ fn a_warmed_million_member_round_allocates_nothing() {
     // The heaviest ext_scale point: Drum under the Figure 7 flood.
     let n = 1_000_000;
     let shards = auto_shards(n);
-    let pool = Pool::new(1);
     let mut state = SimState::new(SimConfig::attack_alpha(ProtocolVariant::Drum, n, 0.1, 72.0));
     // The first round sizes the grow-once scratch.
     assert!(
-        allocations_in(|| state.step_sharded(11, shards, &pool)) > 0,
+        allocations_in(|| state.step_sharded(11, shards, 1)) > 0,
         "the counter must see the first round size the scratch"
     );
     let allocations = allocations_in(|| {
-        state.step_sharded(11, shards, &pool);
-        state.step_sharded(11, shards, &pool);
+        state.step_sharded(11, shards, 1);
+        state.step_sharded(11, shards, 1);
     });
     assert_eq!(
         allocations, 0,

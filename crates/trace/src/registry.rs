@@ -89,17 +89,6 @@ pub mod names {
     /// Stream-scheduler submissions that exceeded the configured window
     /// and were queued with backpressure instead of silently dropped.
     pub const STREAM_BACKPRESSURE: &str = "stream.backpressure";
-    /// Jobs executed to completion by a `drum_pool::Pool`.
-    pub const POOL_JOBS: &str = "pool.jobs";
-    /// Pool jobs run by a thread other than their batch's submitter —
-    /// the cross-thread redistribution dynamic scheduling exists for.
-    /// `pool.steals / pool.jobs` near zero means the submitter did all
-    /// the work; near `(threads-1)/threads` means even sharing.
-    pub const POOL_STEALS: &str = "pool.steals";
-    /// Times an idle pool worker parked on the injector condvar. Stays
-    /// flat while a flat sweep keeps the pool fed; climbs when batches
-    /// drain between submissions.
-    pub const POOL_PARK: &str = "pool.park";
 }
 
 /// A monotonically increasing counter.

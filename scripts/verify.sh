@@ -122,7 +122,7 @@ phase_begin "cargo test benchmark/ (its own workspace)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 phase_end "benchmark"
 
-# Smoke-regenerate every figure through the shared worker pool; writes to
+# Smoke-regenerate every figure in one process; writes to
 # a throwaway directory, so checked-in results/ stay untouched.
 phase_begin "drum-lab figures --quick"
 FIG_OUT="$(mktemp -d)"
