@@ -7,6 +7,8 @@
 //! drum-lab cluster  --n 12 --attacked 2 --x 64 --messages 100 --rate 40
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod args;
 
 use std::time::Duration;

@@ -23,10 +23,8 @@ use rand::SeedableRng;
 use std::collections::HashSet;
 
 use drum_crypto::auth::{self, AuthError};
-use drum_crypto::batch::{BatchVerifier, VerifyRequest};
 use drum_crypto::hmac::HmacKey;
 use drum_crypto::keys::{KeyStore, SecretKey};
-use drum_crypto::multiway::{self, LaneStats};
 use drum_crypto::seal;
 use drum_trace::{names, trace_event, Counter, Timestamp, Tracer};
 
@@ -176,23 +174,14 @@ pub struct Engine {
     fixed_push_data_port: u16,
     /// Structured-event emitter (disabled by default: one branch per site).
     tracer: Tracer,
-    /// Multiway MAC verification (`drum_crypto::batch`) of the messages of
-    /// one delivery that are new to this node. `Some` only where the 8-lane
-    /// kernel is the host's fastest SHA-256 (`multiway::simd_preferred`);
-    /// everywhere else — SHA-NI and scalar hosts — `None`, and each new message pays one direct
-    /// [`DataMessage::verify`], which is cheaper there. Decisions are
-    /// identical either way.
-    verify_cache: Option<BatchVerifier>,
-    /// Cached registry handles for the batch-verification counters,
-    /// refreshed by [`Engine::set_tracer`] so the hot receive path never
-    /// takes the registry lock.
+    /// Cached registry handle for `crypto.mac_full_verifies`, refreshed by
+    /// [`Engine::set_tracer`] so the hot receive path never takes the
+    /// registry lock.
     c_mac_full: Counter,
-    c_mac_hits: Counter,
-    /// Cumulative SHA-256 kernel work behind source verification —
-    /// harvested from the batch verifier, or counted per compression on the
-    /// direct path — exposed through [`Engine::lane_stats`] so the
-    /// transport emits per-round deltas.
-    mac_lane: LaneStats,
+    /// Cumulative SHA-256 compressions behind source verification, exposed
+    /// through [`Engine::mac_compressions`] so the transport emits per-round
+    /// deltas.
+    mac_compressions: u64,
 }
 
 impl core::fmt::Debug for Engine {
@@ -222,7 +211,6 @@ impl Engine {
         let my_auth_key = my_key.hmac_key();
         let tracer = Tracer::disabled();
         let c_mac_full = tracer.registry().counter(names::MAC_FULL_VERIFIES);
-        let c_mac_hits = tracer.registry().counter(names::MAC_BATCH_HITS);
         Engine {
             config,
             membership,
@@ -243,10 +231,8 @@ impl Engine {
             fixed_push_reply_port: crate::WELL_KNOWN_PUSH_REPLY_PORT,
             fixed_push_data_port: crate::WELL_KNOWN_PUSH_DATA_PORT,
             tracer,
-            verify_cache: multiway::simd_preferred().then(BatchVerifier::new),
             c_mac_full,
-            c_mac_hits,
-            mac_lane: LaneStats::default(),
+            mac_compressions: 0,
         }
     }
 
@@ -255,22 +241,6 @@ impl Engine {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
         self.c_mac_full = self.tracer.registry().counter(names::MAC_FULL_VERIFIES);
-        self.c_mac_hits = self.tracer.registry().counter(names::MAC_BATCH_HITS);
-    }
-
-    /// Forces the batched verification path on or off, overriding the
-    /// host dispatch picked by [`Engine::new`]. Tests use this to compare the two paths side by
-    /// side on any host.
-    pub fn set_batch_verify(&mut self, enabled: bool) {
-        if enabled == self.verify_cache.is_some() {
-            return;
-        }
-        self.verify_cache = enabled.then(BatchVerifier::new);
-    }
-
-    /// Whether received data messages go through the batched verifier.
-    pub fn batch_verify_enabled(&self) -> bool {
-        self.verify_cache.is_some()
     }
 
     /// The attached tracer (disabled by default).
@@ -359,13 +329,11 @@ impl Engine {
         (self.round.as_u64() << 20) | (self.nonce & 0xFFFFF)
     }
 
-    /// Cumulative SHA-256 kernel counters behind source verification since
-    /// engine creation: an 8-wide call is +1 call / +8 lanes, a single-block
-    /// compression +1 / +1 (so `lanes_filled` is blocks hashed on every
-    /// path). Monotone, so per-round deltas are well defined for registry
-    /// emission.
-    pub fn lane_stats(&self) -> LaneStats {
-        self.mac_lane
+    /// Cumulative SHA-256 compressions behind source verification since
+    /// engine creation. Monotone, so per-round deltas are well defined for
+    /// registry emission.
+    pub fn mac_compressions(&self) -> u64 {
+        self.mac_compressions
     }
 
     /// Seals `port` for `to` if random ports are enabled (and the peer key
@@ -405,9 +373,6 @@ impl Engine {
         self.budget.reset();
         self.stats = RoundStats::default();
         self.offered_to.clear();
-        if let Some(cache) = self.verify_cache.as_mut() {
-            cache.begin_round();
-        }
         self.buffer.increment_hops();
         self.buffer.purge(self.round);
 
@@ -654,46 +619,15 @@ impl Engine {
     /// follows the messages that are *new* to this node, and nothing is
     /// ever admitted unverified (§4: the source must authenticate).
     ///
-    /// The remainder is verified by the host's faster path: one
-    /// [`DataMessage::verify`] per message, or one multiway pass over all
-    /// of them where the 8-lane kernel runs. Verdicts apply in arrival
-    /// order either way, so `RoundStats`, delivery order and trace events
-    /// are identical; only the kernel-call count differs.
-    fn receive_data(&mut self, mut messages: Vec<DataMessage>) {
-        let verdicts = self.verify_cache.as_mut().map(|cache| {
-            let buffer = &self.buffer;
-            messages.retain(|msg| !buffer.seen(msg.id));
-            let reqs: Vec<VerifyRequest<'_>> = messages
-                .iter()
-                .map(|msg| VerifyRequest {
-                    frame: false,
-                    source: msg.id.source.as_u64(),
-                    seq: msg.id.seq,
-                    payload: &msg.payload,
-                    tag: msg.auth,
-                })
-                .collect();
-            let mut out = Vec::with_capacity(reqs.len());
-            cache.verify_many(&self.key_store, &reqs, &mut out);
-            let counters = cache.take_counters();
-            self.c_mac_full.add(counters.full_verifies);
-            self.c_mac_hits.add(counters.batch_hits);
-            self.mac_lane.merge(LaneStats {
-                compress_calls: counters.compress_calls,
-                lanes_filled: counters.lanes_filled,
-            });
-            out
-        });
-        for (i, msg) in messages.into_iter().enumerate() {
+    /// Each remaining message pays one [`DataMessage::verify`], in arrival
+    /// order.
+    fn receive_data(&mut self, messages: Vec<DataMessage>) {
+        for msg in messages {
             // Also catches a second copy within this same delivery.
             if self.buffer.seen(msg.id) {
                 continue;
             }
-            let verdict = match &verdicts {
-                Some(verdicts) => verdicts[i],
-                None => self.verify_direct(&msg),
-            };
-            if verdict.is_err() {
+            if self.verify_direct(&msg).is_err() {
                 self.stats.dropped_auth += 1;
                 trace_event!(
                     self.tracer,
@@ -723,17 +657,14 @@ impl Engine {
         }
     }
 
-    /// One direct source verification, with its compressions counted the
-    /// way the multiway kernel counts its own single-block calls (+1 call,
-    /// +1 lane each). An unknown source is rejected before any hashing.
+    /// One source verification, counted in `crypto.mac_full_verifies` and
+    /// in [`Engine::mac_compressions`]. An unknown source is rejected before
+    /// any hashing and counts in neither.
     fn verify_direct(&mut self, msg: &DataMessage) -> Result<(), AuthError> {
         let verdict = msg.verify(&self.key_store);
         if !matches!(verdict, Err(AuthError::UnknownSource(_))) {
-            let blocks = auth::msg_tag_compressions(msg.payload.len());
-            self.mac_lane.merge(LaneStats {
-                compress_calls: blocks,
-                lanes_filled: blocks,
-            });
+            self.c_mac_full.inc();
+            self.mac_compressions += auth::msg_tag_compressions(msg.payload.len());
         }
         verdict
     }
@@ -1167,82 +1098,41 @@ mod tests {
     }
 
     #[test]
-    fn batched_verification_matches_per_datagram_path() {
-        // Two identically seeded instances; only the verification path
-        // differs. Accept/reject decisions, stats and delivery must match.
-        let (mut batched, _) = setup(2, ProtocolVariant::Drum);
-        let (mut fallback, _) = setup(2, ProtocolVariant::Drum);
-        batched[1].set_batch_verify(true);
-        fallback[1].set_batch_verify(false);
-
-        let mut results = Vec::new();
-        for engines in [&mut batched, &mut fallback] {
-            let mix = hostile_mix(&mut engines[0]);
-            let mut oracle = CountingPortOracle::default();
-            engines[1].begin_round(&mut oracle);
-            engines[1].handle(
-                GossipMessage::PushData {
-                    from: ProcessId(0),
-                    messages: mix,
-                },
-                &mut oracle,
-            );
-            let stats = engines[1].end_round();
-            results.push((stats, engines[1].take_delivered()));
-        }
-        assert_eq!(results[0], results[1]);
-        // One unique valid message, delivered once. Its duplicates and its
-        // tampered copies arrive after it was admitted and are skipped as
-        // seen; only the forgery of an *unseen* id is examined, twice.
-        assert_eq!(results[0].0.dropped_auth, 2);
-        assert_eq!(results[0].0.delivered, 1);
-        // The direct path hashed the first `real` (2 blocks) and each
-        // `forged` (2 + 2), nothing else.
-        assert_eq!(fallback[1].lane_stats().compress_calls, 6);
-    }
-
-    #[test]
     fn identical_fan_in_pays_one_hmac() {
-        // Both paths: the first copy is verified and admitted, the other 31
-        // are skipped as seen before any MAC.
-        for batch in [true, false] {
-            let (mut engines, _) = setup(2, ProtocolVariant::Drum);
-            engines[1].set_batch_verify(batch);
-            let id = engines[0].publish(Bytes::from_static(b"m"));
-            let real = engines[0].buffer().get(id).unwrap().clone();
-            let mut oracle = CountingPortOracle::default();
-            engines[1].begin_round(&mut oracle);
+        // The first copy is verified and admitted, the other 31 are skipped
+        // as seen before any MAC.
+        let (mut engines, _) = setup(2, ProtocolVariant::Drum);
+        let id = engines[0].publish(Bytes::from_static(b"m"));
+        let real = engines[0].buffer().get(id).unwrap().clone();
+        let mut oracle = CountingPortOracle::default();
+        engines[1].begin_round(&mut oracle);
+        engines[1].handle(
+            GossipMessage::PushData {
+                from: ProcessId(0),
+                messages: vec![real.clone(); 32],
+            },
+            &mut oracle,
+        );
+        assert_eq!(engines[1].stats().delivered, 1);
+        // One short HMAC: inner tail block + outer block.
+        assert_eq!(engines[1].mac_compressions(), 2);
+
+        // Seen is not round-scoped: the same fan-in next round (and
+        // through the other push-data slot of this one) costs nothing.
+        engines[1].begin_round(&mut oracle);
+        for _ in 0..2 {
             engines[1].handle(
                 GossipMessage::PushData {
                     from: ProcessId(0),
-                    messages: vec![real.clone(); 32],
+                    messages: vec![real.clone(); 8],
                 },
                 &mut oracle,
             );
-            assert_eq!(engines[1].stats().delivered, 1);
-            // One short HMAC: inner tail block + outer block.
-            assert_eq!(engines[1].lane_stats().lanes_filled, 2, "batch={batch}");
-
-            // Seen is not round-scoped: the same fan-in next round (and
-            // through the other push-data slot of this one) costs nothing.
-            engines[1].begin_round(&mut oracle);
-            for _ in 0..2 {
-                engines[1].handle(
-                    GossipMessage::PushData {
-                        from: ProcessId(0),
-                        messages: vec![real.clone(); 8],
-                    },
-                    &mut oracle,
-                );
-            }
-            assert_eq!(engines[1].stats().delivered, 0);
-            assert_eq!(engines[1].lane_stats().lanes_filled, 2, "batch={batch}");
-            if batch {
-                let reg = engines[1].tracer().registry();
-                assert_eq!(reg.counter(names::MAC_FULL_VERIFIES).get(), 1);
-                assert_eq!(reg.counter(names::MAC_BATCH_HITS).get(), 31);
-            }
         }
+        assert_eq!(engines[1].stats().delivered, 0);
+        assert_eq!(engines[1].mac_compressions(), 2);
+        let reg = engines[1].tracer().registry();
+        assert_eq!(reg.counter(names::MAC_FULL_VERIFIES).get(), 1);
     }
 
     #[test]
@@ -1260,7 +1150,7 @@ mod tests {
             &mut oracle,
         );
         assert_eq!(engines[1].take_delivered().len(), 1);
-        let before = engines[1].lane_stats();
+        let before = engines[1].mac_compressions();
 
         let forged = DataMessage {
             id,
@@ -1277,7 +1167,7 @@ mod tests {
         );
         assert!(engines[1].take_delivered().is_empty());
         assert_eq!(engines[1].stats().dropped_auth, 0);
-        assert_eq!(engines[1].lane_stats(), before, "no compression ran");
+        assert_eq!(engines[1].mac_compressions(), before, "no compression ran");
         // The stored message is still the authentic one.
         let stored = engines[1].buffer().get(id).unwrap();
         assert_eq!(stored.payload, Bytes::from_static(b"the real one"));
@@ -1293,30 +1183,27 @@ mod tests {
         let real = engines[0].buffer().get(id).unwrap().clone();
         let mut tampered = real.clone();
         tampered.payload = Bytes::from_static(b"fake");
-        for batch in [true, false] {
-            let (mut receivers, _) = setup(2, ProtocolVariant::Drum);
-            receivers[1].set_batch_verify(batch);
-            let mut oracle = CountingPortOracle::default();
-            receivers[1].begin_round(&mut oracle);
-            receivers[1].handle(
-                GossipMessage::PushData {
-                    from: ProcessId(0),
-                    messages: vec![tampered.clone(), real.clone(), tampered.clone()],
-                },
-                &mut oracle,
-            );
-            assert_eq!(receivers[1].stats().dropped_auth, 1, "batch={batch}");
-            let delivered = receivers[1].take_delivered();
-            assert_eq!(delivered.len(), 1);
-            assert_eq!(delivered[0].payload, Bytes::from_static(b"real"));
-        }
+        let (mut receivers, _) = setup(2, ProtocolVariant::Drum);
+        let mut oracle = CountingPortOracle::default();
+        receivers[1].begin_round(&mut oracle);
+        receivers[1].handle(
+            GossipMessage::PushData {
+                from: ProcessId(0),
+                messages: vec![tampered.clone(), real, tampered],
+            },
+            &mut oracle,
+        );
+        assert_eq!(receivers[1].stats().dropped_auth, 1);
+        let delivered = receivers[1].take_delivered();
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(delivered[0].payload, Bytes::from_static(b"real"));
     }
 
     #[test]
     fn verification_cost_follows_new_messages() {
-        // k new 50-byte messages cost exactly 3 compressions each on the
-        // direct path (two inner tail blocks + the outer block); the same
-        // exchange replayed costs none.
+        // k new 50-byte messages cost exactly 3 compressions each (two
+        // inner tail blocks + the outer block); the same exchange replayed
+        // costs none.
         const K: u64 = 12;
         let exchange = |publisher: &mut Engine| GossipMessage::PushData {
             from: ProcessId(0),
@@ -1330,24 +1217,14 @@ mod tests {
         let mut oracle = CountingPortOracle::default();
 
         let (mut engines, _) = setup(2, ProtocolVariant::Drum);
-        engines[1].set_batch_verify(false);
         let push = exchange(&mut engines[0]);
         engines[1].begin_round(&mut oracle);
         engines[1].handle(push.clone(), &mut oracle);
         assert_eq!(engines[1].stats().delivered, K);
-        assert_eq!(engines[1].lane_stats().compress_calls, 3 * K);
-        assert_eq!(engines[1].lane_stats().lanes_filled, 3 * K);
+        assert_eq!(engines[1].mac_compressions(), 3 * K);
         engines[1].handle(push, &mut oracle);
         assert_eq!(engines[1].stats().delivered, K);
-        assert_eq!(engines[1].lane_stats().compress_calls, 3 * K);
-
-        // The multiway path hashes the same blocks.
-        let (mut multi, _) = setup(2, ProtocolVariant::Drum);
-        multi[1].set_batch_verify(true);
-        let push = exchange(&mut multi[0]);
-        multi[1].begin_round(&mut oracle);
-        multi[1].handle(push, &mut oracle);
-        assert_eq!(multi[1].lane_stats().lanes_filled, 3 * K);
+        assert_eq!(engines[1].mac_compressions(), 3 * K);
     }
 
     #[test]
@@ -1394,11 +1271,11 @@ mod tests {
     }
 
     #[test]
-    fn fallback_path_leaves_batch_counters_at_zero() {
+    fn fan_in_counts_one_full_verify() {
+        // 16 copies of one 50-byte message: the first pays one HMAC of 3
+        // compressions, the other 15 are skipped as seen.
         let (mut engines, _) = setup(2, ProtocolVariant::Drum);
-        engines[1].set_batch_verify(false);
-        assert!(!engines[1].batch_verify_enabled());
-        let id = engines[0].publish(Bytes::from_static(b"m"));
+        let id = engines[0].publish(Bytes::from(vec![7u8; 50]));
         let real = engines[0].buffer().get(id).unwrap().clone();
         let mut oracle = CountingPortOracle::default();
         engines[1].begin_round(&mut oracle);
@@ -1410,7 +1287,7 @@ mod tests {
             &mut oracle,
         );
         let reg = engines[1].tracer().registry();
-        assert_eq!(reg.counter(names::MAC_FULL_VERIFIES).get(), 0);
-        assert_eq!(reg.counter(names::MAC_BATCH_HITS).get(), 0);
+        assert_eq!(reg.counter(names::MAC_FULL_VERIFIES).get(), 1);
+        assert_eq!(engines[1].mac_compressions(), 3);
     }
 }

@@ -10,7 +10,6 @@
 
 use crate::hmac::{verify_tag, HmacKey};
 use crate::keys::{KeyStore, SecretKey, UnknownPeerError};
-use crate::multiway::{MacJob, MultiMac};
 
 /// Length in bytes of an authentication tag.
 pub const AUTH_TAG_LEN: usize = 32;
@@ -36,9 +35,8 @@ impl AuthTag {
     ///
     /// The derived `PartialEq` short-circuits at the first differing byte,
     /// which would (theoretically, in this simulated setting) leak how much
-    /// of a forged tag's prefix is correct. Every verdict in this module —
-    /// scalar and multiway — goes through this helper or the equivalent
-    /// [`verify_tag`] instead.
+    /// of a forged tag's prefix is correct. Every verdict in this crate goes
+    /// through this helper or the equivalent [`verify_tag`] instead.
     pub fn ct_eq(&self, other: &AuthTag) -> bool {
         verify_tag(&self.0, &other.0)
     }
@@ -71,107 +69,66 @@ impl std::error::Error for AuthError {
     }
 }
 
-/// Streams `"drum.msg.auth" ‖ source ‖ seq ‖ payload` through the cached
-/// key schedule. No intermediate buffer is allocated — this runs once per
-/// received message, so it must be as close to raw HMAC cost as possible.
-fn tag_of(key: &HmacKey, source: u64, seq: u64, payload: &[u8]) -> [u8; AUTH_TAG_LEN] {
-    key.mac_parts(&[
-        MSG_DOMAIN,
-        &source.to_be_bytes(),
-        &seq.to_be_bytes(),
-        payload,
-    ])
+/// The domain string of a frame tag (`frame`) or a data-message tag. The
+/// distinct strings mean a frame tag can never be replayed as a
+/// data-message tag (or vice versa) even though both are HMACs under the
+/// same per-member key over an attacker-visible triple.
+fn domain(frame: bool) -> &'static [u8] {
+    if frame {
+        FRAME_DOMAIN
+    } else {
+        MSG_DOMAIN
+    }
 }
 
-/// Frame-domain variant of [`tag_of`]: `"drum.frame.auth" ‖ sender ‖ nonce
-/// ‖ body`. The distinct domain string means a frame tag can never be
-/// replayed as a data-message tag (or vice versa) even though both are
-/// HMACs under the same per-member key over an attacker-visible triple.
-fn frame_tag_of(key: &HmacKey, sender: u64, nonce: u64, body: &[u8]) -> [u8; AUTH_TAG_LEN] {
-    key.mac_parts(&[
-        FRAME_DOMAIN,
-        &sender.to_be_bytes(),
-        &nonce.to_be_bytes(),
-        body,
-    ])
+/// Streams `domain ‖ a ‖ b ‖ payload` through the cached key schedule. No
+/// intermediate buffer is allocated — this runs once per received message,
+/// so it must be as close to raw HMAC cost as possible.
+fn tag_of(frame: bool, key: &HmacKey, a: u64, b: u64, payload: &[u8]) -> [u8; AUTH_TAG_LEN] {
+    key.mac_parts(&[domain(frame), &a.to_be_bytes(), &b.to_be_bytes(), payload])
+}
+
+/// Constant-time check of a carried tag against the expected one.
+fn check(expected: [u8; AUTH_TAG_LEN], tag: &AuthTag) -> Result<(), AuthError> {
+    if verify_tag(&expected, &tag.0) {
+        Ok(())
+    } else {
+        Err(AuthError::Forged)
+    }
+}
+
+/// [`verify`] (or, with `frame`, [`verify_frame`]) in one function.
+pub(crate) fn verify_in(
+    frame: bool,
+    store: &KeyStore,
+    a: u64,
+    b: u64,
+    payload: &[u8],
+    tag: &AuthTag,
+) -> Result<(), AuthError> {
+    let key = store.auth_key_of(a).map_err(AuthError::UnknownSource)?;
+    check(tag_of(frame, &key, a, b, payload), tag)
 }
 
 /// SHA-256 compressions one data-message tag costs under a cached key
 /// schedule: the inner tail (domain ‖ source ‖ seq ‖ payload ‖ padding)
-/// resumed from the ipad midstate, plus the one outer block. Callers of the
-/// scalar [`verify_with`] path use it to keep the `crypto.compress_calls`
-/// counters in the units the multiway kernel reports.
+/// resumed from the ipad midstate, plus the one outer block. The engine
+/// counts `crypto.compress_calls` with it.
 pub fn msg_tag_compressions(payload_len: usize) -> u64 {
+    tag_compressions(false, payload_len)
+}
+
+/// [`msg_tag_compressions`] for either domain.
+pub(crate) fn tag_compressions(frame: bool, payload_len: usize) -> u64 {
     // 0x80 marker + 8-byte length field close the inner stream.
-    let inner = MSG_DOMAIN.len() + 16 + payload_len + 9;
+    let inner = domain(frame).len() + 16 + payload_len + 9;
     inner.div_ceil(crate::sha256::BLOCK_LEN) as u64 + 1
-}
-
-/// Builds the multiway job computing the same tag as [`sign_with`] /
-/// [`verify_with`] for a `(source, seq, payload)` triple.
-pub fn msg_job<'a>(key: &'a HmacKey, source: u64, seq: u64, payload: &'a [u8]) -> MacJob<'a> {
-    MacJob {
-        key,
-        domain: MSG_DOMAIN,
-        a: source,
-        b: seq,
-        payload,
-    }
-}
-
-/// Builds the multiway job computing the same tag as [`sign_frame_with`] /
-/// [`verify_frame_with`] for a `(sender, nonce, body)` triple.
-pub fn frame_job<'a>(key: &'a HmacKey, sender: u64, nonce: u64, body: &'a [u8]) -> MacJob<'a> {
-    MacJob {
-        key,
-        domain: FRAME_DOMAIN,
-        a: sender,
-        b: nonce,
-        payload: body,
-    }
-}
-
-/// Signs every job through the multiway kernel, appending the tags to `out`
-/// in job order. Bit-identical to calling [`sign_with`] /
-/// [`sign_frame_with`] per job.
-pub fn sign_many(mm: &mut MultiMac, jobs: &[MacJob<'_>], out: &mut Vec<AuthTag>) {
-    out.clear();
-    out.extend(mm.mac_many(jobs).iter().map(|d| AuthTag(*d)));
-}
-
-/// Verifies `tags[i]` against the expected tag of `jobs[i]` for every job,
-/// appending per-job verdicts to `verdicts` in job order. Comparison is
-/// constant-time per tag ([`AuthTag::ct_eq`]).
-///
-/// # Panics
-///
-/// Panics if `jobs` and `tags` differ in length.
-pub fn verify_many(
-    mm: &mut MultiMac,
-    jobs: &[MacJob<'_>],
-    tags: &[AuthTag],
-    verdicts: &mut Vec<Result<(), AuthError>>,
-) {
-    assert_eq!(jobs.len(), tags.len());
-    verdicts.clear();
-    verdicts.extend(
-        mm.mac_many(jobs)
-            .iter()
-            .zip(tags.iter())
-            .map(|(expected, tag)| {
-                if AuthTag(*expected).ct_eq(tag) {
-                    Ok(())
-                } else {
-                    Err(AuthError::Forged)
-                }
-            }),
-    );
 }
 
 /// Computes the authentication tag for a `(source, seq, payload)` triple
 /// using a precomputed key schedule (see [`SecretKey::hmac_key`]).
 pub fn sign_with(auth_key: &HmacKey, source: u64, seq: u64, payload: &[u8]) -> AuthTag {
-    AuthTag(tag_of(auth_key, source, seq, payload))
+    AuthTag(tag_of(false, auth_key, source, seq, payload))
 }
 
 /// Computes the authentication tag for a `(source, seq, payload)` triple
@@ -195,12 +152,7 @@ pub fn verify_with(
     payload: &[u8],
     tag: &AuthTag,
 ) -> Result<(), AuthError> {
-    let expected = tag_of(auth_key, source, seq, payload);
-    if verify_tag(&expected, &tag.0) {
-        Ok(())
-    } else {
-        Err(AuthError::Forged)
-    }
+    check(tag_of(false, auth_key, source, seq, payload), tag)
 }
 
 /// Verifies a tag against the key registered for `source` in `store`.
@@ -219,10 +171,7 @@ pub fn verify(
     payload: &[u8],
     tag: &AuthTag,
 ) -> Result<(), AuthError> {
-    let key = store
-        .auth_key_of(source)
-        .map_err(AuthError::UnknownSource)?;
-    verify_with(&key, source, seq, payload, tag)
+    verify_in(false, store, source, seq, payload, tag)
 }
 
 /// Computes the tag a gossip *frame* carries: one HMAC by the frame's
@@ -234,7 +183,7 @@ pub fn verify(
 /// The frame-domain functions stay because `benchmark/`'s probes and the
 /// hostile-frame tests call them.
 pub fn sign_frame_with(auth_key: &HmacKey, sender: u64, nonce: u64, body: &[u8]) -> AuthTag {
-    AuthTag(frame_tag_of(auth_key, sender, nonce, body))
+    AuthTag(tag_of(true, auth_key, sender, nonce, body))
 }
 
 /// Verifies a frame tag against a precomputed key schedule for `sender`.
@@ -249,12 +198,7 @@ pub fn verify_frame_with(
     body: &[u8],
     tag: &AuthTag,
 ) -> Result<(), AuthError> {
-    let expected = frame_tag_of(auth_key, sender, nonce, body);
-    if verify_tag(&expected, &tag.0) {
-        Ok(())
-    } else {
-        Err(AuthError::Forged)
-    }
+    check(tag_of(true, auth_key, sender, nonce, body), tag)
 }
 
 /// Verifies a frame tag against the key registered for `sender` in `store`.
@@ -270,10 +214,7 @@ pub fn verify_frame(
     body: &[u8],
     tag: &AuthTag,
 ) -> Result<(), AuthError> {
-    let key = store
-        .auth_key_of(sender)
-        .map_err(AuthError::UnknownSource)?;
-    verify_frame_with(&key, sender, nonce, body, tag)
+    verify_in(true, store, sender, nonce, body, tag)
 }
 
 #[cfg(test)]
@@ -402,13 +343,21 @@ mod tests {
     fn msg_tag_compressions_matches_the_kernel_count() {
         let (_, key) = store_with(1);
         let schedule = key.hmac_key();
-        let mut mm = MultiMac::scalar();
+        let counted = |sign: fn(&HmacKey, u64, u64, &[u8]) -> AuthTag, payload: &[u8]| {
+            let before = crate::sha256::COMPRESSIONS.with(|n| n.get());
+            sign(&schedule, 1, 2, payload);
+            crate::sha256::COMPRESSIONS.with(|n| n.get()) - before
+        };
         // Every padding boundary of the first three inner blocks.
         for len in 0..=160usize {
             let payload = vec![0x5a; len];
-            mm.mac_many(&[msg_job(&schedule, 1, 2, &payload)]);
-            let counted = mm.take_stats();
-            assert_eq!(msg_tag_compressions(len), counted.lanes_filled, "len {len}");
+            assert_eq!(
+                msg_tag_compressions(len),
+                counted(sign_with, &payload),
+                "len {len}"
+            );
+            let frame = counted(sign_frame_with, &payload);
+            assert_eq!(tag_compressions(true, len), frame, "frame len {len}");
         }
         // The benchmark's 50-byte payload: two inner blocks and the outer.
         assert_eq!(msg_tag_compressions(50), 3);
@@ -428,49 +377,6 @@ mod tests {
             assert_ne!(tag, other);
         }
         assert!(!tag.ct_eq(&AuthTag::zero()));
-    }
-
-    #[test]
-    fn sign_many_matches_scalar_sign() {
-        let (_, key) = store_with(1);
-        let schedule = key.hmac_key();
-        let payloads: Vec<Vec<u8>> = (0..13u8).map(|i| vec![i; i as usize * 3]).collect();
-        let jobs: Vec<_> = payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                if i % 2 == 0 {
-                    msg_job(&schedule, 1, i as u64, p)
-                } else {
-                    frame_job(&schedule, 1, i as u64, p)
-                }
-            })
-            .collect();
-        let mut mm = crate::multiway::MultiMac::lanes();
-        let mut tags = Vec::new();
-        sign_many(&mut mm, &jobs, &mut tags);
-        for (i, (tag, p)) in tags.iter().zip(payloads.iter()).enumerate() {
-            let want = if i % 2 == 0 {
-                sign_with(&schedule, 1, i as u64, p)
-            } else {
-                sign_frame_with(&schedule, 1, i as u64, p)
-            };
-            assert_eq!(*tag, want, "job {i}");
-        }
-
-        // verify_many accepts the genuine tags and pinpoints a forgery.
-        let mut verdicts = Vec::new();
-        verify_many(&mut mm, &jobs, &tags, &mut verdicts);
-        assert!(verdicts.iter().all(|v| v.is_ok()));
-        tags[7].0[0] ^= 1;
-        verify_many(&mut mm, &jobs, &tags, &mut verdicts);
-        for (i, v) in verdicts.iter().enumerate() {
-            if i == 7 {
-                assert_eq!(*v, Err(AuthError::Forged));
-            } else {
-                assert!(v.is_ok());
-            }
-        }
     }
 
     #[test]

@@ -103,19 +103,6 @@ impl HmacKey {
             outer: self.outer.clone(),
         }
     }
-
-    /// Raw chaining state after absorbing `key ^ ipad`, for the multiway
-    /// kernel ([`crate::multiway`]) to resume 8-wide. Always block-aligned:
-    /// `new` absorbed exactly one 64-byte pad block.
-    pub(crate) fn inner_midstate(&self) -> [u32; 8] {
-        self.inner.raw_midstate()
-    }
-
-    /// Raw chaining state after absorbing `key ^ opad`; see
-    /// [`HmacKey::inner_midstate`].
-    pub(crate) fn outer_midstate(&self) -> [u32; 8] {
-        self.outer.raw_midstate()
-    }
 }
 
 /// Incremental HMAC-SHA-256 computation.

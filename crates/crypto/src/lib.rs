@@ -35,11 +35,10 @@
 //! # }
 //! ```
 
-// Unsafe code is denied crate-wide and allowed in exactly two places: the
-// `sha256::shani` and `sha256::avx2` modules, the leaf kernels that call
-// x86-64 intrinsics behind runtime CPU-feature checks. Everything else in
-// this crate — including the multiway lane transposition feeding the AVX2
-// kernel — is safe Rust.
+// Unsafe code is denied crate-wide and allowed in exactly one place: the
+// `sha256::shani` module, the leaf kernel that calls x86-64 intrinsics
+// behind a runtime CPU-feature check. Everything else in this crate is safe
+// Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -53,13 +52,12 @@ pub mod seal;
 pub mod sha256;
 
 pub use auth::{
-    frame_job, msg_job, sign, sign_frame_with, sign_many, sign_with, verify, verify_frame,
-    verify_frame_with, verify_many, verify_with, AuthError, AuthTag, AUTH_TAG_LEN,
+    sign, sign_frame_with, sign_with, verify, verify_frame, verify_frame_with, verify_with,
+    AuthError, AuthTag, AUTH_TAG_LEN,
 };
 pub use batch::{BatchVerifier, MacCounters, VerifyRequest};
 pub use hmac::HmacKey;
 pub use keys::{KeyStore, SecretKey, UnknownPeerError};
-pub use multiway::{LaneStats, MacJob, MultiMac};
 pub use seal::{open, open_port, seal, seal_port, SealError, SealedBox};
 
 #[cfg(test)]
@@ -132,93 +130,6 @@ mod proptests {
                 Ok(())
             },
         );
-    }
-
-    // Satellite: multiway sign_many/verify_many equal the scalar
-    // sign_with/verify_with for random lane counts 1..=8 (and beyond, so the
-    // ragged final batch after full 8-lane chunks is exercised), random key
-    // sets, and message lengths spanning 0..4 blocks — on both the
-    // dispatched (8-lane where available) and forced-scalar engines.
-    #[test]
-    fn multiway_equals_scalar_paths() {
-        use crate::auth::{
-            frame_job, msg_job, sign_frame_with, sign_many, sign_with, verify_frame_with,
-            verify_many, verify_with, AuthError,
-        };
-        use crate::multiway::MultiMac;
-        use crate::sha256::BLOCK_LEN;
-
-        check("multiway_equals_scalar_paths", Config::default(), |g| {
-            let nkeys = g.usize_in(1..5);
-            let schedules: Vec<HmacKey> =
-                (0..nkeys).map(|_| HmacKey::new(&g.bytes(1..64))).collect();
-            // Mostly partial lanes (1..=8), sometimes multi-chunk + ragged.
-            let njobs = if g.u8() % 4 == 0 {
-                g.usize_in(9..28)
-            } else {
-                g.usize_in(1..9)
-            };
-            let mut key_of = Vec::new();
-            let mut frames = Vec::new();
-            let mut ids = Vec::new();
-            let mut payloads = Vec::new();
-            for _ in 0..njobs {
-                key_of.push(g.index(nkeys));
-                frames.push(g.u8() % 2 == 1);
-                ids.push((g.u64(), g.u64()));
-                payloads.push(g.bytes(0..4 * BLOCK_LEN));
-            }
-            let jobs: Vec<_> = (0..njobs)
-                .map(|i| {
-                    let key = &schedules[key_of[i]];
-                    let (a, b) = ids[i];
-                    if frames[i] {
-                        frame_job(key, a, b, &payloads[i])
-                    } else {
-                        msg_job(key, a, b, &payloads[i])
-                    }
-                })
-                .collect();
-
-            let scalar_tags: Vec<_> = (0..njobs)
-                .map(|i| {
-                    let key = &schedules[key_of[i]];
-                    let (a, b) = ids[i];
-                    if frames[i] {
-                        sign_frame_with(key, a, b, &payloads[i])
-                    } else {
-                        sign_with(key, a, b, &payloads[i])
-                    }
-                })
-                .collect();
-
-            let mut tags = Vec::new();
-            let mut verdicts = Vec::new();
-            for mm in [&mut MultiMac::lanes(), &mut MultiMac::scalar()] {
-                sign_many(mm, &jobs, &mut tags);
-                prop_assert_eq!(&tags, &scalar_tags);
-                // verify_many verdicts match verify_with/verify_frame_with,
-                // including on a corrupted tag.
-                let mut bad = tags.clone();
-                let victim = g.index(njobs);
-                bad[victim].0[g.index(32)] ^= g.u8() | 1;
-                verify_many(mm, &jobs, &bad, &mut verdicts);
-                for i in 0..njobs {
-                    let key = &schedules[key_of[i]];
-                    let (a, b) = ids[i];
-                    let want = if frames[i] {
-                        verify_frame_with(key, a, b, &payloads[i], &bad[i])
-                    } else {
-                        verify_with(key, a, b, &payloads[i], &bad[i])
-                    };
-                    prop_assert_eq!(verdicts[i], want);
-                    if i == victim {
-                        prop_assert_eq!(verdicts[i], Err(AuthError::Forged));
-                    }
-                }
-            }
-            Ok(())
-        });
     }
 
     #[test]

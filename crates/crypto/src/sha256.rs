@@ -117,16 +117,6 @@ impl Sha256 {
         }
     }
 
-    /// The raw chaining state at a block boundary, for callers that resume
-    /// hashing through the multi-lane kernel ([`compress8`]). Only valid on
-    /// block-aligned states (e.g. the HMAC ipad/opad midstates); the
-    /// debug assertions pin that contract.
-    pub(crate) fn raw_midstate(&self) -> [u32; 8] {
-        debug_assert_eq!(self.buf_len, 0, "midstate taken off a block boundary");
-        debug_assert_eq!(self.len % BLOCK_LEN as u64, 0);
-        self.state
-    }
-
     /// Completes the hash and returns the digest, consuming the hasher.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.len.wrapping_mul(8);
@@ -161,12 +151,21 @@ impl Sha256 {
 /// software rounds below. Both produce identical digests.
 pub(crate) fn compress(state: &mut [u32; 8], block: &[u8]) {
     debug_assert_eq!(block.len(), BLOCK_LEN);
+    #[cfg(test)]
+    COMPRESSIONS.with(|n| n.set(n.get() + 1));
     #[cfg(target_arch = "x86_64")]
     if shani::available() {
         shani::compress(state, block);
         return;
     }
     compress_soft(state, block);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Compressions run on this thread, so tests can check a block count
+    /// against real hashing.
+    pub(crate) static COMPRESSIONS: core::cell::Cell<u64> = const { core::cell::Cell::new(0) };
 }
 
 /// Portable software implementation of the compression function.
@@ -217,218 +216,9 @@ fn compress_soft(state: &mut [u32; 8], block: &[u8]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// Width of the multi-buffer kernel: how many independent blocks one
-/// [`compress8`] call advances in lockstep.
-pub(crate) const LANES: usize = 8;
-
-/// Whether the 8-lane AVX2 kernel backs [`compress8`] on this CPU. When
-/// false, `compress8` still works — it just runs the lanes through the
-/// single-block path one at a time.
-pub(crate) fn lanes_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        avx2::available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Whether the 8-lane kernel is the *fastest* way to bulk-hash blocks on
-/// this CPU, not merely present. On SHA-NI hardware the single-block
-/// [`compress`] path retires a block in fewer cycles than the 8-lane AVX2
-/// kernel's per-lane share (measured ~51 vs ~80 ns/block on an Ice Lake
-/// class core), so multi-buffer batching would slow those hosts down —
-/// the same dispatch policy multi-buffer libraries like ISA-L use.
-pub(crate) fn lanes_preferred() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        avx2::available() && !shani::available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Compresses one 64-byte block into each of 8 independent chaining states
-/// in lockstep.
-///
-/// Dispatches to the AVX2 transposed-lane kernel when the CPU supports it,
-/// else falls back to eight single-block compressions. Both orderings touch
-/// each `(state, block)` pair exactly once, so the results are identical;
-/// the tests below pin that lane by lane.
-pub(crate) fn compress8(states: &mut [[u32; 8]; LANES], blocks: &[&[u8]; LANES]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2::available() {
-        avx2::compress8(states, blocks);
-        return;
-    }
-    for (state, block) in states.iter_mut().zip(blocks.iter()) {
-        compress(state, block);
-    }
-}
-
-/// Eight-lane SHA-256 compression via AVX2.
-///
-/// The second `unsafe` island in this crate, mirroring [`shani`] below: the
-/// intrinsics are `unsafe` only because they require the `avx2` CPU feature,
-/// which [`avx2::available`] probes (and `std` caches) before any call. The
-/// state is transposed — vector `i` holds working variable `i` of all eight
-/// lanes — so the scalar FIPS 180-4 round sequence above maps one-to-one
-/// onto 8-wide vector ops; the message schedule is interleaved the same way.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod avx2 {
-    use super::{BLOCK_LEN, K, LANES};
-    use core::arch::x86_64::{
-        _mm256_add_epi32, _mm256_and_si256, _mm256_andnot_si256, _mm256_or_si256,
-        _mm256_set1_epi32, _mm256_set_epi32, _mm256_setzero_si256, _mm256_slli_epi32,
-        _mm256_srli_epi32, _mm256_storeu_si256, _mm256_xor_si256,
-    };
-
-    /// Whether this CPU can run [`compress8`] 8-wide. `std` caches the CPUID
-    /// probe, so steady-state cost is one atomic load.
-    #[inline]
-    pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    /// Compresses one block per lane into the eight transposed states.
-    ///
-    /// Panics in debug builds if called without [`available`]; in release the
-    /// dispatcher's feature check is the guarantee the intrinsics need.
-    #[inline]
-    pub fn compress8(states: &mut [[u32; 8]; LANES], blocks: &[&[u8]; LANES]) {
-        debug_assert!(available());
-        // SAFETY: the dispatcher only reaches this after `available()`
-        // confirmed the avx2 feature at runtime.
-        unsafe { compress8_blocks(states, blocks) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn compress8_blocks(states: &mut [[u32; 8]; LANES], blocks: &[&[u8]; LANES]) {
-        for block in blocks.iter() {
-            debug_assert_eq!(block.len(), BLOCK_LEN);
-        }
-
-        // 32-bit rotate right: AVX2 has no rotate instruction, so build it
-        // from the two shifts. Shift counts must be literals (the intrinsics
-        // take immediate operands), hence a macro rather than a function.
-        macro_rules! rotr {
-            ($x:expr, $n:literal) => {{
-                let x = $x;
-                _mm256_or_si256(_mm256_srli_epi32(x, $n), _mm256_slli_epi32(x, 32 - $n))
-            }};
-        }
-
-        // Transposed state load: vector `i` gathers word `i` of every lane,
-        // lane 0 in the lowest element.
-        macro_rules! gather {
-            ($i:expr) => {
-                _mm256_set_epi32(
-                    states[7][$i] as i32,
-                    states[6][$i] as i32,
-                    states[5][$i] as i32,
-                    states[4][$i] as i32,
-                    states[3][$i] as i32,
-                    states[2][$i] as i32,
-                    states[1][$i] as i32,
-                    states[0][$i] as i32,
-                )
-            };
-        }
-        let mut a = gather!(0);
-        let mut b = gather!(1);
-        let mut c = gather!(2);
-        let mut d = gather!(3);
-        let mut e = gather!(4);
-        let mut f = gather!(5);
-        let mut g = gather!(6);
-        let mut h = gather!(7);
-        let saved = [a, b, c, d, e, f, g, h];
-
-        // Interleaved message schedule: w[t] holds message word t of all
-        // eight blocks side by side.
-        #[inline]
-        fn be_word(block: &[u8], t: usize) -> i32 {
-            u32::from_be_bytes([
-                block[4 * t],
-                block[4 * t + 1],
-                block[4 * t + 2],
-                block[4 * t + 3],
-            ]) as i32
-        }
-        let mut w = [_mm256_setzero_si256(); 64];
-        for (t, wt) in w.iter_mut().take(16).enumerate() {
-            *wt = _mm256_set_epi32(
-                be_word(blocks[7], t),
-                be_word(blocks[6], t),
-                be_word(blocks[5], t),
-                be_word(blocks[4], t),
-                be_word(blocks[3], t),
-                be_word(blocks[2], t),
-                be_word(blocks[1], t),
-                be_word(blocks[0], t),
-            );
-        }
-        for t in 16..64 {
-            let s0 = _mm256_xor_si256(
-                _mm256_xor_si256(rotr!(w[t - 15], 7), rotr!(w[t - 15], 18)),
-                _mm256_srli_epi32(w[t - 15], 3),
-            );
-            let s1 = _mm256_xor_si256(
-                _mm256_xor_si256(rotr!(w[t - 2], 17), rotr!(w[t - 2], 19)),
-                _mm256_srli_epi32(w[t - 2], 10),
-            );
-            w[t] = _mm256_add_epi32(
-                _mm256_add_epi32(w[t - 16], s0),
-                _mm256_add_epi32(w[t - 7], s1),
-            );
-        }
-
-        // The scalar round body, verbatim, over 8-lane vectors.
-        for t in 0..64 {
-            let s1 = _mm256_xor_si256(_mm256_xor_si256(rotr!(e, 6), rotr!(e, 11)), rotr!(e, 25));
-            let ch = _mm256_xor_si256(_mm256_and_si256(e, f), _mm256_andnot_si256(e, g));
-            let t1 = _mm256_add_epi32(
-                _mm256_add_epi32(_mm256_add_epi32(h, s1), _mm256_add_epi32(ch, w[t])),
-                _mm256_set1_epi32(K[t] as i32),
-            );
-            let s0 = _mm256_xor_si256(_mm256_xor_si256(rotr!(a, 2), rotr!(a, 13)), rotr!(a, 22));
-            let maj = _mm256_xor_si256(
-                _mm256_xor_si256(_mm256_and_si256(a, b), _mm256_and_si256(a, c)),
-                _mm256_and_si256(b, c),
-            );
-            let t2 = _mm256_add_epi32(s0, maj);
-            h = g;
-            g = f;
-            f = e;
-            e = _mm256_add_epi32(d, t1);
-            d = c;
-            c = b;
-            b = a;
-            a = _mm256_add_epi32(t1, t2);
-        }
-
-        // Add back the saved state and scatter each vector's elements to
-        // its lane's state word.
-        let ends = [a, b, c, d, e, f, g, h];
-        for (i, (end, save)) in ends.iter().zip(saved.iter()).enumerate() {
-            let mut out = [0u32; LANES];
-            _mm256_storeu_si256(out.as_mut_ptr().cast(), _mm256_add_epi32(*end, *save));
-            for (lane, word) in out.iter().enumerate() {
-                states[lane][i] = *word;
-            }
-        }
-    }
-}
-
 /// SHA-256 compression via the x86-64 SHA new instructions.
 ///
-/// One of the two `unsafe` islands in this crate, alongside [`avx2`] above
-/// (see the crate-level lint note):
+/// The one `unsafe` island in this crate (see the crate-level lint note):
 /// the intrinsics themselves are `unsafe` only because they require the
 /// `sha`/`ssse3`/`sse4.1` CPU features, which [`available`] probes at
 /// runtime before any call. The round sequence follows Intel's published
@@ -611,66 +401,6 @@ mod tests {
             compress(&mut fast, &block);
             compress_soft(&mut soft, &block);
             assert_eq!(fast, soft, "diverged at round {round}");
-        }
-    }
-
-    // The 8-lane kernel must agree with eight independent scalar
-    // compressions on every lane, for arbitrary per-lane blocks and chained
-    // states. On non-AVX2 hardware `compress8` already *is* the scalar loop,
-    // so the assertion is trivially true there and pins the real kernel
-    // everywhere else.
-    #[test]
-    fn compress8_matches_scalar_lanes() {
-        let mut states = [[0u32; 8]; LANES];
-        let mut scalar_states = [[0u32; 8]; LANES];
-        for (lane, state) in states.iter_mut().enumerate() {
-            for (i, word) in state.iter_mut().enumerate() {
-                *word = H0[i].wrapping_add((lane as u32).wrapping_mul(0x9e37_79b9));
-            }
-        }
-        scalar_states.copy_from_slice(&states);
-
-        let mut storage = [[0u8; BLOCK_LEN]; LANES];
-        for round in 0u32..32 {
-            for (lane, block) in storage.iter_mut().enumerate() {
-                for (i, byte) in block.iter_mut().enumerate() {
-                    *byte = (i as u32)
-                        .wrapping_mul(31)
-                        .wrapping_add(round * 7 + lane as u32 * 131)
-                        as u8;
-                }
-            }
-            let blocks: [&[u8]; LANES] = core::array::from_fn(|l| &storage[l][..]);
-            compress8(&mut states, &blocks);
-            for lane in 0..LANES {
-                compress(&mut scalar_states[lane], &storage[lane]);
-            }
-            assert_eq!(states, scalar_states, "diverged at round {round}");
-        }
-    }
-
-    // Lane-mix exhaustion: every subset size of "live" lanes (the rest
-    // carrying duplicate filler blocks, as the multiway front-end does for a
-    // ragged final batch) must still produce the right digest state in every
-    // lane.
-    #[test]
-    fn compress8_lane_mix_exhaustive() {
-        for live in 1..=LANES {
-            let mut storage = [[0u8; BLOCK_LEN]; LANES];
-            for (lane, block) in storage.iter_mut().enumerate() {
-                let fill = if lane < live { lane as u8 + 1 } else { 0xee };
-                for (i, byte) in block.iter_mut().enumerate() {
-                    *byte = fill.wrapping_mul(i as u8 ^ 0x5a);
-                }
-            }
-            let mut states = [H0; LANES];
-            let blocks: [&[u8]; LANES] = core::array::from_fn(|l| &storage[l][..]);
-            compress8(&mut states, &blocks);
-            for lane in 0..LANES {
-                let mut expect = H0;
-                compress_soft(&mut expect, &storage[lane]);
-                assert_eq!(states[lane], expect, "live={live} lane={lane}");
-            }
         }
     }
 

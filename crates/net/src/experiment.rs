@@ -380,10 +380,10 @@ pub struct ThroughputReport {
     pub shard_wakeups: u64,
     /// New data messages the correct processes' engines delivered.
     pub delivered: u64,
-    /// SHA-256 kernel calls behind their source verification
+    /// SHA-256 compressions behind their source verification
     /// (`crypto.compress_calls`). Per delivery it reads ≈ 3 for 50-byte
-    /// payloads on the direct path, less through the 8-lane kernel — and
-    /// several times that if duplicates are ever verified again.
+    /// payloads, and several times that if duplicates are ever verified
+    /// again.
     pub compress_calls: u64,
     /// Descriptors their random-port pools opened (`net.sockets_opened`).
     /// Per engine-round it reads well under 1 — pools open descriptors

@@ -183,13 +183,11 @@ pub struct NetStats {
     /// Stream-scheduler submissions that found the pending window full
     /// and were queued with backpressure (never silently dropped).
     pub stream_backpressure: u64,
-    /// SHA-256 kernel invocations behind this node's source verification:
-    /// an 8-wide call counts once, as does a single-block call. With the
-    /// 8-lane kernel active this runs near `lanes_filled / 8`; on the
-    /// direct (SHA-NI / scalar) path it equals `lanes_filled`.
+    /// SHA-256 compressions behind this node's source verification, one
+    /// per 64-byte block hashed.
     pub compress_calls: u64,
-    /// Total kernel lanes those invocations advanced — i.e. blocks hashed.
-    /// Identical on lane and scalar hosts on a fixed seed.
+    /// Always equal to [`NetStats::compress_calls`] (kept for
+    /// `benchmark/`): every block is hashed one at a time.
     pub lanes_filled: u64,
 }
 
@@ -413,7 +411,6 @@ pub struct NodeCore {
     c_buf_peak: Counter,
     c_backpressure: Counter,
     c_compress_calls: Counter,
-    c_lanes_filled: Counter,
 }
 
 impl NodeCore {
@@ -499,7 +496,6 @@ impl NodeCore {
             c_buf_peak: reg.counter(names::BUFFER_BYTES_PEAK),
             c_backpressure: reg.counter(names::STREAM_BACKPRESSURE),
             c_compress_calls: reg.counter(names::CRYPTO_COMPRESS_CALLS),
-            c_lanes_filled: reg.counter(names::CRYPTO_LANES_FILLED),
         }
     }
 
@@ -823,13 +819,10 @@ impl NodeCore {
             .add(self.stats.buffer_bytes_peak - self.prev.buffer_bytes_peak);
         self.c_backpressure
             .add(self.stats.stream_backpressure - self.prev.stream_backpressure);
-        let lanes = self.engine.lane_stats();
-        self.stats.compress_calls = lanes.compress_calls;
-        self.stats.lanes_filled = lanes.lanes_filled;
+        self.stats.compress_calls = self.engine.mac_compressions();
+        self.stats.lanes_filled = self.stats.compress_calls;
         self.c_compress_calls
             .add(self.stats.compress_calls - self.prev.compress_calls);
-        self.c_lanes_filled
-            .add(self.stats.lanes_filled - self.prev.lanes_filled);
         trace_event!(
             self.tracer,
             "net",
@@ -1134,7 +1127,6 @@ pub(crate) mod tests {
     #[test]
     fn fabricated_frame_on_a_pool_port_is_a_decode_error() {
         use drum_core::engine::PortOracle;
-        use drum_crypto::multiway::LaneStats;
 
         // Hand-driven, so the test can open a pool port itself.
         let (mut core, delivered_rx, _peer) = lone_core(11);
@@ -1164,7 +1156,7 @@ pub(crate) mod tests {
         drain_until(&mut core, &|s| s.decode_errors > 0);
         assert_eq!(core.stats().decode_errors, 1);
         assert_eq!(core.stats().received, 0);
-        assert_eq!(core.engine.lane_stats(), LaneStats::default());
+        assert_eq!(core.engine.mac_compressions(), 0);
 
         let bare = codec::encode(&crate::attack::fabricated_pull_reply(7));
         attacker.send_to(&bare, dest).unwrap();

@@ -32,6 +32,8 @@
 //! assert!(x < 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod os;
 pub mod rngs;
 pub mod seq;

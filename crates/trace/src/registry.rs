@@ -65,23 +65,15 @@ pub mod names {
     /// Sharded runtime: ready-socket dispatches (token → engine drain)
     /// performed by shard event loops.
     pub const SHARD_DISPATCH: &str = "net.shard_dispatch";
-    /// Full HMAC verifications paid on received data messages. Under an
-    /// identical-fan-in flood this stays near the number of *unique*
-    /// `(source, seq, tag)` triples per round while `messages_received`
-    /// counts every copy — the gap is the batched-verification win.
+    /// HMAC verifications of received data messages: one per message new
+    /// to the receiver whose source has a key. Duplicates are skipped
+    /// before the MAC, so under an identical-fan-in flood this stays at the
+    /// number of unique messages while `messages_received` counts every
+    /// copy.
     pub const MAC_FULL_VERIFIES: &str = "crypto.mac_full_verifies";
-    /// Verdicts served from the round-scoped batch-verification cache
-    /// instead of recomputing the HMAC (see `drum_crypto::batch`).
-    pub const MAC_BATCH_HITS: &str = "crypto.mac_batch_hits";
-    /// SHA-256 kernel invocations behind the source verifications that
-    /// actually ran: an 8-wide multi-buffer call counts once, as does a
-    /// single-block call. The ratio to `crypto.lanes_filled` is the
-    /// multiway batching win (1.0 on the direct SHA-NI / scalar path).
+    /// SHA-256 compressions behind those verifications, one per 64-byte
+    /// block hashed (≈ 3 per 50-byte message).
     pub const CRYPTO_COMPRESS_CALLS: &str = "crypto.compress_calls";
-    /// Total kernel lanes those invocations advanced — i.e. 64-byte blocks
-    /// hashed. Fixed-seed runs report identical values on lane and scalar
-    /// hosts; only `crypto.compress_calls` moves.
-    pub const CRYPTO_LANES_FILLED: &str = "crypto.lanes_filled";
     /// High-water mark of message-buffer memory (payload bytes plus
     /// per-entry overhead), summed over processes. Bounded buffers keep
     /// this flat under sustained load; see `ext_soak`.

@@ -89,9 +89,7 @@ fn main() -> std::io::Result<()> {
         names::SYSCALLS_SEND,
         names::BATCH_FILL,
         names::MAC_FULL_VERIFIES,
-        names::MAC_BATCH_HITS,
         names::CRYPTO_COMPRESS_CALLS,
-        names::CRYPTO_LANES_FILLED,
         names::BUFFER_BYTES_PEAK,
         names::STREAM_BACKPRESSURE,
     ] {
