@@ -6,7 +6,11 @@
 //! interface (see `DESIGN.md` for the substitution argument):
 //!
 //! * [`codec`] — hardened binary wire format;
-//! * [`transport`] — well-known + random ephemeral sockets, address book;
+//! * [`sys`] — the raw Linux `recvmmsg`/`sendmmsg`/`epoll` shims, the one
+//!   I/O path (Linux x86-64 and aarch64 only; other targets fail to
+//!   compile);
+//! * [`transport`] — batched receive/send, well-known + random ephemeral
+//!   sockets, address book;
 //! * [`runtime`] — [`NodeCore`], one process's unsynchronized rounds around
 //!   a [`drum_core::engine::Engine`], as steps a driver calls;
 //! * [`shard`] — the driver: one event loop (shared epoll + timer wheel)
@@ -48,11 +52,17 @@
 
 // Unsafe code is denied crate-wide and allowed in exactly one place: the
 // `sys` module, whose raw Linux syscall shims (recvmmsg/sendmmsg/epoll)
-// back the batched I/O fast path. Everything else in this crate is safe
-// Rust, and every batched path has a safe per-datagram fallback, the one
-// path of every other target.
+// are the crate's one I/O path. Everything else in this crate is safe
+// Rust. There is no per-datagram or sleep-poll path for other targets:
+// they are rejected here, at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!("drum-net builds for Linux on x86-64 and aarch64 only (its I/O is raw recvmmsg/sendmmsg/epoll syscalls)");
 
 pub mod attack;
 pub mod codec;

@@ -13,9 +13,9 @@
 //! of its own. The shard driver ([`crate::shard`]) steps any number of
 //! cores — one included — from a timer wheel and a shared epoll.
 
+use std::io;
 use std::net::UdpSocket;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drum_core::bytes::{Bytes, BytesMut};
@@ -48,10 +48,6 @@ pub struct NetConfig {
     /// Round-length randomness is itself a defense: "the attacker cannot
     /// aim its messages for the beginning of a round" (§4).
     pub jitter: f64,
-    /// Sleep between drain passes of a shard that has no epoll (targets
-    /// without one, or a failed setup). With epoll the shard blocks until
-    /// a socket is readable or a round deadline arrives (DESIGN.md §14).
-    pub poll: Duration,
     /// Probability of dropping each outbound datagram (emulated link loss;
     /// 0.0 by default — loopback is lossless, the paper's LAN loses ~1%).
     pub loss: f64,
@@ -71,13 +67,12 @@ pub struct NetConfig {
 
 impl NetConfig {
     /// Paper-like defaults scaled for local experiments: 100 ms rounds,
-    /// ±20% jitter, 1 ms polling.
+    /// ±20% jitter.
     pub fn new(gossip: GossipConfig) -> Self {
         NetConfig {
             gossip,
             round: Duration::from_millis(100),
             jitter: 0.2,
-            poll: Duration::from_millis(1),
             loss: 0.0,
             tracer: Tracer::disabled(),
             stream: StreamConfig::unlimited(),
@@ -158,16 +153,16 @@ pub struct NetStats {
     pub sent: u64,
     /// Datagrams that decoded successfully (staged or immediate).
     pub received: u64,
-    /// Receive syscalls made (`recvmmsg` on the batched path, `recv_from`
-    /// on the fallback — the amortization the batching buys is visible as
-    /// this staying far below the datagram count under flood). The three
-    /// syscall totals are the shard's: every engine of a shard reports the
-    /// same shared figures.
+    /// Receive (`recvmmsg`) syscalls made — the amortization the batching
+    /// buys is visible as this staying far below the datagram count under
+    /// flood. The three syscall totals are the shard's: every engine of a
+    /// shard reports the same shared figures.
     pub syscalls_recv: u64,
-    /// Send syscalls made (`sendmmsg` or `send_to`).
+    /// Send (`sendmmsg`) syscalls made.
     pub syscalls_send: u64,
-    /// Datagrams moved by batched (`recvmmsg`) receive calls; zero on the
-    /// fallback path.
+    /// Datagrams moved by those `recvmmsg` calls: every datagram the
+    /// shard received. Divided by [`NetStats::syscalls_recv`], the mean
+    /// batch fill.
     pub batch_recv_datagrams: u64,
     /// Always 0: the runtime no longer builds gossip frames (DESIGN.md
     /// §19). The field stays because `benchmark/` reads it.
@@ -229,8 +224,7 @@ pub enum ChannelClass {
     WkPush,
     /// The rotating random-port pool (processed immediately). One token
     /// covers the whole pool: it is the registration of the pool's inner
-    /// readiness set, and the drain visits the sockets that set reports
-    /// (every live socket only when the pool fell back to scanning).
+    /// readiness set, and the drain visits the sockets that set reports.
     Pool,
     /// Fixed pull-reply port (no-random-ports ablation only).
     AbPullReply,
@@ -241,8 +235,7 @@ pub enum ChannelClass {
 }
 
 impl ChannelClass {
-    /// Every class, in the order [`NodeCore::drain_all`] visits them: the
-    /// attackable (staged) channels first, the random-port pool last.
+    /// Every class.
     pub const ALL: [ChannelClass; 6] = [
         ChannelClass::WkPull,
         ChannelClass::WkPush,
@@ -367,10 +360,10 @@ fn advance_deadline(
 ///
 /// Owns the engine, sockets, staged-arrival reservoirs and per-node stats,
 /// and exposes the round loop as discrete steps — [`NodeCore::next_deadline`],
-/// [`NodeCore::start_round`], [`NodeCore::drain_all`] /
-/// [`NodeCore::drain_class`], [`NodeCore::finish_round`] — so that a
-/// driver can interleave many nodes on one thread: [`crate::shard`] steps
-/// its cores from a timer wheel and a shared epoll instance.
+/// [`NodeCore::start_round`], [`NodeCore::drain_class`],
+/// [`NodeCore::finish_round`] — so that a driver can interleave many nodes
+/// on one thread: [`crate::shard`] steps its cores from a timer wheel and a
+/// shared epoll instance.
 pub struct NodeCore {
     me: ProcessId,
     engine: Engine,
@@ -512,38 +505,28 @@ impl NodeCore {
     /// Registers every receive socket with a *shared* shard epoll, tagging
     /// each registration with `pack_token(engine, class)` so the shard's
     /// event loop can dispatch readiness straight to this engine. The pool
-    /// registers once, for every socket it will ever bind. All-or-nothing:
-    /// a partially registered set would sleep through live sockets, so any
-    /// failure reverts the shard to its sleep-poll fallback.
-    pub fn register_tagged(&mut self, ep: &Arc<sys::Epoll>, engine: usize) -> bool {
-        let mut ok = ep
-            .add_tagged(&self.sockets.pull, pack_token(engine, ChannelClass::WkPull))
-            .is_ok()
-            && ep
-                .add_tagged(&self.sockets.push, pack_token(engine, ChannelClass::WkPush))
-                .is_ok();
+    /// registers once, for every socket it will ever bind.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failed registration. A partially registered
+    /// node would sleep through live sockets, so its driver must not run.
+    pub fn register(&mut self, ep: &sys::Epoll, engine: usize) -> io::Result<()> {
+        let token = |class| pack_token(engine, class);
+        ep.add_tagged(&self.sockets.pull, token(ChannelClass::WkPull))?;
+        ep.add_tagged(&self.sockets.push, token(ChannelClass::WkPush))?;
         if let Some(ab) = &self.ablation {
-            ok &= ep
-                .add_tagged(
-                    &ab.pull_reply,
-                    pack_token(engine, ChannelClass::AbPullReply),
-                )
-                .is_ok()
-                && ep
-                    .add_tagged(
-                        &ab.push_reply,
-                        pack_token(engine, ChannelClass::AbPushReply),
-                    )
-                    .is_ok()
-                && ep
-                    .add_tagged(&ab.push_data, pack_token(engine, ChannelClass::AbPushData))
-                    .is_ok();
+            ep.add_tagged(&ab.pull_reply, token(ChannelClass::AbPullReply))?;
+            ep.add_tagged(&ab.push_reply, token(ChannelClass::AbPushReply))?;
+            ep.add_tagged(&ab.push_data, token(ChannelClass::AbPushData))?;
         }
-        if ok {
-            self.pool
-                .set_epoll(ep.clone(), pack_token(engine, ChannelClass::Pool));
-        }
-        ok
+        self.pool.set_epoll(ep, token(ChannelClass::Pool))
+    }
+
+    /// [`NodeCore::register`] as a success flag, the form `benchmark/`
+    /// calls.
+    pub fn register_tagged(&mut self, ep: &sys::Epoll, engine: usize) -> bool {
+        self.register(ep, engine).is_ok()
     }
 
     /// Advances this node's round deadline on the fixed cadence (see
@@ -605,41 +588,20 @@ impl NodeCore {
         self.started = true;
     }
 
-    /// Drains every receive channel once, sends the responses, and flushes
-    /// deliveries — one pass of a driver that has no epoll to tell it which
-    /// channel is readable.
-    pub fn drain_all(
-        &mut self,
-        rx: &mut BatchRx,
-        scratch: &mut [u8],
-        send_socket: &UdpSocket,
-        tx: &mut BatchTx,
-    ) {
-        self.drain_staging(ChannelClass::WkPull, rx, scratch);
-        self.drain_staging(ChannelClass::WkPush, rx, scratch);
-        if self.ablation.is_some() {
-            self.drain_staging(ChannelClass::AbPullReply, rx, scratch);
-            self.drain_staging(ChannelClass::AbPushReply, rx, scratch);
-            self.drain_staging(ChannelClass::AbPushData, rx, scratch);
-        }
-        self.drain_pool(rx, scratch);
-        self.send_out(send_socket, tx);
-        self.deliver();
-    }
-
     /// Drains one receive channel (for token-directed shard dispatch),
     /// sending any responses it generated and flushing deliveries.
+    /// `_scratch` is unused; it stays because `benchmark/` passes it.
     pub fn drain_class(
         &mut self,
         class: ChannelClass,
         rx: &mut BatchRx,
-        scratch: &mut [u8],
+        _scratch: &mut [u8],
         send_socket: &UdpSocket,
         tx: &mut BatchTx,
     ) {
         match class {
-            ChannelClass::Pool => self.drain_pool(rx, scratch),
-            attackable => self.drain_staging(attackable, rx, scratch),
+            ChannelClass::Pool => self.drain_pool(rx),
+            attackable => self.drain_staging(attackable, rx),
         }
         if !self.outs.is_empty() {
             self.send_out(send_socket, tx);
@@ -651,11 +613,9 @@ impl NodeCore {
     /// of its designated kind and counting mismatches/garbage. Shared by
     /// the well-known ports and the fixed reply ports of the ablation mode.
     ///
-    /// Datagrams move through `rx` — one `recvmmsg` per batch, or one
-    /// `recv_from` per datagram on the fallback path. Both orders match
-    /// the kernel queue, so the staging decisions (and therefore the
-    /// reservoir RNG draws) are identical in either mode.
-    fn drain_staging(&mut self, class: ChannelClass, rx: &mut BatchRx, scratch: &mut [u8]) {
+    /// Datagrams move through `rx`, one `recvmmsg` per batch, in kernel
+    /// queue order.
+    fn drain_staging(&mut self, class: ChannelClass, rx: &mut BatchRx) {
         let Self {
             sockets,
             ablation,
@@ -673,7 +633,7 @@ impl NodeCore {
             (ChannelClass::AbPushData, Some(ab)) => (&ab.push_data, MessageKind::PushData, 4),
             _ => return,
         };
-        rx.drain_socket(socket, scratch, |bytes| match codec::decode(bytes) {
+        rx.drain_socket(socket, &mut [], |bytes| match codec::decode(bytes) {
             Ok(msg) if msg.kind() == expected => {
                 stats.received += 1;
                 stage_arrival(slot, msg, staged, staged_seen, rng);
@@ -692,14 +652,14 @@ impl NodeCore {
     /// retired TAG 6 frame included — is a decode error, and every data
     /// message that reaches the engine pays its own source verification
     /// unless the node has already seen its id.
-    fn drain_pool(&mut self, rx: &mut BatchRx, scratch: &mut [u8]) {
+    fn drain_pool(&mut self, rx: &mut BatchRx) {
         let Self {
             pool,
             stats,
             drained,
             ..
         } = self;
-        pool.drain(rx, scratch, |purpose, bytes| match codec::decode(bytes) {
+        pool.drain(rx, |purpose, bytes| match codec::decode(bytes) {
             Ok(msg) => {
                 stats.received += 1;
                 drained.push((purpose, msg));
@@ -727,9 +687,8 @@ impl NodeCore {
     /// several recipients back-to-back, so the encoder runs only when the
     /// message actually changes from the previously encoded one
     /// (encode-once fan-out); the loss draw stays per-datagram either way.
-    /// Datagrams leave through `tx`: one sendmmsg per batch on the batched
-    /// path (repeats share the arena bytes), one send_to each on the
-    /// fallback.
+    /// Datagrams leave through `tx`: one sendmmsg per batch, repeats
+    /// sharing the arena bytes.
     fn send_out(&mut self, send_socket: &UdpSocket, tx: &mut BatchTx) {
         let loss = self.config.loss;
         let mut encoded: Option<usize> = None;
@@ -903,6 +862,7 @@ pub(crate) mod tests {
     use crate::shard::{spawn_shard, EngineHandle, ShardHandle};
     use crate::transport::bind_ephemeral;
     use std::sync::mpsc::channel;
+    use std::sync::Arc;
 
     /// Specs for an `n`-member group on freshly bound well-known sockets,
     /// plus the book, so a test can aim traffic at a member's real ports.
@@ -1130,10 +1090,11 @@ pub(crate) mod tests {
 
         // Hand-driven, so the test can open a pool port itself.
         let (mut core, delivered_rx, _peer) = lone_core(11);
+        let epoll = sys::Epoll::new().unwrap();
+        core.register(&epoll, 0).unwrap();
         let send_socket = bind_ephemeral().unwrap();
         let mut tx = BatchTx::new();
         let mut rx = BatchRx::new(codec::MAX_WIRE_LEN + 1);
-        let mut scratch = vec![0u8; codec::MAX_WIRE_LEN + 1];
         core.start_round(&send_socket, &mut tx);
         let port = core
             .pool
@@ -1146,7 +1107,7 @@ pub(crate) mod tests {
         let mut drain_until = |core: &mut NodeCore, done: &dyn Fn(&NetStats) -> bool| {
             let deadline = Instant::now() + Duration::from_secs(5);
             while !done(core.stats()) && Instant::now() < deadline {
-                core.drain_all(&mut rx, &mut scratch, &send_socket, &mut tx);
+                core.drain_class(ChannelClass::Pool, &mut rx, &mut [], &send_socket, &mut tx);
                 std::thread::sleep(Duration::from_millis(1));
             }
         };

@@ -15,11 +15,7 @@
 //! readable. The thread therefore wakes once per round tick and once per
 //! burst of datagrams — its CPU follows the work it serves, not wall time
 //! × live sockets. An engine holds ~25 descriptors (DESIGN.md §16 has the
-//! budget).
-//!
-//! Without an epoll (targets that have none, or a failed setup) the same
-//! loop drains every channel of every engine and sleeps
-//! [`crate::runtime::NetConfig::poll`] between passes.
+//! budget). A shard that cannot build its epoll does not start.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,7 +39,8 @@ use crate::transport::{bind_ephemeral, BatchRx, BatchTx};
 /// Upper bound on a single epoll wait of the event loop. A wait is
 /// otherwise exactly as long as the time to the next round deadline; the
 /// cap only bounds how long a stop request can go unnoticed, at the price
-/// of at most 40 extra wakeups per second on an idle shard.
+/// of at most 40 extra wakeups per second on an idle shard, and is the
+/// whole wait of a shard whose wheel is empty.
 const EPOLL_WAIT_CAP: Duration = Duration::from_millis(25);
 
 /// A binary heap of fixed-cadence round deadlines, one live entry per
@@ -177,11 +174,9 @@ pub struct ShardCore {
     send_socket: UdpSocket,
     rx: BatchRx,
     tx: BatchTx,
-    scratch: Vec<u8>,
-    epoll: Option<Arc<sys::Epoll>>,
+    epoll: sys::Epoll,
     wheel: TimerWheel,
     tokens: Vec<u64>,
-    poll: Duration,
     prev_sys: (u64, u64, u64),
     c_wakeups: Counter,
     c_dispatch: Counter,
@@ -192,57 +187,36 @@ pub struct ShardCore {
 
 impl ShardCore {
     /// Builds a shard from one `(spec, publish_rx, delivered_tx)` lane per
-    /// engine. Binds the shared send socket and registers every engine's
-    /// receive sockets in the shared epoll instance with engine-indexed
-    /// tokens (all-or-nothing: any registration failure reverts the whole
-    /// shard to the sleep-poll fallback).
+    /// engine. Binds the shared send socket, creates the shared epoll
+    /// instance and registers every engine's receive sockets in it with
+    /// engine-indexed tokens.
     ///
     /// # Errors
     ///
-    /// Returns an [`io::Error`] if `lanes` is empty or the send socket
-    /// cannot be bound.
+    /// Returns an [`io::Error`] if `lanes` is empty, the send socket
+    /// cannot be bound, the epoll cannot be created or any registration
+    /// fails — the kernel's error, not a degraded shard.
     pub fn new(lanes: Vec<Lane>) -> io::Result<Self> {
-        Self::build(lanes, true)
-    }
-
-    /// A shard that never sets up an epoll, pools included: what
-    /// [`ShardCore::new`] yields on targets without one.
-    #[cfg(test)]
-    fn without_epoll(lanes: Vec<Lane>) -> io::Result<Self> {
-        Self::build(lanes, false)
-    }
-
-    fn build(lanes: Vec<Lane>, epoll: bool) -> io::Result<Self> {
         let first = lanes
             .first()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty shard"))?;
-        let poll = first.0.config.poll;
         let reg = first.0.config.tracer.registry().clone();
         let send_socket = bind_ephemeral()?;
-        let mut nodes: Vec<NodeCore> = lanes
-            .into_iter()
-            .map(|(spec, publish_rx, delivered_tx)| NodeCore::new(spec, publish_rx, delivered_tx))
-            .collect();
-        let epoll = epoll
-            .then(sys::Epoll::new)
-            .and_then(Result::ok)
-            .map(Arc::new)
-            .filter(|ep| {
-                nodes
-                    .iter_mut()
-                    .enumerate()
-                    .all(|(i, n)| n.register_tagged(ep, i))
-            });
+        let epoll = sys::Epoll::new()?;
+        let mut nodes = Vec::with_capacity(lanes.len());
+        for (i, (spec, publish_rx, delivered_tx)) in lanes.into_iter().enumerate() {
+            let mut node = NodeCore::new(spec, publish_rx, delivered_tx);
+            node.register(&epoll, i)?;
+            nodes.push(node);
+        }
         Ok(ShardCore {
             nodes,
             send_socket,
             rx: BatchRx::new(codec::MAX_WIRE_LEN + 1),
             tx: BatchTx::new(),
-            scratch: vec![0u8; codec::MAX_WIRE_LEN + 1],
             epoll,
             wheel: TimerWheel::new(),
             tokens: Vec::new(),
-            poll,
             prev_sys: (0, 0, 0),
             c_wakeups: reg.counter(names::SHARD_WAKEUPS),
             c_dispatch: reg.counter(names::SHARD_DISPATCH),
@@ -260,12 +234,6 @@ impl ShardCore {
     /// Whether the shard has no engines.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Whether the shard got tagged epoll dispatch (vs the sleep-poll
-    /// drain-everyone fallback).
-    pub fn dispatching(&self) -> bool {
-        self.epoll.is_some()
     }
 
     /// Borrows one engine's core (test observability).
@@ -301,60 +269,38 @@ impl ShardCore {
     /// wheel deadline arrives (capped at `EPOLL_WAIT_CAP`), then
     /// dispatch each ready token to the owning engine's channel drain.
     /// `now` must be a fresh reading taken after [`ShardCore::fire_due`]:
-    /// the wait is the whole time from `now` to that deadline. On the
-    /// fallback path, drain every engine and sleep one poll interval.
+    /// the wait is the whole time from `now` to that deadline.
     pub fn poll_io(&mut self, now: Instant) {
         let until = self
             .wheel
             .next_deadline()
-            .map(|d| d.saturating_duration_since(now))
-            .unwrap_or(self.poll);
-        match self.epoll.clone() {
-            Some(ep) => {
-                self.tokens.clear();
-                let _ = ep.wait_tagged_for(until.min(EPOLL_WAIT_CAP), &mut self.tokens);
-                self.c_wakeups.inc();
-                if self.tokens.is_empty() {
-                    return;
-                }
-                // Dedup: a pool that fell back to registering its sockets
-                // one by one reports its token once per readable socket,
-                // and one drain empties them all.
-                self.tokens.sort_unstable();
-                self.tokens.dedup();
-                let mut dispatched = 0u64;
-                for k in 0..self.tokens.len() {
-                    let (engine, class) = unpack_token(self.tokens[k]);
-                    let Some(class) = class else { continue };
-                    let Some(node) = self.nodes.get_mut(engine) else {
-                        continue;
-                    };
-                    node.drain_class(
-                        class,
-                        &mut self.rx,
-                        &mut self.scratch,
-                        &self.send_socket,
-                        &mut self.tx,
-                    );
-                    dispatched += 1;
-                }
-                self.c_dispatch.add(dispatched);
-            }
-            None => {
-                for i in 0..self.nodes.len() {
-                    self.nodes[i].drain_all(
-                        &mut self.rx,
-                        &mut self.scratch,
-                        &self.send_socket,
-                        &mut self.tx,
-                    );
-                }
-                let nap = until.min(self.poll);
-                if !nap.is_zero() {
-                    std::thread::sleep(nap);
-                }
-            }
+            .map_or(EPOLL_WAIT_CAP, |d| d.saturating_duration_since(now));
+        self.tokens.clear();
+        let _ = self
+            .epoll
+            .wait_tagged_for(until.min(EPOLL_WAIT_CAP), &mut self.tokens);
+        self.c_wakeups.inc();
+        // Every registration is one descriptor with a token of its own, so
+        // no token repeats; sorting fixes the dispatch order (engine, then
+        // channel class) whatever order the kernel reported them in.
+        self.tokens.sort_unstable();
+        let mut dispatched = 0u64;
+        for &token in &self.tokens {
+            let (engine, class) = unpack_token(token);
+            let Some(class) = class else { continue };
+            let Some(node) = self.nodes.get_mut(engine) else {
+                continue;
+            };
+            node.drain_class(
+                class,
+                &mut self.rx,
+                &mut [],
+                &self.send_socket,
+                &mut self.tx,
+            );
+            dispatched += 1;
         }
+        self.c_dispatch.add(dispatched);
     }
 
     /// Mirrors the shared batchers' syscall totals into the registry as
@@ -598,30 +544,28 @@ mod tests {
         }
     }
 
-    /// The loop of a target without epoll — no shard epoll, pools that
-    /// scan — which no Linux cluster reaches by itself: every pass drains
-    /// every channel of every engine, then sleeps one poll interval.
+    /// A shard whose epoll registrations fail does not start: every
+    /// registration it makes — each engine's well-known pair and its
+    /// pool's readiness set — is the kernel's error from
+    /// [`ShardCore::new`], never a shard that runs without dispatch.
     #[test]
-    fn shard_without_epoll_disseminates_by_sleep_polling() {
-        let (lanes, engines) = lanes(shard_specs(5, 20, drum_trace::Tracer::disabled()));
-        let mut core = ShardCore::without_epoll(lanes).unwrap();
-        assert!(!core.dispatching());
-        engines[0].publish(Bytes::from_static(b"polled"));
-        core.start_all(Instant::now());
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut received = [false; 5];
-        received[0] = true;
-        while Instant::now() < deadline && received.iter().any(|r| !r) {
-            core.fire_due(Instant::now());
-            core.poll_io(Instant::now());
-            for (i, e) in engines.iter().enumerate() {
-                received[i] |= !e.take_delivered().is_empty();
-            }
+    fn a_shard_whose_epoll_registration_fails_is_an_error() {
+        let build = |fail_after: Option<u32>| {
+            let (lanes, _engines) = lanes(shard_specs(2, 20, drum_trace::Tracer::disabled()));
+            sys::fault::fail_registration_after(fail_after);
+            let built = ShardCore::new(lanes);
+            sys::fault::fail_registration_after(None);
+            built
+        };
+        // Three registrations per engine: pull, push and the pool.
+        for k in 0..6 {
+            let err = build(Some(k))
+                .err()
+                .unwrap_or_else(|| panic!("registration {k} failed, yet the shard was built"));
+            assert_eq!(err.raw_os_error(), Some(28), "ENOSPC, as the hook made it");
         }
-        assert!(received.iter().all(|r| *r), "unreached: {received:?}");
-        let stats = core.into_stats();
-        assert_eq!(stats.len(), 5);
-        assert!(stats.iter().all(|s| s.rounds > 0 && s.syscalls_recv > 0));
+        let shard = build(Some(6)).expect("six registrations succeeded");
+        assert_eq!(shard.len(), 2);
     }
 
     #[test]

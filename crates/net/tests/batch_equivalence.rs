@@ -1,12 +1,12 @@
-//! Batched vs. per-datagram I/O equivalence.
+//! Batched I/O against its oracle, the sent sequence.
 //!
-//! The `recvmmsg`/`sendmmsg` fast path in `drum_net::sys` must be
-//! invisible to the protocol: both receive modes must surface the same
-//! datagrams in the same order (so the round loop makes identical
-//! accept/drop/budget decisions), and both send modes must deliver the
-//! same fan-out. These tests run the two modes side by side over real
-//! loopback sockets, including the hostile inputs the codec hardens
-//! against — garbage, truncation, wrong-purpose messages.
+//! The `recvmmsg`/`sendmmsg` path in `drum_net::sys` must be invisible to
+//! the protocol: a drain surfaces exactly the datagrams that were sent, in
+//! send order (so the round loop makes the accept/drop/budget decisions
+//! the sequence calls for), and a fan-out reaches every recipient exactly
+//! once. These tests run over real loopback sockets, including the hostile
+//! inputs the codec hardens against — garbage, truncation, wrong-purpose
+//! messages.
 
 use std::net::UdpSocket;
 use std::time::Duration;
@@ -43,7 +43,7 @@ fn push_offer(nonce: u64) -> Vec<u8> {
 
 /// The round loop's per-datagram decision on a pull channel: accept the
 /// first `budget` well-formed pull-requests, classify everything else.
-/// Mirrors `drain_attackable` in `drum_net::runtime`.
+/// Mirrors `drain_staging` in `drum_net::runtime`.
 #[derive(Debug, PartialEq, Eq)]
 enum Decision {
     Accepted(u64),
@@ -74,9 +74,9 @@ fn classify(datagrams: &[Vec<u8>], budget: usize) -> Vec<Decision> {
         .collect()
 }
 
-/// Sends `datagrams` to `dest` (blocking on transient failure) and drains
-/// them back through `rx`, waiting until all `datagrams.len()` arrived or
-/// a timeout passes.
+/// Sends `datagrams` to `receiver` (retrying transient failures) and
+/// drains them back through `rx`, waiting until all `datagrams.len()`
+/// arrived or a timeout passes.
 fn round_trip(rx: &mut BatchRx, receiver: &UdpSocket, datagrams: &[Vec<u8>]) -> Vec<Vec<u8>> {
     let sender = bind_ephemeral().expect("bind sender");
     let dest = receiver.local_addr().expect("receiver addr");
@@ -86,11 +86,10 @@ fn round_trip(rx: &mut BatchRx, receiver: &UdpSocket, datagrams: &[Vec<u8>]) -> 
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-    let mut scratch = vec![0u8; SLOT_LEN];
     let mut got: Vec<Vec<u8>> = Vec::new();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while got.len() < datagrams.len() && std::time::Instant::now() < deadline {
-        rx.drain_socket(receiver, &mut scratch, |bytes| got.push(bytes.to_vec()));
+        rx.drain_socket(receiver, &mut [], |bytes| got.push(bytes.to_vec()));
         if got.len() < datagrams.len() {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -116,105 +115,83 @@ fn hostile_sequence() -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn batched_and_fallback_make_identical_decisions() {
-    let datagrams = hostile_sequence();
-    let budget = 5;
+fn a_hostile_sequence_drains_as_sent_and_meets_the_budget() {
+    let sent = hostile_sequence();
+    let receiver = bind_ephemeral().unwrap();
+    let mut rx = BatchRx::new(SLOT_LEN);
 
-    let recv_batched = bind_ephemeral().unwrap();
-    let recv_fallback = bind_ephemeral().unwrap();
-    let mut rx_batched = BatchRx::forced(SLOT_LEN, true);
-    let mut rx_fallback = BatchRx::forced(SLOT_LEN, false);
-    assert!(!rx_fallback.batched());
-
-    let got_batched = round_trip(&mut rx_batched, &recv_batched, &datagrams);
-    let got_fallback = round_trip(&mut rx_fallback, &recv_fallback, &datagrams);
-
-    // Same bytes, same order: the decision stream is forced equal.
-    assert_eq!(got_batched, got_fallback);
-    assert_eq!(got_batched, datagrams, "loopback must preserve order");
+    let got = round_trip(&mut rx, &receiver, &sent);
+    // Same bytes, same order: the decision stream is the sequence's own.
+    assert_eq!(got, sent);
+    // Every datagram moved through `recvmmsg`, none was counted twice.
+    assert_eq!(rx.batched_datagrams(), sent.len() as u64);
+    assert!(rx.syscalls() > 0);
+    // The budget decisions the round loop computes on this fixed sequence:
+    // 5 accepts, 6 budget drops, 1 wrong purpose, 3 decode failures.
+    let decisions = classify(&got, 5);
+    let count = |want: fn(&Decision) -> bool| decisions.iter().filter(|d| want(d)).count();
     assert_eq!(
-        classify(&got_batched, budget),
-        classify(&got_fallback, budget)
+        (
+            count(|d| matches!(d, Decision::Accepted(_))),
+            count(|d| matches!(d, Decision::DroppedByBudget)),
+            count(|d| matches!(d, Decision::WrongPurpose)),
+            count(|d| matches!(d, Decision::DecodeError)),
+        ),
+        (5, 6, 1, 3)
     );
-    // Sanity: the budget decisions in this fixed sequence are what the
-    // round loop would compute — 5 accepts, 6 budget drops, 1 wrong
-    // purpose, 3 decode failures.
-    let decisions = classify(&got_batched, budget);
-    let accepts = decisions
-        .iter()
-        .filter(|d| matches!(d, Decision::Accepted(_)))
-        .count();
-    let drops = decisions
-        .iter()
-        .filter(|d| matches!(d, Decision::DroppedByBudget))
-        .count();
-    assert_eq!((accepts, drops), (5, 6));
-
-    if rx_batched.batched() {
-        // The batched drain really went through recvmmsg, and it moved
-        // every datagram (no silent per-datagram degradation).
-        assert!(rx_batched.syscalls() > 0);
-        assert_eq!(rx_batched.batched_datagrams(), datagrams.len() as u64);
-        assert_eq!(rx_fallback.batched_datagrams(), 0);
-    }
+    assert_eq!(
+        decisions[..5],
+        [0, 1, 2, 3, 4].map(Decision::Accepted),
+        "the first five pull-requests, in send order"
+    );
 }
 
 #[test]
-fn batched_and_fallback_send_identical_fanout() {
+fn a_64_way_fan_out_is_one_sendmmsg_reaching_each_recipient_once() {
     // A full 64-slot send batch.
     let receivers: Vec<UdpSocket> = (0..64).map(|_| bind_ephemeral().unwrap()).collect();
     let wire = pull_request(42);
+    let sender = bind_ephemeral().unwrap();
+    let mut tx = BatchTx::new();
+    for (i, r) in receivers.iter().enumerate() {
+        // The encode-once fan-out hint: every push after the first
+        // repeats the same bytes.
+        tx.push(&sender, r.local_addr().unwrap(), &wire, i > 0);
+    }
+    assert_eq!(tx.finish(&sender), 64);
+    assert_eq!(tx.syscalls(), 1, "one sendmmsg for the whole fan-out");
 
-    for batched in [true, false] {
-        let sender = bind_ephemeral().unwrap();
-        let mut tx = BatchTx::forced(batched);
-        // Batching is never silently off where the target supports it.
-        assert_eq!(tx.batched(), batched && drum_net::sys::available());
-        for (i, r) in receivers.iter().enumerate() {
-            // The encode-once fan-out hint: every push after the first
-            // repeats the same bytes.
-            tx.push(&sender, r.local_addr().unwrap(), &wire, i > 0);
-        }
-        let sent = tx.finish(&sender);
-        assert_eq!(sent, receivers.len() as u64, "batched={batched}");
-        // One `sendmmsg` for the whole fan-out, against one `send_to` per
-        // recipient.
-        let syscalls = if tx.batched() { 1 } else { sent };
-        assert_eq!(tx.syscalls(), syscalls, "batched={batched}");
-
-        let mut buf = [0u8; 2048];
-        for r in &receivers {
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            loop {
-                match r.recv_from(&mut buf) {
-                    Ok((len, _)) => {
-                        assert_eq!(&buf[..len], &wire[..], "batched={batched}");
-                        break;
-                    }
-                    Err(_) if std::time::Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(1))
-                    }
-                    Err(e) => panic!("datagram never arrived (batched={batched}): {e}"),
+    let mut buf = [0u8; 2048];
+    for r in &receivers {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            match r.recv_from(&mut buf) {
+                Ok((len, _)) => {
+                    assert_eq!(&buf[..len], &wire[..]);
+                    break;
                 }
+                Err(_) if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(1))
+                }
+                Err(e) => panic!("datagram never arrived: {e}"),
             }
-            // Exactly once: no duplicate delivery from range sharing.
-            assert!(r.recv_from(&mut buf).is_err(), "batched={batched}");
         }
+        // Exactly once: no duplicate delivery from range sharing.
+        assert!(r.recv_from(&mut buf).is_err());
     }
 }
 
 #[test]
-fn random_batches_surface_identically_in_both_modes() {
-    // One socket pair reused across cases — binding per case would
-    // exhaust ports under the shrinker.
-    let recv_batched = bind_ephemeral().unwrap();
-    let recv_fallback = bind_ephemeral().unwrap();
+fn random_batches_drain_as_sent() {
+    // One socket reused across cases — binding per case would exhaust
+    // ports under the shrinker.
+    let receiver = bind_ephemeral().unwrap();
 
     check(
-        "random_batches_surface_identically_in_both_modes",
+        "random_batches_drain_as_sent",
         Config::with_cases(24),
         |g: &mut Gen| {
-            let datagrams: Vec<Vec<u8>> = g.vec_with(1..20, |g| match g.u64_in(0..4) {
+            let sent: Vec<Vec<u8>> = g.vec_with(1..20, |g| match g.u64_in(0..4) {
                 0 => pull_request(g.u64_in(0..1000)),
                 1 => push_offer(g.u64_in(0..1000)),
                 2 => g.bytes(0..200),
@@ -224,14 +201,10 @@ fn random_batches_surface_identically_in_both_modes() {
                     d
                 }
             });
-            let budget = g.u64_in(0..8) as usize;
-
-            let mut rx_batched = BatchRx::forced(SLOT_LEN, true);
-            let mut rx_fallback = BatchRx::forced(SLOT_LEN, false);
-            let got_b = round_trip(&mut rx_batched, &recv_batched, &datagrams);
-            let got_f = round_trip(&mut rx_fallback, &recv_fallback, &datagrams);
-            prop_assert_eq!(&got_b, &got_f);
-            prop_assert_eq!(classify(&got_b, budget), classify(&got_f, budget));
+            let mut rx = BatchRx::new(SLOT_LEN);
+            let got = round_trip(&mut rx, &receiver, &sent);
+            prop_assert_eq!(&got, &sent);
+            prop_assert_eq!(rx.batched_datagrams(), sent.len() as u64);
             Ok(())
         },
     );

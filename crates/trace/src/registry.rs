@@ -27,16 +27,14 @@ pub mod names {
     pub const DECODE_ERRORS: &str = "decode_errors";
     /// Fabricated attack datagrams sent.
     pub const ATTACK_SENT: &str = "attack_sent";
-    /// Receive syscalls made by the runtime (`recvmmsg` on the batched
-    /// path, `recv_from` on the per-datagram fallback). Under flood this
-    /// stays far below `messages_received` + `decode_errors` exactly when
-    /// the syscall amortization is working.
+    /// Receive (`recvmmsg`) syscalls made by the runtime. Under flood
+    /// this stays far below `messages_received` + `decode_errors` exactly
+    /// when the syscall amortization is working.
     pub const SYSCALLS_RECV: &str = "net.syscalls_recv";
-    /// Send syscalls made by the runtime (`sendmmsg` or `send_to`).
+    /// Send (`sendmmsg`) syscalls made by the runtime.
     pub const SYSCALLS_SEND: &str = "net.syscalls_send";
-    /// Datagrams moved by batched (`recvmmsg`) receive calls; divide by
-    /// `net.syscalls_recv` for the mean batch fill. Zero on the fallback
-    /// path — a cheap way for dashboards to tell which mode ran.
+    /// Datagrams moved by the runtime's `recvmmsg` calls; divide by
+    /// `net.syscalls_recv` for the mean batch fill.
     pub const BATCH_FILL: &str = "net.batch_fill";
     /// Rounds whose fixed-cadence deadline had already passed when the
     /// previous round's work finished — the load indicator that replaced

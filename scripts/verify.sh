@@ -96,19 +96,22 @@ phase_end "cluster"
 # Knobs that went with the path they selected (frame packing, the
 # per-thread runtime, the forced per-datagram mode, the serial sim stepper,
 # the single-block SHA-256 ablation, the fig binaries' full-scale switch)
-# or became an argument (the adversary strategy); nothing may still read
-# or document them. (Names are spliced so this script does not match
-# itself.)
-RETIRED_KNOBS="DRUM_NET_NO""_PACK|DRUM_NET_MULTI""PLEX|DRUM_NET_NO""_BATCH"
-RETIRED_KNOBS="$RETIRED_KNOBS|DRUM_SIM""_SHARDS|DRUM_CRYPTO""_NO_SIMD|DRUM_BENCH""_FULL"
-RETIRED_KNOBS="$RETIRED_KNOBS|DRUM_ADV""ERSARY"
-phase_begin "no retired knob left"
-if grep -rnE "$RETIRED_KNOBS" crates scripts .github .claude tests examples \
+# or became an argument (the adversary strategy), and the API of drum-net's
+# deleted per-datagram, sleep-poll and scanning I/O paths; nothing may
+# still read, call or document them. (Names are spliced so this script
+# does not match itself.)
+RETIRED_NAMES="DRUM_NET_NO""_PACK|DRUM_NET_MULTI""PLEX|DRUM_NET_NO""_BATCH"
+RETIRED_NAMES="$RETIRED_NAMES|DRUM_SIM""_SHARDS|DRUM_CRYPTO""_NO_SIMD|DRUM_BENCH""_FULL"
+RETIRED_NAMES="$RETIRED_NAMES|DRUM_ADV""ERSARY"
+RETIRED_NAMES="$RETIRED_NAMES|BatchRx::for""ced|BatchTx::for""ced|ShardCore::without""_epoll"
+RETIRED_NAMES="$RETIRED_NAMES|NodeCore::drain""_all|sys::avail""able|NetConfig::po""ll"
+phase_begin "no retired name left"
+if grep -rnE "$RETIRED_NAMES" crates scripts .github .claude tests examples \
     README.md DESIGN.md EXPERIMENTS.md; then
-    echo "retired knob(s) referenced above; remove them" >&2
+    echo "retired name(s) referenced above; remove them" >&2
     exit 1
 fi
-phase_end "retired-knob grep"
+phase_end "retired-name grep"
 
 if [ "$QUICK" -eq 1 ]; then
     echo "==> verify --quick: all green (total $((SECONDS))s)"
