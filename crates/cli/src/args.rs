@@ -3,8 +3,11 @@
 //! Hand-rolled to stay within the project's sanctioned dependency set (no
 //! `clap` offline); supports exactly what `drum-lab` needs: one positional
 //! subcommand followed by `--key value` pairs and boolean `--flag`s.
+//! Every lookup marks its name as read, so a command can reject the
+//! options it never asked about ([`Args::reject_unread`]).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed command line: a subcommand plus options.
 #[derive(Debug, Clone, Default)]
@@ -15,6 +18,8 @@ pub struct Args {
     options: HashMap<String, String>,
     /// Bare `--flag`s.
     flags: Vec<String>,
+    /// Option and flag names some lookup has asked for.
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// Errors from argument parsing or typed lookups.
@@ -33,6 +38,8 @@ pub enum ArgError {
     },
     /// Unexpected extra positional argument.
     UnexpectedPositional(String),
+    /// Options or flags the command never read (sorted names).
+    Unread(Vec<String>),
 }
 
 impl core::fmt::Display for ArgError {
@@ -43,6 +50,10 @@ impl core::fmt::Display for ArgError {
                 write!(f, "--{key} {value}: expected {wanted}")
             }
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument '{p}'"),
+            ArgError::Unread(names) => {
+                let names: Vec<String> = names.iter().map(|n| format!("--{n}")).collect();
+                write!(f, "this command takes no {}", names.join(", "))
+            }
         }
     }
 }
@@ -86,13 +97,19 @@ impl Args {
         Ok(out)
     }
 
+    fn mark_read(&self, name: &str) {
+        self.read.borrow_mut().insert(name.to_string());
+    }
+
     /// Whether a boolean flag was given.
     pub fn flag(&self, name: &str) -> bool {
+        self.mark_read(name);
         self.flags.iter().any(|f| f == name)
     }
 
     /// Raw string option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.mark_read(key);
         self.options.get(key).map(String::as_str)
     }
 
@@ -102,13 +119,37 @@ impl Args {
     ///
     /// Returns [`ArgError::BadValue`] if present but unparsable.
     pub fn get_or<T: core::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.options.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(raw) => raw.parse().map_err(|_| ArgError::BadValue {
                 key: key.to_string(),
-                value: raw.clone(),
+                value: raw.to_string(),
                 wanted: core::any::type_name::<T>(),
             }),
+        }
+    }
+
+    /// Errors unless every given option and flag was read. Call it once a
+    /// command has made every lookup it will make.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::Unread`] naming every given option or flag no
+    /// lookup asked for: a misspelt or misplaced option would otherwise
+    /// be silently ignored.
+    pub fn reject_unread(&self) -> Result<(), ArgError> {
+        let read = self.read.borrow();
+        let unread: BTreeSet<String> = self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .filter(|name| !read.contains(*name))
+            .cloned()
+            .collect();
+        if unread.is_empty() {
+            Ok(())
+        } else {
+            Err(ArgError::Unread(unread.into_iter().collect()))
         }
     }
 }
@@ -158,6 +199,22 @@ mod tests {
             Args::parse(["simulate", "extra"]).unwrap_err(),
             ArgError::UnexpectedPositional("extra".into())
         );
+    }
+
+    #[test]
+    fn unread_options_and_flags_are_named() {
+        let args = Args::parse(["simulate", "--n", "5", "--trails", "9", "--full"]).unwrap();
+        assert_eq!(args.get_or("n", 0usize).unwrap(), 5);
+        assert_eq!(
+            args.reject_unread().unwrap_err(),
+            ArgError::Unread(vec!["full".into(), "trails".into()])
+        );
+        assert!(args.flag("full"));
+        assert_eq!(args.get("trails"), Some("9"));
+        assert_eq!(args.reject_unread(), Ok(()));
+        assert!(ArgError::Unread(vec!["trails".into()])
+            .to_string()
+            .contains("--trails"));
     }
 
     #[test]

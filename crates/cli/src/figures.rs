@@ -842,18 +842,17 @@ pub fn ext_fanout(w: &mut dyn Write) -> io::Result<()> {
 
 /// Extension experiment: million-member simulated groups.
 ///
-/// The paper's simulations stop at n = 1000. The sharded intra-trial
-/// stepper (struct-of-arrays state, counter-derived per-sender RNG
-/// streams, deterministic shard merge) runs single trials at n = 10⁶,
-/// so the O(log n) propagation claim — and its robustness to the
-/// Figure 7 flood — can be checked two orders of magnitude further out.
-/// Trial counts shrink with n; every point is byte-identical for any
-/// `DRUM_POOL_THREADS` setting and shard count.
+/// The paper's simulations stop at n = 1000. The stepper's
+/// struct-of-arrays state and grow-once round scratch keep a trial at
+/// n = 10⁶ within a few tens of megabytes, so the O(log n) propagation
+/// claim — and its robustness to the Figure 7 flood — can be checked two
+/// orders of magnitude further out. Trial counts shrink with n; every
+/// point is byte-identical for any `DRUM_POOL_THREADS` setting.
 pub fn ext_scale(w: &mut dyn Write) -> io::Result<()> {
     banner_to(
         w,
         "Extension: million-member groups",
-        "rounds to 99% vs n, with and without the Figure 7 flood (sharded stepper)",
+        "rounds to 99% vs n, with and without the Figure 7 flood",
     )?;
     // (n, trials) pairs: larger groups tighten their own confidence
     // (each trial averages over n members), so fewer trials suffice.

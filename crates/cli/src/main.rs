@@ -132,8 +132,9 @@ fn analysis_protocol(p: ProtocolVariant) -> Protocol {
     }
 }
 
-fn run() -> Result<(), String> {
-    let args = Args::parse(std::env::args().skip(1)).map_err(|e: ArgError| e.to_string())?;
+/// Runs one command line. Each command makes all of its option lookups
+/// before it does any work, then rejects the options it never read.
+fn run(args: &Args) -> Result<(), String> {
     if args.flag("help") || args.command.is_none() {
         println!("{USAGE}");
         return Ok(());
@@ -143,7 +144,7 @@ fn run() -> Result<(), String> {
     match args.command.as_deref().unwrap_or("") {
         "help" => println!("{USAGE}"),
         "simulate" => {
-            let protocol = protocol_of(&args)?;
+            let protocol = protocol_of(args)?;
             let n = args.get_or("n", 120usize).map_err(err)?;
             let alpha = args.get_or("alpha", 0.1f64).map_err(err)?;
             let x = args.get_or("x", 128.0f64).map_err(err)?;
@@ -164,17 +165,17 @@ fn run() -> Result<(), String> {
                     a.rotate_every = Some(rotate);
                 }
             }
-            cfg = cfg.with_adversary(adversary_of(&args)?);
+            cfg = cfg.with_adversary(adversary_of(args)?);
+            args.reject_unread().map_err(err)?;
             cfg.validate().map_err(|e| e.to_string())?;
 
             println!(
                 "simulating {protocol}: n={n} alpha={alpha} x={x} crashed={} loss={} \
-                 random_ports={} adversary={} stepper=sharded({}) ({trials} trials, seed {seed})",
+                 random_ports={} adversary={} ({trials} trials, seed {seed})",
                 cfg.crashed,
                 cfg.loss,
                 cfg.random_ports,
-                cfg.adversary().name(),
-                drum_sim::auto_shards(n)
+                cfg.adversary().name()
             );
             let res = run_experiment(&cfg, trials, seed, 0);
             let mut t = Table::new(vec!["metric".into(), "value".into()]);
@@ -198,11 +199,12 @@ fn run() -> Result<(), String> {
             println!("{t}");
         }
         "analyze" => {
-            let protocol = analysis_protocol(protocol_of(&args)?);
+            let protocol = analysis_protocol(protocol_of(args)?);
             let n = args.get_or("n", 120usize).map_err(err)?;
             let alpha = args.get_or("alpha", 0.1f64).map_err(err)?;
             let x = args.get_or("x", 128u64).map_err(err)?;
             let rounds = args.get_or("rounds", 40usize).map_err(err)?;
+            args.reject_unread().map_err(err)?;
             let b = n / 10;
             let attacked = ((n as f64) * alpha).round() as usize;
 
@@ -225,6 +227,7 @@ fn run() -> Result<(), String> {
             let n = args.get_or("n", 1000usize).map_err(err)?;
             let f = args.get_or("f", 4usize).map_err(err)?;
             let x = args.get_or("x", 128u64).map_err(err)?;
+            args.reject_unread().map_err(err)?;
             let mut t = Table::new(vec!["quantity".into(), "value".into()]);
             t.row(vec![
                 "p_u (non-attacked acceptance)".into(),
@@ -254,7 +257,7 @@ fn run() -> Result<(), String> {
             println!("{t}");
         }
         "cluster" => {
-            let protocol = protocol_of(&args)?;
+            let protocol = protocol_of(args)?;
             let n = args.get_or("n", 12usize).map_err(err)?;
             let x = args.get_or("x", 64.0f64).map_err(err)?;
             let attacked = args.get_or("attacked", n / 10).map_err(err)?;
@@ -273,8 +276,9 @@ fn run() -> Result<(), String> {
                 seed,
             );
             cfg.shards = shards;
-            cfg.adversary = adversary_of(&args)?;
-            cfg.net.gossip = cluster_gossip(&args, cfg.net.gossip);
+            cfg.adversary = adversary_of(args)?;
+            cfg.net.gossip = cluster_gossip(args, cfg.net.gossip);
+            args.reject_unread().map_err(err)?;
             println!(
                 "cluster {protocol}: n={n} attacked={attacked} x={x} round={round_ms}ms \
                  {messages} msgs at {rate}/s, {} shard(s)",
@@ -334,9 +338,11 @@ fn run() -> Result<(), String> {
         "figures" => {
             let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("results"));
             let selected = select_figures(args.get("only"))?;
-            if args.flag("full") {
+            let (full, quick) = (args.flag("full"), args.flag("quick"));
+            args.reject_unread().map_err(err)?;
+            if full {
                 drum_lab::set_scale(drum_lab::Scale::Full);
-            } else if args.flag("quick") {
+            } else if quick {
                 drum_lab::set_scale(drum_lab::Scale::Smoke);
             } else {
                 drum_lab::set_scale(drum_lab::Scale::Quick);
@@ -379,7 +385,8 @@ fn run() -> Result<(), String> {
 }
 
 fn main() {
-    if let Err(e) = run() {
+    let parsed = Args::parse(std::env::args().skip(1)).map_err(|e: ArgError| e.to_string());
+    if let Err(e) = parsed.and_then(|args| run(&args)) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
@@ -422,5 +429,18 @@ mod tests {
             ["fig01", "fig03"]
         );
         assert_eq!(select_figures(None).expect("all").len(), FIGURES.len());
+    }
+
+    #[test]
+    fn options_a_command_never_reads_are_errors() {
+        // Each is rejected before the command does any work.
+        for (line, unread) in [
+            ("simulate --trails 5", "--trails"),
+            ("probs --shards 3", "--shards"),
+            ("analyze --n 50 --quick", "--quick"),
+        ] {
+            let err = run(&args(line)).expect_err(line);
+            assert!(err.contains(unread), "{line}: {err}");
+        }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! A figure is deterministic when the simulator and the closed-form
 //! analysis compute all of it: its text is then a pure function of the
-//! scale and the fixed seed, identical for any `DRUM_POOL_THREADS` and
-//! shard count. The measured figures (fig09–fig11, ext_cluster, ext_soak
+//! scale and the fixed seed, identical for any `DRUM_POOL_THREADS`
+//! setting. The measured figures (fig09–fig11, ext_cluster, ext_soak
 //! and Figure 12's part (b)) time real UDP clusters and have no golden;
 //! Figure 12 is held to its golden through its simulated part (a).
 //!

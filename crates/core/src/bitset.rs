@@ -67,9 +67,8 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// ORs `other` into `self`, word by word — the shard-merge primitive:
-    /// per-shard `new_m` fragments are combined into the round's delivery
-    /// set with `len/64` word operations instead of a per-bit loop.
+    /// ORs `other` into `self`, word by word: `len/64` word operations
+    /// instead of a per-bit loop.
     ///
     /// # Panics
     ///

@@ -104,12 +104,11 @@ impl SmallRng {
     /// The parts are chained through [`key_fold`] (SplitMix64 finalizer
     /// steps) and the folded key is expanded into the 256-bit xoshiro
     /// state via `seed_from_u64`. This is the primitive behind the
-    /// simulator's sharded stepper: every `(trial_seed, round, process,
-    /// phase)` tuple gets its own statistically independent stream, so a
-    /// shard of the process range can draw without ever touching — or
-    /// waiting on — a neighbouring shard's generator, and the resulting
-    /// trial is a pure function of the key material alone (never of the
-    /// shard or worker count).
+    /// simulator's stepper: every `(trial_seed, round, process, phase)`
+    /// tuple gets its own statistically independent stream, so no
+    /// process's draws depend on how many another process made, and the
+    /// resulting trial is a pure function of the key material alone
+    /// (never of the worker count).
     pub fn from_key(parts: &[u64]) -> SmallRng {
         use crate::SeedableRng;
         SmallRng::seed_from_u64(derive_stream_key(parts))
@@ -231,7 +230,7 @@ mod tests {
 
     #[test]
     fn from_key_counter_grid_has_no_collisions() {
-        // A small (round × process) grid of derived keys — the sharded
+        // A small (round × process) grid of derived keys — the
         // stepper's actual usage — must be collision-free.
         let mut seen = std::collections::HashSet::new();
         for round in 0..64u64 {

@@ -14,7 +14,7 @@
 //!   (static flood, target-chasing, eclipse, pull-abuse, replay);
 //! * [`sampling`] — hypergeometric acceptance and view sampling;
 //! * [`runner`] — parallel, deterministic multi-trial execution;
-//! * [`par`] — the scoped threads both the runner and the stepper use;
+//! * [`par`] — the scoped threads the runner spreads trials over;
 //! * [`experiments`] — canned sweeps matching Figures 2–8 and 12–14.
 //!
 //! # Examples
@@ -49,10 +49,7 @@ pub mod sampling;
 pub use adversary::AdversaryKind;
 pub use config::{AttackConfig, Role, SimConfig, SimConfigError};
 pub use model::SimState;
-pub use runner::{
-    auto_shards, run_experiment, run_trial, run_trial_traced, run_trial_traced_mode,
-    ExperimentResult, TrialOutcome,
-};
+pub use runner::{run_experiment, run_trial, run_trial_traced, ExperimentResult, TrialOutcome};
 
 #[cfg(test)]
 mod proptests {
@@ -68,14 +65,6 @@ mod proptests {
             1 => ProtocolVariant::Push,
             _ => ProtocolVariant::Pull,
         }
-    }
-
-    /// A shard count in 1..=4 on 1 or 3 threads: the invariants must hold
-    /// at every split, not just the one-shard layout.
-    fn arb_split(g: &mut Gen) -> (usize, usize) {
-        let shards = g.usize_in(1..5);
-        let threads = if g.bool(0.5) { 1 } else { 3 };
-        (shards, threads)
     }
 
     #[test]
@@ -98,12 +87,11 @@ mod proptests {
                 return Ok(());
             }
 
-            let (shards, threads) = arb_split(g);
             let mut state = SimState::new(cfg.clone());
             let mut prev = state.correct_with_m();
             prop_assert_eq!(prev, 1);
             for _ in 0..12 {
-                state.step_sharded(seed, shards, threads);
+                state.step(seed);
                 let now = state.correct_with_m();
                 // M never disappears and the count never exceeds the group.
                 prop_assert!(now >= prev);
@@ -121,10 +109,9 @@ mod proptests {
             let proto = arb_protocol(g);
             let seed = g.u64_in(0..100);
             let cfg = SimConfig::paper_attack(proto, 40, 64.0);
-            let (shards, threads) = arb_split(g);
             let mut state = SimState::new(cfg);
             for _ in 0..8 {
-                state.step_sharded(seed, shards, threads);
+                state.step(seed);
                 prop_assert!(state.has_m(0));
             }
             Ok(())

@@ -20,17 +20,14 @@
 //!
 //! # The stepper
 //!
-//! [`SimState::step_sharded`] is the intra-trial parallel stepper that
-//! makes n = 10^6 trials practical: every `(trial_seed, round, phase,
-//! process)` tuple owns a counter-derived [`SmallRng`] stream
-//! ([`SmallRng::from_key`]), so a shard of the process range draws
-//! independently of its neighbours and the result is a pure
-//! function of the key material — byte-identical across thread counts
-//! *and* shard counts. Per-shard partials (`u16` tallies, a `new_m`
-//! bitset fragment, a pull-request list) are merged in ascending shard
-//! order: tallies by saturating sums, requests by a CSR count/prefix/fill
-//! pass that preserves ascending requester order per target, fragments by
-//! word-level OR ([`BitSet::or_with`]).
+//! [`SimState::step`] draws every random decision from a counter-derived
+//! [`SmallRng`] stream keyed on `(trial_seed, round, phase, process)`
+//! ([`SmallRng::from_key`]), so a trial is a pure function of its key
+//! material and no draw depends on another process's. Pull requests are
+//! grouped by target in a CSR count/prefix/fill pass that keeps ascending
+//! requester order per target. The per-round scratch (`u16` tallies, one
+//! `new_m` bitset, the request list and the CSR arrays) is sized on the
+//! first round and reused for every later round and trial.
 
 use rand::rngs::{key_fold, SmallRng};
 use rand::SeedableRng;
@@ -40,7 +37,6 @@ use drum_trace::{trace_event, Timestamp, Tracer};
 
 use crate::adversary::{self, TargetView};
 use crate::config::SimConfig;
-use crate::par;
 use crate::sampling::{
     accepted_valid, any_interesting, binomial, randomized_round, sample_targets, sample_targets_any,
 };
@@ -62,14 +58,7 @@ fn stream(round_key: u64, tag: u64, process: usize) -> SmallRng {
     SmallRng::seed_from_u64(key_fold(round_key, (tag << 56) | process as u64))
 }
 
-/// Half-open range of processes owned by shard `s` of `shards` over `0..n`
-/// (contiguous, ascending, difference in size at most one).
-#[inline]
-pub fn shard_range(n: usize, shards: usize, s: usize) -> (usize, usize) {
-    (s * n / shards, (s + 1) * n / shards)
-}
-
-/// Read-only per-round parameters shared by every shard.
+/// Read-only per-round parameters shared by the phases.
 #[derive(Clone, Copy)]
 struct RoundCtx {
     round_key: u64,
@@ -81,45 +70,6 @@ struct RoundCtx {
     x_req: f64,
     /// Pull budget on the well-known reply port (0 with random ports).
     x_reply: f64,
-}
-
-/// Sender-side partial for one shard: what its senders pushed (per-target
-/// tallies) and requested (pull-request list). Grow-once scratch, reused
-/// across rounds and trials.
-#[derive(Debug)]
-struct APart {
-    /// Valid push arrivals per target (`u16` saturating; a target would
-    /// need 65 535 simultaneous senders to clip, far beyond any scenario).
-    push_valid: Vec<u16>,
-    push_with_m: Vec<u16>,
-    /// `(target, requester)` pull-request pairs in ascending requester
-    /// order (the sender loop is ascending and targets are distinct per
-    /// sender).
-    requests: Vec<(u32, u32)>,
-    /// Fan-out sampling scratch.
-    targets: Vec<usize>,
-}
-
-/// Receiver-side partial for one shard: its targets' acceptance outcomes.
-#[derive(Debug)]
-struct BPart {
-    /// Processes that learned `M` this round, discovered by this shard
-    /// (push-accept for owned targets; pull-serve may set *any* requester's
-    /// bit, which is why fragments are full-length and OR-merged).
-    new_m: BitSet,
-    /// Valid pull-replies per requester on the well-known port
-    /// (no-random-ports ablation only).
-    reply_valid: Vec<u16>,
-    reply_with_m: Vec<u16>,
-    /// Per-target serve scratch: the CSR request segment being shuffled.
-    serve_buf: Vec<u32>,
-    /// Push tallies for the owned target range, summed over every sender
-    /// shard at the top of phase B (saturating adds are order-independent,
-    /// so the merge is partition-independent). Grow-once, range-local.
-    sum_valid: Vec<u16>,
-    sum_with_m: Vec<u16>,
-    fakes_push: u64,
-    fakes_pull: u64,
 }
 
 /// Mutable state of one simulated trial.
@@ -156,21 +106,33 @@ pub struct SimState {
     adv_x_push: f64,
     adv_x_pull: f64,
 
-    /// Processes that learned `M` this round (the merged shard fragments).
+    /// Processes that learned `M` this round.
     new_m: BitSet,
     /// Target-rotation pick buffer, reused across rounds.
     rotation_picks: Vec<usize>,
 
-    // Per-shard scratch, sized lazily on the first `step_sharded()`.
-    // Phase A writes each shard's sender part; phase B then reads all of
-    // them while writing its own receiver part.
-    a_parts: Vec<APart>,
-    b_parts: Vec<BPart>,
+    // Grow-once round scratch, sized on the first `step()`.
+    /// Valid push arrivals per target (`u16` saturating; a target would
+    /// need 65 535 simultaneous senders to clip, far beyond any scenario).
+    push_valid: Vec<u16>,
+    push_with_m: Vec<u16>,
+    /// `(target, requester)` pull-request pairs in ascending requester
+    /// order (the sender loop is ascending and targets are distinct per
+    /// sender).
+    requests: Vec<(u32, u32)>,
+    /// Fan-out sampling scratch.
+    targets: Vec<usize>,
+    /// Pull requests grouped by target: target `t`'s requesters are
+    /// `csr_data[csr_offsets[t]..csr_offsets[t + 1]]`, ascending.
     csr_offsets: Vec<u32>,
     csr_cursor: Vec<u32>,
     csr_data: Vec<u32>,
-    reply_merge_valid: Vec<u16>,
-    reply_merge_with_m: Vec<u16>,
+    /// Per-target serve scratch: the CSR request segment being shuffled.
+    serve_buf: Vec<u32>,
+    /// Valid pull-replies per requester on the well-known port
+    /// (no-random-ports ablation only).
+    reply_valid: Vec<u16>,
+    reply_with_m: Vec<u16>,
 }
 
 impl SimState {
@@ -206,13 +168,16 @@ impl SimState {
             adv_x_pull,
             new_m: BitSet::new(n),
             rotation_picks: Vec::new(),
-            a_parts: Vec::new(),
-            b_parts: Vec::new(),
+            push_valid: Vec::new(),
+            push_with_m: Vec::new(),
+            requests: Vec::new(),
+            targets: Vec::new(),
             csr_offsets: Vec::new(),
             csr_cursor: Vec::new(),
             csr_data: Vec::new(),
-            reply_merge_valid: Vec::new(),
-            reply_merge_with_m: Vec::new(),
+            serve_buf: Vec::new(),
+            reply_valid: Vec::new(),
+            reply_with_m: Vec::new(),
         }
     }
 
@@ -422,138 +387,110 @@ impl SimState {
         );
     }
 
-    fn ensure_sharded_scratch(&mut self, shards: usize) {
-        let n = self.cfg.n;
+    /// Sizes the round scratch on the first round. The bounds are exact
+    /// per-round maxima (loss only removes requests), so no buffer regrows
+    /// mid-trial and a warmed round allocates nothing.
+    fn ensure_scratch(&mut self) {
         let n_correct = self.cfg.correct();
         let view_push = self.cfg.view_push();
         let view_pull = self.cfg.view_pull();
-        let tally_len = if view_push > 0 { n_correct } else { 0 };
-        let reply_len = if !self.cfg.random_ports && view_pull > 0 {
-            n_correct
-        } else {
-            0
-        };
-        if self.a_parts.len() != shards {
-            self.a_parts = (0..shards)
-                .map(|s| {
-                    let (lo, hi) = shard_range(n, shards, s);
-                    // Exact per-round upper bound (loss only removes
-                    // requests), so the list never regrows mid-trial.
-                    let req_cap = (hi.min(n_correct).saturating_sub(lo)) * view_pull;
-                    APart {
-                        push_valid: vec![0; tally_len],
-                        push_with_m: vec![0; tally_len],
-                        requests: Vec::with_capacity(req_cap),
-                        targets: Vec::new(),
-                    }
-                })
-                .collect();
-            self.b_parts = (0..shards)
-                .map(|_| BPart {
-                    new_m: BitSet::new(n),
-                    reply_valid: vec![0; reply_len],
-                    reply_with_m: vec![0; reply_len],
-                    // One target's requesters: mean `view_pull`, so 64
-                    // covers the per-round max at any n without ever
-                    // regrowing mid-trial (the zero-alloc gate).
-                    serve_buf: Vec::with_capacity(64),
-                    sum_valid: Vec::new(),
-                    sum_with_m: Vec::new(),
-                    fakes_push: 0,
-                    fakes_pull: 0,
-                })
-                .collect();
+        if view_push > 0 && self.push_valid.len() != n_correct {
+            self.push_valid = vec![0; n_correct];
+            self.push_with_m = vec![0; n_correct];
         }
         if view_pull > 0 && self.csr_offsets.capacity() < n_correct + 1 {
-            // Grow-once CSR scratch: the request total per round is bounded
-            // by `n_correct * view_pull`, so one reservation covers every
-            // round of every trial at this configuration.
+            self.requests = Vec::with_capacity(n_correct * view_pull);
             self.csr_offsets = Vec::with_capacity(n_correct + 1);
             self.csr_cursor = Vec::with_capacity(n_correct);
             self.csr_data = Vec::with_capacity(n_correct * view_pull);
+            // One target's requesters: mean `view_pull`, so 64 covers the
+            // per-round max at any n.
+            self.serve_buf = Vec::with_capacity(64);
+            if !self.cfg.random_ports {
+                self.reply_valid = vec![0; n_correct];
+                self.reply_with_m = vec![0; n_correct];
+            }
         }
     }
 
-    /// Sender-side phase for one shard: push transmissions and pull
-    /// requests for the owned sender range `lo..hi`, each sender drawing
-    /// from its own counter-derived streams.
-    fn phase_a(&self, ctx: RoundCtx, lo: usize, hi: usize, part: &mut APart) {
+    /// Sender-side phase: push transmissions and pull requests, each
+    /// sender drawing from its own counter-derived streams.
+    fn phase_a(&mut self, ctx: RoundCtx) {
         let n = self.cfg.n;
         let n_correct = self.cfg.correct();
         let view_push = self.cfg.view_push();
         let view_pull = self.cfg.view_pull();
-        if view_push > 0 {
-            part.push_valid.fill(0);
-            part.push_with_m.fill(0);
-        }
-        part.requests.clear();
-        let mut targets = core::mem::take(&mut part.targets);
+        self.push_valid.fill(0);
+        self.push_with_m.fill(0);
+        self.requests.clear();
+        let targets = &mut self.targets;
         // Crashed/malicious senders (ids >= n_correct) send nothing valid.
-        for s in lo..hi.min(n_correct) {
+        for s in 0..n_correct {
             if view_push > 0 {
                 let mut rng = stream(ctx.round_key, STREAM_PUSH_SEND, s);
-                sample_targets(n, s, view_push, &mut rng, &mut targets);
+                sample_targets(n, s, view_push, &mut rng, targets);
                 let sender_has_m = self.has_m.get(s);
-                for &t in &targets {
+                for &t in targets.iter() {
                     // Crashed/malicious targets silently discard.
                     if t < n_correct && rng_chance(&mut rng, ctx.ok) {
-                        part.push_valid[t] = part.push_valid[t].saturating_add(1);
+                        self.push_valid[t] = self.push_valid[t].saturating_add(1);
                         if sender_has_m {
-                            part.push_with_m[t] = part.push_with_m[t].saturating_add(1);
+                            self.push_with_m[t] = self.push_with_m[t].saturating_add(1);
                         }
                     }
                 }
             }
             if view_pull > 0 {
                 let mut rng = stream(ctx.round_key, STREAM_PULL_REQUEST, s);
-                sample_targets(n, s, view_pull, &mut rng, &mut targets);
-                for &t in &targets {
+                sample_targets(n, s, view_pull, &mut rng, targets);
+                for &t in targets.iter() {
                     if t < n_correct && rng_chance(&mut rng, ctx.ok) {
-                        part.requests.push((t as u32, s as u32));
+                        self.requests.push((t as u32, s as u32));
                     }
                 }
             }
         }
-        part.targets = targets;
     }
 
-    /// Receiver-side phase for one shard: push acceptance and pull serving
-    /// for the owned target range `lo..hi`. `a_parts` are all shards'
-    /// sender partials; `csr_offsets`/`csr_data` index the merged pull
-    /// requests by target.
-    fn phase_b(&self, ctx: RoundCtx, lo: usize, hi: usize, a_parts: &[APart], part: &mut BPart) {
+    /// Groups the round's pull requests by target (count, prefix-sum,
+    /// fill). Requests arrive in ascending requester order, so each
+    /// target's segment is ascending too.
+    fn group_requests(&mut self) {
+        let n_correct = self.cfg.correct();
+        let (offsets, cursor, data) = (
+            &mut self.csr_offsets,
+            &mut self.csr_cursor,
+            &mut self.csr_data,
+        );
+        offsets.clear();
+        offsets.resize(n_correct + 1, 0);
+        for &(t, _) in &self.requests {
+            offsets[t as usize + 1] += 1;
+        }
+        for i in 0..n_correct {
+            offsets[i + 1] += offsets[i];
+        }
+        cursor.clear();
+        cursor.extend_from_slice(&offsets[..n_correct]);
+        data.clear();
+        data.resize(offsets[n_correct] as usize, 0);
+        for &(t, p) in &self.requests {
+            let slot = &mut cursor[t as usize];
+            data[*slot as usize] = p;
+            *slot += 1;
+        }
+    }
+
+    /// Receiver-side phase: push acceptance and pull serving for every
+    /// correct target. Returns the fabricated `(push, pull)` arrivals.
+    fn phase_b(&mut self, ctx: RoundCtx) -> (u64, u64) {
         let n_correct = self.cfg.correct();
         let view_push = self.cfg.view_push();
         let view_pull = self.cfg.view_pull();
-        let hi_c = hi.min(n_correct);
-        part.new_m.clear_all();
-        part.fakes_push = 0;
-        part.fakes_pull = 0;
-        if !part.reply_valid.is_empty() {
-            part.reply_valid.fill(0);
-            part.reply_with_m.fill(0);
-        }
-        if view_push > 0 {
-            // Pre-merge the per-sender-shard push tallies for the owned
-            // range: one sequential sweep per sender shard (every receiver
-            // shard sweeps concurrently) instead of a strided gather per
-            // target. Saturating adds commute, so
-            // the sums are independent of both sweep and shard order.
-            let lo_c = lo.min(hi_c);
-            part.sum_valid.clear();
-            part.sum_valid.resize(hi_c - lo_c, 0);
-            part.sum_with_m.clear();
-            part.sum_with_m.resize(hi_c - lo_c, 0);
-            for a in a_parts {
-                for (dst, &src) in part.sum_valid.iter_mut().zip(&a.push_valid[lo_c..hi_c]) {
-                    *dst = dst.saturating_add(src);
-                }
-                for (dst, &src) in part.sum_with_m.iter_mut().zip(&a.push_with_m[lo_c..hi_c]) {
-                    *dst = dst.saturating_add(src);
-                }
-            }
-        }
-        for t in lo..hi_c {
+        let (mut fakes_push, mut fakes_pull) = (0u64, 0u64);
+        self.reply_valid.fill(0);
+        self.reply_with_m.fill(0);
+        for t in 0..n_correct {
             if view_push > 0 && !self.has_m.get(t) {
                 let mut rng = stream(ctx.round_key, STREAM_PUSH_ACCEPT, t);
                 let fakes = if self.attacked.get(t) && ctx.x_push > 0.0 {
@@ -561,62 +498,61 @@ impl SimState {
                 } else {
                     0
                 };
-                part.fakes_push += fakes as u64;
-                let valid = part.sum_valid[t - lo] as usize;
-                let with_m = part.sum_with_m[t - lo] as usize;
+                fakes_push += fakes as u64;
+                let valid = self.push_valid[t] as usize;
+                let with_m = self.push_with_m[t] as usize;
                 let acc = accepted_valid(valid, fakes, view_push, &mut rng);
                 if with_m > 0 && any_interesting(with_m, valid - with_m, acc, &mut rng) {
-                    part.new_m.set(t);
+                    self.new_m.set(t);
                 }
             }
             if view_pull > 0 {
                 let mut rng = stream(ctx.round_key, STREAM_PULL_SERVE, t);
                 let (start, end) = (self.csr_offsets[t], self.csr_offsets[t + 1]);
-                part.serve_buf.clear();
-                part.serve_buf
+                self.serve_buf.clear();
+                self.serve_buf
                     .extend_from_slice(&self.csr_data[start as usize..end as usize]);
                 let fakes = if self.attacked.get(t) && ctx.x_req > 0.0 {
                     binomial(randomized_round(ctx.x_req, &mut rng), ctx.ok, &mut rng)
                 } else {
                     0
                 };
-                part.fakes_pull += fakes as u64;
-                let acc = accepted_valid(part.serve_buf.len(), fakes, view_pull, &mut rng);
-                partial_shuffle(&mut part.serve_buf, acc, &mut rng);
+                fakes_pull += fakes as u64;
+                let acc = accepted_valid(self.serve_buf.len(), fakes, view_pull, &mut rng);
+                partial_shuffle(&mut self.serve_buf, acc, &mut rng);
                 let target_has_m = self.has_m.get(t);
-                for i in 0..acc.min(part.serve_buf.len()) {
-                    let p = part.serve_buf[i] as usize;
+                for i in 0..acc.min(self.serve_buf.len()) {
+                    let p = self.serve_buf[i] as usize;
                     // The reply travels back; subject to link loss.
                     if !rng_chance(&mut rng, ctx.ok) {
                         continue;
                     }
                     if self.cfg.random_ports {
-                        // Random reply port: always processed. `p` may live
-                        // in any shard's range; fragments are full-length
-                        // and OR-merged, so cross-shard sets are fine.
+                        // Random reply port: always processed.
                         if target_has_m && !self.has_m.get(p) {
-                            part.new_m.set(p);
+                            self.new_m.set(p);
                         }
                     } else {
                         // Well-known reply port: contends with fakes in
-                        // phase C after a cross-shard tally merge.
-                        part.reply_valid[p] = part.reply_valid[p].saturating_add(1);
+                        // phase C.
+                        self.reply_valid[p] = self.reply_valid[p].saturating_add(1);
                         if target_has_m {
-                            part.reply_with_m[p] = part.reply_with_m[p].saturating_add(1);
+                            self.reply_with_m[p] = self.reply_with_m[p].saturating_add(1);
                         }
                     }
                 }
             }
         }
+        (fakes_push, fakes_pull)
     }
 
-    /// Reply-acceptance phase for one shard (no-random-ports ablation
-    /// only): the owned requesters contend fabricated reply-port traffic
-    /// against the merged valid-reply tallies.
-    fn phase_c(&self, ctx: RoundCtx, lo: usize, hi: usize, part: &mut BPart) {
-        let n_correct = self.cfg.correct();
+    /// Reply-acceptance phase (no-random-ports ablation only): each
+    /// requester contends fabricated reply-port traffic against its valid
+    /// replies. Returns the fabricated arrivals.
+    fn phase_c(&mut self, ctx: RoundCtx) -> u64 {
         let view_pull = self.cfg.view_pull();
-        for p in lo..hi.min(n_correct) {
+        let mut fakes_pull = 0u64;
+        for p in 0..self.cfg.correct() {
             if self.has_m.get(p) {
                 continue;
             }
@@ -626,37 +562,30 @@ impl SimState {
             } else {
                 0
             };
-            part.fakes_pull += fakes as u64;
-            let valid = self.reply_merge_valid[p] as usize;
-            let with_m = self.reply_merge_with_m[p] as usize;
+            fakes_pull += fakes as u64;
+            let valid = self.reply_valid[p] as usize;
+            let with_m = self.reply_with_m[p] as usize;
             let acc = accepted_valid(valid, fakes, view_pull, &mut rng);
             if with_m > 0 && any_interesting(with_m, valid - with_m, acc, &mut rng) {
-                part.new_m.set(p);
+                self.new_m.set(p);
             }
         }
+        fakes_pull
     }
 
-    /// Executes one synchronized gossip round with the process range
-    /// split into `shards` shards, run on up to `threads` threads
-    /// ([`par::for_each_mut`]).
+    /// Executes one synchronized gossip round of trial `trial_seed`.
     ///
     /// Every `(phase, process)` pair draws from its own counter-derived
-    /// stream keyed on `(trial_seed, round)`, and partials merge in fixed
-    /// ascending shard order, so the outcome is byte-identical for any
-    /// thread count *and* any shard count — one thread with `shards=1` is
-    /// a valid oracle for a 16-way parallel run.
-    pub fn step_sharded(&mut self, trial_seed: u64, shards: usize, threads: usize) {
-        let n = self.cfg.n;
-        let shards = shards.clamp(1, n);
-        let ok = 1.0 - self.cfg.loss;
+    /// stream keyed on `(trial_seed, round)`, so the outcome is a pure
+    /// function of the configuration, the seed and the round.
+    pub fn step(&mut self, trial_seed: u64) {
         self.round += 1;
-
         let round_key = rand::rngs::derive_stream_key(&[trial_seed, u64::from(self.round)]);
         let mut control = stream(round_key, STREAM_CONTROL, 0);
         self.control_phase(&mut control);
 
         self.new_m.clear_all();
-        self.ensure_sharded_scratch(shards);
+        self.ensure_scratch();
 
         let (x_req, x_reply) = if self.cfg.random_ports {
             (self.adv_x_pull, 0.0)
@@ -665,101 +594,22 @@ impl SimState {
         };
         let ctx = RoundCtx {
             round_key,
-            ok,
+            ok: 1.0 - self.cfg.loss,
             x_push: self.adv_x_push,
             x_req,
             x_reply,
         };
-        let n_correct = self.cfg.correct();
-        let view_pull = self.cfg.view_pull();
+        let pulls = self.cfg.view_pull() > 0;
 
-        // Detach the scratch from `self` so the shards can borrow the rest
-        // of the state immutably while each writes its own partial.
-        let mut a_parts = core::mem::take(&mut self.a_parts);
-        let mut b_parts = core::mem::take(&mut self.b_parts);
-
-        // --- Phase A: sender-side draws, sharded over the sender range.
-        par::for_each_mut(threads, &mut a_parts, |s, part| {
-            let (lo, hi) = shard_range(n, shards, s);
-            self.phase_a(ctx, lo, hi, part);
-        });
-
-        // --- Deterministic CSR merge of pull requests: count, prefix-sum,
-        // fill, walking shards in ascending order. Contiguous ascending
-        // shard ranges + ascending senders within a shard give a globally
-        // ascending requester order per target, independent of the shard
-        // count.
-        if view_pull > 0 {
-            let (csr_offsets, csr_cursor, csr_data) = (
-                &mut self.csr_offsets,
-                &mut self.csr_cursor,
-                &mut self.csr_data,
-            );
-            csr_offsets.clear();
-            csr_offsets.resize(n_correct + 1, 0);
-            for part in &a_parts {
-                for &(t, _) in &part.requests {
-                    csr_offsets[t as usize + 1] += 1;
-                }
-            }
-            for i in 0..n_correct {
-                csr_offsets[i + 1] += csr_offsets[i];
-            }
-            csr_cursor.clear();
-            csr_cursor.extend_from_slice(&csr_offsets[..n_correct]);
-            csr_data.clear();
-            csr_data.resize(csr_offsets[n_correct] as usize, 0);
-            for part in &a_parts {
-                for &(t, p) in &part.requests {
-                    let slot = &mut csr_cursor[t as usize];
-                    csr_data[*slot as usize] = p;
-                    *slot += 1;
-                }
-            }
+        self.phase_a(ctx);
+        if pulls {
+            self.group_requests();
         }
-
-        // --- Phase B: receiver-side acceptance, sharded over targets.
-        par::for_each_mut(threads, &mut b_parts, |s, part| {
-            let (lo, hi) = shard_range(n, shards, s);
-            self.phase_b(ctx, lo, hi, &a_parts, part);
-        });
-
-        // --- Phase C (no-random-ports only): merge reply tallies across
-        // shards in ascending order, then contend reply-port fakes.
-        if !self.cfg.random_ports && view_pull > 0 {
-            let (rv, rw) = (&mut self.reply_merge_valid, &mut self.reply_merge_with_m);
-            rv.clear();
-            rv.resize(n_correct, 0);
-            rw.clear();
-            rw.resize(n_correct, 0);
-            for part in &b_parts {
-                for (dst, &src) in rv.iter_mut().zip(&part.reply_valid) {
-                    *dst = dst.saturating_add(src);
-                }
-                for (dst, &src) in rw.iter_mut().zip(&part.reply_with_m) {
-                    *dst = dst.saturating_add(src);
-                }
-            }
-            par::for_each_mut(threads, &mut b_parts, |s, part| {
-                let (lo, hi) = shard_range(n, shards, s);
-                self.phase_c(ctx, lo, hi, part);
-            });
+        let (fakes_push, mut fakes_pull) = self.phase_b(ctx);
+        if pulls && !self.cfg.random_ports {
+            fakes_pull += self.phase_c(ctx);
         }
-
-        // --- Final merge: OR the delivery fragments and sum the fake
-        // totals in ascending shard order.
-        let mut fakes_push_total = 0u64;
-        let mut fakes_pull_total = 0u64;
-        for part in &b_parts {
-            self.new_m.or_with(&part.new_m);
-            fakes_push_total += part.fakes_push;
-            fakes_pull_total += part.fakes_pull;
-        }
-
-        self.a_parts = a_parts;
-        self.b_parts = b_parts;
-
-        self.deliver_and_trace(fakes_push_total, fakes_pull_total);
+        self.deliver_and_trace(fakes_push, fakes_pull);
     }
 }
 
@@ -786,17 +636,11 @@ mod tests {
     use crate::config::Role;
     use drum_core::ProtocolVariant;
 
-    fn run_sharded(
-        cfg: SimConfig,
-        seed: u64,
-        max_rounds: u32,
-        shards: usize,
-        threads: usize,
-    ) -> (SimState, u32) {
+    fn run(cfg: SimConfig, seed: u64, max_rounds: u32) -> (SimState, u32) {
         let mut state = SimState::new(cfg);
         let mut rounds = 0;
         while state.fraction_with_m() < state.config().threshold && rounds < max_rounds {
-            state.step_sharded(seed, shards, threads);
+            state.step(seed);
             rounds += 1;
         }
         (state, rounds)
@@ -828,8 +672,7 @@ mod tests {
             ProtocolVariant::Push,
             ProtocolVariant::Pull,
         ] {
-            let (state, rounds) =
-                run_sharded(SimConfig::baseline(p, 120), 7, 100, 1, par::threads());
+            let (state, rounds) = run(SimConfig::baseline(p, 120), 7, 100);
             assert!(
                 state.fraction_with_m() >= 0.99,
                 "{p} stuck at {}",
@@ -845,14 +688,7 @@ mod tests {
         let r = |n| {
             let mut total = 0;
             for seed in 0..5 {
-                total += run_sharded(
-                    SimConfig::baseline(ProtocolVariant::Drum, n),
-                    seed,
-                    200,
-                    1,
-                    par::threads(),
-                )
-                .1;
+                total += run(SimConfig::baseline(ProtocolVariant::Drum, n), seed, 200).1;
             }
             total as f64 / 5.0
         };
@@ -866,7 +702,7 @@ mod tests {
         // Figure 2(b): even 40% crashed processes only slow things down.
         let mut cfg = SimConfig::baseline(ProtocolVariant::Drum, 200);
         cfg.crashed = 80;
-        let (state, rounds) = run_sharded(cfg, 3, 200, 1, par::threads());
+        let (state, rounds) = run(cfg, 3, 200);
         assert!(
             state.fraction_with_m() >= 0.99,
             "stuck at {}",
@@ -879,7 +715,7 @@ mod tests {
     fn malicious_members_do_not_block_dissemination() {
         let mut cfg = SimConfig::baseline(ProtocolVariant::Drum, 200);
         cfg.malicious = 20;
-        let (state, _) = run_sharded(cfg, 3, 200, 1, par::threads());
+        let (state, _) = run(cfg, 3, 200);
         assert!(state.fraction_with_m() >= 0.99);
     }
 
@@ -889,7 +725,7 @@ mod tests {
         let avg = |proto| {
             drum_testkit::mean_over_seeds(0..8, |seed| {
                 let cfg = SimConfig::paper_attack(proto, 120, 256.0);
-                run_sharded(cfg, seed, 400, 1, par::threads()).1 as f64
+                run(cfg, seed, 400).1 as f64
             })
         };
         let drum = avg(ProtocolVariant::Drum);
@@ -910,7 +746,7 @@ mod tests {
             let mut state = SimState::new(cfg.clone());
             let mut exit_round = None;
             for r in 1..=100 {
-                state.step_sharded(seed, 1, par::threads());
+                state.step(seed);
                 if state.correct_with_m() > 1 {
                     exit_round = Some(r);
                     break;
@@ -932,7 +768,7 @@ mod tests {
             drum_testkit::mean_over_seeds(0..8, |seed| {
                 let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 256.0);
                 cfg.random_ports = random_ports;
-                run_sharded(cfg, seed, 400, 1, par::threads()).1 as f64
+                run(cfg, seed, 400).1 as f64
             })
         };
         let with_ports = avg(true);
@@ -948,7 +784,7 @@ mod tests {
         let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 64.0);
         let mut state = SimState::new(cfg);
         for _ in 0..10 {
-            state.step_sharded(5, 1, par::threads());
+            state.step(5);
             assert_eq!(
                 state.correct_with_m(),
                 state.attacked_with_m() + state.unattacked_with_m()
@@ -983,7 +819,7 @@ mod tests {
         // some point (probability of re-drawing the same 6-subset is ~0).
         let mut changed = false;
         for _ in 0..10 {
-            state.step_sharded(13, 1, par::threads());
+            state.step(13);
             let now: Vec<usize> = (0..60).filter(|&i| state.is_attacked(i)).collect();
             assert_eq!(now.len(), 6, "target count must be preserved");
             // Targets are always correct processes.
@@ -1007,7 +843,7 @@ mod tests {
             drum_testkit::mean_over_seeds(0..10, |seed| {
                 let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 128.0);
                 cfg.attack.as_mut().unwrap().rotate_every = rotate;
-                run_sharded(cfg, seed, 400, 1, par::threads()).1 as f64
+                run(cfg, seed, 400).1 as f64
             })
         };
         let static_attack = mean(None);
@@ -1025,7 +861,7 @@ mod tests {
             .with_adversary(AdversaryKind::Eclipse);
         let mut state = SimState::new(cfg);
         for _ in 0..5 {
-            state.step_sharded(3, 1, par::threads());
+            state.step(3);
             let attacked: Vec<usize> = (0..60).filter(|&i| state.is_attacked(i)).collect();
             assert_eq!(attacked, vec![0], "eclipse must pin the source alone");
         }
@@ -1045,7 +881,7 @@ mod tests {
                 .filter(|&i| i < cfg.correct() && !state.has_m(i))
                 .collect();
             assert!(frontier.len() > 6);
-            state.step_sharded(11, 1, par::threads());
+            state.step(11);
             let targets: Vec<usize> = (0..60).filter(|&i| state.is_attacked(i)).collect();
             assert_eq!(targets.len(), 6, "target count must be preserved");
             for &t in &targets {
@@ -1067,7 +903,7 @@ mod tests {
             drum_testkit::mean_over_seeds(0..8, |seed| {
                 let cfg =
                     SimConfig::paper_attack(ProtocolVariant::Drum, 120, 128.0).with_adversary(kind);
-                run_sharded(cfg, seed, 400, 1, par::threads()).1 as f64
+                run(cfg, seed, 400).1 as f64
             })
         };
         let static_rounds = mean(AdversaryKind::Static);
@@ -1095,7 +931,7 @@ mod tests {
             drum_testkit::mean_over_seeds(0..8, |seed| {
                 let cfg = SimConfig::paper_attack(proto, 120, 128.0)
                     .with_adversary(AdversaryKind::PullAbuse);
-                run_sharded(cfg, seed, 400, 1, par::threads()).1 as f64
+                run(cfg, seed, 400).1 as f64
             })
         };
         let drum = mean(ProtocolVariant::Drum);
@@ -1112,7 +948,7 @@ mod tests {
         let mut state = SimState::new(cfg);
         let mut prev = state.fraction_with_m();
         for _ in 0..30 {
-            state.step_sharded(9, 1, par::threads());
+            state.step(9);
             let now = state.fraction_with_m();
             assert!(now >= prev);
             prev = now;
@@ -1139,7 +975,7 @@ mod tests {
         cfg.attack.as_mut().unwrap().rotate_every = Some(2);
         let mut state = SimState::new(cfg);
         for _ in 0..8 {
-            state.step_sharded(4, 1, par::threads());
+            state.step(4);
         }
         state.reset();
         assert_eq!(state.round(), 0);
@@ -1151,112 +987,33 @@ mod tests {
 
     #[test]
     fn sharded_reset_reuse_matches_fresh_state() {
-        let threads = 3;
         let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 90, 64.0);
         let mut reused = SimState::new(cfg.clone());
         for _ in 0..6 {
-            reused.step_sharded(111, 4, threads);
+            reused.step(111);
         }
         reused.reset();
         let mut fresh = SimState::new(cfg);
         for _ in 0..10 {
-            reused.step_sharded(222, 4, threads);
-            fresh.step_sharded(222, 4, threads);
+            reused.step(222);
+            fresh.step(222);
         }
         assert_eq!(fingerprint(&reused), fingerprint(&fresh));
     }
 
     #[test]
-    fn sharded_matches_across_shard_counts() {
-        // The tentpole invariant: the sharded stepper is a pure function of
-        // (config, trial_seed) — the shard count never shows through.
-        let threads = 2;
-        for cfg in [
-            SimConfig::baseline(ProtocolVariant::Drum, 150),
-            SimConfig::paper_attack(ProtocolVariant::Drum, 150, 64.0),
-            SimConfig::paper_attack(ProtocolVariant::Push, 150, 64.0),
-            SimConfig::paper_attack(ProtocolVariant::Pull, 150, 64.0),
-        ] {
-            let reference = run_sharded(cfg.clone(), 42, 60, 1, threads);
-            for shards in [2, 3, 7, 16, 150] {
-                let other = run_sharded(cfg.clone(), 42, 60, shards, threads);
-                assert_eq!(
-                    fingerprint(&reference.0),
-                    fingerprint(&other.0),
-                    "{:?} diverged at {shards} shards",
-                    cfg.protocol
-                );
-                assert_eq!(reference.1, other.1);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_matches_across_shard_counts_no_random_ports() {
-        // The reply-accept phase (phase C) only runs in the
-        // no-random-ports ablation; cover its merge path too.
-        let threads = 3;
-        let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 64.0);
-        cfg.random_ports = false;
-        let reference = run_sharded(cfg.clone(), 7, 80, 1, threads);
-        for shards in [3, 5, 16] {
-            let other = run_sharded(cfg.clone(), 7, 80, shards, threads);
-            assert_eq!(fingerprint(&reference.0), fingerprint(&other.0));
-        }
-    }
-
-    #[test]
-    fn sharded_matches_with_rotation_and_adversaries() {
-        use crate::adversary::AdversaryKind;
-        // Mid-trial rotate_targets and adaptive retargeting draw from the
-        // control stream only; the partition must still never show.
-        let threads = 3;
-        let mut rotating = SimConfig::paper_attack(ProtocolVariant::Drum, 100, 64.0);
-        rotating.attack.as_mut().unwrap().rotate_every = Some(3);
-        let chasing = SimConfig::paper_attack(ProtocolVariant::Drum, 100, 64.0)
-            .with_adversary(AdversaryKind::TargetChasing { every: 2 });
-        for cfg in [rotating, chasing] {
-            let reference = run_sharded(cfg.clone(), 13, 60, 1, threads);
-            for shards in [4, 9] {
-                let other = run_sharded(cfg.clone(), 13, 60, shards, threads);
-                assert_eq!(fingerprint(&reference.0), fingerprint(&other.0));
-            }
-        }
-    }
-
-    #[test]
     fn sharded_counters_match_full_recount() {
-        let threads = 3;
         let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 110, 64.0);
         cfg.attack.as_mut().unwrap().rotate_every = Some(2);
         let mut state = SimState::new(cfg);
         for _ in 0..15 {
-            state.step_sharded(5, 6, threads);
+            state.step(5);
             let correct = state.has_m.count_range(0, state.config().correct());
             let attacked: usize = (0..state.config().n)
                 .filter(|&i| state.is_attacked(i) && state.has_m(i))
                 .count();
             assert_eq!(state.correct_with_m(), correct);
             assert_eq!(state.attacked_with_m(), attacked);
-        }
-    }
-
-    #[test]
-    fn shard_range_partitions_exactly() {
-        for n in [1usize, 7, 64, 65, 1000, 1_000_000] {
-            for shards in [1usize, 2, 3, 7, 16] {
-                let mut covered = 0;
-                for s in 0..shards {
-                    let (lo, hi) = shard_range(n, shards, s);
-                    assert!(lo <= hi && hi <= n);
-                    assert_eq!(lo, covered, "gap at shard {s} of {shards} over {n}");
-                    // Balanced: no shard waits on a neighbour more than one
-                    // member longer.
-                    assert!(hi - lo == n / shards || hi - lo == n.div_ceil(shards));
-                    covered = hi;
-                }
-                assert_eq!(covered, n);
-            }
         }
     }
 }

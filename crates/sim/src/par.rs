@@ -1,5 +1,4 @@
-//! Scoped parallelism for the simulator: the trials of a sweep and the
-//! shards of one round.
+//! Scoped parallelism for the simulator: the trials of a sweep.
 //!
 //! Items are claimed dynamically — whichever worker frees next takes the
 //! next one — so a straggler never strands the other workers. Which thread
@@ -7,12 +6,7 @@
 //! state and reduce in index order (see [`crate::runner`]). On one thread
 //! every call runs inline in index order, which makes
 //! `DRUM_POOL_THREADS=1` the order oracle for every parallel run.
-//!
-//! A call made from inside an item runs inline on that item's thread, so
-//! a parallel sweep of sharded trials runs on [`threads`] threads, not
-//! on `threads` squared.
 
-use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -20,11 +14,6 @@ use std::thread;
 
 /// The environment variable [`threads`] reads.
 const THREADS_VAR: &str = "DRUM_POOL_THREADS";
-
-thread_local! {
-    /// Set on worker threads, so nested calls run inline.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
 
 /// The process's thread count: `DRUM_POOL_THREADS`, read once, or else
 /// `available_parallelism`.
@@ -54,33 +43,30 @@ fn parse_threads(value: Option<&str>) -> usize {
 
 /// Calls `f(i, &mut items[i])` once for every item, on up to `threads`
 /// scoped threads that each claim the next unclaimed item when they free.
-/// Runs inline, in index order, when `threads <= 1`, when there is at
-/// most one item, or when called from inside another item.
+/// Runs inline, in index order, when `threads <= 1` or when there is at
+/// most one item.
 ///
 /// # Panics
 ///
 /// Re-raises the first panic payload of an item once every worker has
 /// joined.
-pub fn for_each_mut<T, F>(threads: usize, items: &mut [T], f: F)
+fn for_each_mut<T, F>(threads: usize, items: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
     let workers = threads.min(items.len());
-    if workers <= 1 || IN_WORKER.get() {
+    if workers <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
         return;
     }
     let queue = Mutex::new(items.iter_mut().enumerate());
-    let work = || {
-        IN_WORKER.set(true);
-        loop {
-            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-            let Some((i, item)) = next else { break };
-            f(i, item);
-        }
+    let work = || loop {
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some((i, item)) = next else { break };
+        f(i, item);
     };
     let panic = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
@@ -97,8 +83,8 @@ where
     }
 }
 
-/// `f(i)` for every `i` in `0..total`, in index order, computed as by
-/// [`for_each_mut`].
+/// `f(i)` for every `i` in `0..total`, in index order, computed on up to
+/// `threads` scoped threads as by `for_each_mut`.
 pub fn map<R, F>(threads: usize, total: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -167,20 +153,6 @@ mod tests {
         );
         // The calling thread stays able to run parallel work.
         assert_eq!(map(3, 5, |i| i), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn nested_calls_run_inline_on_the_item_thread() {
-        let totals = map(3, 4, |_| {
-            let outer = thread::current().id();
-            map(3, 8, |j| {
-                assert_eq!(thread::current().id(), outer, "nested item left its thread");
-                j as u64
-            })
-            .iter()
-            .sum::<u64>()
-        });
-        assert_eq!(totals, vec![28; 4]);
     }
 
     #[test]

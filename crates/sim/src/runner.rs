@@ -33,14 +33,6 @@ use crate::config::SimConfig;
 use crate::model::SimState;
 use crate::par;
 
-/// Shard count for an `n`-member trial: one shard per 64 Ki members,
-/// capped at 16. A pure function of `n` (never of the machine), so results
-/// are reproducible everywhere; small trials get one shard and skip the
-/// merge machinery entirely.
-pub fn auto_shards(n: usize) -> usize {
-    n.div_ceil(65_536).clamp(1, 16)
-}
-
 /// Outcome of a single simulated trial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialOutcome {
@@ -62,8 +54,7 @@ pub struct TrialOutcome {
 }
 
 /// Runs one trial of `cfg` with the given `seed`, recording per-round
-/// fractions for the first `cdf_rounds` rounds, on [`auto_shards`]
-/// shards.
+/// fractions for the first `cdf_rounds` rounds.
 pub fn run_trial(cfg: &SimConfig, seed: u64, cdf_rounds: usize) -> TrialOutcome {
     run_trial_traced(cfg, seed, cdf_rounds, drum_trace::Tracer::disabled())
 }
@@ -79,34 +70,16 @@ pub fn run_trial_traced(
     cdf_rounds: usize,
     tracer: drum_trace::Tracer,
 ) -> TrialOutcome {
-    run_trial_traced_mode(cfg, seed, cdf_rounds, tracer, auto_shards(cfg.n))
-}
-
-/// Like [`run_trial_traced`], on an explicit shard count — the hook the
-/// shard-count-independence tests use (the outcome never depends on it).
-pub fn run_trial_traced_mode(
-    cfg: &SimConfig,
-    seed: u64,
-    cdf_rounds: usize,
-    tracer: drum_trace::Tracer,
-    shards: usize,
-) -> TrialOutcome {
     let mut state = SimState::new(cfg.clone());
     state.set_tracer(tracer);
-    run_trial_in(&mut state, seed, cdf_rounds, shards, par::threads())
+    run_trial_in(&mut state, seed, cdf_rounds)
 }
 
 /// Trial driver over a caller-owned [`SimState`] — the state's scratch
-/// (tallies, bitsets, per-shard partials) is reused across calls via
+/// (tallies, bitsets, request lists) is reused across calls via
 /// [`SimState::reset`], so a sweep's worth of trials allocates its
 /// working set once.
-fn run_trial_in(
-    state: &mut SimState,
-    seed: u64,
-    cdf_rounds: usize,
-    shards: usize,
-    threads: usize,
-) -> TrialOutcome {
+fn run_trial_in(state: &mut SimState, seed: u64, cdf_rounds: usize) -> TrialOutcome {
     let cfg = state.config().clone();
     let threshold = cfg.threshold;
 
@@ -134,7 +107,7 @@ fn run_trial_in(
     };
 
     for round in 1..=cfg.max_rounds {
-        state.step_sharded(seed, shards, threads);
+        state.step(seed);
         outcome.rounds_executed = round;
         let with_m = state.correct_with_m();
         if (round as usize) <= cdf_rounds {
@@ -248,12 +221,11 @@ pub fn run_many_on(
     let chunks_per_cfg = trials.div_ceil(chunk);
     let partials: Vec<Partial> = par::map(threads, cfgs.len() * chunks_per_cfg, |job| {
         let cfg = &cfgs[job / chunks_per_cfg];
-        let shards = auto_shards(cfg.n);
         let lo = (job % chunks_per_cfg) * chunk;
         let hi = (lo + chunk).min(trials);
         let mut part = Partial::new(cdf_rounds);
         // One SimState per chunk, rewound between trials so scratch
-        // capacity (tallies, bitsets, per-shard partials) is reused —
+        // capacity (tallies, bitsets, request lists) is reused —
         // [`SimState::reset`] pins this to fresh-state equivalence.
         let mut state = SimState::new(cfg.clone());
         for i in lo..hi {
@@ -261,7 +233,7 @@ pub fn run_many_on(
                 state.reset();
             }
             let seed = base_seed + i as u64;
-            part.absorb(&run_trial_in(&mut state, seed, cdf_rounds, shards, threads));
+            part.absorb(&run_trial_in(&mut state, seed, cdf_rounds));
         }
         part
     });
@@ -501,31 +473,6 @@ mod tests {
     fn zero_trials_rejected() {
         let cfg = SimConfig::baseline(ProtocolVariant::Drum, 50);
         run_experiment(&cfg, 0, 0, 5);
-    }
-
-    #[test]
-    fn auto_shards_is_a_pure_function_of_n() {
-        assert_eq!(auto_shards(1), 1);
-        assert_eq!(auto_shards(120), 1);
-        assert_eq!(auto_shards(65_536), 1);
-        assert_eq!(auto_shards(65_537), 2);
-        assert_eq!(auto_shards(1_000_000), 16);
-        assert_eq!(auto_shards(100_000_000), 16);
-    }
-
-    #[test]
-    fn explicit_modes_are_deterministic_and_shard_count_independent() {
-        let cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 130, 64.0);
-        let t =
-            |shards| run_trial_traced_mode(&cfg, 17, 12, drum_trace::Tracer::disabled(), shards);
-        let sharded = t(1);
-        assert_eq!(sharded, t(1));
-        // The shard count never shows through the outcome.
-        for shards in [2, 5, 16] {
-            assert_eq!(sharded, t(shards));
-        }
-        // The trial converges on this easy scenario.
-        assert!(sharded.rounds_to_threshold.is_some());
     }
 
     #[test]

@@ -183,110 +183,6 @@ fn adversary_strategies_deterministic_across_worker_counts() {
     }
 }
 
-/// Tentpole invariant of the intra-trial sharded stepper: one fixed-seed
-/// trial is byte-identical across `DRUM_POOL_THREADS ∈ {1, 3, 7}` *and*
-/// across shard counts, including shard counts that don't divide `n`
-/// (straggler-mix ranges: the last shard is smaller and finishes first,
-/// so threads claim uneven batches) and a mid-trial `rotate_targets`
-/// round. Streams are keyed per `(trial_seed, round, phase, process)` —
-/// never per shard or worker — and partials merge in ascending shard
-/// order, so neither the partition nor the schedule can show through.
-#[test]
-fn sharded_stepper_identical_across_threads_and_shards() {
-    use drum_sim::SimState;
-
-    fn fingerprint(
-        cfg: &SimConfig,
-        seed: u64,
-        shards: usize,
-        threads: usize,
-    ) -> (usize, Vec<bool>) {
-        let mut state = SimState::new(cfg.clone());
-        for _ in 0..30 {
-            state.step_sharded(seed, shards, threads);
-        }
-        (
-            state.correct_with_m(),
-            (0..cfg.n).map(|i| state.has_m(i)).collect(),
-        )
-    }
-
-    // n = 173 (prime): every multi-shard split has unequal ranges.
-    let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 173, 96.0);
-    cfg.attack.as_mut().unwrap().rotate_every = Some(3);
-    let reference = fingerprint(&cfg, 20040628, 1, 1);
-    for threads in [1usize, 3, 7] {
-        for shards in [1usize, 2, 3, 5, 8, 16, 173] {
-            // Repeat so claim interleavings actually vary.
-            for rep in 0..2 {
-                assert_eq!(
-                    fingerprint(&cfg, 20040628, shards, threads),
-                    reference,
-                    "diverged at threads={threads} shards={shards} rep={rep}"
-                );
-            }
-        }
-    }
-}
-
-/// Randomized version of the invariant above, crossing random scenarios
-/// with random shard counts on different thread counts.
-#[test]
-fn prop_sharded_shard_and_thread_count_never_change_results() {
-    use drum_sim::run_trial_traced_mode;
-
-    prop::check(
-        "sharded_shard_and_thread_count_never_change_results",
-        Config::with_cases(10),
-        |g| {
-            let n = g.usize_in(30..160);
-            let protocol = [
-                ProtocolVariant::Drum,
-                ProtocolVariant::Push,
-                ProtocolVariant::Pull,
-            ][g.index(3)];
-            let x = g.u64_in(0..129) as f64;
-            let seed = g.u64_in(0..1 << 32);
-            let mut cfg = if x == 0.0 {
-                SimConfig::baseline(protocol, n)
-            } else {
-                SimConfig::paper_attack(protocol, n, x)
-            };
-            if g.bool(0.5) {
-                cfg.random_ports = false;
-            }
-            cfg.max_rounds = 100;
-            let shards_a = g.usize_in(1..20);
-            let shards_b = g.usize_in(1..20);
-
-            // Via the public runner (default threads)...
-            let t = |shards| {
-                run_trial_traced_mode(&cfg, seed, 6, drum_trace::Tracer::disabled(), shards)
-            };
-            prop_assert!(
-                t(shards_a) == t(shards_b),
-                "runner outcome diverged between {shards_a} and {shards_b} shards"
-            );
-
-            // ...and stepping directly on explicit thread counts.
-            let direct = |shards, threads| {
-                let mut state = drum_sim::SimState::new(cfg.clone());
-                for _ in 0..12 {
-                    state.step_sharded(seed, shards, threads);
-                }
-                (0..cfg.n).map(|i| state.has_m(i)).collect::<Vec<bool>>()
-            };
-            let a = direct(shards_a, 3);
-            let b = direct(shards_b, 7);
-            prop_assert!(
-                a == b,
-                "state diverged: shards {shards_a} on 3 threads vs {shards_b} on 7"
-            );
-            Ok(())
-        },
-    );
-}
-
 /// The regression dynamic scheduling was built for, as exact counts: on a
 /// realistic attacked sweep mix, per-point static chunking strands most
 /// workers behind the straggler chunk, while dynamic self-scheduling

@@ -1,12 +1,12 @@
 //! Warmed-up steady-state rounds allocate nothing: the message buffer's
 //! round (insert the round's arrivals, purge, age, select a partner's
-//! missing set) and the sharded simulator's round at n = 10^6.
+//! missing set) and the simulator's round at n = 10^6. The simulator's
+//! first round, which sizes its scratch, stays under a byte bound.
 //!
-//! Both live in this binary because it installs a counting global
-//! allocator. The count is kept per thread, since the test harness and
-//! the neighbouring test allocate on threads of their own; the simulator
-//! steps on one thread, which runs every shard inline on the calling
-//! thread.
+//! All live in this binary because it installs a counting global
+//! allocator. The counts are kept per thread, since the test harness and
+//! the neighbouring tests allocate on threads of their own; the simulator
+//! steps on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,38 +19,41 @@ use drum_core::message::DataMessage;
 use drum_core::ProtocolVariant;
 use drum_crypto::auth::AuthTag;
 use drum_sim::config::SimConfig;
-use drum_sim::{auto_shards, SimState};
+use drum_sim::SimState;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Forwards to [`System`], counting every call that obtains memory.
+/// Forwards to [`System`], counting every call that obtains memory and
+/// the bytes it asks for (a `realloc` counts its whole new size).
 struct Counting;
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: the allocator also serves a thread being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell<u64>`, which neither allocates nor needs a destructor.
+// upholds the `GlobalAlloc` contract; the counters are const-initialised
+// thread-local `Cell<u64>`s, which neither allocate nor need a destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -67,6 +70,24 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Heap bytes `f` asks for on this thread.
+fn bytes_in(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
+}
+
+/// The heaviest ext_scale point: Drum under the Figure 7 flood at
+/// n = 10^6.
+fn million_member_flood() -> SimState {
+    SimState::new(SimConfig::attack_alpha(
+        ProtocolVariant::Drum,
+        1_000_000,
+        0.1,
+        72.0,
+    ))
 }
 
 #[test]
@@ -112,21 +133,32 @@ fn a_warmed_buffer_round_allocates_nothing() {
 
 #[test]
 fn a_warmed_million_member_round_allocates_nothing() {
-    // The heaviest ext_scale point: Drum under the Figure 7 flood.
-    let n = 1_000_000;
-    let shards = auto_shards(n);
-    let mut state = SimState::new(SimConfig::attack_alpha(ProtocolVariant::Drum, n, 0.1, 72.0));
+    let mut state = million_member_flood();
     // The first round sizes the grow-once scratch.
     assert!(
-        allocations_in(|| state.step_sharded(11, shards, 1)) > 0,
+        allocations_in(|| state.step(11)) > 0,
         "the counter must see the first round size the scratch"
     );
     let allocations = allocations_in(|| {
-        state.step_sharded(11, shards, 1);
-        state.step_sharded(11, shards, 1);
+        state.step(11);
+        state.step(11);
     });
     assert_eq!(
         allocations, 0,
-        "a warmed sharded round allocated; per-round scratch must be grow-once"
+        "a warmed round allocated; per-round scratch must be grow-once"
+    );
+}
+
+#[test]
+fn a_million_member_round_sizes_under_48_mib_of_scratch() {
+    // One set of push tallies, one request list and one CSR index: about
+    // 30 MiB at this point. A per-slice copy of the full-length tallies or
+    // of the `new_m` bitset would show here.
+    let mut state = million_member_flood();
+    let bytes = bytes_in(|| state.step(11));
+    assert!(
+        bytes < 48 << 20,
+        "the first round allocated {:.1} MiB of scratch",
+        bytes as f64 / f64::from(1 << 20)
     );
 }

@@ -5,11 +5,9 @@
 //! trace sink. Because sim events are round-stamped (no wall clock) and
 //! tracing never draws from the simulation RNG, the emitted trace is a
 //! pure function of `(config, seed)` — byte for byte.
-//! `tests/fixtures/trace_golden_sharded.jsonl` pins it, recorded on a
-//! multi-shard split. The stepper's per-process counter-derived streams
-//! make the trace independent of shard count and `DRUM_POOL_THREADS`,
-//! which the cross-shard test below re-checks against the fixture
-//! directly.
+//! `tests/fixtures/trace_golden_sharded.jsonl` pins it. The stepper's
+//! per-process counter-derived streams make the trace independent of
+//! `DRUM_POOL_THREADS`.
 //!
 //! Regenerating after an *intentional* change:
 //!
@@ -22,7 +20,7 @@
 use std::sync::Arc;
 
 use drum::core::config::ProtocolVariant;
-use drum::sim::{run_trial_traced_mode, SimConfig};
+use drum::sim::{run_trial_traced, SimConfig};
 use drum::trace::{JsonLinesSink, SharedBuf, Tracer};
 
 const FIXTURE_SHARDED: &str = concat!(
@@ -31,14 +29,13 @@ const FIXTURE_SHARDED: &str = concat!(
 );
 
 /// The canonical scenario: 40 processes, 10% malicious, Drum under a
-/// 64-messages-per-round attack, 8 rounds, seed 2004 (the paper's year),
-/// stepped on `shards` shards.
-fn canonical_trace(shards: usize) -> String {
+/// 64-messages-per-round attack, 8 rounds, seed 2004 (the paper's year).
+fn canonical_trace() -> String {
     let mut cfg = SimConfig::paper_attack(ProtocolVariant::Drum, 40, 64.0);
     cfg.max_rounds = 8;
     let buf = SharedBuf::new();
     let sink = Arc::new(JsonLinesSink::new(buf.clone()));
-    run_trial_traced_mode(&cfg, 2004, 8, Tracer::new(sink), shards);
+    run_trial_traced(&cfg, 2004, 8, Tracer::new(sink));
     buf.contents_string()
 }
 
@@ -63,35 +60,20 @@ fn check_fixture(got: &str, fixture: &str) {
 
 #[test]
 fn fixed_seed_trace_is_byte_identical_across_runs() {
-    let first = canonical_trace(3);
-    let second = canonical_trace(3);
+    let first = canonical_trace();
+    let second = canonical_trace();
     assert!(!first.is_empty(), "canonical scenario emitted no events");
     assert_eq!(first, second, "fixed-seed trace must be deterministic");
 }
 
 #[test]
 fn sharded_trace_matches_golden_fixture() {
-    check_fixture(&canonical_trace(3), FIXTURE_SHARDED);
-}
-
-#[test]
-fn sharded_trace_is_shard_count_independent() {
-    // The sharded fixture was recorded at 3 shards; every other shard
-    // count must reproduce it byte for byte (streams are keyed per
-    // process, merges run in fixed index order).
-    let reference = canonical_trace(3);
-    for shards in [1, 2, 7, 40] {
-        assert_eq!(
-            canonical_trace(shards),
-            reference,
-            "sharded trace changed at {shards} shards"
-        );
-    }
+    check_fixture(&canonical_trace(), FIXTURE_SHARDED);
 }
 
 #[test]
 fn golden_trace_has_expected_shape() {
-    let trace = canonical_trace(3);
+    let trace = canonical_trace();
     let lines: Vec<&str> = trace.lines().collect();
     // One sim.start header, then per-round events.
     assert!(lines[0].contains("\"event\":\"sim.start\""));
