@@ -325,6 +325,12 @@ fn run(args: &Args) -> Result<(), String> {
                 report.rounds
             );
             println!(
+                "net.port_syscalls per port {:.2} ({} syscalls, {} ports)",
+                report.port_syscalls as f64 / report.ports_allocated.max(1) as f64,
+                report.port_syscalls,
+                report.ports_allocated
+            );
+            println!(
                 "net.bind_failed {} (random-port allocations that could bind nothing)",
                 report.bind_failed
             );

@@ -31,7 +31,7 @@
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
 
-use crate::digest::Digest;
+use crate::digest::{covers, Digest};
 use crate::ids::{MessageId, Round};
 use crate::message::DataMessage;
 
@@ -345,9 +345,17 @@ impl MessageBuffer {
             return;
         }
         let mut candidates = 0usize;
+        // Buffered messages come in runs of one source, so the digest's
+        // map is searched once per run, not once per message.
+        let mut source = None;
+        let mut owned: &[(u64, u64)] = &[];
         for bucket in &self.buckets {
             for msg in &bucket.slots {
-                if their_digest.contains(msg.id) {
+                if source != Some(msg.id.source) {
+                    source = Some(msg.id.source);
+                    owned = their_digest.intervals_of(msg.id.source);
+                }
+                if covers(owned, msg.id.seq) {
                     continue;
                 }
                 if candidates < max {
@@ -612,6 +620,47 @@ mod tests {
         buf.select_missing_into(&Digest::new(), 6, &mut rng2, &mut b);
         let ids = |v: &[DataMessage]| v.iter().map(|m| m.id).collect::<Vec<_>>();
         assert_eq!(ids(&a), ids(&b));
+    }
+
+    /// The per-run interval lookup selects what a per-message
+    /// `Digest::contains` test selects, with the same RNG draws.
+    #[test]
+    fn select_missing_matches_a_per_message_contains_scan() {
+        let mut buf = MessageBuffer::new(10);
+        let mut theirs = Digest::new();
+        for i in 0..120u64 {
+            // Runs of one source, sources revisited across rounds.
+            let (source, seq) = (i / 7 % 4, i);
+            buf.insert(msg(source, seq), Round(i / 30));
+            if i % 3 == 0 || (source == 2 && i % 2 == 0) {
+                theirs.insert(MessageId::new(ProcessId(source), seq));
+            }
+        }
+        theirs.insert(MessageId::new(ProcessId(9), 1));
+        for max in [0, 1, 5, 200] {
+            let mut rng = SmallRng::seed_from_u64(max as u64);
+            let mut got = Vec::new();
+            buf.select_missing_into(&theirs, max, &mut rng, &mut got);
+
+            let mut rng_ref = SmallRng::seed_from_u64(max as u64);
+            let mut want: Vec<MessageId> = Vec::new();
+            let mut candidates = 0usize;
+            for bucket in &buf.buckets {
+                for m in bucket.slots.iter().filter(|m| !theirs.contains(m.id)) {
+                    if candidates < max {
+                        want.push(m.id);
+                    } else if max > 0 {
+                        let j = rng_ref.random_range(0..=candidates);
+                        if j < max {
+                            want[j] = m.id;
+                        }
+                    }
+                    candidates += 1;
+                }
+            }
+            assert_eq!(got.iter().map(|m| m.id).collect::<Vec<_>>(), want);
+            assert_eq!(rng.next_u64(), rng_ref.next_u64(), "same draws");
+        }
     }
 
     #[test]

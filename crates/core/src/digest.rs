@@ -70,13 +70,14 @@ impl Digest {
 
     /// Whether `id` is present.
     pub fn contains(&self, id: MessageId) -> bool {
-        self.ranges
-            .get(&id.source)
-            .map(|intervals| {
-                let pos = intervals.partition_point(|&(lo, _)| lo <= id.seq);
-                pos > 0 && id.seq <= intervals[pos - 1].1
-            })
-            .unwrap_or(false)
+        covers(self.intervals_of(id.source), id.seq)
+    }
+
+    /// The sorted, disjoint intervals owned for `source` (empty when the
+    /// digest has none): a caller testing many ids of one source looks the
+    /// source up once, then binary-searches this slice per id.
+    pub fn intervals_of(&self, source: ProcessId) -> &[(u64, u64)] {
+        self.ranges.get(&source).map_or(&[], Vec::as_slice)
     }
 
     /// Removes one id. Returns `true` if it was present.
@@ -186,6 +187,13 @@ impl Digest {
         }
         Ok(Digest { ranges })
     }
+}
+
+/// Whether `seq` lies in one of `intervals`, a slice from
+/// [`Digest::intervals_of`].
+pub(crate) fn covers(intervals: &[(u64, u64)], seq: u64) -> bool {
+    let pos = intervals.partition_point(|&(lo, _)| lo <= seq);
+    pos > 0 && seq <= intervals[pos - 1].1
 }
 
 impl FromIterator<MessageId> for Digest {

@@ -23,7 +23,6 @@ use rand::SeedableRng;
 use std::collections::HashSet;
 
 use drum_crypto::auth::{self, AuthError};
-use drum_crypto::hmac::HmacKey;
 use drum_crypto::keys::{KeyStore, SecretKey};
 use drum_crypto::seal;
 use drum_trace::{names, trace_event, Counter, Timestamp, Tracer};
@@ -116,6 +115,11 @@ pub struct RoundStats {
     pub dropped_auth: u64,
     /// Push-replies dropped because no matching offer was outstanding.
     pub dropped_unsolicited: u64,
+    /// Reply ports not advertised because the key store holds no key for
+    /// the peer: with random ports on, a port is only ever sent sealed, so
+    /// a push-offer from an unregistered id goes unanswered (after paying
+    /// its budget slot) and an unregistered view member is not contacted.
+    pub dropped_keyless: u64,
     /// New data messages delivered to the application this round.
     pub delivered: u64,
 }
@@ -151,9 +155,6 @@ pub struct Engine {
     round: Round,
     next_seq: u64,
     my_key: SecretKey,
-    /// Precomputed HMAC schedule for `my_key`; signing a published message
-    /// costs no key-schedule work.
-    my_auth_key: HmacKey,
     key_store: KeyStore,
     rng: SmallRng,
     /// Processes we sent a push-offer to this round; push-replies from
@@ -208,7 +209,6 @@ impl Engine {
     ) -> Self {
         let budget = RoundBudget::for_config(&config);
         let buffer = MessageBuffer::new(config.buffer_rounds);
-        let my_auth_key = my_key.hmac_key();
         let tracer = Tracer::disabled();
         let c_mac_full = tracer.registry().counter(names::MAC_FULL_VERIFIES);
         Engine {
@@ -219,7 +219,6 @@ impl Engine {
             round: Round::ZERO,
             next_seq: 0,
             my_key,
-            my_auth_key,
             key_store,
             rng: SmallRng::seed_from_u64(seed),
             offered_to: HashSet::new(),
@@ -304,7 +303,7 @@ impl Engine {
     pub fn publish(&mut self, payload: Bytes) -> MessageId {
         let id = MessageId::new(self.me(), self.next_seq);
         self.next_seq += 1;
-        let mut msg = DataMessage::sign_new_with(&self.my_auth_key, id, payload);
+        let mut msg = DataMessage::sign_new_with(self.my_key.schedule(), id, payload);
         // §8.1: the source logs 0 and immediately increases the counter to 1.
         msg.hops = 1;
         self.buffer.insert(msg, self.round);
@@ -336,18 +335,34 @@ impl Engine {
         self.mac_compressions
     }
 
-    /// Seals `port` for `to` if random ports are enabled (and the peer key
-    /// is known); otherwise returns a plaintext port reference.
-    fn port_ref_for(&mut self, to: ProcessId, port: u16) -> (PortRef, u64) {
-        let nonce = self.next_nonce();
-        if self.config.random_ports {
-            if let Ok(key) = self.key_store.key_of(to.as_u64()) {
-                if let Ok(sealed) = seal::seal_port(&key, nonce, port) {
-                    return (PortRef::Sealed(sealed), nonce);
-                }
-            }
+    /// The port to advertise to `to` for `purpose`, with the nonce it goes
+    /// out under. With random ports on, a fresh port from `oracle`, sealed
+    /// under `to`'s key; the key is looked up first, and a peer the key
+    /// store does not know gets no port at all — `None`, counted in
+    /// [`RoundStats::dropped_keyless`] — never a plaintext one. With random
+    /// ports off, the fixed port of the ablation, in plaintext.
+    fn advertise_port<O: PortOracle>(
+        &mut self,
+        to: ProcessId,
+        purpose: PortPurpose,
+        oracle: &mut O,
+    ) -> Option<(PortRef, u64)> {
+        if !self.config.random_ports {
+            let port = match purpose {
+                PortPurpose::PullReply => self.fixed_pull_reply_port,
+                PortPurpose::PushReply => self.fixed_push_reply_port,
+                PortPurpose::PushData => self.fixed_push_data_port,
+            };
+            return Some((PortRef::Plain(port), self.next_nonce()));
         }
-        (PortRef::Plain(port), nonce)
+        let Ok(key) = self.key_store.key_of(to.as_u64()) else {
+            self.stats.dropped_keyless += 1;
+            return None;
+        };
+        let port = oracle.allocate_port(purpose, self.round);
+        let nonce = self.next_nonce();
+        let sealed = seal::seal_port(&key, nonce, port).ok()?;
+        Some((PortRef::Sealed(sealed), nonce))
     }
 
     /// Recovers a reply port sent to us. Sealed ports are opened with our
@@ -399,12 +414,11 @@ impl Engine {
         // the same digest: built for the first, cloned for the rest.
         let mut digest = None;
         for target in views.pull {
-            let port = if self.config.random_ports {
-                oracle.allocate_port(PortPurpose::PullReply, self.round)
-            } else {
-                self.fixed_pull_reply_port
+            let Some((reply_port, nonce)) =
+                self.advertise_port(target, PortPurpose::PullReply, oracle)
+            else {
+                continue;
             };
-            let (reply_port, nonce) = self.port_ref_for(target, port);
             out.push(Outbound {
                 to: target,
                 port: SendPort::WellKnownPull,
@@ -418,13 +432,12 @@ impl Engine {
         }
 
         for target in views.push {
-            self.offered_to.insert(target);
-            let port = if self.config.random_ports {
-                oracle.allocate_port(PortPurpose::PushReply, self.round)
-            } else {
-                self.fixed_push_reply_port
+            let Some((reply_port, nonce)) =
+                self.advertise_port(target, PortPurpose::PushReply, oracle)
+            else {
+                continue;
             };
-            let (reply_port, nonce) = self.port_ref_for(target, port);
+            self.offered_to.insert(target);
             out.push(Outbound {
                 to: target,
                 port: SendPort::WellKnownPush,
@@ -530,6 +543,10 @@ impl Engine {
                     &mut self.rng,
                     &mut self.scratch,
                 );
+                // Like push data: nothing the requester lacks, no datagram.
+                if self.scratch.is_empty() {
+                    return;
+                }
                 out.push(Outbound {
                     to: from,
                     port: SendPort::Port(port),
@@ -545,12 +562,11 @@ impl Engine {
                 let Some(port) = self.resolve_port(&reply_port) else {
                     return;
                 };
-                let data_port = if self.config.random_ports {
-                    oracle.allocate_port(PortPurpose::PushData, self.round)
-                } else {
-                    self.fixed_push_data_port
+                let Some((data_port_ref, nonce)) =
+                    self.advertise_port(from, PortPurpose::PushData, oracle)
+                else {
+                    return;
                 };
-                let (data_port_ref, nonce) = self.port_ref_for(from, data_port);
                 out.push(Outbound {
                     to: from,
                     port: SendPort::Port(port),
@@ -815,6 +831,8 @@ mod tests {
     #[test]
     fn budget_drops_flood() {
         let (mut engines, _) = setup(2, ProtocolVariant::Drum);
+        // Something to serve, so every accepted request gets a reply.
+        engines[0].publish(Bytes::from_static(b"m"));
         let mut oracle = CountingPortOracle::default();
         engines[0].begin_round(&mut oracle);
         // Flood the pull port with 50 requests: only F/2 = 2 accepted.
@@ -831,6 +849,69 @@ mod tests {
         assert_eq!(responses, 2);
         assert_eq!(engines[0].stats().accepted_of(MessageKind::PullRequest), 2);
         assert_eq!(engines[0].stats().dropped_of(MessageKind::PullRequest), 48);
+    }
+
+    #[test]
+    fn a_pull_request_against_an_empty_buffer_is_charged_and_unanswered() {
+        let (mut engines, _) = setup(2, ProtocolVariant::Drum);
+        let mut oracle = CountingPortOracle::default();
+        engines[0].begin_round(&mut oracle);
+        let request = |i: u16| GossipMessage::PullRequest {
+            from: ProcessId(1),
+            digest: Digest::new(),
+            reply_port: PortRef::Plain(1000 + i),
+            nonce: u64::from(i),
+        };
+        // Drum F=4: the pull-request channel accepts F/2 = 2.
+        for i in 0..3 {
+            assert!(engines[0].handle(request(i), &mut oracle).is_empty());
+        }
+        assert_eq!(engines[0].stats().accepted_of(MessageKind::PullRequest), 2);
+        assert_eq!(engines[0].stats().dropped_of(MessageKind::PullRequest), 1);
+        // A requester that already holds everything is not answered either.
+        let id = engines[0].publish(Bytes::from_static(b"m"));
+        engines[0].end_round();
+        engines[0].begin_round(&mut oracle);
+        let mut holds_it = request(9);
+        if let GossipMessage::PullRequest { digest, .. } = &mut holds_it {
+            digest.insert(id);
+        }
+        assert!(engines[0].handle(holds_it, &mut oracle).is_empty());
+        assert_eq!(engines[0].handle(request(10), &mut oracle).len(), 1);
+    }
+
+    #[test]
+    fn a_push_offer_from_a_keyless_id_is_charged_and_gets_no_port() {
+        let (mut engines, _) = setup(2, ProtocolVariant::Drum);
+        engines[0].publish(Bytes::from_static(b"m"));
+        let mut oracle = CountingPortOracle::default();
+        engines[0].begin_round(&mut oracle);
+        let allocated = oracle.next;
+        let offer = GossipMessage::PushOffer {
+            from: ProcessId(0xDEAD_0001),
+            reply_port: PortRef::Plain(1),
+            nonce: 1,
+        };
+        assert!(engines[0].handle(offer, &mut oracle).is_empty());
+        assert_eq!(oracle.next, allocated, "no port is allocated");
+        let stats = *engines[0].stats();
+        assert_eq!(stats.accepted_of(MessageKind::PushOffer), 1);
+        assert_eq!(stats.dropped_keyless, 1);
+        // A registered peer's offer still gets a sealed data port.
+        let offer = GossipMessage::PushOffer {
+            from: ProcessId(1),
+            reply_port: PortRef::Plain(1),
+            nonce: 2,
+        };
+        let out = engines[0].handle(offer, &mut oracle);
+        assert_eq!(oracle.next, allocated + 1);
+        match &out[..] {
+            [Outbound {
+                msg: GossipMessage::PushReply { data_port, .. },
+                ..
+            }] => assert!(data_port.is_sealed()),
+            other => panic!("expected one push-reply, got {other:?}"),
+        }
     }
 
     #[test]
@@ -920,6 +1001,8 @@ mod tests {
     #[test]
     fn round_advances_and_budget_resets() {
         let (mut engines, _) = setup(2, ProtocolVariant::Drum);
+        // Something to serve, so an accepted request gets a reply.
+        engines[0].publish(Bytes::from_static(b"m"));
         let mut oracle = CountingPortOracle::default();
         assert_eq!(engines[0].round(), Round(0));
         engines[0].begin_round(&mut oracle);

@@ -33,7 +33,7 @@ impl DataMessage {
         id: MessageId,
         payload: Bytes,
     ) -> Self {
-        Self::sign_new_with(&source_key.hmac_key(), id, payload)
+        Self::sign_new_with(source_key.schedule(), id, payload)
     }
 
     /// Creates and signs a new data message using a precomputed key schedule

@@ -106,8 +106,10 @@ pub(crate) fn verify_in(
     payload: &[u8],
     tag: &AuthTag,
 ) -> Result<(), AuthError> {
-    let key = store.auth_key_of(a).map_err(AuthError::UnknownSource)?;
-    check(tag_of(frame, &key, a, b, payload), tag)
+    let expected = store
+        .with_key(a, |key| tag_of(frame, key.schedule(), a, b, payload))
+        .map_err(AuthError::UnknownSource)?;
+    check(expected, tag)
 }
 
 /// SHA-256 compressions one data-message tag costs under a cached key
@@ -134,10 +136,9 @@ pub fn sign_with(auth_key: &HmacKey, source: u64, seq: u64, payload: &[u8]) -> A
 /// Computes the authentication tag for a `(source, seq, payload)` triple
 /// using the source's own key.
 ///
-/// Derives the key schedule on every call; hot paths should cache it with
-/// [`SecretKey::hmac_key`] and use [`sign_with`].
+/// Uses the schedule the key carries ([`SecretKey::schedule`]).
 pub fn sign(source_key: &SecretKey, source: u64, seq: u64, payload: &[u8]) -> AuthTag {
-    sign_with(&source_key.hmac_key(), source, seq, payload)
+    sign_with(source_key.schedule(), source, seq, payload)
 }
 
 /// Verifies a tag against a precomputed key schedule for `source`.
@@ -157,8 +158,8 @@ pub fn verify_with(
 
 /// Verifies a tag against the key registered for `source` in `store`.
 ///
-/// Uses the store's cached per-peer key schedule ([`KeyStore::auth_key_of`]),
-/// so repeated verifications for one source pay no key-schedule cost.
+/// MACs under the schedule the stored key carries ([`SecretKey::schedule`]),
+/// so no verification pays key-schedule cost.
 ///
 /// # Errors
 ///
@@ -245,7 +246,7 @@ mod tests {
             verify_with(&schedule, 1, 42, b"other", &tag),
             Err(AuthError::Forged)
         );
-        // Store-level verify goes through the cached per-peer schedule.
+        // Store-level verify goes through the stored key's schedule.
         assert!(verify(&store, 1, 42, b"payload", &tag).is_ok());
         assert!(verify(&store, 1, 42, b"payload", &tag).is_ok());
     }

@@ -21,11 +21,28 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::hmac::{hmac_sha256, HmacKey};
+use crate::hmac::HmacKey;
 
 /// A 256-bit symmetric secret owned by one process.
-#[derive(Clone, PartialEq, Eq)]
-pub struct SecretKey(pub(crate) [u8; 32]);
+///
+/// The key carries its HMAC key schedule — the hash states after the
+/// `ipad` and `opad` blocks — computed once when the key is made. Every MAC
+/// under the key (signatures, seals, opens, derivations) resumes from those
+/// states, so none of them pays the two key-schedule compressions.
+#[derive(Clone)]
+pub struct SecretKey {
+    bytes: [u8; 32],
+    schedule: HmacKey,
+}
+
+impl PartialEq for SecretKey {
+    fn eq(&self, other: &Self) -> bool {
+        // The schedule is a function of the bytes.
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for SecretKey {}
 
 impl core::fmt::Debug for SecretKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -39,28 +56,36 @@ impl SecretKey {
     pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
         let mut bytes = [0u8; 32];
         rng.fill_bytes(&mut bytes);
-        SecretKey(bytes)
+        Self::from_bytes(bytes)
     }
 
     /// Builds a key from raw bytes (e.g. for tests or key exchange).
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        SecretKey(bytes)
+        SecretKey {
+            schedule: HmacKey::new(&bytes),
+            bytes,
+        }
     }
 
     /// Derives a sub-key bound to a usage `label` (domain separation).
     pub fn derive(&self, label: &[u8]) -> SecretKey {
-        SecretKey(hmac_sha256(&self.0, label))
+        Self::from_bytes(self.schedule.mac(label))
     }
 
     /// Raw key bytes. Use sparingly; prefer the higher-level APIs.
     pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
+        &self.bytes
     }
 
-    /// Precomputes the HMAC key schedule for this key. Callers that MAC
-    /// repeatedly under the same key should hold on to the result.
+    /// The key's HMAC key schedule, computed when the key was made.
+    pub fn schedule(&self) -> &HmacKey {
+        &self.schedule
+    }
+
+    /// An owned copy of [`SecretKey::schedule`], for callers that keep the
+    /// schedule apart from the key.
     pub fn hmac_key(&self) -> HmacKey {
-        HmacKey::new(&self.0)
+        self.schedule.clone()
     }
 }
 
@@ -83,7 +108,9 @@ impl std::error::Error for UnknownPeerError {}
 ///
 /// Cloning a `KeyStore` is cheap and yields a handle to the same underlying
 /// registry, so one store can be shared by all honest processes of a test or
-/// experiment.
+/// experiment. Each registered [`SecretKey`] carries its own HMAC schedule,
+/// so a re-registered peer's MACs follow the new key with nothing to
+/// invalidate.
 ///
 /// # Examples
 ///
@@ -99,10 +126,6 @@ impl std::error::Error for UnknownPeerError {}
 #[derive(Clone, Debug)]
 pub struct KeyStore {
     inner: Arc<RwLock<HashMap<u64, SecretKey>>>,
-    /// Lazily built per-peer HMAC key schedules (see
-    /// [`KeyStore::auth_key_of`]). Invalidated whenever the peer's secret
-    /// key changes.
-    auth_keys: Arc<RwLock<HashMap<u64, Arc<HmacKey>>>>,
     seed_rng: Arc<RwLock<SmallRng>>,
 }
 
@@ -112,7 +135,6 @@ impl KeyStore {
     pub fn new(seed: u64) -> Self {
         KeyStore {
             inner: Arc::new(RwLock::new(HashMap::new())),
-            auth_keys: Arc::new(RwLock::new(HashMap::new())),
             seed_rng: Arc::new(RwLock::new(SmallRng::seed_from_u64(seed))),
         }
     }
@@ -127,12 +149,6 @@ impl KeyStore {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write_auth_keys(&self) -> RwLockWriteGuard<'_, HashMap<u64, Arc<HmacKey>>> {
-        self.auth_keys
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Registers a fresh key for `peer`, replacing any existing one.
     /// Returns the generated key.
     pub fn register(&self, peer: u64) -> SecretKey {
@@ -144,14 +160,12 @@ impl KeyStore {
             SecretKey::generate(&mut *rng)
         };
         self.write_keys().insert(peer, key.clone());
-        self.write_auth_keys().remove(&peer);
         key
     }
 
     /// Registers an externally generated key for `peer`.
     pub fn register_key(&self, peer: u64, key: SecretKey) {
         self.write_keys().insert(peer, key);
-        self.write_auth_keys().remove(&peer);
     }
 
     /// Whether a key is registered for `peer`.
@@ -175,52 +189,31 @@ impl KeyStore {
     ///
     /// Returns [`UnknownPeerError`] if `peer` was never registered.
     pub fn key_of(&self, peer: u64) -> Result<SecretKey, UnknownPeerError> {
-        self.read_keys()
-            .get(&peer)
-            .cloned()
-            .ok_or(UnknownPeerError { peer })
+        self.with_key(peer, SecretKey::clone)
     }
 
-    /// Fetches the cached HMAC key schedule for `peer`, deriving and caching
-    /// it on first use.
-    ///
-    /// This is the receive-path fast lane: after the first message from a
-    /// peer, verification costs an `Arc` clone instead of a fresh key
-    /// schedule (two SHA-256 compressions). The cache entry is dropped when
-    /// the peer's key is re-registered.
+    /// Runs `f` on the key registered for `peer` without copying it: the
+    /// receive path's lookup, which MACs under the key's embedded schedule.
     ///
     /// # Errors
     ///
     /// Returns [`UnknownPeerError`] if `peer` was never registered.
-    pub fn auth_key_of(&self, peer: u64) -> Result<Arc<HmacKey>, UnknownPeerError> {
-        if let Some(cached) = self
-            .auth_keys
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
+    pub(crate) fn with_key<T>(
+        &self,
+        peer: u64,
+        f: impl FnOnce(&SecretKey) -> T,
+    ) -> Result<T, UnknownPeerError> {
+        self.read_keys()
             .get(&peer)
-        {
-            return Ok(Arc::clone(cached));
-        }
-        // Miss: derive under the cache write lock so a concurrent
-        // re-register (which clears the entry under the same lock) cannot
-        // leave a stale schedule behind.
-        let mut cache = self.write_auth_keys();
-        if let Some(cached) = cache.get(&peer) {
-            return Ok(Arc::clone(cached));
-        }
-        let schedule = {
-            let keys = self.read_keys();
-            let secret = keys.get(&peer).ok_or(UnknownPeerError { peer })?;
-            Arc::new(secret.hmac_key())
-        };
-        cache.insert(peer, Arc::clone(&schedule));
-        Ok(schedule)
+            .map(f)
+            .ok_or(UnknownPeerError { peer })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmac::hmac_sha256;
 
     #[test]
     fn register_and_lookup() {
@@ -268,32 +261,36 @@ mod tests {
     }
 
     #[test]
-    fn auth_key_matches_fresh_schedule() {
+    fn a_stored_key_carries_the_schedule_of_its_bytes() {
         let store = KeyStore::new(11);
         let secret = store.register(4);
-        let cached = store.auth_key_of(4).unwrap();
-        assert_eq!(cached.mac(b"m"), secret.hmac_key().mac(b"m"));
-        // Second lookup returns the same cached schedule.
-        let again = store.auth_key_of(4).unwrap();
-        assert!(Arc::ptr_eq(&cached, &again));
+        let stored = store.key_of(4).unwrap();
+        assert_eq!(
+            stored.schedule().mac(b"m"),
+            hmac_sha256(stored.as_bytes(), b"m")
+        );
+        assert_eq!(
+            store.with_key(4, |k| k.schedule().mac(b"m")),
+            Ok(secret.hmac_key().mac(b"m"))
+        );
+        assert_eq!(
+            SecretKey::from_bytes([1u8; 32]).derive(b"label").as_bytes(),
+            &hmac_sha256(&[1u8; 32], b"label")
+        );
     }
 
     #[test]
-    fn auth_key_cache_invalidated_on_rekey() {
+    fn a_rekeyed_peer_is_looked_up_under_its_new_schedule() {
         let store = KeyStore::new(11);
-        store.register(4);
-        let old = store.auth_key_of(4).unwrap();
+        let old = store.register(4);
         let new_secret = store.register(4);
-        let new = store.auth_key_of(4).unwrap();
-        assert!(!Arc::ptr_eq(&old, &new));
-        assert_eq!(new.mac(b"m"), new_secret.hmac_key().mac(b"m"));
+        let mac = |store: &KeyStore| store.with_key(4, |k| k.schedule().mac(b"m")).unwrap();
+        assert_ne!(mac(&store), old.schedule().mac(b"m"));
+        assert_eq!(mac(&store), new_secret.schedule().mac(b"m"));
 
         store.register_key(4, SecretKey::from_bytes([9u8; 32]));
-        let replaced = store.auth_key_of(4).unwrap();
-        assert_eq!(
-            replaced.mac(b"m"),
-            SecretKey::from_bytes([9u8; 32]).hmac_key().mac(b"m")
-        );
+        assert_eq!(mac(&store), hmac_sha256(&[9u8; 32], b"m"));
+        assert_eq!(store.with_key(5, |_| ()), Err(UnknownPeerError { peer: 5 }));
     }
 
     #[test]

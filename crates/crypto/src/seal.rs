@@ -15,8 +15,15 @@
 //!
 //! The adversary holds no group member's key, so sealed ports are both
 //! confidential and tamper-evident for the threat model of the paper.
+//!
+//! Both MACs resume from the schedule the recipient's [`SecretKey`] carries
+//! ([`SecretKey::schedule`]) and stream their parts without a staging
+//! buffer. Each input fits one block behind the `ipad` state, so a seal or
+//! an open costs 4 SHA-256 compressions — one inner and one outer block per
+//! MAC — where a one-shot HMAC would pay 8; the bytes are the one-shot
+//! construction's.
 
-use crate::hmac::{hmac_sha256, verify_tag};
+use crate::hmac::verify_tag;
 use crate::keys::SecretKey;
 
 /// Maximum plaintext length a single seal supports (one keystream block).
@@ -65,18 +72,13 @@ impl core::fmt::Display for SealError {
 impl std::error::Error for SealError {}
 
 fn keystream(key: &SecretKey, nonce: u64) -> [u8; 32] {
-    let mut label = [0u8; 12 + 8];
-    label[..12].copy_from_slice(b"drum.seal.ks");
-    label[12..].copy_from_slice(&nonce.to_be_bytes());
-    hmac_sha256(key.as_bytes(), &label)
+    key.schedule()
+        .mac_parts(&[b"drum.seal.ks", &nonce.to_be_bytes()])
 }
 
 fn auth_tag(key: &SecretKey, nonce: u64, ct: &[u8]) -> [u8; TAG_LEN] {
-    let mut data = Vec::with_capacity(13 + 8 + ct.len());
-    data.extend_from_slice(b"drum.seal.tag");
-    data.extend_from_slice(&nonce.to_be_bytes());
-    data.extend_from_slice(ct);
-    hmac_sha256(key.as_bytes(), &data)
+    key.schedule()
+        .mac_parts(&[b"drum.seal.tag", &nonce.to_be_bytes(), ct])
 }
 
 /// Seals `plaintext` for the holder of `recipient_key`.
@@ -149,9 +151,13 @@ pub fn seal_port(recipient_key: &SecretKey, nonce: u64, port: u16) -> Result<Sea
 /// Returns [`SealError::BadTag`] on authentication failure or if the
 /// plaintext is not exactly two bytes.
 pub fn open_port(recipient_key: &SecretKey, sealed: &SealedBox) -> Result<u16, SealError> {
-    let pt = open(recipient_key, sealed)?;
-    let bytes: [u8; 2] = pt.as_slice().try_into().map_err(|_| SealError::BadTag)?;
-    Ok(u16::from_be_bytes(bytes))
+    let expected = auth_tag(recipient_key, sealed.nonce, &sealed.ciphertext);
+    let ct: [u8; 2] = match sealed.ciphertext.as_slice().try_into() {
+        Ok(ct) if verify_tag(&expected, &sealed.tag) => ct,
+        _ => return Err(SealError::BadTag),
+    };
+    let ks = keystream(recipient_key, sealed.nonce);
+    Ok(u16::from_be_bytes([ct[0] ^ ks[0], ct[1] ^ ks[1]]))
 }
 
 #[cfg(test)]
@@ -239,6 +245,60 @@ mod tests {
             let sealed = seal_port(&k, nonce, port).unwrap();
             assert_eq!(open_port(&k, &sealed).unwrap(), port);
         }
+    }
+
+    /// The one-shot construction the module doc spells out, on raw key
+    /// bytes.
+    fn one_shot_seal(key: &SecretKey, nonce: u64, port: u16) -> SealedBox {
+        use crate::hmac::hmac_sha256;
+        let ks = hmac_sha256(
+            key.as_bytes(),
+            &[&b"drum.seal.ks"[..], &nonce.to_be_bytes()].concat(),
+        );
+        let pt = port.to_be_bytes();
+        let ciphertext = vec![pt[0] ^ ks[0], pt[1] ^ ks[1]];
+        let tag = hmac_sha256(
+            key.as_bytes(),
+            &[&b"drum.seal.tag"[..], &nonce.to_be_bytes(), &ciphertext].concat(),
+        );
+        SealedBox {
+            nonce,
+            ciphertext,
+            tag,
+        }
+    }
+
+    fn compressions() -> u64 {
+        crate::sha256::COMPRESSIONS.with(|n| n.get())
+    }
+
+    #[test]
+    fn ports_seal_to_the_one_shot_bytes_in_four_compressions_each_way() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        for i in 0..64u64 {
+            let k = SecretKey::generate(&mut rng);
+            let (nonce, port) = ((i << 20) | i, (i * 1_009 % 65_536) as u16);
+            let want = one_shot_seal(&k, nonce, port);
+
+            let before = compressions();
+            let sealed = seal_port(&k, nonce, port).unwrap();
+            assert_eq!(compressions() - before, 4, "seal");
+            assert_eq!(sealed, want);
+
+            let before = compressions();
+            assert_eq!(open_port(&k, &sealed), Ok(port));
+            assert_eq!(compressions() - before, 4, "open");
+        }
+        // A forged box is refused after the tag alone: half the cost.
+        let k = key(8);
+        let mut forged = seal_port(&k, 3, 4_000).unwrap();
+        forged.tag[0] ^= 1;
+        let before = compressions();
+        assert_eq!(open_port(&k, &forged), Err(SealError::BadTag));
+        assert_eq!(compressions() - before, 2);
+        // A box of the wrong length is no port, whatever its tag.
+        let long = seal(&k, 3, b"abc").unwrap();
+        assert_eq!(open_port(&k, &long), Err(SealError::BadTag));
     }
 
     #[test]

@@ -390,6 +390,13 @@ pub struct ThroughputReport {
     /// while they grow, then only rotate ports — and ~6 if every port
     /// costs a fresh socket again.
     pub sockets_opened: u64,
+    /// Random ports their pools handed out.
+    pub ports_allocated: u64,
+    /// Syscalls their pools spent on those ports. Per port it reads ≈3.2
+    /// in a long run — release, `bind`, `getsockname` and a share of one
+    /// readiness query per expiry — plus what the pools' growth costs in a
+    /// short one, and 5 if every expiring port is discarded again.
+    pub port_syscalls: u64,
     /// Random-port allocations that could bind nothing
     /// (`net.bind_failed`): non-zero means descriptor or port exhaustion
     /// is being absorbed by re-advertising older ports.
@@ -510,6 +517,8 @@ pub fn throughput_experiment(
         delivered: stats.iter().map(|s| s.delivered).sum(),
         compress_calls: stats.iter().map(|s| s.compress_calls).sum(),
         sockets_opened: stats.iter().map(|s| s.sockets_opened).sum(),
+        ports_allocated: stats.iter().map(|s| s.ports_allocated).sum(),
+        port_syscalls: stats.iter().map(|s| s.port_syscalls).sum(),
         bind_failed: stats.iter().map(|s| s.bind_failed).sum(),
         shard_wakeups: config
             .net
@@ -837,6 +846,8 @@ mod tests {
             delivered: 15,
             compress_calls: 0,
             sockets_opened: 0,
+            ports_allocated: 0,
+            port_syscalls: 0,
             bind_failed: 0,
         };
         assert_eq!(report.mean_latency_ms(), 30.0);

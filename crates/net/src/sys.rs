@@ -16,7 +16,8 @@
 //! socket from one kernel-chosen port to the next without closing it —
 //! this relies on Linux unhashing a UDP socket on disconnect unless its
 //! port was requested explicitly (`SOCK_BINDPORT_LOCK`), which a bind to
-//! port 0 never sets. And the receive arena's buffers are an anonymous
+//! port 0 never sets; `discard_queued` empties a released socket that
+//! still holds datagrams. And the receive arena's buffers are an anonymous
 //! `mmap(2)`, so their pages commit only as datagrams are written into
 //! them.
 //!
@@ -276,6 +277,62 @@ pub fn fd_of(socket: &UdpSocket) -> i32 {
     socket.as_raw_fd()
 }
 
+/// A per-thread tally of the port-rotation syscalls this module makes, so
+/// tests can pin what expiring and re-porting costs in kernel crossings.
+#[cfg(test)]
+pub(crate) mod tally {
+    use std::cell::Cell;
+
+    /// Calls made on this thread since the last [`take`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(crate) struct Calls {
+        /// `connect(AF_UNSPEC)`: [`super::release_port`].
+        pub(crate) release: u64,
+        /// `epoll_pwait2`/`epoll_pwait`: readiness queries and waits.
+        pub(crate) wait: u64,
+        /// Zero-length `recv`s of [`super::discard_queued`], the final
+        /// one that finds the queue empty included.
+        pub(crate) discard: u64,
+        /// `bind(2)` of [`super::bind_loopback_port`].
+        pub(crate) bind: u64,
+        /// `getsockname(2)` of [`super::bind_loopback_port`].
+        pub(crate) getsockname: u64,
+        /// `epoll_ctl(ADD)`.
+        pub(crate) epoll_ctl: u64,
+    }
+
+    thread_local! {
+        static CALLS: Cell<Calls> = Cell::new(Calls::default());
+    }
+
+    pub(super) fn count(f: impl FnOnce(&mut Calls)) {
+        CALLS.with(|c| {
+            let mut calls = c.get();
+            f(&mut calls);
+            c.set(calls);
+        });
+    }
+
+    /// The calls counted since the previous `take`, resetting the tally.
+    pub(crate) fn take() -> Calls {
+        CALLS.with(|c| c.take())
+    }
+}
+
+/// Empties `socket`'s receive queue with zero-length receives (UDP drops
+/// the part of a datagram that does not fit the buffer). Returns the
+/// receive calls made: one per queued datagram plus the one that finds the
+/// queue empty.
+pub(crate) fn discard_queued(socket: &UdpSocket) -> u64 {
+    let mut calls = 1;
+    while socket.recv(&mut []).is_ok() {
+        calls += 1;
+    }
+    #[cfg(test)]
+    tally::count(|c| c.discard += calls);
+    calls
+}
+
 // ---------------------------------------------------------------
 // Port rotation on a kept descriptor.
 // ---------------------------------------------------------------
@@ -292,6 +349,8 @@ pub fn fd_of(socket: &UdpSocket) -> i32 {
 ///
 /// Propagates the kernel error; the port is then still held.
 pub fn release_port(socket: &UdpSocket) -> io::Result<()> {
+    #[cfg(test)]
+    tally::count(|c| c.release += 1);
     let unspec = SockAddrV4Raw::unspecified();
     // SAFETY: `unspec` is a valid sockaddr of SOCKADDR_LEN bytes alive
     // across the call; the kernel only reads it.
@@ -327,6 +386,8 @@ pub fn bind_loopback_port(socket: &UdpSocket) -> io::Result<u16> {
         addr_be: [127, 0, 0, 1],
         zero: [0u8; 8],
     };
+    #[cfg(test)]
+    tally::count(|c| c.bind += 1);
     // SAFETY: `loopback` is a valid sockaddr_in of SOCKADDR_LEN bytes
     // alive across the call; the kernel only reads it.
     let ret = unsafe {
@@ -343,6 +404,8 @@ pub fn bind_loopback_port(socket: &UdpSocket) -> io::Result<u16> {
     check(ret)?;
     let mut bound = SockAddrV4Raw::unspecified();
     let mut len = SOCKADDR_LEN as u32;
+    #[cfg(test)]
+    tally::count(|c| c.getsockname += 1);
     // SAFETY: `bound` is writable for the SOCKADDR_LEN bytes `len`
     // announces and both are alive across the call; the kernel writes
     // at most `len` bytes and the length it used.
@@ -809,6 +872,8 @@ impl Epoll {
         if fault::registration_fails() {
             return Err(io::Error::from_raw_os_error(ENOSPC));
         }
+        #[cfg(test)]
+        tally::count(|c| c.epoll_ctl += 1);
         let mut ev = EpollEvent {
             events: EPOLLIN,
             data: token,
@@ -865,6 +930,8 @@ impl Epoll {
         timeout: Duration,
         force_legacy: bool,
     ) -> io::Result<usize> {
+        #[cfg(test)]
+        tally::count(|c| c.wait += 1);
         let soften = |ret: isize| match check(ret) {
             Err(e) if is_soft(&e) => Ok(0),
             other => other,

@@ -11,13 +11,16 @@
 //! a well-known port.
 //!
 //! A random port is short-lived; the descriptor under it is not. Per port
-//! the pool makes `connect(AF_UNSPEC)` + a discarding `recv` when it
-//! expires and a discarding `recv` + `bind` + `getsockname` when the
-//! descriptor takes its next port ([`SocketPool`] has the details and the
-//! one race this leaves). `socket`, `ioctl(FIONBIO)`, `epoll_ctl(ADD)` and
-//! `close` are paid per *descriptor*: while the pool grows to its
-//! high-water of live sockets, and when the kernel refuses to release or
-//! re-bind a port or to watch a fresh descriptor.
+//! the pool makes `connect(AF_UNSPEC)` when it expires and `bind` +
+//! `getsockname` when the descriptor takes its next port. The ports that
+//! expire together share one readiness query (`epoll_pwait`, timeout 0),
+//! and only a descriptor that query reports readable — one that still held
+//! a datagram — pays discarding `recv`s; at ~5 ports a round that is ≈3.2
+//! syscalls per port ([`SocketPool`] has the details and the one race this
+//! leaves). `socket`, `bind`, `ioctl(FIONBIO)`, `getsockname`,
+//! `epoll_ctl(ADD)` and `close` are paid per *descriptor*: while the pool
+//! grows to its high-water of live sockets, and when the kernel refuses to
+//! release or re-bind a port or to watch a fresh descriptor.
 //!
 //! Datagrams move in batches: [`BatchRx`] receives through `recvmmsg(2)`
 //! and [`BatchTx`] sends through `sendmmsg(2)` ([`crate::sys`]).
@@ -315,11 +318,13 @@ fn key(socket: &UdpSocket) -> u64 {
     sys::fd_of(socket) as u64
 }
 
-/// Discards every datagram queued on `socket` (zero-length receives: UDP
-/// drops the rest of a datagram that does not fit the buffer).
-fn discard_queued(socket: &UdpSocket) {
-    while socket.recv(&mut []).is_ok() {}
-}
+/// Syscalls a fresh descriptor costs before any readiness registration:
+/// `socket`, `bind`, `ioctl(FIONBIO)` and `getsockname`.
+const OPEN_SYSCALLS: u64 = 4;
+
+/// Syscalls one re-port of a parked descriptor costs: `bind` +
+/// `getsockname` ([`sys::bind_loopback_port`]).
+const REBIND_SYSCALLS: u64 = 2;
 
 /// A fresh descriptor on a kernel-chosen loopback port, with that port.
 fn open_ephemeral() -> io::Result<(UdpSocket, u16)> {
@@ -334,9 +339,10 @@ fn open_ephemeral() -> io::Result<(UdpSocket, u16)> {
 /// few rounds", §4), bounding the window an attacker would have even if a
 /// port leaked. The *descriptor* under it lives on: [`SocketPool::expire`]
 /// releases the port ([`sys::release_port`] — from that instant the kernel
-/// refuses datagrams to it, exactly as after `close`), discards what was
-/// still queued and parks the descriptor; the next allocation binds a
-/// parked descriptor to a fresh kernel-chosen port
+/// refuses datagrams to it, exactly as after `close`) and parks the
+/// descriptor, then asks the readiness set once which descriptors are
+/// readable and empties the parked ones among them; the next allocation
+/// binds a parked descriptor to a fresh kernel-chosen port
 /// ([`sys::bind_loopback_port`]). A descriptor is opened only while the
 /// pool grows — the free list is empty — or when the kernel refuses to
 /// re-port one (the descriptor is then dropped), so a steady pool performs
@@ -345,11 +351,13 @@ fn open_ephemeral() -> io::Result<(UdpSocket, u16)> {
 ///
 /// One cross-thread race is left open, and nothing rests on it: a sender on
 /// another CPU that looked the socket up just before the release can queue
-/// a datagram just after the discard. It is discarded when the descriptor
-/// is re-ported or reported readable, whichever comes first; one that lands
-/// in the sub-microsecond window between that second discard and the bind
-/// is handled like any datagram on the new port — decode, purpose check,
-/// per-channel budget, source MAC.
+/// a datagram just after the expiry's readiness query. While the
+/// descriptor stays parked, that datagram makes it readable and the next
+/// drain empties it; once the descriptor is re-ported — in the same tick,
+/// when a round starts right after the expiry — it is an ordinary datagram
+/// on the new port: decode, purpose check, per-channel budget, source MAC.
+/// A query whose report is full ([`sys::EVENT_BATCH`] readable live
+/// sockets) can miss a parked descriptor the same way.
 ///
 /// The pool keeps its descriptors in a readiness set of its own — an inner
 /// epoll, the one descriptor the driver's epoll watches
@@ -370,6 +378,10 @@ pub struct SocketPool {
     bind_failures: u64,
     /// Descriptors opened for the pool so far.
     sockets_opened: u64,
+    /// Ports handed out so far.
+    ports_allocated: u64,
+    /// Syscalls spent on ports so far (see [`SocketPool::port_syscalls`]).
+    port_syscalls: u64,
     /// Optional observability counter bumped per fresh port allocation.
     rotations: Option<drum_trace::Counter>,
     /// The readiness set: every descriptor the pool owns, under its
@@ -388,6 +400,8 @@ impl SocketPool {
             parked: Vec::new(),
             bind_failures: 0,
             sockets_opened: 0,
+            ports_allocated: 0,
+            port_syscalls: 0,
             rotations: None,
             ready_set: None,
             ready: Vec::new(),
@@ -440,32 +454,68 @@ impl SocketPool {
         self.sockets_opened
     }
 
+    /// Ports handed out so far: every allocation that bound a port, on a
+    /// fresh descriptor or a parked one.
+    pub fn ports_allocated(&self) -> u64 {
+        self.ports_allocated
+    }
+
+    /// Syscalls spent on ports so far: releases, the expiry's readiness
+    /// queries, discarding receives, `bind` + `getsockname` per re-port,
+    /// and `socket`/`bind`/`ioctl`/`getsockname`/`epoll_ctl` per fresh
+    /// descriptor. Divided by [`SocketPool::ports_allocated`], what one
+    /// random port costs in kernel crossings.
+    pub fn port_syscalls(&self) -> u64 {
+        self.port_syscalls
+    }
+
     /// Retires ports allocated more than `lifetime` rounds ago. Each
-    /// descriptor releases its port, drops what was queued for it — left
-    /// there, one stale datagram would keep a parked descriptor readable
-    /// and the driver awake — and parks; should the kernel refuse the
-    /// release, the descriptor closes, which releases the port too.
+    /// descriptor releases its port and parks; should the kernel refuse
+    /// the release, the descriptor closes, which releases the port too.
+    /// Then one readiness query (timeout 0) names the descriptors that
+    /// still hold datagrams, and the parked ones among them are emptied —
+    /// left there, one stale datagram would keep a parked descriptor
+    /// readable and the driver awake. A pool not attached to a readiness
+    /// set asks nothing: no drain reads it either.
     pub fn expire(&mut self, now: Round) {
         let Self {
             lifetime,
             sockets,
             parked,
+            ready_set,
+            ready,
+            port_syscalls,
             ..
         } = self;
+        let parked_before = parked.len();
         for expired in sockets.extract_if(.., |s| now.since(s.born) >= *lifetime) {
+            *port_syscalls += 1;
             if sys::release_port(&expired.socket).is_ok() {
-                discard_queued(&expired.socket);
                 parked.push(expired.socket);
+            }
+        }
+        if parked.len() == parked_before {
+            return;
+        }
+        let Some(set) = ready_set else {
+            return;
+        };
+        ready.clear();
+        *port_syscalls += 1;
+        // A failed query reports nothing; the drain empties what it missed.
+        let _ = set.wait_tagged(0, ready);
+        for &token in ready.iter() {
+            if let Some(socket) = parked.iter().find(|p| key(p) == token) {
+                *port_syscalls += sys::discard_queued(socket);
             }
         }
     }
 
-    /// A parked descriptor under a fresh kernel-chosen port. The second
-    /// discard covers a datagram that was in flight to the old port when
-    /// it was released. Any error drops — closes — the descriptor.
+    /// A parked descriptor under a fresh kernel-chosen port. Any error
+    /// drops — closes — the descriptor.
     fn rebind_parked(&mut self) -> Option<(UdpSocket, u16)> {
         let socket = self.parked.pop()?;
-        discard_queued(&socket);
+        self.port_syscalls += REBIND_SYSCALLS;
         let port = sys::bind_loopback_port(&socket).ok()?;
         Some((socket, port))
     }
@@ -476,8 +526,10 @@ impl SocketPool {
     /// A descriptor the set refuses is closed — it would hold a port no
     /// drain ever reads.
     fn open_watched(&mut self) -> Option<(UdpSocket, u16)> {
+        self.port_syscalls += OPEN_SYSCALLS;
         let (socket, port) = open_ephemeral().ok()?;
         if let Some(set) = &self.ready_set {
+            self.port_syscalls += 1;
             set.add_tagged(&socket, key(&socket)).ok()?;
         }
         self.sockets_opened += 1;
@@ -499,6 +551,7 @@ impl SocketPool {
             parked,
             ready_set,
             ready,
+            port_syscalls,
             ..
         } = self;
         let Some(set) = ready_set else {
@@ -518,7 +571,7 @@ impl SocketPool {
                     }
                     None => {
                         if let Some(socket) = parked.iter().find(|p| key(p) == *token) {
-                            discard_queued(socket);
+                            *port_syscalls += sys::discard_queued(socket);
                         }
                         false
                     }
@@ -562,6 +615,7 @@ impl PortOracle for SocketPool {
             purpose,
             born: round,
         });
+        self.ports_allocated += 1;
         if let Some(c) = &self.rotations {
             c.inc();
         }
@@ -790,39 +844,98 @@ mod tests {
         );
     }
 
-    /// The cross-thread race, staged: a datagram lands on the descriptor
-    /// *after* the discard that follows the release.
+    /// The cross-thread race, staged: a datagram sits on the descriptor
+    /// when its port is released.
     #[test]
-    fn a_datagram_that_raced_the_release_is_discarded_by_rebind_and_by_drain() {
-        let raced = || {
-            let (socket, port) = open_ephemeral().unwrap();
-            send(port, b"in flight");
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            sys::release_port(&socket).unwrap();
-            socket
-        };
-        // Re-ported before any drain: the rebind discards it.
-        let (mut pool, _outer) = attached_pool(3);
-        pool.parked.push(raced());
-        assert_ne!(pool.allocate_port(PortPurpose::PushData, Round(1)), 0);
-        assert_eq!(pool.sockets_opened(), 0);
+    fn a_raced_datagram_is_discarded_by_the_expiry_query_and_by_drain() {
+        // Still queued at the release: the expiry's readiness query reports
+        // the descriptor, and it is emptied before it can take a port.
+        let (mut pool, outer) = attached_pool(1);
+        let old = pool.allocate_port(PortPurpose::PullReply, Round(1));
+        send(old, b"in flight");
+        let mut tokens = Vec::new();
+        assert_eq!(outer.wait_tagged(5_000, &mut tokens).unwrap(), 1);
+        sys::tally::take();
+        pool.expire(Round(2));
+        let calls = sys::tally::take();
+        assert_eq!((calls.release, calls.wait), (1, 1));
+        assert_eq!(calls.discard, 2, "one datagram, one empty receive");
+        tokens.clear();
+        assert_eq!(outer.wait_tagged(0, &mut tokens).unwrap(), 0);
+        assert_ne!(pool.allocate_port(PortPurpose::PushData, Round(2)), 0);
+        assert_eq!(pool.sockets_opened(), 1);
+        assert_eq!(sys::tally::take().discard, 0, "the rebind discards nothing");
         assert_eq!(drain_pool(&mut pool), []);
         // Drained while parked: the drain discards it, and the driver,
         // which the stale datagram had woken, goes back to sleep.
         let (mut pool, outer) = attached_pool(3);
-        let socket = raced();
+        let (socket, port) = open_ephemeral().unwrap();
+        send(port, b"in flight");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        sys::release_port(&socket).unwrap();
         pool.ready_set
             .as_ref()
             .unwrap()
             .add_tagged(&socket, key(&socket))
             .unwrap();
         pool.parked.push(socket);
-        let mut tokens = Vec::new();
         assert_eq!(outer.wait_tagged(5_000, &mut tokens).unwrap(), 1);
         assert_eq!(drain_pool(&mut pool), []);
         tokens.clear();
         assert_eq!(outer.wait_tagged(0, &mut tokens).unwrap(), 0);
         assert_eq!(pool.parked.len(), 1);
+    }
+
+    /// What a port costs in kernel crossings once the pool has grown:
+    /// expiring `k` idle ports is `k` releases and one readiness query,
+    /// re-porting them is `k` binds and `k` `getsockname`s, and only a
+    /// descriptor that holds a datagram pays discarding receives.
+    #[test]
+    fn expiring_and_re_porting_k_ports_costs_k_releases_one_query_and_2k_binds() {
+        const K: u64 = 6;
+        let (mut pool, _outer) = attached_pool(1);
+        sys::tally::take();
+        let mut ports: Vec<u16> = (0..K)
+            .map(|_| pool.allocate_port(PortPurpose::PullReply, Round(1)))
+            .collect();
+        assert_eq!(sys::tally::take().epoll_ctl, K, "growth registers each");
+        let grown = pool.port_syscalls();
+        assert_eq!(grown, K * (OPEN_SYSCALLS + 1));
+
+        for round in 2..=4 {
+            // The second pass finds a datagram on one expiring port.
+            let loaded = round == 3;
+            if loaded {
+                send(ports[2], b"unread");
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            let before = pool.port_syscalls();
+            pool.expire(Round(round));
+            ports = (0..K)
+                .map(|_| pool.allocate_port(PortPurpose::PushReply, Round(round)))
+                .collect();
+            assert!(ports.iter().all(|&p| p != 0));
+            let calls = sys::tally::take();
+            let discards = if loaded { 2 } else { 0 };
+            assert_eq!(
+                calls,
+                sys::tally::Calls {
+                    release: K,
+                    wait: 1,
+                    discard: discards,
+                    bind: K,
+                    getsockname: K,
+                    epoll_ctl: 0,
+                },
+                "round {round}"
+            );
+            assert_eq!(pool.port_syscalls() - before, 3 * K + 1 + discards);
+        }
+        assert_eq!(pool.sockets_opened(), K);
+        assert_eq!(pool.ports_allocated(), 4 * K);
+        // Nothing expired, nothing asked.
+        pool.expire(Round(4));
+        assert_eq!(sys::tally::take(), sys::tally::Calls::default());
     }
 
     #[test]

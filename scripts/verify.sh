@@ -69,7 +69,9 @@ phase_end "ext_soak"
 # duplicates reads 10+. And descriptors opened by the random-port pools per
 # engine-round: well under 1 when pools open sockets only while they grow
 # and rotate ports on them afterwards, gated at 1 — a socket per port
-# reads ~6.
+# reads ~6. And syscalls per random port: ~3.3 when an expiry's ports share
+# one readiness query and only a descriptor holding a datagram is emptied,
+# gated at 4 — discarding every expiring port twice reads ~5.
 phase_begin "drum-lab cluster --shards 1 (64 engines, one event loop)"
 CLUSTER_OUT="$(mktemp)"
 cargo run --release --offline -q -p drum-lab -- cluster \
@@ -88,6 +90,11 @@ awk '/^crypto.compress_calls per delivered message/ { seen = 1; if ($6 > 6) bad 
 awk '/^net.sockets_opened per engine-round/ { seen = 1; if ($4 > 1) bad = 1 }
      END { exit !(seen && !bad) }' "$CLUSTER_OUT" || {
     echo "random-port pools opened more than 1 socket per engine-round (or printed no count)" >&2
+    exit 1
+}
+awk '/^net.port_syscalls per port/ { seen = 1; if ($4 > 4) bad = 1 }
+     END { exit !(seen && !bad) }' "$CLUSTER_OUT" || {
+    echo "random ports cost more than 4 syscalls each (or printed no count)" >&2
     exit 1
 }
 rm -f "$CLUSTER_OUT"
