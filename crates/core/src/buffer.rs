@@ -10,10 +10,14 @@
 //! Under a sustained multi-message stream the buffer is on the per-round hot
 //! path three times: `purge` at every round boundary, `increment_hops` right
 //! after it, and `select_missing` once per gossip partner. The store is
-//! therefore an *age-bucketed ring*: one bucket per insertion round, oldest
-//! at the front. Purging pops whole expired buckets off the front — O(1)
-//! amortized per stored message, never a full scan — and a `HashMap` index
-//! from [`MessageId`] to `(round, slot)` keeps `contains`/`get` O(1).
+//! therefore one *insertion-ordered ring*: a `VecDeque` of
+//! `(insertion round, message)`, oldest at the front. Inserts never go back
+//! in time, so insertion order is round order and purging pops expired
+//! messages off the front — O(1) amortized per stored message, never a full
+//! scan. A `HashMap` index from [`MessageId`] to the message's insertion
+//! number keeps `contains`/`get` O(1). The ring is one allocation that
+//! follows the total number of messages buffered at once, whatever their
+//! split across rounds.
 //!
 //! The digest a pull-request or push-reply advertises is kept *live*: a
 //! [`Digest`] of the buffered ids updated at every insert and purge, so
@@ -24,9 +28,10 @@
 //! The "seen" digest (which prevents re-delivery of purged messages that
 //! gossip back in) is unbounded by default, matching the paper's model where
 //! a process remembers everything it ever delivered. For long soaks,
-//! [`MessageBuffer::with_seen_window`] bounds it to a round window: ids
-//! older than the window are evicted via [`Digest::remove`], so memory is
-//! O(active window) instead of O(history).
+//! [`MessageBuffer::with_seen_window`] bounds it to a round window: a second
+//! ring of `(insertion round, id)` remembers what to forget, ids older than
+//! the window are evicted via [`Digest::remove`], and memory is O(active
+//! window) instead of O(history).
 
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
@@ -36,19 +41,9 @@ use crate::ids::{MessageId, Round};
 use crate::message::DataMessage;
 
 /// Fixed per-message bookkeeping charged to [`MessageBuffer::bytes`] on top
-/// of the payload: the `DataMessage` struct itself plus the index entry.
+/// of the payload: the ring entry plus the index entry.
 const MESSAGE_OVERHEAD_BYTES: usize =
-    std::mem::size_of::<DataMessage>() + std::mem::size_of::<(MessageId, (Round, u32))>();
-
-/// One insertion round's worth of messages.
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    round: Round,
-    slots: Vec<DataMessage>,
-    /// Ids inserted this round, remembered for windowed-seen eviction.
-    /// Only populated when a seen window is configured.
-    seen_ids: Vec<MessageId>,
-}
+    std::mem::size_of::<(Round, DataMessage)>() + std::mem::size_of::<(MessageId, u64)>();
 
 /// A bounded, age-purged store of data messages.
 ///
@@ -75,10 +70,19 @@ struct Bucket {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MessageBuffer {
-    /// Age-bucketed ring: buckets sorted by insertion round, oldest first.
-    buckets: VecDeque<Bucket>,
-    /// O(1) membership: id → (insertion round, slot within that bucket).
-    index: HashMap<MessageId, (Round, u32)>,
+    /// The buffered messages with their insertion rounds, in insertion
+    /// order (so in round order), oldest first.
+    ring: VecDeque<(Round, DataMessage)>,
+    /// Insertion number of the ring's front: message `n` is at
+    /// `ring[n - front]`.
+    front: u64,
+    /// O(1) membership: id → insertion number.
+    index: HashMap<MessageId, u64>,
+    /// Every id inserted within the seen window, with its insertion round,
+    /// oldest first; kept only when a seen window is configured.
+    seen_ring: VecDeque<(Round, MessageId)>,
+    /// Round of the latest insert: inserts never go back in time.
+    newest: Round,
     /// Digest of everything inserted within the seen window (everything
     /// *ever* inserted when the window is 0 = unbounded), used to avoid
     /// re-delivering a purged message that gossips back in.
@@ -99,11 +103,6 @@ pub struct MessageBuffer {
     /// message, so this is also the cumulative purge count). Diagnostic for
     /// the `max_age = 0` fast path, which must do no iteration work at all.
     purge_visits: u64,
-    /// Buckets retired by `purge`, cleared and kept for reuse so a
-    /// steady-state round (one bucket retired, one opened) recycles the
-    /// slot capacity instead of reallocating it. Bounded by the number of
-    /// buckets ever concurrently live (≤ max(max_age, seen_window) + 1).
-    spare: Vec<Bucket>,
 }
 
 impl MessageBuffer {
@@ -142,38 +141,35 @@ impl MessageBuffer {
         }
     }
 
-    /// Position of the bucket for `round`, or where one would be inserted.
-    fn bucket_pos(&self, round: Round) -> Result<usize, usize> {
-        self.buckets.binary_search_by(|b| b.round.cmp(&round))
-    }
-
     /// Inserts a message at local round `now`.
     ///
     /// Returns `true` if the message is *new* (never seen before); `false`
     /// if it is a duplicate or was already seen and purged. Duplicates are
     /// not re-inserted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` is earlier than the round of a previous insert: the
+    /// ring is kept in round order by inserting at the current round only
+    /// (as the engine does).
     pub fn insert(&mut self, msg: DataMessage, now: Round) -> bool {
+        assert!(
+            now >= self.newest,
+            "insert at round {now} after an insert at round {}",
+            self.newest
+        );
+        self.newest = now;
         if !self.seen.insert(msg.id) {
             return false;
         }
-        let pos = match self.bucket_pos(now) {
-            Ok(pos) => pos,
-            Err(pos) => {
-                let mut bucket = self.spare.pop().unwrap_or_default();
-                bucket.round = now;
-                self.buckets.insert(pos, bucket);
-                pos
-            }
-        };
-        let bucket = &mut self.buckets[pos];
         let id = msg.id;
         self.bytes += msg.payload.len() + MESSAGE_OVERHEAD_BYTES;
         self.bytes_peak = self.bytes_peak.max(self.bytes);
-        self.index.insert(id, (now, bucket.slots.len() as u32));
+        self.index.insert(id, self.front + self.ring.len() as u64);
         self.live.insert(id);
-        bucket.slots.push(msg);
+        self.ring.push_back((now, msg));
         if self.seen_window > 0 {
-            bucket.seen_ids.push(id);
+            self.seen_ring.push_back((now, id));
         }
         true
     }
@@ -191,9 +187,8 @@ impl MessageBuffer {
 
     /// Fetches a buffered message.
     pub fn get(&self, id: MessageId) -> Option<&DataMessage> {
-        let &(round, slot) = self.index.get(&id)?;
-        let pos = self.bucket_pos(round).ok()?;
-        self.buckets[pos].slots.get(slot as usize)
+        let &n = self.index.get(&id)?;
+        self.ring.get((n - self.front) as usize).map(|(_, msg)| msg)
     }
 
     /// Number of currently buffered messages.
@@ -251,51 +246,26 @@ impl MessageBuffer {
             return 0;
         }
         let mut purged = 0usize;
-        while let Some(front) = self.buckets.front() {
-            if now.since(front.round) < self.max_age {
+        while let Some(&(round, _)) = self.ring.front() {
+            if now.since(round) < self.max_age {
                 break;
             }
-            // Expired seen ids stay queued (not yet evictable) unless the
-            // window has also passed; drain them with the bucket when it has.
-            let evict_seen = self.seen_window > 0 && now.since(front.round) >= self.seen_window;
-            if !evict_seen && self.seen_window > 0 {
-                // The bucket's messages expire now but their seen ids must
-                // survive until the window closes: move them to a tombstone
-                // bucket that holds only seen ids.
-                break;
-            }
-            let mut bucket = self.buckets.pop_front().expect("front checked above");
-            for msg in &bucket.slots {
-                self.index.remove(&msg.id);
-                self.live.remove(msg.id);
-                self.bytes -= msg.payload.len() + MESSAGE_OVERHEAD_BYTES;
-                self.purge_visits += 1;
-                purged += 1;
-            }
-            if evict_seen {
-                for id in &bucket.seen_ids {
-                    self.seen.remove(*id);
-                }
-            }
-            bucket.slots.clear();
-            bucket.seen_ids.clear();
-            self.spare.push(bucket);
+            let (_, msg) = self.ring.pop_front().expect("front checked above");
+            self.front += 1;
+            self.index.remove(&msg.id);
+            self.live.remove(msg.id);
+            self.bytes -= msg.payload.len() + MESSAGE_OVERHEAD_BYTES;
+            purged += 1;
         }
-        // With a seen window, buckets older than max_age but younger than
-        // the window keep their seen ids; purge their message slots in place.
-        if self.seen_window > 0 {
-            for bucket in &mut self.buckets {
-                if now.since(bucket.round) < self.max_age {
-                    break;
-                }
-                for msg in bucket.slots.drain(..) {
-                    self.index.remove(&msg.id);
-                    self.live.remove(msg.id);
-                    self.bytes -= msg.payload.len() + MESSAGE_OVERHEAD_BYTES;
-                    self.purge_visits += 1;
-                    purged += 1;
-                }
+        self.purge_visits += purged as u64;
+        // The seen window covers the retention age, so an id leaves `seen`
+        // only after its message has left the ring.
+        while let Some(&(round, id)) = self.seen_ring.front() {
+            if now.since(round) < self.seen_window {
+                break;
             }
+            self.seen_ring.pop_front();
+            self.seen.remove(id);
         }
         purged
     }
@@ -303,10 +273,8 @@ impl MessageBuffer {
     /// Increments the round counter (`hops`) of every buffered message —
     /// the paper's §8.1 accounting, performed once per local round.
     pub fn increment_hops(&mut self) {
-        for bucket in &mut self.buckets {
-            for msg in &mut bucket.slots {
-                msg.hops = msg.hops.saturating_add(1);
-            }
+        for (_, msg) in &mut self.ring {
+            msg.hops = msg.hops.saturating_add(1);
         }
     }
 
@@ -328,11 +296,13 @@ impl MessageBuffer {
 
     /// [`Self::select_missing`] into a caller-provided buffer.
     ///
-    /// `out` is cleared first and never shrunk, so a buffer reused across
-    /// partners and rounds grows once to the configured per-exchange cap and
-    /// then allocates nothing: selection is a single reservoir-sampling pass
-    /// over the age buckets (uniform over the missing messages), and cloning
-    /// a [`DataMessage`] only bumps the payload's refcount.
+    /// `out` is cleared first and never shrunk, and an `out` too small for
+    /// the largest possible selection (`max` or everything buffered) grows
+    /// to it in one step, so a buffer reused across partners and rounds
+    /// allocates once and then nothing: selection is a single
+    /// reservoir-sampling pass over the ring in insertion order (uniform over
+    /// the missing messages), and cloning a [`DataMessage`] only bumps the
+    /// payload's refcount.
     pub fn select_missing_into<R: Rng + ?Sized>(
         &self,
         their_digest: &Digest,
@@ -344,32 +314,31 @@ impl MessageBuffer {
         if max == 0 {
             return;
         }
+        out.reserve(max.min(self.len()));
         let mut candidates = 0usize;
         // Buffered messages come in runs of one source, so the digest's
         // map is searched once per run, not once per message.
         let mut source = None;
         let mut owned: &[(u64, u64)] = &[];
-        for bucket in &self.buckets {
-            for msg in &bucket.slots {
-                if source != Some(msg.id.source) {
-                    source = Some(msg.id.source);
-                    owned = their_digest.intervals_of(msg.id.source);
-                }
-                if covers(owned, msg.id.seq) {
-                    continue;
-                }
-                if candidates < max {
-                    out.push(msg.clone());
-                } else {
-                    // Reservoir step: the i-th candidate (0-based) replaces a
-                    // kept one with probability max / (i + 1).
-                    let j = rng.random_range(0..=candidates);
-                    if j < max {
-                        out[j] = msg.clone();
-                    }
-                }
-                candidates += 1;
+        for (_, msg) in &self.ring {
+            if source != Some(msg.id.source) {
+                source = Some(msg.id.source);
+                owned = their_digest.intervals_of(msg.id.source);
             }
+            if covers(owned, msg.id.seq) {
+                continue;
+            }
+            if candidates < max {
+                out.push(msg.clone());
+            } else {
+                // Reservoir step: the i-th candidate (0-based) replaces a
+                // kept one with probability max / (i + 1).
+                let j = rng.random_range(0..=candidates);
+                if j < max {
+                    out[j] = msg.clone();
+                }
+            }
+            candidates += 1;
         }
     }
 }
@@ -523,6 +492,37 @@ mod tests {
     }
 
     #[test]
+    fn ring_capacity_follows_the_total_buffered() {
+        // One 200-message round, then `max_age` rounds of 10: per-round
+        // storage would keep the burst round's capacity beside ten more;
+        // the one ring only ever holds 200 at once.
+        let mut buf = MessageBuffer::new(10);
+        for seq in 0..200 {
+            buf.insert(msg(1, seq), Round(0));
+        }
+        for round in 1..=10u64 {
+            buf.purge(Round(round));
+            for i in 0..10 {
+                buf.insert(msg(1, 200 + round * 10 + i), Round(round));
+            }
+        }
+        assert_eq!(buf.len(), 100);
+        assert!(
+            buf.ring.capacity() <= 512,
+            "ring capacity {}",
+            buf.ring.capacity()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "after an insert at round")]
+    fn an_insert_back_in_time_panics() {
+        let mut buf = MessageBuffer::new(10);
+        buf.insert(msg(1, 0), Round(3));
+        buf.insert(msg(1, 1), Round(2));
+    }
+
+    #[test]
     fn get_finds_messages_across_buckets() {
         let mut buf = MessageBuffer::new(10);
         buf.insert(msg(1, 0), Round(0));
@@ -611,7 +611,7 @@ mod tests {
     fn select_missing_matches_into_variant() {
         let mut buf = MessageBuffer::new(10);
         for seq in 0..40 {
-            buf.insert(msg(1, seq), Round(seq % 4));
+            buf.insert(msg(1, seq), Round(seq / 10));
         }
         let mut rng1 = SmallRng::seed_from_u64(9);
         let mut rng2 = SmallRng::seed_from_u64(9);
@@ -644,18 +644,15 @@ mod tests {
 
             let mut rng_ref = SmallRng::seed_from_u64(max as u64);
             let mut want: Vec<MessageId> = Vec::new();
-            let mut candidates = 0usize;
-            for bucket in &buf.buckets {
-                for m in bucket.slots.iter().filter(|m| !theirs.contains(m.id)) {
-                    if candidates < max {
-                        want.push(m.id);
-                    } else if max > 0 {
-                        let j = rng_ref.random_range(0..=candidates);
-                        if j < max {
-                            want[j] = m.id;
-                        }
+            let missing = buf.ring.iter().filter(|(_, m)| !theirs.contains(m.id));
+            for (candidates, (_, m)) in missing.enumerate() {
+                if candidates < max {
+                    want.push(m.id);
+                } else if max > 0 {
+                    let j = rng_ref.random_range(0..=candidates);
+                    if j < max {
+                        want[j] = m.id;
                     }
-                    candidates += 1;
                 }
             }
             assert_eq!(got.iter().map(|m| m.id).collect::<Vec<_>>(), want);

@@ -131,6 +131,11 @@ impl Digest {
         self.ranges.is_empty()
     }
 
+    /// Number of sources with at least one id.
+    pub fn source_count(&self) -> usize {
+        self.ranges.len()
+    }
+
     /// Number of stored intervals (compactness measure).
     pub fn interval_count(&self) -> usize {
         self.ranges.values().map(Vec::len).sum()
@@ -282,6 +287,19 @@ mod tests {
         assert!(!d.contains(id(1, 4)));
         assert!(!d.contains(id(2, 5)));
         assert_eq!(d.len(), 1);
+    }
+
+    #[test]
+    fn source_count_follows_inserts_and_removes() {
+        let mut d = Digest::new();
+        assert_eq!(d.source_count(), 0);
+        d.insert(id(1, 0));
+        d.insert(id(1, 5));
+        d.insert(id(4, 2));
+        assert_eq!(d.source_count(), 2);
+        assert_eq!(d.source_count(), d.intervals().count());
+        d.remove(id(4, 2));
+        assert_eq!(d.source_count(), 1);
     }
 
     #[test]

@@ -120,6 +120,12 @@ pub struct RoundStats {
     /// a push-offer from an unregistered id goes unanswered (after paying
     /// its budget slot) and an unregistered view member is not contacted.
     pub dropped_keyless: u64,
+    /// Pull-requests, push-offers and push-replies left unanswered because
+    /// their reply port came in plaintext while random ports are on. A
+    /// member only ever sends such a port sealed, so a plaintext one was
+    /// chosen by whoever forged the request, and answering it would
+    /// reflect a reply at a port of their choosing.
+    pub dropped_plain_port: u64,
     /// New data messages delivered to the application this round.
     pub delivered: u64,
 }
@@ -162,8 +168,9 @@ pub struct Engine {
     offered_to: HashSet<ProcessId>,
     /// Newly delivered messages awaiting collection by the application.
     delivered: Vec<DataMessage>,
-    /// Reusable scratch for pull/push reply selection; grows once to
-    /// `max_msgs_per_exchange` and is then recycled every exchange.
+    /// Selection scratch for pull/push replies. A non-empty selection moves
+    /// into the reply it fills, so no stored message is kept alive here
+    /// after its exchange; an empty one keeps the allocation for the next.
     scratch: Vec<DataMessage>,
     /// Per-round statistics.
     stats: RoundStats,
@@ -366,11 +373,18 @@ impl Engine {
     }
 
     /// Recovers a reply port sent to us. Sealed ports are opened with our
-    /// own key; plain ports are used as-is. `None` means the message was
-    /// malformed (bad seal) and must be dropped.
-    fn resolve_port(&self, port: &PortRef) -> Option<u16> {
+    /// own key. A plaintext port is used as-is only with random ports off
+    /// (the ablation, where every port travels in plaintext); with random
+    /// ports on it is refused and counted in
+    /// [`RoundStats::dropped_plain_port`]. `None` means no reply may be
+    /// sent: the request keeps the budget slot it was charged.
+    fn resolve_port(&mut self, port: &PortRef) -> Option<u16> {
         match port {
             PortRef::None => None,
+            PortRef::Plain(_) if self.config.random_ports => {
+                self.stats.dropped_plain_port += 1;
+                None
+            }
             PortRef::Plain(p) => Some(*p),
             PortRef::Sealed(sealed) => seal::open_port(&self.my_key, sealed).ok(),
         }
@@ -552,7 +566,7 @@ impl Engine {
                     port: SendPort::Port(port),
                     msg: GossipMessage::PullReply {
                         from: self.me(),
-                        messages: self.scratch.clone(),
+                        messages: std::mem::take(&mut self.scratch),
                     },
                 });
             }
@@ -615,7 +629,7 @@ impl Engine {
                     port: SendPort::Port(port),
                     msg: GossipMessage::PushData {
                         from: self.me(),
-                        messages: self.scratch.clone(),
+                        messages: std::mem::take(&mut self.scratch),
                     },
                 });
             }
@@ -756,6 +770,11 @@ mod tests {
         }
     }
 
+    /// `port` sealed for `to`, as a member requesting from `to` sends it.
+    fn sealed_for(to: &Engine, port: u16) -> PortRef {
+        PortRef::Sealed(seal::seal_port(&to.my_key, u64::from(port), port).unwrap())
+    }
+
     #[test]
     fn publish_buffers_and_signs() {
         let (mut engines, store) = setup(2, ProtocolVariant::Drum);
@@ -841,7 +860,7 @@ mod tests {
             let req = GossipMessage::PullRequest {
                 from: ProcessId(1),
                 digest: Digest::new(),
-                reply_port: PortRef::Plain(1000 + i),
+                reply_port: sealed_for(&engines[0], 1000 + i),
                 nonce: i as u64,
             };
             responses += engines[0].handle(req, &mut oracle).len();
@@ -856,15 +875,16 @@ mod tests {
         let (mut engines, _) = setup(2, ProtocolVariant::Drum);
         let mut oracle = CountingPortOracle::default();
         engines[0].begin_round(&mut oracle);
-        let request = |i: u16| GossipMessage::PullRequest {
+        let request = |engine: &Engine, i: u16| GossipMessage::PullRequest {
             from: ProcessId(1),
             digest: Digest::new(),
-            reply_port: PortRef::Plain(1000 + i),
+            reply_port: sealed_for(engine, 1000 + i),
             nonce: u64::from(i),
         };
         // Drum F=4: the pull-request channel accepts F/2 = 2.
         for i in 0..3 {
-            assert!(engines[0].handle(request(i), &mut oracle).is_empty());
+            let request = request(&engines[0], i);
+            assert!(engines[0].handle(request, &mut oracle).is_empty());
         }
         assert_eq!(engines[0].stats().accepted_of(MessageKind::PullRequest), 2);
         assert_eq!(engines[0].stats().dropped_of(MessageKind::PullRequest), 1);
@@ -872,12 +892,13 @@ mod tests {
         let id = engines[0].publish(Bytes::from_static(b"m"));
         engines[0].end_round();
         engines[0].begin_round(&mut oracle);
-        let mut holds_it = request(9);
+        let mut holds_it = request(&engines[0], 9);
         if let GossipMessage::PullRequest { digest, .. } = &mut holds_it {
             digest.insert(id);
         }
         assert!(engines[0].handle(holds_it, &mut oracle).is_empty());
-        assert_eq!(engines[0].handle(request(10), &mut oracle).len(), 1);
+        let request = request(&engines[0], 10);
+        assert_eq!(engines[0].handle(request, &mut oracle).len(), 1);
     }
 
     #[test]
@@ -889,7 +910,7 @@ mod tests {
         let allocated = oracle.next;
         let offer = GossipMessage::PushOffer {
             from: ProcessId(0xDEAD_0001),
-            reply_port: PortRef::Plain(1),
+            reply_port: sealed_for(&engines[0], 1),
             nonce: 1,
         };
         assert!(engines[0].handle(offer, &mut oracle).is_empty());
@@ -900,7 +921,7 @@ mod tests {
         // A registered peer's offer still gets a sealed data port.
         let offer = GossipMessage::PushOffer {
             from: ProcessId(1),
-            reply_port: PortRef::Plain(1),
+            reply_port: sealed_for(&engines[0], 1),
             nonce: 2,
         };
         let out = engines[0].handle(offer, &mut oracle);
@@ -912,6 +933,64 @@ mod tests {
             }] => assert!(data_port.is_sealed()),
             other => panic!("expected one push-reply, got {other:?}"),
         }
+    }
+
+    /// A pull-request and a push-offer from a member id, each naming its
+    /// reply port in plaintext, with the engine under `config`: the
+    /// responses, the ports allocated and the round's stats.
+    fn answer_plaintext_ports(config: GossipConfig) -> (Vec<Outbound>, u64, RoundStats) {
+        let store = KeyStore::new(7);
+        let members: Vec<ProcessId> = (0..2).map(ProcessId).collect();
+        let key = store.register(0);
+        store.register(1);
+        let mut engine = Engine::new(
+            config,
+            Membership::new(ProcessId(0), members),
+            store,
+            key,
+            1,
+        );
+        engine.publish(Bytes::from_static(b"m"));
+        let mut oracle = CountingPortOracle::default();
+        engine.begin_round(&mut oracle);
+        let allocated = oracle.next;
+        let mut out = engine.handle(
+            GossipMessage::PullRequest {
+                from: ProcessId(1),
+                digest: Digest::new(),
+                reply_port: PortRef::Plain(1),
+                nonce: 1,
+            },
+            &mut oracle,
+        );
+        out.extend(engine.handle(
+            GossipMessage::PushOffer {
+                from: ProcessId(1),
+                reply_port: PortRef::Plain(1),
+                nonce: 2,
+            },
+            &mut oracle,
+        ));
+        (out, oracle.next - allocated, *engine.stats())
+    }
+
+    #[test]
+    fn plaintext_reply_ports_are_charged_and_unanswered_under_random_ports() {
+        let (out, allocated, stats) = answer_plaintext_ports(GossipConfig::drum());
+        assert!(out.is_empty(), "nothing is sent: {out:?}");
+        assert_eq!(allocated, 0, "no port is allocated");
+        assert_eq!(stats.accepted_of(MessageKind::PullRequest), 1);
+        assert_eq!(stats.accepted_of(MessageKind::PushOffer), 1);
+        assert_eq!(stats.dropped_plain_port, 2);
+    }
+
+    #[test]
+    fn plaintext_reply_ports_are_answered_without_random_ports() {
+        let (out, _, stats) = answer_plaintext_ports(GossipConfig::drum().with_random_ports(false));
+        let kinds: Vec<MessageKind> = out.iter().map(|o| o.msg.kind()).collect();
+        assert_eq!(kinds, [MessageKind::PullReply, MessageKind::PushReply]);
+        assert!(out.iter().all(|o| o.port == SendPort::Port(1)));
+        assert_eq!(stats.dropped_plain_port, 0);
     }
 
     #[test]
@@ -940,10 +1019,11 @@ mod tests {
         let mut oracle = CountingPortOracle::default();
         engines[0].begin_round(&mut oracle);
         engines[0].offered_to.insert(ProcessId(1));
+        let data_port = sealed_for(&engines[0], 5000);
         let reply = || GossipMessage::PushReply {
             from: ProcessId(1),
             digest: Digest::new(),
-            data_port: PortRef::Plain(5000),
+            data_port: data_port.clone(),
             nonce: 0,
         };
         let first = engines[0].handle(reply(), &mut oracle);
@@ -1022,11 +1102,12 @@ mod tests {
         engines[0].end_round();
         engines[0].begin_round(&mut oracle);
         // Fresh budget accepts again.
+        let reply_port = sealed_for(&engines[0], 1);
         let out = engines[0].handle(
             GossipMessage::PullRequest {
                 from: ProcessId(1),
                 digest: Digest::new(),
-                reply_port: PortRef::Plain(1),
+                reply_port,
                 nonce: 0,
             },
             &mut oracle,
@@ -1107,11 +1188,12 @@ mod tests {
         }
         let mut oracle = CountingPortOracle::default();
         engine.begin_round(&mut oracle);
+        let reply_port = sealed_for(&engine, 9);
         let out = engine.handle(
             GossipMessage::PullRequest {
                 from: ProcessId(1),
                 digest: Digest::new(),
-                reply_port: PortRef::Plain(9),
+                reply_port,
                 nonce: 0,
             },
             &mut oracle,

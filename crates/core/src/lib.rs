@@ -189,7 +189,7 @@ mod proptests {
                     GossipConfig::drum(),
                     Membership::new(ProcessId(0), members),
                     store,
-                    key,
+                    key.clone(),
                     seed,
                 );
                 let mut oracle = CountingPortOracle::default();
@@ -197,6 +197,13 @@ mod proptests {
 
                 for (kind, from, seq, port) in msgs {
                     let from = ProcessId(from);
+                    // Odd ports come sealed for p0, as a member sends them,
+                    // so the reply paths behind a valid port are fuzzed too.
+                    let port = if port.is_multiple_of(2) {
+                        PortRef::Plain(port)
+                    } else {
+                        PortRef::Sealed(drum_crypto::seal::seal_port(&key, seq, port).unwrap())
+                    };
                     let data = DataMessage {
                         id: MessageId::new(from, seq),
                         hops: 0,
@@ -207,7 +214,7 @@ mod proptests {
                         0 => GossipMessage::PullRequest {
                             from,
                             digest: Digest::new(),
-                            reply_port: PortRef::Plain(port),
+                            reply_port: port,
                             nonce: seq,
                         },
                         1 => GossipMessage::PullReply {
@@ -216,13 +223,13 @@ mod proptests {
                         },
                         2 => GossipMessage::PushOffer {
                             from,
-                            reply_port: PortRef::Plain(port),
+                            reply_port: port,
                             nonce: seq,
                         },
                         3 => GossipMessage::PushReply {
                             from,
                             digest: Digest::new(),
-                            data_port: PortRef::Plain(port),
+                            data_port: port,
                             nonce: seq,
                         },
                         _ => GossipMessage::PushData {

@@ -83,7 +83,9 @@ impl DataMessage {
 pub enum PortRef {
     /// No port information (abstract/simulated transport).
     None,
-    /// A cleartext port — vulnerable to targeted flooding.
+    /// A cleartext port — vulnerable to targeted flooding. Answered only
+    /// with random ports off; with them on, a member never sends one, and
+    /// the engine refuses to reply to it.
     Plain(u16),
     /// A sealed port, only readable by the intended recipient.
     Sealed(SealedBox),

@@ -97,7 +97,8 @@ pub(crate) fn check_adversary(kind: AdversaryKind) -> io::Result<()> {
 }
 
 /// A fabricated pull-request: decodes fine, claims a bogus sender and
-/// directs any reply to a dead port.
+/// directs any reply to a dead port, in plaintext — so it wins budget slots
+/// but, with random ports on, never a reply.
 pub fn fabricated_pull_request(seq: u64) -> GossipMessage {
     GossipMessage::PullRequest {
         from: ProcessId(0xDEAD_0000 + (seq & 0xFFFF)),
@@ -107,7 +108,7 @@ pub fn fabricated_pull_request(seq: u64) -> GossipMessage {
     }
 }
 
-/// A fabricated push-offer with a dead reply port.
+/// A fabricated push-offer with a dead plaintext reply port.
 pub fn fabricated_push_offer(seq: u64) -> GossipMessage {
     GossipMessage::PushOffer {
         from: ProcessId(0xDEAD_0000 + (seq & 0xFFFF)),

@@ -1,10 +1,17 @@
 //! Binary wire codec for [`GossipMessage`].
 //!
-//! A hand-rolled, length-checked format on top of `drum_core::bytes` (no
-//! general serialization framework is available offline, and a fixed format
-//! keeps datagrams compact). All integers are big-endian. Every decoder is
-//! hardened against truncated, oversized and garbage input — a DoS-resistant
-//! endpoint must survive arbitrary bytes on its well-known ports.
+//! A hand-rolled, length-checked format (no general serialization
+//! framework is available offline, and a fixed format keeps datagrams
+//! compact). All integers are big-endian. Every decoder is hardened against
+//! truncated, oversized and garbage input — a DoS-resistant endpoint must
+//! survive arbitrary bytes on its well-known ports.
+//!
+//! Encoding writes into a reusable `drum_core::bytes::BytesMut`. Decoding
+//! ([`decode_skipping`], and [`decode`] on top of it) reads the borrowed
+//! datagram and copies out what the message keeps and nothing else: each
+//! kept data message's payload into a `Bytes` of its own, a sealed port's
+//! ciphertext, a digest's intervals. A datagram that fails a check
+//! allocates nothing.
 
 use drum_core::bytes::{Bytes, BytesMut};
 
@@ -84,18 +91,54 @@ impl core::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn need(buf: &Bytes, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
+/// A bounds-checked read cursor over a borrowed datagram. Reads never
+/// allocate; one past the end is [`DecodeError::Truncated`].
+#[derive(Clone, Copy)]
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if self.0.len() < n {
+            return Err(DecodeError::Truncated);
+        }
+        let (head, tail) = self.0.split_at(n);
+        self.0 = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<&'a [u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("took N bytes"))
+    }
+
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, DecodeError> {
+        Ok(u16::from_be_bytes(*self.array()?))
+    }
+
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_be_bytes(*self.array()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_be_bytes(*self.array()?))
+    }
+
+    /// Rejects trailing bytes: a legitimate sender never produces them.
+    fn finish(self) -> Result<(), DecodeError> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err(DecodeError::BadTag)
+        }
     }
 }
 
 fn put_digest(out: &mut BytesMut, digest: &Digest) {
-    let sources: Vec<_> = digest.intervals().collect();
-    out.put_u32(sources.len() as u32);
-    for (source, intervals) in sources {
+    out.put_u32(digest.source_count() as u32);
+    for (source, intervals) in digest.intervals() {
         out.put_u64(source.as_u64());
         out.put_u32(intervals.len() as u32);
         for &(lo, hi) in intervals {
@@ -105,26 +148,34 @@ fn put_digest(out: &mut BytesMut, digest: &Digest) {
     }
 }
 
-fn get_digest(buf: &mut Bytes) -> Result<Digest, DecodeError> {
-    need(buf, 4)?;
-    let n_sources = buf.get_u32() as usize;
+/// The digest that ends a pull-request or push-reply: `r` is the rest of
+/// the datagram. Its lengths, limits and end are checked before anything is
+/// allocated; only then are the intervals copied out and checked for
+/// canonical form.
+fn get_digest(mut r: Reader<'_>) -> Result<Digest, DecodeError> {
+    let n_sources = r.u32()? as usize;
     if n_sources > MAX_DIGEST_INTERVALS {
         return Err(DecodeError::TooLarge);
     }
-    let mut entries = Vec::with_capacity(n_sources.min(64));
+    let mut walk = r;
     let mut total_intervals = 0usize;
     for _ in 0..n_sources {
-        need(buf, 12)?;
-        let source = ProcessId(buf.get_u64());
-        let n_intervals = buf.get_u32() as usize;
+        walk.take(8)?;
+        let n_intervals = walk.u32()? as usize;
         total_intervals += n_intervals;
         if total_intervals > MAX_DIGEST_INTERVALS {
             return Err(DecodeError::TooLarge);
         }
-        let mut intervals = Vec::with_capacity(n_intervals.min(64));
+        walk.take(16 * n_intervals)?;
+    }
+    walk.finish()?;
+    let mut entries = Vec::with_capacity(n_sources);
+    for _ in 0..n_sources {
+        let source = ProcessId(r.u64()?);
+        let n_intervals = r.u32()? as usize;
+        let mut intervals = Vec::with_capacity(n_intervals);
         for _ in 0..n_intervals {
-            need(buf, 16)?;
-            intervals.push((buf.get_u64(), buf.get_u64()));
+            intervals.push((r.u64()?, r.u64()?));
         }
         entries.push((source, intervals));
     }
@@ -148,31 +199,51 @@ fn put_port(out: &mut BytesMut, port: &PortRef) {
     }
 }
 
-fn get_port(buf: &mut Bytes) -> Result<PortRef, DecodeError> {
-    need(buf, 1)?;
-    match buf.get_u8() {
-        PORT_NONE => Ok(PortRef::None),
-        PORT_PLAIN => {
-            need(buf, 2)?;
-            Ok(PortRef::Plain(buf.get_u16()))
-        }
-        PORT_SEALED => {
-            need(buf, 9)?;
-            let nonce = buf.get_u64();
-            let ct_len = buf.get_u8() as usize;
-            if ct_len > drum_crypto::seal::MAX_SEALED_LEN {
-                return Err(DecodeError::TooLarge);
-            }
-            need(buf, ct_len + 32)?;
-            let mut ciphertext = vec![0u8; ct_len];
-            buf.copy_to_slice(&mut ciphertext);
-            let mut tag = [0u8; 32];
-            buf.copy_to_slice(&mut tag);
-            Ok(PortRef::Sealed(SealedBox {
+/// A reply port as the datagram carries it, built into a [`PortRef`] only
+/// once the rest of the datagram has parsed.
+enum WirePort<'a> {
+    None,
+    Plain(u16),
+    Sealed {
+        nonce: u64,
+        ciphertext: &'a [u8],
+        tag: &'a [u8; 32],
+    },
+}
+
+impl WirePort<'_> {
+    fn build(self) -> PortRef {
+        match self {
+            WirePort::None => PortRef::None,
+            WirePort::Plain(p) => PortRef::Plain(p),
+            WirePort::Sealed {
                 nonce,
                 ciphertext,
                 tag,
-            }))
+            } => PortRef::Sealed(SealedBox {
+                nonce,
+                ciphertext: ciphertext.to_vec(),
+                tag: *tag,
+            }),
+        }
+    }
+}
+
+fn get_port<'a>(r: &mut Reader<'a>) -> Result<WirePort<'a>, DecodeError> {
+    match r.u8()? {
+        PORT_NONE => Ok(WirePort::None),
+        PORT_PLAIN => Ok(WirePort::Plain(r.u16()?)),
+        PORT_SEALED => {
+            let nonce = r.u64()?;
+            let ct_len = r.u8()? as usize;
+            if ct_len > drum_crypto::seal::MAX_SEALED_LEN {
+                return Err(DecodeError::TooLarge);
+            }
+            Ok(WirePort::Sealed {
+                nonce,
+                ciphertext: r.take(ct_len)?,
+                tag: r.array()?,
+            })
         }
         _ => Err(DecodeError::BadTag),
     }
@@ -187,24 +258,41 @@ fn put_data_message(out: &mut BytesMut, msg: &DataMessage) {
     out.put_slice(&msg.auth.0);
 }
 
-fn get_data_message(buf: &mut Bytes) -> Result<DataMessage, DecodeError> {
-    need(buf, 24)?;
-    let source = ProcessId(buf.get_u64());
-    let seq = buf.get_u64();
-    let hops = buf.get_u32();
-    let payload_len = buf.get_u32() as usize;
+/// One data message as the datagram carries it.
+struct WireData<'a> {
+    id: MessageId,
+    hops: u32,
+    payload: &'a [u8],
+    auth: &'a [u8; 32],
+}
+
+impl WireData<'_> {
+    /// Copies the message out of the datagram: the payload gets an
+    /// allocation of its own, so a stored message pins its own bytes and
+    /// nothing else of the datagram it arrived in.
+    fn build(&self) -> DataMessage {
+        DataMessage {
+            id: self.id,
+            hops: self.hops,
+            payload: Bytes::copy_from_slice(self.payload),
+            auth: AuthTag(*self.auth),
+        }
+    }
+}
+
+fn get_data_message<'a>(r: &mut Reader<'a>) -> Result<WireData<'a>, DecodeError> {
+    let source = ProcessId(r.u64()?);
+    let seq = r.u64()?;
+    let hops = r.u32()?;
+    let payload_len = r.u32()? as usize;
     if payload_len > MAX_PAYLOAD_LEN {
         return Err(DecodeError::TooLarge);
     }
-    need(buf, payload_len + 32)?;
-    let payload = buf.copy_to_bytes(payload_len);
-    let mut tag = [0u8; 32];
-    buf.copy_to_slice(&mut tag);
-    Ok(DataMessage {
+    Ok(WireData {
         id: MessageId::new(source, seq),
         hops,
-        payload,
-        auth: AuthTag(tag),
+        payload: r.take(payload_len)?,
+        auth: r.array()?,
     })
 }
 
@@ -215,15 +303,35 @@ fn put_messages(out: &mut BytesMut, messages: &[DataMessage]) {
     }
 }
 
-fn get_messages(buf: &mut Bytes) -> Result<Vec<DataMessage>, DecodeError> {
-    need(buf, 4)?;
-    let n = buf.get_u32() as usize;
+/// The data messages that end a pull-reply or push-data datagram, minus
+/// those `skip` names: `r` is the rest of the datagram. A first pass checks
+/// every message and the datagram's end and marks the messages to keep;
+/// only then does a second pass copy the kept ones out, into a vector of
+/// exactly their number. A skipped message is checked, never built.
+fn get_messages(
+    mut r: Reader<'_>,
+    skip: &mut impl FnMut(MessageId) -> bool,
+) -> Result<Vec<DataMessage>, DecodeError> {
+    let n = r.u32()? as usize;
     if n > MAX_MESSAGES_PER_DATAGRAM {
         return Err(DecodeError::TooLarge);
     }
-    let mut out = Vec::with_capacity(n.min(128));
-    for _ in 0..n {
-        out.push(get_data_message(buf)?);
+    let mut keep = [0u64; MAX_MESSAGES_PER_DATAGRAM / 64];
+    let mut kept = 0;
+    let mut walk = r;
+    for i in 0..n {
+        if !skip(get_data_message(&mut walk)?.id) {
+            keep[i / 64] |= 1 << (i % 64);
+            kept += 1;
+        }
+    }
+    walk.finish()?;
+    let mut out = Vec::with_capacity(kept);
+    for i in 0..n {
+        let msg = get_data_message(&mut r)?;
+        if keep[i / 64] & (1 << (i % 64)) != 0 {
+            out.push(msg.build());
+        }
     }
     Ok(out)
 }
@@ -313,70 +421,85 @@ pub fn peek_kind(bytes: &[u8]) -> Option<drum_core::message::MessageKind> {
     }
 }
 
-/// Decodes a datagram payload into a [`GossipMessage`].
+/// Decodes a datagram payload into a [`GossipMessage`]:
+/// [`decode_skipping`] with nothing skipped.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] for any malformed input; decoding never
 /// panics regardless of the bytes received.
 pub fn decode(bytes: &[u8]) -> Result<GossipMessage, DecodeError> {
+    decode_skipping(bytes, |_| false)
+}
+
+/// Decodes a datagram payload into a [`GossipMessage`], leaving out of a
+/// pull-reply or push-data the data messages whose ids `skip` names.
+///
+/// The datagram is borrowed, never copied whole: each kept payload is
+/// copied into an allocation of its own, so a message kept for rounds pins
+/// its own bytes and not the datagram it came in. A skipped message is
+/// checked like any other — `decode_skipping` fails exactly when
+/// [`decode`] does — but never built, so a receiver that skips the ids it
+/// has already seen pays no allocation for a duplicate. A datagram
+/// rejected for its lengths, tags, limits or trailing bytes allocates
+/// nothing, and neither does a control message without a sealed port or
+/// a digest entry.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] for any malformed input; decoding never
+/// panics regardless of the bytes received.
+pub fn decode_skipping(
+    bytes: &[u8],
+    mut skip: impl FnMut(MessageId) -> bool,
+) -> Result<GossipMessage, DecodeError> {
     if bytes.len() > MAX_WIRE_LEN {
         return Err(DecodeError::TooLarge);
     }
-    let mut buf = Bytes::copy_from_slice(bytes);
-    need(&buf, 9)?;
-    let tag = buf.get_u8();
-    let from = ProcessId(buf.get_u64());
-    let msg = match tag {
+    let mut r = Reader(bytes);
+    let tag = r.u8()?;
+    let from = ProcessId(r.u64()?);
+    Ok(match tag {
         TAG_PULL_REQUEST => {
-            need(&buf, 8)?;
-            let nonce = buf.get_u64();
-            let reply_port = get_port(&mut buf)?;
-            let digest = get_digest(&mut buf)?;
+            let nonce = r.u64()?;
+            let reply_port = get_port(&mut r)?;
             GossipMessage::PullRequest {
                 from,
-                digest,
-                reply_port,
+                digest: get_digest(r)?,
+                reply_port: reply_port.build(),
                 nonce,
             }
         }
         TAG_PULL_REPLY => GossipMessage::PullReply {
             from,
-            messages: get_messages(&mut buf)?,
+            messages: get_messages(r, &mut skip)?,
         },
         TAG_PUSH_OFFER => {
-            need(&buf, 8)?;
-            let nonce = buf.get_u64();
-            let reply_port = get_port(&mut buf)?;
+            let nonce = r.u64()?;
+            let reply_port = get_port(&mut r)?;
+            r.finish()?;
             GossipMessage::PushOffer {
                 from,
-                reply_port,
+                reply_port: reply_port.build(),
                 nonce,
             }
         }
         TAG_PUSH_REPLY => {
-            need(&buf, 8)?;
-            let nonce = buf.get_u64();
-            let data_port = get_port(&mut buf)?;
-            let digest = get_digest(&mut buf)?;
+            let nonce = r.u64()?;
+            let data_port = get_port(&mut r)?;
             GossipMessage::PushReply {
                 from,
-                digest,
-                data_port,
+                digest: get_digest(r)?,
+                data_port: data_port.build(),
                 nonce,
             }
         }
         TAG_PUSH_DATA => GossipMessage::PushData {
             from,
-            messages: get_messages(&mut buf)?,
+            messages: get_messages(r, &mut skip)?,
         },
         _ => return Err(DecodeError::BadTag),
-    };
-    if buf.has_remaining() {
-        // Trailing garbage: reject, a legitimate sender never produces it.
-        return Err(DecodeError::BadTag);
-    }
-    Ok(msg)
+    })
 }
 
 /// A packed, MTU-budgeted gossip frame: several whole [`GossipMessage`]s to

@@ -75,9 +75,9 @@ pub mod transport;
 
 pub use attack::{spawn_attacker, AttackerConfig, AttackerHandle};
 pub use codec::{
-    decode, decode_frame, encode, frame_signed_body, is_frame, peek_kind, DecodeError, Frame,
-    FrameBuilder, FRAME_BUDGET, FRAME_HEADER_LEN, FRAME_ITEM_OVERHEAD, FRAME_TAG_LEN,
-    MAX_FRAME_MESSAGES,
+    decode, decode_frame, decode_skipping, encode, frame_signed_body, is_frame, peek_kind,
+    DecodeError, Frame, FrameBuilder, FRAME_BUDGET, FRAME_HEADER_LEN, FRAME_ITEM_OVERHEAD,
+    FRAME_TAG_LEN, MAX_FRAME_MESSAGES,
 };
 /// The former name of [`drum_core::AdversaryKind`] in this crate, kept
 /// because `benchmark/` names `FloodStrategy::Static`; it is removed at
@@ -96,7 +96,7 @@ pub use transport::{AddressBook, BatchRx, BatchTx, SocketPool, WellKnownAddrs, W
 
 #[cfg(test)]
 mod proptests {
-    use crate::codec::{decode, encode};
+    use crate::codec::{decode, decode_skipping, encode};
     use drum_core::digest::Digest;
     use drum_core::ids::{MessageId, ProcessId};
     use drum_core::message::{DataMessage, GossipMessage, PortRef};
@@ -177,6 +177,67 @@ mod proptests {
             prop_assert_eq!(decode(&bytes).unwrap(), msg);
             Ok(())
         });
+    }
+
+    /// A skip set over ids, drawn per case: roughly half of all ids.
+    fn arb_skip(g: &mut Gen) -> impl Fn(MessageId) -> bool {
+        let salt = g.u64();
+        move |id: MessageId| {
+            (id.source.as_u64() ^ id.seq ^ salt)
+                .count_ones()
+                .is_multiple_of(2)
+        }
+    }
+
+    #[test]
+    fn decode_skipping_leaves_out_exactly_the_skipped_data_messages() {
+        check(
+            "decode_skipping_leaves_out_exactly_the_skipped_data_messages",
+            Config::default(),
+            |g| {
+                let msg = arb_message(g);
+                let skip = arb_skip(g);
+                let bytes = encode(&msg);
+                let want = match msg {
+                    GossipMessage::PullReply { from, mut messages } => {
+                        messages.retain(|m| !skip(m.id));
+                        GossipMessage::PullReply { from, messages }
+                    }
+                    GossipMessage::PushData { from, mut messages } => {
+                        messages.retain(|m| !skip(m.id));
+                        GossipMessage::PushData { from, messages }
+                    }
+                    control => control,
+                };
+                prop_assert_eq!(decode_skipping(&bytes, &skip).unwrap(), want);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn decode_skipping_fails_exactly_when_decode_does() {
+        check(
+            "decode_skipping_fails_exactly_when_decode_does",
+            Config::default(),
+            |g| {
+                let bytes = if g.bool(0.25) {
+                    g.bytes(0..512)
+                } else {
+                    let mut bytes = encode(&arb_message(g)).to_vec();
+                    let i = g.index(bytes.len());
+                    if g.bool(0.5) {
+                        bytes[i] = g.u8();
+                    } else {
+                        bytes.truncate(i);
+                    }
+                    bytes
+                };
+                let skip = arb_skip(g);
+                prop_assert_eq!(decode_skipping(&bytes, &skip).err(), decode(&bytes).err());
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -622,11 +622,13 @@ impl NodeCore {
     /// the well-known ports and the fixed reply ports of the ablation mode.
     ///
     /// Datagrams move through `rx`, one `recvmmsg` per batch, in kernel
-    /// queue order.
+    /// queue order. As in [`Self::drain_pool`], data messages the node has
+    /// already seen are checked but not built.
     fn drain_staging(&mut self, class: ChannelClass, rx: &mut BatchRx) {
         let Self {
             sockets,
             ablation,
+            engine,
             stats,
             staged,
             staged_seen,
@@ -641,13 +643,16 @@ impl NodeCore {
             (ChannelClass::AbPushData, Some(ab)) => (&ab.push_data, MessageKind::PushData, 4),
             _ => return,
         };
-        rx.drain_socket(socket, &mut [], |bytes| match codec::decode(bytes) {
-            Ok(msg) if msg.kind() == expected => {
-                stats.received += 1;
-                stage_arrival(slot, msg, staged, staged_seen, rng);
+        let buffer = engine.buffer();
+        rx.drain_socket(socket, &mut [], |bytes| {
+            match codec::decode_skipping(bytes, |id| buffer.seen(id)) {
+                Ok(msg) if msg.kind() == expected => {
+                    stats.received += 1;
+                    stage_arrival(slot, msg, staged, staged_seen, rng);
+                }
+                Ok(_) => stats.port_mismatches += 1,
+                Err(_) => stats.decode_errors += 1,
             }
-            Ok(_) => stats.port_mismatches += 1,
-            Err(_) => stats.decode_errors += 1,
         });
     }
 
@@ -657,22 +662,27 @@ impl NodeCore {
     /// model's same-round pull-replies).
     ///
     /// Every datagram is one bare gossip message. Anything else — a
-    /// retired TAG 6 frame included — is a decode error, and every data
-    /// message that reaches the engine pays its own source verification
-    /// unless the node has already seen its id.
+    /// retired TAG 6 frame included — is a decode error. A data message
+    /// whose id the node has already seen is checked by the decoder but
+    /// never built (the engine would skip it before any MAC anyway); every
+    /// other one that reaches the engine pays its own source verification.
     fn drain_pool(&mut self, rx: &mut BatchRx) {
         let Self {
             pool,
+            engine,
             stats,
             drained,
             ..
         } = self;
-        pool.drain(rx, |purpose, bytes| match codec::decode(bytes) {
-            Ok(msg) => {
-                stats.received += 1;
-                drained.push((purpose, msg));
+        let buffer = engine.buffer();
+        pool.drain(rx, |purpose, bytes| {
+            match codec::decode_skipping(bytes, |id| buffer.seen(id)) {
+                Ok(msg) => {
+                    stats.received += 1;
+                    drained.push((purpose, msg));
+                }
+                Err(_) => stats.decode_errors += 1,
             }
-            Err(_) => stats.decode_errors += 1,
         });
         for (purpose, msg) in self.drained.drain(..) {
             let matches = matches!(
@@ -871,6 +881,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::shard::{spawn_shard, EngineHandle, ShardHandle};
     use crate::transport::bind_ephemeral;
+    use drum_crypto::seal::seal_port;
     use std::sync::mpsc::channel;
     use std::sync::Arc;
 
@@ -1155,7 +1166,7 @@ pub(crate) mod tests {
         use drum_core::digest::Digest;
         use drum_core::message::PortRef;
 
-        let (mut core, _delivered_rx, _peer) = lone_core(5);
+        let (mut core, _delivered_rx, peer) = lone_core(5);
         let epoll = sys::Epoll::new().unwrap();
         core.register(&epoll, 0).unwrap();
         let send_socket = bind_ephemeral().unwrap();
@@ -1167,11 +1178,12 @@ pub(crate) mod tests {
         let requester = bind_ephemeral().unwrap();
         let reply_port = requester.local_addr().unwrap().port();
         let pull = core.book.addrs_of(ProcessId(0)).unwrap().pull;
+        let key = peer.key_store.key_of(0).unwrap();
         for nonce in 0..2 {
             let req = codec::encode(&GossipMessage::PullRequest {
                 from: ProcessId(1),
                 digest: Digest::new(),
-                reply_port: PortRef::Plain(reply_port),
+                reply_port: PortRef::Sealed(seal_port(&key, nonce, reply_port).unwrap()),
                 nonce,
             });
             requester.send_to(&req, pull).unwrap();
@@ -1328,17 +1340,19 @@ pub(crate) mod tests {
 
         let (specs, book) = specs(2, 13, drum(40));
         let p0_pull = book.addrs_of(ProcessId(0)).unwrap().pull;
+        let p0_key = specs[0].my_key.clone();
         let (shard, engines) = spawn_shard(specs).unwrap();
 
         engines[0].publish(Bytes::from_static(b"cadence"));
         // A dead socket keeps fabricated replies addressable without ICMP
-        // noise; the flood itself is valid-looking pull-requests.
+        // noise; the flood itself is valid-looking pull-requests, their
+        // reply port sealed for p0 so that every accepted one is answered.
         let dead = bind_ephemeral().unwrap();
         let dead_port = dead.local_addr().unwrap().port();
         let flood = codec::encode(&GossipMessage::PullRequest {
             from: ProcessId(1),
             digest: Digest::new(),
-            reply_port: PortRef::Plain(dead_port),
+            reply_port: PortRef::Sealed(seal_port(&p0_key, 5, dead_port).unwrap()),
             nonce: 5,
         });
         let sender = bind_ephemeral().unwrap();
@@ -1382,6 +1396,7 @@ pub(crate) mod tests {
         let (mut specs, book) = specs(2, 3, drum(20).with_tracer(tracer.clone()));
         let pull_addr = book.addrs_of(ProcessId(0)).unwrap().pull;
         let _silent_peer = specs.pop();
+        let p0_key = specs[0].my_key.clone();
         let (shard, engines) = spawn_shard(specs).unwrap();
 
         // Give the node something to serve, then pull with reply port 0.
@@ -1390,7 +1405,7 @@ pub(crate) mod tests {
         let req = codec::encode(&GossipMessage::PullRequest {
             from: ProcessId(1),
             digest: Digest::new(),
-            reply_port: PortRef::Plain(0),
+            reply_port: PortRef::Sealed(seal_port(&p0_key, 9, 0).unwrap()),
             nonce: 9,
         });
         let deadline = Instant::now() + Duration::from_secs(10);

@@ -490,19 +490,26 @@ impl Drop for Pages {
 }
 
 /// Fixed scratch for `recvmmsg`: [`BATCH`] datagram buffers of
-/// `slot_len` bytes each, plus the `mmsghdr`/`iovec` vectors one call
+/// `slot_len` bytes each, plus the `mmsghdr`/`iovec` tables one call
 /// fills. Allocated once per runtime thread and reused for every
 /// batched receive. The buffers are an anonymous mapping, not heap: a
 /// page commits when the kernel first writes a datagram into it, so
 /// resident memory follows the bytes actually received (a 60 KiB slot
 /// that only ever sees 100-byte datagrams costs one page) instead of
 /// depending on whether the allocator zero-fills a recycled chunk.
+///
+/// The tables are built once, in [`RecvArena::new`]: header `i` points
+/// at iovec `i`, and iovec `i` at slot `i` of the mapping. A receive
+/// resets only the header fields the kernel writes.
 pub struct RecvArena {
     slot_len: usize,
     bufs: Pages,
     lens: [usize; BATCH],
+    /// Fixed at [`BATCH`] entries: never pushed to, so never reallocated.
     hdrs: Vec<MMsgHdr>,
-    iovs: Vec<IoVec>,
+    /// Fixed like `hdrs`, and never touched after `new`: it owns the
+    /// iovecs the headers point at.
+    _iovs: Vec<IoVec>,
     count: usize,
 }
 
@@ -515,40 +522,46 @@ impl std::fmt::Debug for RecvArena {
     }
 }
 
-// SAFETY: the raw pointers the arena stores are the iovec/msghdr
-// scratch and the buffer mapping. The scratch is re-derived from the
-// owned, address-stable vectors and mapping immediately before every
-// syscall (see `recv`) — a value left over from before a move is never
-// read. The mapping is process-wide memory the arena alone owns and
-// unmaps on drop. Everything the pointers target is owned by the
-// arena, so it can move between threads (a shard is built on the
-// spawning thread and runs on its own).
+// SAFETY: the raw pointers the arena stores are its header table's
+// pointers into its iovec table and the iovecs' pointers into its buffer
+// mapping. All three are owned by the arena alone and never reallocated
+// (two vectors that are never resized and a fixed mapping, unmapped on
+// drop), so they live in heap and mmap storage, not in the arena value:
+// moving the arena — to another thread too (a shard is built on the
+// spawning thread and runs on its own) — leaves every pointer valid.
 unsafe impl Send for RecvArena {}
 
 impl RecvArena {
-    /// Creates an arena whose per-datagram slots hold `slot_len`
-    /// bytes (callers pass the codec's maximum wire length plus one, so
-    /// an over-long datagram shows up as one the codec rejects); the
-    /// kernel truncates anything longer to the slot.
+    /// Creates an arena whose per-datagram slots hold `slot_len` bytes
+    /// (callers pass the codec's maximum wire length plus one, so an
+    /// over-long datagram shows up as one the codec rejects); the kernel
+    /// truncates anything longer to the slot.
     pub fn new(slot_len: usize) -> Self {
+        let mut bufs = Pages::new(slot_len * BATCH);
+        let slots = bufs.as_mut_slice();
+        let mut iovs: Vec<IoVec> = (0..BATCH)
+            .map(|i| IoVec {
+                base: slots[i * slot_len..].as_mut_ptr(),
+                len: slot_len,
+            })
+            .collect();
+        let hdrs = iovs
+            .iter_mut()
+            .map(|iov| MMsgHdr {
+                hdr: MsgHdr {
+                    iov,
+                    iovlen: 1,
+                    ..MsgHdr::zeroed()
+                },
+                len: 0,
+            })
+            .collect();
         RecvArena {
             slot_len,
-            bufs: Pages::new(slot_len * BATCH),
+            bufs,
             lens: [0; BATCH],
-            hdrs: vec![
-                MMsgHdr {
-                    hdr: MsgHdr::zeroed(),
-                    len: 0,
-                };
-                BATCH
-            ],
-            iovs: vec![
-                IoVec {
-                    base: core::ptr::null_mut(),
-                    len: 0,
-                };
-                BATCH
-            ],
+            hdrs,
+            _iovs: iovs,
             count: 0,
         }
     }
@@ -559,24 +572,18 @@ impl RecvArena {
     /// [`RecvArena::datagram`] in kernel queue order.
     pub fn recv(&mut self, fd: i32) -> io::Result<usize> {
         self.count = 0;
-        // Re-derive every pointer from the (address-stable) buffers
-        // right before the call: the arena stays movable and the kernel
-        // only ever sees addresses valid for this call.
-        let bufs = self.bufs.as_mut_slice();
-        for i in 0..BATCH {
-            self.iovs[i] = IoVec {
-                base: bufs[i * self.slot_len..].as_mut_ptr(),
-                len: self.slot_len,
-            };
-            self.hdrs[i].hdr = MsgHdr::zeroed();
-            self.hdrs[i].hdr.iov = &mut self.iovs[i];
-            self.hdrs[i].hdr.iovlen = 1;
-            self.hdrs[i].len = 0;
+        // With name and control null the kernel writes a header's
+        // datagram length, flags and (zero) control length, nothing else.
+        for h in self.hdrs.iter_mut() {
+            h.len = 0;
+            h.hdr.flags = 0;
+            h.hdr.controllen = 0;
         }
         // SAFETY: `hdrs` holds BATCH initialized mmsghdrs whose iovecs
         // point at BATCH disjoint `slot_len` slices of `bufs`, all
-        // owned by `self` and alive across the call; name/control are
-        // null so the kernel writes datagram bytes and lengths only.
+        // owned by `self` and alive across the call (see `new` and the
+        // `Send` impl); name/control are null so the kernel writes
+        // datagram bytes and the header fields reset above only.
         let ret = unsafe {
             syscall6(
                 nr::RECVMMSG,
@@ -637,9 +644,10 @@ impl std::fmt::Debug for SendArena {
     }
 }
 
-// SAFETY: as for `RecvArena` — header/iovec pointers are re-derived
-// from owned vectors right before the `sendmmsg` call, never carried
-// across a move.
+// SAFETY: unlike `RecvArena`'s fixed tables, the header/iovec pointers
+// are re-derived from owned vectors right before each `sendmmsg` call
+// (the byte arena may reallocate while queueing), so no stored pointer is
+// read after a move; everything they target is owned by the arena.
 unsafe impl Send for SendArena {}
 
 impl Default for SendArena {

@@ -1071,6 +1071,49 @@ mod tests {
         assert_eq!((rx.syscalls(), rx.batched_datagrams()), (2, 100));
     }
 
+    /// A receiver's header and iovec tables are built once and point into
+    /// heap and mmap storage, not into the receiver: moved after its first
+    /// receive — into a box, then onto another thread — it still returns
+    /// the sent bytes in order. Each burst is more than one batch, so
+    /// every move is followed by full and short `recvmmsg` calls.
+    #[test]
+    fn a_batch_rx_moved_after_its_first_receive_still_returns_the_sent_bytes() {
+        let socket = bind_ephemeral().unwrap();
+        let dest = socket.local_addr().unwrap();
+        let sender = bind_ephemeral().unwrap();
+        let send = |burst: u8| -> Vec<Vec<u8>> {
+            let sent: Vec<Vec<u8>> = (0..70u8).map(|i| vec![burst, i, 0xEE]).collect();
+            for d in &sent {
+                sender.send_to(d, dest).unwrap();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            sent
+        };
+        let drain = |rx: &mut BatchRx| {
+            let mut got = Vec::new();
+            rx.drain_socket(&socket, &mut [], |bytes| got.push(bytes.to_vec()));
+            got
+        };
+
+        let mut rx = BatchRx::new(2048);
+        let sent = send(0);
+        assert_eq!(drain(&mut rx), sent);
+        let mut boxed = Box::new(rx);
+        let sent = send(1);
+        assert_eq!(drain(&mut boxed), sent);
+        let sent = send(2);
+        let (got, rx) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut rx = *boxed;
+                (drain(&mut rx), rx)
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(got, sent);
+        assert_eq!((rx.syscalls(), rx.batched_datagrams()), (6, 210));
+    }
+
     #[test]
     fn batch_tx_fanout_delivers_once_per_recipient() {
         let rx_socket = bind_ephemeral().unwrap();

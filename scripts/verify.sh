@@ -104,9 +104,9 @@ phase_end "cluster"
 # per-thread runtime, the forced per-datagram mode, the serial sim stepper,
 # the single-block SHA-256 ablation, the fig binaries' full-scale switch)
 # or became an argument (the adversary strategy), the API of drum-net's
-# deleted per-datagram, sleep-poll and scanning I/O paths, and the sim's
-# deleted intra-trial shard layer; nothing may still read, call or
-# document them. (Names are spliced so this script
+# deleted per-datagram, sleep-poll and scanning I/O paths, the sim's
+# deleted intra-trial shard layer, and the bitset union that lost its last
+# caller with it; nothing may still read, call or document them. (Names are spliced so this script
 # does not match itself.)
 RETIRED_NAMES="DRUM_NET_NO""_PACK|DRUM_NET_MULTI""PLEX|DRUM_NET_NO""_BATCH"
 RETIRED_NAMES="$RETIRED_NAMES|DRUM_SIM""_SHARDS|DRUM_CRYPTO""_NO_SIMD|DRUM_BENCH""_FULL"
@@ -114,6 +114,7 @@ RETIRED_NAMES="$RETIRED_NAMES|DRUM_ADV""ERSARY"
 RETIRED_NAMES="$RETIRED_NAMES|BatchRx::for""ced|BatchTx::for""ced|ShardCore::without""_epoll"
 RETIRED_NAMES="$RETIRED_NAMES|NodeCore::drain""_all|sys::avail""able|NetConfig::po""ll"
 RETIRED_NAMES="$RETIRED_NAMES|step""_sharded|auto""_shards|run_trial_traced""_mode|shard""_range|IN_WOR""KER"
+RETIRED_NAMES="$RETIRED_NAMES|BitSet::or""_with|\\.or""_with\\("
 phase_begin "no retired name left"
 if grep -rnE "$RETIRED_NAMES" crates scripts .github .claude tests examples \
     README.md DESIGN.md EXPERIMENTS.md; then

@@ -15,6 +15,7 @@ use drum::core::ids::ProcessId;
 use drum::core::message::{GossipMessage, PortRef};
 use drum::core::view::Membership;
 use drum::crypto::keys::KeyStore;
+use drum::crypto::seal::seal_port;
 use drum::sim::config::SimConfig;
 use drum::sim::runner::run_experiment;
 
@@ -97,7 +98,7 @@ fn fig12b_engine_level_shared_bounds_drop_offers_under_flood() {
             GossipConfig::drum().with_bound_mode(mode),
             Membership::new(ProcessId(0), members.clone()),
             store.clone(),
-            key,
+            key.clone(),
             1,
         );
         let mut oracle = CountingPortOracle::default();
@@ -114,11 +115,12 @@ fn fig12b_engine_level_shared_bounds_drop_offers_under_flood() {
                 &mut oracle,
             );
         }
-        // ...then a legitimate push-offer.
+        // ...then a legitimate push-offer, its reply port sealed for p0.
+        let reply_port = PortRef::Sealed(seal_port(&key, 0, 2).unwrap());
         let responses = engine.handle(
             GossipMessage::PushOffer {
                 from: ProcessId(1),
-                reply_port: PortRef::Plain(2),
+                reply_port,
                 nonce: 0,
             },
             &mut oracle,
