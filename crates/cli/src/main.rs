@@ -335,6 +335,10 @@ fn run(args: &Args) -> Result<(), String> {
                 report.bind_failed
             );
             println!(
+                "net.ports_reused {} (of those, allocations that re-advertised an older port)",
+                report.ports_reused
+            );
+            println!(
                 "net.shard_wakeups per engine-round {:.2} ({} wakeups, {} engine-rounds)",
                 report.shard_wakeups as f64 / report.rounds.max(1) as f64,
                 report.shard_wakeups,

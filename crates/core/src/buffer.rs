@@ -14,16 +14,17 @@
 //! `(insertion round, message)`, oldest at the front. Inserts never go back
 //! in time, so insertion order is round order and purging pops expired
 //! messages off the front — O(1) amortized per stored message, never a full
-//! scan. A `HashMap` index from [`MessageId`] to the message's insertion
-//! number keeps `contains`/`get` O(1). The ring is one allocation that
-//! follows the total number of messages buffered at once, whatever their
-//! split across rounds.
+//! scan. The ring is one allocation that follows the total number of
+//! messages buffered at once, whatever their split across rounds, and a
+//! stored message costs its ring entry plus its payload: there is no id
+//! index.
 //!
 //! The digest a pull-request or push-reply advertises is kept *live*: a
 //! [`Digest`] of the buffered ids updated at every insert and purge, so
 //! [`MessageBuffer::digest`] clones it instead of re-sorting every buffered
-//! id two or three times a round. Purging removes oldest-first, so a
-//! source's interval shrinks from its low end in place.
+//! id two or three times a round, and [`MessageBuffer::contains`] asks it.
+//! Purging removes oldest-first, so a source's interval shrinks from its
+//! low end in place.
 //!
 //! The "seen" digest (which prevents re-delivery of purged messages that
 //! gossip back in) is unbounded by default, matching the paper's model where
@@ -34,16 +35,15 @@
 //! window) instead of O(history).
 
 use rand::Rng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::digest::{covers, Digest};
 use crate::ids::{MessageId, Round};
 use crate::message::DataMessage;
 
 /// Fixed per-message bookkeeping charged to [`MessageBuffer::bytes`] on top
-/// of the payload: the ring entry plus the index entry.
-const MESSAGE_OVERHEAD_BYTES: usize =
-    std::mem::size_of::<(Round, DataMessage)>() + std::mem::size_of::<(MessageId, u64)>();
+/// of the payload: the ring entry.
+const MESSAGE_OVERHEAD_BYTES: usize = std::mem::size_of::<(Round, DataMessage)>();
 
 /// A bounded, age-purged store of data messages.
 ///
@@ -73,11 +73,6 @@ pub struct MessageBuffer {
     /// The buffered messages with their insertion rounds, in insertion
     /// order (so in round order), oldest first.
     ring: VecDeque<(Round, DataMessage)>,
-    /// Insertion number of the ring's front: message `n` is at
-    /// `ring[n - front]`.
-    front: u64,
-    /// O(1) membership: id → insertion number.
-    index: HashMap<MessageId, u64>,
     /// Every id inserted within the seen window, with its insertion round,
     /// oldest first; kept only when a seen window is configured.
     seen_ring: VecDeque<(Round, MessageId)>,
@@ -87,7 +82,7 @@ pub struct MessageBuffer {
     /// *ever* inserted when the window is 0 = unbounded), used to avoid
     /// re-delivering a purged message that gossips back in.
     seen: Digest,
-    /// Digest of the currently *buffered* ids, maintained wherever `index`
+    /// Digest of the currently *buffered* ids, maintained wherever the ring
     /// changes so [`Self::digest`] is a clone instead of a rebuild.
     live: Digest,
     /// Messages are purged once `now - inserted >= max_age` rounds.
@@ -165,7 +160,6 @@ impl MessageBuffer {
         let id = msg.id;
         self.bytes += msg.payload.len() + MESSAGE_OVERHEAD_BYTES;
         self.bytes_peak = self.bytes_peak.max(self.bytes);
-        self.index.insert(id, self.front + self.ring.len() as u64);
         self.live.insert(id);
         self.ring.push_back((now, msg));
         if self.seen_window > 0 {
@@ -180,25 +174,34 @@ impl MessageBuffer {
         self.seen.contains(id)
     }
 
-    /// Whether `id` is currently buffered.
+    /// Whether `id` is currently buffered (a lookup in the live digest).
     pub fn contains(&self, id: MessageId) -> bool {
-        self.index.contains_key(&id)
+        self.live.contains(id)
     }
 
-    /// Fetches a buffered message.
+    /// Fetches a buffered message by scanning the ring; no protocol step
+    /// looks a message up by id.
     pub fn get(&self, id: MessageId) -> Option<&DataMessage> {
-        let &n = self.index.get(&id)?;
-        self.ring.get((n - self.front) as usize).map(|(_, msg)| msg)
+        self.ring
+            .iter()
+            .map(|(_, msg)| msg)
+            .find(|msg| msg.id == id)
+    }
+
+    /// The buffered ids, oldest first: the reference the live digest is
+    /// checked against, independent of it.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = MessageId> + '_ {
+        self.ring.iter().map(|(_, msg)| msg.id)
     }
 
     /// Number of currently buffered messages.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.ring.len()
     }
 
     /// Whether no messages are buffered.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.ring.is_empty()
     }
 
     /// Approximate heap footprint of the buffered messages, in bytes
@@ -228,7 +231,7 @@ impl MessageBuffer {
     pub fn digest(&self) -> Digest {
         debug_assert_eq!(
             self.live,
-            self.index.keys().copied().collect::<Digest>(),
+            self.ids().collect::<Digest>(),
             "live digest diverged from the buffered ids"
         );
         self.live.clone()
@@ -251,8 +254,6 @@ impl MessageBuffer {
                 break;
             }
             let (_, msg) = self.ring.pop_front().expect("front checked above");
-            self.front += 1;
-            self.index.remove(&msg.id);
             self.live.remove(msg.id);
             self.bytes -= msg.payload.len() + MESSAGE_OVERHEAD_BYTES;
             purged += 1;
@@ -478,6 +479,21 @@ mod tests {
         buf.purge(Round(1));
         assert_eq!(buf.bytes(), 0);
         assert_eq!(buf.bytes_peak(), full);
+    }
+
+    /// A stored message costs its ring entry and its payload, nothing else.
+    #[test]
+    fn bytes_are_the_ring_entries_plus_the_payloads() {
+        let mut buf = MessageBuffer::new(10);
+        for seq in 0..37 {
+            let mut m = msg(1, seq);
+            m.payload = Bytes::from(vec![7u8; 50]);
+            assert!(buf.insert(m, Round(seq / 4)));
+        }
+        assert_eq!(MESSAGE_OVERHEAD_BYTES, size_of::<(Round, DataMessage)>());
+        assert_eq!(buf.bytes(), 37 * (size_of::<(Round, DataMessage)>() + 50));
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(size_of::<(Round, DataMessage)>(), 80);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! The workspace builds hermetically with zero external dependencies, so the
 //! small slice of `bytes::Bytes`/`bytes::BytesMut` the protocol stack uses is
-//! provided here: [`Bytes`] is an `Arc<[u8]>` with a cursor window — cloning
-//! a payload shares the allocation, and the consuming `get_*`/`copy_to_*`
-//! readers advance the window without copying the tail — and [`BytesMut`] is
-//! a thin `Vec<u8>` writer that freezes into a `Bytes`.
+//! provided here: [`Bytes`] is a bare `Arc<[u8]>` — cloning a payload shares
+//! the allocation, and a stored message pays 16 bytes for its payload handle
+//! — and [`BytesMut`] is a thin `Vec<u8>` writer that freezes into a `Bytes`.
+//! Reading is slicing: the wire decoder parses the borrowed datagram, not a
+//! `Bytes`.
 //!
 //! All multi-byte integers are big-endian, matching both the crates.io crate
 //! and the wire format in `drum-net::codec`.
@@ -18,25 +19,23 @@
 //! let mut w = BytesMut::with_capacity(6);
 //! w.put_u16(0xBEEF);
 //! w.put_slice(b"data");
-//! let mut b = w.freeze();
+//! let b = w.freeze();
 //! let cheap_copy = b.clone(); // shares the allocation
-//! assert_eq!(b.get_u16(), 0xBEEF);
-//! assert_eq!(&b[..], b"data");
-//! assert_eq!(cheap_copy.len(), 6);
+//! assert_eq!(&b[..2], &[0xBE, 0xEF]);
+//! assert_eq!(&b[2..], b"data");
+//! assert_eq!(cheap_copy, b);
 //! ```
 
 use std::sync::Arc;
 
-/// An immutable, cheaply-cloneable byte buffer with a consuming read cursor.
+/// An immutable, cheaply-cloneable byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<[u8]>,
-    start: usize,
-    end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation).
+    /// An empty buffer.
     pub fn new() -> Self {
         Bytes::default()
     }
@@ -50,92 +49,22 @@ impl Bytes {
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes {
             data: Arc::from(data),
-            start: 0,
-            end: data.len(),
         }
     }
 
-    /// Bytes left to read.
+    /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.data.len()
     }
 
-    /// Whether no bytes are left.
+    /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.data.is_empty()
     }
 
-    /// Bytes left to read (alias used by codec-style consumers).
-    pub fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    /// Whether any bytes are left.
-    pub fn has_remaining(&self) -> bool {
-        !self.is_empty()
-    }
-
-    /// The unread window as a slice.
+    /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
-    }
-
-    fn advance_checked(&mut self, n: usize) -> &[u8] {
-        assert!(
-            n <= self.len(),
-            "advance past end of buffer: {n} > {}",
-            self.len()
-        );
-        let window = self.start..self.start + n;
-        self.start += n;
-        &self.data[window]
-    }
-
-    /// Reads one byte, advancing the cursor.
-    ///
-    /// # Panics
-    ///
-    /// All `get_*`/`copy_to_*` readers panic when fewer bytes remain than
-    /// requested, matching the crates.io `bytes` contract.
-    pub fn get_u8(&mut self) -> u8 {
-        self.advance_checked(1)[0]
-    }
-
-    /// Reads a big-endian `u16`, advancing the cursor.
-    pub fn get_u16(&mut self) -> u16 {
-        u16::from_be_bytes(self.advance_checked(2).try_into().expect("2 bytes"))
-    }
-
-    /// Reads a big-endian `u32`, advancing the cursor.
-    pub fn get_u32(&mut self) -> u32 {
-        u32::from_be_bytes(self.advance_checked(4).try_into().expect("4 bytes"))
-    }
-
-    /// Reads a big-endian `u64`, advancing the cursor.
-    pub fn get_u64(&mut self) -> u64 {
-        u64::from_be_bytes(self.advance_checked(8).try_into().expect("8 bytes"))
-    }
-
-    /// Fills `dest` from the front of the buffer, advancing the cursor.
-    pub fn copy_to_slice(&mut self, dest: &mut [u8]) {
-        let src = self.advance_checked(dest.len());
-        dest.copy_from_slice(src);
-    }
-
-    /// Splits off the next `n` bytes as a `Bytes` sharing this allocation.
-    pub fn copy_to_bytes(&mut self, n: usize) -> Bytes {
-        assert!(
-            n <= self.len(),
-            "copy_to_bytes past end of buffer: {n} > {}",
-            self.len()
-        );
-        let out = Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start,
-            end: self.start + n,
-        };
-        self.start += n;
-        out
+        &self.data
     }
 }
 
@@ -155,11 +84,8 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        let len = data.len();
         Bytes {
             data: Arc::from(data),
-            start: 0,
-            end: len,
         }
     }
 }
@@ -300,52 +226,12 @@ mod tests {
         assert_eq!(b, c);
     }
 
+    /// Equality and hashing follow the contents, whatever built them.
     #[test]
-    fn consuming_reads_advance() {
-        let mut w = BytesMut::new();
-        w.put_u8(7);
-        w.put_u16(0x0102);
-        w.put_u32(0x03040506);
-        w.put_u64(0x0708090A0B0C0D0E);
-        let mut b = w.freeze();
-        assert_eq!(b.remaining(), 15);
-        assert_eq!(b.get_u8(), 7);
-        assert_eq!(b.get_u16(), 0x0102);
-        assert_eq!(b.get_u32(), 0x03040506);
-        assert_eq!(b.get_u64(), 0x0708090A0B0C0D0E);
-        assert!(!b.has_remaining());
-    }
-
-    #[test]
-    fn copy_to_bytes_shares_and_advances() {
-        let mut b = Bytes::from(vec![1u8, 2, 3, 4, 5]);
-        let head = b.copy_to_bytes(2);
-        assert_eq!(&head[..], &[1, 2]);
-        assert_eq!(&b[..], &[3, 4, 5]);
-        assert!(Arc::ptr_eq(&head.data, &b.data));
-    }
-
-    #[test]
-    fn copy_to_slice_reads_exact() {
-        let mut b = Bytes::from_static(b"abcdef");
-        let mut dest = [0u8; 4];
-        b.copy_to_slice(&mut dest);
-        assert_eq!(&dest, b"abcd");
-        assert_eq!(&b[..], b"ef");
-    }
-
-    #[test]
-    #[should_panic(expected = "past end")]
-    fn over_read_panics() {
-        let mut b = Bytes::from_static(b"x");
-        b.get_u16();
-    }
-
-    #[test]
-    fn equality_ignores_cursor_offsets() {
-        let mut a = Bytes::from(vec![9u8, 1, 2]);
-        a.get_u8();
-        let b = Bytes::from(vec![1u8, 2]);
+    fn equal_contents_compare_and_hash_equal() {
+        let a = Bytes::from(vec![1u8, 2]);
+        let b = Bytes::copy_from_slice(&[1, 2]);
+        assert!(!Arc::ptr_eq(&a.data, &b.data));
         assert_eq!(a, b);
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
@@ -355,6 +241,14 @@ mod tests {
             h.finish()
         };
         assert_eq!(hash(&a), hash(&b));
+    }
+
+    /// A payload handle is the shared slice's pointer and length, nothing
+    /// more: a stored message pays 16 bytes for it on 64-bit targets.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_bytes_is_a_bare_shared_slice() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 16);
     }
 
     #[test]

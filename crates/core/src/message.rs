@@ -224,6 +224,14 @@ mod tests {
         (store, key)
     }
 
+    /// A data message is its id, hop count, payload handle and tag: 72
+    /// bytes on 64-bit targets, with the payload handle a bare shared slice.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_data_message_is_72_bytes() {
+        assert_eq!(size_of::<DataMessage>(), 72);
+    }
+
     #[test]
     fn sign_and_verify_data_message() {
         let (store, key) = store_and_key(4);

@@ -205,12 +205,10 @@ pub fn spawn_attacker(
         .spawn(move || {
             let mut sent = 0u64;
             let mut seq = 0u64;
-            // Flooding is the attacker's hot path: reuse one wire buffer
-            // for every fabricated datagram instead of allocating per send,
-            // and hand bursts to the kernel through `sendmmsg` (where the
-            // target has it) so the attacker can sustain paper-scale rates
-            // from one thread.
-            let mut wire = drum_core::bytes::BytesMut::with_capacity(codec::MAX_WIRE_LEN);
+            // Flooding is the attacker's hot path: encode every fabricated
+            // datagram straight into the send arena instead of allocating
+            // per send, and hand bursts to the kernel through `sendmmsg` so
+            // the attacker can sustain paper-scale rates from one thread.
             let mut tx = BatchTx::new();
             // Per-round per-target counts on each channel.
             let (mut x_push, mut x_pull) = match config.victim_protocol {
@@ -307,33 +305,31 @@ pub fn spawn_attacker(
                     }
                     for _ in 0..n_pull {
                         seq += 1;
-                        let dg = match &replay {
-                            Some((pull, _)) => &pull[..],
+                        match &replay {
+                            Some((pull, _)) => tx.push(&socket, target.pull, pull, false),
                             None => {
-                                codec::encode_into(&fabricated_pull_request(seq), &mut wire);
-                                &wire[..]
+                                let msg = fabricated_pull_request(seq);
+                                tx.push_message(&socket, target.pull, &msg, false);
                             }
-                        };
-                        tx.push(&socket, target.pull, dg, false);
+                        }
                         batch_total += 1;
                     }
                     for _ in 0..n_push {
                         seq += 1;
-                        let dg = match &replay {
-                            Some((_, push)) => &push[..],
+                        match &replay {
+                            Some((_, push)) => tx.push(&socket, target.push, push, false),
                             None => {
-                                codec::encode_into(&fabricated_push_offer(seq), &mut wire);
-                                &wire[..]
+                                let msg = fabricated_push_offer(seq);
+                                tx.push_message(&socket, target.push, &msg, false);
                             }
-                        };
-                        tx.push(&socket, target.push, dg, false);
+                        }
                         batch_total += 1;
                     }
                     if let Some(reply_addr) = config.reply_port_targets.get(i) {
                         for _ in 0..n_reply {
                             seq += 1;
-                            codec::encode_into(&fabricated_pull_reply(seq), &mut wire);
-                            tx.push(&socket, *reply_addr, &wire[..], false);
+                            let msg = fabricated_pull_reply(seq);
+                            tx.push_message(&socket, *reply_addr, &msg, false);
                             batch_total += 1;
                         }
                     }

@@ -6,7 +6,8 @@
 //! truncated, oversized and garbage input — a DoS-resistant endpoint must
 //! survive arbitrary bytes on its well-known ports.
 //!
-//! Encoding writes into a reusable `drum_core::bytes::BytesMut`. Decoding
+//! Encoding writes into a reusable `drum_core::bytes::BytesMut` — in the
+//! runtime, the driver's send arena. Decoding
 //! ([`decode_skipping`], and [`decode`] on top of it) reads the borrowed
 //! datagram and copies out what the message keeps and nothing else: each
 //! kept data message's payload into a `Bytes` of its own, a sealed port's
@@ -351,6 +352,13 @@ pub fn encode(msg: &GossipMessage) -> Bytes {
 /// allocation per `encode`. Output is byte-identical to [`encode`].
 pub fn encode_into(msg: &GossipMessage, out: &mut BytesMut) {
     out.clear();
+    encode_append(msg, out);
+}
+
+/// Appends the encoding of `msg` to `out`, leaving what `out` already
+/// holds in place: how a sender writes each datagram straight into its
+/// send arena.
+pub(crate) fn encode_append(msg: &GossipMessage, out: &mut BytesMut) {
     match msg {
         GossipMessage::PullRequest {
             from,

@@ -401,6 +401,9 @@ pub struct ThroughputReport {
     /// (`net.bind_failed`): non-zero means descriptor or port exhaustion
     /// is being absorbed by re-advertising older ports.
     pub bind_failed: u64,
+    /// The `bind_failed` allocations that re-advertised an older port of
+    /// the same purpose; the rest advertised port 0.
+    pub ports_reused: u64,
 }
 
 impl ThroughputReport {
@@ -520,6 +523,7 @@ pub fn throughput_experiment(
         ports_allocated: stats.iter().map(|s| s.ports_allocated).sum(),
         port_syscalls: stats.iter().map(|s| s.port_syscalls).sum(),
         bind_failed: stats.iter().map(|s| s.bind_failed).sum(),
+        ports_reused: stats.iter().map(|s| s.ports_reused).sum(),
         shard_wakeups: config
             .net
             .tracer
@@ -849,6 +853,7 @@ mod tests {
             ports_allocated: 0,
             port_syscalls: 0,
             bind_failed: 0,
+            ports_reused: 0,
         };
         assert_eq!(report.mean_latency_ms(), 30.0);
         assert_eq!(report.mean_latency_attacked_ms(), 40.0);

@@ -18,7 +18,7 @@ use std::net::UdpSocket;
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use drum_core::bytes::{Bytes, BytesMut};
+use drum_core::bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -144,6 +144,9 @@ pub struct NetStats {
     /// an older port of the same purpose (or 0, which `alloc_failed` then
     /// counts per lost message): descriptor or port exhaustion.
     pub bind_failed: u64,
+    /// The `bind_failed` allocations that re-advertised an older port
+    /// rather than 0.
+    pub ports_reused: u64,
     /// Descriptors the random-port pool opened. Stops growing once the
     /// pool has its high-water of live sockets; ports rotate on those.
     pub sockets_opened: u64,
@@ -390,9 +393,8 @@ pub struct NodeCore {
     stats: NetStats,
     prev: NetStats,
     // Outbound scratch reused across rounds and poll iterations: `send_out`
-    // drains `outs`, so its capacity (and the wire buffer's) is allocated
-    // once and amortized over the node lifetime.
-    wire: BytesMut,
+    // drains `outs`, so its capacity is allocated once and amortized over
+    // the node lifetime.
     outs: Vec<Outbound>,
     /// One drain's decoded messages awaiting dispatch.
     drained: Vec<(PortPurpose, GossipMessage)>,
@@ -480,7 +482,6 @@ impl NodeCore {
             staged_seen: [0u64; 5],
             stats: NetStats::default(),
             prev: NetStats::default(),
-            wire: BytesMut::with_capacity(codec::MAX_WIRE_LEN),
             outs: Vec::new(),
             drained: Vec::new(),
             started: false,
@@ -699,17 +700,17 @@ impl NodeCore {
         }
     }
 
-    /// Drains `self.outs`, encoding into the reusable wire scratch: one
-    /// bare datagram per outbound message, control and data alike. The
-    /// engine fans the same `PushData`/`PushOffer`/`PullRequest` to
-    /// several recipients back-to-back, so the encoder runs only when the
-    /// message actually changes from the previously encoded one
+    /// Drains `self.outs` into `tx`, the driver's shared sender: one bare
+    /// datagram per outbound message, control and data alike, encoded
+    /// straight into its send arena — the node keeps no encode buffer.
+    /// The engine fans the same `PushData`/`PushOffer`/`PullRequest` to
+    /// several recipients back-to-back, so a message equal to the one
+    /// pushed before it is queued as a repeat sharing the arena bytes
     /// (encode-once fan-out); the loss draw stays per-datagram either way.
-    /// Datagrams leave through `tx`: one sendmmsg per batch, repeats
-    /// sharing the arena bytes.
+    /// Datagrams leave in one sendmmsg per batch.
     fn send_out(&mut self, send_socket: &UdpSocket, tx: &mut BatchTx) {
         let loss = self.config.loss;
-        let mut encoded: Option<usize> = None;
+        let mut pushed: Option<usize> = None;
         for i in 0..self.outs.len() {
             if loss > 0.0 && self.rng.random_bool(loss) {
                 continue; // emulated link loss
@@ -731,12 +732,9 @@ impl NodeCore {
                 }
                 SendPort::Port(p) => AddressBook::loopback(p),
             };
-            let repeat = matches!(encoded, Some(j) if self.outs[j].msg == self.outs[i].msg);
-            if !repeat {
-                codec::encode_into(&self.outs[i].msg, &mut self.wire);
-                encoded = Some(i);
-            }
-            tx.push(send_socket, addr, &self.wire[..], repeat);
+            let repeat = matches!(pushed, Some(j) if self.outs[j].msg == self.outs[i].msg);
+            tx.push_message(send_socket, addr, &self.outs[i].msg, repeat);
+            pushed = Some(i);
         }
         self.stats.sent += tx.finish(send_socket);
         self.outs.clear();
@@ -783,6 +781,7 @@ impl NodeCore {
         self.c_alloc_failed
             .add(self.stats.alloc_failed - self.prev.alloc_failed);
         self.stats.bind_failed = self.pool.bind_failures();
+        self.stats.ports_reused = self.pool.ports_reused();
         self.stats.sockets_opened = self.pool.sockets_opened();
         self.stats.ports_allocated = self.pool.ports_allocated();
         self.stats.port_syscalls = self.pool.port_syscalls();

@@ -41,6 +41,8 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use drum_core::bytes::BytesMut;
+
 /// Maximum datagrams moved per `recvmmsg`/`sendmmsg` call.
 pub const BATCH: usize = 64;
 
@@ -625,10 +627,11 @@ impl RecvArena {
 // ---------------------------------------------------------------
 
 /// Fixed scratch for `sendmmsg`: queued datagrams share one grow-only
-/// byte arena, and the encode-once fan-out queues *ranges* — a message
-/// fanned to `k` recipients is copied once and referenced `k` times.
+/// byte arena that encoders write into directly, and the encode-once
+/// fan-out queues *ranges* — a message fanned to `k` recipients is
+/// written once and referenced `k` times.
 pub struct SendArena {
-    bytes: Vec<u8>,
+    bytes: BytesMut,
     /// Queued datagrams: byte range in `bytes` + destination.
     msgs: Vec<(usize, usize, SockAddrV4Raw)>,
     addrs: Vec<SockAddrV4Raw>,
@@ -660,7 +663,7 @@ impl SendArena {
     /// Creates an empty send arena.
     pub fn new() -> Self {
         SendArena {
-            bytes: Vec::new(),
+            bytes: BytesMut::new(),
             msgs: Vec::with_capacity(BATCH),
             addrs: vec![SockAddrV4Raw::unspecified(); BATCH],
             hdrs: vec![
@@ -695,16 +698,17 @@ impl SendArena {
         self.msgs.len() >= BATCH
     }
 
-    /// Queues one datagram, copying `payload` into the arena.
+    /// Queues one datagram: its bytes are whatever `write` appends to the
+    /// arena, so an encoder writes the datagram in place.
     ///
     /// # Panics
     ///
     /// Panics if the arena [`is_full`](SendArena::is_full).
-    pub fn push(&mut self, dest: SockAddrV4Raw, payload: &[u8]) {
+    pub fn push_with(&mut self, dest: SockAddrV4Raw, write: impl FnOnce(&mut BytesMut)) {
         assert!(!self.is_full(), "push into a full SendArena");
         let start = self.bytes.len();
-        self.bytes.extend_from_slice(payload);
-        self.msgs.push((start, payload.len(), dest));
+        write(&mut self.bytes);
+        self.msgs.push((start, self.bytes.len() - start, dest));
     }
 
     /// Queues one datagram whose bytes are identical to the previously
@@ -735,7 +739,8 @@ impl SendArena {
         for (i, &(start, len, dest)) in self.msgs.iter().enumerate() {
             self.addrs[i] = dest;
             self.iovs[i] = IoVec {
-                base: self.bytes[start..].as_mut_ptr(),
+                // `sendmmsg` only reads through the iovec.
+                base: self.bytes[start..].as_ptr().cast_mut(),
                 len,
             };
             self.hdrs[i].hdr = MsgHdr::zeroed();
@@ -1114,7 +1119,7 @@ mod tests {
         let (rx, tx) = pair();
         let dest = SockAddrV4Raw::from_std(rx.local_addr().unwrap()).unwrap();
         let mut arena = SendArena::new();
-        arena.push(dest, b"fanned");
+        arena.push_with(dest, |b| b.put_slice(b"fanned"));
         for _ in 0..7 {
             arena.push_repeat(dest);
         }
@@ -1139,7 +1144,7 @@ mod tests {
         let mut arena = SendArena::new();
         for i in 0..BATCH {
             assert!(!arena.is_full());
-            arena.push(dest, &[i as u8]);
+            arena.push_with(dest, |b| b.put_u8(i as u8));
         }
         assert!(arena.is_full());
         let (sent, syscalls) = arena.flush(fd_of(&tx));

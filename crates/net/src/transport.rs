@@ -30,9 +30,12 @@ use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::Arc;
 
+use drum_core::bytes::BytesMut;
 use drum_core::engine::{PortOracle, PortPurpose};
 use drum_core::ids::{ProcessId, Round};
+use drum_core::message::GossipMessage;
 
+use crate::codec;
 use crate::sys;
 
 /// Batched datagram receiver: one `recvmmsg(2)` call drains up to
@@ -99,9 +102,11 @@ impl BatchRx {
 
 /// Batched datagram sender: datagrams queue into a [`sys::SendArena`] and
 /// flush through `sendmmsg(2)` (automatically when a batch fills,
-/// explicitly via [`BatchTx::finish`]). The encode-once fan-out queues
-/// repeated bytes as arena ranges, so a message fanned to `k` recipients
-/// is copied once and the kernel crossing is paid once per [`sys::BATCH`].
+/// explicitly via [`BatchTx::finish`]). Gossip messages are encoded
+/// straight into the arena, so a driver needs no encode buffer of its
+/// own, and the encode-once fan-out queues repeated bytes as arena
+/// ranges: a message fanned to `k` recipients is written once and the
+/// kernel crossing is paid once per [`sys::BATCH`].
 /// Undeliverable datagrams are dropped silently (fire-and-forget UDP
 /// semantics).
 #[derive(Debug)]
@@ -139,18 +144,45 @@ impl BatchTx {
     /// encode-once fan-out hint that shares the arena range instead of
     /// copying.
     pub fn push(&mut self, socket: &UdpSocket, addr: SocketAddr, bytes: &[u8], repeat: bool) {
+        self.queue(socket, addr, repeat, |out| out.put_slice(bytes));
+    }
+
+    /// Queues `msg` as one datagram for `socket`, encoded straight into
+    /// the arena: the one encode path of a driver's engines. `repeat`
+    /// declares that `msg` equals the previous push's message — the
+    /// encode-once fan-out hint: it shares the arena range, and the
+    /// encoder runs again only if a flush came in between.
+    pub(crate) fn push_message(
+        &mut self,
+        socket: &UdpSocket,
+        addr: SocketAddr,
+        msg: &GossipMessage,
+        repeat: bool,
+    ) {
+        self.queue(socket, addr, repeat, |out| codec::encode_append(msg, out));
+    }
+
+    fn queue(
+        &mut self,
+        socket: &UdpSocket,
+        addr: SocketAddr,
+        repeat: bool,
+        write: impl FnOnce(&mut BytesMut),
+    ) {
         if self.arena.is_full() {
             self.flush(socket);
         }
         match sys::SockAddrV4Raw::from_std(addr) {
             Some(dest) if repeat && !self.arena.is_empty() => self.arena.push_repeat(dest),
-            Some(dest) => self.arena.push(dest, bytes),
+            Some(dest) => self.arena.push_with(dest, write),
             None => {
                 // The arena holds IPv4 destinations only; the runtime
                 // never addresses anything else, but an IPv6 argument
                 // is sent on its own rather than refused.
+                let mut bytes = BytesMut::new();
+                write(&mut bytes);
                 self.syscalls += 1;
-                if socket.send_to(bytes, addr).is_ok() {
+                if socket.send_to(&bytes, addr).is_ok() {
                     self.pending_sent += 1;
                 }
             }
@@ -376,6 +408,8 @@ pub struct SocketPool {
     parked: Vec<UdpSocket>,
     /// Allocations that found neither a descriptor nor a port.
     bind_failures: u64,
+    /// Failed allocations that re-advertised an older port.
+    ports_reused: u64,
     /// Descriptors opened for the pool so far.
     sockets_opened: u64,
     /// Ports handed out so far.
@@ -399,6 +433,7 @@ impl SocketPool {
             sockets: Vec::new(),
             parked: Vec::new(),
             bind_failures: 0,
+            ports_reused: 0,
             sockets_opened: 0,
             ports_allocated: 0,
             port_syscalls: 0,
@@ -444,6 +479,12 @@ impl SocketPool {
     /// advertised port (or 0).
     pub fn bind_failures(&self) -> u64 {
         self.bind_failures
+    }
+
+    /// The [`SocketPool::bind_failures`] that re-advertised an older port
+    /// of the same purpose; the rest advertised 0.
+    pub fn ports_reused(&self) -> u64 {
+        self.ports_reused
     }
 
     /// Descriptors opened for the pool so far. Grows while the pool does,
@@ -602,12 +643,9 @@ impl PortOracle for SocketPool {
             // port 0 (the message will simply go unanswered — the gossip
             // redundancy absorbs it).
             self.bind_failures += 1;
-            return self
-                .sockets
-                .iter()
-                .rev()
-                .find(|s| s.purpose == purpose)
-                .map_or(0, |s| s.port);
+            let reused = self.sockets.iter().rev().find(|s| s.purpose == purpose);
+            self.ports_reused += u64::from(reused.is_some());
+            return reused.map_or(0, |s| s.port);
         };
         self.sockets.push(PoolSocket {
             socket,
@@ -1048,6 +1086,24 @@ mod tests {
         assert_eq!((pool.sockets_opened(), pool.bind_failures()), (4, 2));
     }
 
+    /// Every failed allocation counts in `bind_failures`; only one that
+    /// re-advertises an older port of its purpose counts in `ports_reused`.
+    #[test]
+    fn only_a_failed_allocation_that_readvertises_counts_as_a_reused_port() {
+        let (mut pool, _outer) = attached_pool(3);
+        sys::fault::fail_registration_after(Some(0));
+        assert_eq!(pool.allocate_port(PortPurpose::PullReply, Round(1)), 0);
+        assert_eq!((pool.bind_failures(), pool.ports_reused()), (1, 0));
+
+        let port = pool.allocate_port(PortPurpose::PullReply, Round(1));
+        sys::fault::fail_registration_after(Some(0));
+        assert_eq!(pool.allocate_port(PortPurpose::PullReply, Round(2)), port);
+        sys::fault::fail_registration_after(Some(0));
+        assert_eq!(pool.allocate_port(PortPurpose::PushData, Round(2)), 0);
+        assert_eq!((pool.bind_failures(), pool.ports_reused()), (3, 1));
+        assert_eq!(pool.ports_allocated(), 1);
+    }
+
     /// A drain of `k` queued datagrams yields exactly the sent sequence and
     /// costs `k / BATCH + 1` `recvmmsg` calls: full batches, then the
     /// short one that proves the queue empty. For 100 datagrams that is
@@ -1135,6 +1191,35 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 10);
+    }
+
+    /// A message pushed through the arena leaves as exactly its encoding,
+    /// and a repeat that finds the arena just flushed is encoded again.
+    #[test]
+    fn push_message_sends_the_encoding_and_repeats_across_a_flush() {
+        let rx_socket = bind_ephemeral().unwrap();
+        let dest = rx_socket.local_addr().unwrap();
+        let sender = bind_ephemeral().unwrap();
+        let offer = crate::attack::fabricated_push_offer(7);
+        let reply = crate::attack::fabricated_pull_reply(8);
+        let mut tx = BatchTx::new();
+        tx.push_message(&sender, dest, &offer, false);
+        for _ in 0..crate::sys::BATCH + 4 {
+            tx.push_message(&sender, dest, &offer, true);
+        }
+        tx.push_message(&sender, dest, &reply, false);
+        tx.push_message(&sender, dest, &reply, true);
+        assert_eq!(tx.finish(&sender), crate::sys::BATCH as u64 + 7);
+        assert_eq!(tx.syscalls(), 2, "one full batch, then the rest");
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let mut want = vec![codec::encode(&offer).to_vec(); crate::sys::BATCH + 5];
+        want.extend(vec![codec::encode(&reply).to_vec(); 2]);
+        let mut buf = [0u8; 2048];
+        let mut got = Vec::new();
+        while let Ok((len, _)) = rx_socket.recv_from(&mut buf) {
+            got.push(buf[..len].to_vec());
+        }
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -115,6 +115,9 @@ RETIRED_NAMES="$RETIRED_NAMES|BatchRx::for""ced|BatchTx::for""ced|ShardCore::wit
 RETIRED_NAMES="$RETIRED_NAMES|NodeCore::drain""_all|sys::avail""able|NetConfig::po""ll"
 RETIRED_NAMES="$RETIRED_NAMES|step""_sharded|auto""_shards|run_trial_traced""_mode|shard""_range|IN_WOR""KER"
 RETIRED_NAMES="$RETIRED_NAMES|BitSet::or""_with|\\.or""_with\\("
+# The retired `Bytes` cursor readers: `.get_uN(` with no argument cannot
+# match `BytesMut::put_uN(..)` or the codec's `Reader::uN()`.
+RETIRED_NAMES="$RETIRED_NAMES|\\.get""_u(8|16|32|64)\\(\\)|copy_to""_(slice|bytes)|has""_remaining|\\.remain""ing\\(\\)"
 phase_begin "no retired name left"
 if grep -rnE "$RETIRED_NAMES" crates scripts .github .claude tests examples \
     README.md DESIGN.md EXPERIMENTS.md; then
