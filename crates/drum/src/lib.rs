@@ -22,11 +22,11 @@
 //! |---|---|---|
 //! | [`core`] | `drum-core` | protocol engine, messages, digests, buffers, bounds |
 //! | [`crypto`] | `drum-crypto` | SHA-256/HMAC, key store, sealed ports, source auth |
-//! | [`net`] | `drum-net` | threaded UDP runtime, attack emulation, measurements |
+//! | [`net`] | `drum-net` | UDP runtime, virtual-time driver, attack emulation, measurements |
 //! | [`sim`] | `drum-sim` | round-synchronized Monte-Carlo simulator |
 //! | [`analysis`] | `drum-analysis` | closed-form math of appendices A–C and §6 |
 //! | [`metrics`] | `drum-metrics` | statistics, quantiles, §8 recorders, tables, JSON |
-//! | [`testkit`] | `drum-testkit` | deterministic virtual network for real engines |
+//! | [`testkit`] | `drum-testkit` | property-based testing harness, seed averaging |
 //! | [`trace`] | `drum-trace` | structured events, pluggable sinks, counter registry |
 //!
 //! # Quickstart

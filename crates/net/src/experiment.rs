@@ -13,7 +13,8 @@ use drum_metrics::recorder::{LatencyRecorder, ThroughputRecorder};
 use drum_metrics::stats::{quantile_in_place, RunningStats};
 
 use crate::attack::{check_adversary, spawn_attacker, AttackerConfig, AttackerHandle};
-use crate::runtime::{seed_of, Delivery, NetConfig, NetStats, ProcessSpec};
+use crate::node::{seed_of, NetConfig, NetStats};
+use crate::runtime::{Delivery, ProcessSpec};
 use crate::shard::{spawn_shard, EngineHandle, ShardHandle};
 use crate::transport::{AblationSockets, AddressBook, WellKnownAddrs, WellKnownSockets};
 

@@ -11,11 +11,13 @@
 //!   compile);
 //! * [`transport`] — batched receive/send, well-known + random ephemeral
 //!   sockets, address book;
-//! * [`runtime`] — [`NodeCore`], one process's unsynchronized rounds around
-//!   a [`drum_core::engine::Engine`], as steps a driver calls;
-//! * [`shard`] — the driver: one event loop (shared epoll + timer wheel)
-//!   steps the engines of a shard on one OS thread, from a single process
-//!   to 1,000+ real-UDP nodes;
+//! * [`node`] — [`Node`], one process's unsynchronized rounds around a
+//!   [`drum_core::engine::Engine`], datagrams in and out as bytes;
+//! * [`runtime`] — [`NodeCore`], a [`Node`] on its UDP sockets;
+//! * [`shard`] — the UDP driver: one event loop (shared epoll + timer
+//!   wheel) steps the [`NodeCore`]s of a shard on one OS thread;
+//! * [`vtime`] — the virtual-time driver: [`Node`]s on a seeded in-memory
+//!   network;
 //! * [`attack`] — fabricated-traffic generators (the adversary);
 //! * [`experiment`] — clusters, throughput/latency reports (Figures 10–11)
 //!   and propagation-round measurements (Figure 9).
@@ -67,11 +69,13 @@ compile_error!("drum-net builds for Linux on x86-64 and aarch64 only (its I/O is
 pub mod attack;
 pub mod codec;
 pub mod experiment;
+pub mod node;
 pub mod runtime;
 pub mod shard;
 #[allow(unsafe_code)]
 pub mod sys;
 pub mod transport;
+pub mod vtime;
 
 pub use attack::{spawn_attacker, AttackerConfig, AttackerHandle};
 pub use codec::{
@@ -88,11 +92,152 @@ pub use experiment::{
     throughput_experiment, Cluster, ClusterConfig, NodeHandle, PropagationReport, ReceiverReport,
     SoakPhase, SoakReport, ThroughputReport,
 };
-pub use runtime::{
-    os_random_seed, ChannelClass, Delivery, NetConfig, NetStats, NodeCore, ProcessSpec,
-};
+pub use node::{os_random_seed, Channel, NetConfig, NetStats, Node, Ports};
+pub use runtime::{ChannelClass, Delivery, NodeCore, ProcessSpec};
 pub use shard::{spawn_shard, EngineHandle, ShardCore, ShardHandle, TimerWheel};
 pub use transport::{AddressBook, BatchRx, BatchTx, SocketPool, WellKnownAddrs, WellKnownSockets};
+pub use vtime::VirtualCluster;
+
+/// The real node on the virtual-time driver, end to end: spread, loss,
+/// determinism, delivery and the headline attack result.
+#[cfg(test)]
+mod tests {
+    use crate::{NetConfig, NetStats, VirtualCluster};
+    use drum_core::bytes::Bytes;
+    use drum_core::config::GossipConfig;
+    use drum_core::ids::MessageId;
+
+    /// Rounds for a message from node 0 to reach every node, if it does
+    /// within `max_rounds`.
+    fn spread(
+        gossip: GossipConfig,
+        n: usize,
+        loss: f64,
+        seed: u64,
+        max_rounds: u32,
+    ) -> Option<u32> {
+        let mut net = VirtualCluster::new(n, NetConfig::new(gossip).with_loss(loss), seed);
+        let id = net.publish(0, Bytes::from_static(b"m"));
+        net.run_until_spread(id, 1.0, max_rounds)
+    }
+
+    #[test]
+    fn dissemination_without_failures() {
+        let rounds = spread(GossipConfig::drum(), 12, 0.0, 1, 50).expect("must spread");
+        assert!(rounds <= 12, "took {rounds} rounds");
+    }
+
+    #[test]
+    fn push_and_pull_variants_work() {
+        for gossip in [GossipConfig::push(), GossipConfig::pull()] {
+            let variant = gossip.variant;
+            assert!(
+                spread(gossip, 10, 0.0, 3, 80).is_some(),
+                "{variant:?} failed to spread"
+            );
+        }
+    }
+
+    #[test]
+    fn loss_slows_but_does_not_stop() {
+        assert!(spread(GossipConfig::drum(), 10, 0.3, 5, 200).is_some());
+    }
+
+    /// A run is a function of its seed: the same seed replays every node's
+    /// stats and every delivery, byte for byte, and another seed does not.
+    /// The flooded run shows the whole node ran: the codec (`received`),
+    /// the staged reservoirs under budget (`budget_drops`) and source
+    /// authentication (`compress_calls`).
+    #[test]
+    fn deterministic_given_seed() {
+        let run = |seed| {
+            let config = NetConfig::new(GossipConfig::drum()).with_loss(0.05);
+            let mut net = VirtualCluster::new(10, config, seed).with_attack(vec![0, 1], 64.0);
+            for k in 0..3u8 {
+                net.publish(usize::from(k), Bytes::from(vec![k; 16]));
+            }
+            net.run_rounds(12);
+            let delivered: Vec<Vec<(MessageId, Bytes)>> = (0..10)
+                .map(|i| {
+                    net.delivered(i)
+                        .iter()
+                        .map(|m| (m.id, m.payload.clone()))
+                        .collect()
+                })
+                .collect();
+            let stats: Vec<NetStats> = (0..10).map(|i| *net.node(i).stats()).collect();
+            (stats, delivered)
+        };
+        let (stats, delivered) = run(7);
+        assert_eq!((stats.clone(), delivered.clone()), run(7));
+        assert_ne!(stats, run(8).0, "another seed, another run");
+
+        // Every node delivers the other sources' payloads once, never its
+        // own message.
+        for (i, got) in delivered.iter().enumerate() {
+            let mut payloads: Vec<u8> = got.iter().map(|(_, p)| p[0]).collect();
+            payloads.sort_unstable();
+            let want: Vec<u8> = (0..3).filter(|&k| usize::from(k) != i).collect();
+            assert_eq!(payloads, want, "node {i}");
+            assert!(got
+                .iter()
+                .all(|(id, p)| p[..] == [p[0]; 16] && id.source.as_u64() != i as u64));
+        }
+        let flooded = stats[0];
+        assert!(flooded.received > 0, "{flooded:?}");
+        assert!(flooded.budget_drops > 0, "{flooded:?}");
+        assert!(flooded.compress_calls > 0, "{flooded:?}");
+        assert_eq!(flooded.decode_errors + flooded.port_mismatches, 0);
+    }
+
+    #[test]
+    fn delivered_payloads_match() {
+        let mut net = VirtualCluster::new(4, NetConfig::new(GossipConfig::drum()), 11);
+        let id = net.publish(0, Bytes::from_static(b"payload-x"));
+        net.run_rounds(10);
+        for i in 1..4 {
+            let got: Vec<(MessageId, &[u8])> = net
+                .delivered(i)
+                .iter()
+                .map(|m| (m.id, &m.payload[..]))
+                .collect();
+            assert_eq!(got, [(id, &b"payload-x"[..])], "node {i}");
+        }
+        // The source does not deliver its own message.
+        assert!(net.delivered(0).is_empty());
+    }
+
+    #[test]
+    fn full_handshake_drum_flat_under_attack() {
+        // The headline result survives the real push-offer handshake that
+        // the paper's analysis and simulations omit.
+        let mean_rounds = |x: f64, gossip: GossipConfig| {
+            let trials = 10;
+            let mut total = 0u32;
+            for seed in 0..trials {
+                let config = NetConfig::new(gossip.clone()).with_loss(0.01);
+                let mut net = VirtualCluster::new(30, config, seed).with_attack(vec![0, 1, 2], x);
+                let id = net.publish(0, Bytes::from_static(b"m"));
+                total += net.run_until_spread(id, 0.99, 400).unwrap_or(400);
+            }
+            f64::from(total) / trials as f64
+        };
+
+        let drum_weak = mean_rounds(32.0, GossipConfig::drum());
+        let drum_strong = mean_rounds(256.0, GossipConfig::drum());
+        assert!(
+            drum_strong < drum_weak + 3.0,
+            "Drum with offers must stay flat: {drum_weak:.1} -> {drum_strong:.1}"
+        );
+
+        let push_weak = mean_rounds(32.0, GossipConfig::push());
+        let push_strong = mean_rounds(256.0, GossipConfig::push());
+        assert!(
+            push_strong > push_weak * 1.5,
+            "Push must degrade: {push_weak:.1} -> {push_strong:.1}"
+        );
+    }
+}
 
 #[cfg(test)]
 mod proptests {

@@ -32,7 +32,8 @@ use drum_core::ids::ProcessId;
 use drum_trace::{names, Counter};
 
 use crate::codec;
-use crate::runtime::{unpack_token, Delivery, NetStats, NodeCore, ProcessSpec};
+use crate::node::NetStats;
+use crate::runtime::{unpack_token, Delivery, NodeCore, ProcessSpec};
 use crate::sys;
 use crate::transport::{bind_ephemeral, BatchRx, BatchTx};
 
@@ -244,16 +245,15 @@ impl ShardCore {
     /// Starts every engine's first round and arms its first deadline.
     pub fn start_all(&mut self, now: Instant) {
         for i in 0..self.nodes.len() {
-            let deadline = self.nodes[i].next_deadline(now, now);
-            self.nodes[i].start_round(&self.send_socket, &mut self.tx);
-            self.wheel.push(deadline, i);
+            self.wheel.push(now, i);
         }
+        self.fire_due(now);
     }
 
     /// Fires every due deadline: each fired engine finishes its running
     /// round, starts the next, and is re-armed on the fixed cadence (its
     /// new deadline advances from the fired one, not from `now` — see
-    /// `runtime::advance_deadline`). Returns how many engines fired.
+    /// `node::advance_deadline`). Returns how many engines fired.
     pub fn fire_due(&mut self, now: Instant) -> usize {
         let mut fired = 0;
         while let Some((deadline, i)) = self.wheel.pop_due(now) {
@@ -403,8 +403,9 @@ pub fn spawn_shard(specs: Vec<ProcessSpec>) -> io::Result<(ShardHandle, Vec<Engi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NetConfig;
     use crate::runtime::tests::specs;
-    use crate::runtime::{pack_token, ChannelClass, NetConfig};
+    use crate::runtime::{pack_token, ChannelClass};
     use drum_core::config::GossipConfig;
     use drum_testkit::prop::{check, Config, Gen};
     use drum_testkit::prop_assert;

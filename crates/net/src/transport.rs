@@ -114,6 +114,9 @@ pub struct BatchTx {
     arena: sys::SendArena,
     syscalls: u64,
     pending_sent: u64,
+    /// Whether the previous push went into the arena since the last flush,
+    /// so a repeat may share its range.
+    repeatable: bool,
 }
 
 impl BatchTx {
@@ -123,6 +126,7 @@ impl BatchTx {
             arena: sys::SendArena::new(),
             syscalls: 0,
             pending_sent: 0,
+            repeatable: false,
         }
     }
 
@@ -137,12 +141,13 @@ impl BatchTx {
         let (sent, syscalls) = self.arena.flush(sys::fd_of(socket));
         self.pending_sent += sent as u64;
         self.syscalls += syscalls as u64;
+        self.repeatable = false;
     }
 
     /// Queues one datagram for `socket`. `repeat` declares that `bytes`
-    /// are identical to the previous push since the last flush — the
-    /// encode-once fan-out hint that shares the arena range instead of
-    /// copying.
+    /// are identical to the previous push — the encode-once fan-out hint
+    /// that shares the arena range instead of copying, when that push is
+    /// still in the arena.
     pub fn push(&mut self, socket: &UdpSocket, addr: SocketAddr, bytes: &[u8], repeat: bool) {
         self.queue(socket, addr, repeat, |out| out.put_slice(bytes));
     }
@@ -173,12 +178,17 @@ impl BatchTx {
             self.flush(socket);
         }
         match sys::SockAddrV4Raw::from_std(addr) {
-            Some(dest) if repeat && !self.arena.is_empty() => self.arena.push_repeat(dest),
-            Some(dest) => self.arena.push_with(dest, write),
+            Some(dest) if repeat && self.repeatable => self.arena.push_repeat(dest),
+            Some(dest) => {
+                self.arena.push_with(dest, write);
+                self.repeatable = true;
+            }
             None => {
                 // The arena holds IPv4 destinations only; the runtime
                 // never addresses anything else, but an IPv6 argument
-                // is sent on its own rather than refused.
+                // is sent on its own rather than refused. The arena's last
+                // range still holds these bytes only if they repeat it.
+                self.repeatable &= repeat;
                 let mut bytes = BytesMut::new();
                 write(&mut bytes);
                 self.syscalls += 1;
@@ -1220,6 +1230,29 @@ mod tests {
             got.push(buf[..len].to_vec());
         }
         assert_eq!(got, want);
+    }
+
+    /// A repeat shares the arena range only when the push before it went
+    /// into the arena: after a datagram sent on its own (an IPv6
+    /// destination), the repeat's bytes are written afresh.
+    #[test]
+    fn a_repeat_after_a_non_ipv4_push_sends_its_own_bytes() {
+        let rx_socket = bind_ephemeral().unwrap();
+        let dest = rx_socket.local_addr().unwrap();
+        let sender = bind_ephemeral().unwrap();
+        let v6: SocketAddr = "[::1]:9".parse().unwrap();
+        let mut tx = BatchTx::new();
+        tx.push(&sender, dest, b"A", false);
+        tx.push(&sender, v6, b"B", false);
+        tx.push(&sender, dest, b"B", true);
+        tx.finish(&sender);
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let mut buf = [0u8; 64];
+        let mut got = Vec::new();
+        while let Ok(len) = rx_socket.recv(&mut buf) {
+            got.push(buf[..len].to_vec());
+        }
+        assert_eq!(got, [b"A".to_vec(), b"B".to_vec()]);
     }
 
     #[test]

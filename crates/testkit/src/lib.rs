@@ -1,39 +1,20 @@
-//! Deterministic in-memory network for Drum engines.
-//!
-//! `drum-sim` simulates the paper's *abstract* model (push without offers,
-//! acceptance probabilities); `drum-net` runs real UDP with wall-clock
-//! rounds. This crate fills the gap between them: it drives **real
-//! [`drum_core::engine::Engine`]s** — full push-offer/push-reply/push-data
-//! handshake, sealed ports, budgets, buffers — through perfectly
-//! reproducible synchronized rounds over a virtual network with
-//! configurable link loss, partitions and fabricated-message attacks.
-//!
-//! Uses:
-//!
-//! * integration tests that need determinism but also the *real* protocol
-//!   code path (e.g. validating that the paper's conclusions survive the
-//!   push-offer handshake the analysis omits);
-//! * protocol debugging with reproducible message orderings;
-//! * failure injection (partitions, targeted loss) without sockets.
+//! Test support for the Drum workspace: a property-based testing harness
+//! with shrinking ([`prop`]) and seed averaging ([`mean_over_seeds`]) for
+//! statistical protocol tests.
 //!
 //! # Examples
 //!
 //! ```
-//! use drum_testkit::{NetworkConfig, VirtualNetwork};
-//! use drum_core::bytes::Bytes;
+//! use drum_testkit::mean_over_seeds;
 //!
-//! let mut net = VirtualNetwork::new(NetworkConfig::drum(8), 42);
-//! let id = net.publish(0, Bytes::from_static(b"hello"));
-//! net.run_rounds(10);
-//! assert_eq!(net.holders(id), 8);
+//! let mean = mean_over_seeds(0..4, |seed| seed as f64);
+//! assert_eq!(mean, 1.5);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod prop;
-
-use std::collections::HashMap;
 
 /// Averages a per-seed measurement over `seeds` — the shared shape of
 /// "run the scenario for each seed, report the mean" assertions in
@@ -46,580 +27,4 @@ pub fn mean_over_seeds(seeds: std::ops::Range<u64>, mut measure: impl FnMut(u64)
     let count = seeds.end.checked_sub(seeds.start).filter(|&c| c > 0);
     let count = count.expect("mean_over_seeds needs a non-empty seed range") as f64;
     seeds.map(&mut measure).sum::<f64>() / count
-}
-
-use drum_core::bytes::Bytes;
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
-
-use drum_core::config::GossipConfig;
-use drum_core::digest::Digest;
-use drum_core::engine::{Engine, Outbound, PortOracle, PortPurpose, SendPort};
-use drum_core::ids::{MessageId, ProcessId, Round};
-use drum_core::message::{GossipMessage, MessageKind, PortRef};
-use drum_core::view::Membership;
-use drum_crypto::keys::KeyStore;
-
-/// Configuration of a virtual network of engines.
-#[derive(Debug, Clone)]
-pub struct NetworkConfig {
-    /// Number of engines.
-    pub n: usize,
-    /// Gossip configuration shared by all engines.
-    pub gossip: GossipConfig,
-    /// Per-transmission loss probability.
-    pub loss: f64,
-    /// Fabricated messages per round per attacked engine (0 = no attack);
-    /// split between channels according to the protocol, like the paper.
-    pub attack_x: f64,
-    /// Indices of attacked engines.
-    pub attacked: Vec<usize>,
-}
-
-impl NetworkConfig {
-    /// A lossless, unattacked Drum network of `n` engines.
-    pub fn drum(n: usize) -> Self {
-        NetworkConfig {
-            n,
-            gossip: GossipConfig::drum(),
-            loss: 0.0,
-            attack_x: 0.0,
-            attacked: Vec::new(),
-        }
-    }
-
-    /// Replaces the gossip configuration.
-    pub fn with_gossip(mut self, gossip: GossipConfig) -> Self {
-        self.gossip = gossip;
-        self
-    }
-
-    /// Sets the loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss` is outside `[0, 1)`.
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        assert!((0.0..1.0).contains(&loss), "loss out of range");
-        self.loss = loss;
-        self
-    }
-
-    /// Attacks the given engines with `x` fabricated messages per round.
-    pub fn with_attack(mut self, attacked: Vec<usize>, x: f64) -> Self {
-        self.attacked = attacked;
-        self.attack_x = x;
-        self
-    }
-}
-
-/// A registered random port: owner, purpose and allocation round.
-#[derive(Debug, Clone, Copy)]
-struct PortEntry {
-    owner: usize,
-    purpose: PortPurpose,
-    born: Round,
-}
-
-/// Port oracle shared by all engines: allocates globally unique ports and
-/// records ownership so the network can route (and expire) them.
-#[derive(Debug, Default)]
-struct Registry {
-    next_port: u16,
-    ports: HashMap<u16, PortEntry>,
-}
-
-/// Adapter giving one engine's `begin_round`/`handle` calls access to the
-/// shared registry.
-struct OracleFor<'a> {
-    registry: &'a mut Registry,
-    owner: usize,
-}
-
-impl PortOracle for OracleFor<'_> {
-    fn allocate_port(&mut self, purpose: PortPurpose, round: Round) -> u16 {
-        self.registry.next_port = self.registry.next_port.checked_add(1).unwrap_or(1);
-        let port = self.registry.next_port;
-        self.registry.ports.insert(
-            port,
-            PortEntry {
-                owner: self.owner,
-                purpose,
-                born: round,
-            },
-        );
-        port
-    }
-}
-
-/// A deterministic network of real engines with synchronized rounds.
-pub struct VirtualNetwork {
-    config: NetworkConfig,
-    engines: Vec<Engine>,
-    registry: Registry,
-    rng: SmallRng,
-    /// Pairs of engines that cannot currently exchange messages.
-    partitions: Vec<(usize, usize)>,
-    round: u64,
-    /// Delivered message ids per engine (app-level view).
-    delivered: Vec<Vec<MessageId>>,
-    /// Delivered payloads per engine.
-    payloads: Vec<Vec<Bytes>>,
-}
-
-impl core::fmt::Debug for VirtualNetwork {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("VirtualNetwork")
-            .field("n", &self.engines.len())
-            .field("round", &self.round)
-            .finish_non_exhaustive()
-    }
-}
-
-impl VirtualNetwork {
-    /// Builds the network: engines, keys and memberships.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.n < 2` or an attacked index is out of range.
-    pub fn new(config: NetworkConfig, seed: u64) -> Self {
-        assert!(config.n >= 2, "need at least two engines");
-        assert!(
-            config.attacked.iter().all(|&i| i < config.n),
-            "attacked index out of range"
-        );
-        let store = KeyStore::new(seed);
-        let members: Vec<ProcessId> = (0..config.n as u64).map(ProcessId).collect();
-        let engines = members
-            .iter()
-            .map(|&m| {
-                let key = store.register(m.as_u64());
-                Engine::new(
-                    config.gossip.clone(),
-                    Membership::new(m, members.clone()),
-                    store.clone(),
-                    key,
-                    seed ^ m.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                )
-            })
-            .collect();
-        let n = config.n;
-        VirtualNetwork {
-            config,
-            engines,
-            registry: Registry::default(),
-            rng: SmallRng::seed_from_u64(seed ^ 0xD0_5A11),
-            partitions: Vec::new(),
-            round: 0,
-            delivered: vec![Vec::new(); n],
-            payloads: vec![Vec::new(); n],
-        }
-    }
-
-    /// Current synchronized round number.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Immutable access to an engine.
-    pub fn engine(&self, i: usize) -> &Engine {
-        &self.engines[i]
-    }
-
-    /// Originates a message at engine `i`; returns its id.
-    pub fn publish(&mut self, i: usize, payload: Bytes) -> MessageId {
-        self.engines[i].publish(payload)
-    }
-
-    /// Number of engines whose buffers have seen `id`.
-    pub fn holders(&self, id: MessageId) -> usize {
-        self.engines.iter().filter(|e| e.buffer().seen(id)).count()
-    }
-
-    /// Message ids delivered to engine `i`'s application so far.
-    pub fn delivered_ids(&self, i: usize) -> &[MessageId] {
-        &self.delivered[i]
-    }
-
-    /// Payloads delivered to engine `i`'s application so far.
-    pub fn delivered_payloads(&self, i: usize) -> &[Bytes] {
-        &self.payloads[i]
-    }
-
-    /// Severs the link between engines `a` and `b` (both directions).
-    pub fn partition(&mut self, a: usize, b: usize) {
-        let pair = (a.min(b), a.max(b));
-        if !self.partitions.contains(&pair) {
-            self.partitions.push(pair);
-        }
-    }
-
-    /// Restores the link between engines `a` and `b`.
-    pub fn heal(&mut self, a: usize, b: usize) {
-        let pair = (a.min(b), a.max(b));
-        self.partitions.retain(|p| *p != pair);
-    }
-
-    fn severed(&self, a: usize, b: usize) -> bool {
-        let pair = (a.min(b), a.max(b));
-        self.partitions.contains(&pair)
-    }
-
-    /// Whether a transmission from `from` to `to` goes through this time.
-    fn transmits(&mut self, from: usize, to: usize) -> bool {
-        if self.severed(from, to) {
-            return false;
-        }
-        self.config.loss == 0.0 || !self.rng.random_bool(self.config.loss)
-    }
-
-    /// Runs one synchronized round across all engines.
-    ///
-    /// Per round: every engine begins its round (emitting pull-requests and
-    /// push-offers), fabricated attack traffic is injected, each engine's
-    /// well-known inboxes are *shuffled* (the accepted subset is uniform
-    /// over the round's arrivals, as in the paper) and processed under the
-    /// engine's budgets; response cascades (random-port messages) settle
-    /// within the round.
-    pub fn run_round(&mut self) {
-        self.round += 1;
-        let n = self.engines.len();
-
-        // Inboxes for this round, by destination.
-        let mut well_known: Vec<Vec<GossipMessage>> = vec![Vec::new(); n];
-        let mut random_port: Vec<Vec<(PortPurpose, GossipMessage)>> = vec![Vec::new(); n];
-
-        // Phase 1: round starts.
-        let mut outbound: Vec<(usize, Outbound)> = Vec::new();
-        for i in 0..n {
-            let mut oracle = OracleFor {
-                registry: &mut self.registry,
-                owner: i,
-            };
-            for out in self.engines[i].begin_round(&mut oracle) {
-                outbound.push((i, out));
-            }
-        }
-        self.route(outbound, &mut well_known, &mut random_port);
-
-        // Phase 2: attack injection on the well-known channels.
-        let (x_push, x_pull) = self.attack_split();
-        let attacked = self.config.attacked.clone();
-        for &victim in &attacked {
-            let fakes_pull = randomized_round(x_pull, &mut self.rng);
-            let fakes_push = randomized_round(x_push, &mut self.rng);
-            for k in 0..fakes_pull {
-                well_known[victim].push(GossipMessage::PullRequest {
-                    from: ProcessId(0xDEAD_0000 + k as u64),
-                    digest: Digest::new(),
-                    reply_port: PortRef::Plain(0),
-                    nonce: self.round << 16 | k as u64,
-                });
-            }
-            for k in 0..fakes_push {
-                well_known[victim].push(GossipMessage::PushOffer {
-                    from: ProcessId(0xDEAD_0000 + k as u64),
-                    reply_port: PortRef::Plain(0),
-                    nonce: self.round << 20 | k as u64,
-                });
-            }
-        }
-
-        // Phase 3: well-known inboxes — shuffled, then processed under the
-        // engines' budgets.
-        let mut cascade: Vec<(usize, Outbound)> = Vec::new();
-        for (i, inbox) in well_known.iter_mut().enumerate() {
-            shuffle(inbox, &mut self.rng);
-            let mut oracle = OracleFor {
-                registry: &mut self.registry,
-                owner: i,
-            };
-            for msg in inbox.drain(..) {
-                for out in self.engines[i].handle(msg, &mut oracle) {
-                    cascade.push((i, out));
-                }
-            }
-        }
-
-        // Phase 4: settle random-port cascades within the round.
-        let mut guard = 0;
-        while !cascade.is_empty() {
-            guard += 1;
-            assert!(guard < 16, "cascade failed to settle");
-            let mut wk: Vec<Vec<GossipMessage>> = vec![Vec::new(); n];
-            self.route(cascade, &mut wk, &mut random_port);
-            // Anything aimed at well-known ports mid-round waits for the
-            // next round in this synchronized model; engines do not emit
-            // such messages mid-round anyway.
-            debug_assert!(wk.iter().all(Vec::is_empty));
-
-            cascade = Vec::new();
-            for (i, inbox) in random_port.iter_mut().enumerate() {
-                let mut oracle = OracleFor {
-                    registry: &mut self.registry,
-                    owner: i,
-                };
-                for (purpose, msg) in inbox.drain(..) {
-                    let matches = matches!(
-                        (purpose, msg.kind()),
-                        (PortPurpose::PullReply, MessageKind::PullReply)
-                            | (PortPurpose::PushReply, MessageKind::PushReply)
-                            | (PortPurpose::PushData, MessageKind::PushData)
-                    );
-                    if matches {
-                        for out in self.engines[i].handle(msg, &mut oracle) {
-                            cascade.push((i, out));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Phase 5: collect deliveries and close the round.
-        for i in 0..n {
-            for msg in self.engines[i].take_delivered() {
-                self.delivered[i].push(msg.id);
-                self.payloads[i].push(msg.payload);
-            }
-            self.engines[i].end_round();
-        }
-
-        // Expire random ports past their lifetime.
-        let lifetime = self.config.gossip.port_lifetime_rounds.max(1);
-        let now = self.round;
-        self.registry
-            .ports
-            .retain(|_, e| now.saturating_sub(e.born.as_u64()) < lifetime);
-    }
-
-    /// Runs `k` rounds.
-    pub fn run_rounds(&mut self, k: usize) {
-        for _ in 0..k {
-            self.run_round();
-        }
-    }
-
-    /// Runs until `id` reaches `fraction` of the engines or `max_rounds`
-    /// elapse; returns the round count at which the threshold was met.
-    pub fn run_until_spread(
-        &mut self,
-        id: MessageId,
-        fraction: f64,
-        max_rounds: u32,
-    ) -> Option<u32> {
-        let need = (fraction * self.engines.len() as f64).ceil() as usize;
-        for r in 1..=max_rounds {
-            self.run_round();
-            if self.holders(id) >= need {
-                return Some(r);
-            }
-        }
-        None
-    }
-
-    fn attack_split(&self) -> (f64, f64) {
-        use drum_core::config::ProtocolVariant;
-        match self.config.gossip.variant {
-            ProtocolVariant::Drum => (self.config.attack_x / 2.0, self.config.attack_x / 2.0),
-            ProtocolVariant::Push => (self.config.attack_x, 0.0),
-            ProtocolVariant::Pull => (0.0, self.config.attack_x),
-        }
-    }
-
-    /// Routes outbound messages into the destination inboxes, applying
-    /// loss, partitions and random-port ownership checks.
-    fn route(
-        &mut self,
-        outbound: Vec<(usize, Outbound)>,
-        well_known: &mut [Vec<GossipMessage>],
-        random_port: &mut [Vec<(PortPurpose, GossipMessage)>],
-    ) {
-        for (from, out) in outbound {
-            match out.port {
-                SendPort::WellKnownPull | SendPort::WellKnownPush => {
-                    let to = out.to.as_u64() as usize;
-                    if to < well_known.len() && self.transmits(from, to) {
-                        well_known[to].push(out.msg);
-                    }
-                }
-                SendPort::Port(p) => {
-                    // Only deliverable if the port is (still) allocated; an
-                    // expired or bogus port silently eats the message —
-                    // exactly what protects against reply-port guessing.
-                    let Some(entry) = self.registry.ports.get(&p).copied() else {
-                        continue;
-                    };
-                    if self.transmits(from, entry.owner) {
-                        random_port[entry.owner].push((entry.purpose, out.msg));
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn shuffle(v: &mut [GossipMessage], rng: &mut SmallRng) {
-    for i in (1..v.len()).rev() {
-        let j = rng.random_range(0..=i as u64) as usize;
-        v.swap(i, j);
-    }
-}
-
-fn randomized_round(rate: f64, rng: &mut SmallRng) -> usize {
-    let base = rate.floor();
-    let frac = rate - base;
-    base as usize + usize::from(frac > 0.0 && rng.random_bool(frac))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dissemination_without_failures() {
-        let mut net = VirtualNetwork::new(NetworkConfig::drum(12), 1);
-        let id = net.publish(0, Bytes::from_static(b"m"));
-        let rounds = net.run_until_spread(id, 1.0, 50).expect("must spread");
-        assert!(rounds <= 12, "took {rounds} rounds");
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let run = |seed| {
-            let mut net = VirtualNetwork::new(NetworkConfig::drum(10).with_loss(0.05), seed);
-            let id = net.publish(0, Bytes::from_static(b"m"));
-            net.run_until_spread(id, 1.0, 100)
-        };
-        assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn push_and_pull_variants_work() {
-        for gossip in [GossipConfig::push(), GossipConfig::pull()] {
-            let mut net =
-                VirtualNetwork::new(NetworkConfig::drum(10).with_gossip(gossip.clone()), 3);
-            let id = net.publish(0, Bytes::from_static(b"m"));
-            assert!(
-                net.run_until_spread(id, 1.0, 80).is_some(),
-                "{:?} failed to spread",
-                gossip.variant
-            );
-        }
-    }
-
-    #[test]
-    fn loss_slows_but_does_not_stop() {
-        let mut net = VirtualNetwork::new(NetworkConfig::drum(10).with_loss(0.3), 5);
-        let id = net.publish(0, Bytes::from_static(b"m"));
-        assert!(net.run_until_spread(id, 1.0, 200).is_some());
-    }
-
-    #[test]
-    fn partition_blocks_until_healed() {
-        // Fully partition engine 3 from everyone. Buffers must not purge,
-        // or the message would be gone before the partition heals.
-        let config = NetworkConfig::drum(6).with_gossip(GossipConfig::drum().with_buffer_rounds(0));
-        let mut net = VirtualNetwork::new(config, 9);
-        for other in [0, 1, 2, 4, 5] {
-            net.partition(3, other);
-        }
-        let id = net.publish(0, Bytes::from_static(b"m"));
-        net.run_rounds(20);
-        assert!(
-            !net.engine(3).buffer().seen(id),
-            "partitioned engine must not receive"
-        );
-        assert_eq!(net.holders(id), 5);
-
-        for other in [0, 1, 2, 4, 5] {
-            net.heal(3, other);
-        }
-        net.run_rounds(10);
-        assert!(
-            net.engine(3).buffer().seen(id),
-            "healed engine must catch up"
-        );
-    }
-
-    #[test]
-    fn delivered_payloads_match() {
-        let mut net = VirtualNetwork::new(NetworkConfig::drum(4), 11);
-        net.publish(0, Bytes::from_static(b"payload-x"));
-        net.run_rounds(10);
-        for i in 1..4 {
-            assert_eq!(
-                net.delivered_payloads(i),
-                &[Bytes::from_static(b"payload-x")]
-            );
-            assert_eq!(net.delivered_ids(i).len(), 1);
-        }
-        // The source does not deliver its own message.
-        assert!(net.delivered_ids(0).is_empty());
-    }
-
-    #[test]
-    fn full_handshake_drum_flat_under_attack() {
-        // The headline result survives the real push-offer handshake that
-        // the paper's analysis and simulations omit.
-        let mean_rounds = |x: f64, gossip: GossipConfig| {
-            let mut total = 0u32;
-            let trials = 10;
-            for seed in 0..trials {
-                let cfg = NetworkConfig::drum(30)
-                    .with_gossip(gossip.clone())
-                    .with_attack(vec![0, 1, 2], x)
-                    .with_loss(0.01);
-                let mut net = VirtualNetwork::new(cfg, seed);
-                let id = net.publish(0, Bytes::from_static(b"m"));
-                total += net.run_until_spread(id, 0.99, 400).unwrap_or(400);
-            }
-            total as f64 / 10.0
-        };
-
-        let drum_weak = mean_rounds(32.0, GossipConfig::drum());
-        let drum_strong = mean_rounds(256.0, GossipConfig::drum());
-        assert!(
-            drum_strong < drum_weak + 3.0,
-            "Drum with offers must stay flat: {drum_weak:.1} -> {drum_strong:.1}"
-        );
-
-        let push_weak = mean_rounds(32.0, GossipConfig::push());
-        let push_strong = mean_rounds(256.0, GossipConfig::push());
-        assert!(
-            push_strong > push_weak * 1.5,
-            "Push must degrade: {push_weak:.1} -> {push_strong:.1}"
-        );
-    }
-
-    #[test]
-    fn expired_ports_eat_messages() {
-        // A message sent to a long-expired port must vanish, not crash.
-        let mut net = VirtualNetwork::new(NetworkConfig::drum(4), 13);
-        net.run_rounds(1);
-        // Steal a port number allocated in round 1.
-        let stale_port = 1u16;
-        net.run_rounds(10); // long past the lifetime
-        let out = vec![(
-            0usize,
-            Outbound {
-                to: ProcessId(1),
-                port: SendPort::Port(stale_port),
-                msg: GossipMessage::PullReply {
-                    from: ProcessId(0),
-                    messages: vec![],
-                },
-            },
-        )];
-        let n = net.engines.len();
-        let mut wk = vec![Vec::new(); n];
-        let mut rp = vec![Vec::new(); n];
-        net.route(out, &mut wk, &mut rp);
-        assert!(rp.iter().all(Vec::is_empty), "stale port must not deliver");
-    }
-
-    #[test]
-    #[should_panic(expected = "attacked index")]
-    fn rejects_bad_attacked_index() {
-        VirtualNetwork::new(NetworkConfig::drum(4).with_attack(vec![9], 8.0), 1);
-    }
 }

@@ -1,6 +1,7 @@
-//! Deterministic protocol exploration with the testkit: the *real* engine
-//! (full push-offer handshake, sealed ports, budgets) on a virtual network
-//! with partitions, loss and a targeted attack — fully reproducible.
+//! Deterministic protocol exploration on the virtual-time driver: the
+//! runtime's own nodes (full push-offer handshake, sealed ports, budgets,
+//! codec) on an in-memory network with cut links, loss and a targeted
+//! attack — fully reproducible.
 //!
 //! Run with:
 //!
@@ -9,53 +10,50 @@
 //! ```
 
 use drum::core::config::GossipConfig;
-use drum::testkit::{NetworkConfig, VirtualNetwork};
+use drum::net::{NetConfig, VirtualCluster};
 use drum_core::bytes::Bytes;
 
 fn main() {
+    let drum = || NetConfig::new(GossipConfig::drum());
+
     // 1. Plain dissemination.
-    println!("1) 20 engines, no failures:");
-    let mut net = VirtualNetwork::new(NetworkConfig::drum(20), 1);
+    println!("1) 20 nodes, no failures:");
+    let mut net = VirtualCluster::new(20, drum(), 1);
     let id = net.publish(0, Bytes::from_static(b"hello"));
     let rounds = net.run_until_spread(id, 1.0, 50).expect("spread");
-    println!("   message reached all 20 engines in {rounds} rounds\n");
+    println!("   message reached all 20 nodes in {rounds} rounds\n");
 
-    // 2. A partition heals.
-    println!("2) engine 5 partitioned, then healed:");
-    let config = NetworkConfig::drum(10).with_gossip(GossipConfig::drum().with_buffer_rounds(0));
-    let mut net = VirtualNetwork::new(config, 2);
-    for other in 0..10 {
-        if other != 5 {
-            net.partition(5, other);
-        }
+    // 2. Cut links heal.
+    println!("2) node 5 cut off, then healed:");
+    let config = NetConfig::new(GossipConfig::drum().with_buffer_rounds(0));
+    let mut net = VirtualCluster::new(10, config, 2);
+    let others: Vec<usize> = (0..10).filter(|&other| other != 5).collect();
+    for &other in &others {
+        net.cut(5, other);
     }
     let id = net.publish(0, Bytes::from_static(b"survivor"));
     net.run_rounds(12);
     println!(
-        "   while partitioned: {}/10 engines have the message",
+        "   while cut off: {}/10 nodes have the message",
         net.holders(id)
     );
-    for other in 0..10 {
-        if other != 5 {
-            net.heal(5, other);
-        }
+    for &other in &others {
+        net.heal(5, other);
     }
     net.run_rounds(6);
     println!(
-        "   after healing:     {}/10 engines have the message\n",
+        "   after healing: {}/10 nodes have the message\n",
         net.holders(id)
     );
 
     // 3. The headline result with the REAL handshake: attack 10% hard.
-    println!("3) targeted attack (3 of 30 engines flooded), real push-offer handshake:");
+    println!("3) targeted attack (3 of 30 nodes flooded), real push-offer handshake:");
     for (label, x) in [("x =  32", 32.0), ("x = 256", 256.0)] {
         let mut total = 0u32;
         let trials = 10;
         for seed in 0..trials {
-            let cfg = NetworkConfig::drum(30)
-                .with_attack(vec![0, 1, 2], x)
-                .with_loss(0.01);
-            let mut net = VirtualNetwork::new(cfg, seed);
+            let config = drum().with_loss(0.01);
+            let mut net = VirtualCluster::new(30, config, seed).with_attack(vec![0, 1, 2], x);
             let id = net.publish(0, Bytes::from_static(b"m"));
             total += net.run_until_spread(id, 0.99, 300).unwrap_or(300);
         }

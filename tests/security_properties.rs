@@ -242,14 +242,16 @@ fn pull_request_with_corrupt_sealed_port_is_wasted() {
 
 #[test]
 fn testkit_attacker_cannot_hit_random_ports() {
-    // In the virtual network, a message aimed at a never-allocated port is
-    // dropped by the registry — the transport-level equivalent of the
-    // adversary not knowing the random ports.
-    use drum::testkit::{NetworkConfig, VirtualNetwork};
-    let mut net = VirtualNetwork::new(NetworkConfig::drum(6).with_attack(vec![0], 512.0), 3);
-    let id = net.publish(1, Bytes::from_static(b"m")); // non-attacked source
-                                                       // Despite a huge flood on p0's well-known channels, the group (whose
-                                                       // reply/data channels the attacker cannot see) disseminates fine.
+    // On the virtual-time driver, a datagram aimed at a port no node holds
+    // is dropped — the transport-level equivalent of the adversary not
+    // knowing the random ports.
+    use drum::net::{NetConfig, VirtualCluster};
+    let config = NetConfig::new(GossipConfig::drum());
+    let mut net = VirtualCluster::new(6, config, 3).with_attack(vec![0], 512.0);
+    // A non-attacked source. Despite a huge flood on p0's well-known
+    // channels, the group, whose reply and data channels the attacker
+    // cannot see, disseminates fine.
+    let id = net.publish(1, Bytes::from_static(b"m"));
     let rounds = net.run_until_spread(id, 1.0, 60).expect("must spread");
     assert!(rounds < 30, "took {rounds} rounds");
 }
