@@ -312,37 +312,38 @@ fn run(args: &Args) -> Result<(), String> {
                 report.mean_throughput(),
                 report.mean_latency_ms()
             );
+            let t = &report.totals;
             println!(
                 "crypto.compress_calls per delivered message {:.2} ({} calls, {} deliveries)",
-                report.compress_calls as f64 / report.delivered.max(1) as f64,
-                report.compress_calls,
-                report.delivered
+                t.compress_calls as f64 / t.delivered.max(1) as f64,
+                t.compress_calls,
+                t.delivered
             );
             println!(
                 "net.sockets_opened per engine-round {:.2} ({} sockets, {} engine-rounds)",
-                report.sockets_opened as f64 / report.rounds.max(1) as f64,
-                report.sockets_opened,
-                report.rounds
+                t.sockets_opened as f64 / t.rounds.max(1) as f64,
+                t.sockets_opened,
+                t.rounds
             );
             println!(
                 "net.port_syscalls per port {:.2} ({} syscalls, {} ports)",
-                report.port_syscalls as f64 / report.ports_allocated.max(1) as f64,
-                report.port_syscalls,
-                report.ports_allocated
+                t.port_syscalls as f64 / t.ports_allocated.max(1) as f64,
+                t.port_syscalls,
+                t.ports_allocated
             );
             println!(
                 "net.bind_failed {} (random-port allocations that could bind nothing)",
-                report.bind_failed
+                t.bind_failed
             );
             println!(
                 "net.ports_reused {} (of those, allocations that re-advertised an older port)",
-                report.ports_reused
+                t.ports_reused
             );
             println!(
                 "net.shard_wakeups per engine-round {:.2} ({} wakeups, {} engine-rounds)",
-                report.shard_wakeups as f64 / report.rounds.max(1) as f64,
+                report.shard_wakeups as f64 / t.rounds.max(1) as f64,
                 report.shard_wakeups,
-                report.rounds
+                t.rounds
             );
         }
         "figures" => {

@@ -101,6 +101,61 @@ impl AdversaryKind {
     pub fn is_valid(self) -> bool {
         !matches!(self, AdversaryKind::TargetChasing { every: 0 })
     }
+
+    /// The adversary's budget split, decided here only: each of `flooded`
+    /// victims' rates when `attacked` processes are attacked with `x`
+    /// fabricated messages a round each. Every kind spends `x·attacked`,
+    /// so one that floods fewer victims at once (eclipse: one) gives each
+    /// of them more. A victim's share goes `x/2 + x/2` to Drum's channels
+    /// (§5), all to Push's or Pull's one channel, and all to pull-requests
+    /// under pull-abuse.
+    ///
+    /// ```
+    /// use drum_core::config::{AdversaryKind::Eclipse, FloodRates, ProtocolVariant::Drum};
+    ///
+    /// let rates = FloodRates { push: 768.0, pull: 768.0 };
+    /// assert_eq!(Eclipse.rates(Drum, 128.0, 12, 1), rates);
+    /// ```
+    pub fn rates(
+        self,
+        variant: ProtocolVariant,
+        x: f64,
+        attacked: usize,
+        flooded: usize,
+    ) -> FloodRates {
+        if flooded == 0 {
+            return FloodRates::default();
+        }
+        // Exactly `x` when every victim is flooded, not a rounded `x·k/k`.
+        let share = x * (attacked as f64 / flooded as f64);
+        let (push, pull) = match (self, variant) {
+            (AdversaryKind::PullAbuse, _) | (_, ProtocolVariant::Pull) => (0.0, share),
+            (_, ProtocolVariant::Push) => (share, 0.0),
+            (_, ProtocolVariant::Drum) => (share / 2.0, share / 2.0),
+        };
+        FloodRates { push, pull }
+    }
+}
+
+/// One victim's fabricated messages per round on each channel.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FloodRates {
+    /// Push-offers, to the well-known push port.
+    pub push: f64,
+    /// Pull-requests, before [`FloodRates::pull_split`].
+    pub pull: f64,
+}
+
+impl FloodRates {
+    /// The pull rate as `(requests, replies)`: against §9's fixed reply
+    /// ports half of it goes to the victim's knowable pull-reply port.
+    pub fn pull_split(self, random_ports: bool) -> (f64, f64) {
+        if random_ports {
+            (self.pull, 0.0)
+        } else {
+            (self.pull / 2.0, self.pull / 2.0)
+        }
+    }
 }
 
 /// How reception bounds are accounted (§9, Figure 12(b)).
@@ -381,6 +436,63 @@ mod tests {
         assert!(!AdversaryKind::TargetChasing { every: 0 }.is_valid());
         assert_eq!(AdversaryKind::parse("nonsense"), None);
         assert_eq!(AdversaryKind::default(), AdversaryKind::Static);
+    }
+
+    #[test]
+    fn every_kind_spends_the_group_budget() {
+        use ProtocolVariant::{Drum, Pull, Push};
+        for kind in AdversaryKind::ALL {
+            for variant in [Drum, Push, Pull] {
+                for x in [0.1, 2.5, 7.0, 128.0] {
+                    for attacked in [1usize, 3, 5, 12] {
+                        for flooded in [1, attacked] {
+                            let r = kind.rates(variant, x, attacked, flooded);
+                            let spent = (r.push + r.pull) * flooded as f64;
+                            let budget = x * attacked as f64;
+                            assert!(
+                                (spent - budget).abs() <= 1e-9 * budget,
+                                "{kind:?} {variant} x={x} {attacked}/{flooded}: {spent}"
+                            );
+                            let abuse = kind == AdversaryKind::PullAbuse;
+                            assert_eq!(r.push > 0.0, variant != Pull && !abuse);
+                            assert_eq!(r.pull > 0.0, variant != Push || abuse);
+                        }
+                    }
+                }
+            }
+        }
+        // Flooding every victim leaves the paper's rates exact, fractions
+        // included; pull-abuse moves the push half, whatever the variant.
+        let r = AdversaryKind::Static.rates(Drum, 0.1, 3, 3);
+        assert_eq!(
+            r,
+            FloodRates {
+                push: 0.05,
+                pull: 0.05
+            }
+        );
+        let r = AdversaryKind::PullAbuse.rates(Push, 0.1, 3, 3);
+        assert_eq!(
+            r,
+            FloodRates {
+                push: 0.0,
+                pull: 0.1
+            }
+        );
+        assert_eq!(
+            AdversaryKind::Eclipse.rates(Drum, 3.0, 0, 0),
+            FloodRates::default()
+        );
+    }
+
+    #[test]
+    fn fixed_reply_ports_take_half_the_pull_rate() {
+        let r = FloodRates {
+            push: 32.0,
+            pull: 64.0,
+        };
+        assert_eq!(r.pull_split(true), (64.0, 0.0));
+        assert_eq!(r.pull_split(false), (32.0, 32.0));
     }
 
     #[test]

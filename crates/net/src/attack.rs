@@ -1,30 +1,33 @@
-//! DoS attack traffic generation.
+//! DoS attack traffic: the paper's adversary, stated once.
 //!
-//! Emulates the paper's adversary: each attacked process receives `x`
-//! fabricated messages per round — `x/2` push-offers to its well-known push
-//! port and `x/2` pull-requests to its well-known pull port for Drum, or
-//! all `x` on the single channel for Push/Pull (§5). The messages are
-//! syntactically valid (they decode and consume reception budget slots —
-//! the application-level attack the paper studies) but carry bogus reply
-//! ports and no authenticable data, so everything downstream of the budget
-//! is wasted work for the victim.
+//! Each attacked process receives `x` fabricated messages per round (§5).
+//! How that budget is split — across victims by [`AdversaryKind`], across
+//! channels by [`ProtocolVariant`] — is [`AdversaryKind::rates`] in
+//! drum-core, shared with the simulator. [`Flood`] turns those rates into
+//! datagrams without touching a socket: it aims every slice of a round,
+//! carries fractional counts from slice to slice, fabricates fresh or
+//! replayed messages and, against fixed reply ports, gives the victims'
+//! pull-reply ports their share. Two drivers send what it fabricates: the
+//! `drum-attacker` thread of a [`crate::Cluster`] over UDP, and
+//! [`crate::VirtualCluster`] straight into its nodes.
 //!
-//! [`AttackerConfig::strategy`] states which [`AdversaryKind`] aims the
-//! flood. Every kind conserves the adversary's total send budget
-//! (`x_per_round × targets`): adaptive kinds redistribute it, they do not
-//! get more of it. On the wire:
+//! The messages are syntactically valid — they decode and consume
+//! reception budget slots, the application-level attack the paper studies
+//! — but carry bogus reply ports and no authenticable data, so everything
+//! downstream of the budget is wasted work for the victim. On the wire:
 //!
-//! * `Static` — a fixed per-target flood, split across the victim
+//! * `Static` — every victim takes its own `x`, split across its
 //!   protocol's well-known channels (`x/2 + x/2` for Drum);
-//! * `TargetChasing { every }` — the whole group budget on one victim at a
-//!   time, moving to the next target every `every` rounds;
-//! * `Eclipse` — the whole group budget on the first target, forever;
-//! * `PullAbuse` — each target's whole budget as pull-requests;
+//! * `TargetChasing { every }` — the group budget `x·targets` on one
+//!   victim at a time, moving to the next every `every` rounds;
+//! * `Eclipse` — the group budget on the first target, forever;
+//! * `PullAbuse` — each victim's whole `x` as pull-requests;
 //! * `Replay` — the static budget, but every datagram to a port is the
 //!   same bytes (one pull-request on the pull port, one push-offer on the
 //!   push port): maximal identical fan-in for the victim's verifier.
 
 use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -33,68 +36,11 @@ use std::time::{Duration, Instant};
 use drum_core::config::{AdversaryKind, ProtocolVariant};
 use drum_core::digest::Digest;
 use drum_core::ids::ProcessId;
-use drum_core::message::{GossipMessage, PortRef};
+use drum_core::message::{GossipMessage, MessageKind, PortRef};
 use drum_trace::{names, trace_event, Tracer};
 
 use crate::codec;
 use crate::transport::{bind_ephemeral, BatchTx, WellKnownAddrs};
-
-/// Configuration of one attacker.
-#[derive(Debug, Clone)]
-pub struct AttackerConfig {
-    /// Fabricated messages per target per round.
-    pub x_per_round: f64,
-    /// Round duration the rate is defined against.
-    pub round: Duration,
-    /// Which protocol's channels to flood (determines the push/pull split).
-    pub victim_protocol: ProtocolVariant,
-    /// Fixed pull-reply ports of the targets, when the victims run the
-    /// no-random-ports ablation (Figure 12(a)). When set (aligned with the
-    /// target list), the pull budget is split evenly between each target's
-    /// pull-request port and its pull-reply port, as in §9.
-    pub reply_port_targets: Vec<std::net::SocketAddr>,
-    /// Bursts per round: the per-round budget is sent in this many evenly
-    /// spaced batches so victims see pressure throughout their (unaligned)
-    /// rounds. Higher values smooth the flood; `1` concentrates it into one
-    /// burst per round (the harshest shape for a fixed-cadence receiver).
-    /// Defaults to 10.
-    pub batches_per_round: u32,
-    /// Observability: per-batch `attack.batch` events (attack traffic
-    /// classification) plus the `attack_sent` registry counter. Disabled
-    /// by default.
-    pub tracer: Tracer,
-    /// How the flood is aimed ([`AdversaryKind::Static`], the paper's
-    /// adversary, unless set).
-    pub strategy: AdversaryKind,
-}
-
-impl AttackerConfig {
-    /// Standard attacker: floods only the well-known ports.
-    pub fn new(x_per_round: f64, round: Duration, victim_protocol: ProtocolVariant) -> Self {
-        AttackerConfig {
-            x_per_round,
-            round,
-            victim_protocol,
-            reply_port_targets: Vec::new(),
-            batches_per_round: 10,
-            tracer: Tracer::disabled(),
-            strategy: AdversaryKind::Static,
-        }
-    }
-}
-
-/// Refuses an adversary kind the attacker thread cannot run
-/// (`TargetChasing { every: 0 }` would divide by zero there).
-pub(crate) fn check_adversary(kind: AdversaryKind) -> io::Result<()> {
-    if kind.is_valid() {
-        Ok(())
-    } else {
-        Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("adversary {kind:?} cannot run: chase cadence must be at least 1 round"),
-        ))
-    }
-}
 
 /// A fabricated pull-request: decodes fine, claims a bogus sender and
 /// directs any reply to a dead port, in plaintext — so it wins budget slots
@@ -150,21 +96,208 @@ pub fn fabricated_frame(seq: u64) -> Vec<u8> {
     wire[..].to_vec()
 }
 
-/// Handle to a running attacker thread.
+/// The adversary without a socket: which fabricated message goes to which
+/// target in each slice of a round.
+///
+/// A round is cut into `slices` slices so that victims see pressure
+/// throughout their unaligned rounds; each channel's per-slice rate is
+/// carried over as a fraction, so every round spends its budget to within
+/// one datagram per victim and channel.
+#[derive(Debug, Clone)]
+pub struct Flood {
+    kind: AdversaryKind,
+    targets: usize,
+    slices: u64,
+    /// Per-victim datagrams per slice, and the fractions the slices so far
+    /// left over, on each channel: pull-requests, push-offers,
+    /// pull-replies.
+    per_slice: [f64; 3],
+    carry: [f64; 3],
+    /// Slices fabricated so far.
+    slice: u64,
+    /// Messages fabricated so far: the next fresh one's sequence number.
+    seq: u64,
+}
+
+/// The fabricator of each of [`Flood`]'s channels, in its order.
+const FABRICATE: [fn(u64) -> GossipMessage; 3] = [
+    fabricated_pull_request,
+    fabricated_push_offer,
+    fabricated_pull_reply,
+];
+
+impl Flood {
+    /// A flood of `x` fabricated messages per round for each of `targets`
+    /// victims running `variant`, aimed by `kind` and split by
+    /// [`AdversaryKind::rates`] (eclipse and a chase flood one victim at a
+    /// time), in `slices` slices per round. With `fixed_reply_ports` the
+    /// victims run the no-random-ports ablation, and half the pull rate
+    /// goes to their pull-reply ports (§9).
+    ///
+    /// # Panics
+    ///
+    /// Panics for a kind that cannot run ([`AdversaryKind::is_valid`]).
+    pub fn new(
+        kind: AdversaryKind,
+        variant: ProtocolVariant,
+        x: f64,
+        targets: usize,
+        fixed_reply_ports: bool,
+        slices: u32,
+    ) -> Flood {
+        assert!(
+            kind.is_valid(),
+            "adversary {kind:?} cannot run: chase cadence must be at least 1 round"
+        );
+        let flooded = match kind {
+            AdversaryKind::Eclipse | AdversaryKind::TargetChasing { .. } => 1,
+            _ => targets,
+        };
+        let rates = kind.rates(variant, x, targets, flooded);
+        let (pull, reply) = rates.pull_split(!fixed_reply_ports);
+        let slices = slices.max(1);
+        Flood {
+            kind,
+            targets,
+            slices: u64::from(slices),
+            per_slice: [pull, rates.push, reply].map(|rate| rate / f64::from(slices)),
+            carry: [0.0; 3],
+            slice: 0,
+            seq: 0,
+        }
+    }
+
+    /// The one target this slice floods, or `None` for all of them:
+    /// eclipse stays on target 0, a chase moves on every `every` rounds.
+    fn focus(&self) -> Option<usize> {
+        let round = self.slice / self.slices;
+        match self.kind {
+            AdversaryKind::Eclipse => Some(0),
+            AdversaryKind::TargetChasing { every } => {
+                Some((round / u64::from(every) % self.targets.max(1) as u64) as usize)
+            }
+            _ => None,
+        }
+    }
+
+    /// Fabricates the next slice, handing `send` each message with its
+    /// target's index: target by target, its pull-requests, push-offers,
+    /// then pull-replies. A message's kind names the target's port it is
+    /// for. Returns each flooded target's count on those three channels.
+    pub fn next_slice(&mut self, mut send: impl FnMut(usize, &GossipMessage)) -> [usize; 3] {
+        let mut counts = [0; 3];
+        for (c, count) in counts.iter_mut().enumerate() {
+            self.carry[c] += self.per_slice[c];
+            *count = self.carry[c] as usize;
+            self.carry[c] -= *count as f64;
+        }
+        let focus = self.focus();
+        self.slice += 1;
+        for target in (0..self.targets).filter(|&t| focus.is_none_or(|f| f == t)) {
+            for (c, fabricate) in FABRICATE.iter().enumerate() {
+                for _ in 0..counts[c] {
+                    self.seq += 1;
+                    // Replay resends the one request and the one offer; a
+                    // fixed reply port only takes pull-replies, so those
+                    // stay fresh.
+                    let replayed = self.kind == AdversaryKind::Replay && c < 2;
+                    send(target, &fabricate(if replayed { 1 } else { self.seq }));
+                }
+            }
+        }
+        counts
+    }
+}
+
+/// A [`Flood`] on the `drum-attacker` thread, sent over UDP: the flood of
+/// a [`crate::Cluster`].
 #[derive(Debug)]
-pub struct AttackerHandle {
+pub(crate) struct Attacker {
     stop: Arc<AtomicBool>,
     join: Option<JoinHandle<u64>>,
 }
 
-impl AttackerHandle {
+impl Attacker {
+    /// Sends one slice of `flood` every `slice`, to `targets`' well-known
+    /// ports and, under the ablation, to their `reply_ports` (aligned with
+    /// `targets`). Each slice goes to the kernel through `sendmmsg`, so
+    /// one thread sustains paper-scale rates. `tracer` gets an
+    /// `attack.batch` event per slice and the `attack_sent` counter.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error binding the send socket or spawning the thread.
+    pub(crate) fn spawn(
+        mut flood: Flood,
+        slice: Duration,
+        targets: Vec<WellKnownAddrs>,
+        reply_ports: Vec<SocketAddr>,
+        tracer: Tracer,
+    ) -> io::Result<Attacker> {
+        let socket = bind_ephemeral()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_flag = stop.clone();
+        let join = std::thread::Builder::new()
+            .name("drum-attacker".into())
+            .spawn(move || {
+                let mut tx = BatchTx::new();
+                let c_attack = tracer.registry().counter(names::ATTACK_SENT);
+                trace_event!(
+                    tracer,
+                    "attack",
+                    "start",
+                    tracer.wall_now(),
+                    targets = targets.len(),
+                    strategy = flood.kind.name(),
+                    reply_ports = !reply_ports.is_empty()
+                );
+                let mut sent = 0;
+                while !stop_flag.load(Ordering::Relaxed) {
+                    let deadline = Instant::now() + slice;
+                    let mut queued = 0u64;
+                    let [pull, push, reply] = flood.next_slice(|t, msg| {
+                        let to = match msg.kind() {
+                            MessageKind::PullRequest => targets[t].pull,
+                            MessageKind::PushOffer => targets[t].push,
+                            _ => reply_ports[t],
+                        };
+                        tx.push_message(&socket, to, msg, false);
+                        queued += 1;
+                    });
+                    sent += tx.finish(&socket);
+                    if queued > 0 {
+                        c_attack.add(queued);
+                        trace_event!(
+                            tracer,
+                            "attack",
+                            "batch",
+                            tracer.wall_now(),
+                            push = push,
+                            pull = pull,
+                            reply = reply,
+                            targets = targets.len()
+                        );
+                    }
+                    let now = Instant::now();
+                    if now < deadline {
+                        std::thread::sleep(deadline - now);
+                    }
+                }
+                sent
+            })?;
+        Ok(Attacker {
+            stop,
+            join: Some(join),
+        })
+    }
+
     /// Stops the attacker; returns the number of datagrams it sent.
     ///
     /// # Panics
     ///
     /// Re-raises a panic of the attacker thread: a flood that died must
     /// not pass for one that ran.
-    pub fn shutdown(mut self) -> u64 {
+    pub(crate) fn shutdown(mut self) -> u64 {
         self.stop.store(true, Ordering::Relaxed);
         self.join
             .take()
@@ -174,7 +307,7 @@ impl AttackerHandle {
     }
 }
 
-impl Drop for AttackerHandle {
+impl Drop for Attacker {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(j) = self.join.take() {
@@ -183,192 +316,36 @@ impl Drop for AttackerHandle {
     }
 }
 
-/// Spawns a thread flooding `targets` with fabricated traffic at the
-/// configured per-round rate, spread uniformly across each round.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidInput`] for a strategy that cannot run
-/// ([`AdversaryKind::is_valid`]), or the error binding the attacker's send
-/// socket.
-pub fn spawn_attacker(
-    targets: Vec<WellKnownAddrs>,
-    config: AttackerConfig,
-) -> io::Result<AttackerHandle> {
-    check_adversary(config.strategy)?;
-    let socket = bind_ephemeral()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = stop.clone();
-
-    let join = std::thread::Builder::new()
-        .name("drum-attacker".into())
-        .spawn(move || {
-            let mut sent = 0u64;
-            let mut seq = 0u64;
-            // Flooding is the attacker's hot path: encode every fabricated
-            // datagram straight into the send arena instead of allocating
-            // per send, and hand bursts to the kernel through `sendmmsg` so
-            // the attacker can sustain paper-scale rates from one thread.
-            let mut tx = BatchTx::new();
-            // Per-round per-target counts on each channel.
-            let (mut x_push, mut x_pull) = match config.victim_protocol {
-                ProtocolVariant::Drum => (config.x_per_round / 2.0, config.x_per_round / 2.0),
-                ProtocolVariant::Push => (config.x_per_round, 0.0),
-                ProtocolVariant::Pull => (0.0, config.x_per_round),
-            };
-            // Adaptive strategies redistribute — never enlarge — the total
-            // send budget: focused floods multiply the per-target rate by
-            // the number of targets they stop flooding; pull-abuse shifts
-            // the push half onto the pull channel.
-            match config.strategy {
-                AdversaryKind::PullAbuse => {
-                    x_pull += x_push;
-                    x_push = 0.0;
-                }
-                AdversaryKind::Eclipse | AdversaryKind::TargetChasing { .. } => {
-                    let scale = targets.len() as f64;
-                    x_push *= scale;
-                    x_pull *= scale;
-                }
-                AdversaryKind::Static | AdversaryKind::Replay => {}
-            }
-            // Replay ammunition: one datagram per well-known port, of the
-            // kind that port accepts (a wrong-kind datagram is dropped as
-            // a port mismatch before it can compete for a budget slot),
-            // resent verbatim.
-            let replay = (config.strategy == AdversaryKind::Replay).then(|| {
-                (
-                    codec::encode(&fabricated_pull_request(1)),
-                    codec::encode(&fabricated_push_offer(1)),
-                )
-            });
-            // Against the no-random-ports ablation the pull budget is split
-            // between the request port and the (knowable) reply port (§9).
-            let attack_replies = !config.reply_port_targets.is_empty();
-            let (x_pull_req, x_pull_reply) = if attack_replies {
-                (x_pull / 2.0, x_pull / 2.0)
-            } else {
-                (x_pull, 0.0)
-            };
-            let batches = config.batches_per_round.max(1);
-            let batch_interval = config.round / batches;
-            let per_batch_push = x_push / batches as f64;
-            let per_batch_pull = x_pull_req / batches as f64;
-            let per_batch_reply = x_pull_reply / batches as f64;
-            let mut carry_push = 0.0f64;
-            let mut carry_pull = 0.0f64;
-            let mut carry_reply = 0.0f64;
-            let tracer = config.tracer.clone();
-            let c_attack = tracer.registry().counter(names::ATTACK_SENT);
-            trace_event!(
-                tracer,
-                "attack",
-                "start",
-                tracer.wall_now(),
-                targets = targets.len(),
-                x_per_round = config.x_per_round,
-                protocol = config.victim_protocol.to_string(),
-                strategy = config.strategy.name(),
-                reply_ports = attack_replies
-            );
-
-            let mut batch_no: u64 = 0;
-            while !stop_flag.load(Ordering::Relaxed) {
-                let batch_deadline = Instant::now() + batch_interval;
-                carry_push += per_batch_push;
-                carry_pull += per_batch_pull;
-                carry_reply += per_batch_reply;
-                let n_push = carry_push as usize;
-                let n_pull = carry_pull as usize;
-                let n_reply = carry_reply as usize;
-                carry_push -= n_push as f64;
-                carry_pull -= n_pull as f64;
-                carry_reply -= n_reply as f64;
-
-                // Focused strategies aim the whole (scaled) budget at one
-                // target; target-chasing moves that focus every `every`
-                // rounds (batches_per_round batches ≈ one victim round).
-                let round_no = batch_no / u64::from(batches);
-                batch_no += 1;
-                let focus = match config.strategy {
-                    AdversaryKind::Eclipse => Some(0),
-                    AdversaryKind::TargetChasing { every } => {
-                        Some(((round_no / u64::from(every)) % targets.len().max(1) as u64) as usize)
-                    }
-                    _ => None,
-                };
-
-                let mut batch_total = 0u64;
-                for (i, target) in targets.iter().enumerate() {
-                    if focus.is_some_and(|f| f != i) {
-                        continue;
-                    }
-                    for _ in 0..n_pull {
-                        seq += 1;
-                        match &replay {
-                            Some((pull, _)) => tx.push(&socket, target.pull, pull, false),
-                            None => {
-                                let msg = fabricated_pull_request(seq);
-                                tx.push_message(&socket, target.pull, &msg, false);
-                            }
-                        }
-                        batch_total += 1;
-                    }
-                    for _ in 0..n_push {
-                        seq += 1;
-                        match &replay {
-                            Some((_, push)) => tx.push(&socket, target.push, push, false),
-                            None => {
-                                let msg = fabricated_push_offer(seq);
-                                tx.push_message(&socket, target.push, &msg, false);
-                            }
-                        }
-                        batch_total += 1;
-                    }
-                    if let Some(reply_addr) = config.reply_port_targets.get(i) {
-                        for _ in 0..n_reply {
-                            seq += 1;
-                            let msg = fabricated_pull_reply(seq);
-                            tx.push_message(&socket, *reply_addr, &msg, false);
-                            batch_total += 1;
-                        }
-                    }
-                }
-                sent += tx.finish(&socket);
-
-                if batch_total > 0 {
-                    c_attack.add(batch_total);
-                    trace_event!(
-                        tracer,
-                        "attack",
-                        "batch",
-                        tracer.wall_now(),
-                        push = n_push,
-                        pull = n_pull,
-                        reply = n_reply,
-                        targets = targets.len()
-                    );
-                }
-
-                let now = Instant::now();
-                if now < batch_deadline {
-                    std::thread::sleep(batch_deadline - now);
-                }
-            }
-            sent
-        })
-        .expect("failed to spawn attacker thread");
-
-    Ok(AttackerHandle {
-        stop,
-        join: Some(join),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::WellKnownSockets;
+    use drum_core::config::ProtocolVariant::{Drum, Pull, Push};
+
+    /// Every message of a slice: its target, kind and sequence number
+    /// (the nonce of a request or offer; 0 for a pull-reply).
+    type Slice = Vec<(usize, MessageKind, u64)>;
+
+    fn record(flood: &mut Flood, slices: usize) -> Vec<Slice> {
+        (0..slices)
+            .map(|_| {
+                let mut got = Vec::new();
+                flood.next_slice(|t, msg| {
+                    let seq = match msg {
+                        GossipMessage::PullRequest { nonce, .. }
+                        | GossipMessage::PushOffer { nonce, .. } => *nonce,
+                        _ => 0,
+                    };
+                    got.push((t, msg.kind(), seq));
+                });
+                got
+            })
+            .collect()
+    }
+
+    fn count(slices: &[Slice], kind: MessageKind) -> usize {
+        slices.iter().flatten().filter(|m| m.1 == kind).count()
+    }
 
     #[test]
     fn fabricated_messages_decode() {
@@ -401,77 +378,45 @@ mod tests {
         .is_err());
     }
 
+    /// The one real-UDP smoke: the `drum-attacker` thread sends its flood,
+    /// and both well-known ports receive their own kind.
     #[test]
     fn attacker_floods_target_at_roughly_the_configured_rate() {
         let (sockets, addrs) = WellKnownSockets::bind().unwrap();
-        let config = AttackerConfig::new(100.0, Duration::from_millis(100), ProtocolVariant::Drum);
-        let attacker = spawn_attacker(vec![addrs], config).unwrap();
-        std::thread::sleep(Duration::from_millis(450));
+        let flood = Flood::new(AdversaryKind::Static, Drum, 100.0, 1, false, 10);
+        let tracer = Tracer::disabled();
+        let slice = Duration::from_millis(10);
+        let attacker = Attacker::spawn(flood, slice, vec![addrs], Vec::new(), tracer).unwrap();
+        let thread = attacker.join.as_ref().unwrap().thread().name();
+        assert_eq!(
+            thread,
+            Some("drum-attacker"),
+            "benchmarks read its CPU by name"
+        );
+        std::thread::sleep(Duration::from_millis(300));
         let sent = attacker.shutdown();
 
-        // ~4.5 rounds × 100 msgs ≈ 450; allow generous slack for timing.
-        assert!(sent > 150, "sent only {sent}");
-
-        // The datagrams actually arrived and split across both ports.
+        // ~3 rounds × 100 msgs ≈ 300; allow generous slack for timing.
+        assert!(sent > 100, "sent only {sent}");
         let mut buf = [0u8; 2048];
-        let mut pull_count = 0;
-        while let Ok((len, _)) = sockets.pull.recv_from(&mut buf) {
-            assert!(matches!(
-                codec::decode(&buf[..len]).unwrap(),
-                GossipMessage::PullRequest { .. }
-            ));
-            pull_count += 1;
+        for (port, kind) in [
+            (&sockets.pull, MessageKind::PullRequest),
+            (&sockets.push, MessageKind::PushOffer),
+        ] {
+            let mut got = 0;
+            while let Ok((len, _)) = port.recv_from(&mut buf) {
+                assert_eq!(codec::decode(&buf[..len]).unwrap().kind(), kind);
+                got += 1;
+            }
+            assert!(got > 0, "no fabricated {kind:?} arrived");
         }
-        let mut push_count = 0;
-        while let Ok((len, _)) = sockets.push.recv_from(&mut buf) {
-            assert!(matches!(
-                codec::decode(&buf[..len]).unwrap(),
-                GossipMessage::PushOffer { .. }
-            ));
-            push_count += 1;
-        }
-        assert!(pull_count > 0, "no fabricated pull-requests arrived");
-        assert!(push_count > 0, "no fabricated push-offers arrived");
-    }
-
-    #[test]
-    fn single_burst_attack_sends_full_round_budget_at_once() {
-        let (sockets, addrs) = WellKnownSockets::bind().unwrap();
-        let mut config =
-            AttackerConfig::new(40.0, Duration::from_millis(100), ProtocolVariant::Drum);
-        config.batches_per_round = 1;
-        let attacker = spawn_attacker(vec![addrs], config).unwrap();
-        // Wait well past the first burst, before the second round ends.
-        std::thread::sleep(Duration::from_millis(60));
-        let mut buf = [0u8; 2048];
-        let mut first_burst = 0;
-        while sockets.pull.recv_from(&mut buf).is_ok() {
-            first_burst += 1;
-        }
-        attacker.shutdown();
-        // One burst must carry the whole per-round pull budget (x/2 = 20),
-        // not the smoothed default's 1/10 slice.
-        assert!(
-            first_burst >= 20,
-            "first burst carried only {first_burst} datagrams"
-        );
-    }
-
-    #[test]
-    fn attacker_refuses_a_chase_without_cadence() {
-        let (_sockets, addrs) = WellKnownSockets::bind().unwrap();
-        let mut config =
-            AttackerConfig::new(40.0, Duration::from_millis(50), ProtocolVariant::Drum);
-        config.strategy = AdversaryKind::TargetChasing { every: 0 };
-        let err = spawn_attacker(vec![addrs], config).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
     fn shutdown_reraises_an_attacker_thread_panic() {
         let stop = Arc::new(AtomicBool::new(false));
         let join = std::thread::spawn(|| -> u64 { panic!("attacker thread died") });
-        let attacker = AttackerHandle {
+        let attacker = Attacker {
             stop,
             join: Some(join),
         };
@@ -480,110 +425,178 @@ mod tests {
     }
 
     #[test]
-    fn eclipse_attack_floods_only_the_first_target() {
-        let (sockets_a, addrs_a) = WellKnownSockets::bind().unwrap();
-        let (sockets_b, addrs_b) = WellKnownSockets::bind().unwrap();
-        let mut config =
-            AttackerConfig::new(60.0, Duration::from_millis(50), ProtocolVariant::Drum);
-        config.strategy = AdversaryKind::Eclipse;
-        let attacker = spawn_attacker(vec![addrs_a, addrs_b], config).unwrap();
-        std::thread::sleep(Duration::from_millis(200));
-        attacker.shutdown();
+    fn attacker_refuses_a_chase_without_cadence() {
+        let chase = AdversaryKind::TargetChasing { every: 0 };
+        let built = std::panic::catch_unwind(|| Flood::new(chase, Drum, 40.0, 2, false, 10));
+        assert!(built.is_err(), "a chase that never moves was built");
+    }
 
-        let mut buf = [0u8; 2048];
-        let mut eclipsed = 0;
-        while sockets_a.pull.recv_from(&mut buf).is_ok() {
-            eclipsed += 1;
+    /// Every kind, variant, whole or fractional `x`, target count and
+    /// slicing spends `x·targets` datagrams a round: after every round the
+    /// running total is within one carried datagram per flooded victim
+    /// and channel of it, and no channel the kind spares is touched.
+    #[test]
+    fn every_kind_spends_the_group_budget() {
+        for kind in AdversaryKind::ALL {
+            for variant in [Drum, Push, Pull] {
+                for x in [0.3, 7.5, 64.0, 128.0] {
+                    for targets in [1, 3, 5] {
+                        for slices in [1, 10] {
+                            for fixed in [false, true] {
+                                let what = format!(
+                                    "{kind:?} {variant} x={x} targets={targets} \
+                                     slices={slices} fixed={fixed}"
+                                );
+                                let mut flood =
+                                    Flood::new(kind, variant, x, targets, fixed, slices);
+                                let flooded = match kind {
+                                    AdversaryKind::Eclipse
+                                    | AdversaryKind::TargetChasing { .. } => 1,
+                                    _ => targets,
+                                };
+                                let mut spent = 0;
+                                let mut all = Vec::new();
+                                for round in 1..=6 {
+                                    let got = record(&mut flood, slices as usize);
+                                    spent += got.iter().map(Vec::len).sum::<usize>();
+                                    let budget = x * targets as f64 * f64::from(round);
+                                    let slack = 3.0 * flooded as f64;
+                                    assert!(
+                                        (spent as f64 - budget).abs() <= slack,
+                                        "{what}: {spent} after round {round}, budget {budget}"
+                                    );
+                                    all.extend(got);
+                                }
+                                let abuse = kind == AdversaryKind::PullAbuse;
+                                if variant == Pull || abuse {
+                                    assert_eq!(count(&all, MessageKind::PushOffer), 0, "{what}");
+                                }
+                                if variant == Push && !abuse {
+                                    assert_eq!(count(&all, MessageKind::PullRequest), 0, "{what}");
+                                }
+                                if !fixed {
+                                    assert_eq!(count(&all, MessageKind::PullReply), 0, "{what}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
-        while sockets_a.push.recv_from(&mut buf).is_ok() {
-            eclipsed += 1;
+    }
+
+    #[test]
+    fn single_burst_attack_sends_full_round_budget_at_once() {
+        // One slice a round carries the whole per-round split (x/2 = 20
+        // on each channel); ten slices carry a tenth each.
+        for (slices, each) in [(1, 20), (10, 2)] {
+            let mut flood = Flood::new(AdversaryKind::Static, Drum, 40.0, 1, false, slices);
+            let first = &record(&mut flood, 1)[..];
+            assert_eq!(count(first, MessageKind::PullRequest), each);
+            assert_eq!(count(first, MessageKind::PushOffer), each);
         }
-        assert!(eclipsed > 0, "eclipse sent nothing to its victim");
-        // The second target must be left entirely alone: the whole group
-        // budget lands on the eclipsed process.
-        assert!(sockets_b.pull.recv_from(&mut buf).is_err());
-        assert!(sockets_b.push.recv_from(&mut buf).is_err());
+    }
+
+    #[test]
+    fn eclipse_attack_floods_only_the_first_target() {
+        let mut flood = Flood::new(AdversaryKind::Eclipse, Drum, 60.0, 2, false, 10);
+        let got = record(&mut flood, 30);
+        assert!(got.iter().flatten().all(|m| m.0 == 0), "a second victim");
+        // The whole group budget lands on the eclipsed process.
+        assert_eq!(got.iter().map(Vec::len).sum::<usize>(), 3 * 120);
+    }
+
+    #[test]
+    fn chase_moves_to_the_next_target_every_every_rounds() {
+        let chase = AdversaryKind::TargetChasing { every: 2 };
+        let mut flood = Flood::new(chase, Drum, 10.0, 3, false, 4);
+        for round in 0..12 {
+            let got = record(&mut flood, 4);
+            let victim = round / 2 % 3;
+            assert!(got.iter().flatten().all(|m| m.0 == victim), "round {round}");
+            assert_eq!(got.iter().map(Vec::len).sum::<usize>(), 30, "round {round}");
+        }
     }
 
     #[test]
     fn pull_abuse_attack_spares_push_port_for_drum_victims() {
-        let (sockets, addrs) = WellKnownSockets::bind().unwrap();
-        let mut config =
-            AttackerConfig::new(50.0, Duration::from_millis(50), ProtocolVariant::Drum);
-        config.strategy = AdversaryKind::PullAbuse;
-        let attacker = spawn_attacker(vec![addrs], config).unwrap();
-        std::thread::sleep(Duration::from_millis(200));
-        attacker.shutdown();
-
-        let mut buf = [0u8; 2048];
-        let mut push_count = 0;
-        while sockets.push.recv_from(&mut buf).is_ok() {
-            push_count += 1;
-        }
-        assert_eq!(
-            push_count, 0,
-            "pull-abuse must spend the whole budget on the pull channel"
-        );
-        let mut pull_count = 0;
-        while sockets.pull.recv_from(&mut buf).is_ok() {
-            pull_count += 1;
-        }
-        assert!(pull_count > 0);
-    }
-
-    #[test]
-    fn replay_attack_sends_each_port_its_own_datagram() {
-        let (sockets, addrs) = WellKnownSockets::bind().unwrap();
-        let mut config =
-            AttackerConfig::new(40.0, Duration::from_millis(50), ProtocolVariant::Drum);
-        config.strategy = AdversaryKind::Replay;
-        let attacker = spawn_attacker(vec![addrs], config).unwrap();
-        std::thread::sleep(Duration::from_millis(200));
-        attacker.shutdown();
-
-        // Every datagram on a port is the one kind that port accepts (a
-        // wrong-kind datagram never reaches the budget), and each port sees
-        // a single byte string, repeated.
-        use drum_core::message::MessageKind;
-        let mut buf = [0u8; 2048];
-        for (port, kind) in [
-            (&sockets.pull, MessageKind::PullRequest),
-            (&sockets.push, MessageKind::PushOffer),
-        ] {
-            let mut got = Vec::new();
-            while let Ok((len, _)) = port.recv_from(&mut buf) {
-                got.push(buf[..len].to_vec());
-            }
-            assert!(
-                got.len() > 1,
-                "expected identical fan-in, got {}",
-                got.len()
-            );
-            for dg in &got {
-                assert_eq!(codec::decode(dg).unwrap().kind(), kind);
-                assert_eq!(dg, &got[0], "{kind:?} port saw more than one byte string");
-            }
-        }
+        let mut flood = Flood::new(AdversaryKind::PullAbuse, Drum, 50.0, 2, false, 10);
+        let got = record(&mut flood, 20);
+        assert_eq!(count(&got, MessageKind::PushOffer), 0);
+        assert_eq!(count(&got, MessageKind::PullRequest), 2 * 2 * 50);
     }
 
     #[test]
     fn pull_only_attack_spares_push_port() {
-        let (sockets, addrs) = WellKnownSockets::bind().unwrap();
-        let config = AttackerConfig::new(50.0, Duration::from_millis(50), ProtocolVariant::Pull);
-        let attacker = spawn_attacker(vec![addrs], config).unwrap();
-        std::thread::sleep(Duration::from_millis(200));
-        attacker.shutdown();
+        let mut flood = Flood::new(AdversaryKind::Static, Pull, 50.0, 1, false, 10);
+        let got = record(&mut flood, 20);
+        assert_eq!(count(&got, MessageKind::PushOffer), 0);
+        assert_eq!(count(&got, MessageKind::PullRequest), 2 * 50);
+    }
 
-        let mut buf = [0u8; 2048];
-        let mut push_count = 0;
-        while sockets.push.recv_from(&mut buf).is_ok() {
-            push_count += 1;
+    #[test]
+    fn replay_attack_sends_each_port_its_own_datagram() {
+        // Every datagram on a port is the one kind that port accepts (a
+        // wrong-kind datagram never reaches the budget), and each port sees
+        // a single byte string, repeated.
+        let mut flood = Flood::new(AdversaryKind::Replay, Drum, 40.0, 2, false, 10);
+        let mut bytes: Vec<(usize, MessageKind, Vec<u8>)> = Vec::new();
+        for _ in 0..20 {
+            flood.next_slice(|t, msg| bytes.push((t, msg.kind(), codec::encode(msg).to_vec())));
         }
-        assert_eq!(push_count, 0, "Pull attack must not touch the push port");
-        let mut pull_count = 0;
-        while sockets.pull.recv_from(&mut buf).is_ok() {
-            pull_count += 1;
+        assert_eq!(bytes.len(), 2 * 2 * 40);
+        for (target, kind) in [(0, MessageKind::PullRequest), (1, MessageKind::PushOffer)] {
+            let mut port = bytes.iter().filter(|b| (b.0, b.1) == (target, kind));
+            let first = &port.next().expect("the port is flooded").2;
+            assert!(port.all(|b| &b.2 == first), "{kind:?} saw two byte strings");
         }
-        assert!(pull_count > 0);
+    }
+
+    #[test]
+    fn fixed_reply_ports_split_the_pull_budget() {
+        // §9: against knowable reply ports, half the pull budget goes to
+        // each victim's pull-reply port.
+        let mut flood = Flood::new(AdversaryKind::Static, Drum, 40.0, 2, true, 1);
+        let got = record(&mut flood, 1);
+        assert_eq!(count(&got, MessageKind::PullRequest), 2 * 10);
+        assert_eq!(count(&got, MessageKind::PullReply), 2 * 10);
+        assert_eq!(count(&got, MessageKind::PushOffer), 2 * 20);
+    }
+
+    /// The benchmark's `paced_flood` setting (Drum, x = 128, 5 victims,
+    /// 10 slices a round) against the formula of the attacker thread the
+    /// flood replaced: each channel's count is the whole part of a running
+    /// `x/2 / 10`, and every slice runs target by target, pull-requests
+    /// before push-offers, one sequence number each.
+    #[test]
+    fn static_flood_keeps_the_threads_slices() {
+        let mut flood = Flood::new(AdversaryKind::Static, Drum, 128.0, 5, false, 10);
+        let got = record(&mut flood, 30);
+        let (per_slice, mut carry, mut seq) = (64.0 / 10.0, [0.0f64; 2], 0);
+        let mut counts = Vec::new();
+        for slice in &got {
+            let mut n = [0usize; 2];
+            for c in 0..2 {
+                carry[c] += per_slice;
+                n[c] = carry[c] as usize;
+                carry[c] -= n[c] as f64;
+            }
+            let mut want = Vec::new();
+            for target in 0..5 {
+                for (c, kind) in [MessageKind::PullRequest, MessageKind::PushOffer]
+                    .into_iter()
+                    .enumerate()
+                {
+                    for _ in 0..n[c] {
+                        seq += 1;
+                        want.push((target, kind, seq));
+                    }
+                }
+            }
+            assert_eq!(slice, &want);
+            counts.push(n[0]);
+        }
+        assert_eq!(&counts[..10], [6, 6, 7, 6, 7, 6, 6, 7, 6, 7]);
+        assert_eq!(counts.iter().sum::<usize>(), 3 * 64);
     }
 }

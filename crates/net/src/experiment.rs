@@ -12,7 +12,7 @@ use drum_crypto::keys::KeyStore;
 use drum_metrics::recorder::{LatencyRecorder, ThroughputRecorder};
 use drum_metrics::stats::{quantile_in_place, RunningStats};
 
-use crate::attack::{check_adversary, spawn_attacker, AttackerConfig, AttackerHandle};
+use crate::attack::{Attacker, Flood};
 use crate::node::{seed_of, NetConfig, NetStats};
 use crate::runtime::{Delivery, ProcessSpec};
 use crate::shard::{spawn_shard, EngineHandle, ShardHandle};
@@ -112,11 +112,15 @@ impl NodeHandle {
     }
 }
 
+/// Slices a cluster's attacker cuts each round into, so that the victims
+/// see pressure throughout their unaligned rounds.
+const ATTACK_SLICES: u32 = 10;
+
 /// A running cluster.
 pub struct Cluster {
     handles: Vec<NodeHandle>,
     shards: Vec<ShardHandle>,
-    attacker: Option<AttackerHandle>,
+    attacker: Option<Attacker>,
     /// Flood aim retained from startup so the attack can be toggled
     /// mid-run ([`Cluster::set_attack`]); §8 runs start it once and leave
     /// it, soak runs flip it on and off.
@@ -147,7 +151,15 @@ impl Cluster {
             config.attacked <= config.correct(),
             "attacked exceeds correct processes"
         );
-        check_adversary(config.adversary)?;
+        if !config.adversary.is_valid() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "adversary {:?} cannot run: chase cadence must be at least 1 round",
+                    config.adversary
+                ),
+            ));
+        }
 
         let key_store = KeyStore::new(config.seed);
         let members: Vec<ProcessId> = (0..config.n as u64).map(ProcessId).collect();
@@ -244,13 +256,14 @@ impl Cluster {
     /// Starts (`x_per_round > 0`) or stops (`x_per_round <= 0`) the
     /// fabricated-message flood against the targets fixed at startup,
     /// replacing any attacker already running. Soak runs use this to
-    /// toggle the flood mid-experiment; it is a no-op when the scenario
-    /// configured no attacked processes.
+    /// toggle the flood mid-run; it is a no-op when the scenario
+    /// configured no attacked processes. The scenario's [`Flood`] goes out
+    /// in ten slices a round, from the `drum-attacker` thread.
     ///
     /// # Errors
     ///
-    /// Propagates [`spawn_attacker`]'s errors (`InvalidInput` for an
-    /// adversary that cannot run, socket errors).
+    /// Propagates the error binding the attacker's socket or spawning its
+    /// thread.
     pub fn set_attack(&mut self, x_per_round: f64) -> std::io::Result<()> {
         if let Some(a) = self.attacker.take() {
             a.shutdown();
@@ -258,17 +271,20 @@ impl Cluster {
         if x_per_round <= 0.0 || self.attack_targets.is_empty() {
             return Ok(());
         }
-        let mut attacker_config = AttackerConfig::new(
-            x_per_round,
-            self.config.net.round,
+        let flood = Flood::new(
+            self.config.adversary,
             self.config.net.gossip.variant,
+            x_per_round,
+            self.attack_targets.len(),
+            !self.attack_reply_ports.is_empty(),
+            ATTACK_SLICES,
         );
-        attacker_config.tracer = self.config.net.tracer.clone();
-        attacker_config.strategy = self.config.adversary;
-        attacker_config.reply_port_targets = self.attack_reply_ports.clone();
-        self.attacker = Some(spawn_attacker(
+        self.attacker = Some(Attacker::spawn(
+            flood,
+            self.config.net.round / ATTACK_SLICES,
             self.attack_targets.clone(),
-            attacker_config,
+            self.attack_reply_ports.clone(),
+            self.config.net.tracer.clone(),
         )?);
         Ok(())
     }
@@ -373,38 +389,14 @@ pub struct ThroughputReport {
     pub duration_secs: f64,
     /// Messages published.
     pub published: u64,
-    /// Local rounds executed, summed over the correct processes.
-    pub rounds: u64,
+    /// The correct processes' [`NetStats`], summed: per delivery
+    /// `compress_calls` reads ≈ 3 for 50-byte payloads, per engine-round
+    /// `sockets_opened` well under 1, per port `port_syscalls` ≈ 3.2.
+    pub totals: NetStats,
     /// Epoll wakeups taken by the shard event loops (`net.shard_wakeups`).
     /// Per round it tracks the datagrams a round brings, and explodes if a
     /// loop ever polls.
     pub shard_wakeups: u64,
-    /// New data messages the correct processes' engines delivered.
-    pub delivered: u64,
-    /// SHA-256 compressions behind their source verification
-    /// (`crypto.compress_calls`). Per delivery it reads ≈ 3 for 50-byte
-    /// payloads, and several times that if duplicates are ever verified
-    /// again.
-    pub compress_calls: u64,
-    /// Descriptors their random-port pools opened (`net.sockets_opened`).
-    /// Per engine-round it reads well under 1 — pools open descriptors
-    /// while they grow, then only rotate ports — and ~6 if every port
-    /// costs a fresh socket again.
-    pub sockets_opened: u64,
-    /// Random ports their pools handed out.
-    pub ports_allocated: u64,
-    /// Syscalls their pools spent on those ports. Per port it reads ≈3.2
-    /// in a long run — release, `bind`, `getsockname` and a share of one
-    /// readiness query per expiry — plus what the pools' growth costs in a
-    /// short one, and 5 if every expiring port is discarded again.
-    pub port_syscalls: u64,
-    /// Random-port allocations that could bind nothing
-    /// (`net.bind_failed`): non-zero means descriptor or port exhaustion
-    /// is being absorbed by re-advertising older ports.
-    pub bind_failed: u64,
-    /// The `bind_failed` allocations that re-advertised an older port of
-    /// the same purpose; the rest advertised port 0.
-    pub ports_reused: u64,
 }
 
 impl ThroughputReport {
@@ -517,14 +509,7 @@ pub fn throughput_experiment(
         receivers,
         duration_secs,
         published: total_messages,
-        rounds: stats.iter().map(|s| s.rounds).sum(),
-        delivered: stats.iter().map(|s| s.delivered).sum(),
-        compress_calls: stats.iter().map(|s| s.compress_calls).sum(),
-        sockets_opened: stats.iter().map(|s| s.sockets_opened).sum(),
-        ports_allocated: stats.iter().map(|s| s.ports_allocated).sum(),
-        port_syscalls: stats.iter().map(|s| s.port_syscalls).sum(),
-        bind_failed: stats.iter().map(|s| s.bind_failed).sum(),
-        ports_reused: stats.iter().map(|s| s.ports_reused).sum(),
+        totals: stats.into_iter().sum(),
         shard_wakeups: config
             .net
             .tracer
@@ -846,15 +831,8 @@ mod tests {
             ],
             duration_secs: 1.0,
             published: 10,
-            rounds: 0,
+            totals: NetStats::default(),
             shard_wakeups: 0,
-            delivered: 15,
-            compress_calls: 0,
-            sockets_opened: 0,
-            ports_allocated: 0,
-            port_syscalls: 0,
-            bind_failed: 0,
-            ports_reused: 0,
         };
         assert_eq!(report.mean_latency_ms(), 30.0);
         assert_eq!(report.mean_latency_attacked_ms(), 40.0);
@@ -880,20 +858,36 @@ mod tests {
         assert!(report.mean_throughput() > 0.0);
     }
 
+    /// `Cluster::start` seeds node `m` with `seed ^ seed_of(m)`: each node
+    /// must then draw its own round jitter (and loss and reservoir draws),
+    /// not one stream shared by the whole cluster.
     #[test]
-    fn cluster_survives_attack() {
-        // Every adversary kind floods a real-UDP cluster.
-        for kind in AdversaryKind::ALL {
-            let mut config = small_config(ProtocolVariant::Drum, 2, 64.0);
-            config.adversary = kind;
-            let report =
-                throughput_experiment(config, 15, 50.0, 50, Duration::from_millis(1500)).unwrap();
-            let total: u64 = report.receivers.iter().map(|r| r.received).sum();
-            assert!(
-                total > 0,
-                "{} attack silenced the whole cluster",
-                kind.name()
-            );
+    fn cluster_nodes_draw_their_own_round_jitter() {
+        let config = small_config(ProtocolVariant::Drum, 0, 0.0);
+        let keys = KeyStore::new(config.seed);
+        let members: Vec<ProcessId> = (0..4).map(ProcessId).collect();
+        let gaps: Vec<Vec<Duration>> = members
+            .iter()
+            .map(|&m| {
+                let key = keys.register(m.as_u64());
+                let seed = config.seed ^ seed_of(m);
+                let net = config.net.clone();
+                let mut node = crate::Node::new(m, members.clone(), keys.clone(), key, net, seed);
+                let mut prev = Instant::now();
+                (0..5)
+                    .map(|_| {
+                        let next = node.next_deadline(prev, prev);
+                        let gap = next - prev;
+                        prev = next;
+                        gap
+                    })
+                    .collect()
+            })
+            .collect();
+        for a in 0..gaps.len() {
+            for b in a + 1..gaps.len() {
+                assert_ne!(gaps[a], gaps[b], "nodes {a} and {b} share a jitter stream");
+            }
         }
     }
 

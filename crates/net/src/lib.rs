@@ -18,7 +18,8 @@
 //!   wheel) steps the [`NodeCore`]s of a shard on one OS thread;
 //! * [`vtime`] — the virtual-time driver: [`Node`]s on a seeded in-memory
 //!   network;
-//! * [`attack`] — fabricated-traffic generators (the adversary);
+//! * [`attack`] — the adversary: fabricated messages and the socket-free
+//!   [`attack::Flood`] both drivers send;
 //! * [`experiment`] — clusters, throughput/latency reports (Figures 10–11)
 //!   and propagation-round measurements (Figure 9).
 //!
@@ -77,7 +78,6 @@ pub mod sys;
 pub mod transport;
 pub mod vtime;
 
-pub use attack::{spawn_attacker, AttackerConfig, AttackerHandle};
 pub use codec::{
     decode, decode_frame, decode_skipping, encode, frame_signed_body, is_frame, peek_kind,
     DecodeError, Frame, FrameBuilder, FRAME_BUDGET, FRAME_HEADER_LEN, FRAME_ITEM_OVERHEAD,

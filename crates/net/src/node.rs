@@ -180,8 +180,35 @@ pub struct NetStats {
     pub lanes_filled: u64,
 }
 
+/// Field-wise totals over nodes; the shard-wide syscall counters, which
+/// every engine of a shard repeats, count once per engine.
+impl std::iter::Sum for NetStats {
+    fn sum<I: Iterator<Item = NetStats>>(iter: I) -> NetStats {
+        // Destructuring names every field, so a new one cannot be missed.
+        macro_rules! sum_fields {
+            ($($f:ident)*) => {
+                iter.fold(NetStats::default(), |mut t, NetStats { $($f),* }| {
+                    $(t.$f += $f;)*
+                    t
+                })
+            };
+        }
+        sum_fields! {
+            rounds rounds_late decode_errors port_mismatches budget_drops auth_drops
+            alloc_failed bind_failed ports_reused sockets_opened ports_allocated
+            port_syscalls delivered sent received syscalls_recv syscalls_send
+            batch_recv_datagrams frames_sent framed_msgs frames_rejected buffer_bytes_peak
+            stream_backpressure compress_calls lanes_filled
+        }
+    }
+}
+
+/// Separates a node's own RNG stream (round jitter, loss draws, reservoir
+/// shuffles) from its engine's, which take the same seed.
+const RNG_SALT: u64 = 0x5DEE_CE66_D1CE_5EED;
+
 /// Mixes a process id into a seed so that a shared base seed still gives
-/// every process its own RNG stream.
+/// every process its own seed.
 pub fn seed_of(me: ProcessId) -> u64 {
     me.as_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -329,8 +356,10 @@ pub struct Node {
 }
 
 impl Node {
-    /// Builds the node's engine and RNG (seeded `seed ^ seed_of(me)`), and
-    /// emits the `proc.start` trace event.
+    /// Builds the node's engine (seeded `seed`) and RNG (seeded
+    /// `seed ^ RNG_SALT`), and emits the `proc.start` trace event. `seed`
+    /// is this node's own: a cluster gives every node a different one
+    /// ([`seed_of`]).
     pub fn new(
         me: ProcessId,
         members: Vec<ProcessId>,
@@ -358,7 +387,7 @@ impl Node {
         );
         Node {
             engine,
-            rng: SmallRng::seed_from_u64(seed ^ seed_of(me)),
+            rng: SmallRng::seed_from_u64(seed ^ RNG_SALT),
             stream: StreamScheduler::new(config.stream),
             config,
             staged: Default::default(),

@@ -56,7 +56,7 @@ pub struct ProcessSpec {
     pub ablation: Option<AblationSockets>,
     /// Runtime configuration.
     pub config: NetConfig,
-    /// RNG seed.
+    /// This node's own seed: its engine's, and, salted, its RNG's.
     pub seed: u64,
 }
 

@@ -12,10 +12,10 @@
 //!
 //! The network offers what a protocol experiment needs: the nodes' own
 //! per-datagram loss draw ([`NetConfig::loss`]), per-link cuts that heal,
-//! and the paper's flood of fabricated pull-requests and push-offers on
-//! the attacked nodes' well-known channels. Its ports are random ports
-//! only: the no-random-ports ablation needs fixed reply sockets, and runs
-//! on UDP.
+//! and the paper's static flood, fabricated by the same [`Flood`] the
+//! cluster's attacker thread sends, into the attacked nodes' well-known
+//! channels. Its ports are random ports only: the no-random-ports ablation
+//! needs fixed reply sockets, and runs on UDP.
 //!
 //! # Examples
 //!
@@ -34,7 +34,7 @@ use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use drum_core::bytes::{Bytes, BytesMut};
-use drum_core::config::ProtocolVariant;
+use drum_core::config::AdversaryKind;
 use drum_core::engine::{Outbound, PortOracle, PortPurpose, SendPort};
 use drum_core::ids::{MessageId, ProcessId, Round};
 use drum_core::message::{DataMessage, MessageKind};
@@ -42,7 +42,7 @@ use drum_crypto::keys::KeyStore;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::attack::{fabricated_pull_request, fabricated_push_offer};
+use crate::attack::Flood;
 use crate::codec;
 use crate::node::{Channel, NetConfig, Node, Ports};
 use crate::shard::TimerWheel;
@@ -137,10 +137,9 @@ pub struct VirtualCluster {
     round: Duration,
     now: Instant,
     attacked: Vec<usize>,
-    /// Fabricated pull-requests and push-offers per victim round.
-    flood: (f64, f64),
-    flood_rng: SmallRng,
-    flood_seq: u64,
+    /// The flood of whichever victim's round starts: one target, one slice
+    /// a round (none until [`VirtualCluster::with_attack`]).
+    flood: Flood,
 }
 
 impl VirtualCluster {
@@ -175,6 +174,14 @@ impl VirtualCluster {
         for i in 0..n {
             wheel.push(now + config.round * i as u32 / n as u32, i);
         }
+        let calm = Flood::new(
+            AdversaryKind::Static,
+            config.gossip.variant,
+            0.0,
+            1,
+            false,
+            1,
+        );
         VirtualCluster {
             nodes,
             registry: Registry {
@@ -189,15 +196,13 @@ impl VirtualCluster {
             round: config.round,
             now,
             attacked: Vec::new(),
-            flood: (0.0, 0.0),
-            flood_rng: SmallRng::seed_from_u64(seeds.next_u64()),
-            flood_seq: 0,
+            flood: calm,
         }
     }
 
-    /// Floods each `attacked` node with `x` fabricated messages per round,
-    /// split between its well-known channels as the paper does: half each
-    /// for Drum, all on the one channel for Push and for Pull.
+    /// Floods each `attacked` node with the paper's static adversary: `x`
+    /// fabricated messages per round, split between its well-known
+    /// channels by [`AdversaryKind::rates`], staged as its round starts.
     ///
     /// # Panics
     ///
@@ -208,11 +213,8 @@ impl VirtualCluster {
             attacked.iter().all(|&i| i < n),
             "attacked index out of range"
         );
-        self.flood = match self.nodes[0].engine().config().variant {
-            ProtocolVariant::Drum => (x / 2.0, x / 2.0),
-            ProtocolVariant::Push => (0.0, x),
-            ProtocolVariant::Pull => (x, 0.0),
-        };
+        let variant = self.nodes[0].engine().config().variant;
+        self.flood = Flood::new(AdversaryKind::Static, variant, x, 1, false, 1);
         self.attacked = attacked;
         self
     }
@@ -278,31 +280,14 @@ impl VirtualCluster {
         self.wire.bytes.clear();
     }
 
-    /// One round's flood into victim `i`, staged for its next round: each
-    /// rate rounded to a whole count, its fraction by a coin flip.
+    /// One round's flood into victim `i`, staged for its next round.
     fn flood(&mut self, i: usize) {
-        let mut count = |rate: f64| {
-            let frac = rate - rate.floor();
-            rate.floor() as u64 + u64::from(frac > 0.0 && self.flood_rng.random_bool(frac))
-        };
-        let (pulls, pushes) = (count(self.flood.0), count(self.flood.1));
+        let (node, flood) = (&mut self.nodes[i], &mut self.flood);
         let mut scratch = BytesMut::new();
-        for k in 0..pulls + pushes {
-            self.flood_seq += 1;
-            let (msg, kind) = if k < pulls {
-                (
-                    fabricated_pull_request(self.flood_seq),
-                    MessageKind::PullRequest,
-                )
-            } else {
-                (
-                    fabricated_push_offer(self.flood_seq),
-                    MessageKind::PushOffer,
-                )
-            };
-            codec::encode_into(&msg, &mut scratch);
-            self.nodes[i].receive(Channel::Staged(kind), &scratch);
-        }
+        flood.next_slice(|_, msg| {
+            codec::encode_into(msg, &mut scratch);
+            node.receive(Channel::Staged(msg.kind()), &scratch);
+        });
     }
 
     /// Moves node `i`'s outbox onto the wire and its deliveries into the log.

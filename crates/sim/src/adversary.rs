@@ -18,7 +18,7 @@
 
 use rand::rngs::SmallRng;
 
-use drum_core::BitSet;
+use drum_core::{BitSet, FloodRates};
 
 pub use drum_core::AdversaryKind;
 
@@ -107,23 +107,19 @@ fn chase_frontier(view: &TargetView<'_>, rng: &mut SmallRng, out: &mut Vec<usize
     }
 }
 
-/// Per-target per-round fabrication rates `(x_push, x_pull)` of `cfg`'s
-/// adversary. The static split is [`SimConfig::x_push`]/[`SimConfig::x_pull`];
-/// eclipse lands the whole group budget `B = x·attacked` on its one victim;
-/// pull-abuse moves the push half onto the pull channel. Replay keeps the
-/// static rates: at the acceptance-budget layer replays contend for the
-/// same slots as fabrications before authentication runs.
-pub(crate) fn rates(cfg: &SimConfig) -> (f64, f64) {
-    match cfg.adversary() {
-        AdversaryKind::Static | AdversaryKind::TargetChasing { .. } | AdversaryKind::Replay => {
-            (cfg.x_push(), cfg.x_pull())
-        }
-        AdversaryKind::Eclipse => {
-            let k = cfg.attacked().max(1) as f64;
-            (cfg.x_push() * k, cfg.x_pull() * k)
-        }
-        AdversaryKind::PullAbuse => (0.0, cfg.x_rate()),
-    }
+/// Per-target per-round fabrication rates of `cfg`'s adversary, by
+/// [`AdversaryKind::rates`]: eclipse floods its one victim, every other
+/// kind — a chase re-aims a whole `attacked`-sized set — floods
+/// `attacked`. Replay keeps the static rates: at the acceptance-budget
+/// layer replays contend for the same slots as fabrications before
+/// authentication runs.
+pub(crate) fn rates(cfg: &SimConfig) -> FloodRates {
+    let kind = cfg.adversary();
+    let flooded = match kind {
+        AdversaryKind::Eclipse => 1,
+        _ => cfg.attacked(),
+    };
+    kind.rates(cfg.protocol, cfg.x_rate(), cfg.attacked(), flooded)
 }
 
 #[cfg(test)]
@@ -138,13 +134,24 @@ mod tests {
 
     #[test]
     fn static_strategy_preserves_paper_rates() {
-        assert_eq!(rates(&paper(AdversaryKind::Static)), (64.0, 64.0));
+        let split = FloodRates {
+            push: 64.0,
+            pull: 64.0,
+        };
+        assert_eq!(rates(&paper(AdversaryKind::Static)), split);
+        // A chase re-aims all 12 victims, each at the static rates.
+        let chase = AdversaryKind::TargetChasing { every: 1 };
+        assert_eq!(rates(&paper(chase)), split);
     }
 
     #[test]
     fn eclipse_concentrates_the_group_budget() {
         // 12 attacked × x/2 per channel → 768 per channel on the one victim.
-        assert_eq!(rates(&paper(AdversaryKind::Eclipse)), (768.0, 768.0));
+        let focused = FloodRates {
+            push: 768.0,
+            pull: 768.0,
+        };
+        assert_eq!(rates(&paper(AdversaryKind::Eclipse)), focused);
         let mut rng = SmallRng::seed_from_u64(1);
         let has_m = BitSet::new(120);
         let view = |round| TargetView {
@@ -163,7 +170,11 @@ mod tests {
 
     #[test]
     fn pull_abuse_reroutes_the_whole_budget() {
-        assert_eq!(rates(&paper(AdversaryKind::PullAbuse)), (0.0, 128.0));
+        let all_pull = FloodRates {
+            push: 0.0,
+            pull: 128.0,
+        };
+        assert_eq!(rates(&paper(AdversaryKind::PullAbuse)), all_pull);
     }
 
     #[test]

@@ -244,25 +244,6 @@ impl SimConfig {
         }
     }
 
-    /// Fabricated-message rate aimed at the push channel of one attacked
-    /// process (x/2 for Drum, x for Push, 0 for Pull — §5).
-    pub fn x_push(&self) -> f64 {
-        match self.protocol {
-            ProtocolVariant::Drum => self.x_rate() / 2.0,
-            ProtocolVariant::Push => self.x_rate(),
-            ProtocolVariant::Pull => 0.0,
-        }
-    }
-
-    /// Fabricated-message rate aimed at the pull channel(s).
-    pub fn x_pull(&self) -> f64 {
-        match self.protocol {
-            ProtocolVariant::Drum => self.x_rate() / 2.0,
-            ProtocolVariant::Push => 0.0,
-            ProtocolVariant::Pull => self.x_rate(),
-        }
-    }
-
     /// Checks internal consistency.
     ///
     /// # Errors
@@ -342,18 +323,20 @@ mod tests {
         let drum = SimConfig::paper_attack(ProtocolVariant::Drum, 120, 128.0);
         assert_eq!(drum.view_push(), 2);
         assert_eq!(drum.view_pull(), 2);
-        assert_eq!(drum.x_push(), 64.0);
-        assert_eq!(drum.x_pull(), 64.0);
+        let rates = |cfg: &SimConfig| {
+            let r = crate::adversary::rates(cfg);
+            (r.push, r.pull)
+        };
+        assert_eq!(rates(&drum), (64.0, 64.0));
 
         let push = SimConfig::paper_attack(ProtocolVariant::Push, 120, 128.0);
         assert_eq!(push.view_push(), 4);
         assert_eq!(push.view_pull(), 0);
-        assert_eq!(push.x_push(), 128.0);
-        assert_eq!(push.x_pull(), 0.0);
+        assert_eq!(rates(&push), (128.0, 0.0));
 
         let pull = SimConfig::paper_attack(ProtocolVariant::Pull, 120, 128.0);
         assert_eq!(pull.view_pull(), 4);
-        assert_eq!(pull.x_pull(), 128.0);
+        assert_eq!(rates(&pull), (0.0, 128.0));
     }
 
     #[test]

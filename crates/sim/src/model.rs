@@ -32,7 +32,7 @@
 use rand::rngs::{key_fold, SmallRng};
 use rand::SeedableRng;
 
-use drum_core::BitSet;
+use drum_core::{BitSet, FloodRates};
 use drum_trace::{trace_event, Timestamp, Tracer};
 
 use crate::adversary::{self, TargetView};
@@ -65,7 +65,7 @@ struct RoundCtx {
     /// `1 - loss`: per-transmission survival probability.
     ok: f64,
     x_push: f64,
-    /// Pull budget on the request port (full `x_pull` with random ports,
+    /// Pull budget on the request port (the whole pull rate with random ports,
     /// half without — §9).
     x_req: f64,
     /// Pull budget on the well-known reply port (0 with random ports).
@@ -100,11 +100,10 @@ pub struct SimState {
     /// Incrementally maintained `attacked_with_m`; rebuilt on target
     /// rotation, bumped at delivery time otherwise.
     n_attacked_with_m: usize,
-    /// Per-target per-round channel rates `(push, pull)` of the configured
-    /// adversary ([`adversary::rates`]). Constant for a trial's lifetime,
-    /// so computed once.
-    adv_x_push: f64,
-    adv_x_pull: f64,
+    /// Per-target per-round channel rates of the configured adversary
+    /// ([`adversary::rates`]). Constant for a trial's lifetime, so
+    /// computed once.
+    adv: FloodRates,
 
     /// Processes that learned `M` this round.
     new_m: BitSet,
@@ -155,7 +154,7 @@ impl SimState {
         // exactly when an attack is configured.
         let n_correct_with_m = usize::from(cfg.correct() > 0);
         let n_attacked_with_m = usize::from(cfg.attacked() > 0);
-        let (adv_x_push, adv_x_pull) = adversary::rates(&cfg);
+        let adv = adversary::rates(&cfg);
         SimState {
             cfg,
             has_m,
@@ -164,8 +163,7 @@ impl SimState {
             tracer: Tracer::disabled(),
             n_correct_with_m,
             n_attacked_with_m,
-            adv_x_push,
-            adv_x_pull,
+            adv,
             new_m: BitSet::new(n),
             rotation_picks: Vec::new(),
             push_valid: Vec::new(),
@@ -587,15 +585,11 @@ impl SimState {
         self.new_m.clear_all();
         self.ensure_scratch();
 
-        let (x_req, x_reply) = if self.cfg.random_ports {
-            (self.adv_x_pull, 0.0)
-        } else {
-            (self.adv_x_pull / 2.0, self.adv_x_pull / 2.0)
-        };
+        let (x_req, x_reply) = self.adv.pull_split(self.cfg.random_ports);
         let ctx = RoundCtx {
             round_key,
             ok: 1.0 - self.cfg.loss,
-            x_push: self.adv_x_push,
+            x_push: self.adv.push,
             x_req,
             x_reply,
         };

@@ -116,6 +116,8 @@ RETIRED_NAMES="$RETIRED_NAMES|NodeCore::drain""_all|sys::avail""able|NetConfig::
 RETIRED_NAMES="$RETIRED_NAMES|step""_sharded|auto""_shards|run_trial_traced""_mode|shard""_range|IN_WOR""KER"
 RETIRED_NAMES="$RETIRED_NAMES|BitSet::or""_with|\\.or""_with\\("
 RETIRED_NAMES="$RETIRED_NAMES|Virtual""Network|testkit::Network""Config"
+RETIRED_NAMES="$RETIRED_NAMES|spawn""_attacker|Attacker""Config|Attacker""Handle|check""_adversary"
+RETIRED_NAMES="$RETIRED_NAMES|batches""_per_round|reply_port""_targets|victim""_protocol|\\.x_pu(sh|ll)\\(\\)"
 # The retired `Bytes` cursor readers: `.get_uN(` with no argument cannot
 # match `BytesMut::put_uN(..)` or the codec's `Reader::uN()`.
 RETIRED_NAMES="$RETIRED_NAMES|\\.get""_u(8|16|32|64)\\(\\)|copy_to""_(slice|bytes)|has""_remaining|\\.remain""ing\\(\\)"
