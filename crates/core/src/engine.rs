@@ -113,7 +113,8 @@ pub struct RoundStats {
     pub dropped_budget: [u64; 5],
     /// Data messages dropped due to failed source authentication.
     pub dropped_auth: u64,
-    /// Push-replies dropped because no matching offer was outstanding.
+    /// Push-replies dropped because no matching offer was outstanding
+    /// this round. They are checked before the budget and take no slot.
     pub dropped_unsolicited: u64,
     /// Reply ports not advertised because the key store holds no key for
     /// the peer: with random ports on, a port is only ever sent sealed, so
@@ -512,6 +513,24 @@ impl Engine {
         out: &mut Vec<Outbound>,
     ) {
         let kind = incoming.kind();
+        // Solicitation before accounting: a push-reply from a partner this
+        // round offered nothing to (stale, duplicate or forged) is dropped
+        // before it can take a budget slot from a live one. The set lookup
+        // is all it costs; opening its data port stays behind the charge.
+        if let GossipMessage::PushReply { from, .. } = &incoming {
+            if !self.offered_to.contains(from) {
+                self.stats.dropped_unsolicited += 1;
+                trace_event!(
+                    self.tracer,
+                    "engine",
+                    "push_reply.unsolicited",
+                    self.now(),
+                    me = self.me().as_u64(),
+                    from = from.as_u64()
+                );
+                return;
+            }
+        }
         let channel = Channel::for_kind(kind);
         if !self.budget.try_accept(channel) {
             self.stats.dropped_budget[RoundStats::kind_index(kind)] += 1;
@@ -598,19 +617,7 @@ impl Engine {
                 data_port,
                 ..
             } => {
-                if !self.offered_to.contains(&from) {
-                    self.stats.dropped_unsolicited += 1;
-                    trace_event!(
-                        self.tracer,
-                        "engine",
-                        "push_reply.unsolicited",
-                        self.now(),
-                        me = self.me().as_u64(),
-                        from = from.as_u64()
-                    );
-                    return;
-                }
-                // One reply per offer.
+                // Solicited (checked above); one reply per offer.
                 self.offered_to.remove(&from);
                 let Some(port) = self.resolve_port(&data_port) else {
                     return;
@@ -721,7 +728,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtocolVariant;
+    use crate::config::{BoundMode, ProtocolVariant};
     use crate::digest::Digest;
 
     fn setup(n: u64, variant: ProtocolVariant) -> (Vec<Engine>, KeyStore) {
@@ -1023,7 +1030,7 @@ mod tests {
         let reply = || GossipMessage::PushReply {
             from: ProcessId(1),
             digest: Digest::new(),
-            data_port: data_port.clone(),
+            data_port,
             nonce: 0,
         };
         let first = engines[0].handle(reply(), &mut oracle);
@@ -1031,6 +1038,55 @@ mod tests {
         assert!(matches!(first[0].msg, GossipMessage::PushData { .. }));
         let second = engines[0].handle(reply(), &mut oracle);
         assert!(second.is_empty());
+    }
+
+    /// A push-reply is checked against this round's offers before it is
+    /// charged: replies to last round's offer, as many as the channel's
+    /// cap and one more, are dropped as unsolicited and cost no slot, so
+    /// the one live reply still gets its push-data — under separate bounds
+    /// and under the shared control bound alike.
+    #[test]
+    fn stale_push_replies_cost_no_budget() {
+        for mode in [BoundMode::Separate, BoundMode::SharedControl] {
+            let config = GossipConfig::drum().with_bound_mode(mode);
+            let cap = crate::bounds::RoundBudget::for_config(&config)
+                .remaining(crate::bounds::Channel::PushReply);
+            let store = KeyStore::new(7);
+            let members: Vec<ProcessId> = (0..3).map(ProcessId).collect();
+            let key = store.register(0);
+            let mut engine = Engine::new(
+                config,
+                Membership::new(ProcessId(0), members),
+                store,
+                key,
+                1,
+            );
+            engine.publish(Bytes::from_static(b"m"));
+            let mut oracle = CountingPortOracle::default();
+            // Round r offers to p1 only; round r+1 to p2 only.
+            engine.begin_round(&mut oracle);
+            engine.offered_to = HashSet::from([ProcessId(1)]);
+            engine.end_round();
+            engine.begin_round(&mut oracle);
+            engine.offered_to = HashSet::from([ProcessId(2)]);
+            let data_port = sealed_for(&engine, 5000);
+            let reply = |from: u64| GossipMessage::PushReply {
+                from: ProcessId(from),
+                digest: Digest::new(),
+                data_port,
+                nonce: 0,
+            };
+            for _ in 0..=cap {
+                assert!(engine.handle(reply(1), &mut oracle).is_empty());
+            }
+            let out = engine.handle(reply(2), &mut oracle);
+            assert_eq!(out.len(), 1, "{mode:?}: the live reply was starved");
+            assert!(matches!(out[0].msg, GossipMessage::PushData { .. }));
+            let stats = engine.stats();
+            assert_eq!(stats.dropped_unsolicited, cap as u64 + 1);
+            assert_eq!(stats.accepted_of(MessageKind::PushReply), 1);
+            assert_eq!(stats.dropped_budget, [0; 5]);
+        }
     }
 
     #[test]

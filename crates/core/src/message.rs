@@ -2,7 +2,7 @@
 
 use crate::bytes::Bytes;
 use drum_crypto::auth::AuthTag;
-use drum_crypto::seal::SealedBox;
+use drum_crypto::seal::SealedPort;
 
 use crate::digest::Digest;
 use crate::ids::{MessageId, ProcessId};
@@ -78,8 +78,9 @@ impl DataMessage {
 /// Drum seals random ports under the recipient's key so an attacker cannot
 /// learn them ([`PortRef::Sealed`]). The ablation variant that demonstrates
 /// *why* this matters (Figure 12(a)) uses [`PortRef::Plain`]; abstract
-/// transports (the simulator) use [`PortRef::None`].
-#[derive(Debug, Clone, PartialEq)]
+/// transports (the simulator) use [`PortRef::None`]. Every variant is a
+/// fixed-size value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortRef {
     /// No port information (abstract/simulated transport).
     None,
@@ -88,7 +89,7 @@ pub enum PortRef {
     /// the engine refuses to reply to it.
     Plain(u16),
     /// A sealed port, only readable by the intended recipient.
-    Sealed(SealedBox),
+    Sealed(SealedPort),
 }
 
 impl PortRef {

@@ -58,13 +58,13 @@ pub use auth::{
 pub use batch::{BatchVerifier, MacCounters, VerifyRequest};
 pub use hmac::HmacKey;
 pub use keys::{KeyStore, SecretKey, UnknownPeerError};
-pub use seal::{open, open_port, seal, seal_port, SealError, SealedBox};
+pub use seal::{open_port, seal_port, SealError, SealedPort};
 
 #[cfg(test)]
 mod proptests {
     use crate::hmac::{hmac_sha256, HmacKey};
     use crate::keys::SecretKey;
-    use crate::seal::{open, seal, MAX_SEALED_LEN};
+    use crate::seal::{open_port, seal_port};
     use crate::sha256::Sha256;
     use drum_testkit::prop::{check, Config, Gen};
     use drum_testkit::{prop_assert, prop_assert_eq};
@@ -136,10 +136,9 @@ mod proptests {
     fn seal_round_trips() {
         check("seal_round_trips", Config::default(), |g| {
             let k = SecretKey::from_bytes(key_bytes(g));
-            let nonce = g.u64();
-            let pt = g.bytes(0..MAX_SEALED_LEN + 1);
-            let sealed = seal(&k, nonce, &pt).unwrap();
-            prop_assert_eq!(open(&k, &sealed).unwrap(), pt);
+            let (nonce, port) = (g.u64(), g.u16());
+            let sealed = seal_port(&k, nonce, port).unwrap();
+            prop_assert_eq!(open_port(&k, &sealed), Ok(port));
             Ok(())
         });
     }
@@ -148,13 +147,16 @@ mod proptests {
     fn seal_tamper_detected() {
         check("seal_tamper_detected", Config::default(), |g| {
             let k = SecretKey::from_bytes(key_bytes(g));
-            let nonce = g.u64();
-            let pt = g.bytes(1..MAX_SEALED_LEN + 1);
+            let (nonce, port) = (g.u64(), g.u16());
             let flip = g.u8() | 1; // non-zero XOR mask
-            let mut sealed = seal(&k, nonce, &pt).unwrap();
-            let i = g.index(sealed.ciphertext.len());
-            sealed.ciphertext[i] ^= flip;
-            prop_assert!(open(&k, &sealed).is_err());
+            let mut sealed = seal_port(&k, nonce, port).unwrap();
+            // Any one of the ciphertext and tag bytes.
+            let i = g.index(2 + 32);
+            match i.checked_sub(2) {
+                None => sealed.ciphertext[i] ^= flip,
+                Some(t) => sealed.tag[t] ^= flip,
+            }
+            prop_assert!(open_port(&k, &sealed).is_err());
             Ok(())
         });
     }

@@ -261,7 +261,7 @@ impl Attacker {
                             MessageKind::PushOffer => targets[t].push,
                             _ => reply_ports[t],
                         };
-                        tx.push_message(&socket, to, msg, false);
+                        tx.push_message(&socket, to, msg);
                         queued += 1;
                     });
                     sent += tx.finish(&socket);

@@ -10,9 +10,9 @@
 //! runtime, the driver's send arena. Decoding
 //! ([`decode_skipping`], and [`decode`] on top of it) reads the borrowed
 //! datagram and copies out what the message keeps and nothing else: each
-//! kept data message's payload into a `Bytes` of its own, a sealed port's
-//! ciphertext, a digest's intervals. A datagram that fails a check
-//! allocates nothing.
+//! kept data message's payload into a `Bytes` of its own and a digest's
+//! intervals; a sealed port is an inline value. A datagram that fails a
+//! check allocates nothing.
 
 use drum_core::bytes::{Bytes, BytesMut};
 
@@ -20,7 +20,7 @@ use drum_core::digest::Digest;
 use drum_core::ids::{MessageId, ProcessId};
 use drum_core::message::{DataMessage, GossipMessage, PortRef};
 use drum_crypto::auth::AuthTag;
-use drum_crypto::seal::SealedBox;
+use drum_crypto::seal::SealedPort;
 
 /// Maximum accepted datagram payload (loopback UDP handles 64 KiB; we stay
 /// comfortably below).
@@ -71,7 +71,7 @@ const PORT_SEALED: u8 = 2;
 pub enum DecodeError {
     /// Buffer ended before the structure was complete.
     Truncated,
-    /// A tag byte or enum discriminant was invalid.
+    /// A tag byte, enum discriminant or fixed length byte was invalid.
     BadTag,
     /// A length field exceeded its hard limit.
     TooLarge,
@@ -200,51 +200,24 @@ fn put_port(out: &mut BytesMut, port: &PortRef) {
     }
 }
 
-/// A reply port as the datagram carries it, built into a [`PortRef`] only
-/// once the rest of the datagram has parsed.
-enum WirePort<'a> {
-    None,
-    Plain(u16),
-    Sealed {
-        nonce: u64,
-        ciphertext: &'a [u8],
-        tag: &'a [u8; 32],
-    },
-}
-
-impl WirePort<'_> {
-    fn build(self) -> PortRef {
-        match self {
-            WirePort::None => PortRef::None,
-            WirePort::Plain(p) => PortRef::Plain(p),
-            WirePort::Sealed {
-                nonce,
-                ciphertext,
-                tag,
-            } => PortRef::Sealed(SealedBox {
-                nonce,
-                ciphertext: ciphertext.to_vec(),
-                tag: *tag,
-            }),
-        }
-    }
-}
-
-fn get_port<'a>(r: &mut Reader<'a>) -> Result<WirePort<'a>, DecodeError> {
+/// A reply port. A sealed port's length byte must read 2, the only length
+/// [`seal_port`](drum_crypto::seal::seal_port) writes: a port of any other
+/// length could never open, so it is refused here rather than charged to
+/// a budget and left unanswered.
+fn get_port(r: &mut Reader<'_>) -> Result<PortRef, DecodeError> {
     match r.u8()? {
-        PORT_NONE => Ok(WirePort::None),
-        PORT_PLAIN => Ok(WirePort::Plain(r.u16()?)),
+        PORT_NONE => Ok(PortRef::None),
+        PORT_PLAIN => Ok(PortRef::Plain(r.u16()?)),
         PORT_SEALED => {
             let nonce = r.u64()?;
-            let ct_len = r.u8()? as usize;
-            if ct_len > drum_crypto::seal::MAX_SEALED_LEN {
-                return Err(DecodeError::TooLarge);
+            if r.u8()? != 2 {
+                return Err(DecodeError::BadTag);
             }
-            Ok(WirePort::Sealed {
+            Ok(PortRef::Sealed(SealedPort {
                 nonce,
-                ciphertext: r.take(ct_len)?,
-                tag: r.array()?,
-            })
+                ciphertext: *r.array()?,
+                tag: *r.array()?,
+            }))
         }
         _ => Err(DecodeError::BadTag),
     }
@@ -450,8 +423,7 @@ pub fn decode(bytes: &[u8]) -> Result<GossipMessage, DecodeError> {
 /// [`decode`] does — but never built, so a receiver that skips the ids it
 /// has already seen pays no allocation for a duplicate. A datagram
 /// rejected for its lengths, tags, limits or trailing bytes allocates
-/// nothing, and neither does a control message without a sealed port or
-/// a digest entry.
+/// nothing, and neither does a control message without a digest entry.
 ///
 /// # Errors
 ///
@@ -474,7 +446,7 @@ pub fn decode_skipping(
             GossipMessage::PullRequest {
                 from,
                 digest: get_digest(r)?,
-                reply_port: reply_port.build(),
+                reply_port,
                 nonce,
             }
         }
@@ -488,7 +460,7 @@ pub fn decode_skipping(
             r.finish()?;
             GossipMessage::PushOffer {
                 from,
-                reply_port: reply_port.build(),
+                reply_port,
                 nonce,
             }
         }
@@ -498,7 +470,7 @@ pub fn decode_skipping(
             GossipMessage::PushReply {
                 from,
                 digest: get_digest(r)?,
-                data_port: data_port.build(),
+                data_port,
                 nonce,
             }
         }
@@ -859,6 +831,29 @@ mod tests {
         .to_vec();
         bytes[0] = 200;
         assert_eq!(decode(&bytes), Err(DecodeError::BadTag));
+    }
+
+    /// A sealed port holds exactly two ciphertext bytes. One whose length
+    /// byte says otherwise could never open, so it does not decode, with
+    /// its bytes present in full after the length byte.
+    #[test]
+    fn a_sealed_port_whose_length_byte_is_not_2_is_a_decode_error() {
+        let offer = |len: u8| {
+            let mut out = BytesMut::new();
+            out.put_u8(TAG_PUSH_OFFER);
+            out.put_u64(2); // from
+            out.put_u64(9); // nonce
+            out.put_u8(PORT_SEALED);
+            out.put_u64(77); // seal nonce
+            out.put_u8(len);
+            out.put_slice(&vec![0xA5; usize::from(len)]);
+            out.put_slice(&[0; 32]); // tag
+            out.to_vec()
+        };
+        assert!(decode(&offer(2)).is_ok());
+        for len in [0, 1, 3, 32, 255] {
+            assert_eq!(decode(&offer(len)), Err(DecodeError::BadTag), "{len}");
+        }
     }
 
     #[test]

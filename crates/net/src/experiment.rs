@@ -459,10 +459,10 @@ pub fn throughput_experiment(
                             cluster: &Cluster| {
         for (i, h) in cluster.handles().iter().enumerate() {
             for d in h.take_delivered() {
-                let now_micros = epoch.elapsed().as_micros() as u64;
+                let at_micros = d.at.saturating_duration_since(epoch).as_micros() as u64;
                 if let Some((_seq, sent_micros)) = decode_payload(&d.message.payload) {
-                    let lat_ms = (now_micros.saturating_sub(sent_micros)) as f64 / 1000.0;
-                    let t_secs = now_micros as f64 / 1e6;
+                    let lat_ms = (at_micros.saturating_sub(sent_micros)) as f64 / 1000.0;
+                    let t_secs = at_micros as f64 / 1e6;
                     latency[i].record_at(t_secs, lat_ms);
                     throughput[i].record(t_secs);
                 }
@@ -619,13 +619,12 @@ pub fn soak_experiment(
 
     let drain_deliveries =
         |cluster: &Cluster, delivered: &mut [u64; 3], latencies: &mut Vec<f64>| {
-            let phase = phase_of(Instant::now());
             for h in cluster.handles()[1..].iter() {
                 for d in h.take_delivered() {
-                    let now_micros = epoch.elapsed().as_micros() as u64;
+                    let at_micros = d.at.saturating_duration_since(epoch).as_micros() as u64;
                     if let Some((_seq, sent_micros)) = decode_payload(&d.message.payload) {
-                        delivered[phase] += 1;
-                        latencies.push((now_micros.saturating_sub(sent_micros)) as f64 / 1000.0);
+                        delivered[phase_of(d.at)] += 1;
+                        latencies.push((at_micros.saturating_sub(sent_micros)) as f64 / 1000.0);
                     }
                 }
             }

@@ -389,8 +389,8 @@ mod proptests {
     fn encode_into_matches_encode() {
         use drum_core::bytes::BytesMut;
         // A reused (dirty) scratch buffer must produce the exact bytes of a
-        // fresh `encode` for every message — the zero-allocation fan-out
-        // path cannot change the wire format.
+        // fresh `encode` for every message — encoding into reused
+        // memory cannot change the wire format.
         check("encode_into_matches_encode", Config::default(), |g| {
             let mut scratch = BytesMut::with_capacity(16);
             scratch.put_slice(b"stale bytes from a previous datagram");

@@ -541,27 +541,19 @@ impl Node {
     /// upstream) is counted in `alloc_failed` instead — dropping it
     /// silently would hide socket exhaustion from every dashboard.
     ///
-    /// `send(out, repeat)` returns whether it queued the datagram.
-    /// `repeat` says that `out.msg` equals the message of the datagram
-    /// queued just before — the engine fans the same message to several
-    /// recipients back-to-back — so its encoding can be shared.
-    pub fn send_outs(&mut self, mut send: impl FnMut(&Outbound, bool) -> bool) {
+    /// `send(out)` encodes and queues the datagram.
+    pub fn send_outs(&mut self, mut send: impl FnMut(&Outbound)) {
         let loss = self.config.loss;
-        let mut pushed: Option<usize> = None;
-        for i in 0..self.outs.len() {
+        for out in self.outs.drain(..) {
             if loss > 0.0 && self.rng.random_bool(loss) {
                 continue; // emulated link loss
             }
-            if self.outs[i].port == SendPort::Port(0) {
+            if out.port == SendPort::Port(0) {
                 self.stats.alloc_failed += 1;
                 continue;
             }
-            let repeat = matches!(pushed, Some(j) if self.outs[j].msg == self.outs[i].msg);
-            if send(&self.outs[i], repeat) {
-                pushed = Some(i);
-            }
+            send(&out);
         }
-        self.outs.clear();
     }
 
     /// Counts `n` datagrams the driver's transport took.

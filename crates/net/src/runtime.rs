@@ -256,23 +256,20 @@ impl NodeCore {
 
     /// Sends the node's outbox through `tx`, the driver's shared sender:
     /// one bare datagram per outbound message, control and data alike,
-    /// encoded straight into its send arena — the node keeps no encode
-    /// buffer. A message equal to the one pushed before it is queued as a
-    /// repeat sharing the arena bytes (encode-once fan-out). Datagrams
-    /// leave in one sendmmsg per batch.
+    /// each encoded for itself straight into its send arena — the node
+    /// keeps no encode buffer. Datagrams leave in one sendmmsg per batch.
     fn send_out(&mut self, send_socket: &UdpSocket, tx: &mut BatchTx) {
         let book = &self.book;
-        self.node.send_outs(|out, repeat| {
+        self.node.send_outs(|out| {
             let addr = match out.port {
                 SendPort::Port(p) => AddressBook::loopback(p),
                 well_known => match book.addrs_of(out.to) {
                     Some(a) if well_known == SendPort::WellKnownPull => a.pull,
                     Some(a) => a.push,
-                    None => return false,
+                    None => return,
                 },
             };
-            tx.push_message(send_socket, addr, &out.msg, repeat);
-            true
+            tx.push_message(send_socket, addr, &out.msg);
         });
         self.node.record_sent(tx.finish(send_socket));
     }

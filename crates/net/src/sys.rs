@@ -6,8 +6,8 @@
 //! protocol resources. With one receive syscall per datagram the fixed
 //! syscall overhead — not decoding or verification — dominates the receive budget
 //! under a Figure-5-style flood. `recvmmsg(2)` moves up to [`BATCH`]
-//! datagrams per kernel crossing and `sendmmsg(2)` does the same for the
-//! encode-once fan-out, amortizing the fixed cost by ~64×; `epoll(7)` lets
+//! datagrams per kernel crossing and `sendmmsg(2)` does the same for a
+//! round's sends, amortizing the fixed cost by ~64×; `epoll(7)` lets
 //! quiet rounds block — to the nanosecond, through `epoll_pwait2(2)` —
 //! until a datagram or the next round deadline, instead of spinning.
 //!
@@ -627,9 +627,8 @@ impl RecvArena {
 // ---------------------------------------------------------------
 
 /// Fixed scratch for `sendmmsg`: queued datagrams share one grow-only
-/// byte arena that encoders write into directly, and the encode-once
-/// fan-out queues *ranges* — a message fanned to `k` recipients is
-/// written once and referenced `k` times.
+/// byte arena that encoders write into directly, each datagram its own
+/// range of it.
 pub struct SendArena {
     bytes: BytesMut,
     /// Queued datagrams: byte range in `bytes` + destination.
@@ -709,19 +708,6 @@ impl SendArena {
         let start = self.bytes.len();
         write(&mut self.bytes);
         self.msgs.push((start, self.bytes.len() - start, dest));
-    }
-
-    /// Queues one datagram whose bytes are identical to the previously
-    /// queued one, sharing its arena range (the encode-once fan-out
-    /// path: no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena is empty or full.
-    pub fn push_repeat(&mut self, dest: SockAddrV4Raw) {
-        assert!(!self.is_full(), "push into a full SendArena");
-        let (start, len, _) = *self.msgs.last().expect("push_repeat on empty arena");
-        self.msgs.push((start, len, dest));
     }
 
     /// Flushes everything queued through `sendmmsg`, looping over
@@ -1115,13 +1101,12 @@ mod tests {
     }
 
     #[test]
-    fn sendmmsg_delivers_fanout_without_copies() {
+    fn sendmmsg_delivers_a_batch_in_one_syscall() {
         let (rx, tx) = pair();
         let dest = SockAddrV4Raw::from_std(rx.local_addr().unwrap()).unwrap();
         let mut arena = SendArena::new();
-        arena.push_with(dest, |b| b.put_slice(b"fanned"));
-        for _ in 0..7 {
-            arena.push_repeat(dest);
+        for _ in 0..8 {
+            arena.push_with(dest, |b| b.put_slice(b"fanned"));
         }
         let (sent, syscalls) = arena.flush(fd_of(&tx));
         assert_eq!(sent, 8);

@@ -102,11 +102,9 @@ impl BatchRx {
 
 /// Batched datagram sender: datagrams queue into a [`sys::SendArena`] and
 /// flush through `sendmmsg(2)` (automatically when a batch fills,
-/// explicitly via [`BatchTx::finish`]). Gossip messages are encoded
-/// straight into the arena, so a driver needs no encode buffer of its
-/// own, and the encode-once fan-out queues repeated bytes as arena
-/// ranges: a message fanned to `k` recipients is written once and the
-/// kernel crossing is paid once per [`sys::BATCH`].
+/// explicitly via [`BatchTx::finish`]), so the kernel crossing is paid once
+/// per [`sys::BATCH`]. Gossip messages are encoded straight into the arena,
+/// each for itself, so a driver needs no encode buffer of its own.
 /// Undeliverable datagrams are dropped silently (fire-and-forget UDP
 /// semantics).
 #[derive(Debug)]
@@ -114,9 +112,6 @@ pub struct BatchTx {
     arena: sys::SendArena,
     syscalls: u64,
     pending_sent: u64,
-    /// Whether the previous push went into the arena since the last flush,
-    /// so a repeat may share its range.
-    repeatable: bool,
 }
 
 impl BatchTx {
@@ -126,7 +121,6 @@ impl BatchTx {
             arena: sys::SendArena::new(),
             syscalls: 0,
             pending_sent: 0,
-            repeatable: false,
         }
     }
 
@@ -141,54 +135,36 @@ impl BatchTx {
         let (sent, syscalls) = self.arena.flush(sys::fd_of(socket));
         self.pending_sent += sent as u64;
         self.syscalls += syscalls as u64;
-        self.repeatable = false;
     }
 
-    /// Queues one datagram for `socket`. `repeat` declares that `bytes`
-    /// are identical to the previous push — the encode-once fan-out hint
-    /// that shares the arena range instead of copying, when that push is
-    /// still in the arena.
-    pub fn push(&mut self, socket: &UdpSocket, addr: SocketAddr, bytes: &[u8], repeat: bool) {
-        self.queue(socket, addr, repeat, |out| out.put_slice(bytes));
+    /// Queues one datagram of `bytes` for `socket`. `_repeat` is ignored:
+    /// every datagram is copied in for itself (the argument is kept for
+    /// `benchmark/`).
+    pub fn push(&mut self, socket: &UdpSocket, addr: SocketAddr, bytes: &[u8], _repeat: bool) {
+        self.queue(socket, addr, |out| out.put_slice(bytes));
     }
 
     /// Queues `msg` as one datagram for `socket`, encoded straight into
-    /// the arena: the one encode path of a driver's engines. `repeat`
-    /// declares that `msg` equals the previous push's message — the
-    /// encode-once fan-out hint: it shares the arena range, and the
-    /// encoder runs again only if a flush came in between.
+    /// the arena: the one encode path of a driver's engines.
     pub(crate) fn push_message(
         &mut self,
         socket: &UdpSocket,
         addr: SocketAddr,
         msg: &GossipMessage,
-        repeat: bool,
     ) {
-        self.queue(socket, addr, repeat, |out| codec::encode_append(msg, out));
+        self.queue(socket, addr, |out| codec::encode_append(msg, out));
     }
 
-    fn queue(
-        &mut self,
-        socket: &UdpSocket,
-        addr: SocketAddr,
-        repeat: bool,
-        write: impl FnOnce(&mut BytesMut),
-    ) {
+    fn queue(&mut self, socket: &UdpSocket, addr: SocketAddr, write: impl FnOnce(&mut BytesMut)) {
         if self.arena.is_full() {
             self.flush(socket);
         }
         match sys::SockAddrV4Raw::from_std(addr) {
-            Some(dest) if repeat && self.repeatable => self.arena.push_repeat(dest),
-            Some(dest) => {
-                self.arena.push_with(dest, write);
-                self.repeatable = true;
-            }
+            Some(dest) => self.arena.push_with(dest, write),
             None => {
                 // The arena holds IPv4 destinations only; the runtime
                 // never addresses anything else, but an IPv6 argument
-                // is sent on its own rather than refused. The arena's last
-                // range still holds these bytes only if they repeat it.
-                self.repeatable &= repeat;
+                // is sent on its own rather than refused.
                 let mut bytes = BytesMut::new();
                 write(&mut bytes);
                 self.syscalls += 1;
@@ -1186,9 +1162,8 @@ mod tests {
         let dest = rx_socket.local_addr().unwrap();
         let sender = bind_ephemeral().unwrap();
         let mut tx = BatchTx::new();
-        tx.push(&sender, dest, b"first", false);
-        for _ in 0..9 {
-            tx.push(&sender, dest, b"first", true);
+        for _ in 0..10 {
+            tx.push(&sender, dest, b"first", false);
         }
         let sent = tx.finish(&sender);
         assert_eq!(sent, 10);
@@ -1204,21 +1179,20 @@ mod tests {
     }
 
     /// A message pushed through the arena leaves as exactly its encoding,
-    /// and a repeat that finds the arena just flushed is encoded again.
+    /// on either side of a flush.
     #[test]
-    fn push_message_sends_the_encoding_and_repeats_across_a_flush() {
+    fn push_message_sends_the_encoding_across_a_flush() {
         let rx_socket = bind_ephemeral().unwrap();
         let dest = rx_socket.local_addr().unwrap();
         let sender = bind_ephemeral().unwrap();
         let offer = crate::attack::fabricated_push_offer(7);
         let reply = crate::attack::fabricated_pull_reply(8);
         let mut tx = BatchTx::new();
-        tx.push_message(&sender, dest, &offer, false);
-        for _ in 0..crate::sys::BATCH + 4 {
-            tx.push_message(&sender, dest, &offer, true);
+        for _ in 0..crate::sys::BATCH + 5 {
+            tx.push_message(&sender, dest, &offer);
         }
-        tx.push_message(&sender, dest, &reply, false);
-        tx.push_message(&sender, dest, &reply, true);
+        tx.push_message(&sender, dest, &reply);
+        tx.push_message(&sender, dest, &reply);
         assert_eq!(tx.finish(&sender), crate::sys::BATCH as u64 + 7);
         assert_eq!(tx.syscalls(), 2, "one full batch, then the rest");
         std::thread::sleep(std::time::Duration::from_millis(30));
@@ -1232,11 +1206,10 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// A repeat shares the arena range only when the push before it went
-    /// into the arena: after a datagram sent on its own (an IPv6
-    /// destination), the repeat's bytes are written afresh.
+    /// A datagram to a non-IPv4 destination is sent on its own, one
+    /// syscall, and leaves the arena's queue as it was.
     #[test]
-    fn a_repeat_after_a_non_ipv4_push_sends_its_own_bytes() {
+    fn a_non_ipv4_push_is_sent_on_its_own() {
         let rx_socket = bind_ephemeral().unwrap();
         let dest = rx_socket.local_addr().unwrap();
         let sender = bind_ephemeral().unwrap();
@@ -1244,15 +1217,17 @@ mod tests {
         let mut tx = BatchTx::new();
         tx.push(&sender, dest, b"A", false);
         tx.push(&sender, v6, b"B", false);
-        tx.push(&sender, dest, b"B", true);
+        tx.push(&sender, dest, b"C", false);
+        assert_eq!(tx.syscalls(), 1, "the IPv6 datagram, at once");
         tx.finish(&sender);
+        assert_eq!(tx.syscalls(), 2, "then one sendmmsg for the rest");
         std::thread::sleep(std::time::Duration::from_millis(30));
         let mut buf = [0u8; 64];
         let mut got = Vec::new();
         while let Ok(len) = rx_socket.recv(&mut buf) {
             got.push(buf[..len].to_vec());
         }
-        assert_eq!(got, [b"A".to_vec(), b"B".to_vec()]);
+        assert_eq!(got, [b"A".to_vec(), b"C".to_vec()]);
     }
 
     #[test]

@@ -86,21 +86,14 @@ struct Wire {
     /// Destination node, channel and byte range in `bytes`.
     queue: VecDeque<(usize, Channel, usize, usize)>,
     bytes: BytesMut,
-    /// The range of the last encoded message, shared by its repeats.
-    last: (usize, usize),
     /// Severed links, as `(lower, higher)` node pairs.
     cuts: Vec<(usize, usize)>,
 }
 
 impl Wire {
     /// Puts one of node `from`'s outbounds on the wire, towards one of `n`
-    /// nodes.
-    fn send(&mut self, from: usize, n: usize, ports: &Registry, out: &Outbound, repeat: bool) {
-        if !repeat {
-            let start = self.bytes.len();
-            codec::encode_append(&out.msg, &mut self.bytes);
-            self.last = (start, self.bytes.len());
-        }
+    /// nodes, encoded for itself.
+    fn send(&mut self, from: usize, n: usize, ports: &Registry, out: &Outbound) {
         let (to, channel) = match out.port {
             SendPort::Port(p) => match ports.live.get(&p) {
                 Some(&(owner, purpose, _)) => (owner, Channel::Port(purpose)),
@@ -118,8 +111,9 @@ impl Wire {
             ),
         };
         if to < n && !self.cuts.contains(&(from.min(to), from.max(to))) {
-            self.queue
-                .push_back((to, channel, self.last.0, self.last.1));
+            let start = self.bytes.len();
+            codec::encode_append(&out.msg, &mut self.bytes);
+            self.queue.push_back((to, channel, start, self.bytes.len()));
         }
     }
 }
@@ -299,10 +293,9 @@ impl VirtualCluster {
             &self.registry,
         );
         let mut sent = 0;
-        node.send_outs(|out, repeat| {
-            wire.send(i, n, registry, out, repeat);
+        node.send_outs(|out| {
+            wire.send(i, n, registry, out);
             sent += 1;
-            true
         });
         node.record_sent(sent);
         self.delivered[i].extend(node.take_delivered());
@@ -349,6 +342,7 @@ impl VirtualCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NetStats;
     use drum_core::config::GossipConfig;
     use drum_core::message::GossipMessage;
 
@@ -404,10 +398,33 @@ mod tests {
                     messages: vec![],
                 },
             };
-            net.wire.send(0, 4, &net.registry, &reply, false);
+            net.wire.send(0, 4, &net.registry, &reply);
         }
         let queued: Vec<usize> = net.wire.queue.iter().map(|d| d.0).collect();
         assert_eq!(queued, [1], "only the live port delivers");
+    }
+
+    /// One seed's exact work, summed over the nodes: n = 18, nodes 0 and
+    /// 1 flooded at x = 128, node 0 publishing one message a round for 100
+    /// rounds. A change that moves any count moves the protocol's work on
+    /// the hostile path and must say why.
+    #[test]
+    fn one_seeds_work_is_pinned() {
+        let mut net = drum(18, 42).with_attack(vec![0, 1], 128.0);
+        for seq in 0..100u64 {
+            net.publish(0, Bytes::copy_from_slice(&seq.to_be_bytes()));
+            net.run_rounds(1);
+        }
+        let t: NetStats = (0..18).map(|i| *net.node(i).stats()).sum();
+        let work = [
+            t.sent,
+            t.received,
+            t.budget_drops,
+            t.decode_errors,
+            t.delivered,
+            t.compress_calls,
+        ];
+        assert_eq!(work, [11_497, 35_817, 25_351, 0, 1_650, 3_300]);
     }
 
     #[test]

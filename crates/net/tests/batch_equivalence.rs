@@ -153,10 +153,8 @@ fn a_64_way_fan_out_is_one_sendmmsg_reaching_each_recipient_once() {
     let wire = pull_request(42);
     let sender = bind_ephemeral().unwrap();
     let mut tx = BatchTx::new();
-    for (i, r) in receivers.iter().enumerate() {
-        // The encode-once fan-out hint: every push after the first
-        // repeats the same bytes.
-        tx.push(&sender, r.local_addr().unwrap(), &wire, i > 0);
+    for r in &receivers {
+        tx.push(&sender, r.local_addr().unwrap(), &wire, false);
     }
     assert_eq!(tx.finish(&sender), 64);
     assert_eq!(tx.syscalls(), 1, "one sendmmsg for the whole fan-out");

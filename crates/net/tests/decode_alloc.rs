@@ -10,9 +10,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use drum_core::bytes::{Bytes, BytesMut};
+use drum_core::digest::Digest;
 use drum_core::ids::{MessageId, ProcessId};
-use drum_core::message::{DataMessage, GossipMessage};
+use drum_core::message::{DataMessage, GossipMessage, PortRef};
 use drum_crypto::auth::AuthTag;
+use drum_crypto::keys::SecretKey;
+use drum_crypto::seal::seal_port;
 use drum_net::attack::{fabricated_frame, fabricated_pull_request, fabricated_push_offer};
 use drum_net::codec::{decode, decode_skipping, encode};
 
@@ -166,6 +169,34 @@ fn flood_and_garbage_datagrams_decode_without_allocating() {
         }
     });
     assert_eq!(allocations, 0, "a flood or garbage decode allocated");
+}
+
+/// A member's control messages: the sealed reply port is an inline value,
+/// so with an empty digest nothing is left to allocate.
+#[test]
+fn sealed_port_control_messages_decode_without_allocating() {
+    let key = SecretKey::from_bytes([2; 32]);
+    let reply_port = PortRef::Sealed(seal_port(&key, 77, 50_123).unwrap());
+    let sent = [
+        GossipMessage::PullRequest {
+            from: ProcessId(5),
+            digest: Digest::new(),
+            reply_port,
+            nonce: 77,
+        },
+        GossipMessage::PushOffer {
+            from: ProcessId(5),
+            reply_port,
+            nonce: 78,
+        },
+    ];
+    for msg in &sent {
+        let bytes = encode(msg).to_vec();
+        let (allocations, _) = allocations_in(|| {
+            assert_eq!(&decode(&bytes).unwrap(), msg);
+        });
+        assert_eq!(allocations, 0, "decoding a {} allocated", msg.kind());
+    }
 }
 
 #[test]

@@ -167,7 +167,7 @@ fn sealed_ports_are_opaque_and_tamper_evident() {
             }
             | GossipMessage::PushOffer {
                 reply_port, nonce, ..
-            } => (reply_port.clone(), *nonce),
+            } => (*reply_port, *nonce),
             other => panic!("unexpected {other:?}"),
         }) else {
             panic!("port must be sealed");
@@ -180,9 +180,9 @@ fn sealed_ports_are_opaque_and_tamper_evident() {
         let wrong = SecretKey::from_bytes([9u8; 32]);
         assert!(seal::open_port(&wrong, &sealed).is_err());
         // ...and the ciphertext is not the plaintext.
-        assert_ne!(sealed.ciphertext, port.to_be_bytes().to_vec());
+        assert_ne!(sealed.ciphertext, port.to_be_bytes());
         // Tampering is detected.
-        let mut mangled = sealed.clone();
+        let mut mangled = sealed;
         mangled.ciphertext[0] ^= 0xFF;
         assert!(seal::open_port(&recipient_key, &mangled).is_err());
     }
@@ -222,9 +222,9 @@ fn pull_request_with_corrupt_sealed_port_is_wasted() {
     a.publish(Bytes::from_static(b"m"));
     a.begin_round(&mut oracle);
 
-    let garbage = seal::SealedBox {
+    let garbage = seal::SealedPort {
         nonce: 1,
-        ciphertext: vec![1, 2],
+        ciphertext: [1, 2],
         tag: [0u8; 32],
     };
     let req = GossipMessage::PullRequest {
