@@ -345,6 +345,12 @@ fn run(args: &Args) -> Result<(), String> {
                 report.shard_wakeups,
                 t.rounds
             );
+            println!(
+                "net.shard_sleeps per engine-round {:.2} ({} sleeps, {} engine-rounds)",
+                report.shard_sleeps as f64 / t.rounds.max(1) as f64,
+                report.shard_sleeps,
+                t.rounds
+            );
         }
         "figures" => {
             let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("results"));

@@ -393,10 +393,16 @@ pub struct ThroughputReport {
     /// `compress_calls` reads ≈ 3 for 50-byte payloads, per engine-round
     /// `sockets_opened` well under 1, per port `port_syscalls` ≈ 3.2.
     pub totals: NetStats,
-    /// Epoll wakeups taken by the shard event loops (`net.shard_wakeups`).
-    /// Per round it tracks the datagrams a round brings, and explodes if a
-    /// loop ever polls.
+    /// Epoll waits made by the shard event loops (`net.shard_wakeups`),
+    /// the zero-timeout ones that return at once included. Per round it
+    /// tracks the datagrams a round brings, and explodes if a loop ever
+    /// polls.
     pub shard_wakeups: u64,
+    /// Of those waits, the ones that found nothing ready and blocked
+    /// (`net.shard_sleeps`). One sleep serves every round tick drawn
+    /// within the shard's slack of it, so per engine-round this reads well
+    /// under 1; a loop that sleeps until each deadline on its own reads ~1.
+    pub shard_sleeps: u64,
 }
 
 impl ThroughputReport {
@@ -505,17 +511,14 @@ pub fn throughput_experiment(
         .collect();
 
     let stats = cluster.shutdown();
+    let count = |name| config.net.tracer.registry().counter(name).get();
     Ok(ThroughputReport {
         receivers,
         duration_secs,
         published: total_messages,
         totals: stats.into_iter().sum(),
-        shard_wakeups: config
-            .net
-            .tracer
-            .registry()
-            .counter(drum_trace::names::SHARD_WAKEUPS)
-            .get(),
+        shard_wakeups: count(drum_trace::names::SHARD_WAKEUPS),
+        shard_sleeps: count(drum_trace::names::SHARD_SLEEPS),
     })
 }
 
@@ -832,6 +835,7 @@ mod tests {
             published: 10,
             totals: NetStats::default(),
             shard_wakeups: 0,
+            shard_sleeps: 0,
         };
         assert_eq!(report.mean_latency_ms(), 30.0);
         assert_eq!(report.mean_latency_attacked_ms(), 40.0);

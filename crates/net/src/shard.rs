@@ -9,13 +9,23 @@
 //! engine's rotating random-port pool is one registration: the pool keeps
 //! its sockets in an inner epoll and receives only on the readable ones
 //! (see [`crate::transport::SocketPool`]). Round starts fire from a
-//! per-shard [`TimerWheel`] (a binary heap of fixed-cadence deadlines): the
-//! loop blocks for exactly the time to the earliest deadline across all
-//! engines (`epoll_pwait2`, nanosecond timeout) or until any socket is
-//! readable. The thread therefore wakes once per round tick and once per
-//! burst of datagrams — its CPU follows the work it serves, not wall time
-//! × live sockets. An engine holds ~25 descriptors (DESIGN.md §16 has the
-//! budget). A shard that cannot build its epoll does not start.
+//! per-shard [`TimerWheel`] (a binary heap of fixed-cadence deadlines).
+//!
+//! The loop sleeps only when no socket is readable, and then until a
+//! datagram arrives or the wheel's earliest deadline *plus a slack h*
+//! (`epoll_pwait2`, nanosecond timeout). h is the least of the shard's
+//! `round × jitter / 4` (2.5 ms for 50 ms ± 20 % rounds, 0 without
+//! jitter). On waking it fires, one at a time, every tick whose drawn
+//! deadline lies within h of a fresh clock reading, and drains the epoll
+//! between two ticks, so one engine's round-start datagrams are staged at
+//! the next before that one ticks, as if its tick had come later. One
+//! sleep thus serves every tick drawn within ±h of it. Each tick still
+//! fires within ±h of its drawn deadline, and the next deadline advances
+//! from the drawn one, so round lengths keep their jittered distribution
+//! and no fixed grid of round starts appears (the paper's §4). The
+//! thread's CPU follows the work it serves, not wall time × live sockets.
+//! An engine holds ~25 descriptors (DESIGN.md §16 has the budget). A
+//! shard that cannot build its epoll does not start.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -37,11 +47,12 @@ use crate::runtime::{unpack_token, Delivery, NodeCore, ProcessSpec};
 use crate::sys;
 use crate::transport::{bind_ephemeral, BatchRx, BatchTx};
 
-/// Upper bound on a single epoll wait of the event loop. A wait is
-/// otherwise exactly as long as the time to the next round deadline; the
-/// cap only bounds how long a stop request can go unnoticed, at the price
-/// of at most 40 extra wakeups per second on an idle shard, and is the
-/// whole wait of a shard whose wheel is empty.
+/// Upper bound on a single epoll sleep of the event loop. A sleep is
+/// otherwise exactly as long as the time to the next wakeup (the earliest
+/// round deadline plus the shard's slack); the cap only bounds how long a
+/// stop request can go unnoticed, at the price of at most 40 extra
+/// wakeups per second on an idle shard, and is the whole sleep of a shard
+/// whose wheel is empty.
 const EPOLL_WAIT_CAP: Duration = Duration::from_millis(25);
 
 /// A binary heap of fixed-cadence round deadlines, one live entry per
@@ -162,6 +173,17 @@ impl Drop for ShardHandle {
     }
 }
 
+/// How far from its drawn deadline a tick may fire: `round × jitter / 4`,
+/// and 0 without jitter. Round lengths are jittered by ±`round × jitter`
+/// anyway, so moving a tick by a quarter of that keeps their spread.
+fn tick_slack(round: Duration, jitter: f64) -> Duration {
+    if jitter > 0.0 {
+        round.mul_f64(jitter.min(1.0) / 4.0)
+    } else {
+        Duration::ZERO
+    }
+}
+
 /// One engine's spec and the shard-side ends of its application channels.
 type Lane = (ProcessSpec, Receiver<Bytes>, Sender<Delivery>);
 
@@ -177,13 +199,20 @@ pub struct ShardCore {
     tx: BatchTx,
     epoll: sys::Epoll,
     wheel: TimerWheel,
+    /// h: how far from a wakeup a drawn deadline may lie and still fire
+    /// in it (the least `round × jitter / 4` of the shard's engines).
+    slack: Duration,
     tokens: Vec<u64>,
     prev_sys: (u64, u64, u64),
     c_wakeups: Counter,
+    c_sleeps: Counter,
     c_dispatch: Counter,
     c_sys_recv: Counter,
     c_sys_send: Counter,
     c_batch_fill: Counter,
+    /// Every tick fired: `(drawn deadline, engine, fire time)`.
+    #[cfg(test)]
+    fired: Vec<(Instant, usize, Instant)>,
 }
 
 impl ShardCore {
@@ -204,6 +233,11 @@ impl ShardCore {
         let reg = first.0.config.tracer.registry().clone();
         let send_socket = bind_ephemeral()?;
         let epoll = sys::Epoll::new()?;
+        let slack = lanes
+            .iter()
+            .map(|(spec, ..)| tick_slack(spec.config.round, spec.config.jitter))
+            .min()
+            .unwrap_or_default();
         let mut nodes = Vec::with_capacity(lanes.len());
         for (i, (spec, publish_rx, delivered_tx)) in lanes.into_iter().enumerate() {
             let mut node = NodeCore::new(spec, publish_rx, delivered_tx);
@@ -217,13 +251,17 @@ impl ShardCore {
             tx: BatchTx::new(),
             epoll,
             wheel: TimerWheel::new(),
+            slack,
             tokens: Vec::new(),
             prev_sys: (0, 0, 0),
             c_wakeups: reg.counter(names::SHARD_WAKEUPS),
+            c_sleeps: reg.counter(names::SHARD_SLEEPS),
             c_dispatch: reg.counter(names::SHARD_DISPATCH),
             c_sys_recv: reg.counter(names::SYSCALLS_RECV),
             c_sys_send: reg.counter(names::SYSCALLS_SEND),
             c_batch_fill: reg.counter(names::BATCH_FILL),
+            #[cfg(test)]
+            fired: Vec::new(),
         })
     }
 
@@ -257,12 +295,44 @@ impl ShardCore {
     pub fn fire_due(&mut self, now: Instant) -> usize {
         let mut fired = 0;
         while let Some((deadline, i)) = self.wheel.pop_due(now) {
-            let next = self.nodes[i].next_deadline(deadline, now);
-            self.nodes[i].round_tick(&self.send_socket, &mut self.tx);
-            self.wheel.push(next, i);
+            self.tick(deadline, i, now);
             fired += 1;
         }
         fired
+    }
+
+    /// One pass of [`ShardCore::run`]: fires, one at a time and in deadline
+    /// order, every tick whose drawn deadline lies within the slack of a
+    /// fresh `clock()` reading, and drains the epoll between two ticks —
+    /// the round-start datagrams of the engines that ticked are staged at
+    /// the next before it ticks, as if its tick had come later. Returns
+    /// how many engines fired.
+    fn fire_window(&mut self, mut clock: impl FnMut() -> Instant) -> usize {
+        let mut fired = 0;
+        while let Some((deadline, i)) = self.wheel.pop_due(clock() + self.slack) {
+            if fired > 0 {
+                self.wait_dispatch(Duration::ZERO);
+            }
+            self.tick(deadline, i, clock());
+            fired += 1;
+        }
+        fired
+    }
+
+    /// Ticks engine `i`, drawn for `deadline`, at `now`, and re-arms it.
+    fn tick(&mut self, deadline: Instant, i: usize, now: Instant) {
+        let next = self.nodes[i].next_deadline(deadline, now);
+        self.nodes[i].round_tick(&self.send_socket, &mut self.tx);
+        self.wheel.push(next, i);
+        #[cfg(test)]
+        self.fired.push((deadline, i, now));
+    }
+
+    /// When [`ShardCore::run`] wakes if no datagram comes first: the
+    /// slack past the earliest deadline, so one sleep serves every tick
+    /// drawn within ±slack of it.
+    fn wake_at(&self) -> Option<Instant> {
+        self.wheel.next_deadline().map(|d| d + self.slack)
     }
 
     /// One I/O pass: block until any socket is readable or the earliest
@@ -271,14 +341,32 @@ impl ShardCore {
     /// `now` must be a fresh reading taken after [`ShardCore::fire_due`]:
     /// the wait is the whole time from `now` to that deadline.
     pub fn poll_io(&mut self, now: Instant) {
-        let until = self
-            .wheel
-            .next_deadline()
-            .map_or(EPOLL_WAIT_CAP, |d| d.saturating_duration_since(now));
+        self.wait_io(self.wheel.next_deadline(), now);
+    }
+
+    /// Dispatches whatever is ready; when nothing is, sleeps until a
+    /// socket is readable or `wake` (capped at `EPOLL_WAIT_CAP`) and
+    /// dispatches what woke it. Only that blocking wait counts as a
+    /// sleep.
+    fn wait_io(&mut self, wake: Option<Instant>, now: Instant) {
+        if self.wait_dispatch(Duration::ZERO) > 0 {
+            return;
+        }
+        let until = wake
+            .map_or(EPOLL_WAIT_CAP, |w| w.saturating_duration_since(now))
+            .min(EPOLL_WAIT_CAP);
+        if !until.is_zero() {
+            self.c_sleeps.inc();
+            self.wait_dispatch(until);
+        }
+    }
+
+    /// One epoll wait of at most `timeout`, then each ready token
+    /// dispatched to the owning engine's channel drain. Returns how many
+    /// tokens were ready.
+    fn wait_dispatch(&mut self, timeout: Duration) -> usize {
         self.tokens.clear();
-        let _ = self
-            .epoll
-            .wait_tagged_for(until.min(EPOLL_WAIT_CAP), &mut self.tokens);
+        let _ = self.epoll.wait_tagged_for(timeout, &mut self.tokens);
         self.c_wakeups.inc();
         // Every registration is one descriptor with a token of its own, so
         // no token repeats; sorting fixes the dispatch order (engine, then
@@ -301,6 +389,7 @@ impl ShardCore {
             dispatched += 1;
         }
         self.c_dispatch.add(dispatched);
+        self.tokens.len()
     }
 
     /// Mirrors the shared batchers' syscall totals into the registry as
@@ -319,13 +408,14 @@ impl ShardCore {
         self.prev_sys = cur;
     }
 
-    /// The blocking event loop: fire due rounds, block for I/O, dispatch,
-    /// account — until `stop`.
+    /// The blocking event loop: fire the rounds due within the slack,
+    /// dispatch what is ready or sleep until the next wakeup, account —
+    /// until `stop`.
     pub fn run(&mut self, stop: &AtomicBool) {
         self.start_all(Instant::now());
         while !stop.load(Ordering::Relaxed) {
-            self.fire_due(Instant::now());
-            self.poll_io(Instant::now());
+            self.fire_window(Instant::now);
+            self.wait_io(self.wake_at(), Instant::now());
             self.account_sys();
         }
     }
@@ -515,6 +605,163 @@ mod tests {
             wakeups.get() <= 4 * (rounds + datagrams) + 64,
             "{} wakeups for {rounds} rounds and {datagrams} datagrams",
             wakeups.get()
+        );
+    }
+
+    /// A shard of `n` engines on `round_ms` rounds jittered by `jitter`,
+    /// not started, with its engines' handles.
+    fn idle_shard(n: u64, round_ms: u64, jitter: f64) -> (ShardCore, Vec<EngineHandle>) {
+        let mut config =
+            NetConfig::new(GossipConfig::drum()).with_round(Duration::from_millis(round_ms));
+        config.jitter = jitter;
+        let (lanes, engines) = lanes(specs(n, 41, config).0);
+        (ShardCore::new(lanes).unwrap(), engines)
+    }
+
+    /// Two ticks drawn less than two slacks apart fire in one wakeup, in
+    /// deadline order, and the first engine's round-start pull-request is
+    /// staged at the second before the second ticks: the second answers it
+    /// in that same round start with the message it publishes there.
+    #[test]
+    fn ticks_within_two_slacks_fire_in_one_pass_with_a_drain_between() {
+        let (mut shard, engines) = idle_shard(2, 50, 0.2);
+        let h = shard.slack;
+        assert_eq!(h, Duration::from_micros(2_500), "50 ms × 0.2 / 4");
+        let base = Instant::now();
+        let (first, second) = (base, base + 2 * h - Duration::from_micros(100));
+        shard.wheel.push(second, 0);
+        shard.wheel.push(first, 1);
+        engines[0].publish(Bytes::from_static(b"pulled"));
+
+        let t = shard.wake_at().unwrap();
+        assert_eq!(t, first + h);
+        assert_eq!(shard.fire_window(|| t), 2);
+        assert_eq!(shard.fired, vec![(first, 1, t), (second, 0, t)]);
+
+        // Nothing is due any more: the I/O passes never block.
+        let far = base + Duration::from_secs(3_600);
+        for _ in 0..8 {
+            shard.poll_io(far);
+        }
+        let got: Vec<Bytes> = engines[1]
+            .take_delivered()
+            .into_iter()
+            .map(|d| d.message.payload)
+            .collect();
+        assert_eq!(
+            got,
+            vec![Bytes::from_static(b"pulled")],
+            "engine 0 ticked without engine 1's pull-request in its reservoir"
+        );
+    }
+
+    /// Ticks drawn more than two slacks apart fire in separate wakeups,
+    /// each one slack after its deadline.
+    #[test]
+    fn ticks_further_apart_fire_in_separate_passes() {
+        let (mut shard, _engines) = idle_shard(2, 50, 0.2);
+        let h = shard.slack;
+        let base = Instant::now();
+        let later = base + 2 * h + Duration::from_micros(100);
+        shard.wheel.push(base, 0);
+        shard.wheel.push(later, 1);
+
+        let t = shard.wake_at().unwrap();
+        assert_eq!(shard.fire_window(|| t), 1);
+        let u = shard.wake_at().unwrap();
+        assert_eq!(u, later + h);
+        assert_eq!(shard.fire_window(|| u), 1);
+        assert_eq!(
+            shard.fired,
+            vec![(base, 0, base + h), (later, 1, later + h)]
+        );
+    }
+
+    /// Without jitter the slack is 0 and the loop wakes and fires at
+    /// each drawn deadline exactly; a wakeup just before a deadline fires
+    /// nothing.
+    #[test]
+    fn without_jitter_every_tick_fires_at_its_deadline() {
+        let (mut shard, _engines) = idle_shard(3, 50, 0.0);
+        assert_eq!(shard.slack, Duration::ZERO);
+        let base = Instant::now();
+        for i in 0..3 {
+            shard
+                .wheel
+                .push(base + Duration::from_micros(700 * i as u64), i);
+        }
+        let mut fired = 0;
+        while fired < 30 {
+            let t = shard.wake_at().unwrap();
+            assert_eq!(shard.fire_window(|| t - Duration::from_micros(1)), 0);
+            fired += shard.fire_window(|| t);
+        }
+        assert_eq!(shard.fired.len(), 30);
+        for &(deadline, engine, at) in &shard.fired {
+            assert_eq!(at, deadline, "engine {engine} fired off its deadline");
+        }
+    }
+
+    /// For any armed deadlines, slack h and wakeups no later than the
+    /// loop's own: every tick fires within ±h of its drawn deadline, in
+    /// nondecreasing deadline order, none is skipped, and each engine's
+    /// next deadline advances from the drawn one (without jitter: by
+    /// exactly one round), never from the fire time.
+    #[test]
+    fn windowed_ticks_fire_within_the_slack_of_their_drawn_deadlines() {
+        const ROUND: Duration = Duration::from_millis(40);
+        check(
+            "windowed_ticks_fire_within_the_slack_of_their_drawn_deadlines",
+            Config::with_cases(24),
+            |g: &mut Gen| {
+                let n = g.usize_in(1..5);
+                let (mut shard, _engines) = idle_shard(n as u64, 40, 0.0);
+                let h = Duration::from_micros(g.u64_in(0..10_001));
+                shard.slack = h;
+                let base = Instant::now();
+                let armed: Vec<Instant> = (0..n)
+                    .map(|_| base + Duration::from_micros(g.u64_in(0..20_000)))
+                    .collect();
+                for (i, &d) in armed.iter().enumerate() {
+                    shard.wheel.push(d, i);
+                }
+                let mut prev = base;
+                for _ in 0..12 * n {
+                    // The loop's own wakeup, or a datagram's earlier one.
+                    let wake = shard.wake_at().unwrap();
+                    let t = if g.bool(0.5) {
+                        wake
+                    } else {
+                        let span = wake.saturating_duration_since(prev).as_micros() as u64;
+                        prev + Duration::from_micros(g.u64_in(0..span + 1))
+                    };
+                    shard.fire_window(|| t);
+                    let left = shard.wheel.next_deadline().unwrap();
+                    prop_assert!(left > t + h, "a tick due at {t:?} was left armed");
+                    prev = t;
+                }
+                let mut last = None;
+                let mut next = armed.clone();
+                for &(d, i, at) in &shard.fired {
+                    prop_assert!(
+                        d <= at + h && at <= d + h,
+                        "engine {i} fired {:?} from its deadline, slack {h:?}",
+                        at.max(d) - at.min(d)
+                    );
+                    prop_assert!(last <= Some(d), "fired out of deadline order");
+                    prop_assert!(d == next[i], "engine {i} skipped or moved a deadline");
+                    next[i] = d + ROUND;
+                    last = Some(d);
+                }
+                let mut rearmed: Vec<(Instant, usize)> = Vec::new();
+                while let Some(e) = shard.wheel.pop_due(base + Duration::from_secs(3_600)) {
+                    rearmed.push(e);
+                }
+                rearmed.sort_by_key(|&(_, i)| i);
+                let want: Vec<_> = next.into_iter().zip(0..n).collect();
+                prop_assert!(rearmed == want, "re-armed {rearmed:?}, want {want:?}");
+                Ok(())
+            },
         );
     }
 

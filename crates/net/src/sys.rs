@@ -840,7 +840,7 @@ fn ceil_ms(timeout: Duration) -> i32 {
 
 /// A level-triggered epoll instance: the round loops' sleep, which
 /// ends the moment a registered descriptor becomes readable or the
-/// given timeout — the time to the next round deadline — elapses.
+/// given timeout — the time to the loop's next wakeup — elapses.
 ///
 /// Every registration carries a token. The sharded runtime packs an
 /// engine index and a channel class into it and drains exactly the

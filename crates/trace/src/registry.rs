@@ -56,10 +56,16 @@ pub mod names {
     /// `port_rotations` keeps counting; a value near `port_rotations`
     /// means the pools are churning descriptors.
     pub const NET_SOCKETS_OPENED: &str = "net.sockets_opened";
-    /// Sharded runtime: `epoll_pwait` wakeups taken by shard event loops.
-    /// Divide `net.shard_dispatch` by this for engines-worth of datagram
-    /// work served per kernel wakeup.
+    /// Sharded runtime: epoll waits made by shard event loops, including
+    /// the zero-timeout ones that return at once. Divide
+    /// `net.shard_dispatch` by this for engines-worth of datagram work
+    /// served per wait.
     pub const SHARD_WAKEUPS: &str = "net.shard_wakeups";
+    /// Sharded runtime: the epoll waits of [`SHARD_WAKEUPS`] that found
+    /// nothing ready and blocked — the thread's sleeps. One sleep serves
+    /// every round tick drawn within the shard's slack of its wakeup, so
+    /// per engine-round this stays well under 1.
+    pub const SHARD_SLEEPS: &str = "net.shard_sleeps";
     /// Sharded runtime: ready-socket dispatches (token → engine drain)
     /// performed by shard event loops.
     pub const SHARD_DISPATCH: &str = "net.shard_dispatch";

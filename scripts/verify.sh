@@ -60,16 +60,19 @@ phase_end "ext_soak"
 # A 64-engine live-UDP cluster on ONE shard: every engine's sockets are
 # multiplexed into a single epoll event loop, exercising the timer wheel
 # and tagged dispatch far past what unit tests cover. The loop must block
-# until a deadline or a datagram, never poll: the test suite above bounds
-# its wakeups on a 6-engine shard
+# until a wakeup or a datagram, never poll: the test suite above bounds
+# its epoll waits on a 6-engine shard
 # (shard_wakeups_are_bounded_by_rounds_and_datagrams); here the same count
-# is printed per engine-round (~2 when healthy) and gated at 8. The same
-# run prints SHA-256 kernel calls per delivered message: ~3 when only new
-# messages are verified (50-byte payloads), gated at 6 — re-verifying
-# duplicates reads 10+. And descriptors opened by the random-port pools per
-# engine-round: well under 1 when pools open sockets only while they grow
-# and rotate ports on them afterwards, gated at 1 — a socket per port
-# reads ~6. And syscalls per random port: ~3.3 when an expiry's ports share
+# is printed per engine-round (~1.4 when healthy) and gated at 8. One sleep
+# must serve every round tick drawn within the shard's slack (±round ×
+# jitter / 4) of it: net.shard_sleeps per engine-round reads ~0.18 and is
+# gated at 0.5 — a loop that sleeps until each deadline on its own reads
+# ~1. The same run prints SHA-256 kernel calls per delivered message: ~3
+# when only new messages are verified (50-byte payloads), gated at 6 —
+# re-verifying duplicates reads 10+. And descriptors opened by the
+# random-port pools per engine-round: well under 1 when pools open sockets
+# only while they grow and rotate ports on them afterwards, gated at 1 — a
+# socket per port reads ~6. And syscalls per random port: ~3.3 when an expiry's ports share
 # one readiness query and only a descriptor holding a datagram is emptied,
 # gated at 4 — discarding every expiring port twice reads ~5.
 phase_begin "drum-lab cluster --shards 1 (64 engines, one event loop)"
@@ -80,6 +83,11 @@ cargo run --release --offline -q -p drum-lab -- cluster \
 awk '/^net.shard_wakeups per engine-round/ { seen = 1; if ($4 > 8) bad = 1 }
      END { exit !(seen && !bad) }' "$CLUSTER_OUT" || {
     echo "shard event loop woke more than 8 times per engine-round (or printed no count)" >&2
+    exit 1
+}
+awk '/^net.shard_sleeps per engine-round/ { seen = 1; if ($4 > 0.5) bad = 1 }
+     END { exit !(seen && !bad) }' "$CLUSTER_OUT" || {
+    echo "shard event loop slept more than 0.5 times per engine-round (or printed no count)" >&2
     exit 1
 }
 awk '/^crypto.compress_calls per delivered message/ { seen = 1; if ($6 > 6) bad = 1 }
