@@ -288,32 +288,22 @@ impl ShardCore {
         self.fire_due(now);
     }
 
-    /// Fires every due deadline: each fired engine finishes its running
-    /// round, starts the next, and is re-armed on the fixed cadence (its
-    /// new deadline advances from the fired one, not from `now` — see
-    /// `node::advance_deadline`). Returns how many engines fired.
+    /// Fires, one at a time and in deadline order, every tick whose drawn
+    /// deadline lies within the slack of `now`, and drains the epoll
+    /// between two ticks — the round-start datagrams of the engines that
+    /// ticked are staged at the next before it ticks, as if its tick had
+    /// come later. Each fired engine finishes its running round, starts
+    /// the next, and is re-armed on the fixed cadence (its new deadline
+    /// advances from the drawn one, not from `now` — see
+    /// `node::advance_deadline`). Without jitter the slack is 0 and only
+    /// deadlines at or before `now` fire. Returns how many engines fired.
     pub fn fire_due(&mut self, now: Instant) -> usize {
         let mut fired = 0;
-        while let Some((deadline, i)) = self.wheel.pop_due(now) {
-            self.tick(deadline, i, now);
-            fired += 1;
-        }
-        fired
-    }
-
-    /// One pass of [`ShardCore::run`]: fires, one at a time and in deadline
-    /// order, every tick whose drawn deadline lies within the slack of a
-    /// fresh `clock()` reading, and drains the epoll between two ticks —
-    /// the round-start datagrams of the engines that ticked are staged at
-    /// the next before it ticks, as if its tick had come later. Returns
-    /// how many engines fired.
-    fn fire_window(&mut self, mut clock: impl FnMut() -> Instant) -> usize {
-        let mut fired = 0;
-        while let Some((deadline, i)) = self.wheel.pop_due(clock() + self.slack) {
+        while let Some((deadline, i)) = self.wheel.pop_due(now + self.slack) {
             if fired > 0 {
                 self.wait_dispatch(Duration::ZERO);
             }
-            self.tick(deadline, i, clock());
+            self.tick(deadline, i, now);
             fired += 1;
         }
         fired
@@ -328,31 +318,25 @@ impl ShardCore {
         self.fired.push((deadline, i, now));
     }
 
-    /// When [`ShardCore::run`] wakes if no datagram comes first: the
-    /// slack past the earliest deadline, so one sleep serves every tick
-    /// drawn within ±slack of it.
+    /// When the loop wakes if no datagram comes first: the slack past the
+    /// earliest deadline, so one sleep serves every tick drawn within
+    /// ±slack of it.
     fn wake_at(&self) -> Option<Instant> {
         self.wheel.next_deadline().map(|d| d + self.slack)
     }
 
-    /// One I/O pass: block until any socket is readable or the earliest
-    /// wheel deadline arrives (capped at `EPOLL_WAIT_CAP`), then
-    /// dispatch each ready token to the owning engine's channel drain.
-    /// `now` must be a fresh reading taken after [`ShardCore::fire_due`]:
-    /// the wait is the whole time from `now` to that deadline.
+    /// One I/O pass: dispatches whatever is ready; when nothing is, sleeps
+    /// until a socket is readable or the earliest wheel deadline plus the
+    /// slack (capped at `EPOLL_WAIT_CAP`) and dispatches what woke it.
+    /// Only that blocking wait counts as a sleep. `now` must be a fresh
+    /// reading taken after [`ShardCore::fire_due`]: the sleep is the whole
+    /// time from `now` to that wakeup.
     pub fn poll_io(&mut self, now: Instant) {
-        self.wait_io(self.wheel.next_deadline(), now);
-    }
-
-    /// Dispatches whatever is ready; when nothing is, sleeps until a
-    /// socket is readable or `wake` (capped at `EPOLL_WAIT_CAP`) and
-    /// dispatches what woke it. Only that blocking wait counts as a
-    /// sleep.
-    fn wait_io(&mut self, wake: Option<Instant>, now: Instant) {
         if self.wait_dispatch(Duration::ZERO) > 0 {
             return;
         }
-        let until = wake
+        let until = self
+            .wake_at()
             .map_or(EPOLL_WAIT_CAP, |w| w.saturating_duration_since(now))
             .min(EPOLL_WAIT_CAP);
         if !until.is_zero() {
@@ -414,8 +398,8 @@ impl ShardCore {
     pub fn run(&mut self, stop: &AtomicBool) {
         self.start_all(Instant::now());
         while !stop.load(Ordering::Relaxed) {
-            self.fire_window(Instant::now);
-            self.wait_io(self.wake_at(), Instant::now());
+            self.fire_due(Instant::now());
+            self.poll_io(Instant::now());
             self.account_sys();
         }
     }
@@ -635,7 +619,7 @@ mod tests {
 
         let t = shard.wake_at().unwrap();
         assert_eq!(t, first + h);
-        assert_eq!(shard.fire_window(|| t), 2);
+        assert_eq!(shard.fire_due(t), 2);
         assert_eq!(shard.fired, vec![(first, 1, t), (second, 0, t)]);
 
         // Nothing is due any more: the I/O passes never block.
@@ -667,10 +651,10 @@ mod tests {
         shard.wheel.push(later, 1);
 
         let t = shard.wake_at().unwrap();
-        assert_eq!(shard.fire_window(|| t), 1);
+        assert_eq!(shard.fire_due(t), 1);
         let u = shard.wake_at().unwrap();
         assert_eq!(u, later + h);
-        assert_eq!(shard.fire_window(|| u), 1);
+        assert_eq!(shard.fire_due(u), 1);
         assert_eq!(
             shard.fired,
             vec![(base, 0, base + h), (later, 1, later + h)]
@@ -693,8 +677,8 @@ mod tests {
         let mut fired = 0;
         while fired < 30 {
             let t = shard.wake_at().unwrap();
-            assert_eq!(shard.fire_window(|| t - Duration::from_micros(1)), 0);
-            fired += shard.fire_window(|| t);
+            assert_eq!(shard.fire_due(t - Duration::from_micros(1)), 0);
+            fired += shard.fire_due(t);
         }
         assert_eq!(shard.fired.len(), 30);
         for &(deadline, engine, at) in &shard.fired {
@@ -735,7 +719,7 @@ mod tests {
                         let span = wake.saturating_duration_since(prev).as_micros() as u64;
                         prev + Duration::from_micros(g.u64_in(0..span + 1))
                     };
-                    shard.fire_window(|| t);
+                    shard.fire_due(t);
                     let left = shard.wheel.next_deadline().unwrap();
                     prop_assert!(left > t + h, "a tick due at {t:?} was left armed");
                     prev = t;
