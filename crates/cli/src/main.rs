@@ -341,14 +341,28 @@ fn run(args: &Args) -> Result<(), String> {
             );
             println!(
                 "net.shard_wakeups per engine-round {:.2} ({} wakeups, {} engine-rounds)",
-                report.shard_wakeups as f64 / t.rounds.max(1) as f64,
-                report.shard_wakeups,
+                t.shard_wakeups as f64 / t.rounds.max(1) as f64,
+                t.shard_wakeups,
                 t.rounds
             );
             println!(
                 "net.shard_sleeps per engine-round {:.2} ({} sleeps, {} engine-rounds)",
-                report.shard_sleeps as f64 / t.rounds.max(1) as f64,
-                report.shard_sleeps,
+                t.shard_sleeps as f64 / t.rounds.max(1) as f64,
+                t.shard_sleeps,
+                t.rounds
+            );
+            let per_round = |count: u64| count as f64 / t.rounds.max(1) as f64;
+            println!(
+                "work per engine-round: {:.2} recv syscalls, {:.2} send syscalls, \
+                 {:.2} epoll waits, {:.2} port syscalls, {:.2} datagrams sent, \
+                 {:.2} datagrams received, {:.2} SHA-256 compressions ({} engine-rounds)",
+                per_round(t.syscalls_recv),
+                per_round(t.syscalls_send),
+                per_round(t.shard_wakeups),
+                per_round(t.port_syscalls),
+                per_round(t.sent),
+                per_round(t.batch_recv_datagrams),
+                per_round(t.compress_calls),
                 t.rounds
             );
         }

@@ -25,7 +25,7 @@ use std::collections::HashSet;
 use drum_crypto::auth::{self, AuthError};
 use drum_crypto::keys::{KeyStore, SecretKey};
 use drum_crypto::seal;
-use drum_trace::{names, trace_event, Counter, Timestamp, Tracer};
+use drum_trace::{trace_event, Timestamp, Tracer};
 
 use crate::bounds::{Channel, RoundBudget};
 use crate::buffer::MessageBuffer;
@@ -183,10 +183,8 @@ pub struct Engine {
     fixed_push_data_port: u16,
     /// Structured-event emitter (disabled by default: one branch per site).
     tracer: Tracer,
-    /// Cached registry handle for `crypto.mac_full_verifies`, refreshed by
-    /// [`Engine::set_tracer`] so the hot receive path never takes the
-    /// registry lock.
-    c_mac_full: Counter,
+    /// Source verifications run so far ([`Engine::mac_full_verifies`]).
+    mac_full_verifies: u64,
     /// Cumulative SHA-256 compressions behind source verification, exposed
     /// through [`Engine::mac_compressions`] so the transport emits per-round
     /// deltas.
@@ -217,8 +215,6 @@ impl Engine {
     ) -> Self {
         let budget = RoundBudget::for_config(&config);
         let buffer = MessageBuffer::new(config.buffer_rounds);
-        let tracer = Tracer::disabled();
-        let c_mac_full = tracer.registry().counter(names::MAC_FULL_VERIFIES);
         Engine {
             config,
             membership,
@@ -237,8 +233,8 @@ impl Engine {
             fixed_pull_reply_port: crate::WELL_KNOWN_PULL_REPLY_PORT,
             fixed_push_reply_port: crate::WELL_KNOWN_PUSH_REPLY_PORT,
             fixed_push_data_port: crate::WELL_KNOWN_PUSH_DATA_PORT,
-            tracer,
-            c_mac_full,
+            tracer: Tracer::disabled(),
+            mac_full_verifies: 0,
             mac_compressions: 0,
         }
     }
@@ -247,12 +243,6 @@ impl Engine {
     /// fixed-seed runs trace byte-identically.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-        self.c_mac_full = self.tracer.registry().counter(names::MAC_FULL_VERIFIES);
-    }
-
-    /// The attached tracer (disabled by default).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     #[inline]
@@ -336,9 +326,17 @@ impl Engine {
         (self.round.as_u64() << 20) | (self.nonce & 0xFFFFF)
     }
 
+    /// HMAC verifications of received data messages since engine
+    /// creation: one per message new to this engine whose source has a
+    /// key. Duplicates are skipped before the MAC, so under an
+    /// identical-fan-in flood this stays at the number of unique messages.
+    pub fn mac_full_verifies(&self) -> u64 {
+        self.mac_full_verifies
+    }
+
     /// Cumulative SHA-256 compressions behind source verification since
-    /// engine creation. Monotone, so per-round deltas are well defined for
-    /// registry emission.
+    /// engine creation, one per 64-byte block hashed (≈ 3 per 50-byte
+    /// message). Monotone, so per-round deltas are well defined.
     pub fn mac_compressions(&self) -> u64 {
         self.mac_compressions
     }
@@ -694,13 +692,13 @@ impl Engine {
         }
     }
 
-    /// One source verification, counted in `crypto.mac_full_verifies` and
-    /// in [`Engine::mac_compressions`]. An unknown source is rejected before
+    /// One source verification, counted in [`Engine::mac_full_verifies`]
+    /// and in [`Engine::mac_compressions`]. An unknown source is rejected before
     /// any hashing and counts in neither.
     fn verify_direct(&mut self, msg: &DataMessage) -> Result<(), AuthError> {
         let verdict = msg.verify(&self.key_store);
         if !matches!(verdict, Err(AuthError::UnknownSource(_))) {
-            self.c_mac_full.inc();
+            self.mac_full_verifies += 1;
             self.mac_compressions += auth::msg_tag_compressions(msg.payload.len());
         }
         verdict
@@ -1352,8 +1350,7 @@ mod tests {
         }
         assert_eq!(engines[1].stats().delivered, 0);
         assert_eq!(engines[1].mac_compressions(), 2);
-        let reg = engines[1].tracer().registry();
-        assert_eq!(reg.counter(names::MAC_FULL_VERIFIES).get(), 1);
+        assert_eq!(engines[1].mac_full_verifies(), 1);
     }
 
     #[test]
@@ -1507,8 +1504,7 @@ mod tests {
             },
             &mut oracle,
         );
-        let reg = engines[1].tracer().registry();
-        assert_eq!(reg.counter(names::MAC_FULL_VERIFIES).get(), 1);
+        assert_eq!(engines[1].mac_full_verifies(), 1);
         assert_eq!(engines[1].mac_compressions(), 3);
     }
 }

@@ -27,7 +27,7 @@
 //! | [`analysis`] | `drum-analysis` | closed-form math of appendices A–C and §6 |
 //! | [`metrics`] | `drum-metrics` | statistics, quantiles, §8 recorders, tables, JSON |
 //! | [`testkit`] | `drum-testkit` | property-based testing harness, seed averaging |
-//! | [`trace`] | `drum-trace` | structured events, pluggable sinks, counter registry |
+//! | [`trace`] | `drum-trace` | structured events, pluggable sinks, the `Tracer` handle |
 //!
 //! # Quickstart
 //!

@@ -37,7 +37,7 @@ use drum_core::config::{AdversaryKind, ProtocolVariant};
 use drum_core::digest::Digest;
 use drum_core::ids::ProcessId;
 use drum_core::message::{GossipMessage, MessageKind, PortRef};
-use drum_trace::{names, trace_event, Tracer};
+use drum_trace::{trace_event, Tracer};
 
 use crate::codec;
 use crate::transport::{bind_ephemeral, BatchTx, WellKnownAddrs};
@@ -222,7 +222,7 @@ impl Attacker {
     /// ports and, under the ablation, to their `reply_ports` (aligned with
     /// `targets`). Each slice goes to the kernel through `sendmmsg`, so
     /// one thread sustains paper-scale rates. `tracer` gets an
-    /// `attack.batch` event per slice and the `attack_sent` counter.
+    /// `attack.batch` event per slice.
     ///
     /// # Errors
     ///
@@ -241,7 +241,6 @@ impl Attacker {
             .name("drum-attacker".into())
             .spawn(move || {
                 let mut tx = BatchTx::new();
-                let c_attack = tracer.registry().counter(names::ATTACK_SENT);
                 trace_event!(
                     tracer,
                     "attack",
@@ -254,7 +253,6 @@ impl Attacker {
                 let mut sent = 0;
                 while !stop_flag.load(Ordering::Relaxed) {
                     let deadline = Instant::now() + slice;
-                    let mut queued = 0u64;
                     let [pull, push, reply] = flood.next_slice(|t, msg| {
                         let to = match msg.kind() {
                             MessageKind::PullRequest => targets[t].pull,
@@ -262,11 +260,9 @@ impl Attacker {
                             _ => reply_ports[t],
                         };
                         tx.push_message(&socket, to, msg);
-                        queued += 1;
                     });
                     sent += tx.finish(&socket);
-                    if queued > 0 {
-                        c_attack.add(queued);
+                    if pull + push + reply > 0 {
                         trace_event!(
                             tracer,
                             "attack",

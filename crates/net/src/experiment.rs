@@ -77,6 +77,14 @@ pub fn resolve_shards(correct: usize, shards: usize, engines_per_shard: usize) -
     }
 }
 
+/// How [`Cluster::start`] deals `correct` engines to `shards` shards:
+/// contiguous, balanced chunks in id order, the first `correct % shards`
+/// taking one extra engine, so handle index keeps equalling process id.
+fn shard_sizes(correct: usize, shards: usize) -> impl Iterator<Item = usize> {
+    let (base, extra) = (correct / shards, correct % shards);
+    (0..shards).map(move |s| base + usize::from(s < extra))
+}
+
 /// A handle to one correct cluster node. A one-variant enum because
 /// `benchmark/` destructures it with `let … else` (which `non_exhaustive`
 /// keeps refutable there); it becomes an alias of [`EngineHandle`] at
@@ -208,16 +216,12 @@ impl Cluster {
             })
             .collect();
 
-        // Contiguous, balanced chunks in id order: the first
-        // `correct % shard_count` shards take one extra engine, so handle
-        // index keeps equalling process id.
         let shard_count = config.resolved_shards();
         let mut handles = Vec::with_capacity(correct);
         let mut shards = Vec::with_capacity(shard_count);
         let mut specs = specs.into_iter();
-        let (base, extra) = (correct / shard_count, correct % shard_count);
-        for s in 0..shard_count {
-            let chunk = specs.by_ref().take(base + usize::from(s < extra)).collect();
+        for size in shard_sizes(correct, shard_count) {
+            let chunk = specs.by_ref().take(size).collect();
             let (shard, engines) = spawn_shard(chunk)?;
             shards.push(shard);
             handles.extend(engines.into_iter().map(NodeHandle::Sharded));
@@ -389,20 +393,12 @@ pub struct ThroughputReport {
     pub duration_secs: f64,
     /// Messages published.
     pub published: u64,
-    /// The correct processes' [`NetStats`], summed: per delivery
-    /// `compress_calls` reads ≈ 3 for 50-byte payloads, per engine-round
-    /// `sockets_opened` well under 1, per port `port_syscalls` ≈ 3.2.
+    /// The correct processes' [`NetStats`], summed, the shard-wide counts
+    /// once per shard: per delivery `compress_calls` reads ≈ 3 for
+    /// 50-byte payloads, per engine-round `sockets_opened` well under 1,
+    /// `shard_wakeups` ≈ 1.4 and `shard_sleeps` ≈ 0.17, per port
+    /// `port_syscalls` ≈ 3.2.
     pub totals: NetStats,
-    /// Epoll waits made by the shard event loops (`net.shard_wakeups`),
-    /// the zero-timeout ones that return at once included. Per round it
-    /// tracks the datagrams a round brings, and explodes if a loop ever
-    /// polls.
-    pub shard_wakeups: u64,
-    /// Of those waits, the ones that found nothing ready and blocked
-    /// (`net.shard_sleeps`). One sleep serves every round tick drawn
-    /// within the shard's slack of it, so per engine-round this reads well
-    /// under 1; a loop that sleeps until each deadline on its own reads ~1.
-    pub shard_sleeps: u64,
 }
 
 impl ThroughputReport {
@@ -510,15 +506,11 @@ pub fn throughput_experiment(
         })
         .collect();
 
-    let stats = cluster.shutdown();
-    let count = |name| config.net.tracer.registry().counter(name).get();
     Ok(ThroughputReport {
         receivers,
         duration_secs,
         published: total_messages,
-        totals: stats.into_iter().sum(),
-        shard_wakeups: count(drum_trace::names::SHARD_WAKEUPS),
-        shard_sleeps: count(drum_trace::names::SHARD_SLEEPS),
+        totals: cluster.shutdown().into_iter().sum(),
     })
 }
 
@@ -834,8 +826,6 @@ mod tests {
             duration_secs: 1.0,
             published: 10,
             totals: NetStats::default(),
-            shard_wakeups: 0,
-            shard_sleeps: 0,
         };
         assert_eq!(report.mean_latency_ms(), 30.0);
         assert_eq!(report.mean_latency_attacked_ms(), 40.0);
@@ -902,19 +892,34 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
+    /// Whether each engine of a cluster is the first of its shard: the
+    /// one that reports the shard-wide counts.
+    fn shard_firsts(config: &ClusterConfig) -> Vec<bool> {
+        shard_sizes(config.correct(), config.resolved_shards())
+            .flat_map(|size| (0..size).map(|i| i == 0))
+            .collect()
+    }
+
     #[test]
     fn cluster_stats_expose_syscall_accounting() {
-        let cluster = Cluster::start(small_config(ProtocolVariant::Drum, 0, 0.0)).unwrap();
+        let config = small_config(ProtocolVariant::Drum, 0, 0.0);
+        let firsts = shard_firsts(&config);
+        let cluster = Cluster::start(config).unwrap();
         cluster.publish_from_source(0, 50);
         std::thread::sleep(Duration::from_millis(400));
         let stats = cluster.shutdown();
-        for s in &stats {
+        assert_eq!(stats.len(), firsts.len());
+        for (s, first) in stats.iter().zip(firsts) {
             // Every round gossips, so both syscall totals must be live,
-            // and every datagram received moved through `recvmmsg`.
+            // and every datagram received moved through `recvmmsg`; a
+            // shard reports them on its first engine alone.
             assert!(s.rounds > 0);
-            assert!(s.syscalls_recv > 0, "no recv syscalls recorded: {s:?}");
-            assert!(s.syscalls_send > 0, "no send syscalls recorded: {s:?}");
-            assert!(s.batch_recv_datagrams > 0, "no datagram recorded: {s:?}");
+            let shard_wide = [s.syscalls_recv, s.syscalls_send, s.batch_recv_datagrams];
+            if first {
+                assert!(shard_wide.iter().all(|&c| c > 0), "a count is 0: {s:?}");
+            } else {
+                assert_eq!(shard_wide, [0; 3], "counted twice: {s:?}");
+            }
         }
     }
 
@@ -939,6 +944,7 @@ mod tests {
         for shards in [2, 8] {
             let mut config = small_config(ProtocolVariant::Drum, 0, 0.0);
             config.shards = shards;
+            let firsts = shard_firsts(&config);
             let sink = std::sync::Arc::new(MemorySink::new());
             config.net.tracer = Tracer::new(sink.clone());
             let cluster = Cluster::start(config).unwrap();
@@ -965,7 +971,7 @@ mod tests {
             let stats = cluster.shutdown();
             assert_eq!(stats.len(), 8);
             let events = sink.take();
-            for (i, s) in stats.iter().enumerate() {
+            for ((i, s), first) in stats.iter().enumerate().zip(firsts) {
                 let me = Some(&Value::U64(i as u64));
                 let stop = events
                     .iter()
@@ -975,10 +981,16 @@ mod tests {
                 assert_eq!(stop.field("rounds"), Some(&Value::U64(s.rounds)));
                 assert_eq!(stop.field("sent"), Some(&Value::U64(s.sent)));
                 assert_eq!(stop.field("received"), Some(&Value::U64(s.received)));
-                // A shard accounts syscalls once and mirrors the totals
-                // into every engine's stats at shutdown.
-                assert!(s.syscalls_recv > 0, "no recv syscalls recorded: {s:?}");
-                assert!(s.syscalls_send > 0, "no send syscalls recorded: {s:?}");
+                // A shard accounts syscalls once and reports the totals
+                // on its first engine: engines 0 and 4 of two shards,
+                // every engine of eight.
+                assert_eq!(first, shards == 8 || i % 4 == 0);
+                let shard_wide = [s.syscalls_recv, s.syscalls_send];
+                if first {
+                    assert!(shard_wide.iter().all(|&c| c > 0), "a count is 0: {s:?}");
+                } else {
+                    assert_eq!(shard_wide, [0; 2], "counted twice: {s:?}");
+                }
             }
         }
     }

@@ -27,7 +27,7 @@ use drum_core::message::{DataMessage, GossipMessage, MessageKind};
 use drum_core::stream::{StreamConfig, StreamScheduler};
 use drum_core::view::Membership;
 use drum_crypto::keys::{KeyStore, SecretKey};
-use drum_trace::{names, trace_event, Counter, Tracer};
+use drum_trace::{trace_event, Tracer};
 
 use crate::codec;
 
@@ -47,8 +47,9 @@ pub struct NetConfig {
     pub loss: f64,
     /// Observability: cloned into every process (and the attacker, when a
     /// cluster is started through `experiment`). Net events carry
-    /// wall-clock timestamps; the registry counters aggregate across all
-    /// processes sharing the tracer. Disabled by default.
+    /// wall-clock timestamps; each node's `net round` event is the live
+    /// view of its [`NetStats`], which it returns at shutdown. Disabled by
+    /// default.
     pub tracer: Tracer,
     /// Application stream pacing (see [`drum_core::stream`]): how many
     /// queued publishes are released into the gossip layer per round, and
@@ -149,8 +150,8 @@ pub struct NetStats {
     pub received: u64,
     /// Receive (`recvmmsg`) syscalls made — the amortization the batching
     /// buys is visible as this staying far below the datagram count under
-    /// flood. The three syscall totals are the shard's: every engine of a
-    /// shard reports the same shared figures.
+    /// flood. This field, the next two and the two shard counts are the
+    /// shard's: its first engine reports them and the others read 0.
     pub syscalls_recv: u64,
     /// Send (`sendmmsg`) syscalls made.
     pub syscalls_send: u64,
@@ -178,10 +179,18 @@ pub struct NetStats {
     /// Always equal to [`NetStats::compress_calls`] (kept for
     /// `benchmark/`): every block is hashed one at a time.
     pub lanes_filled: u64,
+    /// Epoll waits made by the shard's event loop, the zero-timeout ones
+    /// that return at once included. Per engine-round it tracks the
+    /// datagrams a round brings, and explodes if the loop ever polls.
+    pub shard_wakeups: u64,
+    /// Of those waits, the ones that found nothing ready and blocked. One
+    /// sleep serves every round tick drawn within the shard's slack of
+    /// it, so per engine-round this reads well under 1; a loop that sleeps
+    /// until each deadline on its own reads ~1.
+    pub shard_sleeps: u64,
 }
 
-/// Field-wise totals over nodes; the shard-wide syscall counters, which
-/// every engine of a shard repeats, count once per engine.
+/// Field-wise totals over nodes.
 impl std::iter::Sum for NetStats {
     fn sum<I: Iterator<Item = NetStats>>(iter: I) -> NetStats {
         // Destructuring names every field, so a new one cannot be missed.
@@ -198,7 +207,7 @@ impl std::iter::Sum for NetStats {
             alloc_failed bind_failed ports_reused sockets_opened ports_allocated
             port_syscalls delivered sent received syscalls_recv syscalls_send
             batch_recv_datagrams frames_sent framed_msgs frames_rejected buffer_bytes_peak
-            stream_backpressure compress_calls lanes_filled
+            stream_backpressure compress_calls lanes_filled shard_wakeups shard_sleeps
         }
     }
 }
@@ -248,24 +257,6 @@ pub trait Ports: PortOracle {
 
 /// Bound on each staged-arrival reservoir (per channel, per round).
 const STAGE_CAP: usize = 1024;
-
-/// Reads one [`NetStats`] field.
-type StatsField = fn(&NetStats) -> u64;
-
-/// Registry counters that mirror a [`NetStats`] field. Each round end adds
-/// the field's growth, so cluster-wide totals aggregate across processes;
-/// peaks are monotone per node, so their deltas sum to the peak.
-const MIRRORED: [(&str, StatsField); 9] = [
-    (names::MESSAGES_SENT, |s| s.sent),
-    (names::MESSAGES_RECEIVED, |s| s.received),
-    (names::DECODE_ERRORS, |s| s.decode_errors),
-    (names::NET_ALLOC_FAILED, |s| s.alloc_failed),
-    (names::NET_BIND_FAILED, |s| s.bind_failed),
-    (names::NET_SOCKETS_OPENED, |s| s.sockets_opened),
-    (names::BUFFER_BYTES_PEAK, |s| s.buffer_bytes_peak),
-    (names::STREAM_BACKPRESSURE, |s| s.stream_backpressure),
-    (names::CRYPTO_COMPRESS_CALLS, |s| s.compress_calls),
-];
 
 /// The reservoir of a staged kind, in round-start processing order.
 fn slot(kind: MessageKind) -> usize {
@@ -338,6 +329,7 @@ pub struct Node {
     pub(crate) staged: [Vec<GossipMessage>; 5],
     staged_seen: [u64; 5],
     stats: NetStats,
+    /// `stats` at the last round end, for the `round` event's deltas.
     prev: NetStats,
     // Outbound scratch reused across rounds and poll iterations:
     // `send_outs` drains `outs`, so its capacity is allocated once and
@@ -348,11 +340,6 @@ pub struct Node {
     started: bool,
     /// Application stream pacing between `submit()` and the engine.
     stream: StreamScheduler,
-    /// The registry counters of [`MIRRORED`], in its order.
-    mirrored: [Counter; 9],
-    c_bound: Counter,
-    c_pull_refused: Counter,
-    c_rounds_late: Counter,
 }
 
 impl Node {
@@ -370,12 +357,7 @@ impl Node {
     ) -> Node {
         let membership = Membership::new(me, members);
         let mut engine = Engine::new(config.gossip.clone(), membership, key_store, my_key, seed);
-        // The engine resolves its own registry handle (the
-        // `crypto.mac_full_verifies` counter) from its tracer, so it needs
-        // the cluster's tracer, not the disabled default it was
-        // constructed with.
         engine.set_tracer(config.tracer.clone());
-        let reg = config.tracer.registry().clone();
         trace_event!(
             config.tracer,
             "net",
@@ -397,10 +379,6 @@ impl Node {
             outs: Vec::new(),
             drained: Vec::new(),
             started: false,
-            mirrored: MIRRORED.map(|(name, _)| reg.counter(name)),
-            c_bound: reg.counter(names::DROPPED_BY_BOUND),
-            c_pull_refused: reg.counter(names::PULL_REQUESTS_REFUSED),
-            c_rounds_late: reg.counter(names::NET_ROUNDS_LATE),
         }
     }
 
@@ -431,10 +409,7 @@ impl Node {
             self.config.jitter,
             &mut self.rng,
         );
-        if late {
-            self.stats.rounds_late += 1;
-            self.c_rounds_late.inc();
-        }
+        self.stats.rounds_late += u64::from(late);
         next
     }
 
@@ -567,8 +542,7 @@ impl Node {
     }
 
     /// Ends the running round, if one is: engine round end, stats
-    /// accumulation, port expiry, per-round registry counter deltas and the
-    /// `round` trace event.
+    /// accumulation, port expiry and the `round` trace event.
     fn finish_round<P: Ports>(&mut self, ports: &mut P) {
         if !self.started {
             return;
@@ -586,15 +560,8 @@ impl Node {
         self.stats.compress_calls = self.engine.mac_compressions();
         self.stats.lanes_filled = self.stats.compress_calls;
 
-        // Per-round observability: registry counters take the deltas, and
-        // one event summarizes the round. Both are no-ops with a disabled
-        // tracer beyond a handful of relaxed atomic adds.
-        for ((_, field), counter) in MIRRORED.iter().zip(&self.mirrored) {
-            counter.add(field(&self.stats) - field(&self.prev));
-        }
-        self.c_bound.add(round_drops);
-        self.c_pull_refused
-            .add(round_stats.dropped_of(MessageKind::PullRequest));
+        // One event summarizes the round: the live per-node view of the
+        // stats, whose deltas over a node's rounds sum to its totals.
         trace_event!(
             self.config.tracer,
             "net",

@@ -18,7 +18,6 @@ use drum_core::engine::SendPort;
 use drum_core::ids::{ProcessId, Round};
 use drum_core::message::{DataMessage, MessageKind};
 use drum_crypto::keys::{KeyStore, SecretKey};
-use drum_trace::names;
 
 // `benchmark/` and the pool tests import `seed_of` from this module.
 pub use crate::node::seed_of;
@@ -150,8 +149,7 @@ impl NodeCore {
         delivered_tx: Sender<Delivery>,
     ) -> NodeCore {
         let config = spec.config;
-        let mut pool = SocketPool::new(config.gossip.port_lifetime_rounds.max(1));
-        pool.set_rotation_counter(config.tracer.registry().counter(names::PORT_ROTATIONS));
+        let pool = SocketPool::new(config.gossip.port_lifetime_rounds.max(1));
         let mut node = Node::new(
             spec.me,
             spec.members,
@@ -297,14 +295,14 @@ impl NodeCore {
         self.deliver();
     }
 
-    /// Tears the node down: finishes a round still in flight, mirrors the
-    /// driver's final shared syscall totals `(recv, send, batched
-    /// datagrams)`, emits the `proc.stop` event and returns the final stats.
+    /// Tears the node down: finishes a round still in flight, emits the
+    /// `proc.stop` event and returns the final stats, carrying the shared
+    /// syscall totals `(recv, send, batched datagrams)` when given. A
+    /// shard passes them to its first node only, so that a sum over its
+    /// nodes counts them once.
     pub fn finalize(mut self, sys_totals: Option<(u64, u64, u64)>) -> NetStats {
         let mut stats = self.node.finalize(&mut self.pool);
         if let Some((recv, send, batched)) = sys_totals {
-            // The shard mirrors its shared batchers into the registry
-            // itself; a node only reports them.
             stats.syscalls_recv = recv;
             stats.syscalls_send = send;
             stats.batch_recv_datagrams = batched;
@@ -473,34 +471,61 @@ pub(crate) mod tests {
 
     #[test]
     fn tracer_counts_cluster_traffic() {
-        use drum_trace::{names, MemorySink, Tracer};
+        use drum_trace::{Event, MemorySink, Tracer, Value};
 
         let sink = Arc::new(MemorySink::new());
         let tracer = Tracer::new(sink.clone());
-        let (shard, engines) = cluster(4, 7, drum(30).with_tracer(tracer.clone()));
+        let (shard, engines) = cluster(4, 7, drum(30).with_tracer(tracer));
 
         engines[0].publish(Bytes::from_static(b"traced"));
         std::thread::sleep(Duration::from_millis(400));
         let stats = shard.shutdown();
+        let events = sink.take();
 
-        // Registry counters aggregate across all four processes and must
-        // agree with the per-process stats the runtime reports.
-        let reg = tracer.registry();
-        let total_sent: u64 = stats.iter().map(|s| s.sent).sum();
-        assert!(reg.counter(names::MESSAGES_SENT).get() <= total_sent);
-        assert!(reg.counter(names::MESSAGES_SENT).get() > 0);
-        assert!(reg.counter(names::MESSAGES_RECEIVED).get() > 0);
-        assert!(reg.counter(names::PORT_ROTATIONS).get() > 0);
-        // The pools' own counters surface the same way: every descriptor
-        // opened is counted (≥ 4 rounds' worth of ports per node before
-        // the first one comes back), and exhaustion would be.
+        // Each node's `net round` events are the live view of its stats:
+        // their per-round deltas add up to what the node reports at
+        // shutdown.
+        for (i, s) in stats.iter().enumerate() {
+            let me = Some(&Value::U64(i as u64));
+            let rounds: Vec<_> = events
+                .iter()
+                .filter(|e| e.target == "net" && e.name == "round" && e.field("me") == me)
+                .collect();
+            assert!(!rounds.is_empty(), "node {i} emitted no round event");
+            let live = [
+                "sent",
+                "received",
+                "budget_drops",
+                "decode_errors",
+                "port_mismatches",
+                "alloc_failed",
+            ]
+            .map(|key| {
+                let field = |e: &&Event| match e.field(key) {
+                    Some(Value::U64(v)) => *v,
+                    other => panic!("round event field {key}: {other:?}"),
+                };
+                rounds.iter().map(field).sum::<u64>()
+            });
+            let finals = [
+                s.sent,
+                s.received,
+                s.budget_drops,
+                s.decode_errors,
+                s.port_mismatches,
+                s.alloc_failed,
+            ];
+            assert_eq!(live, finals, "node {i}'s round events vs its stats");
+            assert!(s.sent > 0 && s.received > 0, "node {i} idle: {s:?}");
+            assert!(s.ports_allocated > 0, "node {i} rotated no port");
+        }
+        // The pools' own counters: every descriptor opened is counted
+        // (≥ 4 rounds' worth of ports per node before the first one comes
+        // back), and exhaustion would be.
         let opened: u64 = stats.iter().map(|s| s.sockets_opened).sum();
-        assert_eq!(reg.counter(names::NET_SOCKETS_OPENED).get(), opened);
         assert!(opened >= 4 * 4 * 4, "{opened} descriptors opened");
-        assert_eq!(reg.counter(names::NET_BIND_FAILED).get(), 0);
         assert!(stats.iter().all(|s| s.bind_failed == 0));
 
-        let events = sink.take();
         assert_eq!(
             events.iter().filter(|e| e.name == "proc.start").count(),
             4,
@@ -814,14 +839,15 @@ pub(crate) mod tests {
     fn failed_port_allocation_is_counted() {
         use drum_core::digest::Digest;
         use drum_core::message::PortRef;
-        use drum_trace::{MemorySink, Tracer};
+        use drum_trace::{MemorySink, Tracer, Value};
 
         // A peer advertises reply port 0 (what a node whose own random-port
         // allocation failed would send). The engine answers the pull
         // request, the runtime cannot address the reply — the drop must be
-        // counted, in the per-node stats and the registry.
-        let tracer = Tracer::new(Arc::new(MemorySink::new()));
-        let (mut specs, book) = specs(2, 3, drum(20).with_tracer(tracer.clone()));
+        // counted, live in the node's round events and in its final stats.
+        let sink = Arc::new(MemorySink::new());
+        let tracer = Tracer::new(sink.clone());
+        let (mut specs, book) = specs(2, 3, drum(20).with_tracer(tracer));
         let pull_addr = book.addrs_of(ProcessId(0)).unwrap().pull;
         let _silent_peer = specs.pop();
         let p0_key = specs[0].my_key.clone();
@@ -841,7 +867,10 @@ pub(crate) mod tests {
         while Instant::now() < deadline && !counted {
             let _ = sender.send_to(&req, pull_addr);
             std::thread::sleep(Duration::from_millis(10));
-            counted = tracer.registry().counter(names::NET_ALLOC_FAILED).get() > 0;
+            counted = sink.take().iter().any(|e| {
+                e.name == "round"
+                    && matches!(e.field("alloc_failed"), Some(Value::U64(n)) if *n > 0)
+            });
         }
         let stats = shard.shutdown();
         assert!(

@@ -39,7 +39,6 @@ use std::time::{Duration, Instant};
 
 use drum_core::bytes::Bytes;
 use drum_core::ids::ProcessId;
-use drum_trace::{names, Counter};
 
 use crate::codec;
 use crate::node::NetStats;
@@ -203,13 +202,10 @@ pub struct ShardCore {
     /// in it (the least `round × jitter / 4` of the shard's engines).
     slack: Duration,
     tokens: Vec<u64>,
-    prev_sys: (u64, u64, u64),
-    c_wakeups: Counter,
-    c_sleeps: Counter,
-    c_dispatch: Counter,
-    c_sys_recv: Counter,
-    c_sys_send: Counter,
-    c_batch_fill: Counter,
+    /// Epoll waits made ([`NetStats::shard_wakeups`]).
+    wakeups: u64,
+    /// Of those, the blocking ones ([`NetStats::shard_sleeps`]).
+    sleeps: u64,
     /// Every tick fired: `(drawn deadline, engine, fire time)`.
     #[cfg(test)]
     fired: Vec<(Instant, usize, Instant)>,
@@ -227,10 +223,9 @@ impl ShardCore {
     /// cannot be bound, the epoll cannot be created or any registration
     /// fails — the kernel's error, not a degraded shard.
     pub fn new(lanes: Vec<Lane>) -> io::Result<Self> {
-        let first = lanes
-            .first()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty shard"))?;
-        let reg = first.0.config.tracer.registry().clone();
+        if lanes.is_empty() {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "empty shard"));
+        }
         let send_socket = bind_ephemeral()?;
         let epoll = sys::Epoll::new()?;
         let slack = lanes
@@ -253,13 +248,8 @@ impl ShardCore {
             wheel: TimerWheel::new(),
             slack,
             tokens: Vec::new(),
-            prev_sys: (0, 0, 0),
-            c_wakeups: reg.counter(names::SHARD_WAKEUPS),
-            c_sleeps: reg.counter(names::SHARD_SLEEPS),
-            c_dispatch: reg.counter(names::SHARD_DISPATCH),
-            c_sys_recv: reg.counter(names::SYSCALLS_RECV),
-            c_sys_send: reg.counter(names::SYSCALLS_SEND),
-            c_batch_fill: reg.counter(names::BATCH_FILL),
+            wakeups: 0,
+            sleeps: 0,
             #[cfg(test)]
             fired: Vec::new(),
         })
@@ -340,7 +330,7 @@ impl ShardCore {
             .map_or(EPOLL_WAIT_CAP, |w| w.saturating_duration_since(now))
             .min(EPOLL_WAIT_CAP);
         if !until.is_zero() {
-            self.c_sleeps.inc();
+            self.sleeps += 1;
             self.wait_dispatch(until);
         }
     }
@@ -351,12 +341,11 @@ impl ShardCore {
     fn wait_dispatch(&mut self, timeout: Duration) -> usize {
         self.tokens.clear();
         let _ = self.epoll.wait_tagged_for(timeout, &mut self.tokens);
-        self.c_wakeups.inc();
+        self.wakeups += 1;
         // Every registration is one descriptor with a token of its own, so
         // no token repeats; sorting fixes the dispatch order (engine, then
         // channel class) whatever order the kernel reported them in.
         self.tokens.sort_unstable();
-        let mut dispatched = 0u64;
         for &token in &self.tokens {
             let (engine, class) = unpack_token(token);
             let Some(class) = class else { continue };
@@ -370,54 +359,40 @@ impl ShardCore {
                 &self.send_socket,
                 &mut self.tx,
             );
-            dispatched += 1;
         }
-        self.c_dispatch.add(dispatched);
         self.tokens.len()
     }
 
-    /// Mirrors the shared batchers' syscall totals into the registry as
-    /// deltas. The per-engine `finish_round` cannot do this (the batchers
-    /// are shared by the whole shard), so the shard accounts once per loop
-    /// iteration.
-    fn account_sys(&mut self) {
-        let cur = (
-            self.rx.syscalls(),
-            self.tx.syscalls(),
-            self.rx.batched_datagrams(),
-        );
-        self.c_sys_recv.add(cur.0 - self.prev_sys.0);
-        self.c_sys_send.add(cur.1 - self.prev_sys.1);
-        self.c_batch_fill.add(cur.2 - self.prev_sys.2);
-        self.prev_sys = cur;
-    }
-
     /// The blocking event loop: fire the rounds due within the slack,
-    /// dispatch what is ready or sleep until the next wakeup, account —
-    /// until `stop`.
+    /// then dispatch what is ready or sleep until the next wakeup — until
+    /// `stop`.
     pub fn run(&mut self, stop: &AtomicBool) {
         self.start_all(Instant::now());
         while !stop.load(Ordering::Relaxed) {
             self.fire_due(Instant::now());
             self.poll_io(Instant::now());
-            self.account_sys();
         }
     }
 
     /// Tears the shard down: finalizes every engine (finishing rounds in
-    /// flight) and returns their stats in lane order. Every engine reports
-    /// the shard's *shared* syscall totals.
-    pub fn into_stats(mut self) -> Vec<NetStats> {
-        self.account_sys();
+    /// flight) and returns their stats in lane order. The shard-wide
+    /// counts — syscalls, batched datagrams, wakeups and sleeps — go to
+    /// the first engine only, so a sum over engines counts them once.
+    pub fn into_stats(self) -> Vec<NetStats> {
         let totals = (
             self.rx.syscalls(),
             self.tx.syscalls(),
             self.rx.batched_datagrams(),
         );
-        self.nodes
+        let mut stats: Vec<NetStats> = self
+            .nodes
             .into_iter()
-            .map(|n| n.finalize(Some(totals)))
-            .collect()
+            .enumerate()
+            .map(|(i, n)| n.finalize((i == 0).then_some(totals)))
+            .collect();
+        stats[0].shard_wakeups = self.wakeups;
+        stats[0].shard_sleeps = self.sleeps;
+        stats
     }
 }
 
@@ -563,10 +538,9 @@ mod tests {
         assert_eq!(unpack_token((5 << 3) | 6), (5, None));
     }
 
-    fn shard_specs(n: u64, round_ms: u64, tracer: drum_trace::Tracer) -> Vec<ProcessSpec> {
-        let config = NetConfig::new(GossipConfig::drum())
-            .with_round(Duration::from_millis(round_ms))
-            .with_tracer(tracer);
+    fn shard_specs(n: u64, round_ms: u64) -> Vec<ProcessSpec> {
+        let config =
+            NetConfig::new(GossipConfig::drum()).with_round(Duration::from_millis(round_ms));
         specs(n, 41, config).0
     }
 
@@ -576,19 +550,49 @@ mod tests {
     /// deadline makes ~10^5 wakeups in this second.)
     #[test]
     fn shard_wakeups_are_bounded_by_rounds_and_datagrams() {
-        let tracer = drum_trace::Tracer::disabled();
-        let wakeups = tracer.registry().counter(names::SHARD_WAKEUPS);
-        let (shard, engines) = spawn_shard(shard_specs(6, 40, tracer)).unwrap();
+        let (shard, engines) = spawn_shard(shard_specs(6, 40)).unwrap();
         engines[0].publish(Bytes::from_static(b"count me"));
         std::thread::sleep(Duration::from_secs(1));
         let stats = shard.shutdown();
         let rounds: u64 = stats.iter().map(|s| s.rounds).sum();
         let datagrams: u64 = stats.iter().map(|s| s.received + s.decode_errors).sum();
+        let wakeups: u64 = stats.iter().map(|s| s.shard_wakeups).sum();
         assert!(rounds >= 6 * 10, "the shard must have run: {rounds} rounds");
         assert!(
-            wakeups.get() <= 4 * (rounds + datagrams) + 64,
-            "{} wakeups for {rounds} rounds and {datagrams} datagrams",
-            wakeups.get()
+            wakeups <= 4 * (rounds + datagrams) + 64,
+            "{wakeups} wakeups for {rounds} rounds and {datagrams} datagrams"
+        );
+    }
+
+    /// The shard-wide counts go to the shard's first engine alone, so a
+    /// sum over its engines counts each once.
+    #[test]
+    fn a_shards_counts_sum_to_its_first_engines() {
+        let (shard, engines) = spawn_shard(shard_specs(4, 40)).unwrap();
+        engines[0].publish(Bytes::from_static(b"count once"));
+        std::thread::sleep(Duration::from_millis(300));
+        let stats = shard.shutdown();
+        let first = stats[0];
+        assert!(
+            first.syscalls_recv > 0 && first.shard_wakeups > 0,
+            "{first:?}"
+        );
+        let total: NetStats = stats.into_iter().sum();
+        assert_eq!(
+            [
+                total.syscalls_recv,
+                total.syscalls_send,
+                total.batch_recv_datagrams,
+                total.shard_wakeups,
+                total.shard_sleeps,
+            ],
+            [
+                first.syscalls_recv,
+                first.syscalls_send,
+                first.batch_recv_datagrams,
+                first.shard_wakeups,
+                first.shard_sleeps,
+            ]
         );
     }
 
@@ -751,8 +755,7 @@ mod tests {
 
     #[test]
     fn sharded_drum_disseminates_over_udp() {
-        let (shard, engines) =
-            spawn_shard(shard_specs(6, 40, drum_trace::Tracer::disabled())).unwrap();
+        let (shard, engines) = spawn_shard(shard_specs(6, 40)).unwrap();
         engines[0].publish(Bytes::from_static(b"hello shard"));
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut received = [false; 6];
@@ -783,7 +786,7 @@ mod tests {
     #[test]
     fn a_shard_whose_epoll_registration_fails_is_an_error() {
         let build = |fail_after: Option<u32>| {
-            let (lanes, _engines) = lanes(shard_specs(2, 20, drum_trace::Tracer::disabled()));
+            let (lanes, _engines) = lanes(shard_specs(2, 20));
             sys::fault::fail_registration_after(fail_after);
             let built = ShardCore::new(lanes);
             sys::fault::fail_registration_after(None);

@@ -402,8 +402,6 @@ pub struct SocketPool {
     ports_allocated: u64,
     /// Syscalls spent on ports so far (see [`SocketPool::port_syscalls`]).
     port_syscalls: u64,
-    /// Optional observability counter bumped per fresh port allocation.
-    rotations: Option<drum_trace::Counter>,
     /// The readiness set: every descriptor the pool owns, under its
     /// [`key`]. `None` until [`SocketPool::set_epoll`] attaches the pool.
     ready_set: Option<sys::Epoll>,
@@ -423,16 +421,9 @@ impl SocketPool {
             sockets_opened: 0,
             ports_allocated: 0,
             port_syscalls: 0,
-            rotations: None,
             ready_set: None,
             ready: Vec::new(),
         }
-    }
-
-    /// Attaches a counter (typically `names::PORT_ROTATIONS` from a
-    /// [`drum_trace::Registry`]) incremented on every fresh port bind.
-    pub fn set_rotation_counter(&mut self, counter: drum_trace::Counter) {
-        self.rotations = Some(counter);
     }
 
     /// Builds the pool's readiness set from every descriptor it owns and
@@ -475,8 +466,7 @@ impl SocketPool {
 
     /// Descriptors opened for the pool so far. Grows while the pool does,
     /// then stops: ports keep rotating
-    /// ([`SocketPool::set_rotation_counter`]) on the descriptors already
-    /// open.
+    /// ([`SocketPool::ports_allocated`]) on the descriptors already open.
     pub fn sockets_opened(&self) -> u64 {
         self.sockets_opened
     }
@@ -640,9 +630,6 @@ impl PortOracle for SocketPool {
             born: round,
         });
         self.ports_allocated += 1;
-        if let Some(c) = &self.rotations {
-            c.inc();
-        }
         port
     }
 }
@@ -681,12 +668,10 @@ mod tests {
 
     #[test]
     fn pool_counts_port_rotations() {
-        let reg = drum_trace::Registry::new();
         let mut pool = SocketPool::new(3);
-        pool.set_rotation_counter(reg.counter(drum_trace::names::PORT_ROTATIONS));
         pool.allocate_port(PortPurpose::PullReply, Round(1));
         pool.allocate_port(PortPurpose::PushData, Round(1));
-        assert_eq!(reg.counter(drum_trace::names::PORT_ROTATIONS).get(), 2);
+        assert_eq!(pool.ports_allocated(), 2);
     }
 
     #[test]
@@ -1019,7 +1004,7 @@ mod tests {
         let (stuck, stuck_port) = open_ephemeral().unwrap();
         pool.parked.push(stuck);
         let port = pool.allocate_port(PortPurpose::PushData, Round(1));
-        // A confirmed port, so nothing is dropped as `net.alloc_failed`.
+        // A confirmed port, so nothing is dropped as `NetStats::alloc_failed`.
         assert_ne!(port, 0);
         assert_eq!(pool.bind_failures(), 0);
         assert_eq!(pool.sockets_opened(), 1);

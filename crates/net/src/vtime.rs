@@ -49,14 +49,14 @@ use crate::shard::TimerWheel;
 
 /// The virtual random ports of every node: each live port's owner,
 /// purpose and birth round.
-struct Registry {
+struct PortTable {
     next: u16,
     live: HashMap<u16, (usize, PortPurpose, Round)>,
     lifetime: u64,
 }
 
-/// One node's view of the [`Registry`].
-struct PortsOf<'a>(&'a mut Registry, usize);
+/// One node's view of the [`PortTable`].
+struct PortsOf<'a>(&'a mut PortTable, usize);
 
 impl PortOracle for PortsOf<'_> {
     fn allocate_port(&mut self, purpose: PortPurpose, round: Round) -> u16 {
@@ -93,7 +93,7 @@ struct Wire {
 impl Wire {
     /// Puts one of node `from`'s outbounds on the wire, towards one of `n`
     /// nodes, encoded for itself.
-    fn send(&mut self, from: usize, n: usize, ports: &Registry, out: &Outbound) {
+    fn send(&mut self, from: usize, n: usize, ports: &PortTable, out: &Outbound) {
         let (to, channel) = match out.port {
             SendPort::Port(p) => match ports.live.get(&p) {
                 Some(&(owner, purpose, _)) => (owner, Channel::Port(purpose)),
@@ -121,7 +121,7 @@ impl Wire {
 /// A deterministic cluster of [`Node`]s on a virtual clock.
 pub struct VirtualCluster {
     nodes: Vec<Node>,
-    registry: Registry,
+    ports: PortTable,
     wheel: TimerWheel,
     wire: Wire,
     /// Rounds each node has started.
@@ -178,7 +178,7 @@ impl VirtualCluster {
         );
         VirtualCluster {
             nodes,
-            registry: Registry {
+            ports: PortTable {
                 next: 0,
                 live: HashMap::new(),
                 lifetime: config.gossip.port_lifetime_rounds.max(1),
@@ -257,7 +257,7 @@ impl VirtualCluster {
         self.now = now;
         let next = self.nodes[i].next_deadline(deadline, now);
         self.wheel.push(next, i);
-        self.nodes[i].round_tick(&mut PortsOf(&mut self.registry, i));
+        self.nodes[i].round_tick(&mut PortsOf(&mut self.ports, i));
         self.ticks[i] += 1;
         self.collect(i);
         if self.attacked.contains(&i) {
@@ -267,7 +267,7 @@ impl VirtualCluster {
             let node = &mut self.nodes[to];
             node.receive(channel, &self.wire.bytes[start..end]);
             if let Channel::Port(_) = channel {
-                node.dispatch(&mut PortsOf(&mut self.registry, to));
+                node.dispatch(&mut PortsOf(&mut self.ports, to));
                 self.collect(to);
             }
         }
@@ -286,15 +286,15 @@ impl VirtualCluster {
 
     /// Moves node `i`'s outbox onto the wire and its deliveries into the log.
     fn collect(&mut self, i: usize) {
-        let (n, node, wire, registry) = (
+        let (n, node, wire, ports) = (
             self.nodes.len(),
             &mut self.nodes[i],
             &mut self.wire,
-            &self.registry,
+            &self.ports,
         );
         let mut sent = 0;
         node.send_outs(|out| {
-            wire.send(i, n, registry, out);
+            wire.send(i, n, ports, out);
             sent += 1;
         });
         node.record_sent(sent);
@@ -378,7 +378,7 @@ mod tests {
     fn datagrams_to_dead_ports_are_dropped() {
         let mut net = drum(4, 13);
         let oldest_port_of_1 = |net: &VirtualCluster| {
-            let ports = net.registry.live.iter().filter(|(_, p)| p.0 == 1);
+            let ports = net.ports.live.iter().filter(|(_, p)| p.0 == 1);
             *ports
                 .map(|(port, _)| port)
                 .min()
@@ -388,7 +388,7 @@ mod tests {
         let stale = oldest_port_of_1(&net);
         net.run_rounds(10);
         let live = oldest_port_of_1(&net);
-        assert!(!net.registry.live.contains_key(&stale), "expired");
+        assert!(!net.ports.live.contains_key(&stale), "expired");
         for port in [stale, u16::MAX, live] {
             let reply = Outbound {
                 to: ProcessId(1),
@@ -398,7 +398,7 @@ mod tests {
                     messages: vec![],
                 },
             };
-            net.wire.send(0, 4, &net.registry, &reply);
+            net.wire.send(0, 4, &net.ports, &reply);
         }
         let queued: Vec<usize> = net.wire.queue.iter().map(|d| d.0).collect();
         assert_eq!(queued, [1], "only the live port delivers");

@@ -16,12 +16,13 @@
 //!   (tests) and [`JsonLinesSink`] (byte-stable JSON lines via
 //!   `drum_metrics::json`); every sink is `Send + Sync`, so threads emit
 //!   into one sink directly;
-//! * **Registry** — [`Registry`] of lock-free [`Counter`]s (messages
-//!   sent/received, bound drops, port rotations, ...) that snapshots into
-//!   a `drum_metrics` table.
+//! * **[`Tracer`]** — the clonable handle threaded through the layers: an
+//!   optional sink and a wall-clock epoch.
 //!
-//! The [`Tracer`] handle bundles a sink and a registry; the disabled
-//! default costs one branch per emission site (measured ≤ a few percent on
+//! Counts are not kept here: they live where they are made (the engine's
+//! round stats, then drum-net's per-node `NetStats`), and a node's `net
+//! round` event is their live per-round view. The disabled default
+//! tracer costs one branch per emission site (measured ≤ a few percent on
 //! the engine-round micro-bench even with a no-op sink attached — see
 //! DESIGN.md §Observability).
 //!
@@ -34,22 +35,18 @@
 //! let sink = Arc::new(MemorySink::new());
 //! let tracer = Tracer::new(sink.clone());
 //! trace_event!(tracer, "sim", "round", Timestamp::Round(1), with_m = 5usize);
-//! tracer.registry().counter("messages_sent").add(3);
 //!
 //! assert_eq!(sink.take().len(), 1);
-//! assert_eq!(tracer.registry().snapshot(), vec![("messages_sent".into(), 3)]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod registry;
 pub mod sink;
 pub mod tracer;
 
 pub use event::{Event, Field, Timestamp, Value};
-pub use registry::{names, Counter, Registry};
 pub use sink::{JsonLinesSink, MemorySink, NoopSink, SharedBuf, Sink};
 pub use tracer::Tracer;
 
@@ -58,22 +55,18 @@ mod integration {
     use super::*;
     use std::sync::Arc;
 
-    /// End-to-end: multi-threaded emission into one JSON-lines sink,
-    /// counters snapshotting alongside.
+    /// End-to-end: multi-threaded emission into one JSON-lines sink.
     #[test]
     fn threads_to_jsonl() {
         let buf = SharedBuf::new();
         let tracer = Tracer::new(Arc::new(JsonLinesSink::new(buf.clone())));
-        let sent = tracer.registry().counter(names::MESSAGES_SENT);
 
         std::thread::scope(|scope| {
             for t in 0..3u64 {
                 let tracer = tracer.clone();
-                let sent = sent.clone();
                 scope.spawn(move || {
                     for r in 0..10u64 {
                         trace_event!(tracer, "net", "round.begin", Timestamp::Round(r), me = t);
-                        sent.inc();
                     }
                 });
             }
@@ -81,6 +74,5 @@ mod integration {
 
         tracer.flush();
         assert_eq!(buf.contents_string().lines().count(), 30);
-        assert_eq!(sent.get(), 30);
     }
 }

@@ -4,21 +4,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::event::{Event, Timestamp};
-use crate::registry::Registry;
 use crate::sink::Sink;
 
-/// A cheap, clonable handle combining an optional event sink with a
-/// counter registry.
+/// A cheap, clonable handle on an optional event sink, with the epoch of
+/// its wall-clock timestamps.
 ///
 /// The disabled tracer (the default everywhere) has no sink: emission
 /// sites guard on [`Tracer::enabled`] (the [`crate::trace_event!`] macro
 /// does this for you), so a disabled tracer costs one branch per site and
-/// never constructs an event. Counters work whether or not a sink is
-/// attached.
+/// never constructs an event.
 #[derive(Clone)]
 pub struct Tracer {
     sink: Option<Arc<dyn Sink>>,
-    registry: Registry,
     epoch: Instant,
 }
 
@@ -41,16 +38,14 @@ impl Tracer {
     pub fn disabled() -> Self {
         Tracer {
             sink: None,
-            registry: Registry::new(),
             epoch: Instant::now(),
         }
     }
 
-    /// A tracer emitting into `sink`, with a fresh registry.
+    /// A tracer emitting into `sink`.
     pub fn new(sink: Arc<dyn Sink>) -> Self {
         Tracer {
             sink: Some(sink),
-            registry: Registry::new(),
             epoch: Instant::now(),
         }
     }
@@ -60,11 +55,6 @@ impl Tracer {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.sink.is_some()
-    }
-
-    /// The counter registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Sends one event to the sink (no-op when disabled).
@@ -148,13 +138,5 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "round.begin");
         assert_eq!(events[0].field("pull"), Some(&crate::Value::U64(2)));
-    }
-
-    #[test]
-    fn registry_shared_across_clones() {
-        let tracer = Tracer::disabled();
-        let clone = tracer.clone();
-        tracer.registry().counter("c").inc();
-        assert_eq!(clone.registry().counter("c").get(), 1);
     }
 }

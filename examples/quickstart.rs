@@ -6,16 +6,18 @@
 //! cargo run --release -p drum --example quickstart
 //! ```
 //!
-//! Spawns 8 processes (one thread group each), publishes 20 messages from
-//! a single source, and prints per-process delivery counts, latencies and
-//! the group-wide observability counters collected by `drum::trace`.
+//! Starts 8 processes on shard event loops (one per core), publishes 20
+//! messages from a single source, and prints per-process delivery counts,
+//! latencies and the group-wide counters the processes report at
+//! shutdown.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drum::core::config::ProtocolVariant;
 use drum::net::experiment::{decode_payload, paper_cluster_config, Cluster};
-use drum::trace::{names, NoopSink, Tracer};
+use drum::net::NetStats;
+use drum::trace::{NoopSink, Tracer};
 
 fn main() -> std::io::Result<()> {
     let n = 8;
@@ -23,12 +25,11 @@ fn main() -> std::io::Result<()> {
     println!("starting a {n}-process Drum group (round = {round:?})...");
 
     // Attach a tracer to the whole cluster. The sink receives structured
-    // events (swap `NoopSink` for `JsonLinesSink` to stream a .jsonl
-    // trace); the registry aggregates counters across every process
-    // thread either way.
+    // events, a `net round` event per process per round among them (swap
+    // `NoopSink` for `JsonLinesSink` to stream a .jsonl trace).
     let tracer = Tracer::new(Arc::new(NoopSink));
     let mut config = paper_cluster_config(ProtocolVariant::Drum, n, 0, 0.0, round, 42);
-    config.net = config.net.with_tracer(tracer.clone());
+    config.net = config.net.with_tracer(tracer);
     let correct = config.correct();
     let cluster = Cluster::start(config)?;
     let epoch = cluster.epoch();
@@ -68,38 +69,37 @@ fn main() -> std::io::Result<()> {
         println!("p{i:<7} {:>8}  {mean:>9.1} ms", received[i]);
     }
 
-    let stats = cluster.shutdown();
-    let rounds: u64 = stats.iter().map(|s| s.rounds).sum();
-    println!("\ntotal rounds executed across the group: {rounds}");
+    let totals: NetStats = cluster.shutdown().into_iter().sum();
+    println!(
+        "\ntotal rounds executed across the group: {}",
+        totals.rounds
+    );
     let delivered: u64 = received[1..].iter().sum();
     println!(
         "total deliveries: {delivered} / {}",
         total * (correct as u64 - 1)
     );
 
-    // Group-wide counters from the shared trace registry.
-    let reg = tracer.registry();
+    // Group-wide counters: every process's stats, summed.
     println!("\nobservability counters (whole group):");
-    for name in [
-        names::MESSAGES_SENT,
-        names::MESSAGES_RECEIVED,
-        names::DROPPED_BY_BOUND,
-        names::PORT_ROTATIONS,
-        names::SYSCALLS_RECV,
-        names::SYSCALLS_SEND,
-        names::BATCH_FILL,
-        names::MAC_FULL_VERIFIES,
-        names::CRYPTO_COMPRESS_CALLS,
-        names::BUFFER_BYTES_PEAK,
-        names::STREAM_BACKPRESSURE,
+    for (name, value) in [
+        ("datagrams sent", totals.sent),
+        ("datagrams received", totals.received),
+        ("budget drops", totals.budget_drops),
+        ("ports allocated", totals.ports_allocated),
+        ("recv syscalls", totals.syscalls_recv),
+        ("send syscalls", totals.syscalls_send),
+        ("batched datagrams", totals.batch_recv_datagrams),
+        ("SHA-256 compressions", totals.compress_calls),
+        ("buffer bytes peak", totals.buffer_bytes_peak),
+        ("stream backpressure", totals.stream_backpressure),
     ] {
-        println!("  {name:<20} {}", reg.counter(name).get());
+        println!("  {name:<20} {value}");
     }
     // ~3 for these 50-byte payloads: only messages new to a node are MACed.
-    let engine_deliveries: u64 = stats.iter().map(|s| s.delivered).sum();
     println!(
         "  crypto.compress_calls per delivered message {:.2}",
-        reg.counter(names::CRYPTO_COMPRESS_CALLS).get() as f64 / engine_deliveries.max(1) as f64
+        totals.compress_calls as f64 / totals.delivered.max(1) as f64
     );
     Ok(())
 }
