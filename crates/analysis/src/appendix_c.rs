@@ -14,28 +14,9 @@
 //!
 //! All binomial arithmetic is exact log-domain ([`crate::logmath`]).
 
+use drum_core::config::ProtocolVariant;
+
 use crate::logmath::{pow_one_minus, LogFactorial};
-
-/// Which protocol the formulas are instantiated for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Protocol {
-    /// Push + pull with split fan-out (the paper's Drum).
-    Drum,
-    /// Push only.
-    Push,
-    /// Pull only.
-    Pull,
-}
-
-impl core::fmt::Display for Protocol {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Protocol::Drum => f.write_str("Drum"),
-            Protocol::Push => f.write_str("Push"),
-            Protocol::Pull => f.write_str("Pull"),
-        }
-    }
-}
 
 /// Parameters of the detailed analysis (§C.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,16 +44,16 @@ impl DetailedParams {
     /// # Panics
     ///
     /// Panics if `n <= b + 1`, `F == 0`, or Drum is given an odd `F`.
-    pub fn paper(protocol: Protocol, n: usize, b: usize, loss: f64, fan_out: usize) -> Self {
+    pub fn paper(protocol: ProtocolVariant, n: usize, b: usize, loss: f64, fan_out: usize) -> Self {
         assert!(n > b + 1, "need at least two correct processes");
         assert!(fan_out > 0, "fan-out must be positive");
         let (vp, vl) = match protocol {
-            Protocol::Drum => {
+            ProtocolVariant::Drum => {
                 assert!(fan_out.is_multiple_of(2), "Drum splits the fan-out evenly");
                 (fan_out / 2, fan_out / 2)
             }
-            Protocol::Push => (fan_out, 0),
-            Protocol::Pull => (0, fan_out),
+            ProtocolVariant::Push => (fan_out, 0),
+            ProtocolVariant::Pull => (0, fan_out),
         };
         DetailedParams {
             n,
@@ -171,11 +152,11 @@ pub struct PairProbabilities {
 impl PairProbabilities {
     /// Per-pair probability of transmitting `M` without any attack
     /// (both endpoints non-attacked), per protocol.
-    pub fn no_attack_p(&self, protocol: Protocol) -> f64 {
+    pub fn no_attack_p(&self, protocol: ProtocolVariant) -> f64 {
         match protocol {
-            Protocol::Push => self.push_u,
-            Protocol::Pull => self.pull_u,
-            Protocol::Drum => 1.0 - (1.0 - self.push_u) * (1.0 - self.pull_u),
+            ProtocolVariant::Push => self.push_u,
+            ProtocolVariant::Pull => self.pull_u,
+            ProtocolVariant::Drum => 1.0 - (1.0 - self.push_u) * (1.0 - self.pull_u),
         }
     }
 }
@@ -186,15 +167,15 @@ impl PairProbabilities {
 /// Drum splits it `x/2` push + `x/2` pull, Push and Pull take all of it on
 /// their single channel (§5).
 pub fn pair_probabilities(
-    protocol: Protocol,
+    protocol: ProtocolVariant,
     params: &DetailedParams,
     x: u64,
 ) -> PairProbabilities {
     let lf = LogFactorial::up_to(params.n + x as usize + 4);
     let (x_push, x_pull) = match protocol {
-        Protocol::Drum => (x / 2, x - x / 2),
-        Protocol::Push => (x, 0),
-        Protocol::Pull => (0, x),
+        ProtocolVariant::Drum => (x / 2, x - x / 2),
+        ProtocolVariant::Push => (x, 0),
+        ProtocolVariant::Pull => (0, x),
     };
 
     let q_push = params.view_push as f64 / (params.n - 1) as f64;
@@ -305,7 +286,7 @@ pub fn propagation_no_attack(params: &DetailedParams, p: f64, rounds: usize) -> 
 pub fn propagation_under_attack(
     params: &DetailedParams,
     probs: &PairProbabilities,
-    protocol: Protocol,
+    protocol: ProtocolVariant,
     alpha_n: usize,
     rounds: usize,
 ) -> AttackCurves {
@@ -321,15 +302,15 @@ pub fn propagation_under_attack(
         let iu = i_u as f64;
         let ia = i_a as f64;
         match protocol {
-            Protocol::Push => (
+            ProtocolVariant::Push => (
                 pow_one_minus(probs.push_u, iu + ia),
                 pow_one_minus(probs.push_a, iu + ia),
             ),
-            Protocol::Pull => {
+            ProtocolVariant::Pull => {
                 let q = pow_one_minus(probs.pull_u, iu) * pow_one_minus(probs.pull_a, ia);
                 (q, q)
             }
-            Protocol::Drum => {
+            ProtocolVariant::Drum => {
                 let pull_part = pow_one_minus(probs.pull_u, iu) * pow_one_minus(probs.pull_a, ia);
                 (
                     pow_one_minus(probs.push_u, iu + ia) * pull_part,
@@ -433,7 +414,7 @@ pub struct AttackCurves {
 /// attack `(alpha_n attacked, x fabricated per attacked process per round)`.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
 pub fn analysis_cdf(
-    protocol: Protocol,
+    protocol: ProtocolVariant,
     n: usize,
     b: usize,
     loss: f64,
@@ -457,33 +438,34 @@ pub fn analysis_cdf(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drum_core::config::ProtocolVariant::{Drum, Pull, Push};
 
-    fn paper_params(p: Protocol) -> DetailedParams {
+    fn paper_params(p: ProtocolVariant) -> DetailedParams {
         DetailedParams::paper(p, 120, 12, 0.01, 4)
     }
 
     #[test]
     fn params_constructor() {
-        let d = paper_params(Protocol::Drum);
+        let d = paper_params(Drum);
         assert_eq!(d.view_push, 2);
         assert_eq!(d.view_pull, 2);
         assert_eq!(d.correct(), 108);
-        let p = paper_params(Protocol::Push);
+        let p = paper_params(Push);
         assert_eq!(p.view_push, 4);
         assert_eq!(p.view_pull, 0);
-        let l = paper_params(Protocol::Pull);
+        let l = paper_params(Pull);
         assert_eq!(l.view_pull, 4);
     }
 
     #[test]
     #[should_panic(expected = "evenly")]
     fn drum_rejects_odd_fan_out() {
-        DetailedParams::paper(Protocol::Drum, 100, 0, 0.0, 5);
+        DetailedParams::paper(Drum, 100, 0, 0.0, 5);
     }
 
     #[test]
     fn pair_probabilities_in_range() {
-        for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+        for proto in [Drum, Push, Pull] {
             let params = paper_params(proto);
             for &x in &[0u64, 32, 128] {
                 let pr = pair_probabilities(proto, &params, x);
@@ -496,9 +478,9 @@ mod tests {
 
     #[test]
     fn attack_reduces_success_probability() {
-        let params = paper_params(Protocol::Drum);
-        let clean = pair_probabilities(Protocol::Drum, &params, 0);
-        let attacked = pair_probabilities(Protocol::Drum, &params, 128);
+        let params = paper_params(Drum);
+        let clean = pair_probabilities(Drum, &params, 0);
+        let attacked = pair_probabilities(Drum, &params, 128);
         assert!(attacked.push_a < clean.push_u);
         assert!(attacked.pull_a < clean.pull_u);
         // Non-attacked probabilities are unaffected by x.
@@ -508,9 +490,9 @@ mod tests {
 
     #[test]
     fn no_attack_curve_is_monotone_and_converges() {
-        let params = paper_params(Protocol::Drum);
-        let probs = pair_probabilities(Protocol::Drum, &params, 0);
-        let curve = propagation_no_attack(&params, probs.no_attack_p(Protocol::Drum), 30);
+        let params = paper_params(Drum);
+        let probs = pair_probabilities(Drum, &params, 0);
+        let curve = propagation_no_attack(&params, probs.no_attack_p(Drum), 30);
         for w in curve.fraction.windows(2) {
             assert!(w[1] >= w[0] - 1e-12, "fraction must be non-decreasing");
         }
@@ -525,7 +507,7 @@ mod tests {
     #[test]
     fn push_faster_than_pull_without_attack_slightly() {
         // Failure-free: all three protocols converge in O(log n) rounds.
-        for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+        for proto in [Drum, Push, Pull] {
             let params = DetailedParams::paper(proto, 120, 0, 0.01, 4);
             let probs = pair_probabilities(proto, &params, 0);
             let curve = propagation_no_attack(&params, probs.no_attack_p(proto), 25);
@@ -538,23 +520,23 @@ mod tests {
     fn under_attack_drum_beats_push_and_pull() {
         // The Figure 14(c) setting: n = 120, alpha = 10%, x = 128.
         let mut rounds_to_99 = std::collections::HashMap::new();
-        for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+        for proto in [Drum, Push, Pull] {
             let frac = analysis_cdf(proto, 120, 12, 0.01, 4, 12, 128, 60);
             let r = frac.iter().position(|f| *f >= 0.99).unwrap_or(usize::MAX);
             rounds_to_99.insert(proto, r);
         }
-        let drum = rounds_to_99[&Protocol::Drum];
-        let push = rounds_to_99[&Protocol::Push];
-        let pull = rounds_to_99[&Protocol::Pull];
+        let drum = rounds_to_99[&Drum];
+        let push = rounds_to_99[&Push];
+        let pull = rounds_to_99[&Pull];
         assert!(drum < push, "drum {drum} !< push {push}");
         assert!(drum < pull, "drum {drum} !< pull {pull}");
     }
 
     #[test]
     fn attack_curves_mass_is_conserved() {
-        let params = paper_params(Protocol::Drum);
-        let probs = pair_probabilities(Protocol::Drum, &params, 64);
-        let curves = propagation_under_attack(&params, &probs, Protocol::Drum, 12, 10);
+        let params = paper_params(Drum);
+        let probs = pair_probabilities(Drum, &params, 64);
+        let curves = propagation_under_attack(&params, &probs, Drum, 12, 10);
         // Expected totals never exceed the population and never decrease.
         for w in curves.total.expected.windows(2) {
             assert!(w[1] >= w[0] - 1e-9);
@@ -567,16 +549,16 @@ mod tests {
     #[test]
     fn stronger_attack_slows_push_but_not_drum() {
         // Lemma 1 vs Corollary 1 in the detailed model.
-        let r = |proto: Protocol, x: u64| {
+        let r = |proto: ProtocolVariant, x: u64| {
             analysis_cdf(proto, 120, 12, 0.01, 4, 12, x, 120)
                 .iter()
                 .position(|f| *f >= 0.99)
                 .unwrap_or(999)
         };
-        let drum_64 = r(Protocol::Drum, 64);
-        let drum_256 = r(Protocol::Drum, 256);
-        let push_64 = r(Protocol::Push, 64);
-        let push_256 = r(Protocol::Push, 256);
+        let drum_64 = r(Drum, 64);
+        let drum_256 = r(Drum, 256);
+        let push_64 = r(Push, 64);
+        let push_256 = r(Push, 256);
         assert!(
             drum_256 <= drum_64 + 2,
             "Drum ~constant: {drum_64} -> {drum_256}"

@@ -23,18 +23,19 @@
 //! strength, while Push's lower bound grows linearly:
 //!
 //! ```
-//! use drum_analysis::appendix_c::{analysis_cdf, Protocol};
+//! use drum_analysis::appendix_c::analysis_cdf;
+//! use drum_core::config::ProtocolVariant;
 //!
 //! let rounds = |proto, x| {
 //!     analysis_cdf(proto, 120, 12, 0.01, 4, 12, x, 100)
 //!         .iter().position(|f| *f >= 0.99).unwrap()
 //! };
-//! let drum_weak = rounds(Protocol::Drum, 32);
-//! let drum_strong = rounds(Protocol::Drum, 256);
+//! let drum_weak = rounds(ProtocolVariant::Drum, 32);
+//! let drum_strong = rounds(ProtocolVariant::Drum, 256);
 //! assert!(drum_strong <= drum_weak + 2); // flat
 //!
-//! let push_weak = rounds(Protocol::Push, 32);
-//! let push_strong = rounds(Protocol::Push, 256);
+//! let push_weak = rounds(ProtocolVariant::Push, 32);
+//! let push_strong = rounds(ProtocolVariant::Push, 256);
 //! assert!(push_strong > push_weak + 4); // grows
 //! ```
 
@@ -51,7 +52,7 @@ pub use appendix_a::{p_a, p_a_upper_bound, p_u};
 pub use appendix_b::{expected_rounds_to_leave_source, p_tilde, prob_stuck_after};
 pub use appendix_c::{
     analysis_cdf, pair_probabilities, propagation_no_attack, propagation_under_attack,
-    AttackCurves, DetailedParams, PairProbabilities, PropagationCurve, Protocol,
+    AttackCurves, DetailedParams, PairProbabilities, PropagationCurve,
 };
 pub use asymptotic::{
     attack_intensity, effective_rates, effective_rates_for, pull_source_exit_lower_bound,
@@ -61,8 +62,9 @@ pub use asymptotic::{
 #[cfg(test)]
 mod proptests {
     use crate::appendix_a::{p_a, p_u};
-    use crate::appendix_c::{pair_probabilities, DetailedParams, Protocol};
+    use crate::appendix_c::{pair_probabilities, DetailedParams};
     use crate::logmath::LogFactorial;
+    use drum_core::config::ProtocolVariant::{Drum, Pull, Push};
     use drum_testkit::prop::{check, Config};
     use drum_testkit::prop_assert;
 
@@ -114,7 +116,7 @@ mod proptests {
         check("pair_probabilities_valid", Config::with_cases(64), |g| {
             let x = g.u64_in(0..300);
             let b = g.usize_in(0..20);
-            for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+            for proto in [Drum, Push, Pull] {
                 let params = DetailedParams::paper(proto, 120, b, 0.01, 4);
                 let pr = pair_probabilities(proto, &params, x);
                 for v in [pr.push_u, pr.push_a, pr.pull_u, pr.pull_a] {

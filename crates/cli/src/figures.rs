@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use drum_analysis::appendix_a::{figure_1a, figure_1b};
 use drum_analysis::appendix_b::std_rounds_to_leave_source;
-use drum_analysis::appendix_c::{analysis_cdf, Protocol};
+use drum_analysis::appendix_c::analysis_cdf;
 use drum_core::config::{BoundMode, GossipConfig};
 use drum_core::ProtocolVariant;
 use drum_metrics::table::Table;
@@ -700,14 +700,6 @@ pub fn fig12b(w: &mut dyn Write) -> io::Result<()> {
     )
 }
 
-fn sim_variant(p: Protocol) -> ProtocolVariant {
-    match p {
-        Protocol::Drum => ProtocolVariant::Drum,
-        Protocol::Push => ProtocolVariant::Push,
-        Protocol::Pull => ProtocolVariant::Pull,
-    }
-}
-
 /// Figure 13: detailed analysis (Appendix C) vs simulation, no attack.
 pub fn fig13(w: &mut dyn Write) -> io::Result<()> {
     banner_to(
@@ -723,14 +715,14 @@ pub fn fig13(w: &mut dyn Write) -> io::Result<()> {
         writeln!(w, "{label}, n = {n} ({trials} trials)")?;
         let mut labels = Vec::new();
         let mut curves = Vec::new();
-        for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+        for proto in PROTOCOLS {
             // Analysis: fraction at round start; shift by one to align with
             // the simulator's after-round samples.
             let a = analysis_cdf(proto, n, crashed, 0.01, 4, 0, 0, rounds + 1);
             curves.push(a[1..].to_vec());
             labels.push(format!("{proto} anl"));
 
-            let mut cfg = SimConfig::baseline(sim_variant(proto), n);
+            let mut cfg = SimConfig::baseline(proto, n);
             cfg.crashed = crashed;
             curves.push(cdf_curve(&cfg, trials, SEED, rounds));
             labels.push(format!("{proto} sim"));
@@ -771,12 +763,12 @@ pub fn fig14(w: &mut dyn Write) -> io::Result<()> {
         writeln!(w, "{panel} alpha = {alpha}, x = {x} ({trials} trials)")?;
         let mut labels = Vec::new();
         let mut curves = Vec::new();
-        for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+        for proto in PROTOCOLS {
             let a = analysis_cdf(proto, n, b, 0.01, 4, attacked, x, rounds + 1);
             curves.push(a[1..].to_vec());
             labels.push(format!("{proto} anl"));
 
-            let mut cfg = SimConfig::attack_alpha(sim_variant(proto), n, alpha, x as f64);
+            let mut cfg = SimConfig::attack_alpha(proto, n, alpha, x as f64);
             cfg.malicious = b;
             curves.push(cdf_curve(&cfg, trials, SEED, rounds));
             labels.push(format!("{proto} sim"));
@@ -811,11 +803,7 @@ pub fn ext_fanout(w: &mut dyn Write) -> io::Result<()> {
         ]);
         for fan_out in [2usize, 4, 8, 12] {
             let mut cells = vec![fan_out.to_string()];
-            for proto in [
-                ProtocolVariant::Drum,
-                ProtocolVariant::Push,
-                ProtocolVariant::Pull,
-            ] {
+            for proto in PROTOCOLS {
                 let mut cfg = if x > 0.0 {
                     SimConfig::paper_attack(proto, n, x)
                 } else {
@@ -905,7 +893,8 @@ pub fn ext_scale(w: &mut dyn Write) -> io::Result<()> {
 /// latency, and the runtime's own `rounds_late` counter (cadence health
 /// under load).
 pub fn ext_cluster(w: &mut dyn Write) -> io::Result<()> {
-    use drum_net::experiment::{decode_payload, Cluster};
+    use drum_metrics::stats::RunningStats;
+    use drum_net::experiment::Cluster;
     use std::time::Instant;
 
     banner_to(
@@ -953,51 +942,33 @@ pub fn ext_cluster(w: &mut dyn Write) -> io::Result<()> {
             let shard_count = cfg.resolved_shards();
 
             let cluster = Cluster::start(cfg).expect("cluster start");
-            let epoch = cluster.epoch();
             let correct = cluster.handles().len();
-            let mut reached = vec![false; correct];
-            reached[0] = true; // the source trivially has its own messages
-            let mut total = 0u64;
-            let mut lat_sum_ms = 0.0f64;
-            let mut lat_count = 0u64;
-            // Drains every receiver and returns the running delivery count.
-            let mut drain = |reached: &mut Vec<bool>| {
-                for (i, h) in cluster.handles().iter().enumerate().skip(1) {
-                    for d in h.take_delivered() {
-                        total += 1;
-                        reached[i] = true;
-                        if let Some((_, sent_us)) = decode_payload(&d.message.payload) {
-                            let arrived_us = d.at.duration_since(epoch).as_micros() as u64;
-                            if arrived_us > sent_us {
-                                lat_sum_ms += (arrived_us - sent_us) as f64 / 1000.0;
-                                lat_count += 1;
-                            }
-                        }
-                    }
-                }
-                total
-            };
-
+            let mut log = Vec::new();
             for m in 0..messages {
                 cluster.publish_from_source(m, 50);
-                std::thread::sleep(round * 2);
-                drain(&mut reached);
+                cluster.collect_until(&mut log, Instant::now() + round * 2, |_| false);
             }
             // Wait for every message at every receiver: the last publish
             // has had only two rounds to spread when the loop above ends.
+            // (A source does not deliver its own messages.)
             let expected = messages * (correct as u64 - 1);
             let deadline = Instant::now() + wait;
-            while drain(&mut reached) < expected && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            cluster.collect_until(&mut log, deadline, |log| log.len() as u64 >= expected);
             let stats = cluster.shutdown();
 
             let late: u64 = stats.iter().map(|s| s.rounds_late).sum();
+            let mut reached = vec![false; correct];
+            reached[0] = true; // the source trivially has its own messages
+            log.iter().for_each(|a| reached[a.receiver] = true);
             let reached_frac =
                 reached.iter().filter(|r| **r).count() as f64 / correct.max(1) as f64;
-            let delivered_frac = total as f64 / expected as f64;
-            let mean_latency = if lat_count > 0 {
-                lat_sum_ms / lat_count as f64
+            let delivered_frac = log.len() as f64 / expected as f64;
+            let latency: RunningStats = log
+                .iter()
+                .map(|a| a.at.saturating_sub(a.sent).as_secs_f64() * 1e3)
+                .collect();
+            let mean_latency = if latency.count() > 0 {
+                latency.mean()
             } else {
                 f64::NAN
             };

@@ -14,7 +14,7 @@ mod args;
 use std::time::Duration;
 
 use args::{ArgError, Args};
-use drum_analysis::appendix_c::{analysis_cdf, Protocol};
+use drum_analysis::appendix_c::analysis_cdf;
 use drum_core::config::{AdversaryKind, BoundMode, GossipConfig, ProtocolVariant};
 use drum_lab::figures::{FigureFn, FIGURES};
 use drum_metrics::table::Table;
@@ -124,14 +124,6 @@ fn select_figures(only: Option<&str>) -> Result<Vec<(&'static str, FigureFn)>, S
     }
 }
 
-fn analysis_protocol(p: ProtocolVariant) -> Protocol {
-    match p {
-        ProtocolVariant::Drum => Protocol::Drum,
-        ProtocolVariant::Push => Protocol::Push,
-        ProtocolVariant::Pull => Protocol::Pull,
-    }
-}
-
 /// Runs one command line. Each command makes all of its option lookups
 /// before it does any work, then rejects the options it never read.
 fn run(args: &Args) -> Result<(), String> {
@@ -199,7 +191,7 @@ fn run(args: &Args) -> Result<(), String> {
             println!("{t}");
         }
         "analyze" => {
-            let protocol = analysis_protocol(protocol_of(args)?);
+            let protocol = protocol_of(args)?;
             let n = args.get_or("n", 120usize).map_err(err)?;
             let alpha = args.get_or("alpha", 0.1f64).map_err(err)?;
             let x = args.get_or("x", 128u64).map_err(err)?;

@@ -25,7 +25,7 @@
 //! | [`net`] | `drum-net` | UDP runtime, virtual-time driver, attack emulation, measurements |
 //! | [`sim`] | `drum-sim` | round-synchronized Monte-Carlo simulator |
 //! | [`analysis`] | `drum-analysis` | closed-form math of appendices A–C and §6 |
-//! | [`metrics`] | `drum-metrics` | statistics, quantiles, §8 recorders, tables, JSON |
+//! | [`metrics`] | `drum-metrics` | statistics, quantiles, tables, JSON |
 //! | [`testkit`] | `drum-testkit` | property-based testing harness, seed averaging |
 //! | [`trace`] | `drum-trace` | structured events, pluggable sinks, the `Tracer` handle |
 //!
@@ -44,15 +44,10 @@
 //!
 //! cluster.publish_from_source(0, 50);
 //!
-//! // Wait for some deliveries.
+//! // Log deliveries until the first one arrives.
+//! let mut log = Vec::new();
 //! let deadline = Instant::now() + Duration::from_secs(10);
-//! let mut total = 0;
-//! while Instant::now() < deadline && total == 0 {
-//!     total = cluster.handles()[1..].iter()
-//!         .map(|h| h.take_delivered().len()).sum();
-//!     std::thread::sleep(Duration::from_millis(10));
-//! }
-//! assert!(total > 0);
+//! assert!(cluster.collect_until(&mut log, deadline, |log| !log.is_empty()));
 //! cluster.shutdown();
 //! # Ok(())
 //! # }

@@ -1,4 +1,4 @@
-//! Statistics and recorders for the Drum evaluation harness.
+//! Statistics for the Drum evaluation harness.
 //!
 //! This crate is the measurement substrate shared by the simulator
 //! (`drum-sim`), the UDP runtime (`drum-net`) and the figure generators
@@ -6,7 +6,6 @@
 //!
 //! * [`stats`] — streaming mean/variance (propagation-time averages and
 //!   standard deviations, Figures 3–4 and 7–9) and [`quantile_in_place`],
-//! * [`recorder`] — the paper's §8 throughput/latency accounting,
 //! * [`table`] — aligned text output for the figures,
 //! * [`json`] — the byte-stable JSON that trace events are written in.
 //!
@@ -25,12 +24,10 @@
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod recorder;
 pub mod stats;
 pub mod table;
 
 pub use json::{Json, JsonError};
-pub use recorder::{LatencyRecorder, ThroughputRecorder};
 pub use stats::RunningStats;
 pub use table::Table;
 

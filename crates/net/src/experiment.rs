@@ -9,11 +9,12 @@ use drum_core::bytes::{Bytes, BytesMut};
 use drum_core::config::{AdversaryKind, ProtocolVariant};
 use drum_core::ids::ProcessId;
 use drum_crypto::keys::KeyStore;
-use drum_metrics::recorder::{LatencyRecorder, ThroughputRecorder};
 use drum_metrics::stats::{quantile_in_place, RunningStats};
 
 use crate::attack::{Attacker, Flood};
 use crate::node::{seed_of, NetConfig, NetStats};
+use crate::recorder::receiver_report;
+pub use crate::recorder::Arrival;
 use crate::runtime::{Delivery, ProcessSpec};
 use crate::shard::{spawn_shard, EngineHandle, ShardHandle};
 use crate::transport::{AblationSockets, AddressBook, WellKnownAddrs, WellKnownSockets};
@@ -298,11 +299,6 @@ impl Cluster {
         self.attacker.is_some()
     }
 
-    /// Cluster start instant (latency epoch).
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
     /// The scenario this cluster runs.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
@@ -317,6 +313,77 @@ impl Cluster {
     pub fn publish_from_source(&self, seq: u64, payload_len: usize) {
         let payload = encode_payload(self.epoch, seq, payload_len);
         self.handles[0].publish(payload);
+    }
+
+    /// Drains every handle once, logging each experiment payload
+    /// delivered since the last call (other payloads are dropped).
+    pub fn collect(&self, log: &mut Vec<Arrival>) {
+        for (receiver, h) in self.handles.iter().enumerate() {
+            for d in h.take_delivered() {
+                if let Some((seq, sent_micros)) = decode_payload(&d.message.payload) {
+                    log.push(Arrival {
+                        receiver,
+                        seq,
+                        hops: d.message.hops,
+                        sent: Duration::from_micros(sent_micros),
+                        at: d.at.saturating_duration_since(self.epoch),
+                    });
+                }
+            }
+        }
+    }
+
+    /// Collects into `log` until `done(log)` holds or `deadline` passes;
+    /// returns whether `done` held. Arrivals carry their own times, so the
+    /// poll interval moves no measurement.
+    pub fn collect_until(
+        &self,
+        log: &mut Vec<Arrival>,
+        deadline: Instant,
+        mut done: impl FnMut(&[Arrival]) -> bool,
+    ) -> bool {
+        loop {
+            self.collect(log);
+            if done(log) {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
+        }
+    }
+
+    /// The §8 source: publishes `messages` payloads from process 0, message
+    /// `seq` due `seq × interval` after the cluster epoch, collecting into
+    /// `log` while it waits. With `flood = Some((x, third))`, an `x` flood
+    /// runs while the due time lies in the second `third` of the run (the
+    /// Figure 7 toggle). Returns when the last message went out, from the
+    /// epoch.
+    fn publish_paced(
+        &mut self,
+        log: &mut Vec<Arrival>,
+        messages: u64,
+        interval: Duration,
+        payload_len: usize,
+        flood: Option<(f64, Duration)>,
+    ) -> std::io::Result<Duration> {
+        for seq in 0..messages {
+            let due = interval.mul_f64(seq as f64);
+            if let Some((x, third)) = flood {
+                let on = soak_phase(due, third) == 1;
+                if on != self.attack_running() {
+                    self.set_attack(if on { x } else { 0.0 })?;
+                }
+            }
+            self.collect_until(log, self.epoch + due, |_| false);
+            self.publish_from_source(seq, payload_len);
+        }
+        if flood.is_some() {
+            self.set_attack(0.0)?;
+        }
+        Ok(self.epoch.elapsed())
     }
 
     /// Stops everything; returns per-process stats (index = process id —
@@ -346,7 +413,7 @@ impl Cluster {
 /// Encodes the standard experiment payload: sequence number + microseconds
 /// since the cluster epoch, zero-padded to `len` bytes (the paper uses
 /// 50-byte messages).
-pub fn encode_payload(epoch: Instant, seq: u64, len: usize) -> Bytes {
+pub(crate) fn encode_payload(epoch: Instant, seq: u64, len: usize) -> Bytes {
     let micros = epoch.elapsed().as_micros() as u64;
     let mut out = BytesMut::with_capacity(len.max(16));
     out.put_u64(seq);
@@ -360,7 +427,7 @@ pub fn encode_payload(epoch: Instant, seq: u64, len: usize) -> Bytes {
 /// Decodes `(seq, send_micros)` from an experiment payload.
 ///
 /// Returns `None` for payloads shorter than 16 bytes.
-pub fn decode_payload(payload: &[u8]) -> Option<(u64, u64)> {
+pub(crate) fn decode_payload(payload: &[u8]) -> Option<(u64, u64)> {
     if payload.len() < 16 {
         return None;
     }
@@ -448,66 +515,19 @@ pub fn throughput_experiment(
     payload_len: usize,
     drain: Duration,
 ) -> std::io::Result<ThroughputReport> {
-    let cluster = Cluster::start(config.clone())?;
-    let epoch = cluster.epoch();
+    let mut cluster = Cluster::start(config.clone())?;
+    let mut log = Vec::new();
     let interval = Duration::from_secs_f64(1.0 / rate_per_sec);
-
-    let correct = config.correct();
-    let mut latency = vec![LatencyRecorder::new(); correct];
-    let mut throughput = vec![ThroughputRecorder::new(); correct];
-
-    let drain_deliveries = |latency: &mut Vec<LatencyRecorder>,
-                            throughput: &mut Vec<ThroughputRecorder>,
-                            cluster: &Cluster| {
-        for (i, h) in cluster.handles().iter().enumerate() {
-            for d in h.take_delivered() {
-                let at_micros = d.at.saturating_duration_since(epoch).as_micros() as u64;
-                if let Some((_seq, sent_micros)) = decode_payload(&d.message.payload) {
-                    let lat_ms = (at_micros.saturating_sub(sent_micros)) as f64 / 1000.0;
-                    let t_secs = at_micros as f64 / 1e6;
-                    latency[i].record_at(t_secs, lat_ms);
-                    throughput[i].record(t_secs);
-                }
-            }
-        }
-    };
-
-    let mut next_send = Instant::now();
-    for seq in 0..total_messages {
-        let now = Instant::now();
-        if next_send > now {
-            std::thread::sleep(next_send - now);
-        }
-        cluster.publish_from_source(seq, payload_len);
-        next_send += interval;
-        drain_deliveries(&mut latency, &mut throughput, &cluster);
-    }
     // The measurement window is the active send period (the paper's runs
-    // are dominated by it); the drain below only collects stragglers.
-    let send_duration_secs = epoch.elapsed().as_secs_f64();
+    // are dominated by it); the drain only collects stragglers.
+    let sent = cluster.publish_paced(&mut log, total_messages, interval, payload_len, None)?;
+    cluster.collect_until(&mut log, Instant::now() + drain, |_| false);
 
-    let drain_deadline = Instant::now() + drain;
-    while Instant::now() < drain_deadline {
-        drain_deliveries(&mut latency, &mut throughput, &cluster);
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    drain_deliveries(&mut latency, &mut throughput, &cluster);
-
-    let duration_secs = send_duration_secs;
-    let receivers = (1..correct)
-        .map(|i| ReceiverReport {
-            id: ProcessId(i as u64),
-            attacked: i < config.attacked,
-            throughput: throughput[i].paper_throughput(duration_secs),
-            // §8: latency, like throughput, ignores the first and last 5%
-            // of the experiment *duration* (not of the sample count).
-            mean_latency_ms: latency[i].paper_mean_ms(duration_secs),
-            received: latency[i].received(),
-        })
-        .collect();
-
+    let duration_secs = sent.as_secs_f64();
     Ok(ThroughputReport {
-        receivers,
+        receivers: (1..config.correct())
+            .map(|i| receiver_report(&log, i, i < config.attacked, duration_secs))
+            .collect(),
         duration_secs,
         published: total_messages,
         totals: cluster.shutdown().into_iter().sum(),
@@ -567,6 +587,69 @@ impl SoakReport {
     }
 }
 
+/// Which third of a soak run `t` (from the epoch) falls in: 0 calm,
+/// 1 flood, 2 recovery (and everything after the run).
+fn soak_phase(t: Duration, third: Duration) -> usize {
+    (t.as_nanos() / third.as_nanos().max(1)).min(2) as usize
+}
+
+/// The soak figures from the delivery log of a run whose source sent
+/// `messages` payloads `interval` apart, in thirds of `third`: per phase
+/// what was published and what arrived (stragglers count in recovery),
+/// the latency CDF over every arrival at a receiver, and the buffer and
+/// backpressure counts of the processes' `stats`.
+fn soak_report(
+    log: &[Arrival],
+    receivers: usize,
+    messages: u64,
+    interval: Duration,
+    third: Duration,
+    stats: &[NetStats],
+    duration_secs: f64,
+) -> SoakReport {
+    let mut published = [0u64; 3];
+    for seq in 0..messages {
+        published[soak_phase(interval.mul_f64(seq as f64), third)] += 1;
+    }
+    let arrivals = || log.iter().filter(|a| a.receiver > 0);
+    let mut delivered = [0u64; 3];
+    arrivals().for_each(|a| delivered[soak_phase(a.at, third)] += 1);
+    let phase_secs = third.as_secs_f64();
+    let phases = ["calm", "flood", "recovery"]
+        .into_iter()
+        .enumerate()
+        .map(|(i, name)| SoakPhase {
+            name,
+            duration_secs: phase_secs,
+            published: published[i],
+            delivered: delivered[i],
+            throughput: if phase_secs > 0.0 {
+                delivered[i] as f64 / receivers.max(1) as f64 / phase_secs
+            } else {
+                0.0
+            },
+        })
+        .collect();
+    let mut latencies: Vec<f64> = arrivals().map(Arrival::latency_ms).collect();
+    let latency_cdf_ms = if latencies.is_empty() {
+        Vec::new()
+    } else {
+        [0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99]
+            .into_iter()
+            .map(|q| (q, quantile_in_place(&mut latencies, q)))
+            .collect()
+    };
+    SoakReport {
+        phases,
+        latency_cdf_ms,
+        published: messages,
+        delivered: delivered.iter().sum(),
+        buffer_bytes_peak: stats.iter().map(|s| s.buffer_bytes_peak).max().unwrap_or(0),
+        backpressure: stats.iter().map(|s| s.stream_backpressure).sum(),
+        duration_secs,
+    }
+}
+
 /// Runs the sustained-load soak behind `ext_soak`: the source publishes a
 /// paced stream for `duration`, the flood switches ON for the middle
 /// third of the run and OFF again for the final third, and every
@@ -590,108 +673,18 @@ pub fn soak_experiment(
     // The flood is toggled mid-run, not at startup.
     config.x_per_round = 0.0;
     let mut cluster = Cluster::start(config.clone())?;
-    let epoch = cluster.epoch();
+    let mut log = Vec::new();
     let interval = Duration::from_secs_f64(1.0 / rate_per_sec);
-    let correct = config.correct();
-    let phase_len = duration / 3;
-
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut published = [0u64; 3];
-    let mut delivered = [0u64; 3];
-
-    let start = Instant::now();
-    let deadline = start + duration;
-    let phase_of = |now: Instant| -> usize {
-        let t = now.saturating_duration_since(start);
-        if t < phase_len {
-            0
-        } else if t < phase_len * 2 {
-            1
-        } else {
-            2
-        }
-    };
-
-    let drain_deliveries =
-        |cluster: &Cluster, delivered: &mut [u64; 3], latencies: &mut Vec<f64>| {
-            for h in cluster.handles()[1..].iter() {
-                for d in h.take_delivered() {
-                    let at_micros = d.at.saturating_duration_since(epoch).as_micros() as u64;
-                    if let Some((_seq, sent_micros)) = decode_payload(&d.message.payload) {
-                        delivered[phase_of(d.at)] += 1;
-                        latencies.push((at_micros.saturating_sub(sent_micros)) as f64 / 1000.0);
-                    }
-                }
-            }
-        };
-
-    let mut next_send = start;
-    let mut seq = 0u64;
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let phase = phase_of(now);
-        // Figure 7 toggle: flood for the middle third only.
-        if (phase == 1) != cluster.attack_running() {
-            cluster.set_attack(if phase == 1 { flood_x } else { 0.0 })?;
-        }
-        if now >= next_send {
-            cluster.publish_from_source(seq, payload_len);
-            seq += 1;
-            published[phase] += 1;
-            next_send += interval;
-        }
-        drain_deliveries(&cluster, &mut delivered, &mut latencies);
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    cluster.set_attack(0.0)?;
-    let duration_secs = start.elapsed().as_secs_f64();
-
-    let drain_deadline = Instant::now() + drain;
-    while Instant::now() < drain_deadline {
-        drain_deliveries(&cluster, &mut delivered, &mut latencies);
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    drain_deliveries(&cluster, &mut delivered, &mut latencies);
+    let messages = (duration.as_secs_f64() * rate_per_sec).round() as u64;
+    let third = duration / 3;
+    let flood = Some((flood_x, third));
+    let sent = cluster.publish_paced(&mut log, messages, interval, payload_len, flood)?;
+    cluster.collect_until(&mut log, Instant::now() + drain, |_| false);
 
     let stats = cluster.shutdown();
-    let receivers = (correct - 1).max(1) as f64;
-    let phase_secs = phase_len.as_secs_f64();
-    let phases = ["calm", "flood", "recovery"]
-        .into_iter()
-        .enumerate()
-        .map(|(i, name)| SoakPhase {
-            name,
-            duration_secs: phase_secs,
-            published: published[i],
-            delivered: delivered[i],
-            throughput: if phase_secs > 0.0 {
-                delivered[i] as f64 / receivers / phase_secs
-            } else {
-                0.0
-            },
-        })
-        .collect();
-    let latency_cdf_ms = if latencies.is_empty() {
-        Vec::new()
-    } else {
-        [0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99]
-            .into_iter()
-            .map(|q| (q, quantile_in_place(&mut latencies, q)))
-            .collect()
-    };
-
-    Ok(SoakReport {
-        phases,
-        latency_cdf_ms,
-        published: published.iter().sum(),
-        delivered: delivered.iter().sum(),
-        buffer_bytes_peak: stats.iter().map(|s| s.buffer_bytes_peak).max().unwrap_or(0),
-        backpressure: stats.iter().map(|s| s.stream_backpressure).sum(),
-        duration_secs,
-    })
+    let (receivers, secs) = (config.correct() - 1, sent.as_secs_f64());
+    let report = soak_report(&log, receivers, messages, interval, third, &stats, secs);
+    Ok(report)
 }
 
 /// Result of a propagation-rounds experiment (Figure 9).
@@ -721,31 +714,23 @@ pub fn propagation_experiment(
     let mut config = config;
     config.net.gossip.buffer_rounds = 0;
     let cluster = Cluster::start(config.clone())?;
-    let correct = config.correct();
-    let need = (((correct - 1) as f64) * 0.99).ceil() as usize;
+    let need = (((config.correct() - 1) as f64) * 0.99).ceil() as usize;
 
     let mut stats = RunningStats::new();
     let mut incomplete = 0;
-
-    for m in 0..messages {
-        cluster.publish_from_source(m as u64, 50);
+    let mut log = Vec::new();
+    for m in 0..messages as u64 {
+        log.clear();
+        cluster.publish_from_source(m, 50);
+        let hops = |log: &[Arrival]| -> Vec<f64> {
+            log.iter()
+                .filter(|a| a.seq == m && a.receiver > 0)
+                .map(|a| f64::from(a.hops))
+                .collect()
+        };
         let deadline = Instant::now() + timeout;
-        // hops value logged by each receiver for this message
-        let mut hops: Vec<f64> = Vec::with_capacity(correct - 1);
-        while Instant::now() < deadline && hops.len() < need {
-            for h in cluster.handles()[1..].iter() {
-                for d in h.take_delivered() {
-                    if let Some((seq, _)) = decode_payload(&d.message.payload) {
-                        if seq == m as u64 {
-                            hops.push(d.message.hops as f64);
-                        }
-                    }
-                }
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        if hops.len() >= need {
-            stats.push(quantile_in_place(&mut hops, 0.99));
+        if cluster.collect_until(&mut log, deadline, |log| hops(log).len() >= need) {
+            stats.push(quantile_in_place(&mut hops(&log), 0.99));
         } else {
             incomplete += 1;
         }
@@ -791,6 +776,7 @@ pub fn paper_cluster_config(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::tests::arrival;
 
     fn small_config(variant: ProtocolVariant, attacked: usize, x: f64) -> ClusterConfig {
         paper_cluster_config(variant, 8, attacked, x, Duration::from_millis(40), 7)
@@ -809,20 +795,12 @@ mod tests {
 
     #[test]
     fn starved_receiver_has_no_latency() {
-        let receiver = |id, attacked, received, mean_latency_ms| ReceiverReport {
-            id: ProcessId(id),
-            attacked,
-            throughput: 0.0,
-            mean_latency_ms,
-            received,
-        };
+        // Receiver 3 got nothing, so its own mean and throughput read 0.
+        let log = [arrival(1, 0.5, 20.0), arrival(2, 0.5, 40.0)];
         let report = ThroughputReport {
-            receivers: vec![
-                receiver(1, false, 10, 20.0),
-                receiver(2, true, 5, 40.0),
-                // Got nothing, so its recorder's mean reads 0 ms.
-                receiver(3, true, 0, 0.0),
-            ],
+            receivers: (1..4)
+                .map(|i| receiver_report(&log, i, i > 1, 1.0))
+                .collect(),
             duration_secs: 1.0,
             published: 10,
             totals: NetStats::default(),
@@ -830,6 +808,29 @@ mod tests {
         assert_eq!(report.mean_latency_ms(), 30.0);
         assert_eq!(report.mean_latency_attacked_ms(), 40.0);
         assert_eq!(report.latencies_ms(), vec![20.0, 40.0]);
+        let starved = &report.receivers[2];
+        assert_eq!((starved.received, starved.throughput), (0, 0.0));
+    }
+
+    /// The log times a delivery when it arrived, not when it was
+    /// collected: collected 500 ms after the publish, its latency is still
+    /// well under the 40 ms-round cluster's spread time.
+    #[test]
+    fn a_late_collection_logs_the_arrival_latency() {
+        let cluster = Cluster::start(small_config(ProtocolVariant::Drum, 0, 0.0)).unwrap();
+        cluster.publish_from_source(0, 50);
+        std::thread::sleep(Duration::from_millis(500));
+        let mut log = Vec::new();
+        cluster.collect(&mut log);
+        let collected = cluster.epoch.elapsed();
+        cluster.shutdown();
+        assert!(!log.is_empty(), "nothing arrived within 500 ms");
+        for a in &log {
+            assert_eq!(a.seq, 0);
+            assert!(a.at <= collected, "{a:?} arrived after it was collected");
+        }
+        let mean: RunningStats = log.iter().map(Arrival::latency_ms).collect();
+        assert!(mean.mean() < 400.0, "mean latency {} ms", mean.mean());
     }
 
     #[test]
@@ -955,15 +956,16 @@ mod tests {
             }
 
             cluster.publish_from_source(0, 50);
+            let got = |log: &[Arrival]| {
+                let mut got = [false; 8];
+                got[0] = true;
+                log.iter().for_each(|a| got[a.receiver] = true);
+                got
+            };
             let deadline = Instant::now() + Duration::from_secs(10);
-            let mut got = [false; 8];
-            got[0] = true;
-            while Instant::now() < deadline && got.iter().any(|g| !g) {
-                for (i, h) in cluster.handles().iter().enumerate() {
-                    got[i] |= !h.take_delivered().is_empty();
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            let mut log = Vec::new();
+            cluster.collect_until(&mut log, deadline, |log| got(log).iter().all(|g| *g));
+            let got = got(&log);
             assert!(got.iter().all(|g| *g), "undelivered receivers: {got:?}");
 
             // Entry i must be node i's: each node's `proc.stop` event

@@ -21,7 +21,8 @@
 //! * [`attack`] — the adversary: fabricated messages and the socket-free
 //!   [`attack::Flood`] both drivers send;
 //! * [`experiment`] — clusters, throughput/latency reports (Figures 10–11)
-//!   and propagation-round measurements (Figure 9).
+//!   and propagation-round measurements (Figure 9); the delivery log and its
+//!   §8 trim live in the private `recorder` module.
 //!
 //! # Examples
 //!
@@ -38,16 +39,9 @@
 //! let cluster = Cluster::start(config)?;
 //! cluster.publish_from_source(0, 50);
 //!
+//! let mut log = Vec::new();
 //! let deadline = Instant::now() + Duration::from_secs(10);
-//! let mut deliveries = 0;
-//! while Instant::now() < deadline && deliveries == 0 {
-//!     deliveries = cluster.handles()[1..]
-//!         .iter()
-//!         .map(|h| h.take_delivered().len())
-//!         .sum();
-//!     std::thread::sleep(Duration::from_millis(10));
-//! }
-//! assert!(deliveries > 0);
+//! assert!(cluster.collect_until(&mut log, deadline, |log| !log.is_empty()));
 //! cluster.shutdown();
 //! # Ok(())
 //! # }
@@ -71,6 +65,7 @@ pub mod attack;
 pub mod codec;
 pub mod experiment;
 pub mod node;
+mod recorder;
 pub mod runtime;
 pub mod shard;
 #[allow(unsafe_code)]
@@ -89,8 +84,8 @@ pub use codec::{
 pub use drum_core::AdversaryKind as FloodStrategy;
 pub use experiment::{
     paper_cluster_config, propagation_experiment, resolve_shards, soak_experiment,
-    throughput_experiment, Cluster, ClusterConfig, NodeHandle, PropagationReport, ReceiverReport,
-    SoakPhase, SoakReport, ThroughputReport,
+    throughput_experiment, Arrival, Cluster, ClusterConfig, NodeHandle, PropagationReport,
+    ReceiverReport, SoakPhase, SoakReport, ThroughputReport,
 };
 pub use node::{os_random_seed, Channel, NetConfig, NetStats, Node, Ports};
 pub use runtime::{ChannelClass, Delivery, NodeCore, ProcessSpec};

@@ -15,7 +15,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drum::core::config::ProtocolVariant;
-use drum::net::experiment::{decode_payload, paper_cluster_config, Cluster};
+use drum::metrics::RunningStats;
+use drum::net::experiment::{paper_cluster_config, Cluster};
 use drum::net::NetStats;
 use drum::trace::{NoopSink, Tracer};
 
@@ -32,7 +33,6 @@ fn main() -> std::io::Result<()> {
     config.net = config.net.with_tracer(tracer);
     let correct = config.correct();
     let cluster = Cluster::start(config)?;
-    let epoch = cluster.epoch();
 
     // Publish 20 messages at 20 msg/s from process 0.
     let total = 20u64;
@@ -41,32 +41,27 @@ fn main() -> std::io::Result<()> {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    // Collect deliveries for a few seconds.
+    // Log deliveries until all have arrived, for at most 5 s. Each is
+    // timed when it arrived, however late it is collected.
+    let expected = total * (correct as u64 - 1);
+    let mut log = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(5);
-    let mut received = vec![0u64; correct];
-    let mut latency_sum_ms = vec![0.0f64; correct];
-    while Instant::now() < deadline {
-        for (i, h) in cluster.handles().iter().enumerate() {
-            for d in h.take_delivered() {
-                if let Some((_seq, sent_micros)) = decode_payload(&d.message.payload) {
-                    let now = epoch.elapsed().as_micros() as u64;
-                    latency_sum_ms[i] += (now - sent_micros) as f64 / 1000.0;
-                    received[i] += 1;
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    cluster.collect_until(&mut log, deadline, |log| log.len() as u64 >= expected);
 
     println!("\nprocess  received  mean latency");
     println!("-------------------------------");
     for i in 1..correct {
-        let mean = if received[i] > 0 {
-            latency_sum_ms[i] / received[i] as f64
+        let latency: RunningStats = log
+            .iter()
+            .filter(|a| a.receiver == i)
+            .map(|a| a.at.saturating_sub(a.sent).as_secs_f64() * 1e3)
+            .collect();
+        let mean = if latency.count() > 0 {
+            latency.mean()
         } else {
             f64::NAN
         };
-        println!("p{i:<7} {:>8}  {mean:>9.1} ms", received[i]);
+        println!("p{i:<7} {:>8}  {mean:>9.1} ms", latency.count());
     }
 
     let totals: NetStats = cluster.shutdown().into_iter().sum();
@@ -74,11 +69,7 @@ fn main() -> std::io::Result<()> {
         "\ntotal rounds executed across the group: {}",
         totals.rounds
     );
-    let delivered: u64 = received[1..].iter().sum();
-    println!(
-        "total deliveries: {delivered} / {}",
-        total * (correct as u64 - 1)
-    );
+    println!("total deliveries: {} / {expected}", log.len());
 
     // Group-wide counters: every process's stats, summed.
     println!("\nobservability counters (whole group):");

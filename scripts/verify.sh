@@ -134,6 +134,10 @@ RETIRED_NAMES="$RETIRED_NAMES|push""_repeat|MAX_SEALED""_LEN|Sealed""Box|SealErr
 # drum-trace's counter registry: counts live in `NetStats` and the engine.
 RETIRED_NAMES="$RETIRED_NAMES|Regis""try|\\.regis""try\\(\\)|drum_trace::na""mes|set_rotation""_counter"
 RETIRED_NAMES="$RETIRED_NAMES|PORT_ROT""ATIONS|ATTACK""_SENT|PULL_REQUESTS""_REFUSED|SHARD""_DISPATCH"
+# The §8 recorders (one delivery log in drum-net replaces them) and the
+# converters between drum-analysis' and drum-core's protocol enums.
+RETIRED_NAMES="$RETIRED_NAMES|Latency""Recorder|Throughput""Recorder|drum_metrics::rec""order"
+RETIRED_NAMES="$RETIRED_NAMES|analysis""_protocol|sim""_variant"
 phase_begin "no retired name left"
 if grep -rnE "$RETIRED_NAMES" crates scripts .github .claude tests examples \
     README.md DESIGN.md EXPERIMENTS.md; then

@@ -1,10 +1,11 @@
 //! Failure injection across the stack: crashes, loss, malformed and
 //! hostile traffic, and resource pressure.
 
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use drum::core::config::ProtocolVariant;
-use drum::net::experiment::{paper_cluster_config, Cluster};
+use drum::net::experiment::{paper_cluster_config, Arrival, Cluster};
 use drum::net::transport::bind_ephemeral;
 use drum::sim::config::SimConfig;
 use drum::sim::runner::run_experiment;
@@ -94,25 +95,20 @@ fn udp_cluster_survives_garbage_floods() {
     }
     assert!(sprayed > 0);
 
-    // The message still disseminates.
+    // The message still disseminates: the source and every receiver
+    // hold it.
+    let reached = |log: &[Arrival]| {
+        let receivers = log.iter().map(|a| a.receiver);
+        std::iter::once(0)
+            .chain(receivers)
+            .collect::<HashSet<_>>()
+            .len()
+    };
+    let correct = cluster.handles().len();
+    let mut log = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(20);
-    let mut reached = 1;
-    let mut seen = vec![false; cluster.handles().len()];
-    seen[0] = true;
-    while Instant::now() < deadline && reached < cluster.handles().len() {
-        for (i, h) in cluster.handles().iter().enumerate() {
-            if !h.take_delivered().is_empty() {
-                seen[i] = true;
-            }
-        }
-        reached = seen.iter().filter(|s| **s).count();
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(
-        reached,
-        cluster.handles().len(),
-        "garbage flood broke dissemination"
-    );
+    cluster.collect_until(&mut log, deadline, |log| reached(log) == correct);
+    assert_eq!(reached(&log), correct, "garbage flood broke dissemination");
     cluster.shutdown();
 }
 

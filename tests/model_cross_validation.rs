@@ -5,7 +5,8 @@
 
 use drum_analysis::appendix_a;
 use drum_analysis::appendix_b;
-use drum_analysis::appendix_c::{pair_probabilities, DetailedParams, Protocol};
+use drum_analysis::appendix_c::{pair_probabilities, DetailedParams};
+use drum_core::config::ProtocolVariant;
 use drum_sim::sampling::{accepted_valid, binomial};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -105,7 +106,7 @@ fn appendix_c_pair_probabilities_consistent_with_appendix_a() {
         f_in_push: 4,
         f_in_pull: 0,
     };
-    let pr = pair_probabilities(Protocol::Push, &params, 0);
+    let pr = pair_probabilities(ProtocolVariant::Push, &params, 0);
     let q = 4.0 / (n as f64 - 1.0);
     let acceptance = pr.push_u / q;
     let p_u = appendix_a::p_u(n, 4);

@@ -5,21 +5,13 @@
 //! We compare the two with a Kolmogorov–Smirnov-style max deviation over
 //! the first rounds, using reduced trial counts (the paper uses 1000).
 
-use drum::analysis::appendix_c::{analysis_cdf, Protocol};
+use drum::analysis::appendix_c::analysis_cdf;
 use drum::core::config::ProtocolVariant;
 use drum::sim::config::SimConfig;
-use drum::sim::experiments::cdf_curve;
+use drum::sim::experiments::{cdf_curve, PROTOCOLS};
 
 const TRIALS: usize = 150;
 const ROUNDS: usize = 30;
-
-fn sim_protocol(p: Protocol) -> ProtocolVariant {
-    match p {
-        Protocol::Drum => ProtocolVariant::Drum,
-        Protocol::Push => ProtocolVariant::Push,
-        Protocol::Pull => ProtocolVariant::Pull,
-    }
-}
 
 /// Max absolute deviation between analysis and simulation curves.
 /// `analysis[r]` is the fraction at the *start* of round r, so
@@ -33,13 +25,13 @@ fn deviation(analysis: &[f64], sim: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-fn compare(proto: Protocol, n: usize, b: usize, attacked: usize, x: u64, tolerance: f64) {
+fn compare(proto: ProtocolVariant, n: usize, b: usize, attacked: usize, x: u64, tolerance: f64) {
     let analysis = analysis_cdf(proto, n, b, 0.01, 4, attacked, x, ROUNDS);
 
     let mut cfg = if x > 0 {
-        SimConfig::paper_attack(sim_protocol(proto), n, x as f64)
+        SimConfig::paper_attack(proto, n, x as f64)
     } else {
-        let mut c = SimConfig::baseline(sim_protocol(proto), n);
+        let mut c = SimConfig::baseline(proto, n);
         c.malicious = b;
         c
     };
@@ -62,35 +54,35 @@ fn compare(proto: Protocol, n: usize, b: usize, attacked: usize, x: u64, toleran
 fn fig13a_failure_free_n120_all_protocols() {
     // The paper's Fig 13(a) uses n=1000; n=120 keeps the test fast while
     // exercising exactly the same formulas.
-    for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+    for proto in PROTOCOLS {
         compare(proto, 120, 0, 0, 0, 0.08);
     }
 }
 
 #[test]
 fn fig13b_crashed_10pct() {
-    for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+    for proto in PROTOCOLS {
         compare(proto, 120, 12, 0, 0, 0.08);
     }
 }
 
 #[test]
 fn fig14a_alpha10_x32() {
-    for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+    for proto in PROTOCOLS {
         compare(proto, 120, 12, 12, 32, 0.12);
     }
 }
 
 #[test]
 fn fig14c_alpha10_x128() {
-    for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+    for proto in PROTOCOLS {
         compare(proto, 120, 12, 12, 128, 0.12);
     }
 }
 
 #[test]
 fn fig14d_alpha40_x128() {
-    for proto in [Protocol::Drum, Protocol::Push, Protocol::Pull] {
+    for proto in PROTOCOLS {
         compare(proto, 120, 12, 48, 128, 0.12);
     }
 }
@@ -98,7 +90,7 @@ fn fig14d_alpha40_x128() {
 #[test]
 fn fig14f_alpha80_x128_drum() {
     // The harshest setting; Drum still converges and analysis tracks it.
-    compare(Protocol::Drum, 120, 12, 96, 128, 0.12);
+    compare(ProtocolVariant::Drum, 120, 12, 96, 128, 0.12);
 }
 
 #[test]
@@ -114,30 +106,30 @@ fn the_push_pull_paradox_of_section_7_2() {
     //   attacked process, Pull only has to escape one.
     //
     // Drum wins by both metrics.
-    let rounds_analysis = |p: Protocol| {
+    let rounds_analysis = |p: ProtocolVariant| {
         analysis_cdf(p, 120, 12, 0.01, 4, 12, 128, 200)
             .iter()
             .position(|f| *f >= 0.99)
             .unwrap_or(usize::MAX)
     };
     let (da, pa, la) = (
-        rounds_analysis(Protocol::Drum),
-        rounds_analysis(Protocol::Push),
-        rounds_analysis(Protocol::Pull),
+        rounds_analysis(ProtocolVariant::Drum),
+        rounds_analysis(ProtocolVariant::Push),
+        rounds_analysis(ProtocolVariant::Pull),
     );
     assert!(
         da < pa && pa < la,
         "expected-fraction ordering should be drum < push < pull: drum={da} push={pa} pull={la}"
     );
 
-    let rounds_sim = |p: Protocol| {
-        let cfg = SimConfig::paper_attack(sim_protocol(p), 120, 128.0);
+    let rounds_sim = |p: ProtocolVariant| {
+        let cfg = SimConfig::paper_attack(p, 120, 128.0);
         drum::sim::runner::run_experiment(&cfg, TRIALS, 99, 0).mean_rounds()
     };
     let (ds, ps, ls) = (
-        rounds_sim(Protocol::Drum),
-        rounds_sim(Protocol::Push),
-        rounds_sim(Protocol::Pull),
+        rounds_sim(ProtocolVariant::Drum),
+        rounds_sim(ProtocolVariant::Push),
+        rounds_sim(ProtocolVariant::Pull),
     );
     assert!(
         ds < ls && ls < ps,

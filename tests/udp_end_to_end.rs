@@ -3,30 +3,32 @@
 //! where one wall-clock run is a coin flip, the same nodes on the
 //! virtual-time driver.
 
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use drum::core::config::{GossipConfig, ProtocolVariant};
 use drum::net::experiment::{
-    paper_cluster_config, propagation_experiment, throughput_experiment, Cluster,
+    paper_cluster_config, propagation_experiment, throughput_experiment, Arrival, Cluster,
 };
 use drum::net::{NetConfig, VirtualCluster};
 use drum_core::bytes::Bytes;
 
 const ROUND: Duration = Duration::from_millis(40);
 
+/// How many processes, the source included, hold what it published once
+/// `expect` of them do or `timeout` passes.
 fn wait_all_receive(cluster: &Cluster, expect: usize, timeout: Duration) -> usize {
+    let reached = |log: &[Arrival]| {
+        let receivers = log.iter().map(|a| a.receiver);
+        std::iter::once(0)
+            .chain(receivers)
+            .collect::<HashSet<_>>()
+            .len()
+    };
+    let mut log = Vec::new();
     let deadline = Instant::now() + timeout;
-    let mut seen = vec![false; cluster.handles().len()];
-    seen[0] = true;
-    while Instant::now() < deadline && seen.iter().filter(|s| **s).count() < expect {
-        for (i, h) in cluster.handles().iter().enumerate() {
-            if !h.take_delivered().is_empty() {
-                seen[i] = true;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    seen.iter().filter(|s| **s).count()
+    cluster.collect_until(&mut log, deadline, |log| reached(log) >= expect);
+    reached(&log)
 }
 
 #[test]
