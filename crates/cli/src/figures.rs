@@ -5,25 +5,30 @@
 //! one process.
 //!
 //! Figures run **sequentially**; each one's sweeps keep every thread busy
-//! internally ([`drum_sim::par`]), and the cluster figures (09–12) bind
-//! real UDP sockets that should not compete with a concurrent cluster for
-//! ports.
+//! internally ([`drum_sim::par`]), and the wall-clock figures (10, 11,
+//! ext_cluster, ext_soak) time real UDP clusters that should not compete
+//! with a concurrent run for the cores.
 
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::time::Duration;
 
 use drum_analysis::appendix_a::{figure_1a, figure_1b};
 use drum_analysis::appendix_b::std_rounds_to_leave_source;
 use drum_analysis::appendix_c::analysis_cdf;
+use drum_core::bytes::Bytes;
 use drum_core::config::{BoundMode, GossipConfig};
 use drum_core::ProtocolVariant;
+use drum_metrics::stats::RunningStats;
 use drum_metrics::table::Table;
-use drum_net::experiment::{paper_cluster_config, propagation_experiment, throughput_experiment};
-use drum_sim::config::SimConfig;
+use drum_net::experiment::{paper_cluster_config, throughput_experiment};
+use drum_net::{NetConfig, VirtualCluster};
+use drum_sim::config::{AttackConfig, SimConfig};
 use drum_sim::experiments::{
     cdf_curve, cdf_curves, ext_scale_sweep, fig12a_random_ports, fig2a_scalability, fig2b_crashes,
     fig3a_attack_strength, fig3b_attack_extent, fixed_strength_sweep,
 };
+use drum_sim::par;
 use drum_sim::runner::run_experiment;
 
 use crate::{
@@ -391,97 +396,120 @@ pub fn fig08(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Figure 9: simulations vs measurements, n = 50.
-pub fn fig09(w: &mut dyn Write) -> io::Result<()> {
-    banner_to(w, "Figure 9", "simulation vs measurement, n = 50")?;
-    let n = scaled3(16, 50, 50);
-    let sim_trials = trials();
-    let messages = scaled3(2, 5, 40);
-    let round = Duration::from_millis(scaled3(50, 80, 150));
+/// Figures 9 and 10's two sweeps of `n` members: per protocol, (a) against
+/// x with 10% of the group attacked (none at x = 0), (b) against alpha at
+/// x = 128. `cell(protocol, attacked, x)` runs once per point, so the
+/// point both tables share (alpha = 10%, x = 128) prints one number in
+/// both. `titles` are (a)'s heading and footer, then (b)'s.
+fn alpha_x_sweeps(
+    w: &mut dyn Write,
+    n: usize,
+    (xs, alphas): (&[f64], &[f64]),
+    column: &str,
+    [a_title, a_footer, b_title, b_footer]: [&str; 4],
+    mut cell: impl FnMut(ProtocolVariant, usize, f64) -> String,
+) -> io::Result<()> {
+    let attacked = |alpha: f64| ((n as f64 * alpha).round() as usize).max(1);
+    let header = |first: &str| {
+        Table::new(
+            std::iter::once(first.to_string())
+                .chain(PROTOCOL_NAMES.iter().map(|p| format!("{p}{column}")))
+                .collect(),
+        )
+    };
+    let mut done: HashMap<(usize, usize, u64), String> = HashMap::new();
+    let mut row = |label: String, attacked: usize, x: f64| {
+        let mut cells = vec![label];
+        for (i, &p) in PROTOCOLS.iter().enumerate() {
+            let done = done.entry((i, attacked, x.to_bits()));
+            cells.push(done.or_insert_with(|| cell(p, attacked, x)).clone());
+        }
+        cells
+    };
 
+    writeln!(w, "{a_title}")?;
+    let mut table = header("x");
+    for &x in xs {
+        let a = if x == 0.0 { 0 } else { attacked(0.1) };
+        table.row(row(format!("{x:.0}"), a, x));
+    }
+    writeln!(w, "{table}\n{a_footer}\n")?;
+
+    writeln!(w, "{b_title}")?;
+    let mut table = header("alpha");
+    for &alpha in alphas {
+        table.row(row(format!("{alpha}"), attacked(alpha), 128.0));
+    }
+    writeln!(w, "{table}\n{b_footer}")
+}
+
+/// The simulator's round cap, which the measured round counts share.
+const MAX_ROUNDS: u32 = 500;
+
+/// Rounds for the real node to reach 99% of the correct members in
+/// virtual time (§8.1), over [`trials`] seeded runs: `n` members, a
+/// tenth of them malicious, the first `attacked` flooded with `x`
+/// fabricated messages a round, buffers that never purge and the
+/// simulator's 1% link loss. A run that reaches [`MAX_ROUNDS`] counts the
+/// cap in the mean, and the cell says how many did.
+fn measured_rounds(gossip: GossipConfig, n: usize, attacked: usize, x: f64) -> String {
+    let config = NetConfig::new(gossip.with_buffer_rounds(0)).with_loss(0.01);
+    let runs = par::map(par::threads(), trials(), |trial| {
+        let seed = SEED + trial as u64;
+        let mut net = VirtualCluster::with_malicious(n, n / 10, config.clone(), seed);
+        if attacked > 0 {
+            net = net.with_attack((0..attacked).collect(), x);
+        }
+        let id = net.publish(0, Bytes::from_static(b"m"));
+        net.run_until_spread(id, 0.99, MAX_ROUNDS)
+    });
+    let rounds: RunningStats = runs
+        .iter()
+        .map(|r| f64::from(r.unwrap_or(MAX_ROUNDS)))
+        .collect();
+    match runs.iter().filter(|r| r.is_none()).count() {
+        0 => format!("{:.1}", rounds.mean()),
+        capped => format!("{:.1} ({capped}f)", rounds.mean()),
+    }
+}
+
+/// Figure 9: simulation vs measurement, n = 50. The measurement runs the
+/// real node in virtual time: a round count needs no wall clock.
+pub fn fig09(w: &mut dyn Write) -> io::Result<()> {
+    banner_to(w, "Figure 9", "simulation vs measurement")?;
+    let n = scaled3(16, 50, 50);
+    writeln!(
+        w,
+        "n = {n}, 10% malicious, {} trials per point; measured: the real node in virtual time\n",
+        trials()
+    )?;
     let xs: Vec<f64> = scaled3(
         vec![0.0, 64.0],
         vec![0.0, 64.0, 128.0],
         vec![0.0, 32.0, 64.0, 128.0, 256.0],
     );
-    writeln!(w, "(a) alpha = 10%, rounds to 99% vs x  [sim | measured]")?;
-    let mut table = Table::new(
-        std::iter::once("x".to_string())
-            .chain(PROTOCOL_NAMES.iter().map(|p| format!("{p} sim/net")))
-            .collect(),
-    );
-    for &x in &xs {
-        let mut cells = vec![format!("{x:.0}")];
-        for &p in &PROTOCOLS {
-            let sim_cfg = if x == 0.0 {
-                let mut c = SimConfig::baseline(p, n);
-                c.malicious = n / 10;
-                c
-            } else {
-                SimConfig::paper_attack(p, n, x)
-            };
-            let sim = run_experiment(&sim_cfg, sim_trials, SEED, 0).mean_rounds();
-
-            let net_cfg =
-                paper_cluster_config(p, n, if x == 0.0 { 0 } else { n / 10 }, x, round, SEED);
-            let report = propagation_experiment(
-                net_cfg,
-                messages,
-                2,
-                Duration::from_secs(scaled3(10, 15, 120)),
-            )
-            .expect("cluster failed");
-            let net = if report.rounds_to_99.count() > 0 {
-                format!("{:.1}", report.rounds_to_99.mean())
-            } else {
-                ">to".into()
-            };
-            cells.push(format!("{sim:.1} / {net}"));
-        }
-        table.row(cells);
-    }
-    writeln!(w, "{table}")?;
-    writeln!(
-        w,
-        "paper: measurement tracks simulation closely for all protocols\n"
-    )?;
-
     let alphas: Vec<f64> = scaled3(vec![0.1], vec![0.1, 0.4], vec![0.1, 0.2, 0.4, 0.6, 0.8]);
-    writeln!(w, "(b) x = 128, rounds to 99% vs alpha  [sim | measured]")?;
-    let mut table = Table::new(
-        std::iter::once("alpha".to_string())
-            .chain(PROTOCOL_NAMES.iter().map(|p| format!("{p} sim/net")))
-            .collect(),
-    );
-    for &alpha in &alphas {
-        let mut cells = vec![format!("{alpha}")];
-        let attacked = ((n as f64) * alpha).round() as usize;
-        for &p in &PROTOCOLS {
-            let sim_cfg = SimConfig::attack_alpha(p, n, alpha, 128.0);
-            let sim = run_experiment(&sim_cfg, sim_trials, SEED, 0).mean_rounds();
-
-            let net_cfg = paper_cluster_config(p, n, attacked, 128.0, round, SEED);
-            let report = propagation_experiment(
-                net_cfg,
-                messages,
-                2,
-                Duration::from_secs(scaled3(12, 20, 180)),
-            )
-            .expect("cluster failed");
-            let net = if report.rounds_to_99.count() > 0 {
-                format!("{:.1}", report.rounds_to_99.mean())
-            } else {
-                ">to".into()
-            };
-            cells.push(format!("{sim:.1} / {net}"));
-        }
-        table.row(cells);
-    }
-    writeln!(w, "{table}")?;
-    writeln!(
-        w,
-        "('>to' marks timed-out measurements — Pull under heavy source attack)"
-    )
+    let titles = [
+        "(a) alpha = 10%, rounds to 99% vs x  [sim | measured]",
+        "paper: measurement tracks simulation closely for all protocols",
+        "(b) x = 128, rounds to 99% vs alpha  [sim | measured]",
+        "('(kf)': k measured runs hit the 500-round cap and count as 500)",
+    ];
+    let cell = |variant, attacked, x| {
+        let mut sim_cfg = SimConfig::paper_attack(variant, n, x);
+        sim_cfg.attack = (attacked > 0).then(|| AttackConfig {
+            attacked,
+            ..sim_cfg.attack.expect("paper_attack attacks")
+        });
+        let sim = run_experiment(&sim_cfg, trials(), SEED, 0).mean_rounds();
+        let gossip = GossipConfig {
+            variant,
+            ..GossipConfig::drum()
+        };
+        let net = measured_rounds(gossip, n, attacked, x);
+        format!("{sim:.1} / {net}")
+    };
+    alpha_x_sweeps(w, n, (&xs, &alphas), " sim/net", titles, cell)
 }
 
 /// Figure 10: received throughput under increasing attack strength.
@@ -500,62 +528,27 @@ pub fn fig10(w: &mut dyn Write) -> io::Result<()> {
         w,
         "n = {n}, round = {round:?}, {messages} messages at {rate} msg/s\n"
     )?;
-
     let xs: Vec<f64> = scaled3(
         vec![0.0, 128.0],
         vec![0.0, 64.0, 128.0, 256.0],
         vec![0.0, 32.0, 64.0, 128.0, 256.0, 512.0],
     );
-    writeln!(w, "(a) alpha = 10%: mean received throughput (msg/s) vs x")?;
-    let mut table = Table::new(
-        std::iter::once("x".to_string())
-            .chain(PROTOCOL_NAMES.iter().map(|s| s.to_string()))
-            .collect(),
-    );
-    for &x in &xs {
-        let mut cells = vec![format!("{x:.0}")];
-        for &p in &PROTOCOLS {
-            let attacked = if x == 0.0 { 0 } else { n / 10 };
-            let cfg = paper_cluster_config(p, n, attacked, x, round, SEED);
-            let report =
-                throughput_experiment(cfg, messages, rate, 50, drain).expect("cluster failed");
-            cells.push(format!("{:.1}", report.mean_throughput()));
-        }
-        table.row(cells);
-    }
-    writeln!(w, "{table}")?;
-    writeln!(
-        w,
-        "paper: Drum flat near the send rate; Push slightly degrading; Pull collapsing\n"
-    )?;
-
     let alphas: Vec<f64> = scaled3(
         vec![0.1],
         vec![0.1, 0.2, 0.4],
         vec![0.1, 0.2, 0.4, 0.6, 0.8],
     );
-    writeln!(w, "(b) x = 128: mean received throughput (msg/s) vs alpha")?;
-    let mut table = Table::new(
-        std::iter::once("alpha".to_string())
-            .chain(PROTOCOL_NAMES.iter().map(|s| s.to_string()))
-            .collect(),
-    );
-    for &alpha in &alphas {
-        let mut cells = vec![format!("{alpha}")];
-        let attacked = ((n as f64) * alpha).round() as usize;
-        for &p in &PROTOCOLS {
-            let cfg = paper_cluster_config(p, n, attacked, 128.0, round, SEED);
-            let report =
-                throughput_experiment(cfg, messages, rate, 50, drain).expect("cluster failed");
-            cells.push(format!("{:.1}", report.mean_throughput()));
-        }
-        table.row(cells);
-    }
-    writeln!(w, "{table}")?;
-    writeln!(
-        w,
-        "paper: Drum degrades gracefully with alpha; Push linearly; Pull drastically"
-    )
+    let titles = [
+        "(a) alpha = 10%: mean received throughput (msg/s) vs x",
+        "paper: Drum flat near the send rate; Push slightly degrading; Pull collapsing",
+        "(b) x = 128: mean received throughput (msg/s) vs alpha",
+        "paper: Drum degrades gracefully with alpha; Push linearly; Pull drastically",
+    ];
+    alpha_x_sweeps(w, n, (&xs, &alphas), "", titles, |p, attacked, x| {
+        let cfg = paper_cluster_config(p, n, attacked, x, round, SEED);
+        let report = throughput_experiment(cfg, messages, rate, 50, drain).expect("cluster failed");
+        format!("{:.1}", report.mean_throughput())
+    })
 }
 
 /// Figure 11: CDF of per-receiver average latency.
@@ -617,19 +610,12 @@ pub fn fig11(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Figure 12: the other two DoS-mitigation measures, ablated.
+/// Figure 12: the other two DoS-mitigation measures, ablated: (a) random
+/// ports in the simulator, (b) separate bounds on the real node in virtual
+/// time.
 pub fn fig12(w: &mut dyn Write) -> io::Result<()> {
-    fig12a(w)?;
-    fig12b(w)
-}
-
-/// Figure 12's banner and part (a), the random-ports ablation: the
-/// simulated, deterministic half of the figure.
-pub fn fig12a(w: &mut dyn Write) -> io::Result<()> {
     banner_to(w, "Figure 12", "random ports and separate bounds ablations")?;
-    let trials = trials();
     let n = scaled(120, 1000);
-
     let xs: Vec<f64> = scaled(
         vec![0.0, 64.0, 128.0, 256.0, 512.0],
         vec![0.0, 32.0, 64.0, 128.0, 192.0, 256.0, 384.0, 512.0],
@@ -638,7 +624,7 @@ pub fn fig12a(w: &mut dyn Write) -> io::Result<()> {
         w,
         "(a) alpha = 10%, n = {n} (simulation): rounds to 99% vs x"
     )?;
-    let rows = fig12a_random_ports(n, &xs, trials, SEED);
+    let rows = fig12a_random_ports(n, &xs, trials(), SEED);
     writeln!(
         w,
         "{}",
@@ -647,49 +633,29 @@ pub fn fig12a(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "paper: random ports flat; well-known ports linear in x\n"
-    )
-}
+    )?;
 
-/// Figure 12(b), the separate-bounds ablation: real UDP clusters run with
-/// the engine's bound modes.
-pub fn fig12b(w: &mut dyn Write) -> io::Result<()> {
-    let net_n = scaled3(10, 16, 50);
-    let round = Duration::from_millis(scaled3(50, 80, 1000));
-    let messages = scaled3(3, 6, 30);
-    let net_xs: Vec<f64> = scaled3(
+    let n = scaled3(10, 16, 50);
+    let xs: Vec<f64> = scaled3(
         vec![0.0, 128.0],
         vec![0.0, 128.0, 256.0],
         vec![0.0, 64.0, 128.0, 256.0, 512.0],
     );
     writeln!(
         w,
-        "(b) alpha = 10%, n = {net_n} (measurement): rounds to 99% vs x"
+        "(b) alpha = 10%, n = {n} (the real node in virtual time): rounds to 99% vs x"
     )?;
     let mut table = Table::new(vec![
         "x".into(),
         "separate bounds".into(),
         "shared bounds".into(),
     ]);
-    for &x in &net_xs {
+    for &x in &xs {
+        let attacked = if x == 0.0 { 0 } else { (n / 10).max(1) };
         let mut cells = vec![format!("{x:.0}")];
         for mode in [BoundMode::Separate, BoundMode::SharedControl] {
-            let attacked = if x == 0.0 { 0 } else { (net_n / 10).max(1) };
-            let mut cfg = paper_cluster_config(
-                drum_core::ProtocolVariant::Drum,
-                net_n,
-                attacked,
-                x,
-                round,
-                SEED,
-            );
-            cfg.net.gossip = GossipConfig::drum().with_bound_mode(mode);
-            let report = propagation_experiment(cfg, messages, 2, Duration::from_secs(45))
-                .expect("cluster failed");
-            if report.rounds_to_99.count() > 0 {
-                cells.push(format!("{:.1}", report.rounds_to_99.mean()));
-            } else {
-                cells.push(">timeout".into());
-            }
+            let gossip = GossipConfig::drum().with_bound_mode(mode);
+            cells.push(measured_rounds(gossip, n, attacked, x));
         }
         table.row(cells);
     }

@@ -1,12 +1,12 @@
 //! Every deterministic figure at smoke scale, byte for byte against a
 //! checked-in golden in `tests/goldens/`.
 //!
-//! A figure is deterministic when the simulator and the closed-form
-//! analysis compute all of it: its text is then a pure function of the
-//! scale and the fixed seed, identical for any `DRUM_POOL_THREADS`
-//! setting. The measured figures (fig09–fig11, ext_cluster, ext_soak
-//! and Figure 12's part (b)) time real UDP clusters and have no golden;
-//! Figure 12 is held to its golden through its simulated part (a).
+//! A figure is deterministic when the simulator, the closed-form analysis
+//! and the real node in virtual time compute all of it: its text is then
+//! a pure function of the scale and the fixed seed, identical for any
+//! `DRUM_POOL_THREADS` setting. Figures 9 and 12(b) count rounds in
+//! virtual time and have goldens; the wall-clock figures (fig10, fig11,
+//! ext_cluster, ext_soak) time real UDP clusters and have none.
 //!
 //! Regenerating after an *intentional* change:
 //!
@@ -69,7 +69,8 @@ goldens!(
     fig06,
     fig07,
     fig08,
-    fig12a,
+    fig09,
+    fig12,
     fig13,
     fig14,
     ext_fanout,

@@ -275,16 +275,6 @@ impl Engine {
         &self.stats
     }
 
-    /// Remaining acceptance capacity on `channel` for the current round.
-    ///
-    /// Transports use this to stop reading a well-known socket once its
-    /// budget is exhausted — the excess stays queued in (and eventually
-    /// overflows) the OS buffer, which is exactly the paper's
-    /// "discard all unread messages" semantics on a real network stack.
-    pub fn remaining_budget(&self, channel: Channel) -> usize {
-        self.budget.remaining(channel)
-    }
-
     /// Overrides the fixed reply/data ports used when `random_ports` is
     /// disabled (the Figure 12(a) ablation). A real transport binds actual
     /// sockets for these and registers their port numbers here; the

@@ -155,13 +155,6 @@ impl Json {
             .ok_or(JsonError::MissingField { name })
     }
 
-    /// Like [`Json::field_f64`] for integer fields.
-    pub fn field_u64(&self, name: &'static str) -> Result<u64, JsonError> {
-        self.get(name)
-            .and_then(Json::as_u64)
-            .ok_or(JsonError::MissingField { name })
-    }
-
     /// Like [`Json::field_f64`] for array fields.
     pub fn field_array(&self, name: &'static str) -> Result<&[Json], JsonError> {
         self.get(name)

@@ -1,6 +1,7 @@
 //! The measurement harness of §8: real clusters of UDP engines on shard
 //! threads, optional malicious members and attackers, and the paper's
-//! latency / throughput / propagation-round metrics.
+//! wall-clock metrics, latency and throughput. Round counts need no wall
+//! clock and come from [`crate::VirtualCluster`].
 
 use std::time::{Duration, Instant};
 
@@ -324,7 +325,6 @@ impl Cluster {
                     log.push(Arrival {
                         receiver,
                         seq,
-                        hops: d.message.hops,
                         sent: Duration::from_micros(sent_micros),
                         at: d.at.saturating_duration_since(self.epoch),
                     });
@@ -687,63 +687,6 @@ pub fn soak_experiment(
     Ok(report)
 }
 
-/// Result of a propagation-rounds experiment (Figure 9).
-#[derive(Debug, Clone)]
-pub struct PropagationReport {
-    /// Per tracked message: the §8.1 round counter at the
-    /// 99th-percentile receiver.
-    pub rounds_to_99: RunningStats,
-    /// Messages that failed to reach 99% of the correct processes in time.
-    pub incomplete: usize,
-}
-
-/// Tracks individual messages through a running cluster and reports the
-/// per-message round counter (§8.1) at the 99th-percentile receiver.
-///
-/// `messages` are published `gap_rounds` round-durations apart; each is
-/// given `timeout` to arrive everywhere.
-pub fn propagation_experiment(
-    config: ClusterConfig,
-    messages: usize,
-    gap_rounds: u32,
-    timeout: Duration,
-) -> std::io::Result<PropagationReport> {
-    // §8.1 tracks single messages under the simulation's assumptions: the
-    // tracked message "is never purged from any process's message buffer".
-    // (§8.2's throughput experiments keep the 10-round purge.)
-    let mut config = config;
-    config.net.gossip.buffer_rounds = 0;
-    let cluster = Cluster::start(config.clone())?;
-    let need = (((config.correct() - 1) as f64) * 0.99).ceil() as usize;
-
-    let mut stats = RunningStats::new();
-    let mut incomplete = 0;
-    let mut log = Vec::new();
-    for m in 0..messages as u64 {
-        log.clear();
-        cluster.publish_from_source(m, 50);
-        let hops = |log: &[Arrival]| -> Vec<f64> {
-            log.iter()
-                .filter(|a| a.seq == m && a.receiver > 0)
-                .map(|a| f64::from(a.hops))
-                .collect()
-        };
-        let deadline = Instant::now() + timeout;
-        if cluster.collect_until(&mut log, deadline, |log| hops(log).len() >= need) {
-            stats.push(quantile_in_place(&mut hops(&log), 0.99));
-        } else {
-            incomplete += 1;
-        }
-        std::thread::sleep(cluster.config().net.round * gap_rounds);
-    }
-
-    cluster.shutdown();
-    Ok(PropagationReport {
-        rounds_to_99: stats,
-        incomplete,
-    })
-}
-
 /// Convenience constructor matching the paper's §8 scenario shape:
 /// `n` processes, 10% malicious, `attacked` correct processes flooded with
 /// `x` messages per round by the static adversary.
@@ -1050,21 +993,5 @@ mod tests {
         cluster.set_attack(0.0).unwrap();
         assert!(!cluster.attack_running());
         cluster.shutdown();
-    }
-
-    #[test]
-    fn propagation_reports_round_counters() {
-        let report = propagation_experiment(
-            small_config(ProtocolVariant::Drum, 0, 0.0),
-            3,
-            1,
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        assert!(report.rounds_to_99.count() + report.incomplete as u64 == 3);
-        if report.rounds_to_99.count() > 0 {
-            let mean = report.rounds_to_99.mean();
-            assert!((1.0..30.0).contains(&mean), "mean rounds {mean}");
-        }
     }
 }

@@ -83,9 +83,8 @@ pub use codec::{
 /// benchmark v2.
 pub use drum_core::AdversaryKind as FloodStrategy;
 pub use experiment::{
-    paper_cluster_config, propagation_experiment, resolve_shards, soak_experiment,
-    throughput_experiment, Arrival, Cluster, ClusterConfig, NodeHandle, PropagationReport,
-    ReceiverReport, SoakPhase, SoakReport, ThroughputReport,
+    paper_cluster_config, resolve_shards, soak_experiment, throughput_experiment, Arrival, Cluster,
+    ClusterConfig, NodeHandle, ReceiverReport, SoakPhase, SoakReport, ThroughputReport,
 };
 pub use node::{os_random_seed, Channel, NetConfig, NetStats, Node, Ports};
 pub use runtime::{ChannelClass, Delivery, NodeCore, ProcessSpec};

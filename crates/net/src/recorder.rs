@@ -17,8 +17,6 @@ pub struct Arrival {
     pub receiver: usize,
     /// The payload's sequence number.
     pub seq: u64,
-    /// The §8.1 round counter the receiver logged.
-    pub hops: u32,
     /// When the source published the payload.
     pub sent: Duration,
     /// When the message arrived ([`Delivery::at`](crate::runtime::Delivery::at)).
@@ -70,7 +68,6 @@ pub(crate) mod tests {
         Arrival {
             receiver,
             seq: 0,
-            hops: 1,
             sent: at - Duration::from_secs_f64(latency_ms / 1e3),
             at,
         }

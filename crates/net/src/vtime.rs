@@ -12,7 +12,8 @@
 //!
 //! The network offers what a protocol experiment needs: the nodes' own
 //! per-datagram loss draw ([`NetConfig::loss`]), per-link cuts that heal,
-//! and the paper's static flood, fabricated by the same [`Flood`] the
+//! malicious members that every view names but that run no engine, and
+//! the paper's static flood, fabricated by the same [`Flood`] the
 //! cluster's attacker thread sends, into the attacked nodes' well-known
 //! channels. Its ports are random ports only: the no-random-ports ablation
 //! needs fixed reply sockets, and runs on UDP.
@@ -92,7 +93,8 @@ struct Wire {
 
 impl Wire {
     /// Puts one of node `from`'s outbounds on the wire, towards one of `n`
-    /// nodes, encoded for itself.
+    /// correct nodes, encoded for itself; a malicious member (id `n` or
+    /// above) drops it.
     fn send(&mut self, from: usize, n: usize, ports: &PortTable, out: &Outbound) {
         let (to, channel) = match out.port {
             SendPort::Port(p) => match ports.live.get(&p) {
@@ -137,19 +139,33 @@ pub struct VirtualCluster {
 }
 
 impl VirtualCluster {
-    /// Builds `n` nodes with ids `0..n`, one key store and `config`. Each
-    /// node's seed is drawn from one stream seeded by `seed`; node `i`'s
-    /// first round starts `i/n` of a round after the first node's.
+    /// Builds `n` correct nodes with ids `0..n`; see
+    /// [`VirtualCluster::with_malicious`].
     ///
     /// # Panics
     ///
     /// Panics if `n < 2`.
     pub fn new(n: usize, config: NetConfig, seed: u64) -> Self {
-        assert!(n >= 2, "need at least two nodes");
+        Self::with_malicious(n, 0, config, seed)
+    }
+
+    /// Builds a group of `n` members with ids `0..n`, the last `malicious`
+    /// of them the paper's malicious members: in every view, but running
+    /// no engine, so whatever is sent to them is lost (§7). The correct
+    /// nodes share one key store and `config`; each one's seed is drawn
+    /// from one stream seeded by `seed`, and node `i`'s first round starts
+    /// `i/correct` of a round after the first node's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two members are correct.
+    pub fn with_malicious(n: usize, malicious: usize, config: NetConfig, seed: u64) -> Self {
+        let correct = n.saturating_sub(malicious);
+        assert!(correct >= 2, "need at least two correct nodes");
         let key_store = KeyStore::new(seed);
         let members: Vec<ProcessId> = (0..n as u64).map(ProcessId).collect();
         let mut seeds = SmallRng::seed_from_u64(seed);
-        let nodes = members
+        let nodes = members[..correct]
             .iter()
             .map(|&m| {
                 let (keys, key) = (key_store.clone(), key_store.register(m.as_u64()));
@@ -165,8 +181,8 @@ impl VirtualCluster {
             .collect();
         let now = Instant::now();
         let mut wheel = TimerWheel::new();
-        for i in 0..n {
-            wheel.push(now + config.round * i as u32 / n as u32, i);
+        for i in 0..correct {
+            wheel.push(now + config.round * i as u32 / correct as u32, i);
         }
         let calm = Flood::new(
             AdversaryKind::Static,
@@ -185,8 +201,8 @@ impl VirtualCluster {
             },
             wheel,
             wire: Wire::default(),
-            ticks: vec![0; n],
-            delivered: vec![Vec::new(); n],
+            ticks: vec![0; correct],
+            delivered: vec![Vec::new(); correct],
             round: config.round,
             now,
             attacked: Vec::new(),
@@ -196,7 +212,9 @@ impl VirtualCluster {
 
     /// Floods each `attacked` node with the paper's static adversary: `x`
     /// fabricated messages per round, split between its well-known
-    /// channels by [`AdversaryKind::rates`], staged as its round starts.
+    /// channels by [`AdversaryKind::rates`]. Each round's flood is staged
+    /// as the round before it starts, and the first one here, so every
+    /// round a victim starts from now on is flooded, its first included.
     ///
     /// # Panics
     ///
@@ -209,6 +227,7 @@ impl VirtualCluster {
         );
         let variant = self.nodes[0].engine().config().variant;
         self.flood = Flood::new(AdversaryKind::Static, variant, x, 1, false, 1);
+        attacked.iter().for_each(|&i| self.flood(i));
         self.attacked = attacked;
         self
     }
@@ -223,7 +242,7 @@ impl VirtualCluster {
         self.nodes[i].publish(payload)
     }
 
-    /// Number of nodes whose buffers have seen `id`.
+    /// Number of correct nodes whose buffers have seen `id`.
     pub fn holders(&self, id: MessageId) -> usize {
         let seen = |n: &&Node| n.engine().buffer().seen(id);
         self.nodes.iter().filter(seen).count()
@@ -309,11 +328,12 @@ impl VirtualCluster {
         }
     }
 
-    /// Steps until `id` reaches `fraction` of the nodes, or its source has
-    /// started `max_rounds` rounds and finished the last. Returns how many
-    /// rounds the source had started by then, or `None` — early, as soon
-    /// as no node buffers `id` any more: between steps a data message
-    /// exists only in buffers, so a purged one reaches nobody else.
+    /// Steps until `id` reaches `fraction` of the correct nodes, or its
+    /// source has started `max_rounds` rounds and finished the last.
+    /// Returns how many rounds the source had started by then, or `None` —
+    /// early, as soon as no node buffers `id` any more: between steps a
+    /// data message exists only in buffers, so a purged one reaches nobody
+    /// else.
     pub fn run_until_spread(
         &mut self,
         id: MessageId,
@@ -404,6 +424,34 @@ mod tests {
         assert_eq!(queued, [1], "only the live port delivers");
     }
 
+    /// Three of twelve members are malicious: they run no engine, yet every
+    /// view names them, so the correct nodes lose what they send them. The
+    /// message still reaches every correct node, and a datagram addressed
+    /// to a malicious id never reaches the wire.
+    #[test]
+    fn malicious_members_run_no_engine_and_hear_nothing() {
+        let config = NetConfig::new(GossipConfig::drum().with_buffer_rounds(0));
+        let mut net = VirtualCluster::with_malicious(12, 3, config, 5);
+        assert_eq!(net.nodes.len(), 9);
+        let id = net.publish(0, Bytes::from_static(b"m"));
+        assert!(net.run_until_spread(id, 1.0, 100).is_some());
+        assert_eq!(net.holders(id), 9);
+        for to in 9..12 {
+            for port in [SendPort::WellKnownPull, SendPort::WellKnownPush] {
+                let msg = GossipMessage::PullReply {
+                    from: ProcessId(0),
+                    messages: vec![],
+                };
+                let to = ProcessId(to);
+                net.wire.send(0, 9, &net.ports, &Outbound { to, port, msg });
+            }
+        }
+        assert!(
+            net.wire.queue.is_empty(),
+            "a malicious member heard a datagram"
+        );
+    }
+
     /// One seed's exact work, summed over the nodes: n = 18, nodes 0 and
     /// 1 flooded at x = 128, node 0 publishing one message a round for 100
     /// rounds. A change that moves any count moves the protocol's work on
@@ -424,7 +472,7 @@ mod tests {
             t.delivered,
             t.compress_calls,
         ];
-        assert_eq!(work, [11_497, 35_817, 25_351, 0, 1_650, 3_300]);
+        assert_eq!(work, [11_640, 36_600, 26_008, 0, 1_659, 3_318]);
     }
 
     #[test]

@@ -14,15 +14,17 @@ use drum_core::bytes::Bytes;
 
 const TRIALS: u64 = 8;
 
-/// Mean rounds for the real engine to reach 99% of the group. As in the
-/// simulator (§8.1), the tracked message is never purged from a buffer,
-/// and a trial that hits the round cap fails rather than averaging the
-/// cap in.
+/// Mean rounds for the real engine to reach 99% of the correct members.
+/// As in the simulator (§8.1), the tracked message is never purged from a
+/// buffer, a tenth of the group is malicious under attack, and a trial
+/// that hits the round cap fails rather than averaging the cap in.
 fn real_rounds(gossip: GossipConfig, n: usize, attacked: usize, x: f64) -> f64 {
+    let malicious = if x > 0.0 { n / 10 } else { 0 };
     let mut total = 0u32;
     for seed in 0..TRIALS {
         let config = NetConfig::new(gossip.clone().with_buffer_rounds(0)).with_loss(0.01);
-        let mut net = VirtualCluster::new(n, config, seed).with_attack((0..attacked).collect(), x);
+        let mut net = VirtualCluster::with_malicious(n, malicious, config, seed)
+            .with_attack((0..attacked).collect(), x);
         let id = net.publish(0, Bytes::from_static(b"m"));
         total += net.run_until_spread(id, 0.99, 500).unwrap_or_else(|| {
             panic!(
@@ -37,7 +39,6 @@ fn real_rounds(gossip: GossipConfig, n: usize, attacked: usize, x: f64) -> f64 {
 fn sim_rounds(proto: ProtocolVariant, n: usize, attacked: usize, x: f64) -> f64 {
     let mut cfg = if x > 0.0 {
         let mut c = SimConfig::paper_attack(proto, n, x);
-        c.malicious = 0; // the virtual cluster has no malicious members
         if let Some(a) = c.attack.as_mut() {
             a.attacked = attacked;
         }
