@@ -5,9 +5,11 @@
 //! one process.
 //!
 //! Figures run **sequentially**; each one's sweeps keep every thread busy
-//! internally ([`drum_sim::par`]), and the wall-clock figures (10, 11,
-//! ext_cluster, ext_soak) time real UDP clusters that should not compete
-//! with a concurrent run for the cores.
+//! internally ([`drum_sim::par`]), and the one wall-clock figure,
+//! ext_cluster, times real UDP clusters that should not compete with a
+//! concurrent run for the cores. The measured figures (9 to 12 and the
+//! soak) run the real node in virtual time, so every other figure is a
+//! pure function of the scale and the seed.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -19,10 +21,10 @@ use drum_analysis::appendix_c::analysis_cdf;
 use drum_core::bytes::Bytes;
 use drum_core::config::{BoundMode, GossipConfig};
 use drum_core::ProtocolVariant;
-use drum_metrics::stats::RunningStats;
+use drum_metrics::stats::{quantile_in_place, RunningStats};
 use drum_metrics::table::Table;
-use drum_net::experiment::{paper_cluster_config, throughput_experiment};
-use drum_net::{NetConfig, VirtualCluster};
+use drum_net::experiment::{paper_cluster_config, ClusterConfig};
+use drum_net::{encode_payload, Arrival, NetConfig, NetStats, ThroughputReport, VirtualCluster};
 use drum_sim::config::{AttackConfig, SimConfig};
 use drum_sim::experiments::{
     cdf_curve, cdf_curves, ext_scale_sweep, fig12a_random_ports, fig2a_scalability, fig2b_crashes,
@@ -473,6 +475,44 @@ fn measured_rounds(gossip: GossipConfig, n: usize, attacked: usize, x: f64) -> S
     }
 }
 
+/// One §8.2 run of the real node in virtual time: `cfg`'s group and
+/// flood, seeded `seed`, node 0 streaming `messages` 50-byte payloads at
+/// `rate` msg/s through its stream scheduler, `on_due(net, t)` called as
+/// each falls due at `t`, and `drain` more after the last. Returns the
+/// delivery log, every correct node's stats and the send period.
+fn virtual_stream(
+    cfg: &ClusterConfig,
+    seed: u64,
+    (messages, rate, drain): (u64, f64, Duration),
+    mut on_due: impl FnMut(&mut VirtualCluster, Duration),
+) -> (Vec<Arrival>, Vec<NetStats>, Duration) {
+    let mut net = VirtualCluster::with_malicious(cfg.n, cfg.malicious, cfg.net.clone(), seed)
+        .with_attack((0..cfg.attacked).collect(), cfg.x_per_round);
+    let interval = Duration::from_secs_f64(1.0 / rate);
+    let mut sent = Duration::ZERO;
+    for seq in 0..messages {
+        sent = interval.mul_f64(seq as f64);
+        net.run_until(sent);
+        on_due(&mut net, sent);
+        net.submit(0, encode_payload(sent, seq, 50));
+    }
+    net.run_until(sent + drain);
+    let stats = (0..cfg.correct()).map(|i| *net.node(i).stats()).collect();
+    (net.arrivals().to_vec(), stats, sent)
+}
+
+/// [`trials`] seeded runs of [`virtual_stream`], one report each. The
+/// §8 window ends when the last message is sent, so no run drains.
+fn throughput_runs(cfg: &ClusterConfig, messages: u64, rate: f64) -> Vec<ThroughputReport> {
+    par::map(par::threads(), trials(), |trial| {
+        let stream = (messages, rate, Duration::ZERO);
+        let (log, stats, sent) = virtual_stream(cfg, SEED + trial as u64, stream, |_, _| {});
+        let totals = stats.into_iter().sum();
+        let secs = sent.as_secs_f64();
+        ThroughputReport::from_log(&log, cfg.correct(), cfg.attacked, messages, secs, totals)
+    })
+}
+
 /// Figure 9: simulation vs measurement, n = 50. The measurement runs the
 /// real node in virtual time: a round count needs no wall clock.
 pub fn fig09(w: &mut dyn Write) -> io::Result<()> {
@@ -523,10 +563,11 @@ pub fn fig10(w: &mut dyn Write) -> io::Result<()> {
     let round = Duration::from_millis(scaled3(50, 100, 1000));
     let messages = scaled3(30, 300, 10_000);
     let rate = 40.0;
-    let drain = Duration::from_secs(scaled3(2, 5, 5));
     writeln!(
         w,
-        "n = {n}, round = {round:?}, {messages} messages at {rate} msg/s\n"
+        "n = {n}, round = {round:?}, {messages} messages at {rate} msg/s; the real node in\n\
+         virtual time, mean of {} seeds per point\n",
+        trials()
     )?;
     let xs: Vec<f64> = scaled3(
         vec![0.0, 128.0],
@@ -546,8 +587,9 @@ pub fn fig10(w: &mut dyn Write) -> io::Result<()> {
     ];
     alpha_x_sweeps(w, n, (&xs, &alphas), "", titles, |p, attacked, x| {
         let cfg = paper_cluster_config(p, n, attacked, x, round, SEED);
-        let report = throughput_experiment(cfg, messages, rate, 50, drain).expect("cluster failed");
-        format!("{:.1}", report.mean_throughput())
+        let runs = throughput_runs(&cfg, messages, rate);
+        let mean: RunningStats = runs.iter().map(ThroughputReport::mean_throughput).collect();
+        format!("{:.1}", mean.mean())
     })
 }
 
@@ -562,14 +604,15 @@ pub fn fig11(w: &mut dyn Write) -> io::Result<()> {
     let round = Duration::from_millis(scaled3(50, 100, 1000));
     let messages = scaled3(30, 300, 10_000);
     let rate = 40.0;
-    let drain = Duration::from_secs(scaled3(2, 5, 5));
 
     let alphas: Vec<f64> = scaled3(vec![0.1], vec![0.1, 0.4], vec![0.1, 0.4]);
     for &alpha in &alphas {
         let attacked = ((n as f64) * alpha).round() as usize;
         writeln!(
             w,
-            "alpha = {alpha}, x = 128, n = {n}: per-receiver mean latency (ms), sorted"
+            "alpha = {alpha}, x = 128, n = {n}: per-receiver mean latency (ms), each the\n\
+             mean over {} seeds of the real node in virtual time, sorted",
+            trials()
         )?;
         let mut table = Table::new(
             std::iter::once("percentile".to_string())
@@ -580,10 +623,19 @@ pub fn fig11(w: &mut dyn Write) -> io::Result<()> {
         let mut per_protocol: Vec<Vec<f64>> = Vec::new();
         for &p in &PROTOCOLS {
             let cfg = paper_cluster_config(p, n, attacked, 128.0, round, SEED);
-            let report =
-                throughput_experiment(cfg, messages, rate, 50, drain).expect("cluster failed");
-            let mut lats = report.latencies_ms();
-            lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let runs = throughput_runs(&cfg, messages, rate);
+            // Receiver j's latency over the runs that reached it.
+            let mut lats: Vec<f64> = (0..cfg.correct() - 1)
+                .filter_map(|j| {
+                    let reached = runs
+                        .iter()
+                        .map(|r| &r.receivers[j])
+                        .filter(|r| r.received > 0);
+                    let s: RunningStats = reached.map(|r| r.mean_latency_ms).collect();
+                    (s.count() > 0).then(|| s.mean())
+                })
+                .collect();
+            lats.sort_by(f64::total_cmp);
             per_protocol.push(lats);
         }
 
@@ -859,7 +911,6 @@ pub fn ext_scale(w: &mut dyn Write) -> io::Result<()> {
 /// latency, and the runtime's own `rounds_late` counter (cadence health
 /// under load).
 pub fn ext_cluster(w: &mut dyn Write) -> io::Result<()> {
-    use drum_metrics::stats::RunningStats;
     use drum_net::experiment::Cluster;
     use std::time::Instant;
 
@@ -929,10 +980,7 @@ pub fn ext_cluster(w: &mut dyn Write) -> io::Result<()> {
             let reached_frac =
                 reached.iter().filter(|r| **r).count() as f64 / correct.max(1) as f64;
             let delivered_frac = log.len() as f64 / expected as f64;
-            let latency: RunningStats = log
-                .iter()
-                .map(|a| a.at.saturating_sub(a.sent).as_secs_f64() * 1e3)
-                .collect();
+            let latency: RunningStats = log.iter().map(Arrival::latency_ms).collect();
             let mean_latency = if latency.count() > 0 {
                 latency.mean()
             } else {
@@ -960,11 +1008,10 @@ pub fn ext_cluster(w: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Extension experiment: the sustained multi-message soak — a paced
-/// stream from the source for a minute-plus, the Figure 7 flood toggled
-/// on for the middle third of the run.
+/// stream from the source for a minute-plus of virtual time, the Figure 7
+/// flood on for the middle third of the run, over [`trials`] seeds.
 pub fn ext_soak(w: &mut dyn Write) -> io::Result<()> {
     use drum_core::stream::StreamConfig;
-    use drum_net::experiment::soak_experiment;
 
     banner_to(
         w,
@@ -989,49 +1036,33 @@ pub fn ext_soak(w: &mut dyn Write) -> io::Result<()> {
 
     writeln!(
         w,
-        "Drum, n = {n} ({correct} correct), source rate {rate:.0} msg/s for {:.0}s,\n\
-         x = {flood_x:.0} fabricated messages per round against {attacked} processes\n\
+        "Drum, n = {n} ({correct} correct), source rate {rate:.0} msg/s for {:.0}s of virtual\n\
+         time, x = {flood_x:.0} fabricated messages per round against {attacked} processes\n\
          during the middle third of the run (the Figure 7 flood, toggled mid-run),\n\
-         50-byte payloads, stream paced at {per_round} msgs/round.\n",
-        duration.as_secs_f64()
+         50-byte payloads, stream paced at {per_round} msgs/round; the real node in\n\
+         virtual time, {} seeds pooled.\n",
+        duration.as_secs_f64(),
+        trials()
     )?;
 
-    let report = soak_experiment(cfg, duration, rate, 50, flood_x, drain).expect("soak cluster");
-
-    let mut table = Table::new(vec![
-        "phase".into(),
-        "published".into(),
-        "delivered".into(),
-        "msgs/s per receiver".into(),
-    ]);
-    for p in &report.phases {
-        table.row(vec![
-            p.name.into(),
-            p.published.to_string(),
-            p.delivered.to_string(),
-            format!("{:.1}", p.throughput),
-        ]);
-    }
-    writeln!(w, "{table}")?;
-
-    let mut cdf = Table::new(vec!["quantile".into(), "delivery latency".into()]);
-    for (q, ms) in &report.latency_cdf_ms {
-        cdf.row(vec![format!("p{:.0}", q * 100.0), format!("{ms:.1} ms")]);
-    }
-    writeln!(w, "{cdf}")?;
-
-    let receivers = (correct - 1) as u64;
-    writeln!(
-        w,
-        "published {} total; delivered fraction {:.3} of the full published x {}\n\
-         receiver coverage; peak message-buffer footprint {} KiB on the busiest\n\
-         process; stream backpressure events {} (queued, never dropped).\n",
-        report.published,
-        report.delivery_fraction(receivers),
-        receivers,
-        report.buffer_bytes_peak / 1024,
-        report.backpressure,
-    )?;
+    let messages = (duration.as_secs_f64() * rate).round() as u64;
+    let third = duration / 3;
+    let runs = par::map(par::threads(), trials(), |trial| {
+        let mut flooding = false;
+        let stream = (messages, rate, drain);
+        virtual_stream(&cfg, SEED + trial as u64, stream, |net, due| {
+            let on = soak_phase(due, third) == 1;
+            if on != flooding {
+                net.set_flood(if on { flood_x } else { 0.0 });
+                flooding = on;
+            }
+        })
+    });
+    let log: Vec<Arrival> = runs.iter().flat_map(|r| r.0.iter().copied()).collect();
+    let stats: Vec<NetStats> = runs.iter().flat_map(|r| r.1.iter().copied()).collect();
+    let interval = Duration::from_secs_f64(1.0 / rate);
+    let soak = (runs.len(), correct - 1, messages, interval, third);
+    soak_report(w, &log, &stats, soak)?;
     writeln!(
         w,
         "finding: delivery holds at the offered rate straight through the flood —\n\
@@ -1039,6 +1070,70 @@ pub fn ext_soak(w: &mut dyn Write) -> io::Result<()> {
          growth: the age-bucketed buffer's high-water mark stays bounded over the\n\
          sustained run, and the paced stream queues (with backpressure accounting)\n\
          instead of silently dropping."
+    )
+}
+
+/// Which third of a soak run `t` (from its start) falls in: 0 calm,
+/// 1 flood, 2 recovery (and everything after the run).
+fn soak_phase(t: Duration, third: Duration) -> usize {
+    (t.as_nanos() / third.as_nanos().max(1)).min(2) as usize
+}
+
+/// The soak's report, a pure function of the delivery log of `runs` runs
+/// pooled, with `receivers` receivers each, whose source sent `messages`
+/// payloads `interval` apart, in thirds of `third`: per phase what a run
+/// published and, on average, delivered (stragglers count in recovery),
+/// the latency CDF over every arrival, and the buffer and backpressure
+/// counts of the processes' `stats`.
+fn soak_report(
+    w: &mut dyn Write,
+    log: &[Arrival],
+    stats: &[NetStats],
+    (runs, receivers, messages, interval, third): (usize, usize, u64, Duration, Duration),
+) -> io::Result<()> {
+    let mut published = [0u64; 3];
+    for seq in 0..messages {
+        published[soak_phase(interval.mul_f64(seq as f64), third)] += 1;
+    }
+    let mut delivered = [0u64; 3];
+    for a in log {
+        delivered[soak_phase(a.at, third)] += 1;
+    }
+    let per_run = |count: u64| count as f64 / runs as f64;
+    let mut table = Table::new(vec![
+        "phase".into(),
+        "published".into(),
+        "delivered".into(),
+        "msgs/s per receiver".into(),
+    ]);
+    for (i, name) in ["calm", "flood", "recovery"].into_iter().enumerate() {
+        let rate = per_run(delivered[i]) / receivers as f64 / third.as_secs_f64();
+        table.row(vec![
+            name.into(),
+            published[i].to_string(),
+            format!("{:.1}", per_run(delivered[i])),
+            format!("{rate:.1}"),
+        ]);
+    }
+    writeln!(w, "{table}")?;
+
+    let mut latencies: Vec<f64> = log.iter().map(Arrival::latency_ms).collect();
+    let mut cdf = Table::new(vec!["quantile".into(), "delivery latency".into()]);
+    for q in [0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99] {
+        let ms = quantile_in_place(&mut latencies, q);
+        cdf.row(vec![format!("p{:.0}", q * 100.0), format!("{ms:.1} ms")]);
+    }
+    writeln!(w, "{cdf}")?;
+
+    let coverage = per_run(delivered.iter().sum()) / (messages * receivers as u64) as f64;
+    let peak = stats.iter().map(|s| s.buffer_bytes_peak).max().unwrap_or(0);
+    let backpressure = per_run(stats.iter().map(|s| s.stream_backpressure).sum());
+    writeln!(
+        w,
+        "published {messages} per run; delivered fraction {coverage:.3} of the full published x\n\
+         {receivers} receiver coverage; peak message-buffer footprint {} KiB on the busiest\n\
+         process; stream backpressure events {backpressure:.1} per run (queued, never dropped).\n",
+        peak / 1024,
     )
 }
 

@@ -4,9 +4,10 @@
 //! A figure is deterministic when the simulator, the closed-form analysis
 //! and the real node in virtual time compute all of it: its text is then
 //! a pure function of the scale and the fixed seed, identical for any
-//! `DRUM_POOL_THREADS` setting. Figures 9 and 12(b) count rounds in
-//! virtual time and have goldens; the wall-clock figures (fig10, fig11,
-//! ext_cluster, ext_soak) time real UDP clusters and have none.
+//! `DRUM_POOL_THREADS` setting. Figures 9 to 12 and ext_soak measure the
+//! real node in virtual time and have goldens; ext_cluster, the one
+//! wall-clock figure, times real UDP clusters and has none
+//! (`tests/ext_cluster.rs` checks its shape).
 //!
 //! Regenerating after an *intentional* change:
 //!
@@ -70,12 +71,15 @@ goldens!(
     fig07,
     fig08,
     fig09,
+    fig10,
+    fig11,
     fig12,
     fig13,
     fig14,
     ext_fanout,
     ext_scale,
     ext_rotation,
+    ext_soak,
     ext_adversary,
     ext_pull_abuse,
 );

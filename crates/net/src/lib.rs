@@ -17,12 +17,12 @@
 //! * [`shard`] — the UDP driver: one event loop (shared epoll + timer
 //!   wheel) steps the [`NodeCore`]s of a shard on one OS thread;
 //! * [`vtime`] — the virtual-time driver: [`Node`]s on a seeded in-memory
-//!   network;
+//!   network, which the paper's measured figures run on;
 //! * [`attack`] — the adversary: fabricated messages and the socket-free
 //!   [`attack::Flood`] both drivers send;
-//! * [`experiment`] — clusters, throughput/latency reports (Figures 10–11)
-//!   and propagation-round measurements (Figure 9); the delivery log and its
-//!   §8 trim live in the private `recorder` module.
+//! * [`experiment`] — UDP clusters and the throughput/latency report of
+//!   Figures 10–11, a pure function of the delivery log either driver
+//!   keeps; the log and its §8 trim live in the private `recorder` module.
 //!
 //! # Examples
 //!
@@ -83,8 +83,8 @@ pub use codec::{
 /// benchmark v2.
 pub use drum_core::AdversaryKind as FloodStrategy;
 pub use experiment::{
-    paper_cluster_config, resolve_shards, soak_experiment, throughput_experiment, Arrival, Cluster,
-    ClusterConfig, NodeHandle, ReceiverReport, SoakPhase, SoakReport, ThroughputReport,
+    encode_payload, paper_cluster_config, resolve_shards, throughput_experiment, Arrival, Cluster,
+    ClusterConfig, NodeHandle, ReceiverReport, ThroughputReport,
 };
 pub use node::{os_random_seed, Channel, NetConfig, NetStats, Node, Ports};
 pub use runtime::{ChannelClass, Delivery, NodeCore, ProcessSpec};
@@ -96,10 +96,11 @@ pub use vtime::VirtualCluster;
 /// determinism, delivery and the headline attack result.
 #[cfg(test)]
 mod tests {
-    use crate::{NetConfig, NetStats, VirtualCluster};
+    use std::time::Duration;
+
+    use crate::{encode_payload, Arrival, NetConfig, NetStats, VirtualCluster};
     use drum_core::bytes::Bytes;
     use drum_core::config::GossipConfig;
-    use drum_core::ids::MessageId;
 
     /// Rounds for a message from node 0 to reach every node, if it does
     /// within `max_rounds`.
@@ -138,7 +139,8 @@ mod tests {
     }
 
     /// A run is a function of its seed: the same seed replays every node's
-    /// stats and every delivery, byte for byte, and another seed does not.
+    /// stats and every delivery, at the same virtual instant, and another
+    /// seed does not.
     /// The flooded run shows the whole node ran: the codec (`received`),
     /// the staged reservoirs under budget (`budget_drops`) and source
     /// authentication (`compress_calls`).
@@ -147,35 +149,25 @@ mod tests {
         let run = |seed| {
             let config = NetConfig::new(GossipConfig::drum()).with_loss(0.05);
             let mut net = VirtualCluster::new(10, config, seed).with_attack(vec![0, 1], 64.0);
-            for k in 0..3u8 {
-                net.publish(usize::from(k), Bytes::from(vec![k; 16]));
+            for k in 0..3 {
+                net.publish(k, encode_payload(Duration::ZERO, k as u64, 16));
             }
             net.run_rounds(12);
-            let delivered: Vec<Vec<(MessageId, Bytes)>> = (0..10)
-                .map(|i| {
-                    net.delivered(i)
-                        .iter()
-                        .map(|m| (m.id, m.payload.clone()))
-                        .collect()
-                })
-                .collect();
             let stats: Vec<NetStats> = (0..10).map(|i| *net.node(i).stats()).collect();
-            (stats, delivered)
+            (stats, net.arrivals().to_vec())
         };
-        let (stats, delivered) = run(7);
-        assert_eq!((stats.clone(), delivered.clone()), run(7));
+        let (stats, arrivals) = run(7);
+        assert_eq!((stats.clone(), arrivals.clone()), run(7));
         assert_ne!(stats, run(8).0, "another seed, another run");
 
         // Every node delivers the other sources' payloads once, never its
         // own message.
-        for (i, got) in delivered.iter().enumerate() {
-            let mut payloads: Vec<u8> = got.iter().map(|(_, p)| p[0]).collect();
-            payloads.sort_unstable();
-            let want: Vec<u8> = (0..3).filter(|&k| usize::from(k) != i).collect();
-            assert_eq!(payloads, want, "node {i}");
-            assert!(got
-                .iter()
-                .all(|(id, p)| p[..] == [p[0]; 16] && id.source.as_u64() != i as u64));
+        for i in 0..10 {
+            let mine = arrivals.iter().filter(|a| a.receiver == i);
+            let mut seqs: Vec<u64> = mine.map(|a| a.seq).collect();
+            seqs.sort_unstable();
+            let want: Vec<u64> = (0..3).filter(|&k| k != i as u64).collect();
+            assert_eq!(seqs, want, "node {i}");
         }
         let flooded = stats[0];
         assert!(flooded.received > 0, "{flooded:?}");
@@ -184,21 +176,25 @@ mod tests {
         assert_eq!(flooded.decode_errors + flooded.port_mismatches, 0);
     }
 
+    /// Each receiver logs the payload once, at the virtual instant it
+    /// delivered it: later than the send, and on its own round clock.
     #[test]
     fn delivered_payloads_match() {
         let mut net = VirtualCluster::new(4, NetConfig::new(GossipConfig::drum()), 11);
-        let id = net.publish(0, Bytes::from_static(b"payload-x"));
+        let sent = Duration::from_millis(3);
+        net.publish(0, encode_payload(sent, 9, 50));
         net.run_rounds(10);
-        for i in 1..4 {
-            let got: Vec<(MessageId, &[u8])> = net
-                .delivered(i)
-                .iter()
-                .map(|m| (m.id, &m.payload[..]))
-                .collect();
-            assert_eq!(got, [(id, &b"payload-x"[..])], "node {i}");
-        }
+        let mut got: Vec<Arrival> = net.arrivals().to_vec();
+        got.sort_by_key(|a| a.receiver);
         // The source does not deliver its own message.
-        assert!(net.delivered(0).is_empty());
+        assert_eq!(
+            got.iter().map(|a| a.receiver).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        for a in got {
+            assert_eq!((a.seq, a.sent), (9, sent), "{a:?}");
+            assert!(a.at > sent && a.at < Duration::from_secs(1), "{a:?}");
+        }
     }
 
     #[test]

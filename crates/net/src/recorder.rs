@@ -1,16 +1,32 @@
 //! The §8 delivery log and the per-receiver figures read from it: received
 //! throughput and latency, "ignoring the first and last 5% of the time".
+//! Both drivers log it from the one experiment payload ([`encode_payload`]):
+//! [`Cluster::collect`](crate::experiment::Cluster::collect) on wall-clock
+//! UDP, [`VirtualCluster`](crate::VirtualCluster) in virtual time.
 
 use std::time::Duration;
 
+use drum_core::bytes::{Bytes, BytesMut};
 use drum_core::ids::ProcessId;
 use drum_metrics::stats::RunningStats;
 
 use crate::experiment::ReceiverReport;
 
-/// One delivery of an experiment payload, as
-/// [`Cluster::collect`](crate::experiment::Cluster::collect) logs it; times
-/// are measured from the cluster epoch.
+/// Encodes the standard experiment payload: sequence number and send time
+/// (from the run's start, in microseconds), zero-padded to `len` bytes (the
+/// paper uses 50-byte messages).
+pub fn encode_payload(sent: Duration, seq: u64, len: usize) -> Bytes {
+    let mut out = BytesMut::with_capacity(len.max(16));
+    out.put_u64(seq);
+    out.put_u64(sent.as_micros() as u64);
+    while out.len() < len {
+        out.put_u8(0);
+    }
+    out.freeze()
+}
+
+/// One delivery of an experiment payload; times are measured from the
+/// run's start.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
     /// The receiving process (index = process id).
@@ -19,12 +35,27 @@ pub struct Arrival {
     pub seq: u64,
     /// When the source published the payload.
     pub sent: Duration,
-    /// When the message arrived ([`Delivery::at`](crate::runtime::Delivery::at)).
+    /// When the receiver delivered it: its
+    /// [`Delivery::at`](crate::runtime::Delivery::at) on UDP, the virtual
+    /// instant of the step that delivered it in virtual time.
     pub at: Duration,
 }
 
 impl Arrival {
-    pub(crate) fn latency_ms(&self) -> f64 {
+    /// The delivery of `payload` to `receiver` at `at`, or `None` when the
+    /// payload is shorter than an experiment payload's 16-byte header.
+    pub(crate) fn of(receiver: usize, payload: &[u8], at: Duration) -> Option<Arrival> {
+        let word = |i: usize| Some(u64::from_be_bytes(payload.get(i..i + 8)?.try_into().ok()?));
+        Some(Arrival {
+            receiver,
+            seq: word(0)?,
+            sent: Duration::from_micros(word(8)?),
+            at,
+        })
+    }
+
+    /// How long the payload took from its send to this delivery, in ms.
+    pub fn latency_ms(&self) -> f64 {
         self.at.saturating_sub(self.sent).as_secs_f64() * 1e3
     }
 }

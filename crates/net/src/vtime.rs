@@ -15,8 +15,18 @@
 //! malicious members that every view names but that run no engine, and
 //! the paper's static flood, fabricated by the same [`Flood`] the
 //! cluster's attacker thread sends, into the attacked nodes' well-known
-//! channels. Its ports are random ports only: the no-random-ports ablation
-//! needs fixed reply sockets, and runs on UDP.
+//! channels, at a strength that may change mid-run. Its ports are random
+//! ports only: the no-random-ports ablation needs fixed reply sockets, and
+//! runs on UDP.
+//!
+//! A §8 source streams experiment payloads ([`encode_payload`]) through a
+//! node's stream scheduler ([`VirtualCluster::submit`]) as the clock
+//! advances ([`VirtualCluster::run_until`]); every delivery of one is
+//! logged as the [`Arrival`] that [`Cluster::collect`] logs on UDP, at the
+//! virtual instant its node delivered it.
+//!
+//! [`encode_payload`]: crate::experiment::encode_payload
+//! [`Cluster::collect`]: crate::experiment::Cluster::collect
 //!
 //! # Examples
 //!
@@ -35,10 +45,10 @@ use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use drum_core::bytes::{Bytes, BytesMut};
-use drum_core::config::AdversaryKind;
+use drum_core::config::{AdversaryKind, ProtocolVariant};
 use drum_core::engine::{Outbound, PortOracle, PortPurpose, SendPort};
 use drum_core::ids::{MessageId, ProcessId, Round};
-use drum_core::message::{DataMessage, MessageKind};
+use drum_core::message::MessageKind;
 use drum_crypto::keys::KeyStore;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -46,6 +56,7 @@ use rand::{RngExt, SeedableRng};
 use crate::attack::Flood;
 use crate::codec;
 use crate::node::{Channel, NetConfig, Node, Ports};
+use crate::recorder::Arrival;
 use crate::shard::TimerWheel;
 
 /// The virtual random ports of every node: each live port's owner,
@@ -128,14 +139,22 @@ pub struct VirtualCluster {
     wire: Wire,
     /// Rounds each node has started.
     ticks: Vec<u64>,
-    /// What each node delivered to its application, in order.
-    delivered: Vec<Vec<DataMessage>>,
+    /// Every experiment payload delivered, in delivery order.
+    log: Vec<Arrival>,
     round: Duration,
+    /// The virtual clock's origin, and its instant at the last step.
+    epoch: Instant,
     now: Instant,
     attacked: Vec<usize>,
     /// The flood of whichever victim's round starts: one target, one slice
     /// a round (none until [`VirtualCluster::with_attack`]).
     flood: Flood,
+}
+
+/// The paper's static flood of one victim: `x` fabricated messages a
+/// round, in one slice.
+fn static_flood(variant: ProtocolVariant, x: f64) -> Flood {
+    Flood::new(AdversaryKind::Static, variant, x, 1, false, 1)
 }
 
 impl VirtualCluster {
@@ -184,14 +203,6 @@ impl VirtualCluster {
         for i in 0..correct {
             wheel.push(now + config.round * i as u32 / correct as u32, i);
         }
-        let calm = Flood::new(
-            AdversaryKind::Static,
-            config.gossip.variant,
-            0.0,
-            1,
-            false,
-            1,
-        );
         VirtualCluster {
             nodes,
             ports: PortTable {
@@ -202,11 +213,12 @@ impl VirtualCluster {
             wheel,
             wire: Wire::default(),
             ticks: vec![0; correct],
-            delivered: vec![Vec::new(); correct],
+            log: Vec::new(),
             round: config.round,
+            epoch: now,
             now,
             attacked: Vec::new(),
-            flood: calm,
+            flood: static_flood(config.gossip.variant, 0.0),
         }
     }
 
@@ -225,11 +237,18 @@ impl VirtualCluster {
             attacked.iter().all(|&i| i < n),
             "attacked index out of range"
         );
-        let variant = self.nodes[0].engine().config().variant;
-        self.flood = Flood::new(AdversaryKind::Static, variant, x, 1, false, 1);
+        self.set_flood(x);
         attacked.iter().for_each(|&i| self.flood(i));
         self.attacked = attacked;
         self
+    }
+
+    /// Sets the attacked nodes' flood to `x` fabricated messages a round;
+    /// 0 stops it. A victim stages each round's flood as the round before
+    /// it starts, so the change reaches the rounds that start after the
+    /// victim's next round start.
+    pub fn set_flood(&mut self, x: f64) {
+        self.flood = static_flood(self.nodes[0].engine().config().variant, x);
     }
 
     /// Node `i`.
@@ -242,15 +261,23 @@ impl VirtualCluster {
         self.nodes[i].publish(payload)
     }
 
+    /// Queues a payload on node `i`'s stream, which releases it at a round
+    /// start ([`Node::submit`]), as a UDP node's publishes are.
+    pub fn submit(&mut self, i: usize, payload: Bytes) {
+        self.nodes[i].submit(payload);
+    }
+
     /// Number of correct nodes whose buffers have seen `id`.
     pub fn holders(&self, id: MessageId) -> usize {
         let seen = |n: &&Node| n.engine().buffer().seen(id);
         self.nodes.iter().filter(seen).count()
     }
 
-    /// The messages node `i` delivered to its application, in order.
-    pub fn delivered(&self, i: usize) -> &[DataMessage] {
-        &self.delivered[i]
+    /// Every experiment payload the nodes delivered, in delivery order,
+    /// each at the virtual instant its node delivered it; other payloads
+    /// are not logged.
+    pub fn arrivals(&self) -> &[Arrival] {
+        &self.log
     }
 
     /// Severs the link between nodes `a` and `b`, both directions.
@@ -317,15 +344,24 @@ impl VirtualCluster {
             sent += 1;
         });
         node.record_sent(sent);
-        self.delivered[i].extend(node.take_delivered());
+        let at = self.now - self.epoch;
+        let delivered = node.take_delivered().into_iter();
+        self.log
+            .extend(delivered.filter_map(|m| Arrival::of(i, &m.payload, at)));
     }
 
-    /// Steps through `k` nominal rounds of virtual time.
-    pub fn run_rounds(&mut self, k: u32) {
-        let until = self.now + self.round * k;
+    /// Steps every deadline before virtual time `t`, from the start.
+    pub fn run_until(&mut self, t: Duration) {
+        let until = self.epoch + t;
         while self.wheel.next_deadline().is_some_and(|d| d < until) {
             self.step();
         }
+    }
+
+    /// Steps through `k` nominal rounds of virtual time after the last
+    /// deadline stepped.
+    pub fn run_rounds(&mut self, k: u32) {
+        self.run_until(self.now - self.epoch + self.round * k);
     }
 
     /// Steps until `id` reaches `fraction` of the correct nodes, or its
@@ -362,6 +398,7 @@ impl VirtualCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::encode_payload;
     use crate::node::NetStats;
     use drum_core::config::GossipConfig;
     use drum_core::message::GossipMessage;
@@ -473,6 +510,59 @@ mod tests {
             t.compress_calls,
         ];
         assert_eq!(work, [11_640, 36_600, 26_008, 0, 1_659, 3_318]);
+    }
+
+    /// The same seed logs the same arrivals, and each at the virtual
+    /// instant of the step in which its node delivered it.
+    #[test]
+    fn arrivals_replay_at_the_instant_of_delivery() {
+        let run = |seed| {
+            let mut net = drum(8, seed).with_attack(vec![0], 64.0);
+            for seq in 0..4 {
+                net.submit(0, encode_payload(Duration::ZERO, seq, 50));
+            }
+            for _ in 0..120 {
+                let logged = net.log.len();
+                net.step();
+                let now = net.now - net.epoch;
+                assert!(net.log[logged..].iter().all(|a| a.at == now));
+            }
+            net.log
+        };
+        let log = run(21);
+        assert_eq!(log.len(), 4 * 7, "every payload reaches every receiver");
+        assert_eq!(log, run(21));
+    }
+
+    /// A flood switched on mid-run reaches only the rounds that start
+    /// after the victim's next round start; switched off, the victim's
+    /// budget drops stop growing once the round staged before the change
+    /// has run. Of two nodes, neither takes more than its budget from the
+    /// other, so every budget drop is the flood's.
+    #[test]
+    fn the_flood_changes_strength_mid_run() {
+        let mut net = drum(2, 4).with_attack(vec![0], 0.0);
+        let rounds = |net: &VirtualCluster| net.node(0).stats().rounds;
+        let drops = |net: &VirtualCluster| net.node(0).stats().budget_drops;
+        let run_to = |net: &mut VirtualCluster, r: u64| {
+            while rounds(net) < r {
+                net.step();
+            }
+        };
+        net.run_rounds(10);
+        assert_eq!(drops(&net), 0, "a calm group drops nothing");
+        net.set_flood(128.0);
+        let changed = rounds(&net);
+        run_to(&mut net, changed + 2);
+        assert_eq!(drops(&net), 0, "a round staged before the change");
+        run_to(&mut net, changed + 3);
+        assert!(drops(&net) > 0, "the flood never arrived");
+        net.set_flood(0.0);
+        let changed = rounds(&net);
+        run_to(&mut net, changed + 2);
+        let flooded = drops(&net);
+        net.run_rounds(10);
+        assert_eq!(drops(&net), flooded, "the flood outlived its change");
     }
 
     #[test]

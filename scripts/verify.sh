@@ -47,9 +47,10 @@ cargo run --release --offline -q -p drum-lab -- simulate \
     --protocol drum --n 80 --adversary eclipse --x 64 --trials 20
 phase_end "smoke"
 
-# The sustained-throughput soak at Smoke sizing (~2s of cluster time):
-# paced stream, flood toggled mid-run, buffer high-water and backpressure
-# accounting — the §19 plumbing end to end.
+# The sustained-throughput soak at Smoke sizing (1.5 s of virtual time
+# per seed, well under a second of wall clock): paced stream, flood
+# toggled mid-run, buffer high-water and backpressure accounting — the
+# §19 plumbing end to end, through the CLI's file output.
 phase_begin "drum-lab figures --only ext_soak (smoke)"
 SOAK_OUT="$(mktemp -d)"
 cargo run --release --offline -q -p drum-lab -- figures \
@@ -142,6 +143,10 @@ RETIRED_NAMES="$RETIRED_NAMES|analysis""_protocol|sim""_variant"
 # propagation run and the split Figure 12 went, with two unused getters.
 RETIRED_NAMES="$RETIRED_NAMES|propagation""_experiment|Propagation""Report|figures::fig12""[ab]\\b"
 RETIRED_NAMES="$RETIRED_NAMES|remaining""_budget|field""_u64"
+# Figures 10, 11 and the soak run in virtual time; the live cluster's
+# mid-run attack toggle and the wall-clock soak went with them.
+RETIRED_NAMES="$RETIRED_NAMES|soak""_experiment|Soak""Report|Soak""Phase|set""_attack\\b"
+RETIRED_NAMES="$RETIRED_NAMES|attack""_running|attack""_targets|attack""_reply_ports"
 phase_begin "no retired name left"
 if grep -rnE "$RETIRED_NAMES" crates scripts .github .claude tests examples \
     README.md DESIGN.md EXPERIMENTS.md; then

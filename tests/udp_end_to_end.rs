@@ -67,9 +67,9 @@ fn pull_attack_on_source_delays_exit() {
     // on the virtual-time driver makes it one fixed-seed run.
     let config = NetConfig::new(GossipConfig::pull());
     let mut net = VirtualCluster::new(8, config, 3).with_attack(vec![0], 1024.0);
-    net.publish(0, Bytes::from_static(b"m"));
+    let id = net.publish(0, Bytes::from_static(b"m"));
     net.run_rounds(5);
-    let receivers = (1..8).filter(|&i| !net.delivered(i).is_empty()).count();
+    let receivers = net.holders(id) - 1;
     assert!(
         receivers <= 4,
         "pull escaped too easily: {receivers} receivers"
